@@ -2,8 +2,8 @@
    fan-out over sequential, on real HTTP.
 
    N loopback HTTP servers each charge a fixed service time per request
-   (a stand-in for remote query execution + WAN latency, which the
-   thread-per-connection server overlaps across peers).  One fan-out
+   (a stand-in for remote query execution + WAN latency, which
+   independent servers overlap across peers).  One fan-out
    round sends one request to every peer and waits for all responses:
    sequentially that costs ~N x service_ms, through a pool executor it
    should cost ~service_ms + overhead.  The §3.2 claim this preserves:

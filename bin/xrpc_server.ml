@@ -13,8 +13,8 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let serve verbose port data demo trace slow_ms threads max_connections workers
-    backlog peers =
+let serve verbose port data demo trace slow_ms max_connections workers backlog
+    peers =
   setup_logs verbose;
   let cluster_peers =
     match peers with
@@ -26,8 +26,8 @@ let serve verbose port data demo trace slow_ms threads max_connections workers
   let server =
     Server.create
       ~config:
-        (Server.config ~port ~backlog ?max_connections ~workers
-           ~thread_per_conn:threads ~slow_ms ~trace ~cluster_peers ())
+        (Server.config ~port ~backlog ?max_connections ~workers ~slow_ms ~trace
+           ~cluster_peers ())
       peer
   in
   if demo then begin
@@ -40,8 +40,7 @@ let serve verbose port data demo trace slow_ms threads max_connections workers
       Printf.printf "loaded %d documents, %d modules from %s\n%!" docs mods dir)
     data;
   let port = Server.start server in
-  Printf.printf "XRPC peer listening on xrpc://127.0.0.1:%d (%s core)\n%!" port
-    (if threads then "thread-per-connection" else "event-loop");
+  Printf.printf "XRPC peer listening on xrpc://127.0.0.1:%d\n%!" port;
   Printf.printf "routes on http://127.0.0.1:%d :\n%!" port;
   List.iter
     (fun (path, doc) -> Printf.printf "  %-16s %s\n%!" path doc)
@@ -86,14 +85,6 @@ let slow_ms =
           "Requests at least this slow are pinned by the flight recorder \
            (served at /slowz).")
 
-let threads =
-  Arg.(
-    value & flag
-    & info [ "threads" ]
-        ~doc:
-          "Use the thread-per-connection baseline server core instead of \
-           the event loop (for comparison benchmarks).")
-
 let max_connections =
   Arg.(
     value
@@ -108,8 +99,7 @@ let workers =
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Query-execution worker threads behind the event loop (ignored \
-           with $(b,--threads)).")
+          "Query-execution worker threads behind the event loop.")
 
 let backlog =
   Arg.(
@@ -130,7 +120,7 @@ let cmd =
   Cmd.v
     (Cmd.info "xrpc-server" ~doc)
     Term.(
-      const serve $ verbose $ port $ data $ demo $ trace $ slow_ms $ threads
+      const serve $ verbose $ port $ data $ demo $ trace $ slow_ms
       $ max_connections $ workers $ backlog $ peers)
 
 let () = exit (Cmd.eval cmd)

@@ -17,13 +17,12 @@
       Xrpc_server.stop server
     ]}
 
-    The default core is the readiness-driven event loop ({!Xrpc_net.Http}
-    [Event_loop]): SOAP requests are parsed out of each connection's
-    input buffer and replies serialized into its reused output buffer
+    The core is the readiness-driven event loop ({!Xrpc_net.Evloop}):
+    SOAP requests are parsed out of each connection's input buffer and
+    replies serialized into its reused output buffer
     ({!Xrpc_peer.Peer.handle_raw_into}), with XQuery execution on a
     bounded worker pool so slow queries never stall the accept/read/write
-    loop.  [~thread_per_conn:true] selects the original
-    thread-per-connection baseline. *)
+    loop. *)
 
 module Peer = Xrpc_peer.Peer
 module Http = Xrpc_net.Http
@@ -53,10 +52,9 @@ type config = {
   max_connections : int option;
       (** beyond this many open connections, new ones get an immediate
           503 and are closed *)
-  workers : int;  (** size of the query-execution pool (event loop) *)
+  workers : int;  (** size of the query-execution pool *)
   executor : Executor.t option;
       (** overrides [workers] with a caller-owned executor *)
-  thread_per_conn : bool;  (** baseline core instead of the event loop *)
   slow_ms : float;  (** flight-recorder pinning threshold *)
   trace : bool;  (** enable tracing; log a span tree per SOAP request *)
   outgoing : bool;
@@ -68,7 +66,7 @@ type config = {
 }
 
 let config ?(port = 8080) ?(backlog = 128) ?max_connections ?(workers = 4)
-    ?executor ?(thread_per_conn = false) ?(slow_ms = 250.) ?(trace = false)
+    ?executor ?(slow_ms = 250.) ?(trace = false)
     ?(outgoing = true) ?(cluster_peers = []) () =
   {
     port;
@@ -76,7 +74,6 @@ let config ?(port = 8080) ?(backlog = 128) ?max_connections ?(workers = 4)
     max_connections;
     workers;
     executor;
-    thread_per_conn;
     slow_ms;
     trace;
     outgoing;
@@ -183,14 +180,13 @@ let stats_text t =
     | None -> t.owned_pool
   in
   Printf.sprintf
-    "server.mode %s\nserver.accepted %d\nserver.active %d\nserver.served \
+    "server.accepted %d\nserver.active %d\nserver.served \
      %d\nserver.rejected_503 %d\nserver.accept_errors \
      %d\nserver.client_disconnects %d\nwindow.accepted_1m_rate \
      %.3f\nwindow.served_1m_rate %.3f\nwindow.rejected_503_1m_rate \
      %.3f\nwindow.accept_errors_1m_rate %.3f\nwindow.disconnects_1m_rate \
      %.3f\nwindow.loop_lag_p99_ms %s\nwindow.doneq_depth \
      %s\nwindow.executor_queue_depth %d\n"
-    (if t.cfg.thread_per_conn then "thread-per-conn" else "event-loop")
     s.Evloop.accepted s.Evloop.active s.Evloop.served s.Evloop.rejected
     s.Evloop.accept_errors s.Evloop.disconnects (wr "evloop.accepted")
     (wr "evloop.served") (wr "evloop.rejected_503")
@@ -353,24 +349,19 @@ let run_route t r ~query =
 (* Readiness probes and snapshot gauges for this serving process: the
    conditions /healthz must surface that no request counter can see —
    executor queue saturation and breakers open toward cluster peers —
-   plus the runtime gauges that ride in the telemetry snapshot. *)
-let register_runtime_sources t =
+   plus the runtime gauges that ride in the telemetry snapshot.
+   [executor] runs the served requests. *)
+let register_runtime_sources t executor =
   let scope = t.peer.Peer.uri in
-  (match
-     match t.cfg.executor with Some e -> Some e | None -> t.owned_pool
-   with
-  | Some e ->
-      let cap = min 1024 (max 1 (Executor.threads e)) in
-      Slo.register_probe ~scope ~name:"executor" (fun () ->
-          let d = Executor.queue_depth e in
-          if d >= cap * 16 then
-            Slo.Probe_unready
-              (Printf.sprintf "queue saturated (%d jobs behind %d workers)" d
-                 cap)
-          else if d >= cap * 4 then
-            Slo.Probe_degraded (Printf.sprintf "queue backlog (%d jobs)" d)
-          else Slo.Probe_ok)
-  | None -> ());
+  let cap = min 1024 (max 1 (Executor.threads executor)) in
+  Slo.register_probe ~scope ~name:"executor" (fun () ->
+      let d = Executor.queue_depth executor in
+      if d >= cap * 16 then
+        Slo.Probe_unready
+          (Printf.sprintf "queue saturated (%d jobs behind %d workers)" d cap)
+      else if d >= cap * 4 then
+        Slo.Probe_degraded (Printf.sprintf "queue backlog (%d jobs)" d)
+      else Slo.Probe_ok);
   (match (t.client, t.cfg.cluster_peers) with
   | Some c, (_ :: _ as peers) ->
       let breaker_of d =
@@ -403,55 +394,37 @@ let register_runtime_sources t =
         ("served_1m_rate", Window.rate (Window.counter "evloop.served"));
         ( "loop_lag_p99_ms",
           Window.quantile (Window.histogram "evloop.loop_lag_ms") 0.99 );
-        ( "executor_queue_depth",
-          float_of_int
-            (match
-               match t.cfg.executor with Some e -> Some e | None -> t.owned_pool
-             with
-            | Some e -> Executor.queue_depth e
-            | None -> 0) );
+        ("executor_queue_depth", float_of_int (Executor.queue_depth executor));
       ])
 
 let start t =
   match t.server with
   | Some s -> Http.port s
   | None ->
+      let executor =
+        match t.cfg.executor with
+        | Some e -> e
+        | None ->
+            let p = Executor.pool t.cfg.workers in
+            t.owned_pool <- Some p;
+            p
+      in
+      (* streaming contract: SOAP bodies are parsed straight out of the
+         connection's input buffer and replies serialized into its reused
+         output buffer — envelopes are materialized once *)
       let server =
-        if t.cfg.thread_per_conn then
-          Http.serve ~mode:Http.Thread_per_conn ~port:t.cfg.port
-            ~backlog:t.cfg.backlog ?max_connections:t.cfg.max_connections
-            (fun ~path body ->
-              let route, query = split_path path in
-              match find_route t route with
-              | Some r -> run_route t r ~query
-              | None ->
-                  let out = Peer.handle_raw t.peer body in
-                  soap_done t;
-                  out)
-        else
-          (* streaming contract: SOAP bodies are parsed straight out of
-             the connection's input buffer and replies serialized into
-             its reused output buffer — envelopes are materialized once *)
-          let executor =
-            match t.cfg.executor with
-            | Some e -> Some e
+        Http.serve_stream ~port:t.cfg.port ~backlog:t.cfg.backlog
+          ?max_connections:t.cfg.max_connections ~executor
+          (fun ~meth:_ ~path ~src ~pos ~len out ->
+            let route, query = split_path path in
+            match find_route t route with
+            | Some r -> Buffer.add_string out (run_route t r ~query)
             | None ->
-                let p = Executor.pool t.cfg.workers in
-                t.owned_pool <- Some p;
-                Some p
-          in
-          Http.serve_stream ~port:t.cfg.port ~backlog:t.cfg.backlog
-            ?max_connections:t.cfg.max_connections ?executor
-            (fun ~meth:_ ~path ~src ~pos ~len out ->
-              let route, query = split_path path in
-              match find_route t route with
-              | Some r -> Buffer.add_string out (run_route t r ~query)
-              | None ->
-                  Peer.handle_raw_into t.peer ~pos ~len src out;
-                  soap_done t)
+                Peer.handle_raw_into t.peer ~pos ~len src out;
+                soap_done t)
       in
       t.server <- Some server;
-      register_runtime_sources t;
+      register_runtime_sources t executor;
       Http.port server
 
 let port t = match t.server with Some s -> Http.port s | None -> t.cfg.port

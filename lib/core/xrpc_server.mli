@@ -18,13 +18,11 @@
       Xrpc_server.stop server
     ]}
 
-    The default core is the readiness-driven event loop
-    ({!Xrpc_net.Http.Event_loop}): one poll(2) loop over non-blocking
-    sockets with per-connection state machines, XQuery execution on a
-    bounded worker pool, SOAP requests parsed straight out of connection
-    buffers and replies serialized once into reused output buffers.
-    [~thread_per_conn:true] selects the original thread-per-connection
-    baseline for comparison. *)
+    The core is the readiness-driven event loop ({!Xrpc_net.Evloop}): one
+    epoll loop over non-blocking sockets with per-connection state
+    machines, XQuery execution on a bounded worker pool, SOAP requests
+    parsed straight out of connection buffers and replies serialized
+    once into reused output buffers. *)
 
 (** {2 Configuration} *)
 
@@ -34,10 +32,9 @@ type config = {
   max_connections : int option;
       (** beyond this many open connections, new ones get an immediate
           503 and are closed *)
-  workers : int;  (** size of the query-execution pool (event loop) *)
+  workers : int;  (** size of the query-execution pool *)
   executor : Xrpc_net.Executor.t option;
       (** overrides [workers] with a caller-owned executor *)
-  thread_per_conn : bool;  (** baseline core instead of the event loop *)
   slow_ms : float;  (** flight-recorder pinning threshold *)
   trace : bool;  (** enable tracing; log a span tree per SOAP request *)
   outgoing : bool;
@@ -54,7 +51,6 @@ val config :
   ?max_connections:int ->
   ?workers:int ->
   ?executor:Xrpc_net.Executor.t ->
-  ?thread_per_conn:bool ->
   ?slow_ms:float ->
   ?trace:bool ->
   ?outgoing:bool ->
@@ -62,7 +58,7 @@ val config :
   unit ->
   config
 (** Builder with the defaults: port 8080, backlog 128, no connection
-    cap, 4 workers, event loop, 250 ms slow threshold, tracing off,
+    cap, 4 workers, 250 ms slow threshold, tracing off,
     outgoing HTTP client wired, no cluster peers. *)
 
 val default_config : config
@@ -107,7 +103,7 @@ val stats : t -> Xrpc_net.Evloop.stats
     {!start}. *)
 
 val stats_text : t -> string
-(** The [/statz] route body: mode, the {!stats} counters, and the
+(** The [/statz] route body: the {!stats} counters, and the
     windowed rates / loop-lag p99 / queue depths from the sliding-window
     series. *)
 

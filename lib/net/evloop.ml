@@ -1,15 +1,14 @@
 (** Readiness-driven HTTP server core: one event loop, many connections.
 
-    The thread-per-connection server (kept in {!Http} behind a config
-    switch) burns a thread — stack, scheduler slot, runtime-lock churn —
-    per peer, which caps it at a few hundred connections.  This core holds
-    one {!Conn} state machine per connection instead and multiplexes them
-    all over a single readiness call, so 10k mostly-idle keep-alive peers
-    cost 10k small buffers and nothing else.  On Linux that call is
-    level-triggered epoll(7) — the kernel keeps the interest set, one
-    iteration costs O(ready fds) — with a portable poll(2) fallback
-    elsewhere (both are tiny C stubs: [Unix.select] tops out at
-    FD_SETSIZE = 1024 fds).
+    A thread per connection burns a stack, a scheduler slot and
+    runtime-lock churn per peer, which caps it at a few hundred
+    connections.  This core holds one {!Conn} state machine per
+    connection instead and multiplexes them all over a single readiness
+    call, so 10k mostly-idle keep-alive peers cost 10k small buffers and
+    nothing else.  That call is level-triggered epoll(7) — the kernel
+    keeps the interest set, one iteration costs O(ready fds) — through
+    tiny C stubs ([Unix.select] tops out at FD_SETSIZE = 1024 fds).  The
+    server therefore builds on Linux only.
 
     The loop thread never executes a handler: a fully-parsed request is
     shipped to a bounded {!Executor} pool (XQuery evaluation can take
@@ -30,16 +29,13 @@
 module Metrics = Xrpc_obs.Metrics
 module Window = Xrpc_obs.Window
 
-external poll_fds : Unix.file_descr array -> int array -> int -> int array
-  = "xrpc_poll_stub"
-
-(* Linux fast path: the kernel holds the interest set, so one loop
-   iteration costs O(ready fds) instead of poll's O(all fds).  At 10k
-   mostly-idle keep-alive connections that difference is the whole
-   ballgame: rebuilding and scanning a 10k-entry pollfd array burns
-   ~0.5 ms per iteration before any request is served.
-   [epoll_create] returns -1 on non-Linux builds and the loop falls
-   back to the portable poll path. *)
+(* The kernel holds the interest set, so one loop iteration costs
+   O(ready fds) instead of poll(2)'s O(all fds).  At 10k mostly-idle
+   keep-alive connections that difference is the whole ballgame:
+   rebuilding and scanning a 10k-entry pollfd array burns ~0.5 ms per
+   iteration before any request is served.  Readiness bits: 1 =
+   readable, 2 = writable, 4 = error/hangup.  [epoll_create] raises
+   [Failure] if the kernel refuses. *)
 external epoll_create : unit -> int = "xrpc_epoll_create_stub"
 
 (* op: 0 = ADD, 1 = MOD, 2 = DEL; events use the shared 1/2/4 bits *)
@@ -83,7 +79,7 @@ let w_doneq = Window.gauge "evloop.doneq_depth"
 
 let heartbeat_s = 0.5
 
-(* how long the acceptor stays off the poll set after EMFILE-class
+(* how long the acceptor stays off the epoll set after EMFILE-class
    failures: long enough not to spin, short enough to recover fast *)
 let accept_backoff_s = 0.05
 
@@ -120,7 +116,7 @@ type t = {
   stats : stats;
   mutable backoff_until : float;
   mutable next_tick : float;  (** heartbeat deadline for loop-lag drift *)
-  epfd : int;  (** epoll instance, or -1 → portable poll(2) path *)
+  epfd : int;  (** the epoll instance *)
   mutable lsock_watched : int;  (** listener interest registered in epoll *)
   scratch : Bytes.t;  (** shared chunk buffer for writes out of Buffers *)
   wake_buf : Bytes.t;
@@ -171,11 +167,11 @@ let run_handler t (c : Conn.t) =
   let src = Bytes.unsafe_to_string c.Conn.inbuf in
   try
     t.handler ~meth:c.Conn.meth ~path:c.Conn.path ~src ~pos:c.Conn.body_off
-      ~len:c.Conn.clen c.Conn.resp_body;
+      ~len:c.Conn.clen c.Conn.out_body;
     "200 OK"
   with e ->
-    Buffer.clear c.Conn.resp_body;
-    Buffer.add_string c.Conn.resp_body (Printexc.to_string e);
+    Buffer.clear c.Conn.out_body;
+    Buffer.add_string c.Conn.out_body (Printexc.to_string e);
     "500 Internal Server Error"
 
 let close_conn t (c : Conn.t) =
@@ -196,12 +192,11 @@ let desired_interest (c : Conn.t) =
   | Conn.Executing | Conn.Closed -> 0
 
 (* Re-register a connection's interest with epoll iff it changed since
-   the last registration ([c.watched] caches it, -1 = never added).  A
-   no-op on the poll path, where interest arrays are rebuilt per
-   iteration instead.  Called once per state-machine step, so parked
-   connections cost zero syscalls. *)
+   the last registration ([c.watched] caches it, -1 = never added).
+   Called once per state-machine step, so parked connections cost zero
+   syscalls. *)
 let sync_interest t (c : Conn.t) =
-  if t.epfd >= 0 && c.Conn.state <> Conn.Closed then begin
+  if c.Conn.state <> Conn.Closed then begin
     let want = desired_interest c in
     if want <> c.Conn.watched then begin
       let op = if c.Conn.watched < 0 then 0 else 1 in
@@ -239,7 +234,7 @@ and dispatch t (c : Conn.t) =
        handler work on the loop thread, so skip the completion-queue /
        self-pipe round trip and answer in the same loop iteration *)
     let status = run_handler t c in
-    Conn.set_response c ~status ~close:c.Conn.req_close;
+    Conn.set_response c ~status ~close:c.Conn.conn_close;
     try_write t c
   end
   else
@@ -274,9 +269,9 @@ let drain_done t =
   List.iter
     (fun ((c : Conn.t), status) ->
       if t.running && c.Conn.state = Conn.Executing then begin
-        Conn.set_response c ~status ~close:c.Conn.req_close;
+        Conn.set_response c ~status ~close:c.Conn.conn_close;
         (* the common case on loopback: the whole response fits in the
-           socket buffer, so finish without another poll round trip *)
+           socket buffer, so finish without another loop iteration *)
         try_write t c;
         sync_interest t c
       end)
@@ -301,9 +296,9 @@ let reject_503 t fd =
   t.stats.rejected <- t.stats.rejected + 1;
   Metrics.incr m_rejected;
   Window.incr w_rejected;
-  let c = Conn.create fd in
+  let c = Conn.create ~role:Conn.Server fd in
   c.Conn.rejected <- true;
-  Buffer.add_string c.Conn.resp_body canned_503;
+  Buffer.add_string c.Conn.out_body canned_503;
   Conn.set_response ~content_type:"text/plain" c
     ~status:"503 Service Unavailable" ~close:true;
   Hashtbl.replace t.conns fd c;
@@ -332,7 +327,7 @@ let accept_burst t =
         | _ ->
             t.stats.active <- t.stats.active + 1;
             Metrics.set m_active (float_of_int t.stats.active);
-            let c = Conn.create fd in
+            let c = Conn.create ~role:Conn.Server fd in
             Hashtbl.replace t.conns fd c;
             sync_interest t c)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -386,58 +381,12 @@ let handle_conn_event t (c : Conn.t) re =
       else if re land 2 <> 0 then try_write t c
   | Conn.Executing | Conn.Closed -> ()
 
-(* portable fallback: rebuild the full interest arrays every iteration
-   and hand them to poll(2).  Fine up to ~1k connections; beyond that
-   the O(n) rescan dominates and the epoll path below takes over. *)
-let run_poll_loop t =
-  let drain_wake = Bytes.create 256 in
-  while t.running do
-    drain_done t;
-    let n_conns = Hashtbl.length t.conns in
-    let fds = Array.make (n_conns + 2) t.wake_r in
-    let events = Array.make (n_conns + 2) 1 in
-    (* slot 0: wake pipe (read); slot 1: listener (read, unless backing
-       off); slots 2+: connections by state *)
-    let now = Unix.gettimeofday () in
-    let backing_off = t.backoff_until > now in
-    fds.(1) <- t.lsock;
-    events.(1) <- (if backing_off then 0 else 1);
-    let i = ref 2 in
-    Hashtbl.iter
-      (fun _ (c : Conn.t) ->
-        fds.(!i) <- c.Conn.fd;
-        events.(!i) <-
-          (match c.Conn.state with
-          | Conn.Reading -> 1
-          | Conn.Writing -> 2
-          | Conn.Executing | Conn.Closed -> 0);
-        incr i)
-      t.conns;
-    let timeout = wait_timeout_ms t now ~backing_off in
-    let revs = poll_fds fds events timeout in
-    observe_tick t;
-    if t.running then begin
-      let ready = ref 0 in
-      Array.iter (fun re -> if re <> 0 then incr ready) revs;
-      if !ready > 0 then Window.observe w_ready (float_of_int !ready);
-      if revs.(0) land 1 <> 0 then drain_wake_pipe t drain_wake;
-      if revs.(1) land (1 lor 4) <> 0 then accept_burst t;
-      for j = 2 to Array.length revs - 1 do
-        let re = revs.(j) in
-        if re <> 0 then
-          match Hashtbl.find_opt t.conns fds.(j) with
-          | None -> ()
-          | Some c -> handle_conn_event t c re
-      done
-    end
-  done
-
-(* epoll path: interest lives in the kernel (kept current by
-   {!sync_interest} at every state transition), so a wait returns just
-   the ready fds and an iteration is O(ready) — parked keep-alive
-   connections are free.  Level-triggered, so a 512-event batch cap
-   only delays stragglers to the next wait, never loses them. *)
-let run_epoll_loop t =
+(* Interest lives in the kernel (kept current by {!sync_interest} at
+   every state transition), so a wait returns just the ready fds and an
+   iteration is O(ready) — parked keep-alive connections are free.
+   Level-triggered, so a 512-event batch cap only delays stragglers to
+   the next wait, never loses them. *)
+let run_loop t =
   let drain_wake = Bytes.create 256 in
   let max_events = 512 in
   while t.running do
@@ -471,18 +420,14 @@ let run_epoll_loop t =
               handle_conn_event t c re;
               sync_interest t c
       done
-  done
-
-let run_loop t =
-  if t.epfd >= 0 then run_epoll_loop t else run_poll_loop t;
+  done;
   (* teardown on the loop thread: everything single-owner until here *)
   Hashtbl.iter (fun _ c -> Conn.close c) t.conns;
   Hashtbl.reset t.conns;
   (try Unix.close t.lsock with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-  if t.epfd >= 0 then
-    try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ()
+  try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -518,13 +463,10 @@ let create ?(port = 0) ?(backlog = 128) ?max_connections ?executor handler : t =
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let epfd = epoll_create () in
-  if epfd >= 0 then begin
-    (* the wake pipe and listener live in the interest set for the
-       loop's whole life; per-connection fds come and go via
-       [sync_interest] *)
-    ignore (epoll_ctl epfd 0 wake_r 1);
-    ignore (epoll_ctl epfd 0 lsock 1)
-  end;
+  (* the wake pipe and listener live in the interest set for the loop's
+     whole life; per-connection fds come and go via [sync_interest] *)
+  ignore (epoll_ctl epfd 0 wake_r 1);
+  ignore (epoll_ctl epfd 0 lsock 1);
   let executor, own_pool =
     match executor with
     | Some e -> (e, false)
@@ -556,7 +498,7 @@ let create ?(port = 0) ?(backlog = 128) ?max_connections ?executor handler : t =
       backoff_until = 0.;
       next_tick = 0.;
       epfd;
-      lsock_watched = (if epfd >= 0 then 1 else 0);
+      lsock_watched = 1;
       scratch = Bytes.create 65536;
       wake_buf = Bytes.make 1 '!';
       loop_thread = None;

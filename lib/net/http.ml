@@ -5,16 +5,14 @@
     across processes or machines — modeled on the "ultra-light HTTP
     daemon" the paper embeds in MonetDB/XQuery (§3).
 
-    The server has two cores behind one [serve] entry point:
-    {!Event_loop} (default) multiplexes every connection over a single
-    poll(2) loop with non-blocking sockets and per-connection state
-    machines ({!Evloop} / {!Conn}), executing handlers on a bounded
-    worker pool — the shape that holds thousands of concurrent keep-alive
-    peers; {!Thread_per_conn} is the original baseline (one thread per
-    accepted connection), kept behind the config switch for comparison
-    and as the fallback reference implementation.  Both keep the
-    connection open across requests (HTTP/1.1 keep-alive) unless the
-    client sends [Connection: close].
+    One codec guards both directions: the server ({!Evloop}) and the
+    client below frame every message with the same {!Conn} parser and
+    caps.  The server multiplexes every connection over one epoll loop
+    with non-blocking sockets and per-connection state machines,
+    executing handlers on a bounded worker pool — the shape that holds
+    thousands of concurrent keep-alive peers.  It keeps the connection
+    open across requests (HTTP/1.1 keep-alive) unless the client sends
+    [Connection: close].
 
     The client transport can reuse one pooled connection per destination
     ([~keep_alive:true]) and fans parallel sends out through an
@@ -36,312 +34,209 @@ let m_dest_bytes_out dest =
 
 let m_dest_bytes_in dest =
   Metrics.counter (Metrics.with_labels "http.bytes_in" [ ("dest", dest) ])
-let m_served = Metrics.counter "http.requests_served"
 let m_post_ms = Metrics.histogram "http.post_ms"
-
-(* ------------------------------------------------------------------ *)
-(* Wire reading helpers                                                *)
-(* ------------------------------------------------------------------ *)
-
-let read_line_crlf ic =
-  let buf = Buffer.create 64 in
-  let rec go () =
-    match input_char ic with
-    | '\r' -> (
-        match input_char ic with
-        | '\n' -> Buffer.contents buf
-        | c ->
-            Buffer.add_char buf '\r';
-            Buffer.add_char buf c;
-            go ())
-    | '\n' -> Buffer.contents buf
-    | c ->
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
-
-let read_headers ic =
-  let rec go acc =
-    match read_line_crlf ic with
-    | "" -> List.rev acc
-    | line -> (
-        match String.index_opt line ':' with
-        | Some i ->
-            let k = String.lowercase_ascii (String.trim (String.sub line 0 i)) in
-            let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-            go ((k, v) :: acc)
-        | None -> go acc)
-  in
-  go []
-
-let read_body ic headers =
-  match List.assoc_opt "content-length" headers with
-  | Some n -> really_input_string ic (int_of_string n)
-  | None -> ""
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type mode = Event_loop | Thread_per_conn
-
-type threaded = {
-  sock : Unix.file_descr;
-  tport : int;
-  mutable running : bool;
-  tstats : Evloop.stats;  (** same shape as the event loop's, for parity *)
-}
-
-type server = Ev of Evloop.t | Threaded of threaded
-
-(* -- thread-per-connection baseline --------------------------------- *)
-
-let serve_threaded ?(port = 0) ?(backlog = 32) ?max_connections
-    (handler : path:string -> string -> string) : server =
-  Evloop.ignore_sigpipe ();
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock backlog;
-  let actual_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  let stats =
-    {
-      Evloop.accepted = 0;
-      active = 0;
-      served = 0;
-      rejected = 0;
-      accept_errors = 0;
-      disconnects = 0;
-    }
-  in
-  let server = { sock; tport = actual_port; running = true; tstats = stats } in
-  (* thread-per-connection with keep-alive: loop serving requests on this
-     connection until the peer closes it, asks us to, or errors out.
-     HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close. *)
-  let handle_conn fd =
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let rec serve_one () =
-      match read_line_crlf ic with
-      | exception (End_of_file | Sys_error _) -> ()
-      | request_line -> (
-          match String.split_on_char ' ' request_line with
-          | meth :: path :: rest ->
-              let headers = read_headers ic in
-              let body = if meth = "POST" then read_body ic headers else "" in
-              Metrics.incr m_served;
-              let close =
-                match List.assoc_opt "connection" headers with
-                | Some v -> String.lowercase_ascii v = "close"
-                | None -> rest = [ "HTTP/1.0" ]
-              in
-              let status, response =
-                try ("200 OK", handler ~path body)
-                with e -> ("500 Internal Server Error", Printexc.to_string e)
-              in
-              Printf.fprintf oc
-                "HTTP/1.1 %s\r\nContent-Type: application/soap+xml; charset=utf-8\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n%s"
-                status (String.length response)
-                (if close then "close" else "keep-alive")
-                response;
-              flush oc;
-              stats.Evloop.served <- stats.Evloop.served + 1;
-              if (not close) && server.running then serve_one ()
-          | _ -> ())
-    in
-    (try serve_one () with End_of_file | Sys_error _ -> ());
-    stats.Evloop.active <- stats.Evloop.active - 1;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  in
-  let reject fd =
-    stats.Evloop.rejected <- stats.Evloop.rejected + 1;
-    let body = "XRPC peer at connection capacity; retry shortly\n" in
-    let oc = Unix.out_channel_of_descr fd in
-    (try
-       Printf.fprintf oc
-         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-         (String.length body) body;
-       flush oc
-     with Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let accept_loop () =
-    (* accept failures must not spin: resource exhaustion (EMFILE &c.,
-       including a failed Thread.create) counts server.accept_errors and
-       backs off briefly before the next accept *)
-    let note_accept_error () =
-      stats.Evloop.accept_errors <- stats.Evloop.accept_errors + 1;
-      Metrics.incr Evloop.m_accept_errors;
-      Unix.sleepf Evloop.accept_backoff_s
-    in
-    while server.running do
-      match Unix.accept sock with
-      | fd, _ -> (
-          stats.Evloop.accepted <- stats.Evloop.accepted + 1;
-          match max_connections with
-          | Some m when stats.Evloop.active >= m -> reject fd
-          | _ -> (
-              stats.Evloop.active <- stats.Evloop.active + 1;
-              try ignore (Thread.create handle_conn fd)
-              with Sys_error _ | Out_of_memory ->
-                stats.Evloop.active <- stats.Evloop.active - 1;
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                note_accept_error ()))
-      | exception Unix.Unix_error (Unix.EBADF, _, _) -> server.running <- false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (e, _, _) -> (
-          match Evloop.accept_action e with
-          | `Retry -> ()
-          | `Backoff -> note_accept_error ()
-          | `Stop -> server.running <- false)
-    done
-  in
-  ignore (Thread.create accept_loop ());
-  Threaded server
-
-(* -- unified entry points ------------------------------------------- *)
+type server = Evloop.t
 
 (** [serve handler] starts an HTTP server on 127.0.0.1 ([port = 0] picks
     a free port, see {!port}); [handler ~path body] returns the response
     body for a POST (GET passes an empty body, so module sources can be
-    fetched too).  [mode] selects the core: the readiness-driven
-    {!Event_loop} (default; [executor] sizes its handler pool,
-    [max_connections] turns extra peers away with a 503) or the
-    {!Thread_per_conn} baseline. *)
-let serve ?(mode = Event_loop) ?port ?backlog ?max_connections ?executor
+    fetched too).  [executor] sizes the handler pool; [max_connections]
+    turns extra peers away with a 503. *)
+let serve ?port ?backlog ?max_connections ?executor
     (handler : path:string -> string -> string) : server =
-  match mode with
-  | Thread_per_conn -> serve_threaded ?port ?backlog ?max_connections handler
-  | Event_loop ->
-      let h ~meth ~path ~src ~pos ~len out =
-        let body = if meth = "POST" then String.sub src pos len else "" in
-        Buffer.add_string out (handler ~path body)
-      in
-      Ev (Evloop.create ?port ?backlog ?max_connections ?executor h)
+  let h ~meth ~path ~src ~pos ~len out =
+    let body = if meth = "POST" then String.sub src pos len else "" in
+    Buffer.add_string out (handler ~path body)
+  in
+  Evloop.create ?port ?backlog ?max_connections ?executor h
 
-(** [serve_stream handler] — event-loop server with the zero-copy handler
-    contract ({!Evloop.handler}): the request body arrives as a window
-    over the connection's input buffer and the response body is appended
-    to the connection's reused output buffer.  This is what the
+(** [serve_stream handler] — server with the zero-copy handler contract
+    ({!Evloop.handler}): the request body arrives as a window over the
+    connection's input buffer and the response body is appended to the
+    connection's reused output buffer.  This is what the
     {!Xrpc_core.Xrpc_server} façade uses to hand SOAP bytes straight to
     the peer without materializing them twice. *)
 let serve_stream ?port ?backlog ?max_connections ?executor
     (handler : Evloop.handler) : server =
-  Ev (Evloop.create ?port ?backlog ?max_connections ?executor handler)
+  Evloop.create ?port ?backlog ?max_connections ?executor handler
 
-let port = function Ev t -> Evloop.port t | Threaded s -> s.tport
-
-let stats = function
-  | Ev t -> Evloop.stats t
-  | Threaded s ->
-      {
-        Evloop.accepted = s.tstats.Evloop.accepted;
-        active = s.tstats.Evloop.active;
-        served = s.tstats.Evloop.served;
-        rejected = s.tstats.Evloop.rejected;
-        accept_errors = s.tstats.Evloop.accept_errors;
-        disconnects = s.tstats.Evloop.disconnects;
-      }
-
-let shutdown = function
-  | Ev t -> Evloop.stop t
-  | Threaded s -> (
-      s.running <- false;
-      try Unix.close s.sock with Unix.Unix_error _ -> ())
+let port = Evloop.port
+let stats = Evloop.stats
+let shutdown = Evloop.stop
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type conn = { c_sock : Unix.file_descr; c_ic : in_channel; c_oc : out_channel }
+(* A client connection: a blocking socket (the request timeout becomes
+   SO_RCVTIMEO/SO_SNDTIMEO) driven through a reused {!Conn.t} in the
+   [Client] role, plus the gather buffer its writes go through. *)
+type conn = { conn : Conn.t; mutable scratch : Bytes.t }
 
-(* Map socket-level failures onto the shared typed error vocabulary so
-   the policy layer can retry them exactly like simulated faults. *)
-let wrap_socket_errors ~dest f =
-  try f () with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-    ->
-      Transport.error ~kind:Transport.Timeout ~dest "socket timeout"
-  | Unix.Unix_error
-      ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EHOSTUNREACH
-        | Unix.ENETUNREACH | Unix.EPIPE ),
-        _,
-        _ ) as e ->
-      Transport.error ~kind:Transport.Unreachable ~dest "%s"
-        (Printexc.to_string e)
-  | End_of_file ->
-      Transport.error ~kind:Transport.Unreachable ~dest
-        "connection closed before a full response"
+(* the connection died before the first response byte (EOF or reset), or
+   the request could not be written: the server cannot have answered, so
+   re-sending on a fresh connection is safe *)
+exception Stale
+
+let gather_max = 65536
 
 let open_conn ?timeout_ms ~dest ~host ~port () =
-  wrap_socket_errors ~dest @@ fun () ->
+  (* writing to a connection the server dropped must be EPIPE (a stale
+     signal), not a fatal SIGPIPE *)
+  Evloop.ignore_sigpipe ();
   let addr =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
     with Not_found -> Unix.inet_addr_loopback
   in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (match timeout_ms with
-  | Some ms when ms > 0. ->
-      Unix.setsockopt_float sock Unix.SO_RCVTIMEO (ms /. 1000.);
-      Unix.setsockopt_float sock Unix.SO_SNDTIMEO (ms /. 1000.)
-  | _ -> ());
-  (try Unix.connect sock (Unix.ADDR_INET (addr, port))
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  {
-    c_sock = sock;
-    c_ic = Unix.in_channel_of_descr sock;
-    c_oc = Unix.out_channel_of_descr sock;
-  }
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    (match timeout_ms with
+    | Some ms when ms > 0. ->
+        Unix.setsockopt_float sock Unix.SO_RCVTIMEO (ms /. 1000.);
+        Unix.setsockopt_float sock Unix.SO_SNDTIMEO (ms /. 1000.)
+    | _ -> ());
+    (* header and body leave in one write when they fit [gather_max];
+       a larger request is split, and Nagle must not hold its tail back
+       waiting for the server's delayed ACK *)
+    Unix.setsockopt sock Unix.TCP_NODELAY true;
+    Unix.connect sock (Unix.ADDR_INET (addr, port))
+  with
+  | () -> { conn = Conn.create ~role:Conn.Client sock; scratch = Bytes.empty }
+  | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      let kind =
+        match e with
+        | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT | Unix.EINPROGRESS ->
+            Transport.Timeout
+        | _ -> Transport.Unreachable
+      in
+      Transport.error ~kind ~dest "connect: %s" (Unix.error_message e)
 
-let close_conn c = try Unix.close c.c_sock with Unix.Unix_error _ -> ()
+let close_conn cc = Conn.close cc.conn
 
-(* One POST round trip over an open connection.  [keep_alive] selects the
-   Connection header; the server honours it per request. *)
-let request_conn ~dest ~host ~port ~path ~keep_alive c body =
-  wrap_socket_errors ~dest @@ fun () ->
-  Printf.fprintf c.c_oc
-    "POST %s HTTP/1.1\r\nHost: %s:%d\r\nContent-Type: application/soap+xml; charset=utf-8\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n%s"
-    path host port (String.length body)
-    (if keep_alive then "keep-alive" else "close")
-    body;
-  flush c.c_oc;
-  let status_line = read_line_crlf c.c_ic in
-  let headers = read_headers c.c_ic in
-  let response = read_body c.c_ic headers in
-  match String.split_on_char ' ' status_line with
-  | _ :: code :: _ when code.[0] = '2' -> response
-  | _ :: code :: _ -> err "HTTP %s: %s" code response
-  | _ -> err "malformed HTTP status line %S" status_line
+(* One POST round trip over an open connection: returns the status, the
+   body, and whether the connection may carry another request.  Raises
+   {!Stale} (see above), or {!Transport.Error}: [Timeout] when a socket
+   timeout expires, [Unreachable] when the server vanishes mid-response,
+   [Protocol] when the response breaks the codec. *)
+let request_conn ~dest ~host ~port ~path ~keep_alive cc body =
+  let c = cc.conn in
+  Conn.set_request c ~path ~host:(Printf.sprintf "%s:%d" host port)
+    ~close:(not keep_alive) body;
+  let want =
+    min gather_max (Buffer.length c.Conn.out_head + String.length body)
+  in
+  if Bytes.length cc.scratch < want then cc.scratch <- Bytes.create want;
+  let timeout what =
+    Transport.error ~kind:Transport.Timeout ~dest "socket timeout %s" what
+  in
+  (match Conn.write_step ~scratch:cc.scratch c with
+  | Conn.Write_done -> ()
+  | Conn.Write_blocked -> timeout "writing the request"
+  | Conn.Write_closed -> raise Stale);
+  let rec await () =
+    match Conn.feed c with
+    | Conn.Request -> ()
+    | Conn.Bad why ->
+        Transport.error ~kind:(Transport.Protocol "http") ~dest "%s" why
+    | Conn.Need_more -> (
+        match Conn.read_step c with
+        | Conn.Read_some -> await ()
+        | Conn.Read_blocked -> timeout "awaiting the response"
+        | Conn.Read_eof ->
+            if c.Conn.in_len = 0 then raise Stale
+            else
+              Transport.error ~kind:Transport.Unreachable ~dest
+                "connection closed mid-response")
+  in
+  await ();
+  let reply = Bytes.sub_string c.Conn.inbuf c.Conn.body_off c.Conn.clen in
+  (* bytes past the response are not ours to interpret: never reuse *)
+  let reusable =
+    keep_alive && (not c.Conn.conn_close)
+    && c.Conn.in_len = c.Conn.body_off + c.Conn.clen
+  in
+  Conn.reset_for_next c;
+  (c.Conn.status, reply, reusable)
+
+(* Idle keep-alive connections: at most one per [host:port]; concurrent
+   sends to one destination open extra connections and the last one back
+   wins the slot. *)
+type pool = { idle : (string, conn) Hashtbl.t; lock : Mutex.t }
+
+let take pool key =
+  Mutex.protect pool.lock (fun () ->
+      let c = Hashtbl.find_opt pool.idle key in
+      Hashtbl.remove pool.idle key;
+      c)
+
+let put pool key cc =
+  let kept =
+    Mutex.protect pool.lock (fun () ->
+        let free = not (Hashtbl.mem pool.idle key) in
+        if free then Hashtbl.replace pool.idle key cc;
+        free)
+  in
+  if not kept then close_conn cc
+
+(* One POST round trip, traced and timed.  Without a [pool] it runs on a
+   fresh connection that asks the server to close.  With one, a pooled
+   connection is tried first — if it went stale, the request is re-sent
+   once on a fresh connection; anything after the first response byte
+   (a complete error response, a timeout) is not retried, because the
+   server may have executed the request — and a connection the response
+   leaves reusable goes back to the pool.  A non-2xx response becomes
+   {!Http_error}. *)
+let round_trip ?timeout_ms ?pool ~dest ~host ~port ~path body =
+  Trace.with_span ~detail:dest "http.post" @@ fun () ->
+  Metrics.incr m_posts;
+  let t0 = Unix.gettimeofday () in
+  let key = Printf.sprintf "%s:%d" host port in
+  let on cc =
+    let keep_alive = pool <> None in
+    match request_conn ~dest ~host ~port ~path ~keep_alive cc body with
+    | status, reply, reusable ->
+        (match pool with
+        | Some p when reusable -> put p key cc
+        | _ -> close_conn cc);
+        if status / 100 = 2 then reply else err "HTTP %d: %s" status reply
+    | exception e ->
+        close_conn cc;
+        raise e
+  in
+  let fresh () =
+    try on (open_conn ?timeout_ms ~dest ~host ~port ())
+    with Stale ->
+      Transport.error ~kind:Transport.Unreachable ~dest
+        "connection closed before a response"
+  in
+  let r =
+    match Option.bind pool (fun p -> take p key) with
+    | Some cc -> ( try on cc with Stale -> fresh ())
+    | None -> fresh ()
+  in
+  Metrics.observe m_post_ms ((Unix.gettimeofday () -. t0) *. 1000.);
+  r
 
 (** [post ~host ~port ~path body] performs one HTTP POST round trip on a
     fresh connection.  [timeout_ms] maps the shared {!Transport.policy}
     request budget onto real socket timeouts. *)
 let post ?timeout_ms ~host ~port ?(path = "/") body =
-  let dest = Printf.sprintf "%s:%d" host port in
-  Trace.with_span ~detail:dest "http.post" @@ fun () ->
-  Metrics.incr m_posts;
-  let t0 = Unix.gettimeofday () in
-  let c = open_conn ?timeout_ms ~dest ~host ~port () in
-  Fun.protect
-    ~finally:(fun () -> close_conn c)
-    (fun () ->
-      let r = request_conn ~dest ~host ~port ~path ~keep_alive:false c body in
-      Metrics.observe m_post_ms ((Unix.gettimeofday () -. t0) *. 1000.);
-      r)
+  round_trip ?timeout_ms ~dest:(Printf.sprintf "%s:%d" host port) ~host ~port
+    ~path body
 
 (** Transport over HTTP: destinations are [xrpc://host:port[/path]] URIs.
 
     [executor] drives parallel sends (default {!Executor.unbounded}, one
     thread per destination).  [keep_alive] reuses one pooled connection
     per destination across requests; a send finding the pooled connection
-    stale (server closed it) transparently retries once on a fresh one.
+    stale (closed or reset before any response byte) transparently
+    retries once on a fresh one.
     With [policy], every send runs under {!Transport.with_policy} on the
     wall clock: the policy's [timeout_ms] becomes the socket timeout and
     retries back off with [Unix.sleepf].  [timeout_ms] alone sets the
@@ -354,65 +249,22 @@ let transport ?(default_port = 8080) ?timeout_ms ?policy
     | Some _ as t -> t
     | None -> Option.map (fun p -> p.Transport.timeout_ms) policy
   in
-  (* at most one idle pooled connection per destination; concurrent sends
-     to the same destination simply open extra connections and the last
-     one back wins the pool slot *)
-  let pool : (string, conn) Hashtbl.t = Hashtbl.create 8 in
-  let pool_m = Mutex.create () in
-  let take_pooled key =
-    Mutex.lock pool_m;
-    let c = Hashtbl.find_opt pool key in
-    (match c with Some _ -> Hashtbl.remove pool key | None -> ());
-    Mutex.unlock pool_m;
-    c
-  in
-  let give_back key c =
-    Mutex.lock pool_m;
-    let occupied = Hashtbl.mem pool key in
-    if not occupied then Hashtbl.replace pool key c;
-    Mutex.unlock pool_m;
-    if occupied then close_conn c
+  let pool =
+    if keep_alive then Some { idle = Hashtbl.create 8; lock = Mutex.create () }
+    else None
   in
   let send ~dest body =
     let uri = Xrpc_uri.parse dest in
-    let host = uri.Xrpc_uri.host in
     let port = Option.value ~default:default_port uri.Xrpc_uri.port in
-    let path = "/" ^ uri.Xrpc_uri.path in
     Metrics.incr_by (m_dest_bytes_out dest) (String.length body);
     let reply =
-    if not keep_alive then post ?timeout_ms ~host ~port ~path body
-    else begin
-      Trace.with_span ~detail:dest "http.post" @@ fun () ->
-      Metrics.incr m_posts;
-      let t0 = Unix.gettimeofday () in
-      let key = Printf.sprintf "%s:%d" host port in
-      let once c =
-        match request_conn ~dest ~host ~port ~path ~keep_alive:true c body with
-        | r ->
-            give_back key c;
-            r
-        | exception e ->
-            close_conn c;
-            raise e
-      in
-      let r =
-        match take_pooled key with
-        | Some c -> (
-            (* the server may have closed the idle pooled connection in
-               the meantime: that's not a peer failure, retry fresh *)
-            try once c
-            with Transport.Error _ | Http_error _ ->
-              once (open_conn ?timeout_ms ~dest ~host ~port ()))
-        | None -> once (open_conn ?timeout_ms ~dest ~host ~port ())
-      in
-      Metrics.observe m_post_ms ((Unix.gettimeofday () -. t0) *. 1000.);
-      r
-    end
+      round_trip ?timeout_ms ?pool ~dest ~host:uri.Xrpc_uri.host ~port
+        ~path:("/" ^ uri.Xrpc_uri.path) body
     in
     Metrics.incr_by (m_dest_bytes_in dest) (String.length reply);
     reply
   in
-  let send_parallel pairs =
+let send_parallel pairs =
     Executor.map_list executor (fun (dest, body) -> send ~dest body) pairs
   in
   let raw = { Transport.send; send_parallel } in

@@ -1,32 +1,21 @@
-(** Minimal HTTP/1.1 SOAP transport: server (event-loop or
-    thread-per-connection) and pooled keep-alive client.
+(** Minimal HTTP/1.1 SOAP transport: the event-loop server and a pooled
+    keep-alive client, both framing messages with the one {!Conn} codec.
 
     The server side hides its connection-state internals ({!Conn} state
-    machines, poll sets, worker handoff) behind an abstract {!server}:
-    start one with {!serve} (or {!serve_stream} for the zero-copy handler
+    machines, the epoll set, worker handoff) behind {!server}: start one
+    with {!serve} (or {!serve_stream} for the zero-copy handler
     contract), read its bound {!port}, inspect {!stats}, and {!shutdown}
     it.  The client side is {!post} (one round trip) and {!transport}
     (the {!Xrpc_net.Transport.t} used by peers and the client façade). *)
 
 exception Http_error of string
-(** A non-2xx response, or a malformed one. *)
+(** A complete non-2xx response. *)
 
 (** {2 Server} *)
 
-type mode =
-  | Event_loop
-      (** one poll(2) readiness loop over non-blocking sockets,
-          per-connection state machines, handlers on a bounded worker
-          pool: holds thousands of concurrent keep-alive connections
-          (default) *)
-  | Thread_per_conn
-      (** the original one-thread-per-accepted-connection baseline, kept
-          for comparison benchmarks and as a reference implementation *)
-
-type server
+type server = Evloop.t
 
 val serve :
-  ?mode:mode ->
   ?port:int ->
   ?backlog:int ->
   ?max_connections:int ->
@@ -35,12 +24,12 @@ val serve :
   server
 (** [serve handler] binds 127.0.0.1 ([?port] defaults to 0 = pick a free
     one) and serves [handler ~path body] on every request (GET passes an
-    empty body).  Handler exceptions become 500 responses.  In
-    {!Event_loop} mode, [executor] runs the handlers (default: a private
-    pool of 4 workers) and [max_connections] turns extra connections away
-    with an immediate 503; accept-side resource exhaustion (EMFILE …)
-    counts the [server.accept_errors] metric and backs the acceptor off
-    briefly instead of spinning — in both modes. *)
+    empty body).  Handler exceptions become 500 responses.  [executor]
+    runs the handlers (default: a private pool of 4 workers) and
+    [max_connections] turns extra connections away with an immediate
+    503; accept-side resource exhaustion (EMFILE …) counts the
+    [server.accept_errors] metric and backs the acceptor off briefly
+    instead of spinning. *)
 
 val serve_stream :
   ?port:int ->
@@ -63,9 +52,8 @@ val stats : server -> Evloop.stats
     monitoring. *)
 
 val shutdown : server -> unit
-(** Stop accepting, close every connection, release the port.  For the
-    event loop this joins the loop thread, so the port is free when it
-    returns. *)
+(** Stop accepting, close every connection, release the port.  Joins
+    the loop thread, so the port is free when it returns. *)
 
 (** {2 Client} *)
 
@@ -78,8 +66,11 @@ val post :
   string
 (** One POST round trip on a fresh connection.  [timeout_ms] maps the
     shared {!Transport.policy} request budget onto socket timeouts.
-    Raises {!Http_error} on non-2xx, {!Transport.Error} on socket
-    failures. *)
+    Raises {!Http_error} on a non-2xx response and {!Transport.Error}
+    otherwise: [Timeout] when a socket timeout expires, [Unreachable]
+    when the connection fails or closes before a complete response,
+    [Protocol] when the response breaks the codec (bad status line, a
+    missing or malformed Content-Length, over-size headers or body). *)
 
 val transport :
   ?default_port:int ->
@@ -92,5 +83,9 @@ val transport :
 (** Transport over HTTP: destinations are [xrpc://host:port[/path]] URIs.
     [executor] drives parallel sends (default {!Executor.unbounded});
     [keep_alive] pools one connection per destination with a transparent
-    single retry when the pooled connection went stale; [policy] wraps
-    every send in {!Transport.with_policy} on the wall clock. *)
+    single retry when the pooled connection went stale (closed or reset
+    before any response byte, or unwritable) — never after a response
+    or a timeout, so a request is not executed twice.  A response with
+    [Connection: close] or from an HTTP/1.0 server is not pooled.
+    [policy] wraps every send in {!Transport.with_policy} on the wall
+    clock. *)

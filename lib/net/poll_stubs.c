@@ -1,17 +1,19 @@
-/* poll(2) binding for the event-loop server.
+/* epoll(7) binding for the event-loop server, plus an RLIMIT_NOFILE bump.
  *
  * OCaml's Unix module only exposes select(2), whose fd_set caps file
  * descriptors at FD_SETSIZE (1024) -- useless for the 10k-connection
- * target.  This is the thinnest possible poll wrapper: fd + interest
- * arrays in, revents array out.  The GC lock is released around the
- * blocking call so worker threads keep running.
+ * target.  These are the thinnest possible epoll wrappers.  The GC lock
+ * is released around the blocking wait so worker threads keep running.
  *
  * Interest / readiness bits (shared with evloop.ml):
- *   1 = readable, 2 = writable, 4 = error/hangup/invalid.
+ *   1 = readable, 2 = writable, 4 = error/hangup.
  */
 
+#ifndef __linux__
+#error "the XRPC event-loop server requires Linux epoll(7)"
+#endif
+
 #include <errno.h>
-#include <poll.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -22,44 +24,6 @@
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/threads.h>
-
-CAMLprim value xrpc_poll_stub(value vfds, value vevents, value vtimeout)
-{
-  CAMLparam3(vfds, vevents, vtimeout);
-  CAMLlocal1(vres);
-  mlsize_t n = Wosize_val(vfds);
-  int timeout = Int_val(vtimeout);
-  struct pollfd *pfds = malloc(sizeof(struct pollfd) * (n ? n : 1));
-  if (pfds == NULL) caml_failwith("xrpc_poll: out of memory");
-  for (mlsize_t i = 0; i < n; i++) {
-    /* on Unix a Unix.file_descr is an immediate int */
-    pfds[i].fd = Int_val(Field(vfds, i));
-    int ev = Int_val(Field(vevents, i));
-    pfds[i].events = (short)(((ev & 1) ? POLLIN : 0) | ((ev & 2) ? POLLOUT : 0));
-    pfds[i].revents = 0;
-  }
-  caml_release_runtime_system();
-  int r = poll(pfds, (nfds_t)n, timeout);
-  int saved_errno = errno;
-  caml_acquire_runtime_system();
-  if (r < 0 && saved_errno != EINTR && saved_errno != EAGAIN) {
-    free(pfds);
-    caml_failwith("xrpc_poll: poll failed");
-  }
-  vres = caml_alloc(n, 0);
-  for (mlsize_t i = 0; i < n; i++) {
-    int re = 0;
-    if (r > 0) {
-      short rv = pfds[i].revents;
-      if (rv & POLLIN) re |= 1;
-      if (rv & POLLOUT) re |= 2;
-      if (rv & (POLLERR | POLLHUP | POLLNVAL)) re |= 4;
-    }
-    Store_field(vres, i, Val_int(re));
-  }
-  free(pfds);
-  CAMLreturn(vres);
-}
 
 /* Raise RLIMIT_NOFILE towards [target] (10k connections need ~20k fds:
  * one per server conn plus one per in-process load-generator conn).
@@ -89,21 +53,19 @@ CAMLprim value xrpc_raise_nofile_stub(value vtarget)
 /* epoll(7): O(ready) readiness for the 10k-connection tier            */
 /* ------------------------------------------------------------------ */
 
-/* poll(2) is portable but O(n): every call rescans the whole pollfd
- * array, so at 10k mostly-idle connections each loop iteration burns
- * ~0.5 ms walking parked fds.  On Linux we keep the interest set in
- * the kernel instead (level-triggered epoll) and each wait returns
- * only the ready fds.  Same 1/2/4 readiness encoding as xrpc_poll.
- * On non-Linux builds epoll_create returns -1 and the event loop
- * falls back to the poll path. */
+/* poll(2) would rescan the whole pollfd array on every call, so at 10k
+ * mostly-idle connections each loop iteration would burn ~0.5 ms
+ * walking parked fds.  epoll keeps the interest set in the kernel
+ * (level-triggered) and each wait returns only the ready fds. */
 
-#ifdef __linux__
 #include <sys/epoll.h>
 
 CAMLprim value xrpc_epoll_create_stub(value unit)
 {
   (void)unit;
-  return Val_int(epoll_create1(EPOLL_CLOEXEC));
+  int fd = epoll_create1(EPOLL_CLOEXEC);
+  if (fd < 0) caml_failwith("xrpc_epoll_create: epoll_create1 failed");
+  return Val_int(fd);
 }
 
 /* op: 0 = ADD, 1 = MOD, 2 = DEL */
@@ -150,25 +112,3 @@ CAMLprim value xrpc_epoll_wait_stub(value vep, value vmax, value vtimeout)
   free(evs);
   CAMLreturn(vres);
 }
-
-#else /* !__linux__ */
-
-CAMLprim value xrpc_epoll_create_stub(value unit)
-{
-  (void)unit;
-  return Val_int(-1);
-}
-
-CAMLprim value xrpc_epoll_ctl_stub(value vep, value vop, value vfd, value vev)
-{
-  (void)vep; (void)vop; (void)vfd; (void)vev;
-  return Val_int(-1);
-}
-
-CAMLprim value xrpc_epoll_wait_stub(value vep, value vmax, value vtimeout)
-{
-  (void)vep; (void)vmax; (void)vtimeout;
-  return caml_alloc(0, 0);
-}
-
-#endif /* __linux__ */

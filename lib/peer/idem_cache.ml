@@ -10,8 +10,8 @@
     produced no side effects, so re-executing it on retry is both safe and
     the only way a transient error can heal.
 
-    All operations are thread-safe: the keep-alive HTTP server hands each
-    connection its own thread, so lookups and inserts race without the
+    All operations are thread-safe: the HTTP server runs handlers on a
+    pool of worker threads, so lookups and inserts race without the
     internal mutex. *)
 
 type entry = { response : string; mutable last_used : int }

@@ -80,8 +80,8 @@ type internals = {
           Status recovery of in-doubt participants (presumed abort) *)
   clock : unit -> float;
   lock : Mutex.t;
-      (** serializes request handling — the HTTP transport serves each
-          connection on its own thread, and peer state (function cache,
+      (** serializes request handling — the HTTP server runs handlers on
+          a pool of worker threads, and peer state (function cache,
           isolation tables, database versions) is not otherwise
           synchronized *)
   mutable locked_by : int option;

@@ -11,8 +11,8 @@
     isolation — commits distributed updates with 2PC over the piggybacked
     participant list (§2.3).
 
-    [handle_raw] is thread-safe (the keep-alive HTTP server serves each
-    connection on its own thread): request handling is serialized under an
+    [handle_raw] is thread-safe (the HTTP server runs handlers on a pool
+    of worker threads): request handling is serialized under an
     internal reentrant lock, so a served function may [execute at] its own
     peer without deadlocking. *)
 

@@ -1,12 +1,15 @@
-(* Connection-lifecycle tests for the event-loop HTTP server core:
-   byte-by-byte incremental parsing, pipelining, slow-loris partial
+(* Tests for the HTTP codec and server core: byte-by-byte incremental
+   parsing, strict Content-Length, pipelining, slow-loris partial
    requests, client disconnect mid-response, keep-alive reuse over one
    socket, max_connections 503 turn-away, accept-errno classification,
-   1000 concurrent keep-alive connections, and the Xrpc_server façade. *)
+   1000 concurrent keep-alive connections, the client reader against
+   raw-socket servers (dribbled bytes, framing errors, connection reuse,
+   no re-execution, typed timeouts), and the Xrpc_server façade. *)
 
 module Http = Xrpc_net.Http
 module Conn = Xrpc_net.Conn
 module Evloop = Xrpc_net.Evloop
+module Transport = Xrpc_net.Transport
 module Server = Xrpc_core.Xrpc_server
 module Peer = Xrpc_peer.Peer
 
@@ -19,83 +22,41 @@ let bool_ = Alcotest.bool
 (* Raw-socket client helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Raw sockets framed by the shared codec: a [Conn.t] in the client role
+   reads responses, one in the server role reads requests (raw-socket
+   servers below).  Bytes pipelined past a message stay in its buffer. *)
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
+  Conn.create ~role:Conn.Client fd
 
-let send_all fd s =
+let send_all (c : Conn.t) s =
   let n = String.length s in
   let sent = ref 0 in
   while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
+    sent := !sent + Unix.write_substring c.Conn.fd s !sent (n - !sent)
   done
 
-let get_req ?(close = false) path =
-  Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n" path
-    (if close then "Connection: close\r\n" else "")
+let get_req path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path
 
 let post_req path body =
   Printf.sprintf "POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
     path (String.length body) body
 
-(* Read exactly one HTTP response off [fd]: returns (status_line, body).
-   [carry] holds bytes already read past the previous response (pipelining). *)
-let recv_response ?(carry = Buffer.create 256) fd =
-  let tmp = Bytes.create 8192 in
-  let header_end b =
-    let s = Buffer.contents b in
-    let rec find i =
-      if i + 3 >= String.length s then None
-      else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
-      else find (i + 1)
-    in
-    find 0
-  in
-  let rec fill () =
-    match header_end carry with
-    | Some e -> e
-    | None ->
-        let n = Unix.read fd tmp 0 (Bytes.length tmp) in
-        if n = 0 then failwith "eof before response headers";
-        Buffer.add_subbytes carry tmp 0 n;
-        fill ()
-  in
-  let e = fill () in
-  let head = String.sub (Buffer.contents carry) 0 e in
-  let status =
-    match String.index_opt head '\r' with
-    | Some i -> String.sub head 0 i
-    | None -> head
-  in
-  let clen =
-    List.fold_left
-      (fun acc line ->
-        match String.index_opt line ':' with
-        | Some i
-          when String.lowercase_ascii (String.trim (String.sub line 0 i))
-               = "content-length" ->
-            int_of_string
-              (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-        | _ -> acc)
-      0
-      (String.split_on_char '\n' head)
-  in
-  let rec body_fill () =
-    if Buffer.length carry - e < clen then begin
-      let n = Unix.read fd tmp 0 (Bytes.length tmp) in
-      if n = 0 then failwith "eof mid-body";
-      Buffer.add_subbytes carry tmp 0 n;
-      body_fill ()
-    end
-  in
-  body_fill ();
-  let body = String.sub (Buffer.contents carry) e clen in
-  let rest = Buffer.length carry - e - clen in
-  let leftover = Buffer.sub carry (e + clen) rest in
-  Buffer.clear carry;
-  Buffer.add_string carry leftover;
-  (status, body)
+(* Read exactly one message off [c]: (status, body); the status is 0 for
+   a request. *)
+let rec recv (c : Conn.t) =
+  match Conn.feed c with
+  | Conn.Request ->
+      let body = Bytes.sub_string c.Conn.inbuf c.Conn.body_off c.Conn.clen in
+      Conn.reset_for_next c;
+      (c.Conn.status, body)
+  | Conn.Bad why -> failwith why
+  | Conn.Need_more ->
+      if Conn.read_step c = Conn.Read_some then recv c
+      else failwith "eof before a full message"
+
+let dest port = Printf.sprintf "xrpc://127.0.0.1:%d" port
 
 let rec wait_for ?(tries = 100) pred =
   if tries = 0 then false
@@ -109,7 +70,8 @@ let rec wait_for ?(tries = 100) pred =
 (* Conn: incremental parser units (pure buffer manipulation)           *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_conn () = Conn.create (Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0)
+let dummy_conn () =
+  Conn.create ~role:Conn.Server (Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0)
 
 let push c s =
   let n = String.length s in
@@ -119,6 +81,13 @@ let push c s =
 
 let body_window c =
   Bytes.sub_string c.Conn.inbuf c.Conn.body_off c.Conn.clen
+
+let expect_bad msg =
+  let c = dummy_conn () in
+  push c msg;
+  let fed = Conn.feed c in
+  Conn.close c;
+  match fed with Conn.Bad _ -> () | _ -> Alcotest.failf "accepted %S" msg
 
 let test_parse_byte_by_byte () =
   let c = dummy_conn () in
@@ -135,7 +104,7 @@ let test_parse_byte_by_byte () =
   check string_ "method" "POST" c.Conn.meth;
   check string_ "path" "/soap" c.Conn.path;
   check string_ "body window" "<env>hi</env>" (body_window c);
-  check bool_ "keep-alive by default" false c.Conn.req_close;
+  check bool_ "keep-alive by default" false c.Conn.conn_close;
   Conn.close c
 
 let test_parse_line_endings_and_close () =
@@ -144,23 +113,17 @@ let test_parse_line_endings_and_close () =
   push c "\r\n\nGET /x HTTP/1.1\nConnection: close\n\n";
   check bool_ "request" true (Conn.feed c = Conn.Request);
   check string_ "path" "/x" c.Conn.path;
-  check bool_ "close requested" true c.Conn.req_close;
+  check bool_ "close requested" true c.Conn.conn_close;
   Conn.close c
 
 let test_parse_http10_defaults_close () =
   let c = dummy_conn () in
   push c "GET / HTTP/1.0\r\n\r\n";
   check bool_ "request" true (Conn.feed c = Conn.Request);
-  check bool_ "1.0 defaults to close" true c.Conn.req_close;
+  check bool_ "1.0 defaults to close" true c.Conn.conn_close;
   Conn.close c
 
-let test_parse_bad_request_line () =
-  let c = dummy_conn () in
-  push c "NONSENSE\r\n";
-  (match Conn.feed c with
-  | Conn.Bad _ -> ()
-  | _ -> Alcotest.fail "malformed request line accepted");
-  Conn.close c
+let test_parse_bad_request_line () = expect_bad "NONSENSE\r\n"
 
 let test_parse_pipelined () =
   let c = dummy_conn () in
@@ -173,6 +136,24 @@ let test_parse_pipelined () =
     (Conn.feed c = Conn.Request);
   check string_ "second path" "/b" c.Conn.path;
   check int_ "second body empty" 0 c.Conn.clen;
+  Conn.close c
+
+let test_parse_strict_content_length () =
+  (* spellings int_of_string takes but HTTP does not (a sign, a radix
+     prefix, digit separators, no digits), an overflowing length, and
+     conflicting duplicates *)
+  List.iter
+    (fun v ->
+      expect_bad
+        (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %s\r\n\r\n" v))
+    [ "-1"; "0x10"; "0o7"; "1_000"; "+5"; ""; "5 5"; "99999999999999999999999";
+      "1\r\nContent-Length: 2" ];
+  let c = dummy_conn () in
+  push c
+    "POST /x HTTP/1.1\r\nContent-Length: 007\r\nContent-Length: 7\r\n\r\nsixteen";
+  check bool_ "leading zeros, agreeing duplicate" true
+    (Conn.feed c = Conn.Request);
+  check string_ "body" "sixteen" (body_window c);
   Conn.close c
 
 let test_accept_errno_classification () =
@@ -192,27 +173,26 @@ let test_accept_errno_classification () =
 (* Connection lifecycle against a live event-loop server               *)
 (* ------------------------------------------------------------------ *)
 
-let echo_server ?max_connections ?(mode = Http.Event_loop) () =
-  Http.serve ~mode ?max_connections (fun ~path body ->
+let echo_server ?max_connections () =
+  Http.serve ?max_connections (fun ~path body ->
       Printf.sprintf "path=%s body=%s" path body)
 
-let test_keep_alive_100_requests mode () =
-  let server = echo_server ~mode () in
+let test_keep_alive_100_requests () =
+  let server = echo_server () in
   Fun.protect
     ~finally:(fun () -> Http.shutdown server)
     (fun () ->
       let fd = connect (Http.port server) in
-      let carry = Buffer.create 256 in
       for i = 1 to 100 do
         send_all fd (post_req "/echo" (Printf.sprintf "req%d" i));
-        let status, body = recv_response ~carry fd in
-        check string_ (Printf.sprintf "status %d" i) "HTTP/1.1 200 OK" status;
+        let status, body = recv fd in
+        check int_ (Printf.sprintf "status %d" i) 200 status;
         check string_
           (Printf.sprintf "body %d" i)
           (Printf.sprintf "path=/echo body=req%d" i)
           body
       done;
-      Unix.close fd;
+      Conn.close fd;
       (* the loop thread bumps [served] just after the response bytes go
          out, so the client can get here first — wait for the counter *)
       check bool_ "100 requests served" true
@@ -232,16 +212,16 @@ let test_slow_loris_does_not_block_others () =
       (* a well-behaved client on another connection is served meanwhile *)
       let fast = connect (Http.port server) in
       send_all fast (post_req "/fast" "now");
-      let status, body = recv_response fast in
-      check string_ "fast served during stall" "HTTP/1.1 200 OK" status;
+      let status, body = recv fast in
+      check int_ "fast served during stall" 200 status;
       check string_ "fast body" "path=/fast body=now" body;
-      Unix.close fast;
+      Conn.close fast;
       (* the stalled connection can still finish its request *)
       send_all loris "ngth: 4\r\n\r\nlate";
-      let status, body = recv_response loris in
-      check string_ "loris finally served" "HTTP/1.1 200 OK" status;
+      let status, body = recv loris in
+      check int_ "loris finally served" 200 status;
       check string_ "loris body" "path=/slow body=late" body;
-      Unix.close loris)
+      Conn.close loris)
 
 let test_client_disconnect_mid_response () =
   (* a response far larger than loopback socket buffers, so the server is
@@ -254,18 +234,17 @@ let test_client_disconnect_mid_response () =
       let fd = connect (Http.port server) in
       send_all fd (post_req "/big" "");
       (* read a little of the response, then hang up *)
-      let tmp = Bytes.create 4096 in
-      ignore (Unix.read fd tmp 0 4096);
-      Unix.close fd;
+      ignore (Conn.read_step fd);
+      Conn.close fd;
       check bool_ "disconnect detected" true
         (wait_for (fun () -> (Http.stats server).Evloop.disconnects >= 1));
       (* the loop survived: a fresh connection is served normally *)
       let fd2 = connect (Http.port server) in
       send_all fd2 (post_req "/after" "");
-      let status, body = recv_response fd2 in
-      check string_ "served after disconnect" "HTTP/1.1 200 OK" status;
+      let status, body = recv fd2 in
+      check int_ "served after disconnect" 200 status;
       check int_ "full body this time" (String.length big) (String.length body);
-      Unix.close fd2)
+      Conn.close fd2)
 
 let test_max_connections_503 () =
   let server = echo_server ~max_connections:2 () in
@@ -277,20 +256,36 @@ let test_max_connections_503 () =
       List.iter
         (fun fd ->
           send_all fd (post_req "/hold" "");
-          ignore (recv_response fd))
+          ignore (recv fd))
         [ c1; c2 ];
       (* the third is turned away with an immediate 503 and closed *)
       let c3 = connect (Http.port server) in
       send_all c3 (get_req "/denied");
-      let status, _ = recv_response c3 in
-      check string_ "503 over the cap" "HTTP/1.1 503 Service Unavailable"
-        status;
-      Unix.close c3;
+      let status, _ = recv c3 in
+      check int_ "503 over the cap" 503 status;
+      Conn.close c3;
       let s = Http.stats server in
       check bool_ "rejection counted" true (s.Evloop.rejected >= 1);
       check int_ "rejects not served" 2 s.Evloop.served;
-      Unix.close c1;
-      Unix.close c2)
+      Conn.close c1;
+      Conn.close c2)
+
+let test_pooled_error_not_reexecuted () =
+  let calls = Atomic.make 0 in
+  let server =
+    Http.serve (fun ~path:_ body ->
+        if body = "boom" then (Atomic.incr calls; failwith "boom") else "ok")
+  in
+  Fun.protect
+    ~finally:(fun () -> Http.shutdown server)
+    (fun () ->
+      let t = Http.transport ~keep_alive:true () in
+      let d = dest (Http.port server) in
+      check string_ "pool warmed" "ok" (t.Transport.send ~dest:d "warm");
+      (match t.Transport.send ~dest:d "boom" with
+      | r -> Alcotest.failf "expected a 500, got %S" r
+      | exception Http.Http_error _ -> ());
+      check int_ "handler ran exactly once" 1 (Atomic.get calls))
 
 let test_1000_concurrent_keep_alive () =
   let n = 1000 in
@@ -299,7 +294,6 @@ let test_1000_concurrent_keep_alive () =
     ~finally:(fun () -> Http.shutdown server)
     (fun () ->
       let fds = Array.init n (fun _ -> connect (Http.port server)) in
-      let carries = Array.init n (fun _ -> Buffer.create 256) in
       (* two full rounds over the same sockets: proves every one of the
          1000 connections is held open and reused *)
       for round = 1 to 2 do
@@ -309,8 +303,8 @@ let test_1000_concurrent_keep_alive () =
           fds;
         Array.iteri
           (fun i fd ->
-            let status, body = recv_response ~carry:carries.(i) fd in
-            check string_ "status" "HTTP/1.1 200 OK" status;
+            let status, body = recv fd in
+            check int_ "status" 200 status;
             check string_ "body"
               (Printf.sprintf "/r:%d.%d" round i)
               body)
@@ -321,7 +315,116 @@ let test_1000_concurrent_keep_alive () =
       check int_ "still concurrently open" n s.Evloop.active;
       check int_ "two rounds served" (2 * n) s.Evloop.served;
       check int_ "none rejected" 0 s.Evloop.rejected;
-      Array.iter Unix.close fds)
+      Array.iter Conn.close fds)
+
+(* ------------------------------------------------------------------ *)
+(* Client reader against raw-socket servers                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-scripted HTTP server on a loopback port: runs [script c] on
+   every accepted connection (a server-role [Conn.t]), each on its own
+   thread, and hands [f] the port and the count of accepted
+   connections. *)
+let with_raw_server script f =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 16;
+  let accepted = Atomic.make 0 in
+  let serve c =
+    (try script c with Unix.Unix_error _ | Failure _ -> ());
+    Conn.close c
+  in
+  let rec accept_loop () =
+    let fd, _ = Unix.accept lsock in
+    Atomic.incr accepted;
+    ignore (Thread.create serve (Conn.create ~role:Conn.Server fd));
+    accept_loop ()
+  in
+  (* the accept that fails once the listener is shut ends the thread *)
+  let acceptor =
+    Thread.create (fun () -> try accept_loop () with Unix.Unix_error _ -> ()) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* shutdown wakes the blocked accept; close alone would not *)
+      Unix.shutdown lsock Unix.SHUTDOWN_ALL;
+      Thread.join acceptor;
+      Unix.close lsock)
+    (fun () ->
+      match Unix.getsockname lsock with
+      | Unix.ADDR_INET (_, port) -> f port accepted
+      | _ -> assert false)
+
+let test_client_dribbled_bare_lf () =
+  with_raw_server
+    (fun c ->
+      ignore (recv c);
+      String.iter
+        (fun ch ->
+          send_all c (String.make 1 ch);
+          Unix.sleepf 0.001)
+        "HTTP/1.1 200 OK\nContent-Type: text/plain\nContent-Length: 5\n\nhello")
+    (fun port _ ->
+      check string_ "reassembled body" "hello"
+        (Http.post ~host:"127.0.0.1" ~port "ping"))
+
+let test_client_bad_framing () =
+  List.iter
+    (fun head ->
+      with_raw_server
+        (fun c ->
+          ignore (recv c);
+          send_all c (head ^ "\r\n\r\nbody"))
+        (fun port _ ->
+          match Http.post ~host:"127.0.0.1" ~port "ping" with
+          | r -> Alcotest.failf "%S framed as %S" head r
+          | exception Transport.Error { kind = Transport.Protocol _; _ } -> ()))
+    [ "HTTP/1.1 200 OK\r\nConnection: close";
+      "HTTP/1.1 200 OK\r\nContent-Length: -1";
+      "HTTP/1.1 200 OK\r\nContent-Length: 0x4";
+      "HTTP/1.1 2000 OK\r\nContent-Length: 4";
+      "SOAP/1.1 200 OK\r\nContent-Length: 4" ]
+
+(* two sends over a keep-alive transport to a server answering [reply]
+   on every request ([~once]: then dropping the connection): returns how
+   many connections they took *)
+let connections_for_two_sends ?(once = false) reply =
+  with_raw_server
+    (fun c ->
+      while
+        ignore (recv c);
+        send_all c reply;
+        not once
+      do () done)
+    (fun port accepted ->
+      let t = Http.transport ~keep_alive:true () in
+      check string_ "first" "ok" (t.Transport.send ~dest:(dest port) "a");
+      check string_ "second" "ok" (t.Transport.send ~dest:(dest port) "b");
+      Atomic.get accepted)
+
+let test_client_connection_reuse () =
+  let keep = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok" in
+  check int_ "keep-alive response: connection reused" 1
+    (connections_for_two_sends keep);
+  (* the pooled connection died before any response byte: re-sent fresh *)
+  check int_ "stale pooled connection: retried on a new one" 2
+    (connections_for_two_sends ~once:true keep);
+  (* the server says close but would keep answering: take it at its word *)
+  check int_ "Connection: close: a new connection" 2
+    (connections_for_two_sends
+       "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok");
+  check int_ "HTTP/1.0: a new connection" 2
+    (connections_for_two_sends "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok")
+
+let test_client_read_timeout_typed () =
+  (* reads the request, never answers *)
+  with_raw_server
+    (fun c -> while Conn.read_step c = Conn.Read_some do () done)
+    (fun port _ ->
+      let t = Http.transport ~timeout_ms:100. ~keep_alive:true () in
+      match t.Transport.send ~dest:(dest port) "ping" with
+      | r -> Alcotest.failf "answered %S" r
+      | exception Transport.Error { kind = Transport.Timeout; _ } -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Xrpc_server façade                                                  *)
@@ -337,17 +440,11 @@ let test_facade_routes_and_stats () =
     ~finally:(fun () -> Server.stop server)
     (fun () ->
       check int_ "start is idempotent" port (Server.start server);
-      let fetch path =
-        let fd = connect port in
-        send_all fd (get_req ~close:true path);
-        let r = recv_response fd in
-        Unix.close fd;
-        r
-      in
-      let status, metrics = fetch "/metrics" in
-      check string_ "metrics ok" "HTTP/1.1 200 OK" status;
-      check bool_ "metrics non-empty" true (String.length metrics > 0);
-      let _, routez = fetch "/routez" in
+      (* Http.post raises unless the route answers 2xx *)
+      let fetch path = Http.post ~host:"127.0.0.1" ~port ~path "" in
+      check bool_ "metrics non-empty" true
+        (String.length (fetch "/metrics") > 0);
+      let routez = fetch "/routez" in
       List.iter
         (fun r ->
           check bool_ (r ^ " listed") true
@@ -356,10 +453,9 @@ let test_facade_routes_and_stats () =
           "/optimizerz"; "/tracez"; "/statz" ];
       check bool_ "routez renders the table" true
         (String.length routez > 100);
-      let _, statz = fetch "/statz" in
-      check bool_ "statz names the core" true
-        (String.length statz > 0
-        && String.sub statz 0 11 = "server.mode");
+      let statz = fetch "/statz" in
+      check bool_ "statz leads with the core counters" true
+        (String.starts_with ~prefix:"server.accepted " statz);
       let s = Server.stats server in
       check bool_ "requests counted" true (s.Evloop.served >= 3))
 
@@ -397,23 +493,6 @@ declare function q:answer() { 42 };|};
       let reply = Http.post ~host:"127.0.0.1" ~port "not a soap envelope" in
       check bool_ "SOAP fault came back" true (contains reply "fault"))
 
-let test_facade_thread_baseline () =
-  let peer = Peer.create "xrpc://127.0.0.1:0" in
-  let server =
-    Server.create
-      ~config:(Server.config ~port:0 ~thread_per_conn:true ~outgoing:false ())
-      peer
-  in
-  let port = Server.start server in
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
-      let fd = connect port in
-      send_all fd (get_req ~close:true "/metrics");
-      let status, _ = recv_response fd in
-      Unix.close fd;
-      check string_ "baseline serves routes" "HTTP/1.1 200 OK" status)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -431,21 +510,34 @@ let () =
           Alcotest.test_case "pipelined requests" `Quick test_parse_pipelined;
           Alcotest.test_case "accept errno classification" `Quick
             test_accept_errno_classification;
+          Alcotest.test_case "strict Content-Length" `Quick
+            test_parse_strict_content_length;
         ] );
       ( "lifecycle",
         [
           Alcotest.test_case "keep-alive x100 (event loop)" `Quick
-            (test_keep_alive_100_requests Http.Event_loop);
-          Alcotest.test_case "keep-alive x100 (thread baseline)" `Quick
-            (test_keep_alive_100_requests Http.Thread_per_conn);
+            test_keep_alive_100_requests;
           Alcotest.test_case "slow-loris does not block others" `Quick
             test_slow_loris_does_not_block_others;
           Alcotest.test_case "client disconnect mid-response" `Quick
             test_client_disconnect_mid_response;
           Alcotest.test_case "max_connections -> 503" `Quick
             test_max_connections_503;
+          Alcotest.test_case "pooled 500 is not re-executed" `Quick
+            test_pooled_error_not_reexecuted;
           Alcotest.test_case "1000 concurrent keep-alive" `Slow
             test_1000_concurrent_keep_alive;
+        ] );
+      ( "client-reader",
+        [
+          Alcotest.test_case "dribbled bytes, bare-LF lines" `Quick
+            test_client_dribbled_bare_lf;
+          Alcotest.test_case "bad response framing" `Quick
+            test_client_bad_framing;
+          Alcotest.test_case "connection reuse per response" `Quick
+            test_client_connection_reuse;
+          Alcotest.test_case "read timeout is typed" `Quick
+            test_client_read_timeout_typed;
         ] );
       ( "facade",
         [
@@ -453,7 +545,5 @@ let () =
             test_facade_routes_and_stats;
           Alcotest.test_case "SOAP fallback (streaming)" `Quick
             test_facade_soap_fallback;
-          Alcotest.test_case "thread-per-conn baseline" `Quick
-            test_facade_thread_baseline;
         ] );
     ]
