@@ -26,7 +26,7 @@ module Message = Xrpc_soap.Message
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let only_tables = Array.exists (( = ) "--tables") Sys.argv
-let skip_micro = Array.exists (( = ) "--no-micro") Sys.argv || quick
+let skip_micro = Array.exists (( = ) "--no-micro") Sys.argv
 let json_out = Array.exists (( = ) "--json") Sys.argv
 
 let now_ms () = Unix.gettimeofday () *. 1000.
@@ -627,13 +627,43 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Serialize.to_string (Xrpc_soap.Marshal.s2n payload))))
   in
+  (* the XML codec alone on the Table 2 request at $x=1000 (~120 KB) *)
+  let bulk_1000 =
+    Message.to_string
+      (Message.Request
+         {
+           Message.module_uri = Testmod.module_ns;
+           location = Testmod.module_at;
+           method_ = "ping";
+           arity = 1;
+           updating = false;
+           fragments = false;
+           query_id = None;
+           idem_key = None; cache_ok = true;
+           calls = List.init 1000 (fun i -> [ [ Xdm.int (i + 1) ] ]);
+         })
+  in
+  let bench_parse =
+    Test.make ~name:"xml/parse-bulk-1000"
+      (Staged.stage (fun () -> ignore (Xml_parse.document bulk_1000)))
+  in
+  let bulk_tree = Xml_parse.document bulk_1000 in
+  let out = Buffer.create (String.length bulk_1000) in
+  let bench_serialize =
+    Test.make ~name:"xml/serialize-bulk-1000"
+      (Staged.stage (fun () ->
+           Buffer.clear out;
+           Serialize.document_to_buffer out bulk_tree))
+  in
   let tests =
-    [ bench_table1; bench_table2; bench_table3; bench_table4; bench_marshal ]
+    [ bench_table1; bench_table2; bench_table3; bench_table4; bench_marshal;
+      bench_parse; bench_serialize ]
   in
   let benchmark test =
     let instance = Toolkit.Instance.monotonic_clock in
     let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ()
+      (* --quick: a smoke pass over every row, not a measurement *)
+      Benchmark.cfg ~limit:200 ~quota:(Time.second (if quick then 0.02 else 0.5)) ()
     in
     let results = Benchmark.all cfg [ instance ] test in
     let ols =
@@ -1011,7 +1041,10 @@ let () =
     faults_bench ();
     obs_bench ()
   end
-  else if only_tables then figures ()
+  else if only_tables then begin
+    figures ();
+    if quick && not skip_micro then micro ()
+  end
   else begin
     figures ();
     table2 ();

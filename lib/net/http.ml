@@ -264,7 +264,7 @@ let transport ?(default_port = 8080) ?timeout_ms ?policy
     Metrics.incr_by (m_dest_bytes_in dest) (String.length reply);
     reply
   in
-let send_parallel pairs =
+  let send_parallel pairs =
     Executor.map_list executor (fun (dest, body) -> send ~dest body) pairs
   in
   let raw = { Transport.send; send_parallel } in

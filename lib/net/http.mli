@@ -85,7 +85,9 @@ val transport :
     [keep_alive] pools one connection per destination with a transparent
     single retry when the pooled connection went stale (closed or reset
     before any response byte, or unwritable) — never after a response
-    or a timeout, so a request is not executed twice.  A response with
-    [Connection: close] or from an HTTP/1.0 server is not pooled.
-    [policy] wraps every send in {!Transport.with_policy} on the wall
-    clock. *)
+    or a timeout, so this pool-level retry does not execute a request
+    twice.  A response with [Connection: close] or from an HTTP/1.0
+    server is not pooled.  [policy] wraps every send in
+    {!Transport.with_policy} on the wall clock; that layer re-sends on
+    [Timeout] and [Unreachable] (relying on the peers' idempotency
+    caches), never on a [Protocol] framing failure. *)

@@ -105,7 +105,9 @@ type policy_stats = {
   mutable attempts : int;  (** individual sends reaching the wire *)
   mutable retries : int;
   mutable failed_attempts : int;
-  mutable gave_up : int;  (** requests that exhausted their retries *)
+  mutable gave_up : int;
+      (** requests that failed for good: retries exhausted, or a
+          [Protocol] failure, which is never retried *)
   mutable fast_fails : int;  (** rejected locally by an open circuit *)
   mutable circuit_opens : int;
   mutable backoff_ms : float;  (** total time spent backing off *)
@@ -239,8 +241,14 @@ let with_policy ?(policy = default_policy) ?(seed = 0)
           Metrics.incr m_failed;
           Trace.event ~detail:(kind_name kind) "attempt-failed";
           (* an open circuit is a local decision: burning retries on it
-             would just re-reject; surface it immediately *)
-          if kind = Circuit_open || attempt >= policy.max_retries then begin
+             would just re-reject; surface it immediately.  A protocol
+             failure means the peer answered with bytes we cannot frame:
+             it has already run the request, and re-sending would run it
+             again for the same unreadable answer. *)
+          let retryable =
+            match kind with Circuit_open | Protocol _ -> false | _ -> true
+          in
+          if (not retryable) || attempt >= policy.max_retries then begin
             if kind <> Circuit_open then begin
               locked (fun () -> stats.gave_up <- stats.gave_up + 1);
               Metrics.incr m_gave_up;

@@ -57,7 +57,9 @@ type policy_stats = {
   mutable attempts : int;  (** individual sends reaching the wire *)
   mutable retries : int;
   mutable failed_attempts : int;
-  mutable gave_up : int;  (** requests that exhausted their retries *)
+  mutable gave_up : int;
+      (** requests that failed for good: retries exhausted, or a
+          [Protocol] failure, which is never retried *)
   mutable fast_fails : int;  (** rejected locally by an open circuit *)
   mutable circuit_opens : int;
   mutable backoff_ms : float;  (** total time spent backing off *)
@@ -86,7 +88,10 @@ val with_policy :
   policied
 (** [with_policy ~now ~sleep inner] — retry/timeout/breaker wrapper.
     [now] and [sleep] are in milliseconds on whatever clock the transport
-    lives on (virtual for Simnet, wall for HTTP).  [seed] makes the
+    lives on (virtual for Simnet, wall for HTTP).  [Timeout] and
+    [Unreachable] failures are retried up to [max_retries] times (the
+    peers' idempotency caches make a re-sent request safe); [Protocol]
+    and [Circuit_open] failures never are.  [seed] makes the
     backoff jitter deterministic.  With a non-sequential [executor],
     [send_parallel] runs one full retry loop per leg concurrently;
     sequential (the default) keeps the deterministic

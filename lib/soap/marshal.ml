@@ -185,17 +185,23 @@ let n2s (t : Tree.t) : Xdm.sequence =
         children
   | _ -> err "expected xrpc:sequence element"
 
-(** [n2s_call seqs] — unmarshal all parameter sequences of one call,
-    resolving any [xrpc:nodeid] references (footnote-4 extension) into the
-    fragments of their fully-serialized ancestors.  Identical to mapping
-    {!n2s} when no references are present. *)
-let n2s_call (seq_trees : Tree.t list) : Xdm.sequence list =
-  let get_attr attrs local =
-    List.find_map
-      (fun (a : Tree.attr) ->
-        if a.name.Qname.local = local then Some a.value else None)
-      attrs
-  in
+let get_attr attrs local =
+  List.find_map
+    (fun (a : Tree.attr) ->
+      if a.name.Qname.local = local then Some a.value else None)
+    attrs
+
+(* an [xrpc:nodeid] reference into an earlier parameter *)
+let is_ref = function
+  | Tree.Element { name; attrs; _ } ->
+      name.Qname.uri = Qname.ns_xrpc
+      && name.Qname.local = "element"
+      && get_attr attrs "nodeid" <> None
+  | _ -> false
+
+(* the call-by-fragment decoder: references resolve into the fragments of
+   their fully-serialized ancestors *)
+let n2s_refs (seq_trees : Tree.t list) : Xdm.sequence list =
   let children_of = function
     | Tree.Element { name; children; _ }
       when name.Qname.uri = Qname.ns_xrpc && name.Qname.local = "sequence" ->
@@ -210,10 +216,7 @@ let n2s_call (seq_trees : Tree.t list) : Xdm.sequence list =
         List.map
           (fun c ->
             match c with
-            | Tree.Element { name; attrs; _ }
-              when name.Qname.uri = Qname.ns_xrpc
-                   && name.Qname.local = "element"
-                   && get_attr attrs "nodeid" <> None ->
+            | Tree.Element { attrs; _ } when is_ref c ->
                 let geti what =
                   match get_attr attrs what with
                   | Some v -> ( try int_of_string v with _ -> err "bad %s" what)
@@ -257,3 +260,15 @@ let n2s_call (seq_trees : Tree.t list) : Xdm.sequence list =
               | None -> err "nodeid reference to unknown parameter (%d,%d)" rp ri))
         items)
     specs
+
+(** [n2s_call seqs] — unmarshal all parameter sequences of one call,
+    resolving any [xrpc:nodeid] references (footnote-4 extension) into the
+    fragments of their fully-serialized ancestors.  Without references
+    (every call not sent by fragment) this is exactly mapping {!n2s}. *)
+let n2s_call (seq_trees : Tree.t list) : Xdm.sequence list =
+  let has_refs = function
+    | Tree.Element { children; _ } -> List.exists is_ref children
+    | _ -> false
+  in
+  if List.exists has_refs seq_trees then n2s_refs seq_trees
+  else List.map n2s seq_trees

@@ -1,20 +1,34 @@
-(** A small, dependency-free XML 1.0 parser.
-
-    Supports elements, attributes, namespaces (with prefix scoping), text,
-    CDATA, comments, processing instructions, an XML declaration, DOCTYPE
-    skipping, and the five predefined entities plus numeric character
-    references.  This is sufficient for SOAP XRPC messages, XQuery module
-    sources served as documents, and the XMark-style workload documents. *)
+(* The scanner allocates only what the tree keeps: lookahead compares
+   bytes in place, a text or attribute run becomes one [String.sub] (a
+   scratch buffer is used only when an entity or CDATA section breaks the
+   run), and every distinct lexical name is allocated once per document
+   in a name table that also caches its resolved [Qname.t]. *)
 
 exception Parse_error of string
+
+(* One distinct lexical name ("p:l" or "l") of the document being parsed.
+   [qname] caches the last resolution; it is reused while the prefix keeps
+   resolving to the same URI. *)
+type name = {
+  lex : string;
+  prefix : string;
+  local : string;
+  declares : string option;
+      (** as an attribute name: the prefix an [xmlns] attribute binds *)
+  mutable qname : Qname.t;
+}
 
 type state = {
   src : string;
   mutable pos : int;
   lim : int;  (** parse window end: the document is [src.[start .. lim)] *)
   mutable ns_stack : (string * string) list list;
-      (** prefix -> uri bindings, innermost scope first *)
+      (** prefix -> uri bindings, innermost scope first; an element pushes
+          a scope only when it declares a namespace *)
   preserve_space : bool;
+  scratch : Buffer.t;  (** text with entities or CDATA, one run at a time *)
+  mutable names : name list array;  (** hash buckets, power-of-two size *)
+  mutable n_names : int;
 }
 
 let error st fmt =
@@ -22,22 +36,46 @@ let error st fmt =
     (fun m -> raise (Parse_error (Printf.sprintf "%s at offset %d" m st.pos)))
     fmt
 
-let peek st = if st.pos < st.lim then Some st.src.[st.pos] else None
-let advance st = st.pos <- st.pos + 1
+(* the name table's "not found", told apart by address: a lookup that
+   misses allocates nothing *)
+let no_name =
+  { lex = ""; prefix = ""; local = ""; declares = None; qname = Qname.make "" }
 
-let looking_at st s =
+let make_state ~preserve_space src ~pos ~lim =
+  {
+    src;
+    pos;
+    lim;
+    ns_stack = [];
+    preserve_space;
+    scratch = Buffer.create 64;
+    names = Array.make 64 [];
+    n_names = 0;
+  }
+
+(* [src.[i+k .. i+n)] spells [s.[k .. n)] *)
+let rec same_from src i s k n =
+  k = n
+  || String.unsafe_get src (i + k) = String.unsafe_get s k
+     && same_from src i s (k + 1) n
+
+(* [at st i s]: the window holds [s] at offset [i] *)
+let at st i s =
   let n = String.length s in
-  st.pos + n <= st.lim && String.sub st.src st.pos n = s
+  i + n <= st.lim && same_from st.src i s 0 n
+
+(* the byte at [i], or NUL past the window (NUL is never valid XML) *)
+let byte st i = if i < st.lim then String.unsafe_get st.src i else '\000'
 
 let expect st s =
-  if looking_at st s then st.pos <- st.pos + String.length s
+  if at st st.pos s then st.pos <- st.pos + String.length s
   else error st "expected %S" s
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let skip_space st =
-  while st.pos < st.lim && is_space st.src.[st.pos] do
-    advance st
+  while st.pos < st.lim && is_space (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
   done
 
 let is_name_start c =
@@ -47,303 +85,456 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+let skip_ncname st =
+  if not (is_name_start (byte st st.pos)) then error st "expected name";
+  st.pos <- st.pos + 1;
+  while st.pos < st.lim && is_name_char (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
+  done
+
 let read_ncname st =
   let start = st.pos in
-  (match peek st with
-  | Some c when is_name_start c -> advance st
-  | _ -> error st "expected name");
-  while
-    st.pos < st.lim && is_name_char st.src.[st.pos]
-  do
-    advance st
-  done;
+  skip_ncname st;
   String.sub st.src start (st.pos - start)
 
-let read_qname_lexical st =
-  let a = read_ncname st in
-  if peek st = Some ':' then (
-    advance st;
-    let b = read_ncname st in
-    (a, b))
-  else ("", a)
+(* ------------------------------------------------------------------ *)
+(* The per-document name table                                         *)
+(* ------------------------------------------------------------------ *)
 
-(* Entity and character-reference expansion. *)
-let expand_ref st =
-  expect st "&";
-  if looking_at st "#" then (
-    advance st;
-    let hex = looking_at st "x" in
-    if hex then advance st;
-    let start = st.pos in
-    while st.pos < st.lim && st.src.[st.pos] <> ';' do
-      advance st
-    done;
-    let digits = String.sub st.src start (st.pos - start) in
-    expect st ";";
-    let code =
-      try int_of_string ((if hex then "0x" else "") ^ digits)
-      with _ -> error st "bad character reference"
-    in
-    (* UTF-8 encode *)
-    let b = Buffer.create 4 in
-    if code < 0x80 then Buffer.add_char b (Char.chr code)
-    else if code < 0x800 then (
-      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))))
-    else if code < 0x10000 then (
-      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))))
-    else (
-      Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))));
-    Buffer.contents b)
+let rec hash_span src i stop h =
+  if i >= stop then h
   else
-    let name = read_ncname st in
+    hash_span src (i + 1) stop
+      (((h * 31) + Char.code (String.unsafe_get src i)) land max_int)
+
+let rec find_name src start len = function
+  | [] -> no_name
+  | e :: rest ->
+      if String.length e.lex = len && same_from src start e.lex 0 len then e
+      else find_name src start len rest
+
+let grow_names st =
+  let old = st.names in
+  let size = 2 * Array.length old in
+  let names = Array.make size [] in
+  Array.iter
+    (List.iter (fun e ->
+         let len = String.length e.lex in
+         let b = hash_span e.lex 0 len 0 land (size - 1) in
+         names.(b) <- e :: names.(b)))
+    old;
+  st.names <- names
+
+(* The table doubles before its chains average two names, so a longer
+   chain means colliding hashes, which a hostile document can craft.
+   Past [max_chain] a name is still parsed, just not shared: every lookup
+   stays bounded. *)
+let max_chain = 8
+
+(* the table entry for the lexical name [src.[start .. stop)], whose
+   colon (if any) is at [colon] *)
+let intern st start stop colon =
+  let len = stop - start in
+  let b = hash_span st.src start stop 0 land (Array.length st.names - 1) in
+  let e = find_name st.src start len st.names.(b) in
+  if e != no_name then e
+  else
+    let lex = String.sub st.src start len in
+    let prefix, local =
+      if colon < 0 then ("", lex)
+      else
+        ( String.sub lex 0 (colon - start),
+          String.sub lex (colon - start + 1) (stop - colon - 1) )
+    in
+    let declares =
+      if prefix = "xmlns" then Some local
+      else if lex = "xmlns" then Some ""
+      else None
+    in
+    let e = { lex; prefix; local; declares; qname = Qname.make ~prefix local } in
+    if List.compare_length_with st.names.(b) max_chain < 0 then (
+      st.names.(b) <- e :: st.names.(b);
+      st.n_names <- st.n_names + 1;
+      if st.n_names > 2 * Array.length st.names then grow_names st);
+    e
+
+(* a lexical QName: NCName, optionally ':' NCName *)
+let read_name st =
+  let start = st.pos in
+  skip_ncname st;
+  if byte st st.pos = ':' then (
+    let colon = st.pos in
+    st.pos <- st.pos + 1;
+    skip_ncname st;
+    intern st start st.pos colon)
+  else intern st start st.pos (-1)
+
+let qname_of (n : name) uri =
+  if String.equal n.qname.Qname.uri uri then n.qname
+  else
+    let q = Qname.make ~prefix:n.prefix ~uri n.local in
+    n.qname <- q;
+    q
+
+(* ------------------------------------------------------------------ *)
+(* Character data                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* XML 1.0 production [2] Char *)
+let is_xml_char c =
+  c = 0x9 || c = 0xA || c = 0xD
+  || (c >= 0x20 && c <= 0xD7FF)
+  || (c >= 0xE000 && c <= 0xFFFD)
+  || (c >= 0x10000 && c <= 0x10FFFF)
+
+let add_utf8 b code =
+  if code < 0x80 then Buffer.add_char b (Char.chr code)
+  else if code < 0x800 then (
+    Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))))
+  else if code < 0x10000 then (
+    Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))))
+  else (
+    Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F))))
+
+let digit_value ~hex c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' when hex -> Char.code c - 87
+  | 'A' .. 'F' when hex -> Char.code c - 55
+  | _ -> -1
+
+(* longer than any spelling of U+10FFFF short of padding with zeros *)
+let max_ref_digits = 12
+
+(* [&#N;] or [&#xH;] at [st.pos + 2] (past "&#"): only decimal or
+   lower-case-x hex digits, bounded in count, naming an XML Char *)
+let expand_char_ref st buf =
+  st.pos <- st.pos + 2;
+  let hex = byte st st.pos = 'x' in
+  if hex then st.pos <- st.pos + 1;
+  let base = if hex then 16 else 10 in
+  let start = st.pos in
+  let code = ref 0 in
+  while digit_value ~hex (byte st st.pos) >= 0 do
+    if st.pos - start >= max_ref_digits then
+      error st "character reference too long";
+    code := (!code * base) + digit_value ~hex (byte st st.pos);
+    st.pos <- st.pos + 1
+  done;
+  if st.pos = start || byte st st.pos <> ';' then
+    error st "bad character reference";
+  if not (is_xml_char !code) then
+    error st "character reference &#%d; is not an XML character" !code;
+  st.pos <- st.pos + 1;
+  add_utf8 buf !code
+
+(* an entity or character reference at [st.pos], expanded into [buf] *)
+let expand_ref st buf =
+  if byte st (st.pos + 1) = '#' then expand_char_ref st buf
+  else (
+    st.pos <- st.pos + 1;
+    let start = st.pos in
+    skip_ncname st;
+    let len = st.pos - start in
+    let is s = len = String.length s && at st start s in
+    let c =
+      if is "lt" then '<'
+      else if is "gt" then '>'
+      else if is "amp" then '&'
+      else if is "apos" then '\''
+      else if is "quot" then '"'
+      else error st "unknown entity &%s;" (String.sub st.src start len)
+    in
     expect st ";";
-    match name with
-    | "lt" -> "<"
-    | "gt" -> ">"
-    | "amp" -> "&"
-    | "apos" -> "'"
-    | "quot" -> "\""
-    | e -> error st "unknown entity &%s;" e
+    Buffer.add_char buf c)
+
+(* the end of the run of plain bytes from [i]: the first [stop] or ['&'],
+   or the window end *)
+let rec run_end st i stop =
+  if i >= st.lim then i
+  else
+    match String.unsafe_get st.src i with
+    | '&' -> i
+    | c when c = stop -> i
+    | _ -> run_end st (i + 1) stop
 
 let read_attr_value st =
-  let quote =
-    match peek st with
-    | Some (('"' | '\'') as q) ->
-        advance st;
-        q
-    | _ -> error st "expected attribute value"
-  in
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> error st "unterminated attribute value"
-    | Some c when c = quote -> advance st
-    | Some '&' ->
-        Buffer.add_string buf (expand_ref st);
-        loop ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let lookup_ns st prefix =
-  let rec find = function
-    | [] ->
-        if prefix = "" then ""
-        else if prefix = "xml" then Qname.ns_xml
-        else error st "unbound namespace prefix %S" prefix
-    | scope :: rest -> (
-        match List.assoc_opt prefix scope with
-        | Some uri -> uri
-        | None -> find rest)
-  in
-  find st.ns_stack
-
-let rec skip_misc st =
-  skip_space st;
-  if looking_at st "<!--" then (
-    skip_comment st;
-    skip_misc st)
-  else if looking_at st "<?" then (
-    ignore (read_pi st);
-    skip_misc st)
-  else if looking_at st "<!DOCTYPE" then (
-    skip_doctype st;
-    skip_misc st)
-
-and skip_comment st =
-  expect st "<!--";
-  match
-    let rec find i =
-      if i + 3 > st.lim then None
-      else if String.sub st.src i 3 = "-->" then Some i
-      else find (i + 1)
+  let quote = byte st st.pos in
+  if quote <> '"' && quote <> '\'' then error st "expected attribute value";
+  st.pos <- st.pos + 1;
+  let start = st.pos in
+  st.pos <- run_end st start quote;
+  if byte st st.pos = quote && st.pos < st.lim then (
+    let v = String.sub st.src start (st.pos - start) in
+    st.pos <- st.pos + 1;
+    v)
+  else (
+    (* an entity broke the run: assemble the rest in the scratch buffer *)
+    let buf = st.scratch in
+    Buffer.clear buf;
+    Buffer.add_substring buf st.src start (st.pos - start);
+    let rec loop () =
+      if st.pos >= st.lim then error st "unterminated attribute value"
+      else if String.unsafe_get st.src st.pos = quote then st.pos <- st.pos + 1
+      else if String.unsafe_get st.src st.pos = '&' then (
+        expand_ref st buf;
+        loop ())
+      else (
+        let s = st.pos in
+        st.pos <- run_end st s quote;
+        Buffer.add_substring buf st.src s (st.pos - s);
+        loop ())
     in
-    find st.pos
-  with
-  | Some i -> st.pos <- i + 3
-  | None -> error st "unterminated comment"
+    loop ();
+    Buffer.contents buf)
 
-and read_comment st =
+let rec lookup_scope st prefix scopes = function
+  | (p, uri) :: rest ->
+      if String.equal p prefix then uri else lookup_scope st prefix scopes rest
+  | [] -> (
+      match scopes with
+      | scope :: outer -> lookup_scope st prefix outer scope
+      | [] ->
+          if prefix = "" then ""
+          else if prefix = "xml" then Qname.ns_xml
+          else error st "unbound namespace prefix %S" prefix)
+
+let lookup_ns st prefix = lookup_scope st prefix st.ns_stack []
+
+(* the offset of [s] at or after [i] *)
+let rec find_from st i s what =
+  if i + String.length s > st.lim then error st "unterminated %s" what
+  else if at st i s then i
+  else find_from st (i + 1) s what
+
+let read_comment st =
   expect st "<!--";
   let start = st.pos in
-  let rec find i =
-    if i + 3 > st.lim then error st "unterminated comment"
-    else if String.sub st.src i 3 = "-->" then i
-    else find (i + 1)
-  in
-  let stop = find st.pos in
+  let stop = find_from st start "-->" "comment" in
   st.pos <- stop + 3;
   Tree.Comment (String.sub st.src start (stop - start))
 
-and read_pi st =
+let read_pi st =
   expect st "<?";
   let target = read_ncname st in
   skip_space st;
   let start = st.pos in
-  let rec find i =
-    if i + 2 > st.lim then error st "unterminated PI"
-    else if String.sub st.src i 2 = "?>" then i
-    else find (i + 1)
-  in
-  let stop = find st.pos in
+  let stop = find_from st start "?>" "PI" in
   st.pos <- stop + 2;
   Tree.Pi { target; data = String.sub st.src start (stop - start) }
 
-and skip_doctype st =
+let skip_doctype st =
   expect st "<!DOCTYPE";
   let depth = ref 1 in
   while !depth > 0 do
-    match peek st with
-    | None -> error st "unterminated DOCTYPE"
-    | Some '<' ->
-        incr depth;
-        advance st
-    | Some '>' ->
-        decr depth;
-        advance st
-    | Some _ -> advance st
+    if st.pos >= st.lim then error st "unterminated DOCTYPE";
+    (match String.unsafe_get st.src st.pos with
+    | '<' -> incr depth
+    | '>' -> decr depth
+    | _ -> ());
+    st.pos <- st.pos + 1
   done
 
+(* whitespace, comments and PIs; before the root also a DOCTYPE *)
+let rec skip_misc ~doctype st =
+  skip_space st;
+  if at st st.pos "<!--" then (
+    st.pos <- find_from st (st.pos + 4) "-->" "comment" + 3;
+    skip_misc ~doctype st)
+  else if at st st.pos "<?" then (
+    ignore (read_pi st);
+    skip_misc ~doctype st)
+  else if doctype && at st st.pos "<!DOCTYPE" then (
+    skip_doctype st;
+    skip_misc ~doctype st)
+
+let cdata_open = "<![CDATA["
+
+(* Character data up to the next markup other than CDATA.  Returns [""]
+   for text the tree drops: empty, or all whitespace without
+   [preserve_space]. *)
+let rec all_space src i stop =
+  i >= stop || (is_space (String.unsafe_get src i) && all_space src (i + 1) stop)
+
 let read_text st =
-  let buf = Buffer.create 32 in
-  let rec loop () =
-    if looking_at st "<![CDATA[" then (
-      st.pos <- st.pos + 9;
-      let rec find i =
-        if i + 3 > st.lim then error st "unterminated CDATA"
-        else if String.sub st.src i 3 = "]]>" then i
-        else find (i + 1)
-      in
-      let stop = find st.pos in
-      Buffer.add_string buf (String.sub st.src st.pos (stop - st.pos));
-      st.pos <- stop + 3;
-      loop ())
-    else
-      match peek st with
-      | None | Some '<' -> ()
-      | Some '&' ->
-          Buffer.add_string buf (expand_ref st);
-          loop ()
-      | Some c ->
-          advance st;
-          Buffer.add_char buf c;
-          loop ()
-  in
-  loop ();
-  Buffer.contents buf
+  let start = st.pos in
+  let stop = run_end st start '<' in
+  st.pos <- stop;
+  if stop >= st.lim || (byte st stop = '<' && not (at st stop cdata_open)) then
+    if st.preserve_space || not (all_space st.src start stop) then
+      String.sub st.src start (stop - start)
+    else ""
+  else (
+    let buf = st.scratch in
+    Buffer.clear buf;
+    Buffer.add_substring buf st.src start (stop - start);
+    let rec loop () =
+      if st.pos >= st.lim then ()
+      else if at st st.pos cdata_open then (
+        let s = st.pos + String.length cdata_open in
+        let e = find_from st s "]]>" "CDATA" in
+        Buffer.add_substring buf st.src s (e - s);
+        st.pos <- e + 3;
+        loop ())
+      else
+        match String.unsafe_get st.src st.pos with
+        | '<' -> ()
+        | '&' ->
+            expand_ref st buf;
+            loop ()
+        | _ ->
+            let s = st.pos in
+            st.pos <- run_end st s '<';
+            Buffer.add_substring buf st.src s (st.pos - s);
+            loop ()
+    in
+    loop ();
+    let t = Buffer.contents buf in
+    if st.preserve_space || String.exists (fun c -> not (is_space c)) t then t
+    else "")
+
+(* ------------------------------------------------------------------ *)
+(* Elements                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* the attributes of a start tag, last first, [xmlns] ones included *)
+let rec read_attrs st acc =
+  skip_space st;
+  if not (is_name_start (byte st st.pos)) then acc
+  else
+    let n = read_name st in
+    skip_space st;
+    expect st "=";
+    skip_space st;
+    let v = read_attr_value st in
+    read_attrs st ((n, v) :: acc)
+
+(* the namespace declarations among [raw], in document order *)
+let rec ns_decls st acc = function
+  | [] -> acc
+  | (n, v) :: rest -> (
+      match n.declares with
+      | None -> ns_decls st acc rest
+      | Some p ->
+          if List.mem_assoc p acc then
+            error st "duplicate namespace declaration %S" n.lex;
+          ns_decls st ((p, v) :: acc) rest)
+
+(* the other attributes, resolved, in document order *)
+let rec resolve_attrs st acc = function
+  | [] -> acc
+  | (n, v) :: rest ->
+      match n.declares with
+      | Some _ -> resolve_attrs st acc rest
+      | None ->
+          let uri = if n.prefix = "" then "" else lookup_ns st n.prefix in
+          resolve_attrs st ({ Tree.name = qname_of n uri; value = v } :: acc) rest
+
+let rec has_name q = function
+  | [] -> false
+  | (a : Tree.attr) :: rest -> Qname.equal q a.name || has_name q rest
+
+let duplicate st (a : Tree.attr) =
+  error st "duplicate attribute %s" (Qname.expanded a.name)
+
+(* XML 1.0 WFC "Unique Att Spec", on expanded names: pairwise for the
+   usual handful, hashed beyond that *)
+let rec check_unique st (attrs : Tree.attr list) =
+  match attrs with
+  | [] | [ _ ] -> ()
+  | a :: rest when List.compare_length_with attrs 16 <= 0 ->
+      if has_name a.name rest then duplicate st a;
+      check_unique st rest
+  | _ ->
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun (a : Tree.attr) ->
+          let k = (a.name.Qname.uri, a.name.Qname.local) in
+          if Hashtbl.mem seen k then duplicate st a;
+          Hashtbl.add seen k ())
+        attrs
+
+(* the end tag must spell the start tag's name, [src.[start .. start+len)] *)
+let rec same_bytes src a b k len =
+  k = len
+  || String.unsafe_get src (a + k) = String.unsafe_get src (b + k)
+     && same_bytes src a b (k + 1) len
+
+let read_end_tag st start len =
+  expect st "</";
+  let p = st.pos in
+  let next = byte st (p + len) in
+  if
+    p + len <= st.lim
+    && same_bytes st.src start p 0 len
+    && not (is_name_char next || next = ':')
+  then st.pos <- p + len
+  else
+    error st "mismatched end tag, expected </%s>" (String.sub st.src start len);
+  skip_space st;
+  expect st ">"
 
 let rec read_element st =
   expect st "<";
-  let prefix, local = read_qname_lexical st in
-  (* First pass over attributes collects namespace declarations. *)
-  let raw_attrs = ref [] in
-  let ns_decls = ref [] in
-  let rec attrs () =
-    skip_space st;
-    match peek st with
-    | Some c when is_name_start c ->
-        let apfx, alocal = read_qname_lexical st in
-        skip_space st;
-        expect st "=";
-        skip_space st;
-        let v = read_attr_value st in
-        (if apfx = "xmlns" then ns_decls := (alocal, v) :: !ns_decls
-         else if apfx = "" && alocal = "xmlns" then
-           ns_decls := ("", v) :: !ns_decls
-         else raw_attrs := (apfx, alocal, v) :: !raw_attrs);
-        attrs ()
-    | _ -> ()
-  in
-  attrs ();
-  st.ns_stack <- !ns_decls :: st.ns_stack;
-  let name = Qname.make ~prefix ~uri:(lookup_ns st prefix) local in
-  let attrs =
-    List.rev_map
-      (fun (apfx, alocal, v) ->
-        let uri = if apfx = "" then "" else lookup_ns st apfx in
-        { Tree.name = Qname.make ~prefix:apfx ~uri alocal; value = v })
-      !raw_attrs
-  in
-  skip_space st;
+  let tag = st.pos in
+  let n = read_name st in
+  let tag_len = st.pos - tag in
+  let raw = read_attrs st [] in
+  let decls = ns_decls st [] raw in
+  let scoped = match decls with [] -> false | _ -> true in
+  if scoped then st.ns_stack <- decls :: st.ns_stack;
+  let name = qname_of n (lookup_ns st n.prefix) in
+  let attrs = resolve_attrs st [] raw in
+  check_unique st attrs;
   let node =
-    if looking_at st "/>" then (
-      expect st "/>";
+    if at st st.pos "/>" then (
+      st.pos <- st.pos + 2;
       Tree.Element { name; attrs; children = [] })
     else (
       expect st ">";
       let children = read_content st in
-      expect st "</";
-      let cpfx, clocal = read_qname_lexical st in
-      if cpfx <> prefix || clocal <> local then
-        error st "mismatched end tag </%s:%s>, expected </%s>" cpfx clocal
-          (Qname.to_string name);
-      skip_space st;
-      expect st ">";
+      read_end_tag st tag tag_len;
       Tree.Element { name; attrs; children })
   in
-  st.ns_stack <- List.tl st.ns_stack;
+  if scoped then st.ns_stack <- List.tl st.ns_stack;
   node
 
-and read_content st =
-  let rec loop acc =
-    if looking_at st "</" then List.rev acc
-    else if looking_at st "<!--" then loop (read_comment st :: acc)
-    else if looking_at st "<?" then loop (read_pi st :: acc)
-    else if peek st = Some '<' && not (looking_at st "<![CDATA[") then
-      loop (read_element st :: acc)
-    else if peek st = None then List.rev acc
-    else
-      let t = read_text st in
-      let keep =
-        st.preserve_space || String.exists (fun c -> not (is_space c)) t
-      in
-      if t = "" then loop acc
-      else if keep then loop (Tree.Text t :: acc)
-      else loop acc
-  in
-  loop []
+and read_content st = content st []
 
-(** [document s] parses a complete XML document into a [Tree.Document].
-    Ignorable (all-whitespace) text is dropped unless [preserve_space]. *)
-let document ?(preserve_space = false) s =
-  let st =
-    { src = s; pos = 0; lim = String.length s; ns_stack = []; preserve_space }
-  in
-  if looking_at st "<?xml" then (
-    ignore (read_pi st));
-  skip_misc st;
+and content st acc =
+  if st.pos >= st.lim then List.rev acc
+  else if String.unsafe_get st.src st.pos <> '<' || at st st.pos cdata_open then
+    match read_text st with
+    | "" -> content st acc
+    | t -> content st (Tree.Text t :: acc)
+  else
+    match byte st (st.pos + 1) with
+    | '/' -> List.rev acc
+    | '?' -> content st (read_pi st :: acc)
+    | '!' when at st st.pos "<!--" -> content st (read_comment st :: acc)
+    | _ -> content st (read_element st :: acc)
+
+let parse_document st =
+  if at st st.pos "<?xml" then ignore (read_pi st);
+  skip_misc ~doctype:true st;
   let root = read_element st in
-  skip_misc st;
+  skip_misc ~doctype:false st;
+  if st.pos < st.lim then error st "content after the root element";
   Tree.Document [ root ]
 
-(** [document_sub s ~pos ~len] parses the document occupying the window
-    [s.[pos .. pos+len)] — the streaming hook for servers whose network
-    buffer holds the envelope embedded in a larger byte stream: no
-    substring is ever materialized. *)
+let document ?(preserve_space = false) s =
+  parse_document (make_state ~preserve_space s ~pos:0 ~lim:(String.length s))
+
 let document_sub ?(preserve_space = false) s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Xml_parse.document_sub";
-  let st = { src = s; pos; lim = pos + len; ns_stack = []; preserve_space } in
-  if looking_at st "<?xml" then (
-    ignore (read_pi st));
-  skip_misc st;
-  let root = read_element st in
-  skip_misc st;
-  Tree.Document [ root ]
+  parse_document (make_state ~preserve_space s ~pos ~lim:(pos + len))
 
-(** [fragment s] parses mixed content (zero or more nodes, no declaration). *)
 let fragment ?(preserve_space = true) s =
-  let st =
-    { src = s; pos = 0; lim = String.length s; ns_stack = []; preserve_space }
-  in
-  read_content st
+  read_content (make_state ~preserve_space s ~pos:0 ~lim:(String.length s))

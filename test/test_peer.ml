@@ -102,6 +102,38 @@ let test_malformed_message_fault () =
   | Message.Fault _ -> ()
   | _ -> Alcotest.fail "expected fault"
 
+(* a character reference that names no XML character, in a parameter's
+   text or in an attribute value, is a malformed message: a Sender fault,
+   not an exception escaping the handler *)
+let test_bad_char_ref_fault () =
+  let peer, _ = make_peer () in
+  let body =
+    Message.to_string
+      (Message.Request (film_request ~actors:[ "ACTOR" ] ()))
+  in
+  let replace ~sub ~by s =
+    let i =
+      let rec find i =
+        if String.sub s i (String.length sub) = sub then i else find (i + 1)
+      in
+      find 0
+    in
+    String.sub s 0 i ^ by
+    ^ String.sub s (i + String.length sub)
+        (String.length s - i - String.length sub)
+  in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun bad ->
+          match Message.of_string (Peer.handle_raw peer bad) with
+          | Message.Fault { fault_code = `Sender; _ } -> ()
+          | _ -> Alcotest.failf "expected a Sender fault for %s" r)
+        [ replace ~sub:"ACTOR" ~by:r body;
+          replace ~sub:"method=\"filmsByActor\"" ~by:("method=\"" ^ r ^ "\"") body ])
+    [ "&#-5;"; "&#-1;"; "&#+65;"; "&#0x41;"; "&#1_0;"; "&#0;"; "&#xD800;";
+      "&#x110000;" ]
+
 (* ---- function cache (§3.3) ---- *)
 
 let test_func_cache_hits () =
@@ -398,6 +430,8 @@ let () =
           Alcotest.test_case "runtime error fault" `Quick
             test_runtime_error_becomes_fault;
           Alcotest.test_case "malformed message" `Quick test_malformed_message_fault;
+          Alcotest.test_case "bad character reference" `Quick
+            test_bad_char_ref_fault;
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;
         ] );
       ( "function-cache",

@@ -58,6 +58,8 @@ let rec recv (c : Conn.t) =
 
 let dest port = Printf.sprintf "xrpc://127.0.0.1:%d" port
 
+(* Also for [Evloop.served], which the loop thread bumps once a response's
+   last byte is written, possibly just after the client has read it. *)
 let rec wait_for ?(tries = 100) pred =
   if tries = 0 then false
   else if pred () then true
@@ -266,7 +268,8 @@ let test_max_connections_503 () =
       Conn.close c3;
       let s = Http.stats server in
       check bool_ "rejection counted" true (s.Evloop.rejected >= 1);
-      check int_ "rejects not served" 2 s.Evloop.served;
+      ignore (wait_for (fun () -> (Http.stats server).Evloop.served >= 2));
+      check int_ "rejects not served" 2 (Http.stats server).Evloop.served;
       Conn.close c1;
       Conn.close c2)
 
@@ -313,7 +316,8 @@ let test_1000_concurrent_keep_alive () =
       let s = Http.stats server in
       check int_ "all connections accepted" n s.Evloop.accepted;
       check int_ "still concurrently open" n s.Evloop.active;
-      check int_ "two rounds served" (2 * n) s.Evloop.served;
+      ignore (wait_for (fun () -> (Http.stats server).Evloop.served >= 2 * n));
+      check int_ "two rounds served" (2 * n) (Http.stats server).Evloop.served;
       check int_ "none rejected" 0 s.Evloop.rejected;
       Array.iter Conn.close fds)
 
@@ -384,6 +388,25 @@ let test_client_bad_framing () =
       "HTTP/1.1 200 OK\r\nContent-Length: 0x4";
       "HTTP/1.1 2000 OK\r\nContent-Length: 4";
       "SOAP/1.1 200 OK\r\nContent-Length: 4" ]
+
+(* a response that breaks the codec was produced by a server that has
+   already run the request: the policy layer must not re-send it *)
+let test_policy_no_resend_on_protocol () =
+  with_raw_server
+    (fun c ->
+      ignore (recv c);
+      send_all c "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nbody")
+    (fun port accepted ->
+      let policy =
+        { Transport.default_policy with
+          max_retries = 3; backoff_base_ms = 1.; backoff_cap_ms = 1.;
+          breaker_threshold = 0 }
+      in
+      let t = Http.transport ~policy () in
+      (match t.Transport.send ~dest:(dest port) "ping" with
+      | r -> Alcotest.failf "framed as %S" r
+      | exception Transport.Error { kind = Transport.Protocol _; _ } -> ());
+      check int_ "requests accepted" 1 (Atomic.get accepted))
 
 (* two sends over a keep-alive transport to a server answering [reply]
    on every request ([~once]: then dropping the connection): returns how
@@ -456,8 +479,8 @@ let test_facade_routes_and_stats () =
       let statz = fetch "/statz" in
       check bool_ "statz leads with the core counters" true
         (String.starts_with ~prefix:"server.accepted " statz);
-      let s = Server.stats server in
-      check bool_ "requests counted" true (s.Evloop.served >= 3))
+      check bool_ "requests counted" true
+        (wait_for (fun () -> (Server.stats server).Evloop.served >= 3)))
 
 let contains hay needle =
   let lower = String.lowercase_ascii hay in
@@ -534,6 +557,8 @@ let () =
             test_client_dribbled_bare_lf;
           Alcotest.test_case "bad response framing" `Quick
             test_client_bad_framing;
+          Alcotest.test_case "policy never re-sends a protocol failure" `Quick
+            test_policy_no_resend_on_protocol;
           Alcotest.test_case "connection reuse per response" `Quick
             test_client_connection_reuse;
           Alcotest.test_case "read timeout is typed" `Quick

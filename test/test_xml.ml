@@ -135,6 +135,91 @@ let test_parse_errors () =
   fails "<a>&unknown;</a>";
   fails "text only"
 
+(* character references: only #[0-9]+ or #x[0-9a-fA-F]+ naming an XML
+   Char, in text and in attribute values alike *)
+let bad_char_refs =
+  [ "&#-5;"; "&#-1;"; "&#+65;"; "&#0x41;"; "&#1_0;"; "&#0;"; "&#xD800;";
+    "&#x110000;"; "&#;"; "&#x;"; "&#65"; "&#X41;"; "&#99999999999999999999;";
+    "&#x0000000000041;" ]
+
+let test_parse_char_refs () =
+  let value s =
+    match Xml_parse.document ~preserve_space:true s with
+    | Tree.Document [ (Tree.Element { attrs; _ } as e) ] -> (
+        match attrs with
+        | [ a ] -> a.Tree.value
+        | _ -> Tree.string_value e)
+    | _ -> Alcotest.fail "shape"
+  in
+  List.iter
+    (fun (r, want) ->
+      check string_ ("text " ^ r) want (value ("<a>" ^ r ^ "</a>"));
+      check string_ ("attr " ^ r) want (value ("<a b='" ^ r ^ "'/>")))
+    [ ("&#65;", "A"); ("&#x41;", "A"); ("&#x4a;", "J");
+      ("&#00065;", "A"); ("&#9;", "\t"); ("&#xD7FF;", "\xed\x9f\xbf");
+      ("&#xE000;", "\xee\x80\x80"); ("&#x10FFFF;", "\xf4\x8f\xbf\xbf");
+      ("&#233;", "\xc3\xa9") ];
+  List.iter
+    (fun r ->
+      List.iter
+        (fun doc ->
+          match parse doc with
+          | exception Xml_parse.Parse_error _ -> ()
+          | _ -> Alcotest.failf "accepted %S" doc)
+        [ "<a>" ^ r ^ "</a>"; "<a b='" ^ r ^ "'/>"; "<a b=\"x" ^ r ^ "y\"/>" ])
+    bad_char_refs
+
+let test_parse_well_formed () =
+  let fails s =
+    match parse s with
+    | exception Xml_parse.Parse_error _ -> ()
+    | _ -> Alcotest.failf "should not parse: %S" s
+  in
+  (* after the root: only whitespace, comments and PIs *)
+  fails "<a/><b/>";
+  fails "<a>x</a>junk";
+  fails "<a/>&amp;";
+  fails "<a/><!DOCTYPE a>";
+  fails "<a/><![CDATA[x]]>";
+  (match parse "<a/> \n<!-- c --><?pi x?>\n" with
+  | Tree.Document [ Tree.Element _ ] -> ()
+  | _ -> Alcotest.fail "trailing misc");
+  (* Unique Att Spec, on expanded names *)
+  fails "<a x='1' x='2'/>";
+  fails "<a p:x='1' q:x='2' xmlns:p='urn:u' xmlns:q='urn:u'/>";
+  fails "<a xmlns:p='urn:u' xmlns:p='urn:v'/>";
+  fails "<a xmlns='urn:u' xmlns='urn:v'/>";
+  fails
+    ("<a " ^ String.concat " " (List.init 40 (fun i -> Printf.sprintf "k%d='v'" i))
+    ^ " k7='w'/>");
+  (match parse "<a p:x='1' q:x='2' x='3' xmlns:p='urn:u' xmlns:q='urn:v'/>" with
+  | Tree.Document [ Tree.Element { attrs; _ } ] ->
+      check int_ "distinct expanded names kept" 3 (List.length attrs)
+  | _ -> Alcotest.fail "shape");
+  (* end tags match the start tag's spelling exactly *)
+  fails "<a:b xmlns:a='u'></a:bc>";
+  fails "<ab></a>";
+  fails "<a></ab>"
+
+let test_parse_name_rebinding () =
+  (* one lexical name, three URIs in turn: the per-document name table
+     must not hand out a stale resolution *)
+  match
+    parse
+      "<r><p:x xmlns:p='urn:1'/><p:x xmlns:p='urn:2'><p:x xmlns:p='urn:1'/>\
+       <p:x/></p:x><p:x xmlns:p='urn:1'/></r>"
+  with
+  | Tree.Document [ Tree.Element { children; _ } ] ->
+      let rec uris = function
+        | Tree.Element { name; children; _ } ->
+            name.Qname.uri :: List.concat_map uris children
+        | _ -> []
+      in
+      check (Alcotest.list string_) "uris in document order"
+        [ "urn:1"; "urn:2"; "urn:1"; "urn:2"; "urn:1" ]
+        (List.concat_map uris children)
+  | _ -> Alcotest.fail "shape"
+
 let test_serialize_escaping () =
   let t = Tree.elem (Qname.make "a") ~attrs:[ Tree.attr (Qname.make "x") "a\"<b" ]
       [ Tree.Text "1 < 2 & 3" ] in
@@ -495,6 +580,9 @@ let () =
           Alcotest.test_case "comments and PIs" `Quick test_parse_comments_pis;
           Alcotest.test_case "doctype skipped" `Quick test_parse_doctype_skipped;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "character references" `Quick test_parse_char_refs;
+          Alcotest.test_case "well-formedness" `Quick test_parse_well_formed;
+          Alcotest.test_case "name rebinding" `Quick test_parse_name_rebinding;
         ] );
       ( "serialize",
         [
