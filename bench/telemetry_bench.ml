@@ -3,19 +3,20 @@
 
    Two measurements:
 
-   1. Micro: ns/op for the windowed record primitives themselves —
-      Window.observe / Window.incr / Slo.record — with recording on vs
-      off (off is one flag test; on is a clock read, a mutex, and a few
-      array stores into the preallocated rings).  Alternating-minimum
-      discipline: interleave off/on rounds and keep each mode's minimum,
-      so a GC pause in one round cannot masquerade as instrumentation
-      cost.
+   1. Micro: ns/op for the record primitives on windowed series —
+      Metrics.observe / Metrics.incr / Slo.record — with windows on vs
+      off (off writes the cumulative totals only; on adds a clock read,
+      a mutex, and a few array stores into the preallocated rings).
+      Alternating-minimum discipline: interleave off/on rounds and keep
+      each mode's minimum, so a GC pause in one round cannot masquerade
+      as instrumentation cost.
 
    2. End-to-end: the in-process SOAP serve path (Peer.handle_raw over
       deterministic Simnet, the same path the event loop's workers run)
-      with Window.set_enabled off vs on.  On this path "on" buys the
-      per-request SLO record (scope+endpoint lookup, latency histogram,
-      request/error counters on both tiers).  Reported as the median of
+      with Metrics.set_windows_enabled off vs on.  On this path "on"
+      buys the per-request SLO record (scope+endpoint lookup, latency
+      histogram, request/error counters on both tiers) and the
+      [peer.handle_ms] histogram's rings.  Reported as the median of
       paired off/on batch ratios — the PR-5 method: each ratio cancels
       that round's ambient load, the median discards the rounds a GC
       major lands in.
@@ -24,7 +25,7 @@
    run exits nonzero past the gate.  Writes BENCH_telemetry.json with
    `--json`. *)
 
-module Window = Xrpc_obs.Window
+module Metrics = Xrpc_obs.Metrics
 module Slo = Xrpc_obs.Slo
 module Cluster = Xrpc_core.Cluster
 module Peer = Xrpc_peer.Peer
@@ -64,12 +65,12 @@ let write_file path contents =
 (* ------------------------------------------------------------------ *)
 
 let micro_rows () =
-  let h = Window.histogram "bench.lat_ms" in
-  let c = Window.counter "bench.reqs" in
+  let h = Metrics.histogram ~windowed:true "bench.lat_ms" in
+  let c = Metrics.counter ~windowed:true "bench.reqs" in
   let prims =
     [
-      ("window.observe", fun () -> Window.observe h 5.);
-      ("window.incr", fun () -> Window.incr c);
+      ("metrics.observe", fun () -> Metrics.observe h 5.);
+      ("metrics.incr", fun () -> Metrics.incr c);
       ( "slo.record",
         fun () ->
           Slo.record ~scope:"bench" ~endpoint:"e" ~dur_ms:5. ~error:false ()
@@ -80,12 +81,12 @@ let micro_rows () =
     (fun (name, f) ->
       let off = ref infinity and on = ref infinity in
       for _ = 1 to rounds do
-        Window.set_enabled false;
+        Metrics.set_windows_enabled false;
         off := Float.min !off (time_ns f);
-        Window.set_enabled true;
+        Metrics.set_windows_enabled true;
         on := Float.min !on (time_ns f)
       done;
-      Window.set_enabled true;
+      Metrics.set_windows_enabled true;
       Printf.printf "%-16s %8.1f ns off  %8.1f ns on\n" name !off !on;
       (name, !off, !on))
     prims
@@ -100,16 +101,20 @@ let sim = { Simnet.default_config with Simnet.charge_cpu = false }
    applications to y in one request, y's handle_raw parses, executes and
    replies — with telemetry on, y also records the SLO sample *)
 let query = Testmod.echo_void_query ~dest:"xrpc://y" ~iterations:10
-let queries = if quick then 30 else 50
-let e2e_rounds = if quick then 7 else 21
+(* The gate's sample is the same in quick and full runs: a batch of 200
+   ~20 us queries lasts ~4 ms, long enough that one GC slice does not
+   swing a batch by the gate's 5%, and 21 pairs cost well under a
+   second.  Quick runs save time on the micro rows only. *)
+let queries = 200
+let e2e_rounds = 21
 
 let run_batch x enabled =
-  Window.set_enabled enabled;
+  Metrics.set_windows_enabled enabled;
   let t0 = now_ms () in
   for _ = 1 to queries do
     ignore (Peer.query_seq x query)
   done;
-  Window.set_enabled true;
+  Metrics.set_windows_enabled true;
   (now_ms () -. t0) /. float_of_int queries
 
 let () =

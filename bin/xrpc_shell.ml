@@ -9,7 +9,6 @@
 module Peer = Xrpc_peer.Peer
 module Database = Xrpc_peer.Database
 module Metrics = Xrpc_obs.Metrics
-module Window = Xrpc_obs.Window
 module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
@@ -182,11 +181,10 @@ let command peer line =
       print_endline "tracing off";
       true
   | ":metrics", "" ->
-      print_string (Window.export_text ());
+      print_string (Metrics.to_text ());
       true
   | ":metrics", "reset" ->
       Metrics.reset ();
-      Window.reset ();
       print_endline "metrics reset";
       true
   | ":health", "" ->
@@ -201,18 +199,12 @@ let command peer line =
       let peers = String.split_on_char ' ' uris in
       let now = Trace.now_ms () in
       let scrape dest =
-        try
-          let body =
+        Telemetry.scrape ~peer:dest ~at_ms:now (fun () ->
             Xrpc_core.Xrpc_client.call
               (Xrpc_core.Xrpc_client.connect_http ~origin:peer.Peer.uri ())
               ~dest ~module_uri:Xrpc_xml.Qname.ns_xrpc ~fn:"telemetry" []
-          in
-          Telemetry.of_wire
-            (Xrpc_xml.Xdm.string_value
-               (Xrpc_xml.Xdm.one_item ~what:"telemetry" body))
-        with e ->
-          Telemetry.unreachable ~peer:dest ~at_ms:now
-            ~reason:(Printexc.to_string e)
+            |> Xrpc_xml.Xdm.one_item ~what:"telemetry"
+            |> Xrpc_xml.Xdm.string_value)
       in
       print_string
         (Telemetry.cluster_text
@@ -299,7 +291,7 @@ let command peer line =
         "                 per-destination bytes and remote phase costs";
       print_endline ":trace on|off  — print a span tree after each query";
       print_endline
-        ":metrics       — dump the metrics registry + windowed series";
+        ":metrics       — dump the metrics registry (totals + 1m/1h windows)";
       print_endline ":metrics reset — zero every counter and histogram";
       print_endline
         ":health        — this peer's SLO state (budgets, burn, p99s)";

@@ -261,15 +261,11 @@ let cluster_health t =
   let now = t.net.Simnet.clock_ms in
   let scrape (name, (_ : Peer.t)) =
     let uri = uri_of_name name in
-    try
-      let seq =
+    Telemetry.scrape ~peer:uri ~at_ms:now (fun () ->
         Xrpc_client.call c ~dest:uri ~module_uri:Qname.ns_xrpc ~fn:"telemetry"
           []
-      in
-      Telemetry.of_wire (Xdm.string_value (Xdm.one_item ~what:"telemetry" seq))
-    with e ->
-      Telemetry.unreachable ~peer:uri ~at_ms:now
-        ~reason:(Printexc.to_string e)
+        |> Xdm.one_item ~what:"telemetry"
+        |> Xdm.string_value)
   in
   let snaps = Executor.map_list t.executor scrape (List.rev t.peers) in
   Telemetry.merge ~at_ms:now snaps

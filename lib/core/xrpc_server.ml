@@ -29,7 +29,6 @@ module Http = Xrpc_net.Http
 module Evloop = Xrpc_net.Evloop
 module Executor = Xrpc_net.Executor
 module Metrics = Xrpc_obs.Metrics
-module Window = Xrpc_obs.Window
 module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
@@ -171,9 +170,13 @@ let stats_unstarted () =
 let stats t =
   match t.server with Some s -> Http.stats s | None -> stats_unstarted ()
 
+let loop_lag_p99 () =
+  Metrics.quantile ~tier:Metrics.Fast (Metrics.histogram "evloop.loop_lag_ms")
+    0.99
+
 let stats_text t =
   let s = stats t in
-  let wr name = Window.rate (Window.counter name) in
+  let wr name = Metrics.rate (Metrics.counter name) in
   let exec =
     match t.cfg.executor with
     | Some e -> Some e
@@ -188,12 +191,11 @@ let stats_text t =
      %.3f\nwindow.loop_lag_p99_ms %s\nwindow.doneq_depth \
      %s\nwindow.executor_queue_depth %d\n"
     s.Evloop.accepted s.Evloop.active s.Evloop.served s.Evloop.rejected
-    s.Evloop.accept_errors s.Evloop.disconnects (wr "evloop.accepted")
-    (wr "evloop.served") (wr "evloop.rejected_503")
-    (wr "evloop.accept_errors") (wr "evloop.disconnects")
-    (Metrics.fnum
-       (Window.quantile (Window.histogram "evloop.loop_lag_ms") 0.99))
-    (Metrics.fnum (Window.last (Window.gauge "evloop.doneq_depth")))
+    s.Evloop.accept_errors s.Evloop.disconnects (wr "server.accepted")
+    (wr "http.requests_served") (wr "server.rejected_503")
+    (wr "server.accept_errors") (wr "server.client_disconnects")
+    (Metrics.fnum (loop_lag_p99 ()))
+    (Metrics.fnum (Metrics.gauge "evloop.doneq_depth").Metrics.value)
     (match exec with Some e -> Executor.queue_depth e | None -> 0)
 
 (* -- federation scrape --------------------------------------------- *)
@@ -214,17 +216,12 @@ let cluster_snapshots t =
     | None ->
         Telemetry.unreachable ~peer:uri ~at_ms:now
           ~reason:"no outgoing client configured"
-    | Some c -> (
-        try
-          let seq =
+    | Some c ->
+        Telemetry.scrape ~peer:uri ~at_ms:now (fun () ->
             Xrpc_client.call c ~dest:uri ~module_uri:Qname.ns_xrpc
               ~fn:"telemetry" []
-          in
-          Telemetry.of_wire
-            (Xdm.string_value (Xdm.one_item ~what:"telemetry" seq))
-        with e ->
-          Telemetry.unreachable ~peer:uri ~at_ms:now
-            ~reason:(Printexc.to_string e))
+            |> Xdm.one_item ~what:"telemetry"
+            |> Xdm.string_value)
   in
   let ex =
     match t.client with
@@ -239,13 +236,10 @@ let cluster_view t = Telemetry.merge ~at_ms:(Trace.now_ms ()) (cluster_snapshots
    match the CLI used to hand-wire *)
 let default_routes t =
   let r path doc handle = add_route t ~path ~doc handle in
-  (* cumulative registry plus the windowed series: one scrape surface *)
-  r "/metrics" "metrics registry + windowed series, text" (fun ~query:_ ->
-      Window.export_text ());
+  r "/metrics" "metrics registry, totals + 1m/1h windows, text"
+    (fun ~query:_ -> Metrics.to_text ());
   r "/metrics.json" "metrics registry, JSON" (fun ~query:_ ->
       Metrics.to_json ());
-  r "/windowz.json" "sliding-window series, JSON" (fun ~query:_ ->
-      Window.to_json ());
   r "/healthz" "liveness + readiness with reasons" (fun ~query:_ ->
       Slo.healthz_text ~scope:t.peer.Peer.uri ());
   r "/healthz.json" "health, JSON" (fun ~query:_ ->
@@ -391,9 +385,9 @@ let register_runtime_sources t executor =
       let s = stats t in
       [
         ("active_connections", float_of_int s.Evloop.active);
-        ("served_1m_rate", Window.rate (Window.counter "evloop.served"));
-        ( "loop_lag_p99_ms",
-          Window.quantile (Window.histogram "evloop.loop_lag_ms") 0.99 );
+        ( "served_1m_rate",
+          Metrics.rate (Metrics.counter "http.requests_served") );
+        ("loop_lag_p99_ms", loop_lag_p99 ());
         ("executor_queue_depth", float_of_int (Executor.queue_depth executor));
       ])
 

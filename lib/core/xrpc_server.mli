@@ -120,7 +120,8 @@ val cluster_view : t -> Xrpc_obs.Telemetry.cluster_view
 
     [create] registers the standard monitoring surface in one place
     (instead of ad-hoc dispatch in the binary): [/metrics](.json)
-    (cumulative registry + windowed series), [/windowz.json],
+    (the metric registry: totals, plus 1m/1h windows of windowed
+    series),
     [/healthz](.json) (liveness + readiness with structured reasons),
     [/clusterz](.json) (federation-wide scrape),
     [/requestz](.json), [/slowz], [/cachez](.json), [/shardz](.json,

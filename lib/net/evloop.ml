@@ -27,7 +27,6 @@
     [503 Service Unavailable] and are closed. *)
 
 module Metrics = Xrpc_obs.Metrics
-module Window = Xrpc_obs.Window
 
 (* The kernel holds the interest set, so one loop iteration costs
    O(ready fds) instead of poll(2)'s O(all fds).  At 10k mostly-idle
@@ -55,27 +54,21 @@ external raise_nofile : int -> int = "xrpc_raise_nofile_stub"
     soft limit.  Load generators call this before opening 2×10k sockets. *)
 let ensure_fd_capacity n = raise_nofile n
 
-let m_accept_errors = Metrics.counter "server.accept_errors"
-let m_rejected = Metrics.counter "server.rejected_503"
-let m_disconnects = Metrics.counter "server.client_disconnects"
-let m_served = Metrics.counter "http.requests_served"
-let m_accepted = Metrics.counter "server.accepted"
+(* The loop's series, windowed so they also give the "right now" view.
+   Rates answer "is an accept storm happening", [loop_lag_ms] answers
+   "is the loop thread keeping up" (tick drift, node.js-style: the idle
+   wait is bounded to [heartbeat_s] and lag is how late the tick
+   actually fires), [ready_fds] sizes the per-iteration batch,
+   [doneq_depth] the executor→loop completion backlog. *)
+let m_accept_errors = Metrics.counter ~windowed:true "server.accept_errors"
+let m_rejected = Metrics.counter ~windowed:true "server.rejected_503"
+let m_disconnects = Metrics.counter ~windowed:true "server.client_disconnects"
+let m_served = Metrics.counter ~windowed:true "http.requests_served"
+let m_accepted = Metrics.counter ~windowed:true "server.accepted"
 let m_active = Metrics.gauge "server.active_connections"
-
-(* Windowed runtime series: the "right now" view of the loop.  Rates
-   answer "is an accept storm happening", [loop_lag_ms] answers "is the
-   loop thread keeping up" (tick drift, node.js-style: the idle wait is
-   bounded to [heartbeat_s] and lag is how late the tick actually
-   fires), [ready_fds] sizes the per-iteration batch, [doneq_depth] the
-   executor→loop completion backlog. *)
-let w_accepted = Window.counter "evloop.accepted"
-let w_rejected = Window.counter "evloop.rejected_503"
-let w_disconnects = Window.counter "evloop.disconnects"
-let w_accept_errors = Window.counter "evloop.accept_errors"
-let w_served = Window.counter "evloop.served"
-let w_lag = Window.histogram "evloop.loop_lag_ms"
-let w_ready = Window.histogram "evloop.ready_fds"
-let w_doneq = Window.gauge "evloop.doneq_depth"
+let m_lag = Metrics.histogram ~windowed:true "evloop.loop_lag_ms"
+let m_ready = Metrics.histogram ~windowed:true "evloop.ready_fds"
+let m_doneq = Metrics.gauge ~windowed:true "evloop.doneq_depth"
 
 let heartbeat_s = 0.5
 
@@ -153,7 +146,7 @@ let wait_timeout_ms t now ~backing_off =
 let observe_tick t =
   let now = Unix.gettimeofday () in
   if t.next_tick > 0. && now >= t.next_tick then begin
-    Window.observe w_lag ((now -. t.next_tick) *. 1000.);
+    Metrics.observe m_lag ((now -. t.next_tick) *. 1000.);
     t.next_tick <- now +. heartbeat_s
   end
 
@@ -173,6 +166,11 @@ let run_handler t (c : Conn.t) =
     Buffer.clear c.Conn.out_body;
     Buffer.add_string c.Conn.out_body (Printexc.to_string e);
     "500 Internal Server Error"
+
+(* a peer gone mid-request or mid-response *)
+let disconnect t =
+  t.stats.disconnects <- t.stats.disconnects + 1;
+  Metrics.incr m_disconnects
 
 let close_conn t (c : Conn.t) =
   if c.Conn.state <> Conn.Closed then begin
@@ -220,15 +218,12 @@ and resume_parse t (c : Conn.t) =
   | Conn.Request -> dispatch t c
   | Conn.Need_more -> ()
   | Conn.Bad _ ->
-      t.stats.disconnects <- t.stats.disconnects + 1;
-      Metrics.incr m_disconnects;
-      Window.incr w_disconnects;
+      disconnect t;
       close_conn t c
 
 and dispatch t (c : Conn.t) =
   c.Conn.state <- Conn.Executing;
   Metrics.incr m_served;
-  Window.incr w_served;
   if Executor.is_sequential t.executor then begin
     (* inline fast path: a sequential executor means the caller accepts
        handler work on the loop thread, so skip the completion-queue /
@@ -252,9 +247,7 @@ and try_write t (c : Conn.t) =
   | Conn.Write_done -> finish_request t c
   | Conn.Write_blocked -> ()
   | Conn.Write_closed ->
-      t.stats.disconnects <- t.stats.disconnects + 1;
-      Metrics.incr m_disconnects;
-      Window.incr w_disconnects;
+      disconnect t;
       close_conn t c
 
 let drain_done t =
@@ -265,7 +258,7 @@ let drain_done t =
     pending := Queue.pop t.done_q :: !pending
   done;
   Mutex.unlock t.qm;
-  if depth > 0 then Window.set w_doneq (float_of_int depth);
+  if depth > 0 then Metrics.set m_doneq (float_of_int depth);
   List.iter
     (fun ((c : Conn.t), status) ->
       if t.running && c.Conn.state = Conn.Executing then begin
@@ -295,7 +288,6 @@ let canned_503 =
 let reject_503 t fd =
   t.stats.rejected <- t.stats.rejected + 1;
   Metrics.incr m_rejected;
-  Window.incr w_rejected;
   let c = Conn.create ~role:Conn.Server fd in
   c.Conn.rejected <- true;
   Buffer.add_string c.Conn.out_body canned_503;
@@ -321,7 +313,6 @@ let accept_burst t =
          with Unix.Unix_error _ -> ());
         t.stats.accepted <- t.stats.accepted + 1;
         Metrics.incr m_accepted;
-        Window.incr w_accepted;
         match t.max_connections with
         | Some m when t.stats.active >= m -> reject_503 t fd
         | _ ->
@@ -338,7 +329,6 @@ let accept_burst t =
         | `Backoff ->
             t.stats.accept_errors <- t.stats.accept_errors + 1;
             Metrics.incr m_accept_errors;
-            Window.incr w_accept_errors;
             t.backoff_until <- Unix.gettimeofday () +. accept_backoff_s;
             continue := false
         | `Stop ->
@@ -357,11 +347,7 @@ let handle_readable t (c : Conn.t) =
   | Conn.Read_eof ->
       (* mid-request EOF is a disconnect; EOF between requests is just
          the client ending its keep-alive session *)
-      (if c.Conn.pstate <> Conn.P_line || c.Conn.in_len > 0 then begin
-         t.stats.disconnects <- t.stats.disconnects + 1;
-         Metrics.incr m_disconnects;
-         Window.incr w_disconnects
-       end);
+      if c.Conn.pstate <> Conn.P_line || c.Conn.in_len > 0 then disconnect t;
       close_conn t c
 
 let drain_wake_pipe t buf =
@@ -373,9 +359,7 @@ let handle_conn_event t (c : Conn.t) re =
   | Conn.Reading -> if re land (1 lor 4) <> 0 then handle_readable t c
   | Conn.Writing ->
       if re land 4 <> 0 && re land 2 = 0 then begin
-        t.stats.disconnects <- t.stats.disconnects + 1;
-        Metrics.incr m_disconnects;
-        Window.incr w_disconnects;
+        disconnect t;
         close_conn t c
       end
       else if re land 2 <> 0 then try_write t c
@@ -402,7 +386,7 @@ let run_loop t =
     let evs = epoll_wait t.epfd max_events timeout in
     observe_tick t;
     let n_ready = Array.length evs / 2 in
-    if n_ready > 0 then Window.observe w_ready (float_of_int n_ready);
+    if n_ready > 0 then Metrics.observe m_ready (float_of_int n_ready);
     if t.running then
       for j = 0 to (Array.length evs / 2) - 1 do
         let fd = fd_of_int evs.(2 * j) in

@@ -22,17 +22,17 @@
     distributed query still reconstructs into a single span tree. *)
 
 module Trace = Xrpc_obs.Trace
-module Window = Xrpc_obs.Window
+module Metrics = Xrpc_obs.Metrics
 
 (* Windowed pool telemetry: queue depth (the admission-control signal
    ROADMAP item 4 sheds on), and per-task wait-vs-run split — wait
    growing while run stays flat is the signature of an undersized pool,
-   the inverse is a slow handler.  All recording is gated on
-   {!Window.enabled} and the wait timestamp is only captured when it is
-   on, so the off cost is one flag test. *)
-let w_queue_depth = Window.gauge "executor.queue_depth"
-let w_wait = Window.histogram "executor.wait_ms"
-let w_run = Window.histogram "executor.run_ms"
+   the inverse is a slow handler.  The timings are gated on
+   {!Metrics.windows_enabled} and the wait timestamp is only captured
+   when it is on, so the off cost is one flag test. *)
+let m_queue_depth = Metrics.gauge ~windowed:true "executor.queue_depth"
+let m_wait = Metrics.histogram ~windowed:true "executor.wait_ms"
+let m_run = Metrics.histogram ~windowed:true "executor.run_ms"
 
 type 'a outcome = Pending | Done of 'a | Failed of exn
 
@@ -168,13 +168,13 @@ let submit t f =
   | Pool p ->
       let fut = fulfilled Pending in
       let parent = Trace.current () in
-      let t_sub = if Window.enabled () then Trace.now_ms () else nan in
+      let t_sub = if Metrics.windows_enabled () then Trace.now_ms () else nan in
       let job () =
         if not (Float.is_nan t_sub) then begin
           let t_start = Trace.now_ms () in
-          Window.observe w_wait (Float.max 0. (t_start -. t_sub));
+          Metrics.observe m_wait (Float.max 0. (t_start -. t_sub));
           fulfil fut (run_shipped parent f);
-          Window.observe w_run (Float.max 0. (Trace.now_ms () -. t_start))
+          Metrics.observe m_run (Float.max 0. (Trace.now_ms () -. t_start))
         end
         else fulfil fut (run_shipped parent f)
       in
@@ -188,7 +188,7 @@ let submit t f =
         let depth = Queue.length p.jobs in
         Condition.signal p.nonempty;
         Mutex.unlock p.m;
-        Window.set w_queue_depth (float_of_int depth)
+        Metrics.set m_queue_depth (float_of_int depth)
       end;
       fut
 

@@ -9,7 +9,11 @@
    Recording one entry is a handful of field writes plus (when tracing is
    on) a signature render over that request's span slice — cheap enough
    to leave on in production, which is the point: /requestz answers "what
-   ran here recently" without anyone having had to plan for the question. *)
+   ran here recently" without anyone having had to plan for the question.
+
+   A served SOAP request reaches the ring through [complete], which also
+   feeds the request's metrics and SLO series from the same record;
+   client-side queries and optimizer notes call [record] directly. *)
 
 type entry = {
   id : int; (* 1-based, monotonically increasing *)
@@ -92,6 +96,31 @@ let record ?error ?idem_key ~label ~duration_ms ~spans () =
       next_slot := (!next_slot + 1) mod Array.length !ring;
       if duration_ms >= !slow_ms then pin_locked e;
       e.id)
+
+(** One served request, built once at the request's single exit. *)
+type completion = {
+  c_endpoint : string;  (* SLO identity: "module:function", "tx:op" *)
+  c_label : string;
+  c_duration_ms : float;
+  c_error : string option;
+  c_idem_key : string option;
+  c_spans : Trace.span list;  (* the request's span slice *)
+}
+
+let m_handle_ms = Metrics.histogram ~windowed:true "peer.handle_ms"
+let m_faults = Metrics.counter "peer.faults"
+
+(** The one recording call per served SOAP request.  Its three readers
+    see the same duration: the [peer.handle_ms] histogram (and
+    [peer.faults]), the [scope]'s SLO series, and this ring. *)
+let complete ~scope c =
+  let error = Option.is_some c.c_error in
+  Metrics.observe m_handle_ms c.c_duration_ms;
+  if error then Metrics.incr m_faults;
+  Slo.record ~scope ~endpoint:c.c_endpoint ~dur_ms:c.c_duration_ms ~error ();
+  ignore
+    (record ?error:c.c_error ?idem_key:c.c_idem_key ~label:c.c_label
+       ~duration_ms:c.c_duration_ms ~spans:c.c_spans ())
 
 (* Newest first. *)
 let recent () =

@@ -2,7 +2,7 @@
 
    An objective says what "healthy" means for one endpoint — a latency
    bound (p99 <= 100 ms by default) and an error-rate bound (<= 1%).
-   Against it we track, on the {!Window} tiers:
+   Against it we track, on the windowed {!Metrics} tiers:
 
    - the {b error budget}: over the slow (1 h) tier, the fraction of the
      allowed errors not yet spent.  budget = 1 - errs/(max_error_rate *
@@ -45,9 +45,9 @@ let overflow_endpoint = "other"
 type entry = {
   e_endpoint : string;
   e_obj : objective;
-  e_lat : Window.histogram;
-  e_reqs : Window.counter;
-  e_errs : Window.counter;
+  e_lat : Metrics.histogram;
+  e_reqs : Metrics.counter;
+  e_errs : Metrics.counter;
 }
 
 type state = Ready | Degraded | Unready
@@ -75,7 +75,7 @@ let scope_count scope =
   Hashtbl.fold (fun (s, _) _ n -> if s = scope then n + 1 else n) entries 0
 
 let series_name scope endpoint kind =
-  (* windowed series live in the global Window registry; embed the scope
+  (* windowed series live in the global Metrics registry; embed the scope
      so two peers' endpoints never share a ring *)
   Printf.sprintf "slo.%s.%s.%s" (if scope = "" then "global" else scope)
     endpoint kind
@@ -99,9 +99,15 @@ let get_entry ?(objective = default_objective) ~scope endpoint =
                 {
                   e_endpoint = endpoint;
                   e_obj = objective;
-                  e_lat = Window.histogram (series_name scope endpoint "ms");
-                  e_reqs = Window.counter (series_name scope endpoint "reqs");
-                  e_errs = Window.counter (series_name scope endpoint "errs");
+                  e_lat =
+                    Metrics.histogram ~windowed:true
+                      (series_name scope endpoint "ms");
+                  e_reqs =
+                    Metrics.counter ~windowed:true
+                      (series_name scope endpoint "reqs");
+                  e_errs =
+                    Metrics.counter ~windowed:true
+                      (series_name scope endpoint "errs");
                 }
               in
               Hashtbl.replace entries (scope, endpoint) e;
@@ -111,11 +117,11 @@ let declare ?objective ~scope endpoint =
   ignore (get_entry ?objective ~scope endpoint)
 
 let record ?objective ?(scope = "") ~endpoint ~dur_ms ~error () =
-  if Window.enabled () then begin
+  if Metrics.windows_enabled () then begin
     let e = get_entry ?objective ~scope endpoint in
-    Window.observe e.e_lat dur_ms;
-    Window.incr e.e_reqs;
-    if error then Window.incr e.e_errs
+    Metrics.observe e.e_lat dur_ms;
+    Metrics.incr e.e_reqs;
+    if error then Metrics.incr e.e_errs
   end
 
 let register_probe ?(scope = "") ~name f =
@@ -144,10 +150,10 @@ type endpoint_health = {
 }
 
 let eval_entry e =
-  let reqs_1m = Window.sum_window ~tier:Window.Fast e.e_reqs in
-  let errs_1m = Window.sum_window ~tier:Window.Fast e.e_errs in
-  let reqs_1h = Window.sum_window ~tier:Window.Slow e.e_reqs in
-  let errs_1h = Window.sum_window ~tier:Window.Slow e.e_errs in
+  let reqs_1m = Metrics.total ~tier:Metrics.Fast e.e_reqs in
+  let errs_1m = Metrics.total ~tier:Metrics.Fast e.e_errs in
+  let reqs_1h = Metrics.total ~tier:Metrics.Slow e.e_reqs in
+  let errs_1h = Metrics.total ~tier:Metrics.Slow e.e_errs in
   let err_rate = if reqs_1m > 0. then errs_1m /. reqs_1m else 0. in
   let budget =
     if reqs_1h < min_samples then 1.
@@ -161,7 +167,7 @@ let eval_entry e =
     else if e.e_obj.max_error_rate <= 0. then if errs_1m > 0. then infinity else 0.
     else err_rate /. e.e_obj.max_error_rate
   in
-  let p99 = Window.quantile ~tier:Window.Fast e.e_lat 0.99 in
+  let p99 = Metrics.quantile ~tier:Metrics.Fast e.e_lat 0.99 in
   let state, reason =
     if budget <= 0. then
       ( Unready,
@@ -184,10 +190,10 @@ let eval_entry e =
   {
     h_endpoint = e.e_endpoint;
     h_obj = e.e_obj;
-    h_rate = Window.rate ~tier:Window.Fast e.e_reqs;
+    h_rate = Metrics.rate ~tier:Metrics.Fast e.e_reqs;
     h_err_rate = err_rate;
-    h_p50 = Window.quantile ~tier:Window.Fast e.e_lat 0.50;
-    h_p95 = Window.quantile ~tier:Window.Fast e.e_lat 0.95;
+    h_p50 = Metrics.quantile ~tier:Metrics.Fast e.e_lat 0.50;
+    h_p95 = Metrics.quantile ~tier:Metrics.Fast e.e_lat 0.95;
     h_p99 = p99;
     h_reqs_1m = reqs_1m;
     h_budget = budget;

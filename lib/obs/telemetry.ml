@@ -131,7 +131,9 @@ let clean s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
 let f2s v = if Float.is_nan v then "nan" else Printf.sprintf "%.6g" v
-let s2f s = try float_of_string s with _ -> nan
+
+(** A scrape reply that is not a snapshot [to_wire] could have written. *)
+exception Malformed of string
 
 let to_wire sn =
   let buf = Buffer.create 512 in
@@ -158,49 +160,105 @@ let to_wire sn =
     sn.sn_endpoints;
   Buffer.contents buf
 
+(* The bytes come from another peer, so every line and field is checked:
+   an unknown record, a wrong field count, a number [f2s] would not
+   write, a missing or repeated peer/at/state line all raise
+   [Malformed].  Records accumulate reversed, so the parse is linear in
+   the line count. *)
 let of_wire s =
-  let sn =
-    ref
-      {
-        sn_peer = "?";
-        sn_at_ms = nan;
-        sn_state = "unreachable";
-        sn_reasons = [];
-        sn_gauges = [];
-        sn_endpoints = [];
-        sn_shard_version = None;
-        sn_breakers = [];
-      }
-  in
-  List.iter
-    (fun line ->
+  let lines = String.split_on_char '\n' s in
+  let last = List.length lines - 1 in
+  let peer = ref None and at = ref None and state = ref None in
+  let shardv = ref None in
+  let reasons = ref [] and gauges = ref [] and breakers = ref [] in
+  let eps = ref [] in
+  List.iteri
+    (fun i line ->
+      let bad what =
+        let what =
+          if String.length what > 60 then String.sub what 0 60 ^ "..." else what
+        in
+        raise (Malformed (Printf.sprintf "line %d: %s" (i + 1) what))
+      in
+      let once r v what =
+        if Option.is_some !r then bad ("repeated " ^ what) else r := Some v
+      in
+      let num v =
+        match v with
+        | "nan" -> nan
+        | "inf" -> infinity
+        | "-inf" -> neg_infinity
+        | _ -> (
+            let ok = function
+              | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
+              | _ -> false
+            in
+            match float_of_string_opt v with
+            | Some f when v <> "" && String.for_all ok v -> f
+            | _ -> bad ("bad number " ^ v))
+      in
+      let one_of what allowed v =
+        if List.mem v allowed then v
+        else bad (Printf.sprintf "bad %s %s" what v)
+      in
       match String.split_on_char '\t' line with
-      | [ "peer"; p ] -> sn := { !sn with sn_peer = p }
-      | [ "at"; v ] -> sn := { !sn with sn_at_ms = s2f v }
-      | [ "state"; st ] -> sn := { !sn with sn_state = st }
-      | [ "reason"; r ] -> sn := { !sn with sn_reasons = !sn.sn_reasons @ [ r ] }
-      | [ "gauge"; n; v ] ->
-          sn := { !sn with sn_gauges = !sn.sn_gauges @ [ (n, s2f v) ] }
-      | [ "shardv"; v ] ->
-          sn := { !sn with sn_shard_version = int_of_string_opt v }
+      | [ "" ] when i = last -> ()
+      | [ "peer"; p ] -> once peer p "peer"
+      | [ "at"; v ] -> once at (num v) "at"
+      | [ "state"; st ] ->
+          let states = [ "ready"; "degraded"; "unready"; "unreachable" ] in
+          once state (one_of "state" states st) "state"
+      | [ "reason"; r ] -> reasons := r :: !reasons
+      | [ "gauge"; n; v ] -> gauges := (n, num v) :: !gauges
+      | [ "shardv"; v ] -> (
+          let digit = function '0' .. '9' -> true | _ -> false in
+          match int_of_string_opt v with
+          | Some n when String.for_all digit v -> once shardv n "shardv"
+          | _ -> bad ("bad shard version " ^ v))
       | [ "breaker"; d; st ] ->
-          sn := { !sn with sn_breakers = !sn.sn_breakers @ [ (d, st) ] }
+          breakers :=
+            (d, one_of "breaker state" [ "closed"; "open"; "half_open" ] st)
+            :: !breakers
       | [ "ep"; name; rate; err; p50; p95; p99; r1m ] ->
           let e =
             {
               ep_name = name;
-              ep_rate = s2f rate;
-              ep_err_rate = s2f err;
-              ep_p50 = s2f p50;
-              ep_p95 = s2f p95;
-              ep_p99 = s2f p99;
-              ep_reqs_1m = s2f r1m;
+              ep_rate = num rate;
+              ep_err_rate = num err;
+              ep_p50 = num p50;
+              ep_p95 = num p95;
+              ep_p99 = num p99;
+              ep_reqs_1m = num r1m;
             }
           in
-          sn := { !sn with sn_endpoints = !sn.sn_endpoints @ [ e ] }
-      | _ -> ())
-    (String.split_on_char '\n' s);
-  !sn
+          eps := e :: !eps
+      | _ -> bad ("unexpected record: " ^ line))
+    lines;
+  let required what = function
+    | Some v -> v
+    | None -> raise (Malformed ("missing " ^ what ^ " line"))
+  in
+  {
+    sn_peer = required "peer" !peer;
+    sn_at_ms = required "at" !at;
+    sn_state = required "state" !state;
+    sn_reasons = List.rev !reasons;
+    sn_gauges = List.rev !gauges;
+    sn_endpoints = List.rev !eps;
+    sn_shard_version = !shardv;
+    sn_breakers = List.rev !breakers;
+  }
+
+(** A peer's snapshot from its scrape reply, or an [unreachable]
+    pseudo-snapshot naming the reason when the fetch or the decode
+    fails: a peer that cannot be scraped is what a cluster view must
+    show, not drop. *)
+let scrape ~peer ~at_ms fetch =
+  match of_wire (fetch ()) with
+  | sn -> sn
+  | exception Malformed m ->
+      unreachable ~peer ~at_ms ~reason:("malformed telemetry: " ^ m)
+  | exception e -> unreachable ~peer ~at_ms ~reason:(Printexc.to_string e)
 
 (* -- merge --------------------------------------------------------- *)
 

@@ -21,7 +21,6 @@ module Executor = Xrpc_net.Executor
 module Xrpc_error = Xrpc_net.Xrpc_error
 module Xrpc_uri = Xrpc_net.Xrpc_uri
 module Metrics = Xrpc_obs.Metrics
-module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
 module Profile = Xrpc_obs.Profile
@@ -62,9 +61,6 @@ let default_config =
 
 let m_requests = Metrics.counter "peer.requests"
 let m_calls = Metrics.counter "peer.calls"
-let m_faults = Metrics.counter "peer.faults"
-let m_idem_hits = Metrics.counter "peer.idem_hits"
-let m_handle_ms = Metrics.histogram "peer.handle_ms"
 let m_queries = Metrics.counter "peer.queries"
 
 (** Peer-private state, hidden behind the interface: module registries,
@@ -117,7 +113,6 @@ type t = {
   mutable config : config;
   mutable requests_handled : int;
   mutable calls_handled : int;
-  mutable handler_ms : float;  (** cumulative CPU spent serving requests *)
   internals : internals;
 }
 
@@ -136,7 +131,6 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
     config;
     requests_handled = 0;
     calls_handled = 0;
-    handler_ms = 0.;
     internals =
       {
         modules = Hashtbl.create 8;
@@ -645,12 +639,7 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
 (* 2PC participant (WS-AtomicTransaction-style, §2.3) *)
 let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
   Log.info (fun m ->
-      m "%s: 2PC %s for %s" peer.uri
-        (match op with
-        | Message.Prepare -> "prepare"
-        | Message.Commit -> "commit"
-        | Message.Rollback -> "rollback"
-        | Message.Status -> "status")
+      m "%s: 2PC %s for %s" peer.uri (Message.tx_op_name op)
         (Message.query_id_key qid));
   match op with
   | Message.Prepare -> (
@@ -719,109 +708,18 @@ let with_peer_lock peer f =
       f
   end
 
-let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
-    unit =
-  let len = match len with Some l -> l | None -> String.length body - pos in
-  let t0 = Unix.gettimeofday () in
-  with_peer_lock peer @@ fun () ->
-  let fr_mark = Trace.mark () in
-  let tparse0 = Trace.now_ms () in
-  let parsed =
-    try Ok (Message.of_string_server ~pos ~len body) with e -> Error e
-  in
-  let parse_ms = Trace.now_ms () -. tparse0 in
-  let msg = Result.map (fun (m, _, _) -> m) parsed in
-  (* measure the server-side phase breakdown whenever someone will read
-     it: the caller asked (the profile request attribute), sent a trace
-     context (a traced distributed query), or observability is on in
-     this process.  Plain traffic pays nothing and its wire format is
-     unchanged. *)
-  let want_profile =
-    Profile.enabled () || Trace.enabled ()
-    || (match parsed with
-       | Ok (_, Some _, _) | Ok (_, _, true) -> true
-       | _ -> false)
-  in
-  let phases =
-    if want_profile then Some (ref [ ("parse", parse_ms) ]) else None
-  in
-  let flight_label =
-    match msg with
-    | Ok (Message.Request r) ->
-        Printf.sprintf "%s:%s#%d (%d call%s)" r.Message.module_uri
-          r.Message.method_ r.Message.arity
-          (List.length r.Message.calls)
-          (if List.length r.Message.calls = 1 then "" else "s")
-    | Ok (Message.Tx_request (op, qid)) ->
-        Printf.sprintf "tx:%s %s"
-          (match op with
-          | Message.Prepare -> "prepare"
-          | Message.Commit -> "commit"
-          | Message.Rollback -> "rollback"
-          | Message.Status -> "status")
-          (Message.query_id_key qid)
-    | Ok _ -> "unexpected message kind"
-    | Error e -> "unparseable request: " ^ Printexc.to_string e
-  in
-  let record_flight ?error ~idem_key () =
-    ignore
-      (Flight_recorder.record ?error ?idem_key ~label:flight_label
-         ~duration_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-         ~spans:(Trace.since fr_mark) ())
-  in
-  (* SLO endpoint identity: the function (or 2PC op) being served, not
-     the arity/call-count details the flight label carries *)
-  let slo_endpoint =
-    match msg with
-    | Ok (Message.Request r) -> r.Message.module_uri ^ ":" ^ r.Message.method_
-    | Ok (Message.Tx_request (op, _)) ->
-        "tx:"
-        ^ (match op with
-          | Message.Prepare -> "prepare"
-          | Message.Commit -> "commit"
-          | Message.Rollback -> "rollback"
-          | Message.Status -> "status")
-    | Ok _ | Error _ -> "malformed"
-  in
-  let record_slo ~error =
-    Slo.record ~scope:peer.uri ~endpoint:slo_endpoint
-      ~dur_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ~error ()
-  in
-  (* the span adopts the caller's propagated (trace-id, parent-span) when
-     the envelope header carries one, so peer-side work lands in the
-     originating query's tree; the parse itself is recorded as an event *)
-  let span_body f =
-    match parsed with
-    | Ok (_, Some (trace_id, parent), _) ->
-        Trace.with_remote_parent ~detail:peer.uri ~trace_id ~parent
-          "peer.handle" f
-    | _ -> Trace.with_span ~detail:peer.uri "peer.handle" f
-  in
-  span_body @@ fun () ->
-  Trace.event
-    ~detail:(Printf.sprintf "%.3fms" ((Unix.gettimeofday () -. t0) *. 1000.))
-    "peer-parse";
+(* Serve one parsed message into [out]: from the idempotency cache, or
+   by running it and serializing the reply.  Returns the fault reason
+   when the reply is a SOAP Fault. *)
+let serve ?phases peer msg ~idem_key out =
   (* exactly-once over at-least-once delivery: a request whose idemKey we
      already answered is served from the idempotency cache without
      re-executing (in particular without re-applying R_Fu updates) *)
-  let idem_key =
-    match msg with
-    | Ok (Message.Request { idem_key = Some k; _ }) -> Some k
-    | _ -> None
-  in
-  match
-    match idem_key with
-    | Some k -> Idem_cache.find peer.idem_cache k
-    | None -> None
-  with
+  match Option.bind idem_key (Idem_cache.find peer.idem_cache) with
   | Some cached ->
-      Metrics.incr m_idem_hits;
       Trace.event "idem-hit";
-      peer.handler_ms <- peer.handler_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
-      record_flight ~idem_key ();
-      record_slo ~error:false;
-      Buffer.add_string out cached
+      Buffer.add_string out cached;
+      None
   | None ->
   let reply =
     try
@@ -859,7 +757,6 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   in
   (match reply with
   | Message.Fault f ->
-      Metrics.incr m_faults;
       Trace.event ~detail:f.Message.reason "fault";
       Log.warn (fun m -> m "%s: fault: %s" peer.uri f.Message.reason)
   | _ -> ());
@@ -872,21 +769,96 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   Message.to_buffer ?server_profile:(Option.map ( ! ) phases) out reply;
   (* remember successful replies only: a faulted request had no effects,
      so a retry may legitimately re-execute it *)
-  (match (idem_key, reply) with
-  | Some k, (Message.Response _ | Message.Tx_response _) ->
+  match (idem_key, reply) with
+  | _, Message.Fault f -> Some f.Message.reason
+  | Some k, _ ->
       Idem_cache.add peer.idem_cache k
-        (Buffer.sub out start (Buffer.length out - start))
-  | _ -> ());
-  let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
-  peer.handler_ms <- peer.handler_ms +. elapsed;
-  Metrics.observe m_handle_ms elapsed;
-  record_slo ~error:(match reply with Message.Fault _ -> true | _ -> false);
-  record_flight
-    ?error:
-      (match reply with
-      | Message.Fault f -> Some f.Message.reason
-      | _ -> None)
-    ~idem_key ()
+        (Buffer.sub out start (Buffer.length out - start));
+      None
+  | None, _ -> None
+
+let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
+    unit =
+  let len = match len with Some l -> l | None -> String.length body - pos in
+  let t0 = Unix.gettimeofday () in
+  with_peer_lock peer @@ fun () ->
+  let fr_mark = Trace.mark () in
+  let tparse0 = Trace.now_ms () in
+  let parsed =
+    try Ok (Message.of_string_server ~pos ~len body) with e -> Error e
+  in
+  let parse_ms = Trace.now_ms () -. tparse0 in
+  let msg = Result.map (fun (m, _, _) -> m) parsed in
+  (* measure the server-side phase breakdown whenever someone will read
+     it: the caller asked (the profile request attribute), sent a trace
+     context (a traced distributed query), or observability is on in
+     this process.  Plain traffic pays nothing and its wire format is
+     unchanged. *)
+  let want_profile =
+    Profile.enabled () || Trace.enabled ()
+    || (match parsed with
+       | Ok (_, Some _, _) | Ok (_, _, true) -> true
+       | _ -> false)
+  in
+  let phases =
+    if want_profile then Some (ref [ ("parse", parse_ms) ]) else None
+  in
+  let idem_key =
+    match msg with
+    | Ok (Message.Request { idem_key = Some k; _ }) -> Some k
+    | _ -> None
+  in
+  (* the span adopts the caller's propagated (trace-id, parent-span) when
+     the envelope header carries one, so peer-side work lands in the
+     originating query's tree; the parse itself is recorded as an event *)
+  let span_body f =
+    match parsed with
+    | Ok (_, Some (trace_id, parent), _) ->
+        Trace.with_remote_parent ~detail:peer.uri ~trace_id ~parent
+          "peer.handle" f
+    | _ -> Trace.with_span ~detail:peer.uri "peer.handle" f
+  in
+  let outcome =
+    match
+      span_body @@ fun () ->
+      Trace.event ~detail:(Printf.sprintf "%.3fms" parse_ms) "peer-parse";
+      serve ?phases peer msg ~idem_key out
+    with
+    | fault -> Ok fault
+    | exception e -> Error e
+  in
+  (* the request's one exit: one clock read for its duration, one
+     completion record for the metrics, SLO and flight-recorder views.
+     The SLO endpoint is the function or 2PC op served; the label adds
+     the arity and call count. *)
+  let endpoint, label =
+    match msg with
+    | Ok (Message.Request r) ->
+        let n = List.length r.Message.calls in
+        ( r.Message.module_uri ^ ":" ^ r.Message.method_,
+          Printf.sprintf "%s:%s#%d (%d call%s)" r.Message.module_uri
+            r.Message.method_ r.Message.arity n
+            (if n = 1 then "" else "s") )
+    | Ok (Message.Tx_request (op, qid)) ->
+        ( "tx:" ^ Message.tx_op_name op,
+          Printf.sprintf "tx:%s %s" (Message.tx_op_name op)
+            (Message.query_id_key qid) )
+    | Ok _ -> ("malformed", "unexpected message kind")
+    | Error e -> ("malformed", "unparseable request: " ^ Printexc.to_string e)
+  in
+  Flight_recorder.complete ~scope:peer.uri
+    {
+      Flight_recorder.c_endpoint = endpoint;
+      c_label = label;
+      c_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+      c_error =
+        (match outcome with
+        | Ok fault -> fault
+        | Error e -> Some (Printexc.to_string e));
+      c_idem_key = idem_key;
+      c_spans = Trace.since fr_mark;
+    };
+  match outcome with Ok _ -> () | Error e -> raise e
 
 let handle_raw peer (body : string) : string =
   let out = Buffer.create 1024 in

@@ -61,7 +61,6 @@ type t = {
   mutable config : config;
   mutable requests_handled : int;
   mutable calls_handled : int;
-  mutable handler_ms : float;  (** cumulative CPU spent serving requests *)
   internals : internals;
 }
 

@@ -86,6 +86,12 @@ let err fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 let query_id_key (q : query_id) = q.host ^ "@" ^ q.timestamp
 
+let tx_op_name = function
+  | Prepare -> "prepare"
+  | Commit -> "commit"
+  | Rollback -> "rollback"
+  | Status -> "status"
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -254,17 +260,10 @@ let to_tree ?trace ?server_profile ?(profile_flag = false) = function
             ];
         ]
   | Tx_request (op, q) ->
-      let opname =
-        match op with
-        | Prepare -> "prepare"
-        | Commit -> "commit"
-        | Rollback -> "rollback"
-        | Status -> "status"
-      in
       envelope ?trace
         [
           Tree.elem (xrpc "transaction")
-            ~attrs:[ Tree.attr (Qname.make "operation") opname ]
+            ~attrs:[ Tree.attr (Qname.make "operation") (tx_op_name op) ]
             [ query_id_elem q ];
         ]
   | Tx_response r ->
@@ -327,6 +326,22 @@ let elem_children children =
     (function Tree.Element _ as e -> Some e | _ -> None)
     children
 
+(* An xs:nonNegativeInteger attribute (XRPC.xsd): surrounding
+   whitespace, an optional "+", then at most 9 ASCII digits.
+   [int_of_string] alone would also take "-3", "0x1F" and "1_0". *)
+let nat_attr what s =
+  let t = String.trim s in
+  let d =
+    if t <> "" && t.[0] = '+' then String.sub t 1 (String.length t - 1) else t
+  in
+  if
+    d <> "" && String.length d <= 9
+    && String.for_all (function '0' .. '9' -> true | _ -> false) d
+  then int_of_string d
+  else
+    err "%s is not a non-negative integer: %S" what
+      (if String.length s > 20 then String.sub s 0 20 ^ "..." else s)
+
 let parse_query_id = function
   | Tree.Element { attrs; _ } ->
       {
@@ -334,7 +349,10 @@ let parse_query_id = function
         timestamp = Option.value ~default:"" (find_attr attrs "timestamp");
         timeout =
           (match find_attr attrs "timeout" with
-          | Some s -> ( try int_of_string s with _ -> 30)
+          | Some s -> (
+              match nat_attr "queryID timeout" s with
+              | 0 -> err "queryID timeout must be positive"
+              | n -> n)
           | None -> 30);
         level =
           (match find_attr attrs "level" with
@@ -388,7 +406,7 @@ let of_tree tree =
           module_uri = get "module";
           location = Option.value ~default:"" (find_attr attrs "location");
           method_ = get "method";
-          arity = (try int_of_string (get "arity") with _ -> 0);
+          arity = nat_attr "arity" (get "arity");
           updating = find_attr attrs "updCall" = Some "true";
           fragments = find_attr attrs "fragments" = Some "true";
           query_id;

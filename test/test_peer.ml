@@ -9,6 +9,8 @@ module Database = Xrpc_peer.Database
 module Isolation = Xrpc_peer.Isolation
 module Func_cache = Xrpc_peer.Func_cache
 module Filmdb = Xrpc_workloads.Filmdb
+module Metrics = Xrpc_obs.Metrics
+module Flight_recorder = Xrpc_obs.Flight_recorder
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -38,6 +40,18 @@ let film_request ?(actors = [ "Sean Connery" ]) ?query_id () =
 
 let handle peer req =
   Message.of_string (Peer.handle_raw peer (Message.to_string (Message.Request req)))
+
+(* [s] with its first [sub] replaced by [by] *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let expect_sender_fault peer what body =
+  match Message.of_string (Peer.handle_raw peer body) with
+  | Message.Fault { fault_code = `Sender; _ } -> ()
+  | _ -> Alcotest.failf "expected a Sender fault for %s" what
 
 let test_single_call () =
   let peer, _ = make_peer () in
@@ -111,28 +125,63 @@ let test_bad_char_ref_fault () =
     Message.to_string
       (Message.Request (film_request ~actors:[ "ACTOR" ] ()))
   in
-  let replace ~sub ~by s =
-    let i =
-      let rec find i =
-        if String.sub s i (String.length sub) = sub then i else find (i + 1)
-      in
-      find 0
-    in
-    String.sub s 0 i ^ by
-    ^ String.sub s (i + String.length sub)
-        (String.length s - i - String.length sub)
-  in
   List.iter
     (fun r ->
-      List.iter
-        (fun bad ->
-          match Message.of_string (Peer.handle_raw peer bad) with
-          | Message.Fault { fault_code = `Sender; _ } -> ()
-          | _ -> Alcotest.failf "expected a Sender fault for %s" r)
+      List.iter (expect_sender_fault peer r)
         [ replace ~sub:"ACTOR" ~by:r body;
           replace ~sub:"method=\"filmsByActor\"" ~by:("method=\"" ^ r ^ "\"") body ])
     [ "&#-5;"; "&#-1;"; "&#+65;"; "&#0x41;"; "&#1_0;"; "&#0;"; "&#xD800;";
       "&#x110000;" ]
+
+(* a non-integer queryID timeout or arity is a malformed message: a
+   Sender fault, where it used to default to 30 s or arity 0 *)
+let test_bad_integer_attr_fault () =
+  let peer, _ = make_peer () in
+  let qid =
+    { Message.host = "xrpc://o"; timestamp = "1.0"; timeout = 10;
+      level = Message.Repeatable }
+  in
+  let body =
+    Message.to_string (Message.Request (film_request ~query_id:qid ()))
+  in
+  expect_sender_fault peer "timeout=ten"
+    (replace ~sub:{|timeout="10"|} ~by:{|timeout="ten"|} body);
+  expect_sender_fault peer "arity=x"
+    (replace ~sub:{|arity="1"|} ~by:{|arity="x"|} body)
+
+(* Each served request is recorded once: [peer.handle_ms] counts it
+   exactly once, and its flight-recorder entry carries the very duration
+   the histogram summed — for a normal reply, a Sender fault and an
+   idempotency-cache replay alike. *)
+let test_one_completion_record () =
+  let peer, _ = make_peer () in
+  let h = Metrics.histogram "peer.handle_ms" in
+  let served what body =
+    let n0 = h.Metrics.n and sum0 = h.Metrics.sum in
+    ignore (Peer.handle_raw peer body);
+    check int_ (what ^ ": counted once") (n0 + 1) h.Metrics.n;
+    match Flight_recorder.recent () with
+    | e :: _ ->
+        check (Alcotest.float 1e-9) (what ^ ": one duration")
+          (h.Metrics.sum -. sum0) e.Flight_recorder.duration_ms;
+        e
+    | [] -> Alcotest.failf "%s: no flight-recorder entry" what
+  in
+  let ok =
+    served "normal" (Message.to_string (Message.Request (film_request ())))
+  in
+  check bool_ "normal: no error" true (ok.Flight_recorder.error = None);
+  let fault = served "Sender fault" "this is not xml" in
+  check bool_ "fault: error recorded" true
+    (fault.Flight_recorder.error <> None);
+  let idem =
+    Message.to_string
+      (Message.Request { (film_request ()) with Message.idem_key = Some "k1" })
+  in
+  ignore (served "first delivery" idem);
+  let replay = served "idempotent replay" idem in
+  check bool_ "replay: idem key recorded" true
+    (replay.Flight_recorder.idem_key = Some "k1")
 
 (* ---- function cache (§3.3) ---- *)
 
@@ -433,6 +482,10 @@ let () =
           Alcotest.test_case "bad character reference" `Quick
             test_bad_char_ref_fault;
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;
+          Alcotest.test_case "non-integer timeout or arity" `Quick
+            test_bad_integer_attr_fault;
+          Alcotest.test_case "one completion record per request" `Quick
+            test_one_completion_record;
         ] );
       ( "function-cache",
         [

@@ -247,6 +247,49 @@ let test_query_id_roundtrip () =
       check int_ "timeout" 42 q.Message.timeout
   | _ -> Alcotest.fail "queryID lost"
 
+(* A queryID timeout or an arity that is not a plain non-negative
+   integer is a malformed message, not a silent default (30 s, arity 0):
+   both decoders raise [Protocol_error]. *)
+let test_bad_integer_attributes () =
+  let qid =
+    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 42;
+      level = Message.Repeatable }
+  in
+  let wire =
+    Message.to_string
+      (Message.Request (sample_request ~query_id:(Some qid) ()))
+  in
+  (* [wire] with attribute [attr]'s value [v0] replaced by [v] *)
+  let with_attr attr v0 v =
+    let sub = Printf.sprintf "%s=%S" attr v0 in
+    let n = String.length sub in
+    let rec find i = if String.sub wire i n = sub then i else find (i + 1) in
+    let i = find 0 in
+    Printf.sprintf "%s%s=\"%s\"%s" (String.sub wire 0 i) attr v
+      (String.sub wire (i + n) (String.length wire - i - n))
+  in
+  let rejected what bad =
+    (match Message.of_string bad with
+    | exception Message.Protocol_error _ -> ()
+    | _ -> Alcotest.failf "of_string accepted %s" what);
+    match Message.of_string_server bad with
+    | exception Message.Protocol_error _ -> ()
+    | _ -> Alcotest.failf "of_string_server accepted %s" what
+  in
+  List.iter
+    (fun v -> rejected ("timeout=" ^ v) (with_attr "timeout" "42" v))
+    [ ""; "ten"; "0"; "-5"; "0x10"; "1_0"; "4.2"; "9999999999"; "+" ];
+  List.iter
+    (fun v -> rejected ("arity=" ^ v) (with_attr "arity" "1" v))
+    [ ""; "one"; "-1"; "0x1"; "1_0"; "1.0"; "1 1"; "++1" ];
+  (* the schema's other lexical forms of an integer still decode *)
+  List.iter
+    (fun v ->
+      match Message.of_string (with_attr "arity" "1" v) with
+      | Message.Request r -> check int_ ("arity=" ^ v) 1 r.Message.arity
+      | _ -> Alcotest.fail "wrong kind")
+    [ "01"; "+1"; " 1 " ]
+
 let test_updating_flag_roundtrip () =
   let r = { (sample_request ()) with Message.updating = true } in
   match Message.of_string (Message.to_string (Message.Request r)) with
@@ -418,6 +461,8 @@ let () =
           Alcotest.test_case "fault" `Quick test_fault_roundtrip;
           Alcotest.test_case "transaction" `Quick test_tx_roundtrip;
           Alcotest.test_case "wire format" `Quick test_wire_format_matches_paper;
+          Alcotest.test_case "non-integer timeout and arity rejected" `Quick
+            test_bad_integer_attributes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -7,7 +7,7 @@
    /healthz, with a killed peer surfacing as unreachable. *)
 
 open Xrpc_xml
-module Window = Xrpc_obs.Window
+module Metrics = Xrpc_obs.Metrics
 module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
@@ -36,13 +36,17 @@ let contains hay needle =
 let with_clean f =
   let setup () =
     Trace.use_wall_clock ();
-    Window.set_enabled true;
-    Window.reset ();
+    Metrics.set_windows_enabled true;
+    Metrics.reset ();
     Slo.reset ();
     Telemetry.reset_sources ()
   in
   setup ();
   Fun.protect ~finally:setup f
+
+(* windowed reads name their tier *)
+let fast = Metrics.Fast
+let slow = Metrics.Slow
 
 let fake_clock () =
   let t = ref 0. in
@@ -50,133 +54,141 @@ let fake_clock () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Window: rotation on the virtual clock                               *)
+(* Windowed series: rotation on the virtual clock                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_counter_rotation () =
   with_clean @@ fun () ->
   let t = fake_clock () in
-  let c = Window.counter "w.rot.ctr" in
-  Window.incr c;
-  Window.add c 4.;
-  check float_ "fast sum at t=0" 5. (Window.sum_window c);
-  check float_ "slow sum at t=0" 5. (Window.sum_window ~tier:Window.Slow c);
-  check float_ "rate = sum / window" (5. /. 60.) (Window.rate c);
+  let c = Metrics.counter ~windowed:true "w.rot.ctr" in
+  Metrics.incr c;
+  Metrics.incr_by c 4;
+  check float_ "fast sum at t=0" 5. (Metrics.total ~tier:fast c);
+  check float_ "slow sum at t=0" 5. (Metrics.total ~tier:slow c);
+  check float_ "rate = sum / window" (5. /. 60.) (Metrics.rate c);
   t := 30_000.;
-  Window.add c 3.;
-  check float_ "both fast buckets live" 8. (Window.sum_window c);
+  Metrics.incr_by c 3;
+  check float_ "both fast buckets live" 8. (Metrics.total ~tier:fast c);
   (* one tick past the first bucket's expiry: only the t=30s sample left *)
   t := 61_000.;
-  check float_ "t=0 bucket aged out" 3. (Window.sum_window c);
+  check float_ "t=0 bucket aged out" 3. (Metrics.total ~tier:fast c);
   t := 200_000.;
-  check float_ "fast window fully decayed" 0. (Window.sum_window c);
+  check float_ "fast window fully decayed" 0. (Metrics.total ~tier:fast c);
   check float_ "slow window still holds all" 8.
-    (Window.sum_window ~tier:Window.Slow c);
+    (Metrics.total ~tier:slow c);
   t := 3_700_000.;
   check float_ "slow window decayed after an hour" 0.
-    (Window.sum_window ~tier:Window.Slow c);
+    (Metrics.total ~tier:slow c);
   (* kind clash on a registered name is rejected *)
-  match Window.gauge "w.rot.ctr" with
+  match Metrics.gauge "w.rot.ctr" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind clash accepted"
 
 let test_histogram_quantiles_rotation () =
   with_clean @@ fun () ->
   let t = fake_clock () in
-  let h = Window.histogram "w.rot.h" in
+  let h = Metrics.histogram ~windowed:true "w.rot.h" in
   for _ = 1 to 50 do
-    Window.observe h 10.
+    Metrics.observe h 10.
   done;
   (* all samples equal: every quantile clamps to the single value *)
-  check float_ "p50 of constant samples" 10. (Window.quantile h 0.50);
-  check float_ "p99 of constant samples" 10. (Window.quantile h 0.99);
+  check float_ "p50 of constant samples" 10.
+    (Metrics.quantile ~tier:fast h 0.50);
+  check float_ "p99 of constant samples" 10.
+    (Metrics.quantile ~tier:fast h 0.99);
   t := 30_000.;
   for _ = 1 to 50 do
-    Window.observe h 1000.
+    Metrics.observe h 1000.
   done;
   (* 50 x 10ms + 50 x 1000ms: p50 sits in the 10ms log-bucket, p99 in
      the 1000ms one — both within one bucket width of the true value *)
-  let p50 = Window.quantile h 0.50 and p99 = Window.quantile h 0.99 in
+  let p50 = Metrics.quantile ~tier:fast h 0.50
+  and p99 = Metrics.quantile ~tier:fast h 0.99 in
   check bool_ "p50 near 10ms" true (p50 >= 10. && p50 <= 32.);
   check bool_ "p99 near 1000ms" true (p99 >= 500. && p99 <= 1000.);
-  check int_ "fast count merges both buckets" 100 (Window.count h);
-  check float_ "mean over both" 505. (Window.mean h);
-  check float_ "window max" 1000. (Window.window_max h);
-  check float_ "window min" 10. (Window.window_min h);
+  check int_ "fast count merges both buckets" 100 (Metrics.count ~tier:fast h);
+  check float_ "mean over both" 505. (Metrics.mean ~tier:fast h);
+  check float_ "window max" 1000. (Metrics.max_value ~tier:fast h);
+  check float_ "window min" 10. (Metrics.min_value ~tier:fast h);
   (* cross the first batch's expiry: quantiles decay to the survivors *)
   t := 61_500.;
-  check int_ "only second batch live" 50 (Window.count h);
-  let p50 = Window.quantile h 0.50 in
+  check int_ "only second batch live" 50 (Metrics.count ~tier:fast h);
+  let p50 = Metrics.quantile ~tier:fast h 0.50 in
   check bool_ "p50 follows the survivors" true (p50 >= 500. && p50 <= 1000.);
   (* cross the second batch's expiry: the fast window reads empty *)
   t := 92_000.;
-  check int_ "fast window empty" 0 (Window.count h);
+  check int_ "fast window empty" 0 (Metrics.count ~tier:fast h);
   check bool_ "empty window quantile is nan" true
-    (Float.is_nan (Window.quantile h 0.99));
+    (Float.is_nan (Metrics.quantile ~tier:fast h 0.99));
   (* the slow tier still remembers the hour *)
-  check int_ "slow tier holds all 100" 100 (Window.count ~tier:Window.Slow h);
-  let p99h = Window.quantile ~tier:Window.Slow h 0.99 in
+  check int_ "slow tier holds all 100" 100 (Metrics.count ~tier:slow h);
+  let p99h = Metrics.quantile ~tier:slow h 0.99 in
   check bool_ "slow-tier p99" true (p99h >= 500. && p99h <= 1000.)
 
 let test_gauge_and_rewind () =
   with_clean @@ fun () ->
   let t = fake_clock () in
-  let g = Window.gauge "w.rot.g" in
-  Window.set g 3.;
-  Window.set g 7.;
-  check float_ "gauge last" 7. (Window.last g);
-  check float_ "gauge window max" 7. (Window.window_max g);
+  let g = Metrics.gauge ~windowed:true "w.rot.g" in
+  Metrics.set g 3.;
+  Metrics.set g 7.;
+  check float_ "gauge last" 7. (g.Metrics.value);
+  check float_ "gauge window max" 7. (Metrics.gauge_max g);
   (* clock rewind (a test resetting a virtual clock): samples stamped in
      the "future" read as empty instead of corrupting the window *)
-  let h = Window.histogram "w.rot.rewind" in
+  let h = Metrics.histogram ~windowed:true "w.rot.rewind" in
   t := 120_000.;
-  Window.observe h 5.;
-  check int_ "sample visible at its own time" 1 (Window.count h);
+  Metrics.observe h 5.;
+  check int_ "sample visible at its own time" 1 (Metrics.count ~tier:fast h);
   t := 10_000.;
-  check int_ "future sample invisible after rewind" 0 (Window.count h);
-  Window.observe h 7.;
-  check int_ "writes work after rewind" 1 (Window.count h)
+  check int_ "future sample invisible after rewind" 0
+    (Metrics.count ~tier:fast h);
+  Metrics.observe h 7.;
+  check int_ "writes work after rewind" 1 (Metrics.count ~tier:fast h)
 
 (* ------------------------------------------------------------------ *)
-(* Window: concurrency and steady-state allocation                     *)
+(* Windowed series: concurrency and steady-state allocation            *)
 (* ------------------------------------------------------------------ *)
 
 let test_concurrent_observers () =
   with_clean @@ fun () ->
   let _t = fake_clock () in
-  let c = Window.counter "w.conc.ctr" in
-  let h = Window.histogram "w.conc.h" in
+  let c = Metrics.counter ~windowed:true "w.conc.ctr" in
+  let h = Metrics.histogram ~windowed:true "w.conc.h" in
   let worker () =
     for i = 1 to 10_000 do
-      Window.incr c;
-      Window.observe h (float_of_int (i land 15))
+      Metrics.incr c;
+      Metrics.observe h (float_of_int (i land 15))
     done
   in
   let ths = List.init 4 (fun _ -> Thread.create worker ()) in
   List.iter Thread.join ths;
   (* the per-series mutex makes rotation atomic with writes: with the
      clock frozen, not one of the 40k increments may be lost *)
-  check float_ "40k increments, none lost" 40_000. (Window.sum_window c);
-  check int_ "40k observations" 40_000 (Window.count h);
-  check int_ "slow tier agrees" 40_000 (Window.count ~tier:Window.Slow h);
-  check bool_ "quantile defined" true (not (Float.is_nan (Window.quantile h 0.5)))
+  check float_ "40k increments, none lost" 40_000. (Metrics.total ~tier:fast c);
+  check int_ "40k observations" 40_000 (Metrics.count ~tier:fast h);
+  check int_ "slow tier agrees" 40_000 (Metrics.count ~tier:slow h);
+  check bool_ "quantile defined" true
+    (not (Float.is_nan (Metrics.quantile ~tier:fast h 0.5)));
+  (* the totals are written under the same lock *)
+  check int_ "40k counted in total" 40_000 c.Metrics.count;
+  check int_ "40k observed in total" 40_000 h.Metrics.n
 
 let test_steady_state_allocation () =
   with_clean @@ fun () ->
   let _t = fake_clock () in
-  let h = Window.histogram "w.alloc.h" in
-  let c = Window.counter "w.alloc.c" in
+  let h = Metrics.histogram ~windowed:true "w.alloc.h" in
+  let c = Metrics.counter ~windowed:true "w.alloc.c" in
   for _ = 1 to 1_000 do
-    Window.observe h 5.;
-    Window.incr c
+    Metrics.observe h 5.;
+    Metrics.incr c
   done;
   (* steady state: the rings are preallocated, so per-observation cost
      is a few boxed floats at most — no per-sample data structures *)
   let n = 50_000 in
   let a0 = Gc.allocated_bytes () in
   for _ = 1 to n do
-    Window.observe h 5.;
-    Window.incr c
+    Metrics.observe h 5.;
+    Metrics.incr c
   done;
   let per_op = (Gc.allocated_bytes () -. a0) /. float_of_int n in
   if per_op > 128. then
@@ -185,31 +197,36 @@ let test_steady_state_allocation () =
 let test_disabled_records_nothing () =
   with_clean @@ fun () ->
   let _t = fake_clock () in
-  let c = Window.counter "w.off.ctr" in
-  let h = Window.histogram "w.off.h" in
-  Window.set_enabled false;
-  Window.incr c;
-  Window.observe h 5.;
+  let c = Metrics.counter ~windowed:true "w.off.ctr" in
+  let h = Metrics.histogram ~windowed:true "w.off.h" in
+  Metrics.set_windows_enabled false;
+  Metrics.incr c;
+  Metrics.observe h 5.;
   Slo.record ~scope:"xrpc://off" ~endpoint:"e" ~dur_ms:1. ~error:true ();
-  Window.set_enabled true;
-  check float_ "counter untouched" 0. (Window.sum_window c);
-  check int_ "histogram untouched" 0 (Window.count h);
+  Metrics.set_windows_enabled true;
+  check float_ "counter untouched" 0. (Metrics.total ~tier:fast c);
+  check int_ "histogram untouched" 0 (Metrics.count ~tier:fast h);
+  (* the flag gates the windows only: totals still count *)
+  check int_ "counter total kept" 1 c.Metrics.count;
+  check int_ "histogram total kept" 1 h.Metrics.n;
   check int_ "no SLO entry created" 0
     (List.length (Slo.endpoints ~scope:"xrpc://off" ()))
 
 let test_export_surfaces () =
   with_clean @@ fun () ->
   let _t = fake_clock () in
-  let h = Window.histogram "w.exp.ms" in
-  List.iter (Window.observe h) [ 1.; 2.; 4. ];
-  let text = Window.to_text () in
+  let h = Metrics.histogram ~windowed:true "w.exp.ms" in
+  List.iter (Metrics.observe h) [ 1.; 2.; 4. ];
+  let text = Metrics.to_text () in
   check bool_ "text has 1m count" true (contains text "w.exp.ms_1m_count 3");
   check bool_ "text has p99" true (contains text "w.exp.ms_1m_p99");
-  let json = Window.to_json () in
+  let json = Metrics.to_json () in
   check bool_ "json has series" true (contains json "\"w.exp.ms\"");
   check bool_ "json has count" true (contains json "\"count_1m\": 3");
-  check bool_ "combined export has cumulative half" true
-    (contains (Window.export_text ()) "w.exp.ms_1m_count")
+  check bool_ "one export has the cumulative half" true
+    (contains text "w.exp.ms_count 3");
+  check bool_ "one json object has both halves" true
+    (contains json "{\"count\": 3, \"sum\": 7")
 
 (* ------------------------------------------------------------------ *)
 (* SLO: budgets, burn, probes                                          *)
@@ -341,6 +358,107 @@ let test_wire_roundtrip () =
   check string_ "unreachable round-trips" "unreachable" u'.Telemetry.sn_state;
   check (Alcotest.list string_) "reason kept" [ "down" ] u'.Telemetry.sn_reasons
 
+(* Scrape replies are bytes another peer wrote.  Seeded mutations of a
+   valid wire form either decode or raise [Malformed], never anything
+   else; garbage in a numeric field always raises; a flood of reason
+   lines decodes in linear time; and a malformed reply shows the peer
+   as unreachable with the reason. *)
+let test_wire_mutations () =
+  with_clean @@ fun () ->
+  let seed = 16 in
+  let rng = Random.State.make [| seed |] in
+  let ep name =
+    { Telemetry.ep_name = name; ep_rate = 1.5; ep_err_rate = 0.;
+      ep_p50 = nan; ep_p95 = 2.; ep_p99 = 1e6; ep_reqs_1m = 90. }
+  in
+  let sn =
+    { (Telemetry.unreachable ~peer:"xrpc://p" ~at_ms:5. ~reason:"r") with
+      Telemetry.sn_state = "degraded";
+      sn_gauges = [ ("lag", 0.25); ("inf", infinity) ];
+      sn_endpoints = [ ep "a:f"; ep "b:g" ];
+      sn_shard_version = Some 3;
+      sn_breakers = [ ("xrpc://q", "half_open") ] }
+  in
+  let wire = Telemetry.to_wire sn in
+  let decodes_or_malformed what w =
+    match Telemetry.of_wire w with
+    | _ | (exception Telemetry.Malformed _) -> ()
+    | exception e ->
+        Alcotest.failf "seed %d, %s: %s escaped" seed what
+          (Printexc.to_string e)
+  in
+  for i = 0 to String.length wire do
+    decodes_or_malformed
+      (Printf.sprintf "truncated at %d" i)
+      (String.sub wire 0 i)
+  done;
+  (* every numeric field, replaced by garbage, is rejected *)
+  let lines = String.split_on_char '\n' wire in
+  let numeric = function
+    | "at" -> [ 1 ] | "gauge" -> [ 2 ] | "shardv" -> [ 1 ]
+    | "ep" -> [ 2; 3; 4; 5; 6; 7 ] | _ -> []
+  in
+  let garbage =
+    [| ""; "x"; "1.2.3"; "0x10"; "1_0"; "--1"; "na"; "1e"; "infinity" |]
+  in
+  List.iteri
+    (fun li line ->
+      let fields = Array.of_list (String.split_on_char '\t' line) in
+      List.iter
+        (fun fi ->
+          let g = garbage.(Random.State.int rng (Array.length garbage)) in
+          let fields = Array.copy fields in
+          fields.(fi) <- g;
+          let line' = String.concat "\t" (Array.to_list fields) in
+          let w =
+            String.concat "\n"
+              (List.mapi (fun j l -> if j = li then line' else l) lines)
+          in
+          match Telemetry.of_wire w with
+          | exception Telemetry.Malformed _ -> ()
+          | _ -> Alcotest.failf "seed %d: %S accepted in %S" seed g line)
+        (numeric (List.hd (Array.to_list fields))))
+    lines;
+  (* random byte flips: decode or Malformed *)
+  for _ = 1 to 2_000 do
+    let b = Bytes.of_string wire in
+    Bytes.set b
+      (Random.State.int rng (Bytes.length b))
+      (Char.chr (Random.State.int rng 256));
+    decodes_or_malformed "byte flip" (Bytes.to_string b)
+  done;
+  (* an unknown record and a missing state line are rejected too *)
+  (match Telemetry.of_wire (wire ^ "bogus\t1\n") with
+  | exception Telemetry.Malformed _ -> ()
+  | _ -> Alcotest.fail "unknown record accepted");
+  (match Telemetry.of_wire "peer\tp\nat\t1\n" with
+  | exception Telemetry.Malformed _ -> ()
+  | _ -> Alcotest.fail "snapshot without a state accepted");
+  (* 100k reason lines: linear, where appending per line was quadratic *)
+  let flood = Buffer.create (100_000 * 10) in
+  Buffer.add_string flood wire;
+  for i = 1 to 100_000 do
+    Buffer.add_string flood (Printf.sprintf "reason\t%d\n" i)
+  done;
+  let t0 = Unix.gettimeofday () in
+  let big = Telemetry.of_wire (Buffer.contents flood) in
+  let dt = Unix.gettimeofday () -. t0 in
+  check int_ "every reason kept" 100_001 (List.length big.Telemetry.sn_reasons);
+  check bool_ "reasons in order" true
+    (List.nth big.Telemetry.sn_reasons 100_000 = "100000");
+  if dt > 2. then Alcotest.failf "100k-line decode took %.1f s" dt;
+  (* the cluster view shows a peer with a malformed reply as unreachable *)
+  let u =
+    Telemetry.scrape ~peer:"xrpc://bad" ~at_ms:1. (fun () ->
+        "peer\tx\nat\tfast\n")
+  in
+  check string_ "malformed reply is unreachable" "unreachable"
+    u.Telemetry.sn_state;
+  check bool_ "reason names the decode failure" true
+    (List.exists
+       (fun r -> contains r "malformed telemetry")
+       u.Telemetry.sn_reasons)
+
 (* ------------------------------------------------------------------ *)
 (* Executor instrumentation                                            *)
 (* ------------------------------------------------------------------ *)
@@ -356,12 +474,12 @@ let test_executor_instrumentation () =
             i))
   in
   List.iteri (fun i f -> check int_ "job result" i (Executor.await f)) futs;
-  check bool_ "run_ms recorded" true
-    (Window.count (Window.histogram "executor.run_ms") >= 20);
-  check bool_ "wait_ms recorded" true
-    (Window.count (Window.histogram "executor.wait_ms") >= 20);
+  let run = Metrics.histogram ~windowed:true "executor.run_ms" in
+  let wait = Metrics.histogram ~windowed:true "executor.wait_ms" in
+  check bool_ "run_ms recorded" true (Metrics.count ~tier:fast run >= 20);
+  check bool_ "wait_ms recorded" true (Metrics.count ~tier:fast wait >= 20);
   check bool_ "run p99 defined" true
-    (not (Float.is_nan (Window.quantile (Window.histogram "executor.run_ms") 0.99)));
+    (not (Float.is_nan (Metrics.quantile ~tier:fast run 0.99)));
   check int_ "sequential executor has no queue" 0
     (Executor.queue_depth Executor.sequential)
 
@@ -542,8 +660,8 @@ let test_http_monitoring_routes () =
     (contains (http_get port "/clusterz") "cluster: ready");
   check bool_ "metrics exports windowed series" true
     (contains (http_get port "/metrics") "evloop.");
-  check bool_ "windowz.json parses as an object" true
-    (contains (http_get port "/windowz.json") "{");
+  check bool_ "metrics.json carries the windowed keys" true
+    (contains (http_get port "/metrics.json") "\"rate_1m\"");
   check bool_ "statz has the windowed block" true
     (contains (http_get port "/statz") "window.");
   (* the fetches above went through the route SLO layer: they are
@@ -586,6 +704,8 @@ let () =
             test_wire_roundtrip;
           Alcotest.test_case "executor wait/run instrumentation" `Quick
             test_executor_instrumentation;
+          Alcotest.test_case "hostile snapshot wire input" `Quick
+            test_wire_mutations;
         ] );
       ( "federation",
         [
