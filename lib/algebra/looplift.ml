@@ -291,9 +291,6 @@ and eval_inner env (e : Xast.expr) : Table.t =
 and eval_step env t_in step =
   match step with
   | Xast.Step (axis, test, preds) ->
-      let principal =
-        if axis = Xast.Attribute then `Attribute else `Element
-      in
       let ctx0 =
         { (Xctx.empty ()) with Xctx.doc_resolver = env.doc_resolver }
       in
@@ -309,9 +306,7 @@ and eval_step env t_in step =
                       (* predicates see positions within this context
                          node's axis result, per XPath *)
                       let candidates =
-                        List.filter
-                          (Xrpc_xquery.Eval.test_matches ~principal test)
-                          (Xrpc_xquery.Eval.axis_nodes axis n)
+                        Xrpc_xquery.Eval.step_nodes axis test n
                       in
                       let filtered =
                         Xrpc_xquery.Eval.apply_predicates ctx0 preds

@@ -251,11 +251,12 @@ let n2s_refs (seq_trees : Tree.t list) : Xdm.sequence list =
           | `Plain _ -> Hashtbl.find table (pi, ii)
           | `Ref (rp, ri, delta) -> (
               match Hashtbl.find_opt table (rp, ri) with
-              | Some (Xdm.Node base) ->
-                  let pre = base.Store.pre + delta in
-                  if pre >= Store.node_count base.Store.store then
-                    err "nodeid offset out of range"
-                  else Xdm.Node { base with Store.pre }
+              | Some (Xdm.Node ({ Store.store; pre } as base)) ->
+                  (* the reference must name a node of the shipped
+                     fragment: base itself or one of its descendants *)
+                  if delta < 0 || delta > store.Store.size.(pre) then
+                    err "nodeid offset %d out of range" delta
+                  else Xdm.Node { base with Store.pre = pre + delta }
               | Some (Xdm.Atomic _) -> err "nodeid reference to atomic parameter"
               | None -> err "nodeid reference to unknown parameter (%d,%d)" rp ri))
         items)

@@ -344,16 +344,19 @@ let nat_attr what s =
 
 let parse_query_id = function
   | Tree.Element { attrs; _ } ->
+      (* XRPC.xsd: host, timestamp and timeout are use="required" *)
+      let required a =
+        match find_attr attrs a with
+        | Some v -> v
+        | None -> err "queryID without its required %s attribute" a
+      in
       {
-        host = Option.value ~default:"" (find_attr attrs "host");
-        timestamp = Option.value ~default:"" (find_attr attrs "timestamp");
+        host = required "host";
+        timestamp = required "timestamp";
         timeout =
-          (match find_attr attrs "timeout" with
-          | Some s -> (
-              match nat_attr "queryID timeout" s with
-              | 0 -> err "queryID timeout must be positive"
-              | n -> n)
-          | None -> 30);
+          (match nat_attr "queryID timeout" (required "timeout") with
+          | 0 -> err "queryID timeout must be positive"
+          | n -> n);
         level =
           (match find_attr attrs "level" with
           | Some "snapshot" -> Snapshot
@@ -361,7 +364,7 @@ let parse_query_id = function
       }
   | _ -> err "malformed queryID"
 
-let of_tree tree =
+let decode_tree tree =
   let body =
     match tree with
     | Tree.Document [ Tree.Element { name; children; _ } ]
@@ -500,6 +503,10 @@ let of_tree tree =
           info = Option.value ~default:"" (find_attr attrs "info");
         }
   | _ -> err "unrecognized SOAP body"
+
+(* a payload the marshaler rejects is a malformed message too *)
+let of_tree tree =
+  try decode_tree tree with Marshal.Marshal_error m -> err "%s" m
 
 (* The propagated (trace-id, parent-span) pair, if the envelope carries an
    xrpc:trace header. *)

@@ -4,11 +4,19 @@
     A {!Tree.t} is shredded into pre-order arrays; a node is identified by
     [(doc_id, pre)].  All XPath axes are answered from the arrays:
     descendants of [pre] are the contiguous range [pre+1 .. pre+size.(pre)],
-    parents come from the [parent] array.  Attributes occupy their own pre
-    slots (kind [Attr]) directly after their owner element, which keeps node
-    identity uniform. *)
+    parents come from the [parent] array, and [descendant::QName] is a
+    binary-searched slice of a lazy element-name index.  Attributes occupy
+    their own pre slots (kind [Attr]) directly after their owner element,
+    which keeps node identity uniform. *)
 
 type kind = Doc | Elem | Attr | Txt | Comm | Pi
+
+(* expanded names (uri, local) *)
+module Name_map = Map.Make (struct
+  type t = string * string
+
+  let compare = Stdlib.compare
+end)
 
 type t = {
   doc_id : int;  (** globally unique store id; also orders documents *)
@@ -20,16 +28,19 @@ type t = {
   parent : int array;  (** parent pre, -1 for the root *)
   size : int array;  (** number of descendants (incl. attributes) *)
   level : int array;
+  names : int array Name_map.t Atomic.t;
+      (** element-name index: each name's element pre ranks, in document
+          order, added on the first search for that name *)
 }
 
 (** A node reference: a store plus a preorder rank within it. *)
 type node = { store : t; pre : int }
 
-let next_doc_id = ref 0
+let next_doc_id = Atomic.make 1
 
-let fresh_doc_id () =
-  incr next_doc_id;
-  !next_doc_id
+(* process-wide and race-free: two stores sharing an id would compare as
+   one document, and dedup would drop distinct nodes *)
+let fresh_doc_id () = Atomic.fetch_and_add next_doc_id 1
 
 (** [shred ?uri tree] builds a store for [tree] with a fresh [doc_id]. *)
 let shred ?(uri = "") tree =
@@ -78,7 +89,7 @@ let shred ?(uri = "") tree =
   in
   go (-1) 0 tree;
   { doc_id = fresh_doc_id (); uri; tree; kind; name; value; parent; size;
-    level }
+    level; names = Atomic.make Name_map.empty }
 
 let root store = { store; pre = 0 }
 let node_count t = Array.length t.kind
@@ -95,6 +106,62 @@ let compare_nodes a b =
   | c -> c
 
 let equal_nodes a b = compare_nodes a b = 0
+
+(* ------------------------------------------------------------------ *)
+(* Element-name index                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* the pre ranks of the elements named [q], in one pass *)
+let elements_named s (q : Qname.t) =
+  let named pre =
+    s.kind.(pre) = Elem
+    && match s.name.(pre) with Some q' -> Qname.equal q q' | None -> false
+  in
+  let rec collect pre acc =
+    if pre < 0 then acc
+    else collect (pre - 1) (if named pre then pre :: acc else acc)
+  in
+  Array.of_list (collect (Array.length s.kind - 1) [])
+
+(* A store never changes after [shred], so an entry never goes stale.
+   Entries are added on first use, so [shred] and names never searched for
+   pay nothing.  The map is immutable and published through the atomic:
+   threads racing on one name each add an equal array, and none is lost. *)
+let pres_named s (q : Qname.t) =
+  let key = (q.Qname.uri, q.Qname.local) in
+  match Name_map.find_opt key (Atomic.get s.names) with
+  | Some pres -> pres
+  | None ->
+      let pres = elements_named s q in
+      let rec publish () =
+        let m = Atomic.get s.names in
+        if not (Atomic.compare_and_set s.names m (Name_map.add key pres m))
+        then publish ()
+      in
+      publish ();
+      pres
+
+(* first position in the sorted [a] whose value is >= [x] *)
+let lower_bound a x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(** [descendants_named n q]: the element descendants of [n] named [q], in
+    document order — a binary search for the slice
+    [n.pre+1 .. n.pre+size] of [q]'s pre ranks. *)
+let descendants_named n (q : Qname.t) =
+  let pres = pres_named n.store q in
+  let lo = lower_bound pres (n.pre + 1)
+  and hi = lower_bound pres (n.pre + n.store.size.(n.pre) + 1) in
+  let rec collect i acc =
+    if i < lo then acc else collect (i - 1) ({ n with pre = pres.(i) } :: acc)
+  in
+  collect (hi - 1) []
 
 (* ------------------------------------------------------------------ *)
 (* Axes                                                                *)

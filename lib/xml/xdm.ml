@@ -59,15 +59,45 @@ let node_only = function
   | Atomic a -> dyn_error "expected a node, got atomic %s" (Xs.to_string a)
 
 (** Sort by document order and remove duplicate nodes — the implicit
-    semantics of every XPath step result. *)
+    semantics of every XPath step result.  Input that one linear pass finds
+    already strictly in document order is returned as is: a forward step
+    from a single context node never sorts (the staircase property in its
+    simplest form). *)
 let doc_order_dedup nodes =
-  let sorted = List.sort Store.compare_nodes nodes in
+  let rec strictly_ordered = function
+    | a :: (b :: _ as rest) ->
+        Store.compare_nodes a b < 0 && strictly_ordered rest
+    | _ -> true
+  in
   let rec dedup = function
     | a :: (b :: _ as rest) when Store.equal_nodes a b -> dedup rest
     | a :: rest -> a :: dedup rest
     | [] -> []
   in
-  dedup sorted
+  if strictly_ordered nodes then nodes
+  else dedup (List.sort Store.compare_nodes nodes)
+
+(* one merge over both lists in document order, duplicates removed:
+   the nodes in both ([~common:true]) or only in [a] *)
+let merge_sets ~common a b =
+  let rec go a b =
+    match (a, b) with
+    | [], _ -> []
+    | a, [] -> if common then [] else a
+    | x :: a', y :: b' ->
+        let c = Store.compare_nodes x y in
+        if c < 0 then if common then go a' b else x :: go a' b
+        else if c > 0 then go a b'
+        else if common then x :: go a' b'
+        else go a' b'
+  in
+  go (doc_order_dedup a) (doc_order_dedup b)
+
+(** [intersect a b] and [except a b]: the XPath set operations on node
+    lists, in document order without duplicates. *)
+let intersect a b = merge_sets ~common:true a b
+
+let except a b = merge_sets ~common:false a b
 
 (** Structural deep-equal (ignores node identity), used by tests and
     [fn:deep-equal]. *)

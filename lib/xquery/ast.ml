@@ -222,6 +222,41 @@ let rec pp_expr fmt e =
 
 let expr_to_string e = Format.asprintf "%a" pp_expr e
 
+(** The direct sub-expressions of [e] that are evaluated with [e]'s own
+    focus (context item, position and size).  The right operand of a path
+    and the predicates of a step or filter get a new focus per item, so
+    they are left out. *)
+let focus_sub_exprs (e : expr) : expr list =
+  match e with
+  | Literal _ | Var _ | Context_item | Root | Step _ -> []
+  | Path (a, _) | Filter (a, _) -> [ a ]
+  | Sequence es | Call (_, es) -> es
+  | Range (a, b) | Arith (_, a, b) | Compare (_, a, b) | And (a, b)
+  | Or (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b)
+  | Comp_elem (a, b) | Comp_attr (a, b) | Insert (_, a, b)
+  | Replace_node (a, b) | Replace_value (a, b) | Rename_node (a, b) ->
+      [ a; b ]
+  | Neg a | Text_ctor a | Comment_ctor a | Doc_ctor a | Delete a
+  | Instance_of (a, _) | Cast_as (a, _, _) | Castable_as (a, _, _)
+  | Treat_as (a, _) ->
+      [ a ]
+  | If (c, t, e) -> [ c; t; e ]
+  | Flwor (clauses, order_by, ret) ->
+      List.map (function For (_, _, e) | Let (_, e) | Where e -> e) clauses
+      @ List.map fst order_by @ [ ret ]
+  | Quantified (_, binds, sat) -> List.map snd binds @ [ sat ]
+  | Execute_at (d, _, args) -> d :: args
+  | Elem_ctor (_, attrs, content) ->
+      List.concat_map
+        (fun (_, parts) ->
+          List.filter_map
+            (function A_expr e -> Some e | A_text _ -> None)
+            parts)
+        attrs
+      @ content
+  | Typeswitch (op, cases, (_, de)) ->
+      (op :: List.map (fun (_, _, e) -> e) cases) @ [ de ]
+
 (* ------------------------------------------------------------------ *)
 (* Free variables                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -93,6 +93,25 @@ let axis_nodes (axis : Ast.axis) (n : Store.node) =
   | Ast.Following -> Store.following n
   | Ast.Preceding -> List.rev (Store.preceding n)
 
+(** [step_nodes axis test n]: the candidates of one axis step, i.e. the
+    nodes reached over [axis] from [n] that pass [test], in axis order.
+    This is the one step kernel of both engines, {!eval} and the
+    loop-lifted plans.  [descendant::QName] (and [descendant-or-self::])
+    is a slice of the store's element-name index; every other step
+    filters its axis. *)
+let step_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Store.node) =
+  match (axis, test) with
+  | Ast.Descendant, (Ast.Name_test q | Ast.Kind_test (Ast.K_element (Some q)))
+    ->
+      Store.descendants_named n q
+  | ( Ast.Descendant_or_self,
+      (Ast.Name_test q | Ast.Kind_test (Ast.K_element (Some q))) ) ->
+      let below = Store.descendants_named n q in
+      if test_matches ~principal:`Element test n then n :: below else below
+  | _ ->
+      let principal = if axis = Ast.Attribute then `Attribute else `Element in
+      List.filter (test_matches ~principal test) (axis_nodes axis n)
+
 let is_forward = function
   | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Preceding_sibling
   | Ast.Preceding ->
@@ -271,22 +290,8 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
         List.map Xdm.node_only (eval ctx a) @ List.map Xdm.node_only (eval ctx b)
       in
       List.map (fun n -> Xdm.Node n) (Xdm.doc_order_dedup nodes)
-  | Ast.Intersect (a, b) ->
-      let na = List.map Xdm.node_only (eval ctx a) in
-      let nb = List.map Xdm.node_only (eval ctx b) in
-      List.map
-        (fun n -> Xdm.Node n)
-        (Xdm.doc_order_dedup
-           (List.filter (fun n -> List.exists (Store.equal_nodes n) nb) na))
-  | Ast.Except (a, b) ->
-      let na = List.map Xdm.node_only (eval ctx a) in
-      let nb = List.map Xdm.node_only (eval ctx b) in
-      List.map
-        (fun n -> Xdm.Node n)
-        (Xdm.doc_order_dedup
-           (List.filter
-              (fun n -> not (List.exists (Store.equal_nodes n) nb))
-              na))
+  | Ast.Intersect (a, b) -> eval_set ctx Xdm.intersect a b
+  | Ast.Except (a, b) -> eval_set ctx Xdm.except a b
   | Ast.If (c, t, e) -> if Xdm.ebv (eval ctx c) then eval ctx t else eval ctx e
   | Ast.Flwor (clauses, order_by, ret) -> eval_flwor ctx clauses order_by ret
   | Ast.Quantified (q, binds, sat) ->
@@ -318,20 +323,12 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
       else if nodes = [] then atomics
       else Xdm.dyn_error "XPTY0018: path step mixes nodes and atomic values"
   | Ast.Step (axis, test, preds) ->
-      let n = Context.context_node ctx in
-      let principal = if axis = Ast.Attribute then `Attribute else `Element in
-      let candidates =
-        List.filter (test_matches ~principal test) (axis_nodes axis n)
-      in
+      let candidates = step_nodes axis test (Context.context_node ctx) in
       let filtered =
         apply_predicates ctx preds (List.map (fun n -> Xdm.Node n) candidates)
       in
-      if is_forward axis then filtered
-      else
-        (* reverse axes: result back in document order *)
-        List.map
-          (fun n -> Xdm.Node n)
-          (Xdm.doc_order_dedup (List.map Xdm.node_only filtered))
+      (* a reverse axis lists its nodes in reverse document order *)
+      if is_forward axis then filtered else List.rev filtered
   | Ast.Filter (e, preds) -> apply_predicates ctx preds (eval ctx e)
   | Ast.Call (q, args) -> eval_call ctx q args
   | Ast.Execute_at (dest, f, args) -> (
@@ -469,6 +466,10 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
       let name = eval_name ctx name_e ~default_ns:false in
       ctx.Context.pul := Update.Rename (target, name) :: !(ctx.Context.pul);
       []
+
+and eval_set ctx op a b =
+  let nodes e = List.map Xdm.node_only (eval ctx e) in
+  List.map (fun n -> Xdm.Node n) (op (nodes a) (nodes b))
 
 and eval_name ctx e ~default_ns =
   ignore default_ns;

@@ -127,6 +127,54 @@ let var_qname p (prefix, local) =
   let uri = if prefix = "" then "" else resolve_prefix p prefix in
   Qname.make ~prefix ~uri local
 
+(* [//T[preds]] is read as [descendant::T[preds]], one range scan, in place
+   of [descendant-or-self::node()/child::T[preds]] when no predicate can
+   tell the two apart.  They give each node a different context position
+   and size, so every predicate must be boolean by its syntax (a numeric
+   one selects by position) and must not ask position() or last() at its
+   own focus.  [//T[1]], [//T[$n]], [//@a] and [//text()] keep the long
+   form. *)
+let rec mentions_position (e : Ast.expr) =
+  match e with
+  | Ast.Call ({ Qname.local = "position" | "last"; _ }, []) -> true
+  | e -> List.exists mentions_position (Ast.focus_sub_exprs e)
+
+let rec ends_in_step = function
+  | Ast.Step _ -> true
+  | Ast.Path (_, b) -> ends_in_step b
+  | _ -> false
+
+let boolean_predicate (e : Ast.expr) =
+  (match e with
+  | Ast.Compare _ | Ast.And _ | Ast.Or _ | Ast.Quantified _ -> true
+  | Ast.Call (q, [ _ ]) ->
+      q.Qname.uri = Qname.ns_fn
+      && List.mem q.Qname.local [ "not"; "exists"; "empty"; "boolean" ]
+  | e -> ends_in_step e)
+  && not (mentions_position e)
+
+let descendant_step = function
+  | Ast.Step
+      ( Ast.Child,
+        (( Ast.Name_test _ | Ast.Any_name | Ast.Ns_wildcard _
+         | Ast.Local_wildcard _
+         | Ast.Kind_test (Ast.K_element _) ) as test),
+        preds )
+    when List.for_all boolean_predicate preds ->
+      Some (Ast.Step (Ast.Descendant, test, preds))
+  | _ -> None
+
+(** [a//step]: one [descendant::] step where {!descendant_step} allows
+    it, else the long form. *)
+let descendant_path a step =
+  match descendant_step step with
+  | Some d -> Ast.Path (a, d)
+  | None ->
+      let dos =
+        Ast.Step (Ast.Descendant_or_self, Ast.Kind_test Ast.K_node, [])
+      in
+      Ast.Path (Ast.Path (a, dos), step)
+
 let expect_var p =
   match tok p with
   | Lexer.Var (pfx, local) ->
@@ -618,26 +666,22 @@ and parse_path p =
       | _ -> Ast.Root)
   | Lexer.Sym "//" ->
       advance p;
-      Ast.Path
-        ( Ast.Path (Ast.Root, Ast.Step (Ast.Descendant_or_self, Ast.Kind_test Ast.K_node, [])),
-          parse_relative_path p )
+      relative_path_from p (descendant_path Ast.Root (parse_step p))
   | _ -> parse_relative_path p
 
-and parse_relative_path p =
-  let rec loop a =
-    match tok p with
-    | Lexer.Sym "/" ->
-        advance p;
-        loop (Ast.Path (a, parse_step p))
-    | Lexer.Sym "//" ->
-        advance p;
-        let a =
-          Ast.Path (a, Ast.Step (Ast.Descendant_or_self, Ast.Kind_test Ast.K_node, []))
-        in
-        loop (Ast.Path (a, parse_step p))
-    | _ -> a
-  in
-  loop (parse_step p)
+and parse_relative_path p = relative_path_from p (parse_step p)
+
+(* the rest of a path whose steps so far are [a]; [/] associates to the
+   left, as in XPath 2.0 *)
+and relative_path_from p a =
+  match tok p with
+  | Lexer.Sym "/" ->
+      advance p;
+      relative_path_from p (Ast.Path (a, parse_step p))
+  | Lexer.Sym "//" ->
+      advance p;
+      relative_path_from p (descendant_path a (parse_step p))
+  | _ -> a
 
 and parse_predicates p =
   let rec loop acc =

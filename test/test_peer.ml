@@ -447,6 +447,74 @@ let test_bulk_hash_join_used_and_correct () =
       | _ -> Alcotest.fail "single call")
   | _ -> Alcotest.fail "resp"
 
+(* Q_B3, the remote selection of the Table 4 semi-join, keeps its
+   one-scan hash join now that [//closed_auction[...]] parses as one
+   descendant step: the recognizer still matches its body, and a 50-call
+   bulk request answers call by call exactly like 50 single calls. *)
+let test_q_b3_hash_join () =
+  let q =
+    {
+      Xrpc_core.Strategies.local_doc = "persons.xml";
+      remote_uri = "xrpc://y.example.org";
+      remote_doc = "auctions.xml";
+      module_ns = "b";
+      module_at = "http://example.org/b.xq";
+    }
+  in
+  let src = Xrpc_core.Strategies.functions_b q in
+  let f =
+    List.find_map
+      (function
+        | Xrpc_xquery.Ast.P_function f
+          when f.Xrpc_xquery.Ast.fn_name.Qname.local = "Q_B3" ->
+            Some f
+        | _ -> None)
+      (Xrpc_xquery.Parser.parse_prog src).Xrpc_xquery.Ast.prolog
+    |> Option.get
+  in
+  (match
+     Xrpc_peer.Bulk_opt.selection_pattern
+       (List.map fst f.Xrpc_xquery.Ast.fn_params)
+       (Option.get f.Xrpc_xquery.Ast.fn_body)
+   with
+  | Some (Xrpc_xquery.Ast.Path (_, Xrpc_xquery.Ast.Step (axis, _, [])), _, _)
+    ->
+      check bool_ "one descendant step" true
+        (axis = Xrpc_xquery.Ast.Descendant)
+  | _ -> Alcotest.fail "Q_B3 is not recognized as a selection");
+  let peer, _ = make_peer () in
+  Peer.register_module peer ~uri:q.module_ns ~location:q.module_at src;
+  Database.add_doc_xml peer.Peer.db q.remote_doc
+    (Xrpc_workloads.Xmark.auctions ~count:200 ~matches:6 ~persons_count:50 ());
+  let req ids =
+    {
+      Message.module_uri = q.module_ns;
+      location = q.module_at;
+      method_ = "Q_B3";
+      arity = 1;
+      updating = false;
+      fragments = false;
+      query_id = None;
+      idem_key = None;
+      cache_ok = false;
+      calls =
+        List.map (fun i -> [ [ Xdm.str (Printf.sprintf "person%d" i) ] ]) ids;
+    }
+  in
+  let results = function
+    | Message.Response r -> r.Message.results
+    | _ -> Alcotest.fail "expected a response"
+  in
+  let ids = List.init 50 Fun.id in
+  let bulk = results (handle peer (req ids)) in
+  let singles =
+    List.map (fun i -> List.hd (results (handle peer (req [ i ])))) ids
+  in
+  check int_ "one answer per call" 50 (List.length bulk);
+  check int_ "six matches" 6
+    (List.length (List.filter (fun r -> r <> []) bulk));
+  check bool_ "bulk = singles" true (List.for_all2 Xdm.deep_equal bulk singles)
+
 let test_get_document_internal () =
   let peer, _ = make_peer () in
   let req =
@@ -519,5 +587,6 @@ let () =
       ( "bulk-optimization",
         [
           Alcotest.test_case "hash join" `Quick test_bulk_hash_join_used_and_correct;
+          Alcotest.test_case "Q_B3 stays a hash join" `Quick test_q_b3_hash_join;
         ] );
     ]

@@ -13,6 +13,13 @@ let string_ = Alcotest.string
 
 let roundtrip seq = Marshal.n2s (Marshal.s2n seq)
 
+(* [s] with its first [sub] replaced by [by] *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
 (* ------------------------------------------------------------------ *)
 (* s2n / n2s                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -194,6 +201,60 @@ let test_fragments_wire_roundtrip () =
         (List.exists (fun x -> Store.equal_nodes x a') (Store.ancestors b'))
   | _ -> Alcotest.fail "wire shape"
 
+(* [trees] with every xrpc:nodeid reference rewritten to [v] *)
+let with_nodeid v trees =
+  let rec fix = function
+    | Tree.Element e ->
+        Tree.Element
+          {
+            e with
+            attrs =
+              List.map
+                (fun (a : Tree.attr) ->
+                  if a.name.Qname.local = "nodeid" then { a with value = v }
+                  else a)
+                e.attrs;
+            children = List.map fix e.children;
+          }
+    | t -> t
+  in
+  List.map fix trees
+
+(* A reference must name the base node or one of its descendants in the
+   shipped fragment: a negative nodeid (which int_of_string accepts) or
+   one past the base's size is a typed decode error, never an uncaught
+   exception or a node outside the fragment. *)
+let test_fragments_nodeid_bounds () =
+  let store = Store.shred (Xml_parse.document "<a><b><c/></b><d/></a>") in
+  let a = List.hd (Store.children (Store.root store)) in
+  let b = List.hd (Store.children a) in
+  let c = List.hd (Store.children b) in
+  let trees, _ = fragment_roundtrip [ [ Xdm.Node b ]; [ Xdm.Node c ] ] in
+  List.iter
+    (fun v ->
+      match Marshal.n2s_call (with_nodeid v trees) with
+      | exception Marshal.Marshal_error _ -> ()
+      | _ -> Alcotest.failf "nodeid=%s accepted" v)
+    [ "-3"; "-1"; "2"; "99" ];
+  (match Marshal.n2s_call (with_nodeid "0" trees) with
+  | [ [ Xdm.Node b' ]; [ Xdm.Node self ] ] ->
+      check bool_ "nodeid 0 names the base" true (Store.equal_nodes b' self)
+  | _ -> Alcotest.fail "shape");
+  (* on the wire the same reference is a malformed message *)
+  let r =
+    {
+      Message.module_uri = "m"; location = ""; method_ = "f"; arity = 2;
+      updating = false; fragments = true; query_id = None;
+      idem_key = None; cache_ok = true;
+      calls = [ [ [ Xdm.Node b ]; [ Xdm.Node c ] ] ];
+    }
+  in
+  let wire = Message.to_string (Message.Request r) in
+  let bad = replace ~sub:{|nodeid="1"|} ~by:{|nodeid="-3"|} wire in
+  match Message.of_string bad with
+  | exception Message.Protocol_error _ -> ()
+  | _ -> Alcotest.fail "of_string accepted nodeid=-3"
+
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -289,6 +350,38 @@ let test_bad_integer_attributes () =
       | Message.Request r -> check int_ ("arity=" ^ v) 1 r.Message.arity
       | _ -> Alcotest.fail "wrong kind")
     [ "01"; "+1"; " 1 " ]
+
+(* XRPC.xsd declares host, timestamp and timeout of a queryID
+   use="required": a queryID without one is a malformed message, where it
+   used to default to "" or 30 s. *)
+let test_query_id_required_attributes () =
+  let qid =
+    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 42;
+      level = Message.Repeatable }
+  in
+  let request = Message.Request (sample_request ~query_id:(Some qid) ()) in
+  let tx = Message.Tx_request (Message.Commit, qid) in
+  List.iter
+    (fun msg ->
+      let wire = Message.to_string msg in
+      List.iter
+        (fun attr ->
+          let bad = replace ~sub:attr ~by:"" wire in
+          (match Message.of_string bad with
+          | exception Message.Protocol_error _ -> ()
+          | _ -> Alcotest.failf "of_string accepted a queryID without%s" attr);
+          match Message.of_string_server bad with
+          | exception Message.Protocol_error _ -> ()
+          | _ ->
+              Alcotest.failf "of_string_server accepted a queryID without%s"
+                attr)
+        [ {| host="xrpc://x"|}; {| timestamp="1.0"|}; {| timeout="42"|} ];
+      (* the whole queryID still decodes *)
+      match Message.of_string wire with
+      | Message.Request { query_id = Some q; _ } | Message.Tx_request (_, q) ->
+          check int_ "timeout" 42 q.Message.timeout
+      | _ -> Alcotest.fail "queryID lost")
+    [ request; tx ]
 
 let test_updating_flag_roundtrip () =
   let r = { (sample_request ()) with Message.updating = true } in
@@ -449,6 +542,8 @@ let () =
           Alcotest.test_case "plain params unchanged" `Quick
             test_fragments_plain_params_unchanged;
           Alcotest.test_case "wire roundtrip" `Quick test_fragments_wire_roundtrip;
+          Alcotest.test_case "nodeid out of the fragment rejected" `Quick
+            test_fragments_nodeid_bounds;
         ] );
       ( "message",
         [
@@ -463,6 +558,8 @@ let () =
           Alcotest.test_case "wire format" `Quick test_wire_format_matches_paper;
           Alcotest.test_case "non-integer timeout and arity rejected" `Quick
             test_bad_integer_attributes;
+          Alcotest.test_case "queryID without a required attribute rejected"
+            `Quick test_query_id_required_attributes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -106,6 +106,53 @@ let test_parse_errors () =
     (fun q -> expect_error ("syntax: " ^ q) q ())
     [ "for $x in"; "1 +"; "<a>"; "if (1) then 2"; "execute at {1}" ]
 
+(* [//T[preds]] parses as one [descendant::T[preds]] step only when every
+   predicate is boolean by its syntax and asks no position() or last() of
+   its own; any other form keeps descendant-or-self::node()/child::T *)
+let test_parse_descendant_rewrite () =
+  let rec axes = function
+    | Ast.Path (a, b) -> axes a @ axes b
+    | Ast.Step (ax, _, _) -> [ ax ]
+    | Ast.Filter (e, _) -> axes e
+    | _ -> []
+  in
+  let shape q = List.map Ast.axis_name (axes (Parser.parse_expression q)) in
+  let one_step = [ "descendant" ] in
+  List.iter
+    (fun q -> check (Alcotest.list string_) q one_step (shape q))
+    [ "//a"; "$x//a"; "//a[@id = 1]"; "//a[b and c]"; "//a[b or 1 = 2]";
+      "//a[not(@id)]"; "//a[exists(b)]"; "//a[empty(b)]"; "//a[boolean(b)]";
+      "//a[b/c]"; "//a[@id]"; "//a[b][@c]"; "//*"; "//*:a"; "//child::a";
+      "//element(a)"; "//a[some $x in b satisfies $x = 1]"; "//a[b[1]]";
+      "//a[b[last()] = 1]"; "//a[. = 'x']" ];
+  check (Alcotest.list string_) "nested" [ "descendant"; "descendant" ]
+    (shape "//a//b");
+  List.iter
+    (fun q ->
+      check bool_ q true
+        (List.mem "descendant-or-self" (shape q)
+        && not (List.mem "descendant" (shape q))))
+    [ "//a[1]"; "//a[last()]"; "//a[$n]"; "//@id"; "//a[position() = 1]";
+      "//a[count(b) = last()]"; "//a[b][1]"; "//text()"; "//a[string(.)]";
+      "//a[b/count(c)]"; "$x//a[2]"; "//a[not(position() = 1)]" ]
+
+(* E1/E2/E3 is (E1/E2)/E3 (XPath 2.0 §3.2), also after a leading [//]:
+   a later step sees its position among all nodes the path reached so
+   far, not among one parent's children *)
+let test_parse_leading_dslash_left_nested () =
+  let ctx = Context.empty () in
+  let ctx =
+    {
+      ctx with
+      Context.doc_resolver =
+        (fun _ ->
+          Store.shred (Xml_parse.document "<r><a/><a/><s><a/></s></r>"));
+    }
+  in
+  let run q = Xdm.to_display (fst (Runner.run ~ctx ~resolver q)) in
+  check string_ "one descendant step" "3 3 3" (run {|doc("d")/(//a/last())|});
+  check string_ "long form" "2 2" (run {|doc("d")/(//a[1]/last())|})
+
 (* ------------------------------------------------------------------ *)
 (* Core expressions                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -430,6 +477,10 @@ let () =
           Alcotest.test_case "keyword element names" `Quick
             test_parse_reserved_names_as_steps;
           Alcotest.test_case "syntax errors" `Quick test_parse_errors;
+          Alcotest.test_case "// as one descendant step" `Quick
+            test_parse_descendant_rewrite;
+          Alcotest.test_case "leading // associates left" `Quick
+            test_parse_leading_dslash_left_nested;
         ] );
       ( "expressions",
         List.map
