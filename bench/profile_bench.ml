@@ -6,9 +6,9 @@
       alternating-minimum discipline the obs benchmark established
       (interleave off/on rounds, keep the per-mode minimum, so a GC
       pause in one round cannot masquerade as instrumentation cost).
-      Off must stay at the PR-3 baseline — Ops.timed is gated on a
-      single flag test — and on adds two clock reads plus one record_op
-      merge per kernel call.
+      Off must stay at the uninstrumented baseline — Ops.timed is gated on a
+      single Trace test — and on adds two clock reads plus four span
+      attribute sums per kernel call.
    2. End-to-end 2-peer distributed queries, plain vs under
       Cluster.profiled (plan nodes, per-destination byte accounting, and
       the remote phase breakdown riding the serverProfile attribute),
@@ -85,7 +85,7 @@ let kernel_rows () =
         off := Float.min !off (time_ns f);
         let (), _profile =
           Profile.profiled ~label:"bench" (fun () ->
-              Profile.with_node "bench" (fun () ->
+              Trace.with_span "bench" (fun () ->
                   on := Float.min !on (time_ns f)))
         in
         ()

@@ -143,19 +143,12 @@ let explain_query peer source =
       (Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m) ->
       Printf.eprintf "error: %s\n%!" m
 
-let profile_label source =
-  let s =
-    String.trim
-      (String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) source)
-  in
-  if String.length s > 120 then String.sub s 0 117 ^ "..." else s
-
 (* PROFILE: run the query with the profiler on and print the annotated
    operator tree (per-node cardinalities/times, per-operator row counts,
    per-destination traffic with the remote phase breakdown). *)
 let profile_query peer source =
   let (), prof =
-    Profile.profiled ~label:(profile_label source) (fun () ->
+    Profile.profiled ~label:(Peer.query_label source) (fun () ->
         run_query peer source)
   in
   print_string (Profile.render prof)

@@ -94,8 +94,9 @@ let execute ~(dst : Table.t) ~(params : Table.t list)
           Metrics.incr_by m_bulk_calls (List.length calls);
           (* logical calls carried to this destination, for :profile's
              per-destination accounting *)
-          if Profile.enabled () then
-            Profile.note_calls ~dest:peer (List.length calls);
+          if Trace.recording () then
+            Trace.add (Profile.dest_attr "calls" peer)
+              (float_of_int (List.length calls));
           let request =
             {
               Message.module_uri;

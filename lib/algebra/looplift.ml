@@ -19,6 +19,7 @@ module Message = Xrpc_soap.Message
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
 module Profile = Xrpc_obs.Profile
+module Trace = Xrpc_obs.Trace
 module IntSet = Set.Make (Int)
 
 exception Unsupported of string
@@ -62,10 +63,11 @@ let const_table env (a : Xs.t) =
     sequences included thanks to the loop relation — footnote 5). *)
 let sequences env t = Table.sequences t ~loop:env.loop
 
-(* Plan-node labels for the profiler: one node per evaluated expression,
-   named by its AST constructor.  Ids are assigned in evaluation order,
-   which for a given query is a deterministic pre-order walk — the same
-   numbering [explain] prints statically. *)
+(* Plan-node spans for the profiler: inside a Trace collection, one span
+   per evaluated expression, named by its AST constructor (a process-wide
+   trace alone keeps to request-level spans).  A profile numbers them in
+   pre-order, which for a given query is the same numbering [explain]
+   prints statically. *)
 let node_name : Xast.expr -> string = function
   | Xast.Literal _ -> "literal"
   | Xast.Var _ -> "var"
@@ -91,11 +93,11 @@ let node_detail : Xast.expr -> string = function
   | _ -> ""
 
 let rec eval env (e : Xast.expr) : Table.t =
-  if not (Profile.enabled ()) then eval_inner env e
+  if not (Trace.collecting ()) then eval_inner env e
   else
-    Profile.with_node ~detail:(node_detail e) (node_name e) (fun () ->
+    Trace.with_span ~detail:(node_detail e) (node_name e) (fun () ->
         let t = eval_inner env e in
-        Profile.set_rows (Table.cardinality t);
+        Trace.add Profile.rows_attr (float_of_int (Table.cardinality t));
         t)
 
 and eval_inner env (e : Xast.expr) : Table.t =

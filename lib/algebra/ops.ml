@@ -25,7 +25,7 @@ module Profile = Xrpc_obs.Profile
 
 (* Per-operator telemetry: call counters are always on (one field
    increment); latency histograms sample the injectable trace clock and
-   are gated on tracing so the disabled-path cost stays at ~0%. *)
+   are gated on Trace recording so the disabled-path cost stays at ~0%. *)
 let m_select_n = Metrics.counter "ops.select"
 let m_project_n = Metrics.counter "ops.project"
 let m_distinct_n = Metrics.counter "ops.distinct"
@@ -39,24 +39,26 @@ let m_join_ms = Metrics.histogram "ops.equi_join_ms"
 let m_rank_ms = Metrics.histogram "ops.rank_ms"
 let m_merge_ms = Metrics.histogram "ops.merge_union_ms"
 
-(* [timed counter histogram name rows_in f] — the counter always ticks;
-   with tracing on the histogram samples the clock; with profiling on the
-   operator's rows-in/rows-out/wall-time are attributed to the ambient
-   plan node ([Profile.record_op]).  [rows_in] is a thunk so the off path
-   never touches a cardinality. *)
-let timed c h name rows_in f =
+(* [timed counter histogram op rows_in f] — the counter always ticks;
+   while anything records, the histogram samples the clock and the
+   operator's calls/rows-in/rows-out/wall-time are summed into the
+   innermost open span (the plan node a profile folds them into).
+   [rows_in] is a thunk so the off path never touches a cardinality. *)
+let timed c h op rows_in f =
   Metrics.incr c;
-  if Trace.enabled () || Profile.enabled () then begin
+  if not (Trace.recording ()) then f ()
+  else begin
     let t0 = Trace.now_ms () in
     let r = f () in
     let dt = Trace.now_ms () -. t0 in
-    if Trace.enabled () then Metrics.observe h dt;
-    if Profile.enabled () then
-      Profile.record_op name ~rows_in:(rows_in ())
-        ~rows_out:(Table.cardinality r) dt;
+    Metrics.observe h dt;
+    Trace.add (Profile.op_attr "calls" op) 1.;
+    Trace.add (Profile.op_attr "rows_in" op) (float_of_int (rows_in ()));
+    Trace.add (Profile.op_attr "rows_out" op)
+      (float_of_int (Table.cardinality r));
+    Trace.add (Profile.op_attr "ms" op) dt;
     r
   end
-  else f ()
 
 (* growable index buffer for join/dedup results *)
 module Ibuf = struct

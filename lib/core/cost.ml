@@ -15,8 +15,8 @@
       [getDocument] round trip back to the coordinator, the distributed
       semi-join is one Bulk RPC round trip).
     - Table 3's term: bytes on the wire, divided by bandwidth.  Seeded from
-      live statistics ([Profile.note_send]/[note_recv] per-destination
-      bytes, document sizes, observed selectivities).
+      live statistics (a profile's per-destination bytes, document
+      sizes, observed selectivities).
     - Table 4's term: per-peer CPU (compile / tree-build / execute phases,
       as reported by [serverProfile] and the wrapper phase counters).
 
@@ -25,7 +25,6 @@
     restarted shell can replay history ([replay_flight]). *)
 
 module Simnet = Xrpc_net.Simnet
-module Profile = Xrpc_obs.Profile
 module Flight_recorder = Xrpc_obs.Flight_recorder
 module Eval = Xrpc_xquery.Eval
 
@@ -452,31 +451,6 @@ let decision_json d =
     (jstr (Strategies.short_name d.chosen.strategy))
     d.forced
     (String.concat "," (List.map cost_json d.ranked))
-
-(* ------------------------------------------------------------------ *)
-(* Live-statistics seeding                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** Network time a profiled run would cost under [net], from the
-    per-destination message/byte counters ([Profile.note_send]/[note_recv]
-    feed these) — measurement side of the feedback loop when the transport
-    itself has no virtual clock. *)
-let profile_network_ms net (p : Profile.t) =
-  List.fold_left
-    (fun acc (_, d) ->
-      acc
-      +. network_ms_of net
-           ~messages:(2 * d.Profile.d_msgs)
-           ~bytes:(d.Profile.d_bytes_out + d.Profile.d_bytes_in))
-    0. (Profile.dests p)
-
-(** Total remote CPU ([serverProfile] phases) reported in a profile —
-    Table 4's measured counterpart. *)
-let profile_remote_cpu_ms (p : Profile.t) =
-  List.fold_left
-    (fun acc (_, d) ->
-      List.fold_left (fun a (_, ms) -> a +. ms) acc d.Profile.d_remote)
-    0. (Profile.dests p)
 
 (* ------------------------------------------------------------------ *)
 (* Profiler annotation hook (Table 2 on live Bulk RPC nodes)           *)

@@ -180,9 +180,10 @@ let note_exchange ~dest ~out_bytes ~in_bytes =
   Metrics.incr (m_dest_requests dest);
   Metrics.incr_by (m_dest_bytes_out dest) out_bytes;
   Metrics.incr_by (m_dest_bytes_in dest) in_bytes;
-  if Profile.enabled () then begin
-    Profile.note_send ~dest ~bytes:out_bytes;
-    Profile.note_recv ~dest ~bytes:in_bytes
+  if Trace.recording () then begin
+    Trace.add (Profile.dest_attr "msgs" dest) 1.;
+    Trace.add (Profile.dest_attr "bytes_out" dest) (float_of_int out_bytes);
+    Trace.add (Profile.dest_attr "bytes_in" dest) (float_of_int in_bytes)
   end
 
 (* unspanned sends: the typed calls open the span themselves so response
@@ -252,16 +253,7 @@ let m_dest_db_version dest =
 
 (* a Fault reply becomes the typed error it round-trips as *)
 let decode ~dest raw =
-  let msg =
-    if Profile.enabled () then begin
-      (* pick up the serving peer's phase breakdown from the header *)
-      let msg, server_profile = Message.of_string_profiled raw in
-      Option.iter (fun p -> Profile.note_remote ~dest p) server_profile;
-      msg
-    end
-    else Message.of_string raw
-  in
-  match msg with
+  match Message.of_reply ~dest raw with
   | Message.Response r ->
       if r.Message.cached then begin
         Metrics.incr (m_dest_cache_hits dest);
@@ -287,7 +279,8 @@ let call_bulk t ~dest ?query_id ?updating ?fragments ?cache ~module_uri
     request t ?query_id ?updating ?fragments ?cache ~module_uri ?location ~fn
       calls
   in
-  if Profile.enabled () then Profile.note_calls ~dest (List.length calls);
+  if Trace.recording () then
+    Trace.add (Profile.dest_attr "calls" dest) (float_of_int (List.length calls));
   span_call ~dest @@ fun () ->
   decode ~dest (send_raw t ~dest (Message.to_string (Message.Request req)))
 

@@ -137,7 +137,7 @@ val call_profiled :
     together with the finished {!Xrpc_obs.Profile.t} — per-destination
     messages, serialized bytes both ways, and (the request carries the
     [xrpc:profile] header flag, so cooperating peers measure and return
-    them) the remote side's parse/compile/exec/commit phase costs. *)
+    them) the remote side's parse/cache/compile/exec/commit phase costs. *)
 
 val call_bulk :
   t ->

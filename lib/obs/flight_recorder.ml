@@ -1,14 +1,14 @@
 (* Always-on flight recorder: a bounded, mutex-guarded ring buffer of the
    last N completed requests, each entry holding the request label (query
-   text or method), its span-tree signature, per-phase timings, error
-   kind, idem key and duration.  Entries whose duration crosses the slow
+   text or method), its span slice (from which its span-tree signature
+   and per-phase timings are folded on demand), error kind, idem key and
+   duration.  Entries whose duration crosses the slow
    threshold are additionally *pinned*: kept in a separate bounded list
    ordered by duration, so a burst of fast traffic cannot evict the
    evidence of yesterday's slow query.
 
-   Recording one entry is a handful of field writes plus (when tracing is
-   on) a signature render over that request's span slice — cheap enough
-   to leave on in production, which is the point: /requestz answers "what
+   Recording one entry is a handful of field writes — cheap enough to
+   leave on in production, which is the point: /requestz answers "what
    ran here recently" without anyone having had to plan for the question.
 
    A served SOAP request reaches the ring through [complete], which also
@@ -18,8 +18,6 @@
 type entry = {
   id : int; (* 1-based, monotonically increasing *)
   label : string;
-  signature : string; (* "" when tracing was off for the request *)
-  phases : (string * int * float) list; (* name, count, total ms *)
   error : string option;
   idem_key : string option;
   duration_ms : float;
@@ -27,8 +25,16 @@ type entry = {
   wall_at : float; (* capture time, Unix epoch seconds — entries stay
                       datable after the ring wraps or the Trace clock is
                       swapped for a virtual one *)
-  spans : Trace.span list; (* the request's span slice, creation order *)
+  spans : Trace.span list;
+      (* the request's span slice, creation order; [] when nothing
+         collected it *)
 }
+
+(* The slice's span-tree signature; "" when it has no spans. *)
+let signature e = if e.spans = [] then "" else Trace.signature_of e.spans
+
+(* Per-span-name (name, count, total ms) of the slice. *)
+let phases e = Trace.phase_summary_of e.spans
 
 let mutex = Mutex.create ()
 
@@ -85,11 +91,7 @@ let record ?error ?idem_key ~label ~duration_ms ~spans () =
   locked (fun () ->
       incr total;
       let e =
-        { id = !total; label;
-          signature = (if spans = [] then "" else Trace.signature_of spans);
-          phases =
-            (if spans = [] then [] else Trace.phase_summary_of spans);
-          error; idem_key; duration_ms; at_ms = Trace.now_ms ();
+        { id = !total; label; error; idem_key; duration_ms; at_ms = Trace.now_ms ();
           wall_at = Unix.gettimeofday (); spans }
       in
       !ring.(!next_slot) <- Some e;
@@ -172,16 +174,15 @@ let entry_text ?(now = Unix.gettimeofday ()) buf e =
        (match e.error with Some err -> "  ERROR " ^ err | None -> "")
        (match e.idem_key with Some k -> "  idem=" ^ k | None -> "")
        e.label);
-  if e.phases <> [] then
+  if e.spans <> [] then
     Buffer.add_string buf
-      (Printf.sprintf "    phases: %s\n"
+      (Printf.sprintf "    phases: %s\n    spans: %s\n"
          (String.concat "; "
             (List.map
                (fun (name, n, ms) ->
                  Printf.sprintf "%s x%d %.3f ms" name n ms)
-               e.phases)));
-  if e.signature <> "" then
-    Buffer.add_string buf (Printf.sprintf "    spans: %s\n" e.signature)
+               (phases e)))
+         (signature e))
 
 let to_text () =
   let buf = Buffer.create 1024 in
@@ -216,8 +217,8 @@ let entry_json ?(now = Unix.gettimeofday ()) e =
     (match e.idem_key with
     | Some k -> ",\"idem_key\":" ^ jstr k
     | None -> "")
-    (if e.signature = "" then "" else ",\"signature\":" ^ jstr e.signature)
-    (if e.phases = [] then ""
+    (if e.spans = [] then "" else ",\"signature\":" ^ jstr (signature e))
+    (if e.spans = [] then ""
      else
        ",\"phases\":["
        ^ String.concat ","
@@ -225,7 +226,7 @@ let entry_json ?(now = Unix.gettimeofday ()) e =
               (fun (name, n, ms) ->
                 Printf.sprintf "{\"name\":%s,\"count\":%d,\"ms\":%.6g}"
                   (jstr name) n ms)
-              e.phases)
+              (phases e))
        ^ "]")
 
 let to_json () =

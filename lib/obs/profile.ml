@@ -2,26 +2,24 @@
    message accounting, and the remote peer's phase breakdown — the data
    behind the shell's :profile command and Xrpc_client.call_profiled.
 
-   The model mirrors Trace but collects *aggregates* instead of raw spans:
+   A profile is data: [profiled f] runs [f] inside one {!Trace.collect}
+   and folds the returned span slice.
 
-   - a profile is a tree of plan nodes.  Looplift opens one node per
-     algebra expression it evaluates (stable ids in evaluation order,
-     which for a given query is deterministic pre-order), Eval opens one
-     per top-level function application, Bulk_rpc / Eval.bulk_execute one
-     per distributed dispatch;
-   - each node accumulates the kernel-level operator stats (rows in/out,
-     calls, inclusive wall time) that Ops reports while the node is the
-     ambient one on its thread;
-   - destination stats (messages, logical calls, serialized bytes both
-     ways, and the remote peer's parse/compile/exec/commit costs parsed
-     from the response's serverProfile attribute) hang off the profile
-     itself, keyed by destination URI.
+   - every span under the collection's root is a plan node: Looplift
+     opens one per algebra expression it evaluates, Eval one per
+     top-level function application, Bulk_rpc / Eval.bulk_execute one per
+     distributed dispatch, next to the request-level spans (rpc, net.send,
+     the in-process remote peer's peer.handle, ...).  Ids are assigned in
+     pre-order over the slice's tree, so they are stable for a query;
+   - the numeric span attributes named below carry the rest: a node's
+     output cardinality, the kernel-level operator stats Ops sums into
+     the innermost open span, and destination stats (messages, logical
+     calls, serialized bytes both ways, and the remote peer's phase costs
+     read from the response's serverProfile attribute);
+   - optimizer notes are span events named [annotation_event].
 
-   Gating discipline is the same as Trace (ISSUE 3): when profiling is off
-   — the default — every entry point returns after one flag test, so the
-   instrumented hot paths stay at ~0%% cost.  Timings use Trace's
-   injectable clock, so Cluster-bound profiles run on the virtual clock
-   and replay deterministically. *)
+   Timings are Trace's clock, so Cluster-bound profiles run on the
+   virtual clock and replay deterministically. *)
 
 type op_stat = {
   mutable os_calls : int;
@@ -35,9 +33,10 @@ type node = {
   name : string;
   detail : string;
   parent : int option;
-  mutable rows_out : int; (* -1 = not set *)
-  mutable incl_ms : float; (* inclusive wall time, accumulated *)
-  mutable ops : (string * op_stat) list; (* insertion order *)
+  rows_out : int; (* -1 = not set *)
+  incl_ms : float; (* inclusive wall time *)
+  ops : (string * op_stat) list; (* first-seen order *)
+  children : node list;
 }
 
 type dest_stat = {
@@ -50,239 +49,170 @@ type dest_stat = {
 
 type t = {
   label : string;
-  mutable nodes : node list; (* newest first *)
-  mutable n_nodes : int;
-  mutable dropped : int;
-  mutable root_ops : (string * op_stat) list; (* ops outside any node *)
-  dests : (string, dest_stat) Hashtbl.t;
-  mutable annotations : string list;
-      (* free-form analysis notes, newest first — the optimizer attaches
+  roots : node list;
+  n_nodes : int;
+  dropped : int;
+  root_ops : (string * op_stat) list; (* ops outside any node *)
+  dests : (string * dest_stat) list; (* sorted by destination *)
+  annotations : string list;
+      (* free-form analysis notes, oldest first — the optimizer attaches
          its cost estimates here so a rendered profile shows the predicted
          cost next to the measured one *)
-  started_ms : float;
-  mutable total_ms : float; (* nan until the profiled run finishes *)
+  total_ms : float;
 }
 
-let enabled_flag = ref false
-let enabled () = !enabled_flag
-
-(* Plan nodes are bounded: a query that re-evaluates a subtree per tuple
-   (If branches under loop-lifting, recursive functions under Eval) could
-   otherwise grow the node list with the data.  Past the cap new nodes
-   are counted as dropped; op stats still accumulate into the nearest
-   live ancestor. *)
-let capacity = ref 10_000
-let set_capacity n = capacity := n
-
-let state_mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock state_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock state_mutex) f
-
-let make label =
-  { label; nodes = []; n_nodes = 0; dropped = 0; root_ops = [];
-    dests = Hashtbl.create 8; annotations = [];
-    started_ms = Trace.now_ms (); total_ms = nan }
-
-let current : t option ref = ref None
-
-(* Per-thread stack of open nodes: the dispatch executor runs Bulk RPC
-   legs on pool threads, and each leg's kernel work must land under that
-   leg's node, not under whatever the main thread has open. *)
-let stacks : (int, node list ref) Hashtbl.t = Hashtbl.create 8
-let stacks_mutex = Mutex.create ()
-
-let my_stack () =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock stacks_mutex;
-  let st =
-    match Hashtbl.find_opt stacks id with
-    | Some st -> st
-    | None ->
-        let st = ref [] in
-        Hashtbl.replace stacks id st;
-        st
-  in
-  Mutex.unlock stacks_mutex;
-  st
-
-let with_node ?(detail = "") name f =
-  if not !enabled_flag then f ()
-  else
-    match !current with
-    | None -> f ()
-    | Some p ->
-        let st = my_stack () in
-        let parent = match !st with [] -> None | n :: _ -> Some n.id in
-        let n =
-          locked (fun () ->
-              if p.n_nodes >= !capacity then begin
-                p.dropped <- p.dropped + 1;
-                None
-              end
-              else begin
-                let n =
-                  { id = p.n_nodes + 1; name; detail; parent; rows_out = -1;
-                    incl_ms = 0.; ops = [] }
-                in
-                p.nodes <- n :: p.nodes;
-                p.n_nodes <- p.n_nodes + 1;
-                Some n
-              end)
-        in
-        (match n with
-        | None -> f ()
-        | Some n ->
-            st := n :: !st;
-            let t0 = Trace.now_ms () in
-            Fun.protect
-              ~finally:(fun () ->
-                n.incl_ms <- n.incl_ms +. (Trace.now_ms () -. t0);
-                match !st with
-                | top :: rest when top == n -> st := rest
-                | _ -> ())
-              f)
-
-(* Set the output cardinality of the innermost open node. *)
-let set_rows rows =
-  if !enabled_flag then
-    match !(my_stack ()) with [] -> () | n :: _ -> n.rows_out <- rows
-
-let merge_op ops name ~rows_in ~rows_out ms =
-  match List.assoc_opt name ops with
-  | Some os ->
-      os.os_calls <- os.os_calls + 1;
-      os.os_rows_in <- os.os_rows_in + rows_in;
-      os.os_rows_out <- os.os_rows_out + rows_out;
-      os.os_ms <- os.os_ms +. ms;
-      ops
-  | None ->
-      ops
-      @ [ (name, { os_calls = 1; os_rows_in = rows_in;
-                   os_rows_out = rows_out; os_ms = ms }) ]
-
-(* Called by Ops.timed for every kernel invocation while profiling is on;
-   attributes the work to the innermost open plan node on this thread. *)
-let record_op name ~rows_in ~rows_out ms =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> (
-        match !(my_stack ()) with
-        | n :: _ -> n.ops <- merge_op n.ops name ~rows_in ~rows_out ms
-        | [] ->
-            locked (fun () ->
-                p.root_ops <- merge_op p.root_ops name ~rows_in ~rows_out ms))
-
 (* ------------------------------------------------------------------ *)
-(* Destination accounting                                              *)
+(* The attributes and events the fold reads                            *)
 (* ------------------------------------------------------------------ *)
 
-let dest_stat_locked p dest =
-  match Hashtbl.find_opt p.dests dest with
-  | Some d -> d
-  | None ->
-      let d =
-        { d_msgs = 0; d_calls = 0; d_bytes_out = 0; d_bytes_in = 0;
-          d_remote = [] }
+(* A plan node's output cardinality. *)
+let rows_attr = "rows"
+
+(* One kernel operator's [field] (calls, rows_in, rows_out, ms). *)
+let op_attr field op = "op:" ^ field ^ ":" ^ op
+
+(* Traffic to [dest]: msgs, calls, bytes_out, bytes_in. *)
+let dest_attr field dest = "dest:" ^ field ^ ":" ^ dest
+
+(* The serving peer's cost of [phase], from serverProfile. *)
+let remote_attr phase dest = "remote:" ^ phase ^ ":" ^ dest
+
+let annotation_event = "optimizer"
+
+(* "kind:field:name" — the name may itself contain ':' (URIs) *)
+let split_attr k =
+  match String.index_opt k ':' with
+  | None -> None
+  | Some i -> (
+      match String.index_from_opt k (i + 1) ':' with
+      | None -> None
+      | Some j ->
+          let sub a b = String.sub k a (b - a) in
+          Some (sub 0 i, sub (i + 1) j, sub (j + 1) (String.length k)))
+
+(* ------------------------------------------------------------------ *)
+(* The fold                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let of_spans ?(label = "") = function
+  | [] -> invalid_arg "Profile.of_spans: no root span"
+  | (root : Trace.span) :: rest ->
+      let dests = ref [] in
+      let dest d =
+        match List.assoc_opt d !dests with
+        | Some ds -> ds
+        | None ->
+            let ds =
+              { d_msgs = 0; d_calls = 0; d_bytes_out = 0; d_bytes_in = 0;
+                d_remote = [] }
+            in
+            dests := (d, ds) :: !dests;
+            ds
       in
-      Hashtbl.replace p.dests dest d;
-      d
+      (* a span's optimizer notes and destination attributes accumulate
+         in plan order; returns its operator stats *)
+      let annotations = ref [] in
+      let visit_span (s : Trace.span) =
+        annotations :=
+          List.filter_map
+            (fun (e : Trace.event) ->
+              if e.e_name = annotation_event then Some e.e_detail else None)
+            s.events
+          @ !annotations;
+        let ops = ref [] in
+        List.iter
+          (fun (k, v) ->
+            let v = !v in
+            let n = int_of_float v in
+            match split_attr k with
+            | Some ("op", field, op) -> (
+                let os =
+                  match List.assoc_opt op !ops with
+                  | Some os -> os
+                  | None ->
+                      let os =
+                        { os_calls = 0; os_rows_in = 0; os_rows_out = 0;
+                          os_ms = 0. }
+                      in
+                      ops := !ops @ [ (op, os) ];
+                      os
+                in
+                match field with
+                | "calls" -> os.os_calls <- os.os_calls + n
+                | "rows_in" -> os.os_rows_in <- os.os_rows_in + n
+                | "rows_out" -> os.os_rows_out <- os.os_rows_out + n
+                | _ -> os.os_ms <- os.os_ms +. v)
+            | Some ("dest", field, d) -> (
+                let ds = dest d in
+                match field with
+                | "msgs" -> ds.d_msgs <- ds.d_msgs + n
+                | "calls" -> ds.d_calls <- ds.d_calls + n
+                | "bytes_out" -> ds.d_bytes_out <- ds.d_bytes_out + n
+                | _ -> ds.d_bytes_in <- ds.d_bytes_in + n)
+            | Some ("remote", phase, d) ->
+                let ds = dest d in
+                ds.d_remote <-
+                  (if List.mem_assoc phase ds.d_remote then
+                     List.map
+                       (fun (p, t) -> (p, if p = phase then t +. v else t))
+                       ds.d_remote
+                   else ds.d_remote @ [ (phase, v) ])
+            | _ -> ())
+          (List.rev s.Trace.attrs);
+        !ops
+      in
+      let root_ops = visit_span root in
+      (* plan nodes: the tree under the root, numbered in pre-order *)
+      let tops, kids = Trace.tree_of rest in
+      let next = ref 0 in
+      let rec node parent (s : Trace.span) =
+        incr next;
+        let id = !next in
+        let ops = visit_span s in
+        { id; name = s.name; detail = s.detail; parent;
+          rows_out =
+            (match Trace.attr s rows_attr with
+            | Some r -> int_of_float r
+            | None -> -1);
+          incl_ms = Trace.duration_ms s; ops;
+          children = List.map (node (Some id)) (kids s.span_id) }
+      in
+      let roots = List.map (node None) tops in
+      {
+        label;
+        roots;
+        n_nodes = !next;
+        dropped =
+          (match Trace.attr root Trace.dropped_attr with
+          | Some d -> int_of_float d
+          | None -> 0);
+        root_ops;
+        dests = List.sort (fun (a, _) (b, _) -> compare a b) !dests;
+        annotations = List.rev !annotations;
+        total_ms = Trace.duration_ms root;
+      }
 
-let with_dest dest f =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> locked (fun () -> f (dest_stat_locked p dest))
-
-let note_send ~dest ~bytes =
-  with_dest dest (fun d ->
-      d.d_msgs <- d.d_msgs + 1;
-      d.d_bytes_out <- d.d_bytes_out + bytes)
-
-let note_recv ~dest ~bytes =
-  with_dest dest (fun d -> d.d_bytes_in <- d.d_bytes_in + bytes)
-
-let note_calls ~dest n = with_dest dest (fun d -> d.d_calls <- d.d_calls + n)
-
-(* Attach a free-form note to the current profile (no-op when profiling
-   is off) — e.g. the optimizer's estimated cost of a dispatch. *)
-let note_annotation s =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> locked (fun () -> p.annotations <- s :: p.annotations)
-
-(* Remote phase costs parsed from the response's serverProfile attribute;
-   summed per phase name across all messages to this destination. *)
-let note_remote ~dest phases =
-  with_dest dest (fun d ->
-      List.iter
-        (fun (name, ms) ->
-          d.d_remote <-
-            (if List.mem_assoc name d.d_remote then
-               List.map
-                 (fun (n, v) -> if n = name then (n, v +. ms) else (n, v))
-                 d.d_remote
-             else d.d_remote @ [ (name, ms) ]))
-        phases)
-
-(* ------------------------------------------------------------------ *)
-(* Collection                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f] with profiling on and a fresh profile collecting; returns the
-   result together with the finished profile.  Nests: the previous
-   profile (if any) is restored afterwards. *)
+(* Run [f] inside a fresh collection; returns the result together with
+   the finished profile.  Nests: an enclosing profile sees these spans
+   too. *)
 let profiled ?(label = "") f =
-  let p = make label in
-  let old_cur = !current and old_en = !enabled_flag in
-  current := Some p;
-  enabled_flag := true;
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        p.total_ms <- Trace.now_ms () -. p.started_ms;
-        enabled_flag := old_en;
-        current := old_cur)
-      f
-  in
-  (r, p)
+  let r, spans = Trace.collect ~label:"profile" ~detail:label f in
+  (r, of_spans ~label spans)
 
 let label p = p.label
 let total_ms p = p.total_ms
 let node_count p = p.n_nodes
 let dropped_count p = p.dropped
-
-let dests p =
-  Hashtbl.fold (fun dest d acc -> (dest, d) :: acc) p.dests []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let annotations p = List.rev p.annotations
-
-let nodes p = List.rev p.nodes (* creation order: stable plan-node ids *)
+let dests p = p.dests
+let annotations p = p.annotations
+(* pre-order: stable plan-node ids *)
+let nodes p =
+  let rec flat n = n :: List.concat_map flat n.children in
+  List.concat_map flat p.roots
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let tree_of p =
-  let all = nodes p in
-  let children = Hashtbl.create 64 in
-  let roots = ref [] in
-  List.iter
-    (fun n ->
-      match n.parent with
-      | Some pid ->
-          let l = try Hashtbl.find children pid with Not_found -> [] in
-          Hashtbl.replace children pid (n :: l)
-      | None -> roots := n :: !roots)
-    all;
-  let kids id =
-    List.rev (try Hashtbl.find children id with Not_found -> [])
-  in
-  (List.rev !roots, kids)
 
 let render_ops buf indent ops =
   List.iter
@@ -301,7 +231,6 @@ let render p =
         else Printf.sprintf "%.3f ms" p.total_ms)
        p.n_nodes
        (if p.dropped > 0 then Printf.sprintf ", %d dropped" p.dropped else ""));
-  let roots, kids = tree_of p in
   let rec pr indent n =
     Buffer.add_string buf
       (Printf.sprintf "%s#%d %s%s  %.3f ms%s\n" indent n.id n.name
@@ -310,9 +239,9 @@ let render p =
          (if n.rows_out >= 0 then Printf.sprintf "  rows=%d" n.rows_out
           else ""));
     render_ops buf (indent ^ "   ") n.ops;
-    List.iter (pr (indent ^ "  ")) (kids n.id)
+    List.iter (pr (indent ^ "  ")) n.children
   in
-  List.iter (pr "") roots;
+  List.iter (pr "") p.roots;
   render_ops buf "" p.root_ops;
   let ds = dests p in
   if ds <> [] then begin
@@ -365,7 +294,6 @@ let ops_json ops =
 
 let to_json p =
   let buf = Buffer.create 1024 in
-  let roots, kids = tree_of p in
   let rec node_json n =
     Printf.sprintf
       "{\"id\":%d,\"name\":%s%s,\"ms\":%s%s,\"ops\":%s,\"children\":[%s]}"
@@ -375,7 +303,7 @@ let to_json p =
       (if n.rows_out >= 0 then Printf.sprintf ",\"rows\":%d" n.rows_out
        else "")
       (ops_json n.ops)
-      (String.concat "," (List.map node_json (kids n.id)))
+      (String.concat "," (List.map node_json n.children))
   in
   Buffer.add_string buf "{";
   if p.label <> "" then
@@ -383,7 +311,7 @@ let to_json p =
   Buffer.add_string buf (Printf.sprintf "\"total_ms\":%s," (jnum p.total_ms));
   Buffer.add_string buf
     (Printf.sprintf "\"plan\":[%s]"
-       (String.concat "," (List.map node_json roots)));
+       (String.concat "," (List.map node_json p.roots)));
   if p.root_ops <> [] then
     Buffer.add_string buf (Printf.sprintf ",\"ops\":%s" (ops_json p.root_ops));
   let ds = dests p in

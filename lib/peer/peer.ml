@@ -283,19 +283,10 @@ let dispatcher peer peers_acc : Xctx.dispatcher =
   in
   let note dest = if not (List.mem dest !peers_acc) then peers_acc := dest :: !peers_acc in
   let decode dest raw =
-    (* with profiling on, pull the serving peer's phase breakdown out of
-       the response's serverProfile attribute and account the response
-       bytes to [dest] *)
-    let msg =
-      if Profile.enabled () then begin
-        Profile.note_recv ~dest ~bytes:(String.length raw);
-        let msg, server_profile = Message.of_string_profiled raw in
-        Option.iter (fun p -> Profile.note_remote ~dest p) server_profile;
-        msg
-      end
-      else Message.of_string raw
-    in
-    match msg with
+    if Trace.recording () then
+      Trace.add (Profile.dest_attr "bytes_in" dest)
+        (float_of_int (String.length raw));
+    match Message.of_reply ~dest raw with
     | Message.Response r as m ->
         note dest;
         List.iter note r.Message.peers;
@@ -304,8 +295,11 @@ let dispatcher peer peers_acc : Xctx.dispatcher =
   in
   let serialize ~dest req =
     let body = Message.to_string (Message.Request (assign_idem_key peer req)) in
-    if Profile.enabled () then
-      Profile.note_send ~dest ~bytes:(String.length body);
+    if Trace.recording () then begin
+      Trace.add (Profile.dest_attr "msgs" dest) 1.;
+      Trace.add (Profile.dest_attr "bytes_out" dest)
+        (float_of_int (String.length body))
+    end;
     body
   in
   (* each logical RPC gets its own span; the request body is serialized
@@ -432,19 +426,7 @@ let compile_module peer ~uri ~location : Func_cache.compiled =
       Xrpc_xquery.Check.check_prog_exn ctx prog;
       { Func_cache.prog; funcs = ctx.Xctx.funcs })
 
-(* Accumulate a named phase's wall cost into [phases] (when the caller
-   wants the server-side breakdown); the cost is recorded even when [f]
-   raises, so a faulted request still reports where it spent its time. *)
-let phase_timed phases name f =
-  match phases with
-  | None -> f ()
-  | Some acc ->
-      let t0 = Trace.now_ms () in
-      Fun.protect
-        ~finally:(fun () -> acc := !acc @ [ (name, Trace.now_ms () -. t0) ])
-        f
-
-let handle_request ?phases peer (r : Message.request) : Message.t =
+let handle_request peer (r : Message.request) : Message.t =
   peer.requests_handled <- peer.requests_handled + 1;
   peer.calls_handled <- peer.calls_handled + List.length r.Message.calls;
   Metrics.incr m_requests;
@@ -534,7 +516,7 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     match
       match cache_key with
       | Some key ->
-          phase_timed phases "cache" @@ fun () ->
+          Trace.with_span "peer.cache" @@ fun () ->
           Result_cache.find peer.result_cache ~key
             ~doc_version:(Database.doc_version version)
       | None -> None
@@ -543,8 +525,11 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
         Trace.event
           ~detail:(r.Message.module_uri ^ ":" ^ r.Message.method_)
           "result-cache-hit";
-        Profile.record_op "cache.result_hit" ~rows_in:0
-          ~rows_out:(List.length results) 0.;
+        if Trace.recording () then begin
+          Trace.add (Profile.op_attr "calls" "cache.result_hit") 1.;
+          Trace.add (Profile.op_attr "rows_out" "cache.result_hit")
+            (float_of_int (List.length results))
+        end;
         Message.Response
           {
             resp_module = r.Message.module_uri;
@@ -557,7 +542,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     | None ->
     let compiled =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
-      phase_timed phases "compile" @@ fun () ->
       Trace.with_span ~detail:r.Message.module_uri "peer.compile" @@ fun () ->
       compile_module peer ~uri:r.Message.module_uri ~location:r.Message.location
     in
@@ -583,7 +567,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
        answered with one scan + hash join over all calls (the set-oriented
        opportunity of §1); otherwise the body runs once per call *)
     let results =
-      phase_timed phases "exec" @@ fun () ->
       Trace.with_span ~detail:r.Message.method_ "peer.exec" @@ fun () ->
       let joined =
         if f.Xctx.decl.Xrpc_xquery.Ast.fn_updating then None
@@ -603,7 +586,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     (* updating semantics *)
     let pul = List.rev !(ctx.Xctx.pul) in
     (if pul <> [] then
-       phase_timed phases "commit" @@ fun () ->
        Trace.with_span "peer.commit" @@ fun () ->
        match entry with
        | Some e ->
@@ -708,23 +690,12 @@ let with_peer_lock peer f =
       f
   end
 
-(* Serve one parsed message into [out]: from the idempotency cache, or
-   by running it and serializing the reply.  Returns the fault reason
-   when the reply is a SOAP Fault. *)
-let serve ?phases peer msg ~idem_key out =
-  (* exactly-once over at-least-once delivery: a request whose idemKey we
-     already answered is served from the idempotency cache without
-     re-executing (in particular without re-applying R_Fu updates) *)
-  match Option.bind idem_key (Idem_cache.find peer.idem_cache) with
-  | Some cached ->
-      Trace.event "idem-hit";
-      Buffer.add_string out cached;
-      None
-  | None ->
+(* The reply to one parsed message: a SOAP Fault on failure. *)
+let reply_to peer msg =
   let reply =
     try
       match msg with
-      | Ok (Message.Request r) -> handle_request ?phases peer r
+      | Ok (Message.Request r) -> handle_request peer r
       | Ok (Message.Tx_request (op, qid)) -> handle_tx peer op qid
       | Ok _ -> Message.Fault { fault_code = `Sender; reason = "expected a request" }
       | Error e -> raise e
@@ -760,72 +731,104 @@ let serve ?phases peer msg ~idem_key out =
       Trace.event ~detail:f.Message.reason "fault";
       Log.warn (fun m -> m "%s: fault: %s" peer.uri f.Message.reason)
   | _ -> ());
-  (* the phase breakdown rides back on the response element, so the
-     calling site's profile can split remote time into
-     parse/compile/exec/commit without another round trip; the reply is
-     serialized exactly once, directly into the caller's (reused) output
-     buffer — the streaming-serialize half of the event-loop server *)
-  let start = Buffer.length out in
-  Message.to_buffer ?server_profile:(Option.map ( ! ) phases) out reply;
-  (* remember successful replies only: a faulted request had no effects,
-     so a retry may legitimately re-execute it *)
-  match (idem_key, reply) with
-  | _, Message.Fault f -> Some f.Message.reason
-  | Some k, _ ->
-      Idem_cache.add peer.idem_cache k
-        (Buffer.sub out start (Buffer.length out - start));
-      None
-  | None, _ -> None
+  reply
+
+(* serverProfile, folded from the request's span slice: the parse time
+   (an attribute of the peer.handle root), then the root's phase spans in
+   the order they ran.  Only the root's direct children count, so a
+   nested in-process peer's own phases never add to this peer's. *)
+let phase_spans =
+  [ ("peer.cache", "cache"); ("peer.compile", "compile");
+    ("peer.exec", "exec"); ("peer.commit", "commit") ]
+
+let server_phases = function
+  | [] -> []
+  | (root : Trace.span) :: rest ->
+      ("parse", Option.value ~default:0. (Trace.attr root "parse_ms"))
+      :: List.filter_map
+           (fun (s : Trace.span) ->
+             match List.assoc_opt s.Trace.name phase_spans with
+             | Some phase when s.Trace.parent = Some root.Trace.span_id ->
+                 Some (phase, Trace.duration_ms s)
+             | _ -> None)
+           rest
+
+type served = Cached of string | Reply of Message.t
 
 let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
     unit =
   let len = match len with Some l -> l | None -> String.length body - pos in
   let t0 = Unix.gettimeofday () in
   with_peer_lock peer @@ fun () ->
-  let fr_mark = Trace.mark () in
   let tparse0 = Trace.now_ms () in
   let parsed =
     try Ok (Message.of_string_server ~pos ~len body) with e -> Error e
   in
   let parse_ms = Trace.now_ms () -. tparse0 in
   let msg = Result.map (fun (m, _, _) -> m) parsed in
-  (* measure the server-side phase breakdown whenever someone will read
-     it: the caller asked (the profile request attribute), sent a trace
-     context (a traced distributed query), or observability is on in
-     this process.  Plain traffic pays nothing and its wire format is
-     unchanged. *)
-  let want_profile =
-    Profile.enabled () || Trace.enabled ()
-    || (match parsed with
-       | Ok (_, Some _, _) | Ok (_, _, true) -> true
-       | _ -> false)
-  in
-  let phases =
-    if want_profile then Some (ref [ ("parse", parse_ms) ]) else None
-  in
   let idem_key =
     match msg with
     | Ok (Message.Request { idem_key = Some k; _ }) -> Some k
     | _ -> None
   in
-  (* the span adopts the caller's propagated (trace-id, parent-span) when
-     the envelope header carries one, so peer-side work lands in the
-     originating query's tree; the parse itself is recorded as an event *)
-  let span_body f =
+  (* the request's spans are collected whenever someone will read them:
+     the caller asked for the phase breakdown (the profile request
+     attribute), sent a trace context (a traced distributed query), or
+     tracing is on in this process.  The root adopts the caller's
+     propagated (trace-id, parent-span), so peer-side work lands in the
+     originating query's tree.  Plain traffic pays one test and its wire
+     format is unchanged. *)
+  let remote, want_phases =
     match parsed with
-    | Ok (_, Some (trace_id, parent), _) ->
-        Trace.with_remote_parent ~detail:peer.uri ~trace_id ~parent
-          "peer.handle" f
-    | _ -> Trace.with_span ~detail:peer.uri "peer.handle" f
+    | Ok (_, remote, flag) -> (remote, flag || remote <> None || Trace.enabled ())
+    | Error _ -> (None, Trace.enabled ())
   in
+  let serve () =
+    Trace.add "parse_ms" parse_ms;
+    (* exactly-once over at-least-once delivery: a request whose idemKey
+       we already answered is served from the idempotency cache without
+       re-executing (in particular without re-applying R_Fu updates) *)
+    match Option.bind idem_key (Idem_cache.find peer.idem_cache) with
+    | Some cached ->
+        Trace.event "idem-hit";
+        Cached cached
+    | None -> Reply (reply_to peer msg)
+  in
+  let run () = try Ok (serve ()) with e -> Error e in
+  let served, spans =
+    if want_phases then
+      Trace.collect ~label:"peer.handle" ~detail:peer.uri ?remote run
+    else (Trace.with_span ~detail:peer.uri "peer.handle" run, [])
+  in
+  (* the phase breakdown rides back on the response element, so the
+     calling site's profile can split remote time into phases without
+     another round trip; the reply is serialized exactly once, directly
+     into the caller's (reused) output buffer — the streaming-serialize
+     half of the event-loop server.  Successful replies are remembered
+     for retries; a faulted request had no effects, so a retry may
+     legitimately re-execute it. *)
   let outcome =
-    match
-      span_body @@ fun () ->
-      Trace.event ~detail:(Printf.sprintf "%.3fms" parse_ms) "peer-parse";
-      serve ?phases peer msg ~idem_key out
-    with
-    | fault -> Ok fault
-    | exception e -> Error e
+    match served with
+    | Error e -> Error e
+    | Ok (Cached cached) ->
+        Buffer.add_string out cached;
+        Ok None
+    | Ok (Reply reply) -> (
+        let start = Buffer.length out in
+        match
+          Message.to_buffer
+            ?server_profile:(if want_phases then Some (server_phases spans) else None)
+            out reply
+        with
+        | exception e -> Error e
+        | () -> (
+            match (idem_key, reply) with
+            | _, Message.Fault f -> Ok (Some f.Message.reason)
+            | Some k, _ ->
+                Idem_cache.add peer.idem_cache k
+                  (Buffer.sub out start (Buffer.length out - start));
+                Ok None
+            | None, _ -> Ok None))
   in
   (* the request's one exit: one clock read for its duration, one
      completion record for the metrics, SLO and flight-recorder views.
@@ -856,7 +859,10 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
         | Ok fault -> fault
         | Error e -> Some (Printexc.to_string e));
       c_idem_key = idem_key;
-      c_spans = Trace.since fr_mark;
+      (* the ring keeps a slice only when tracing is on: holding every
+         profiled request's spans would promote them all to the major
+         heap *)
+      c_spans = (if Trace.enabled () then spans else []);
     };
   match outcome with Ok _ -> () | Error e -> raise e
 
@@ -898,7 +904,9 @@ type query_result = {
       request, local updates when the query finishes. *)
 (* Flight-recorder label for a client-side query: first line, bounded. *)
 let query_label source =
-  let one_line = String.map (fun c -> if c = '\n' then ' ' else c) source in
+  let one_line =
+    String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) source
+  in
   let trimmed = String.trim one_line in
   if String.length trimmed <= 120 then trimmed
   else String.sub trimmed 0 117 ^ "..."
@@ -933,18 +941,7 @@ let compiled_plan peer (source : string) : Plan_cache.compiled =
   in
   compiled
 
-let query peer (source : string) : query_result =
-  Metrics.incr m_queries;
-  let fr_mark = Trace.mark () in
-  let t0 = Unix.gettimeofday () in
-  let record_flight error =
-    ignore
-      (Flight_recorder.record ?error ~label:(query_label source)
-         ~duration_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-         ~spans:(Trace.since fr_mark) ())
-  in
-  match
-    Trace.with_span ~detail:peer.uri "query" @@ fun () ->
+let run_query peer (source : string) : query_result =
   let compiled, plan_hit =
     Trace.with_span "client.compile" @@ fun () ->
     Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
@@ -952,7 +949,8 @@ let query peer (source : string) : query_result =
   in
   if plan_hit then begin
     Trace.event ~detail:(query_label source) "plan-cache-hit";
-    Profile.record_op "cache.plan_hit" ~rows_in:0 ~rows_out:0 0.
+    if Trace.recording () then
+      Trace.add (Profile.op_attr "calls" "cache.plan_hit") 1.
   end
   else Trace.event "plan-cache-miss";
   let prog = compiled.Plan_cache.prog in
@@ -1026,13 +1024,25 @@ let query peer (source : string) : query_result =
         (true, None)
   in
   { value; participants; committed; tx }
-  with
-  | r ->
-      record_flight None;
-      r
-  | exception e ->
-      record_flight (Some (Printexc.to_string e));
-      raise e
+
+(* With tracing on, the query runs inside its own collection, so its
+   flight-recorder entry holds exactly its own span subtree. *)
+let query peer (source : string) : query_result =
+  Metrics.incr m_queries;
+  let t0 = Unix.gettimeofday () in
+  let run () = try Ok (run_query peer source) with e -> Error e in
+  let outcome, spans =
+    if Trace.enabled () then Trace.collect ~label:"query" ~detail:peer.uri run
+    else (Trace.with_span ~detail:peer.uri "query" run, [])
+  in
+  ignore
+    (Flight_recorder.record
+       ?error:(Result.fold ~ok:(fun _ -> None)
+                 ~error:(fun e -> Some (Printexc.to_string e)) outcome)
+       ~label:(query_label source)
+       ~duration_ms:((Unix.gettimeofday () -. t0) *. 1000.)
+       ~spans ());
+  match outcome with Ok r -> r | Error e -> raise e
 
 (** Convenience: result sequence only; raises on failed distributed commit. *)
 let query_seq peer source =

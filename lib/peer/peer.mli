@@ -136,6 +136,10 @@ val compiled_plan : t -> string -> Plan_cache.compiled
     Introspection surfaces ([:explain]) must use this instead of
     re-parsing. *)
 
+val query_label : string -> string
+(** A query's one-line label, at most 120 bytes: flight-recorder entries
+    and profiles name client-side queries by it. *)
+
 val query : t -> string -> query_result
 (** [query peer source] parses and runs a main-module query at this peer.
 

@@ -118,13 +118,13 @@ let trace_header = function
 (* Profiled responses carry the serving peer's per-phase wall costs back
    as one [serverProfile="name=ms;..."] attribute on xrpc:response
    (protocol/XRPC.xsd), so a client profile of a distributed query can
-   break down remote time into parse/compile/exec/commit without a second
-   round trip.  An attribute rather than a header element because XML
+   break down remote time into parse/cache/compile/exec/commit without a
+   second round trip.  An attribute rather than a header element because XML
    serialization and parsing cost per *node*, and this rides every
    profiled response — measured, a Header/serverProfile element pair cost
    ~5 µs per response against ~0.5 µs for the attribute. *)
 (* %.3f by hand: Printf's interpreted float formatting costs ~0.5 µs per
-   call, and there are four phases on every profiled response *)
+   call, and there are up to five phases on every profiled response *)
 let fixed3 ms =
   let thousandths = int_of_float ((ms *. 1000.) +. 0.5) in
   let whole = thousandths / 1000 and frac = thousandths mod 1000 in
@@ -287,11 +287,11 @@ let to_string ?trace ?server_profile m =
   let trace =
     match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
   in
-  (* a request serialized while client-side profiling is on asks the
-     serving peer for its phase breakdown (the profile attribute) —
-     this is what lets call_profiled see a remote process's costs *)
+  (* a request serialized inside a Trace collection asks the serving
+     peer for its phase breakdown (the profile attribute) — this is what
+     lets call_profiled see a remote process's costs *)
   let profile_flag =
-    match m with Request _ -> Xrpc_obs.Profile.enabled () | _ -> false
+    match m with Request _ -> Xrpc_obs.Trace.collecting () | _ -> false
   in
   Serialize.document_to_string
     (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
@@ -306,7 +306,7 @@ let to_buffer ?trace ?server_profile buf m =
     match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
   in
   let profile_flag =
-    match m with Request _ -> Xrpc_obs.Profile.enabled () | _ -> false
+    match m with Request _ -> Xrpc_obs.Trace.collecting () | _ -> false
   in
   Serialize.document_to_buffer buf
     (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
@@ -508,26 +508,35 @@ let decode_tree tree =
 let of_tree tree =
   try decode_tree tree with Marshal.Marshal_error m -> err "%s" m
 
+(* The attributes and children of the first element [local] among
+   [children]. *)
+let child local children =
+  List.find_map
+    (function
+      | Tree.Element { name; attrs; children = kids }
+        when name.Qname.local = local ->
+          Some (attrs, kids)
+      | _ -> None)
+    children
+
+(* The attributes of the envelope's first [section]/[elem] element. *)
+let envelope_attrs tree section elem =
+  match tree with
+  | Tree.Document envelope ->
+      Option.bind (child "Envelope" envelope) (fun (_, sections) ->
+          Option.bind (child section sections) (fun (_, elems) ->
+              Option.map fst (child elem elems)))
+  | _ -> None
+
 (* The propagated (trace-id, parent-span) pair, if the envelope carries an
    xrpc:trace header. *)
-let trace_of_tree = function
-  | Tree.Document [ Tree.Element { name; children; _ } ]
-    when name.Qname.local = "Envelope" ->
-      List.find_map
-        (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Header" ->
-              List.find_map
-                (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "trace" -> (
-                      match (find_attr attrs "traceId", find_attr attrs "parentSpan") with
-                      | Some t, Some p -> Some (t, p)
-                      | _ -> None)
-                  | _ -> None)
-                (elem_children children)
-          | _ -> None)
-        (elem_children children)
-  | _ -> None
+let trace_of_tree tree =
+  match envelope_attrs tree "Header" "trace" with
+  | Some attrs -> (
+      match (find_attr attrs "traceId", find_attr attrs "parentSpan") with
+      | Some t, Some p -> Some (t, p)
+      | _ -> None)
+  | None -> None
 
 (* The serving peer's phase costs, if the response element carries a
    serverProfile attribute. *)
@@ -543,41 +552,15 @@ let parse_phase_list text =
       | None -> None)
     (String.split_on_char ';' text)
 
-let server_profile_of_tree = function
-  | Tree.Document [ Tree.Element { name; children; _ } ]
-    when name.Qname.local = "Envelope" ->
-      List.find_map
-        (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Body" ->
-              List.find_map
-                (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "response" ->
-                      Option.map parse_phase_list
-                        (find_attr attrs "serverProfile")
-                  | _ -> None)
-                (elem_children children)
-          | _ -> None)
-        (elem_children children)
-  | _ -> None
+let server_profile_of_tree tree =
+  Option.bind (envelope_attrs tree "Body" "response") (fun attrs ->
+      Option.map parse_phase_list (find_attr attrs "serverProfile"))
 
 (* Did the caller stamp profile="true" on the request element? *)
-let profile_requested_of_tree = function
-  | Tree.Document [ Tree.Element { name; children; _ } ]
-    when name.Qname.local = "Envelope" ->
-      List.exists
-        (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Body" ->
-              List.exists
-                (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "request" ->
-                      find_attr attrs "profile" = Some "true"
-                  | _ -> false)
-                (elem_children children)
-          | _ -> false)
-        (elem_children children)
-  | _ -> false
+let profile_requested_of_tree tree =
+  Option.bind (envelope_attrs tree "Body" "request") (fun attrs ->
+      find_attr attrs "profile")
+  = Some "true"
 
 (** Parse an on-the-wire message. *)
 let of_string s = of_tree (Xml_parse.document s)
@@ -587,6 +570,19 @@ let of_string s = of_tree (Xml_parse.document s)
 let of_string_profiled s =
   let tree = Xml_parse.document s in
   (of_tree tree, server_profile_of_tree tree)
+
+(** Parse [dest]'s reply.  Inside a Trace collection the serving peer's
+    serverProfile phases are summed into the current span, one
+    {!Xrpc_obs.Profile.remote_attr} attribute per phase. *)
+let of_reply ~dest s =
+  if not (Xrpc_obs.Trace.collecting ()) then of_string s
+  else
+    let m, phases = of_string_profiled s in
+    List.iter
+      (fun (phase, ms) ->
+        Xrpc_obs.Trace.add (Xrpc_obs.Profile.remote_attr phase dest) ms)
+      (Option.value ~default:[] phases);
+    m
 
 (** Server-side parse: the message, its propagated trace context, and
     whether the caller asked for the phase breakdown (xrpc:profile).

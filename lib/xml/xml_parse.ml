@@ -29,7 +29,13 @@ type state = {
   scratch : Buffer.t;  (** text with entities or CDATA, one run at a time *)
   mutable names : name list array;  (** hash buckets, power-of-two size *)
   mutable n_names : int;
+  mutable depth : int;  (** open elements *)
 }
+
+(* Elements nest at most this deep.  The suites' deepest document or
+   envelope nests 11 elements; without a bound, a hostile body of nested
+   start tags recurses once per tag. *)
+let max_depth = 2048
 
 let error st fmt =
   Printf.ksprintf
@@ -51,6 +57,7 @@ let make_state ~preserve_space src ~pos ~lim =
     scratch = Buffer.create 64;
     names = Array.make 64 [];
     n_names = 0;
+    depth = 0;
   }
 
 (* [src.[i+k .. i+n)] spells [s.[k .. n)] *)
@@ -416,15 +423,35 @@ let rec read_attrs st acc =
     read_attrs st ((n, v) :: acc)
 
 (* the namespace declarations among [raw], in document order *)
-let rec ns_decls st acc = function
+let rec ns_decls acc = function
   | [] -> acc
   | (n, v) :: rest -> (
       match n.declares with
-      | None -> ns_decls st acc rest
-      | Some p ->
-          if List.mem_assoc p acc then
-            error st "duplicate namespace declaration %S" n.lex;
-          ns_decls st ((p, v) :: acc) rest)
+      | None -> ns_decls acc rest
+      | Some p -> ns_decls ((p, v) :: acc) rest)
+
+(* [dup] the first of [l] to repeat a key: pairwise ([same]) for the
+   usual handful, hashed ([key]) beyond that.  The callbacks close over
+   nothing, so the check allocates only past the handful. *)
+let check_unique st ~same ~key ~dup l =
+  match l with
+  | [] | [ _ ] -> ()
+  | _ when List.compare_length_with l 16 <= 0 ->
+      let rec pairwise = function
+        | [] -> ()
+        | x :: rest ->
+            if List.exists (same x) rest then dup st x;
+            pairwise rest
+      in
+      pairwise l
+  | _ ->
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun x ->
+          let k = key x in
+          if Hashtbl.mem seen k then dup st x;
+          Hashtbl.add seen k ())
+        l
 
 (* the other attributes, resolved, in document order *)
 let rec resolve_attrs st acc = function
@@ -436,29 +463,6 @@ let rec resolve_attrs st acc = function
           let uri = if n.prefix = "" then "" else lookup_ns st n.prefix in
           resolve_attrs st ({ Tree.name = qname_of n uri; value = v } :: acc) rest
 
-let rec has_name q = function
-  | [] -> false
-  | (a : Tree.attr) :: rest -> Qname.equal q a.name || has_name q rest
-
-let duplicate st (a : Tree.attr) =
-  error st "duplicate attribute %s" (Qname.expanded a.name)
-
-(* XML 1.0 WFC "Unique Att Spec", on expanded names: pairwise for the
-   usual handful, hashed beyond that *)
-let rec check_unique st (attrs : Tree.attr list) =
-  match attrs with
-  | [] | [ _ ] -> ()
-  | a :: rest when List.compare_length_with attrs 16 <= 0 ->
-      if has_name a.name rest then duplicate st a;
-      check_unique st rest
-  | _ ->
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun (a : Tree.attr) ->
-          let k = (a.name.Qname.uri, a.name.Qname.local) in
-          if Hashtbl.mem seen k then duplicate st a;
-          Hashtbl.add seen k ())
-        attrs
 
 (* the end tag must spell the start tag's name, [src.[start .. start+len)] *)
 let rec same_bytes src a b k len =
@@ -481,17 +485,31 @@ let read_end_tag st start len =
   expect st ">"
 
 let rec read_element st =
+  if st.depth >= max_depth then
+    error st "elements nested deeper than %d" max_depth;
+  st.depth <- st.depth + 1;
   expect st "<";
   let tag = st.pos in
   let n = read_name st in
   let tag_len = st.pos - tag in
   let raw = read_attrs st [] in
-  let decls = ns_decls st [] raw in
+  let decls = ns_decls [] raw in
+  check_unique st decls
+    ~same:(fun (p, _) (q, _) -> String.equal p q)
+    ~key:fst
+    ~dup:(fun st (p, _) ->
+      error st "duplicate namespace declaration %S"
+        (if p = "" then "xmlns" else "xmlns:" ^ p));
   let scoped = match decls with [] -> false | _ -> true in
   if scoped then st.ns_stack <- decls :: st.ns_stack;
   let name = qname_of n (lookup_ns st n.prefix) in
   let attrs = resolve_attrs st [] raw in
-  check_unique st attrs;
+  (* XML 1.0 WFC "Unique Att Spec", on expanded names *)
+  check_unique st attrs
+    ~same:(fun (a : Tree.attr) (b : Tree.attr) -> Qname.equal a.name b.name)
+    ~key:(fun (a : Tree.attr) -> (a.name.Qname.uri, a.name.Qname.local))
+    ~dup:(fun st (a : Tree.attr) ->
+      error st "duplicate attribute %s" (Qname.expanded a.name));
   let node =
     if at st st.pos "/>" then (
       st.pos <- st.pos + 2;
@@ -503,6 +521,7 @@ let rec read_element st =
       Tree.Element { name; attrs; children })
   in
   if scoped then st.ns_stack <- List.tl st.ns_stack;
+  st.depth <- st.depth - 1;
   node
 
 and read_content st = content st []

@@ -11,9 +11,12 @@
     duplicate attribute (by expanded name) or namespace declaration,
     anything but whitespace, comments and PIs after the root element, and
     a character reference that is not [&#N;] / [&#xH;] naming an XML
-    [Char]. *)
+    [Char], and elements nested deeper than {!max_depth}. *)
 
 exception Parse_error of string
+
+val max_depth : int
+(** The deepest element nesting accepted (2048). *)
 
 val document : ?preserve_space:bool -> string -> Tree.t
 (** [document s] parses a complete XML document into a [Tree.Document].

@@ -721,26 +721,20 @@ and convert_argument ~fname (q : Qname.t) (ty : Ast.seq_type option)
 
 and apply_function ctx (f : Context.func) (arg_values : Xdm.sequence list) =
   Metrics.incr m_applications;
-  if not (Trace.enabled () || Profile.enabled ()) then
-    apply_function_inner ctx f arg_values
+  if not (Trace.recording ()) then apply_function_inner ctx f arg_values
   else begin
-    (* span/node only the outermost application (the unit the XRPC handler
+    (* span only the outermost application (the unit the XRPC handler
        bills per call); inner recursion is aggregated into the histogram *)
     let t0 = Trace.now_ms () in
     let run () =
       let r = apply_function_inner ctx f arg_values in
-      if Trace.enabled () then Metrics.observe m_apply_ms (Trace.now_ms () -. t0);
+      Metrics.observe m_apply_ms (Trace.now_ms () -. t0);
       r
     in
-    if ctx.Context.call_depth = 0 then begin
-      let name = Qname.to_string f.Context.decl.Ast.fn_name in
-      let traced () =
-        if Trace.enabled () then Trace.with_span ~detail:name "eval.apply" run
-        else run ()
-      in
-      if Profile.enabled () then Profile.with_node ~detail:name "apply" traced
-      else traced ()
-    end
+    if ctx.Context.call_depth = 0 then
+      Trace.with_span
+        ~detail:(Qname.to_string f.Context.decl.Ast.fn_name)
+        "eval.apply" run
     else run ()
   end
 
@@ -850,7 +844,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
             calls = [ p0 ];
           }
         in
-        if Profile.enabled () then Profile.note_calls ~dest:d0 1;
+        if Trace.recording () then Trace.add (Profile.dest_attr "calls" d0) 1.;
         let result =
           match dispatcher.Context.call ~dest:d0 req with
           | Message.Response { results = [ r ]; _ } -> r
@@ -899,26 +893,29 @@ and bulk_execute base_ctx tuples dest_e fname args =
     | reqs -> dispatcher.Context.call_parallel reqs
   in
   let responses =
-    if Profile.enabled () then begin
+    if not (Trace.recording ()) then dispatch ()
+    else begin
       List.iter
         (fun (dest, req) ->
-          Profile.note_calls ~dest (List.length req.Message.calls))
+          Trace.add (Profile.dest_attr "calls" dest)
+            (float_of_int (List.length req.Message.calls)))
         requests;
-      (match !rpc_estimate_hook with
-      | Some est -> (
-          match
-            est ~fn:fname.Qname.local ~ncalls:(List.length calls)
-              ~ndests:(List.length requests)
-          with
-          | Some s -> Profile.note_annotation s
-          | None -> ())
-      | None -> ());
-      Profile.with_node
-        ~detail:(Printf.sprintf "%s -> %d dest(s)" fname.Qname.local
-                   (List.length requests))
+      (* the optimizer's estimate is for a profile's reader only *)
+      (if Trace.collecting () then
+         match !rpc_estimate_hook with
+         | Some est -> (
+             match
+               est ~fn:fname.Qname.local ~ncalls:(List.length calls)
+                 ~ndests:(List.length requests)
+             with
+             | Some s -> Trace.event ~detail:s Profile.annotation_event
+             | None -> ())
+         | None -> ());
+      Trace.with_span
+        ~detail:(fname.Qname.local ^ " -> "
+                 ^ string_of_int (List.length requests) ^ " dest(s)")
         "bulkrpc" dispatch
     end
-    else dispatch ()
   in
   (* map back: walk tuples in order, pulling the next result for their
      destination (the mapp tables of Figure 1) *)

@@ -177,8 +177,9 @@ let test_trace_remote_parent_and_propagation () =
     match !ctx with Some c -> c | None -> Alcotest.fail "no context"
   in
   (* "the server side": adopt the propagated context *)
-  Trace.with_remote_parent ~trace_id ~parent "server" (fun () ->
-      Trace.with_span "work" (fun () -> ()));
+  ignore
+    (Trace.collect ~label:"server" ~remote:(trace_id, parent) (fun () ->
+         Trace.with_span "work" (fun () -> ())));
   let server = find_span "server" and work = find_span "work" in
   check string_ "server joins the client's trace" trace_id server.Trace.trace_id;
   check bool_ "server under the client span" true
@@ -201,6 +202,71 @@ let test_trace_capacity_bounded () =
       done;
       check int_ "buffer capped" 10 (List.length (Trace.spans ()));
       check int_ "overflow counted" 15 (Trace.dropped_count ()))
+
+let test_collect_slice () =
+  with_tracer @@ fun () ->
+  ignore (fake_clock ());
+  check bool_ "nothing records by default" false (Trace.recording ());
+  (* tracing off: a collection still sees its own subtree, and only it *)
+  let pool_span = ref None in
+  let inner = ref [] in
+  let r, outer =
+    Trace.collect ~label:"outer" (fun () ->
+        Trace.with_span "a" (fun () ->
+            Trace.add "n" 2.;
+            Trace.add "n" 3.;
+            let _, spans =
+              Trace.collect ~label:"inner" (fun () ->
+                  Trace.with_span "b" (fun () -> ()))
+            in
+            inner := spans;
+            (* work shipped to another thread under the ambient span *)
+            let parent = Option.get (Trace.current ()) in
+            Thread.join
+              (Thread.create
+                 (fun () ->
+                   Trace.with_ambient parent (fun () ->
+                       Trace.with_span "pool" (fun () ->
+                           pool_span := Trace.current ())))
+                 ()));
+        7)
+  in
+  check int_ "result returned" 7 r;
+  check bool_ "gate closed again" false (Trace.recording ());
+  check int_ "process buffer untouched" 0 (List.length (Trace.spans ()));
+  let names l = List.map (fun s -> s.Trace.name) l in
+  check (Alcotest.list string_) "outer slice, root first"
+    [ "outer"; "a"; "inner"; "b"; "pool" ] (names outer);
+  check (Alcotest.list string_) "inner slice" [ "inner"; "b" ] (names !inner);
+  let a = List.nth outer 1 in
+  check (Alcotest.option (Alcotest.float 1e-9)) "attributes sum" (Some 5.)
+    (Trace.attr a "n");
+  check bool_ "pool span adopted the ambient parent" true
+    (match !pool_span with
+    | Some s -> s.Trace.parent = Some a.Trace.span_id
+    | None -> false);
+  (* tracing on: the process buffer records the same spans *)
+  Trace.set_enabled true;
+  let (), spans = Trace.collect (fun () -> Trace.with_span "c" (fun () -> ())) in
+  check (Alcotest.list string_) "traced slice" [ "collect"; "c" ] (names spans);
+  check (Alcotest.list string_) "and the process buffer" [ "collect"; "c" ]
+    (span_names ())
+
+let test_collect_bounded () =
+  with_tracer @@ fun () ->
+  Trace.set_capacity 3;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_capacity 50_000)
+    (fun () ->
+      let (), spans =
+        Trace.collect (fun () ->
+            for _ = 1 to 5 do
+              Trace.with_span "s" (fun () -> Trace.add "x" 1.)
+            done)
+      in
+      check int_ "root plus capacity" 4 (List.length spans);
+      check (Alcotest.option (Alcotest.float 1e-9)) "drops counted on the root"
+        (Some 2.) (Trace.attr (List.hd spans) Trace.dropped_attr))
 
 (* ------------------------------------------------------------------ *)
 (* SOAP envelope propagation                                           *)
@@ -458,6 +524,10 @@ let () =
           Alcotest.test_case "remote parent stitching" `Quick
             test_trace_remote_parent_and_propagation;
           Alcotest.test_case "bounded buffer" `Quick test_trace_capacity_bounded;
+          Alcotest.test_case "collect: one subtree, any thread" `Quick
+            test_collect_slice;
+          Alcotest.test_case "collect: bounded, drops counted" `Quick
+            test_collect_bounded;
         ] );
       ( "propagation",
         [

@@ -149,6 +149,22 @@ let test_bad_integer_attr_fault () =
   expect_sender_fault peer "arity=x"
     (replace ~sub:{|arity="1"|} ~by:{|arity="x"|} body)
 
+(* a million nested elements inside a parameter is a malformed message,
+   refused at the parser's depth bound without holding the peer for the
+   recursion it would take to read it *)
+let test_deep_nesting_fault () =
+  let peer, _ = make_peer () in
+  let body =
+    Message.to_string
+      (Message.Request (film_request ~actors:[ "ACTOR" ] ()))
+  in
+  let deep = String.concat "" (List.init 1_000_000 (fun _ -> "<a>")) in
+  let t0 = Unix.gettimeofday () in
+  expect_sender_fault peer "1M nested elements"
+    (replace ~sub:"ACTOR" ~by:deep body);
+  let secs = Unix.gettimeofday () -. t0 in
+  if secs > 1.0 then Alcotest.failf "rejection took %.2f s" secs
+
 (* Each served request is recorded once: [peer.handle_ms] counts it
    exactly once, and its flight-recorder entry carries the very duration
    the histogram summed — for a normal reply, a Sender fault and an
@@ -552,6 +568,8 @@ let () =
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;
           Alcotest.test_case "non-integer timeout or arity" `Quick
             test_bad_integer_attr_fault;
+          Alcotest.test_case "nesting past the depth bound" `Quick
+            test_deep_nesting_fault;
           Alcotest.test_case "one completion record per request" `Quick
             test_one_completion_record;
         ] );

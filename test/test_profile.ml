@@ -1,5 +1,6 @@
-(* Profiling suite: the Profile plan-node collector and its operator /
-   destination accounting, the always-on flight recorder (ring eviction,
+(* Profiling suite: the Profile fold over a Trace collection and its
+   operator / destination accounting, per-request span slices under
+   concurrency, the always-on flight recorder (ring eviction,
    pinned slow queries, concurrent writers), the Chrome trace-event and
    span-tree exporters, the metrics satellites (histogram clamping,
    labeled series), and the end-to-end acceptance of the PR — profiling a
@@ -47,7 +48,7 @@ let with_clean f =
       Trace.set_enabled false;
       Trace.use_wall_clock ();
       Trace.reset ();
-      Profile.set_capacity 10_000;
+      Trace.set_capacity 50_000;
       Flight_recorder.configure ~capacity:128 ~slow:250. ~pinned:16 ();
       Flight_recorder.reset ())
     f
@@ -405,23 +406,30 @@ let test_flight_concurrent_writers () =
 (* Profile collection                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* one kernel call's stats, as Ops.timed sums them into the open span *)
+let record_op op ~rows_in ~rows_out ms =
+  Trace.add (Profile.op_attr "calls" op) 1.;
+  Trace.add (Profile.op_attr "rows_in" op) (float_of_int rows_in);
+  Trace.add (Profile.op_attr "rows_out" op) (float_of_int rows_out);
+  Trace.add (Profile.op_attr "ms" op) ms
+
 let test_profile_nodes_and_ops () =
   with_clean @@ fun () ->
   let t = fake_clock () in
-  check bool_ "profiling off by default" false (Profile.enabled ());
+  check bool_ "profiling off by default" false (Trace.recording ());
   let r, p =
     Profile.profiled ~label:"unit" (fun () ->
-        Profile.with_node "a" (fun () ->
+        Trace.with_span "a" (fun () ->
             t := 2.;
-            Profile.with_node ~detail:"d" "b" (fun () ->
+            Trace.with_span ~detail:"d" "b" (fun () ->
                 t := 5.;
-                Profile.set_rows 7;
-                Profile.record_op "select" ~rows_in:10 ~rows_out:7 1.5;
-                Profile.record_op "select" ~rows_in:4 ~rows_out:2 0.5));
+                Trace.add Profile.rows_attr 7.;
+                record_op "select" ~rows_in:10 ~rows_out:7 1.5;
+                record_op "select" ~rows_in:4 ~rows_out:2 0.5));
         42)
   in
   check int_ "thunk result returned" 42 r;
-  check bool_ "profiling restored off" false (Profile.enabled ());
+  check bool_ "profiling restored off" false (Trace.recording ());
   check (Alcotest.float 1e-9) "total on the injected clock" 5.
     (Profile.total_ms p);
   check int_ "two plan nodes" 2 (Profile.node_count p);
@@ -450,11 +458,11 @@ let test_profile_nodes_and_ops () =
 let test_profile_node_capacity () =
   with_clean @@ fun () ->
   ignore (fake_clock ());
-  Profile.set_capacity 3;
+  Trace.set_capacity 3;
   let (), p =
     Profile.profiled (fun () ->
         for _ = 1 to 5 do
-          Profile.with_node "n" (fun () -> ())
+          Trace.with_span "n" (fun () -> ())
         done)
   in
   check int_ "nodes capped" 3 (Profile.node_count p);
@@ -463,11 +471,11 @@ let test_profile_node_capacity () =
 let test_profile_off_records_nothing () =
   with_clean @@ fun () ->
   (* outside [profiled] every hook is a single flag test and a return *)
-  check int_ "with_node passes through" 9
-    (Profile.with_node "x" (fun () -> 9));
-  Profile.record_op "select" ~rows_in:1 ~rows_out:1 1.;
-  Profile.note_send ~dest:"xrpc://y" ~bytes:10;
-  Profile.set_rows 5;
+  check int_ "with_span passes through" 9
+    (Trace.with_span "x" (fun () -> 9));
+  record_op "select" ~rows_in:1 ~rows_out:1 1.;
+  Trace.add (Profile.dest_attr "msgs" "xrpc://y") 1.;
+  Trace.add Profile.rows_attr 5.;
   (* a later profile must not see any of it *)
   let (), p = Profile.profiled (fun () -> ()) in
   check int_ "no leaked nodes" 0 (Profile.node_count p);
@@ -485,7 +493,7 @@ let test_profile_captures_kernel_ops () =
   let t = iii [ (1, 1, "a"); (2, 1, "a"); (1, 1, "a") ] in
   let (), p =
     Profile.profiled (fun () ->
-        Profile.with_node "plan" (fun () ->
+        Trace.with_span "plan" (fun () ->
             ignore (Ops.distinct t);
             ignore (Ops.select_eq t "item" (Table.Item (Xdm.str "a")))))
   in
@@ -664,6 +672,26 @@ let test_call_profiled () =
         (List.mem_assoc "exec" d.Profile.d_remote)
   | ds -> Alcotest.failf "expected one destination, got %d" (List.length ds)
 
+(* serverProfile is folded from the serving peer's span slice: the parse
+   attribute first, then its cache/compile/exec spans in the order they
+   ran; a warm repeat answers from the result cache and runs no exec *)
+let test_server_phases_from_spans () =
+  with_clean @@ fun () ->
+  let cluster = test_cluster () in
+  let phases () =
+    let _, p =
+      Client.call_profiled (Cluster.client cluster) ~dest:"xrpc://y"
+        ~module_uri:Testmod.module_ns ~location:Testmod.module_at ~fn:"ping"
+        [ [ Xdm.int 3 ] ]
+    in
+    match Profile.dests p with
+    | [ (_, d) ] -> List.map fst d.Profile.d_remote
+    | _ -> Alcotest.fail "expected one destination"
+  in
+  check (Alcotest.list string_) "cold call"
+    [ "parse"; "cache"; "compile"; "exec" ] (phases ());
+  check (Alcotest.list string_) "warm repeat" [ "parse"; "cache" ] (phases ())
+
 let test_flight_records_distributed_query () =
   with_clean @@ fun () ->
   Flight_recorder.reset ();
@@ -691,8 +719,8 @@ let test_flight_records_distributed_query () =
         (List.mem_assoc "peer.handle"
            (List.map
               (fun (n, c, ms) -> (n, (c, ms)))
-              e.Flight_recorder.phases));
-      assert_has "signature captured" "query" e.Flight_recorder.signature;
+              (Flight_recorder.phases e)));
+      assert_has "signature captured" "query" (Flight_recorder.signature e);
       (* the captured slice exports as a valid Chrome trace *)
       assert_json "per-request chrome trace"
         (Export.chrome_trace e.Flight_recorder.spans)
@@ -702,12 +730,70 @@ let test_flight_records_distributed_query () =
       check bool_ "server-side phases recorded" true
         (List.exists
            (fun (n, _, _) -> n = "peer.exec" || n = "eval.apply")
-           e.Flight_recorder.phases)
+           (Flight_recorder.phases e))
   | None ->
       Alcotest.failf "remote handling not recorded (labels: %s)"
         (String.concat " | "
            (List.map (fun e -> e.Flight_recorder.label) rs)));
   assert_has "text export renders" "flight recorder:" (Flight_recorder.to_text ())
+
+(* Two traced queries that overlap in time, on two threads: each flight
+   entry must hold its own query's span subtree and nothing else — one
+   trace id, one [query] span, and phases that sum only its own spans. *)
+let test_concurrent_query_slices () =
+  with_clean @@ fun () ->
+  Flight_recorder.configure ~capacity:32 ~slow:1e9 ~pinned:4 ();
+  Flight_recorder.reset ();
+  Trace.set_enabled true;
+  let spin tag =
+    Printf.sprintf
+      {|declare function local:spin($n) {
+  count(for $i in 1 to $n where $i mod 7 = 0 return $i) };
+(: %s :) local:spin(200000)|}
+      tag
+  in
+  let go = Atomic.make 0 in
+  let run tag () =
+    let peer = Peer.create ("xrpc://" ^ tag) in
+    Atomic.incr go;
+    while Atomic.get go < 2 do Thread.yield () done;
+    ignore (Peer.query_seq peer (spin tag))
+  in
+  List.iter Thread.join [ Thread.create (run "a") (); Thread.create (run "b") () ];
+  Trace.set_enabled false;
+  let entries = Flight_recorder.recent () in
+  check int_ "one entry per query" 2 (List.length entries);
+  let query_span (e : Flight_recorder.entry) =
+    match List.filter (fun s -> s.Trace.name = "query") e.spans with
+    | [ q ] -> q
+    | qs -> Alcotest.failf "%d query spans in one entry" (List.length qs)
+  in
+  (match List.map query_span entries with
+  | [ q1; q2 ] ->
+      check bool_ "the two queries overlapped" true
+        (q1.Trace.start_ms < q2.Trace.end_ms
+        && q2.Trace.start_ms < q1.Trace.end_ms)
+  | _ -> assert false);
+  List.iter
+    (fun (e : Flight_recorder.entry) ->
+      let q = query_span e in
+      List.iter
+        (fun s ->
+          check string_ "one trace id per entry" q.Trace.trace_id s.Trace.trace_id)
+        e.spans;
+      List.iter
+        (fun (name, n, _) ->
+          let own =
+            List.length (List.filter (fun s -> s.Trace.name = name) e.spans)
+          in
+          check int_ ("phase " ^ name ^ " counts only its own spans") own n)
+        (Flight_recorder.phases e);
+      match List.find_opt (fun (n, _, _) -> n = "query") (Flight_recorder.phases e) with
+      | Some (_, 1, ms) ->
+          check (Alcotest.float 1e-9) "query phase is its own span"
+            (Trace.duration_ms q) ms
+      | _ -> Alcotest.fail "expected exactly one query phase")
+    entries
 
 let () =
   Alcotest.run "profile"
@@ -761,7 +847,11 @@ let () =
           Alcotest.test_case "profiled two-peer query" `Quick
             test_distributed_profile;
           Alcotest.test_case "call_profiled" `Quick test_call_profiled;
+          Alcotest.test_case "serverProfile phases from spans" `Quick
+            test_server_phases_from_spans;
           Alcotest.test_case "flight recorder sees the query" `Quick
             test_flight_records_distributed_query;
+          Alcotest.test_case "overlapping queries keep their own slices"
+            `Quick test_concurrent_query_slices;
         ] );
     ]

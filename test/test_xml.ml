@@ -201,6 +201,57 @@ let test_parse_well_formed () =
   fails "<ab></a>";
   fails "<a></ab>"
 
+let time_s f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let parse_error s =
+  match Xml_parse.document s with
+  | exception Xml_parse.Parse_error m -> Some m
+  | _ -> None
+
+let nested n = String.concat "" (List.init n (fun _ -> "<a>"))
+  ^ String.concat "" (List.init n (fun _ -> "</a>"))
+
+(* a body of a million nested start tags is refused at the depth bound,
+   long before the recursion it would take to read it *)
+let test_parse_depth_bound () =
+  (match parse (nested Xml_parse.max_depth) with
+  | Tree.Document [ Tree.Element _ ] -> ()
+  | _ -> Alcotest.fail "shape at the bound");
+  check bool_ "one level past the bound" true
+    (parse_error (nested (Xml_parse.max_depth + 1)) <> None);
+  let deep = String.concat "" (List.init 1_000_000 (fun _ -> "<a>")) in
+  let err, secs = time_s (fun () -> parse_error deep) in
+  (match err with
+  | Some m ->
+      if not (String.starts_with ~prefix:"elements nested deeper" m) then
+        Alcotest.failf "unexpected error %S" m
+  | None -> Alcotest.fail "a million levels accepted");
+  if secs > 0.5 then Alcotest.failf "rejection took %.2f s" secs
+
+(* duplicate namespace prefixes are found in linear time: 40,000
+   declarations on one start tag *)
+let test_parse_many_ns_decls () =
+  let decls n = List.init n (fun i -> Printf.sprintf "xmlns:p%d='urn:%d'" i i) in
+  let tag ds = "<a " ^ String.concat " " ds ^ "/>" in
+  let r, secs = time_s (fun () -> parse (tag (decls 40_000))) in
+  (match r with
+  | Tree.Document [ Tree.Element _ ] -> ()
+  | _ -> Alcotest.fail "shape");
+  if secs > 1.0 then Alcotest.failf "40,000 declarations took %.2f s" secs;
+  check bool_ "duplicate prefix among many" true
+    (parse_error (tag (decls 40_000 @ [ "xmlns:p17='urn:x'" ])) <> None);
+  check bool_ "duplicate prefix among few" true
+    (parse_error (tag [ "xmlns:p='urn:1'"; "xmlns:q='urn:2'"; "xmlns:p='urn:3'" ])
+    <> None);
+  match parse_error (tag (decls 20 @ [ "xmlns='urn:d'"; "xmlns='urn:e'" ])) with
+  | Some m ->
+      if not (String.starts_with ~prefix:{|duplicate namespace declaration "xmlns"|} m)
+      then Alcotest.failf "unexpected error %S" m
+  | None -> Alcotest.fail "duplicate default namespace accepted"
+
 let test_parse_name_rebinding () =
   (* one lexical name, three URIs in turn: the per-document name table
      must not hand out a stale resolution *)
@@ -583,6 +634,9 @@ let () =
           Alcotest.test_case "character references" `Quick test_parse_char_refs;
           Alcotest.test_case "well-formedness" `Quick test_parse_well_formed;
           Alcotest.test_case "name rebinding" `Quick test_parse_name_rebinding;
+          Alcotest.test_case "depth bound" `Quick test_parse_depth_bound;
+          Alcotest.test_case "many namespace declarations" `Quick
+            test_parse_many_ns_decls;
         ] );
       ( "serialize",
         [
