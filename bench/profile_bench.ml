@@ -208,4 +208,4 @@ let () =
                    name off on pct)
                kernels))
          avg_pct e2e_off e2e_on e2e_pct
-         (Profile.to_json profile))
+         (Xrpc_obs.Json.to_string (Profile.to_json profile)))

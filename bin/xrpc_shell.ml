@@ -174,14 +174,14 @@ let command peer line =
       print_endline "tracing off";
       true
   | ":metrics", "" ->
-      print_string (Metrics.to_text ());
+      print_string Metrics.(to_text (snapshot ()));
       true
   | ":metrics", "reset" ->
       Metrics.reset ();
       print_endline "metrics reset";
       true
   | ":health", "" ->
-      print_string (Slo.healthz_text ~scope:peer.Peer.uri ());
+      print_string (Slo.healthz_text (Slo.health ~scope:peer.Peer.uri ()));
       true
   | ":cluster", "" ->
       print_endline "usage: :cluster <http://host:port> [more peers ...]";
@@ -204,10 +204,10 @@ let command peer line =
            (Telemetry.merge ~at_ms:now (List.map scrape peers)));
       true
   | ":flight", "" ->
-      print_string (Flight_recorder.to_text ());
+      print_string Flight_recorder.(to_text (snapshot ()));
       true
   | ":flight", "slow" ->
-      print_string (Flight_recorder.pinned_text ());
+      print_string Flight_recorder.(pinned_text (snapshot ()));
       true
   | ":explain", "" ->
       print_endline "usage: :explain <one-line query>";
@@ -236,12 +236,12 @@ let command peer line =
       print_endline "usage: :optimizer [replay|reset]";
       true
   | ":shards", "" ->
-      print_string (Peer.shard_text peer);
+      print_string (Peer.shard_text (Peer.shard_map peer));
       true
   | ":shards", keys ->
       (* :shards k1 k2 … — placement + load ratio for those keys *)
       print_string
-        (Peer.shard_text ~keys:(String.split_on_char ' ' keys) peer);
+        Peer.(shard_text ~keys:(String.split_on_char ' ' keys) (shard_map peer));
       true
   | ":profile", "" ->
       print_endline "usage: :profile <one-line query>";
@@ -250,7 +250,7 @@ let command peer line =
       profile_query peer q;
       true
   | ":cache", ("" | "stats") ->
-      print_endline (Peer.cache_stats_text peer);
+      print_endline Peer.(cache_stats_text (cache_stats peer));
       true
   | ":cache", "clear" ->
       Peer.clear_caches peer;

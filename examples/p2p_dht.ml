@@ -65,7 +65,7 @@ let () =
 
   (* the :shards view of the placement *)
   print_string
-    (Peer.shard_text ~keys:(List.map fst records) coordinator);
+    (Peer.shard_text ~keys:(List.map fst records) (Peer.shard_map coordinator));
   List.iter
     (fun (t, _) ->
       Printf.printf "  %-18s -> %s\n" t

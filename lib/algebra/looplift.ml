@@ -39,7 +39,7 @@ type env = {
 
 let make_env ?(vars = []) ?(funcs = Hashtbl.create 4) ?(imports = [])
     ?(query_id = None)
-    ?(doc_resolver = fun uri -> raise (Xctx.No_such_document uri)) ~call () =
+    ?(doc_resolver = Xdm.no_such_document) ~call () =
   {
     loop = [ 1 ]; vars; funcs; imports; call; query_id; doc_resolver;
     trace = ref [];

@@ -463,5 +463,6 @@ let cache_stats_text t =
   String.concat "\n"
     (List.map
        (fun (name, p) ->
-         Printf.sprintf "== %s ==\n%s" name (Peer.cache_stats_text p))
+         Printf.sprintf "== %s ==\n%s" name
+           Peer.(cache_stats_text (cache_stats p)))
        (List.rev t.peers))

@@ -102,8 +102,8 @@ val cluster_health : t -> Xrpc_obs.Telemetry.cluster_view
     windowed snapshots into one federation view — per-peer health and
     p99s, hot endpoints, shard-map version agreement, breaker states.
     A crashed or partitioned peer appears as ["unreachable"] rather than
-    failing the scrape.  Render with
-    {!Xrpc_obs.Telemetry.cluster_text}/[cluster_json]. *)
+    failing the scrape.  Render with {!Xrpc_obs.Telemetry.cluster_text}
+    or, as a JSON value, [cluster_json]. *)
 
 (** {2 Sharded collections}
 

@@ -438,20 +438,6 @@ let explain_decision d =
     d.ranked;
   Buffer.contents buf
 
-let decision_json d =
-  let jstr s = "\"" ^ Xrpc_obs.Metrics.json_escape s ^ "\"" in
-  let cost_json c =
-    Printf.sprintf
-      "{\"strategy\":%s,\"messages\":%d,\"bytes_out\":%d,\"bytes_in\":%d,\"network_ms\":%.6f,\"cpu_ms\":%.6f,\"total_ms\":%.6f,\"calibrated_ms\":%.6f}"
-      (jstr (Strategies.short_name c.strategy))
-      c.messages c.bytes_out c.bytes_in c.network_ms c.cpu_ms (total c)
-      (calibrated_total c)
-  in
-  Printf.sprintf "{\"chosen\":%s,\"forced\":%b,\"ranked\":[%s]}"
-    (jstr (Strategies.short_name d.chosen.strategy))
-    d.forced
-    (String.concat "," (List.map cost_json d.ranked))
-
 (* ------------------------------------------------------------------ *)
 (* Profiler annotation hook (Table 2 on live Bulk RPC nodes)           *)
 (* ------------------------------------------------------------------ *)

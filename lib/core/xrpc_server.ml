@@ -34,6 +34,7 @@ module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
 module Flight_recorder = Xrpc_obs.Flight_recorder
 module Export = Xrpc_obs.Export
+module Json = Xrpc_obs.Json
 module Xdm = Xrpc_xml.Xdm
 module Qname = Xrpc_xml.Qname
 
@@ -85,7 +86,14 @@ let default_config = config ()
 (* Routes                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type route = { rpath : string; doc : string; handle : query:string -> string }
+(* A route answers [rpath] with text; a route built by [add_view] also
+   answers [rpath ^ ".json"], rendering JSON from the same value. *)
+type route = {
+  rpath : string;
+  doc : string;
+  text : query:string -> string;
+  json : (query:string -> string) option;
+}
 
 type t = {
   peer : Peer.t;
@@ -112,8 +120,15 @@ let split_path path =
       (String.sub path 0 i, String.sub path (i + 1) (String.length path - i - 1))
   | None -> (path, "")
 
-let add_route t ~path ~doc handle =
-  t.routes <- t.routes @ [ { rpath = path; doc; handle } ]
+let add_route t ~path ~doc text =
+  t.routes <- t.routes @ [ { rpath = path; doc; text; json = None } ]
+
+let add_view t ~path ~doc value ~text ~json =
+  t.routes <-
+    t.routes
+    @ [ { rpath = path; doc = doc ^ " (also .json)";
+          text = (fun ~query -> text (value ~query));
+          json = Some (fun ~query -> Json.to_string (json (value ~query))) } ]
 
 let routes t = List.map (fun r -> (r.rpath, r.doc)) t.routes
 
@@ -122,29 +137,15 @@ let keys_of_query query =
   | Some ks -> String.split_on_char ',' ks
   | None -> []
 
-let cachez_json peer =
-  let s = Peer.cache_stats peer in
-  let p = s.Peer.plan and r = s.Peer.result in
-  Printf.sprintf
-    {|{"plan_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d,"capacity":%d,"enabled":%b},"result_cache":{"hits":%d,"misses":%d,"stale":%d,"invalidations":%d,"evictions":%d,"size":%d,"capacity":%d,"enabled":%b},"func_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d},"idem_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d}}|}
-    p.Xrpc_peer.Plan_cache.hits p.Xrpc_peer.Plan_cache.misses
-    p.Xrpc_peer.Plan_cache.evictions p.Xrpc_peer.Plan_cache.size
-    p.Xrpc_peer.Plan_cache.capacity p.Xrpc_peer.Plan_cache.enabled
-    r.Xrpc_peer.Result_cache.hits r.Xrpc_peer.Result_cache.misses
-    r.Xrpc_peer.Result_cache.stale r.Xrpc_peer.Result_cache.invalidations
-    r.Xrpc_peer.Result_cache.evictions r.Xrpc_peer.Result_cache.size
-    r.Xrpc_peer.Result_cache.capacity r.Xrpc_peer.Result_cache.enabled
-    s.Peer.func_hits s.Peer.func_misses s.Peer.func_evictions s.Peer.func_size
-    s.Peer.idem_hits s.Peer.idem_misses s.Peer.idem_evictions s.Peer.idem_size
-
 let tracez ~query =
   match Option.map int_of_string_opt (query_param query "id") with
   | Some (Some id) -> (
       match Flight_recorder.find id with
       | Some e ->
-          if query_param query "format" = Some "tree" then
-            Export.span_tree_json e.Flight_recorder.spans
-          else Export.chrome_trace e.Flight_recorder.spans
+          Json.to_string
+            (if query_param query "format" = Some "tree" then
+               Export.span_tree_json e.Flight_recorder.spans
+             else Export.chrome_trace e.Flight_recorder.spans)
       | None -> Printf.sprintf "no request #%d in the flight recorder" id)
   | _ ->
       "usage: /tracez?id=N (ids listed at /requestz; &format=tree for the \
@@ -233,34 +234,30 @@ let cluster_snapshots t =
 let cluster_view t = Telemetry.merge ~at_ms:(Trace.now_ms ()) (cluster_snapshots t)
 
 (* the monitoring surface, registered in one place instead of the ad-hoc
-   match the CLI used to hand-wire *)
+   match the CLI used to hand-wire; a view computes its value once per
+   request and renders it as text or, at [.json], as JSON *)
 let default_routes t =
-  let r path doc handle = add_route t ~path ~doc handle in
-  r "/metrics" "metrics registry, totals + 1m/1h windows, text"
-    (fun ~query:_ -> Metrics.to_text ());
-  r "/metrics.json" "metrics registry, JSON" (fun ~query:_ ->
-      Metrics.to_json ());
-  r "/healthz" "liveness + readiness with reasons" (fun ~query:_ ->
-      Slo.healthz_text ~scope:t.peer.Peer.uri ());
-  r "/healthz.json" "health, JSON" (fun ~query:_ ->
-      Slo.healthz_json ~scope:t.peer.Peer.uri ());
-  r "/clusterz" "federation-wide health (scrapes cluster peers)"
-    (fun ~query:_ -> Telemetry.cluster_text (cluster_view t));
-  r "/clusterz.json" "cluster view, JSON" (fun ~query:_ ->
-      Telemetry.cluster_json (cluster_view t));
-  r "/requestz" "flight recorder: last requests" (fun ~query:_ ->
-      Flight_recorder.to_text ());
-  r "/requestz.json" "flight recorder, JSON" (fun ~query:_ ->
-      Flight_recorder.to_json ());
+  let r path doc text = add_route t ~path ~doc text in
+  let v path doc value = add_view t ~path ~doc (fun ~query:_ -> value ()) in
+  v "/metrics" "metrics registry, totals + 1m/1h windows" Metrics.snapshot
+    ~text:Metrics.to_text ~json:Metrics.to_json;
+  v "/healthz" "liveness + readiness with reasons"
+    (Slo.health ~scope:t.peer.Peer.uri)
+    ~text:Slo.healthz_text ~json:Slo.healthz_json;
+  v "/clusterz" "federation-wide health (scrapes cluster peers)"
+    (fun () -> cluster_view t)
+    ~text:Telemetry.cluster_text ~json:Telemetry.cluster_json;
+  v "/requestz" "flight recorder: last requests" Flight_recorder.snapshot
+    ~text:Flight_recorder.to_text ~json:Flight_recorder.to_json;
   r "/slowz" "pinned slow queries (>= slow-ms)" (fun ~query:_ ->
-      Flight_recorder.pinned_text ());
-  r "/cachez" "plan/result/func/idem cache stats" (fun ~query:_ ->
-      Peer.cache_stats_text t.peer);
-  r "/cachez.json" "cache stats, JSON" (fun ~query:_ -> cachez_json t.peer);
-  r "/shardz" "consistent-hash ring (?keys=a,b shows placement)"
-    (fun ~query -> Peer.shard_text ~keys:(keys_of_query query) t.peer);
-  r "/shardz.json" "ring description, JSON" (fun ~query ->
-      Peer.shard_json ~keys:(keys_of_query query) t.peer);
+      Flight_recorder.(pinned_text (snapshot ())));
+  v "/cachez" "plan/result/func/idem cache stats"
+    (fun () -> Peer.cache_stats t.peer)
+    ~text:Peer.cache_stats_text ~json:Peer.cache_stats_json;
+  add_view t ~path:"/shardz" ~doc:"consistent-hash ring (?keys=a,b shows placement)"
+    (fun ~query -> (keys_of_query query, Peer.shard_map t.peer))
+    ~text:(fun (keys, m) -> Peer.shard_text ~keys m)
+    ~json:(fun (keys, m) -> Peer.shard_json ~keys m);
   r "/optimizerz" "strategy-cost calibration state" optimizerz;
   r "/tracez" "span trees per request (?id=N[&format=tree])" (fun ~query ->
       tracez ~query);
@@ -318,21 +315,32 @@ let soap_done t =
     Trace.reset ()
   end
 
-let find_route t route =
-  List.find_opt (fun r -> r.rpath = route) t.routes
+(* the route answering [path] and its renderer: [/p] is a route's text,
+   [/p.json] the JSON form of a view *)
+let find_route t path =
+  match List.find_opt (fun r -> r.rpath = path) t.routes with
+  | Some r -> Some (r, r.text)
+  | None ->
+      let base = Filename.chop_suffix_opt ~suffix:".json" path in
+      List.find_map
+        (fun r ->
+          match r.json with
+          | Some json when base = Some r.rpath -> Some (r, json)
+          | _ -> None)
+        t.routes
 
 (* Monitoring routes get the same per-endpoint rate/error/latency
    treatment as served functions (SOAP traffic is recorded per-function
    inside [Peer.handle_raw_into] — recording it here too would double
    count). *)
-let run_route t r ~query =
+let run_route t (r, render) ~query =
   let t0 = Unix.gettimeofday () in
   let finish ~error =
     Slo.record ~scope:t.peer.Peer.uri ~endpoint:r.rpath
       ~dur_ms:((Unix.gettimeofday () -. t0) *. 1000.)
       ~error ()
   in
-  match r.handle ~query with
+  match render ~query with
   | body ->
       finish ~error:false;
       body

@@ -114,26 +114,39 @@ val cluster_snapshots : t -> Xrpc_obs.Telemetry.snapshot list
     ["unreachable"] pseudo-snapshot rather than an exception. *)
 
 val cluster_view : t -> Xrpc_obs.Telemetry.cluster_view
-(** {!cluster_snapshots} merged: the [/clusterz](.json) body. *)
+(** {!cluster_snapshots} merged: the [/clusterz] value. *)
 
 (** {2:routes Routes}
 
     [create] registers the standard monitoring surface in one place
-    (instead of ad-hoc dispatch in the binary): [/metrics](.json)
-    (the metric registry: totals, plus 1m/1h windows of windowed
-    series),
-    [/healthz](.json) (liveness + readiness with structured reasons),
-    [/clusterz](.json) (federation-wide scrape),
-    [/requestz](.json), [/slowz], [/cachez](.json), [/shardz](.json,
-    [?keys=a,b]), [/optimizerz], [/tracez?id=N[&format=tree]], [/statz]
-    and [/routez] (the table itself).  GET requests whose path matches a
-    route are answered by its handler; unmatched requests fall through
-    to the peer's SOAP handler. *)
+    (instead of ad-hoc dispatch in the binary).  Most routes are views:
+    one value computed per request, rendered as text at [/p] and as
+    JSON at [/p.json] ({!add_view}).  Views: [/metrics] (the metric
+    registry: totals, plus 1m/1h windows of windowed series),
+    [/healthz] (liveness + readiness with structured reasons, one
+    {!Xrpc_obs.Slo.health}), [/clusterz] (federation-wide scrape),
+    [/requestz] (one {!Xrpc_obs.Flight_recorder.snapshot}), [/cachez]
+    and [/shardz] ([?keys=a,b]).  Text only: [/slowz], [/optimizerz],
+    [/tracez?id=N[&format=tree]] (JSON span exports), [/statz] and
+    [/routez] (the table itself, one line per route).  GET requests
+    whose path matches a route are answered by it; unmatched requests
+    fall through to the peer's SOAP handler. *)
 
 val add_route :
   t -> path:string -> doc:string -> (query:string -> string) -> unit
-(** Register (or append) a route.  [handle ~query] receives the raw
+(** Register (or append) a text route.  [handle ~query] receives the raw
     query string ([k=v&k2=v2]); use {!query_param} to pick values. *)
+
+val add_view :
+  t ->
+  path:string ->
+  doc:string ->
+  (query:string -> 'a) ->
+  text:('a -> string) ->
+  json:('a -> Xrpc_obs.Json.t) ->
+  unit
+(** Register a view: [path] answers [text v] and [path ^ ".json"]
+    answers [json v], where [v] is computed once per request. *)
 
 val routes : t -> (string * string) list
 (** [(path, doc)] pairs, registration order. *)

@@ -1,6 +1,6 @@
-(* Exporters for collected span trees.
+(* Exporters for collected span trees, as {!Json} values.
 
-   [chrome_trace spans] renders any span slice as Chrome trace-event JSON
+   [chrome_trace spans] is any span slice as Chrome trace-event JSON
    (the chrome://tracing / Perfetto "JSON Array Format"): one complete
    ("ph":"X") event per finished span with microsecond timestamps, one
    instant ("ph":"i") event per span event, and the span/parent ids in
@@ -11,76 +11,58 @@
    tree with names, details, timings and events — what /tracez serves
    next to the Chrome format. *)
 
-let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
 let us_of_ms ms = ms *. 1000. (* trace-event timestamps are microseconds *)
-let jnum v = if Float.is_nan v then "0" else Printf.sprintf "%.6g" v
 
-let chrome_event buf ~first (s : Trace.span) =
+let detail = Json.nonempty "detail"
+let parent (s : Trace.span) = Json.opt_str "parent" s.Trace.parent
+
+let chrome_events (s : Trace.span) =
   let is_open = Float.is_nan s.Trace.end_ms in
   let dur = if is_open then 0. else s.Trace.end_ms -. s.Trace.start_ms in
-  if not !first then Buffer.add_char buf ',';
-  first := false;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":%s,\"cat\":\"xrpc\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":1,\"args\":{\"span\":%s%s,\"trace\":%s%s%s}}"
-       (jstr s.Trace.name)
-       (jnum (us_of_ms s.Trace.start_ms))
-       (jnum (us_of_ms dur))
-       (jstr s.Trace.span_id)
-       (match s.Trace.parent with
-       | Some p -> ",\"parent\":" ^ jstr p
-       | None -> "")
-       (jstr s.Trace.trace_id)
-       (if s.Trace.detail = "" then "" else ",\"detail\":" ^ jstr s.Trace.detail)
-       (if is_open then ",\"open\":true" else ""));
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"xrpc\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":{\"span\":%s%s}}"
-           (jstr e.Trace.e_name)
-           (jnum (us_of_ms e.Trace.e_at))
-           (jstr s.Trace.span_id)
-           (if e.Trace.e_detail = "" then ""
-            else ",\"detail\":" ^ jstr e.Trace.e_detail)))
-    (List.rev s.Trace.events)
+  let event name ph ts extra args =
+    Json.Obj
+      ([ ("name", Json.Str name); ("cat", Json.Str "xrpc"); ("ph", Json.Str ph);
+         ("ts", Json.Num (us_of_ms ts)) ]
+      @ extra
+      @ [ ("pid", Json.Int 1); ("tid", Json.Int 1); ("args", Json.Obj args) ])
+  in
+  event s.Trace.name "X" s.Trace.start_ms
+    [ ("dur", Json.Num (us_of_ms dur)) ]
+    ((("span", Json.Str s.Trace.span_id) :: parent s)
+    @ [ ("trace", Json.Str s.Trace.trace_id) ]
+    @ detail s.Trace.detail
+    @ if is_open then [ ("open", Json.Bool true) ] else [])
+  :: List.rev_map
+       (fun (e : Trace.event) ->
+         event e.Trace.e_name "i" e.Trace.e_at
+           [ ("s", Json.Str "t") ]
+           (("span", Json.Str s.Trace.span_id) :: detail e.Trace.e_detail))
+       s.Trace.events
 
 let chrome_trace spans =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  List.iter (chrome_event buf ~first) spans;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("displayTimeUnit", Json.Str "ms");
+      ("traceEvents", Json.Arr (List.concat_map chrome_events spans)) ]
 
 let span_tree_json spans =
   let roots, kids = Trace.tree_of spans in
-  let rec node_json (s : Trace.span) =
-    let dur = Trace.duration_ms s in
-    Printf.sprintf
-      "{\"name\":%s%s,\"span\":%s%s,\"start_ms\":%s,\"dur_ms\":%s%s,\"children\":[%s]}"
-      (jstr s.Trace.name)
-      (if s.Trace.detail = "" then "" else ",\"detail\":" ^ jstr s.Trace.detail)
-      (jstr s.Trace.span_id)
-      (match s.Trace.parent with
-      | Some p -> ",\"parent\":" ^ jstr p
-      | None -> "")
-      (jnum s.Trace.start_ms)
-      (if Float.is_nan dur then "null" else jnum dur)
-      (if s.Trace.events = [] then ""
-       else
-         ",\"events\":["
-         ^ String.concat ","
-             (List.map
-                (fun (e : Trace.event) ->
-                  Printf.sprintf "{\"name\":%s%s,\"at_ms\":%s}"
-                    (jstr e.Trace.e_name)
-                    (if e.Trace.e_detail = "" then ""
-                     else ",\"detail\":" ^ jstr e.Trace.e_detail)
-                    (jnum e.Trace.e_at))
-                (List.rev s.Trace.events))
-         ^ "]")
-      (String.concat "," (List.map node_json (kids s.Trace.span_id)))
+  let rec node (s : Trace.span) =
+    Json.Obj
+      ((("name", Json.Str s.Trace.name) :: detail s.Trace.detail)
+      @ (("span", Json.Str s.Trace.span_id) :: parent s)
+      @ [ ("start_ms", Json.Num s.Trace.start_ms);
+          ("dur_ms", Json.Num (Trace.duration_ms s)) ]
+      @ (if s.Trace.events = [] then []
+         else
+           [ ( "events",
+               Json.Arr
+                 (List.rev_map
+                    (fun (e : Trace.event) ->
+                      Json.Obj
+                        ((("name", Json.Str e.Trace.e_name)
+                         :: detail e.Trace.e_detail)
+                        @ [ ("at_ms", Json.Num e.Trace.e_at) ]))
+                    s.Trace.events) ) ])
+      @ [ ("children", Json.Arr (List.map node (kids s.Trace.span_id))) ])
   in
-  "{\"spans\":[" ^ String.concat "," (List.map node_json roots) ^ "]}"
+  Json.Obj [ ("spans", Json.Arr (List.map node roots)) ]

@@ -124,21 +124,19 @@ let complete ~scope c =
     (record ?error:c.c_error ?idem_key:c.c_idem_key ~label:c.c_label
        ~duration_ms:c.c_duration_ms ~spans:c.c_spans ())
 
-(* Newest first. *)
-let recent () =
-  locked (fun () ->
-      let cap = Array.length !ring in
-      let acc = ref [] in
-      for i = 0 to cap - 1 do
-        (* walk forward from the oldest slot so [acc] ends newest first *)
-        match !ring.((!next_slot + i) mod cap) with
-        | Some e -> acc := e :: !acc
-        | None -> ()
-      done;
-      !acc)
+(* Newest first; caller holds [mutex]. *)
+let recent_locked () =
+  let cap = Array.length !ring in
+  let acc = ref [] in
+  for i = 0 to cap - 1 do
+    (* walk forward from the oldest slot so [acc] ends newest first *)
+    match !ring.((!next_slot + i) mod cap) with
+    | Some e -> acc := e :: !acc
+    | None -> ()
+  done;
+  !acc
 
-let pinned () = locked (fun () -> !pinned_list)
-let total_recorded () = locked (fun () -> !total)
+let recent () = locked recent_locked
 
 let find id =
   locked (fun () ->
@@ -155,6 +153,22 @@ let find id =
       | Some _ -> in_ring
       | None -> List.find_opt (fun e -> e.id = id) !pinned_list)
 
+(** The [/requestz] and [/slowz] value: the ring, the pinned list and
+    the counters read under one lock, with the wall time ages are
+    measured against. *)
+type snapshot = {
+  s_total : int;
+  s_slow_ms : float;
+  s_recent : entry list;
+  s_pinned : entry list;
+  s_now : float;
+}
+
+let snapshot () =
+  locked (fun () ->
+      { s_total = !total; s_slow_ms = !slow_ms; s_recent = recent_locked ();
+        s_pinned = !pinned_list; s_now = Unix.gettimeofday () })
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -167,7 +181,7 @@ let age_text now e =
   else if age < 3600. then Printf.sprintf "%.0fm ago" (age /. 60.)
   else Printf.sprintf "%.1fh ago" (age /. 3600.)
 
-let entry_text ?(now = Unix.gettimeofday ()) buf e =
+let entry_text ~now buf e =
   Buffer.add_string buf
     (Printf.sprintf "#%d  [%s]  %.3f ms%s%s  %s\n" e.id (age_text now e)
        e.duration_ms
@@ -184,57 +198,47 @@ let entry_text ?(now = Unix.gettimeofday ()) buf e =
                (phases e)))
          (signature e))
 
-let to_text () =
+let entries_text s header entries =
   let buf = Buffer.create 1024 in
-  let rs = recent () in
-  Buffer.add_string buf
-    (Printf.sprintf "flight recorder: %d recorded, showing %d (slow >= %s ms)\n"
-       (total_recorded ()) (List.length rs)
-       (Printf.sprintf "%.0f" !slow_ms));
-  List.iter (entry_text buf) rs;
+  Buffer.add_string buf header;
+  List.iter (entry_text ~now:s.s_now buf) entries;
   Buffer.contents buf
 
-let pinned_text () =
-  let buf = Buffer.create 1024 in
-  let ps = pinned () in
-  Buffer.add_string buf
-    (Printf.sprintf "pinned slow queries (>= %.0f ms): %d\n" !slow_ms
-       (List.length ps));
-  List.iter (entry_text buf) ps;
-  Buffer.contents buf
+let to_text s =
+  entries_text s
+    (Printf.sprintf "flight recorder: %d recorded, showing %d (slow >= %.0f ms)\n"
+       s.s_total (List.length s.s_recent) s.s_slow_ms)
+    s.s_recent
 
-let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
+let pinned_text s =
+  entries_text s
+    (Printf.sprintf "pinned slow queries (>= %.0f ms): %d\n" s.s_slow_ms
+       (List.length s.s_pinned))
+    s.s_pinned
 
-let entry_json ?(now = Unix.gettimeofday ()) e =
-  Printf.sprintf
-    "{\"id\":%d,\"label\":%s,\"duration_ms\":%.6g,\"at_ms\":%.6g,\
-     \"wall_at\":%.3f,\"age_s\":%.3f%s%s%s%s}"
-    e.id (jstr e.label) e.duration_ms e.at_ms e.wall_at
-    (Float.max 0. (now -. e.wall_at))
-    (match e.error with
-    | Some err -> ",\"error\":" ^ jstr err
-    | None -> "")
-    (match e.idem_key with
-    | Some k -> ",\"idem_key\":" ^ jstr k
-    | None -> "")
-    (if e.spans = [] then "" else ",\"signature\":" ^ jstr (signature e))
-    (if e.spans = [] then ""
-     else
-       ",\"phases\":["
-       ^ String.concat ","
-           (List.map
-              (fun (name, n, ms) ->
-                Printf.sprintf "{\"name\":%s,\"count\":%d,\"ms\":%.6g}"
-                  (jstr name) n ms)
-              (phases e))
-       ^ "]")
+let entry_json ~now e =
+  Json.Obj
+    ([ ("id", Json.Int e.id); ("label", Json.Str e.label);
+       ("duration_ms", Json.Num e.duration_ms); ("at_ms", Json.Num e.at_ms);
+       ("wall_at", Json.Num e.wall_at);
+       ("age_s", Json.Num (Float.max 0. (now -. e.wall_at))) ]
+    @ Json.opt_str "error" e.error
+    @ Json.opt_str "idem_key" e.idem_key
+    @
+    if e.spans = [] then []
+    else
+      [ ("signature", Json.Str (signature e));
+        ( "phases",
+          Json.Arr
+            (List.map
+               (fun (name, n, ms) ->
+                 Json.Obj
+                   [ ("name", Json.Str name); ("count", Json.Int n);
+                     ("ms", Json.Num ms) ])
+               (phases e)) ) ])
 
-let to_json () =
-  let now = Unix.gettimeofday () in
-  "{\"total\":"
-  ^ string_of_int (total_recorded ())
-  ^ ",\"recent\":["
-  ^ String.concat "," (List.map (entry_json ~now) (recent ()))
-  ^ "],\"pinned\":["
-  ^ String.concat "," (List.map (entry_json ~now) (pinned ()))
-  ^ "]}"
+let to_json s =
+  let entries l = Json.Arr (List.map (entry_json ~now:s.s_now) l) in
+  Json.Obj
+    [ ("total", Json.Int s.s_total); ("recent", entries s.s_recent);
+      ("pinned", entries s.s_pinned) ]

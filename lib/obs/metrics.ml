@@ -432,22 +432,6 @@ let fnum v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let jnum v = if Float.is_nan v then "null" else fnum v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let hist_stats ?tier h =
   let n = float_of_int (count ?tier h) in
   let q p = quantile ?tier h p in
@@ -458,8 +442,7 @@ let hist_stats ?tier h =
       ("max", max_value ?tier h) ]
 
 (* A series as [(stat, tier, value)] samples: stat "" is a counter's or
-   gauge's own value, tier "" the cumulative totals.  Both renderings
-   below read this and nothing else. *)
+   gauge's own value, tier "" the cumulative totals. *)
 let samples m =
   let windowed win stats =
     if Option.is_none win then []
@@ -480,18 +463,21 @@ let samples m =
       List.map (fun (s, v) -> (s, "", v)) (hist_stats h)
       @ windowed h.h_win (fun t -> hist_stats ~tier:t h)
 
-let sorted_metrics () =
+(** The [/metrics] value: every series' samples, sorted by name.  Both
+    renderings below read this and nothing else. *)
+let snapshot () =
   Mutex.lock registry_m;
   let all = Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [] in
   Mutex.unlock registry_m;
   List.sort (fun (a, _) (b, _) -> compare a b) all
+  |> List.map (fun (name, m) -> (name, samples m))
 
 (** Prometheus-flavoured plain text, the [/metrics] body: one line per
     sample that has a value, [name], [name_p99] or [name_1m_p99]. *)
-let to_text () =
+let to_text snap =
   let buf = Buffer.create 4096 in
   List.iter
-    (fun (name, m) ->
+    (fun (name, samples) ->
       List.iter
         (fun (stat, tier, v) ->
           if not (Float.is_nan v) then begin
@@ -505,32 +491,24 @@ let to_text () =
             Buffer.add_string buf (fnum v);
             Buffer.add_char buf '\n'
           end)
-        (samples m))
-    (sorted_metrics ());
+        samples)
+    snap;
   Buffer.contents buf
 
-(** The [/metrics.json] body: a bare number for a series with one value,
-    else an object whose windowed keys carry a [_1m]/[_1h] suffix. *)
-let to_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (name, m) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (json_escape name));
-      match samples m with
-      | [ (_, _, v) ] -> Buffer.add_string buf (jnum v)
-      | ss ->
-          let field (stat, tier, v) =
-            let key =
-              if stat = "" then "value"
-              else if tier = "" then stat
-              else stat ^ "_" ^ tier
-            in
-            Printf.sprintf "\"%s\": %s" key (jnum v)
-          in
-          Buffer.add_string buf
-            ("{" ^ String.concat ", " (List.map field ss) ^ "}"))
-    (sorted_metrics ());
-  Buffer.add_string buf "\n}";
-  Buffer.contents buf
+(** The [/metrics.json] value: a bare number for a series with one
+    value, else an object whose windowed keys carry a [_1m]/[_1h]
+    suffix. *)
+let to_json snap =
+  let field (stat, tier, v) =
+    let key =
+      if stat = "" then "value" else if tier = "" then stat else stat ^ "_" ^ tier
+    in
+    (key, Json.Num v)
+  in
+  Json.Obj
+    (List.map
+       (fun (name, samples) ->
+         match samples with
+         | [ (_, _, v) ] -> (name, Json.Num v)
+         | ss -> (name, Json.Obj (List.map field ss)))
+       snap)

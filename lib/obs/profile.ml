@@ -277,66 +277,42 @@ let render p =
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let jnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
-let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
-
 let ops_json ops =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (name, os) ->
-           Printf.sprintf
-             "{\"op\":%s,\"calls\":%d,\"rows_in\":%d,\"rows_out\":%d,\"ms\":%s}"
-             (jstr name) os.os_calls os.os_rows_in os.os_rows_out
-             (jnum os.os_ms))
-         ops)
-  ^ "]"
+  Json.Arr
+    (List.map
+       (fun (name, os) ->
+         Json.Obj
+           [ ("op", Json.Str name); ("calls", Json.Int os.os_calls);
+             ("rows_in", Json.Int os.os_rows_in);
+             ("rows_out", Json.Int os.os_rows_out); ("ms", Json.Num os.os_ms) ])
+       ops)
 
 let to_json p =
-  let buf = Buffer.create 1024 in
-  let rec node_json n =
-    Printf.sprintf
-      "{\"id\":%d,\"name\":%s%s,\"ms\":%s%s,\"ops\":%s,\"children\":[%s]}"
-      n.id (jstr n.name)
-      (if n.detail = "" then "" else ",\"detail\":" ^ jstr n.detail)
-      (jnum n.incl_ms)
-      (if n.rows_out >= 0 then Printf.sprintf ",\"rows\":%d" n.rows_out
-       else "")
-      (ops_json n.ops)
-      (String.concat "," (List.map node_json n.children))
+  let rec node n =
+    Json.Obj
+      ([ ("id", Json.Int n.id); ("name", Json.Str n.name) ]
+      @ Json.nonempty "detail" n.detail
+      @ [ ("ms", Json.Num n.incl_ms) ]
+      @ (if n.rows_out >= 0 then [ ("rows", Json.Int n.rows_out) ] else [])
+      @ [ ("ops", ops_json n.ops); ("children", Json.Arr (List.map node n.children)) ])
   in
-  Buffer.add_string buf "{";
-  if p.label <> "" then
-    Buffer.add_string buf (Printf.sprintf "\"label\":%s," (jstr p.label));
-  Buffer.add_string buf (Printf.sprintf "\"total_ms\":%s," (jnum p.total_ms));
-  Buffer.add_string buf
-    (Printf.sprintf "\"plan\":[%s]"
-       (String.concat "," (List.map node_json p.roots)));
-  if p.root_ops <> [] then
-    Buffer.add_string buf (Printf.sprintf ",\"ops\":%s" (ops_json p.root_ops));
+  let dest (name, d) =
+    ( name,
+      Json.Obj
+        ([ ("msgs", Json.Int d.d_msgs); ("calls", Json.Int d.d_calls);
+           ("bytes_out", Json.Int d.d_bytes_out);
+           ("bytes_in", Json.Int d.d_bytes_in) ]
+        @
+        if d.d_remote = [] then []
+        else
+          [ ("remote",
+              Json.Obj (List.map (fun (n, ms) -> (n, Json.Num ms)) d.d_remote)) ]) )
+  in
   let ds = dests p in
-  if ds <> [] then begin
-    Buffer.add_string buf ",\"dests\":{";
-    List.iteri
-      (fun i (dest, d) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s:{\"msgs\":%d,\"calls\":%d,\"bytes_out\":%d,\"bytes_in\":%d"
-             (jstr dest) d.d_msgs d.d_calls d.d_bytes_out d.d_bytes_in);
-        if d.d_remote <> [] then
-          Buffer.add_string buf
-            (Printf.sprintf ",\"remote\":{%s}"
-               (String.concat ","
-                  (List.map
-                     (fun (n, ms) ->
-                       Printf.sprintf "%s:%s" (jstr n) (jnum ms))
-                     d.d_remote)));
-        Buffer.add_char buf '}')
-      ds;
-    Buffer.add_char buf '}'
-  end;
-  if p.dropped > 0 then
-    Buffer.add_string buf (Printf.sprintf ",\"dropped\":%d" p.dropped);
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Json.Obj
+    (Json.nonempty "label" p.label
+    @ [ ("total_ms", Json.Num p.total_ms);
+        ("plan", Json.Arr (List.map node p.roots)) ]
+    @ (if p.root_ops = [] then [] else [ ("ops", ops_json p.root_ops) ])
+    @ (if ds = [] then [] else [ ("dests", Json.Obj (List.map dest ds)) ])
+    @ if p.dropped > 0 then [ ("dropped", Json.Int p.dropped) ] else [])

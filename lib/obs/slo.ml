@@ -219,9 +219,17 @@ let worse a b =
   | Degraded, _ | _, Degraded -> Degraded
   | Ready, Ready -> Ready
 
-(** Overall readiness for a scope: the worst endpoint state joined with
-    every registered probe (scope-local and process-global [""] ones). *)
-let evaluate ?(scope = "") () =
+(** The [/healthz] value: overall readiness for a scope — the worst
+    endpoint state joined with every registered probe (scope-local and
+    process-global [""] ones) — and the endpoint rows it was read from,
+    all evaluated once. *)
+type health = {
+  state : state;
+  reasons : string list;
+  endpoints : endpoint_health list;
+}
+
+let health ?(scope = "") () =
   let eps = endpoints ~scope () in
   let st, reasons =
     List.fold_left
@@ -246,18 +254,17 @@ let evaluate ?(scope = "") () =
         | Probe_unready r -> (Unready, (name ^ ": " ^ r) :: rs))
       (st, reasons) probe_list
   in
-  (st, List.rev reasons)
+  { state = st; reasons = List.rev reasons; endpoints = eps }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let healthz_text ?(scope = "") () =
-  let st, reasons = evaluate ~scope () in
+let healthz_text hz =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "live: ok\n";
-  Buffer.add_string buf (Printf.sprintf "ready: %s\n" (state_label st));
-  List.iter (fun r -> Buffer.add_string buf ("reason: " ^ r ^ "\n")) reasons;
+  Buffer.add_string buf (Printf.sprintf "ready: %s\n" (state_label hz.state));
+  List.iter (fun r -> Buffer.add_string buf ("reason: " ^ r ^ "\n")) hz.reasons;
   List.iter
     (fun h ->
       Buffer.add_string buf
@@ -268,39 +275,28 @@ let healthz_text ?(scope = "") () =
            (h.h_err_rate *. 100.)
            (if Float.is_nan h.h_p99 then "-" else Printf.sprintf "%.1fms" h.h_p99)
            (h.h_budget *. 100.) h.h_burn))
-    (endpoints ~scope ());
+    hz.endpoints;
   Buffer.contents buf
 
 let endpoint_json h =
-  Printf.sprintf
-    "{\"endpoint\": \"%s\", \"state\": \"%s\", \"rate\": %s, \"err_rate\": \
-     %s, \"p50_ms\": %s, \"p95_ms\": %s, \"p99_ms\": %s, \"reqs_1m\": %s, \
-     \"budget\": %s, \"burn\": %s, \"objective\": {\"p99_ms\": %s, \
-     \"max_error_rate\": %s}}"
-    (Metrics.json_escape h.h_endpoint)
-    (state_label h.h_state) (Metrics.jnum h.h_rate) (Metrics.jnum h.h_err_rate)
-    (Metrics.jnum h.h_p50) (Metrics.jnum h.h_p95) (Metrics.jnum h.h_p99)
-    (Metrics.jnum h.h_reqs_1m) (Metrics.jnum h.h_budget) (Metrics.jnum h.h_burn)
-    (Metrics.jnum h.h_obj.p99_ms)
-    (Metrics.jnum h.h_obj.max_error_rate)
+  Json.Obj
+    [ ("endpoint", Json.Str h.h_endpoint);
+      ("state", Json.Str (state_label h.h_state)); ("rate", Json.Num h.h_rate);
+      ("err_rate", Json.Num h.h_err_rate); ("p50_ms", Json.Num h.h_p50);
+      ("p95_ms", Json.Num h.h_p95); ("p99_ms", Json.Num h.h_p99);
+      ("reqs_1m", Json.Num h.h_reqs_1m); ("budget", Json.Num h.h_budget);
+      ("burn", Json.Num h.h_burn);
+      ( "objective",
+        Json.Obj
+          [ ("p99_ms", Json.Num h.h_obj.p99_ms);
+            ("max_error_rate", Json.Num h.h_obj.max_error_rate) ] ) ]
 
-let healthz_json ?(scope = "") () =
-  let st, reasons = evaluate ~scope () in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"live\": true,\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"ready\": %b,\n  \"state\": \"%s\",\n"
-       (st = Ready) (state_label st));
-  Buffer.add_string buf "  \"reasons\": [";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map (fun r -> "\"" ^ Metrics.json_escape r ^ "\"") reasons));
-  Buffer.add_string buf "],\n  \"endpoints\": [";
-  Buffer.add_string buf
-    (String.concat ",\n    "
-       (List.map endpoint_json (endpoints ~scope ())));
-  Buffer.add_string buf "]\n}";
-  Buffer.contents buf
+let healthz_json hz =
+  Json.Obj
+    [ ("live", Json.Bool true); ("ready", Json.Bool (hz.state = Ready));
+      ("state", Json.Str (state_label hz.state));
+      ("reasons", Json.Arr (List.map (fun r -> Json.Str r) hz.reasons));
+      ("endpoints", Json.Arr (List.map endpoint_json hz.endpoints)) ]
 
 let reset () =
   locked (fun () ->

@@ -82,7 +82,7 @@ let pull tbl scope =
 (** Assemble this process's snapshot for one peer scope. *)
 let local_snapshot ~peer () =
   let scope = peer in
-  let st, reasons = Slo.evaluate ~scope () in
+  let hz = Slo.health ~scope () in
   let eps =
     List.map
       (fun (h : Slo.endpoint_health) ->
@@ -95,7 +95,7 @@ let local_snapshot ~peer () =
           ep_p99 = h.Slo.h_p99;
           ep_reqs_1m = h.Slo.h_reqs_1m;
         })
-      (Slo.endpoints ~scope ())
+      hz.Slo.endpoints
   in
   let shard_version =
     match with_m (fun () -> Hashtbl.find_opt shard_sources scope) with
@@ -105,8 +105,8 @@ let local_snapshot ~peer () =
   {
     sn_peer = peer;
     sn_at_ms = Trace.now_ms ();
-    sn_state = Slo.state_label st;
-    sn_reasons = reasons;
+    sn_state = Slo.state_label hz.Slo.state;
+    sn_reasons = hz.Slo.reasons;
     sn_gauges = pull gauge_sources scope;
     sn_endpoints = eps;
     sn_shard_version = shard_version;
@@ -383,47 +383,37 @@ let cluster_text cv =
   end;
   Buffer.contents buf
 
-let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
-
 let endpoint_json e =
-  Printf.sprintf
-    "{\"endpoint\": %s, \"rate\": %s, \"err_rate\": %s, \"p50_ms\": %s, \
-     \"p95_ms\": %s, \"p99_ms\": %s, \"reqs_1m\": %s}"
-    (jstr e.ep_name) (Metrics.jnum e.ep_rate)
-    (Metrics.jnum e.ep_err_rate) (Metrics.jnum e.ep_p50)
-    (Metrics.jnum e.ep_p95) (Metrics.jnum e.ep_p99)
-    (Metrics.jnum e.ep_reqs_1m)
+  Json.Obj
+    [ ("endpoint", Json.Str e.ep_name); ("rate", Json.Num e.ep_rate);
+      ("err_rate", Json.Num e.ep_err_rate); ("p50_ms", Json.Num e.ep_p50);
+      ("p95_ms", Json.Num e.ep_p95); ("p99_ms", Json.Num e.ep_p99);
+      ("reqs_1m", Json.Num e.ep_reqs_1m) ]
 
 let snapshot_json sn =
-  Printf.sprintf
-    "{\"peer\": %s, \"at_ms\": %s, \"state\": %s, \"reasons\": [%s], \
-     \"shard_version\": %s, \"breakers\": {%s}, \"gauges\": {%s}, \
-     \"endpoints\": [%s]}"
-    (jstr sn.sn_peer) (Metrics.jnum sn.sn_at_ms) (jstr sn.sn_state)
-    (String.concat ", " (List.map jstr sn.sn_reasons))
-    (match sn.sn_shard_version with
-    | Some v -> string_of_int v
-    | None -> "null")
-    (String.concat ", "
-       (List.map (fun (d, s) -> jstr d ^ ": " ^ jstr s) sn.sn_breakers))
-    (String.concat ", "
-       (List.map
-          (fun (n, v) -> jstr n ^ ": " ^ Metrics.jnum v)
-          sn.sn_gauges))
-    (String.concat ", " (List.map endpoint_json sn.sn_endpoints))
+  Json.Obj
+    [ ("peer", Json.Str sn.sn_peer); ("at_ms", Json.Num sn.sn_at_ms);
+      ("state", Json.Str sn.sn_state);
+      ("reasons", Json.Arr (List.map (fun r -> Json.Str r) sn.sn_reasons));
+      ( "shard_version",
+        Option.fold ~none:Json.Null ~some:(fun v -> Json.Int v)
+          sn.sn_shard_version );
+      ("breakers", Json.Obj (List.map (fun (d, st) -> (d, Json.Str st)) sn.sn_breakers));
+      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Num v)) sn.sn_gauges));
+      ("endpoints", Json.Arr (List.map endpoint_json sn.sn_endpoints)) ]
 
 let cluster_json cv =
-  Printf.sprintf
-    "{\n  \"at_ms\": %s,\n  \"state\": %s,\n  \"total_rate\": %s,\n  \
-     \"err_rate\": %s,\n  \"shard_agree\": %b,\n  \"hot\": [%s],\n  \
-     \"peers\": [\n    %s\n  ]\n}"
-    (Metrics.jnum cv.cv_at_ms) (jstr cv.cv_state)
-    (Metrics.jnum cv.cv_total_rate)
-    (Metrics.jnum cv.cv_err_rate) cv.cv_shard_agree
-    (String.concat ", "
-       (List.map
-          (fun (p, e, r) ->
-            Printf.sprintf "{\"peer\": %s, \"endpoint\": %s, \"rate\": %s}"
-              (jstr p) (jstr e) (Metrics.jnum r))
-          cv.cv_hot))
-    (String.concat ",\n    " (List.map snapshot_json cv.cv_peers))
+  Json.Obj
+    [ ("at_ms", Json.Num cv.cv_at_ms); ("state", Json.Str cv.cv_state);
+      ("total_rate", Json.Num cv.cv_total_rate);
+      ("err_rate", Json.Num cv.cv_err_rate);
+      ("shard_agree", Json.Bool cv.cv_shard_agree);
+      ( "hot",
+        Json.Arr
+          (List.map
+             (fun (p, e, r) ->
+               Json.Obj
+                 [ ("peer", Json.Str p); ("endpoint", Json.Str e);
+                   ("rate", Json.Num r) ])
+             cv.cv_hot) );
+      ("peers", Json.Arr (List.map snapshot_json cv.cv_peers)) ]

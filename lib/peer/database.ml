@@ -36,8 +36,6 @@ type t = {
           reaching here, which is exactly the invalidation contract) *)
 }
 
-exception No_such_document of string
-
 let history_limit = 128
 
 let create ?(clock = Unix.gettimeofday) () =
@@ -101,7 +99,7 @@ let doc (v : version) name =
       Doc_map.find_opt trimmed v.docs
 
 let doc_exn v name =
-  match doc v name with Some s -> s | None -> raise (No_such_document name)
+  match doc v name with Some s -> s | None -> Xdm.no_such_document name
 
 (** [doc_version v name] — the version at which [name] was last rebuilt
     (0 for a document this version does not know, tolerating the same

@@ -175,16 +175,15 @@ let set_shard_router peer route = peer.internals.shard_route <- Some route
 
 let shard_map peer = peer.internals.shard_map
 
-(** [:shards] / [/shardz]: the attached map, or a note that none is. *)
-let shard_text ?keys peer =
-  match peer.internals.shard_map with
+(** [:shards] / [/shardz]: a peer's {!shard_map}, or a note that none
+    is attached. *)
+let shard_text ?keys = function
   | Some m -> Shard.describe ?keys m
   | None -> "no shard map attached (execute at \"xrpc://shard/<key>\" would fail)\n"
 
-let shard_json ?keys peer =
-  match peer.internals.shard_map with
+let shard_json ?keys = function
   | Some m -> Shard.to_json ?keys m
-  | None -> "{\"shard_map\":null}"
+  | None -> Xrpc_obs.Json.Obj [ ("shard_map", Xrpc_obs.Json.Null) ]
 
 (** Register an XQuery module source under its namespace URI and
     (optionally) an at-hint location, so that both [import module ... at]
@@ -1130,8 +1129,7 @@ let clear_caches peer =
 
 (** Human-readable stats block — what [/cachez] and the shell's [:cache
     stats] print. *)
-let cache_stats_text peer =
-  let s = cache_stats peer in
+let cache_stats_text s =
   let p = s.plan and r = s.result in
   Printf.sprintf
     "plan_cache:   hits=%d misses=%d evictions=%d size=%d/%d enabled=%b\n\
@@ -1146,3 +1144,29 @@ let cache_stats_text peer =
     r.Result_cache.capacity r.Result_cache.enabled s.func_hits s.func_misses
     s.func_evictions s.func_size s.idem_hits s.idem_misses s.idem_evictions
     s.idem_size
+
+(** The same block as a JSON value: [/cachez.json]. *)
+let cache_stats_json s =
+  let open Xrpc_obs.Json in
+  let obj ?enabled kvs =
+    Obj
+      (List.map (fun (k, v) -> (k, Int v)) kvs
+      @ Option.fold ~none:[] ~some:(fun b -> [ ("enabled", Bool b) ]) enabled)
+  in
+  let p = s.plan and r = s.result in
+  Obj
+    [ ( "plan_cache",
+        Plan_cache.(obj ~enabled:p.enabled
+          [ ("hits", p.hits); ("misses", p.misses); ("evictions", p.evictions);
+            ("size", p.size); ("capacity", p.capacity) ]) );
+      ( "result_cache",
+        Result_cache.(obj ~enabled:r.enabled
+          [ ("hits", r.hits); ("misses", r.misses); ("stale", r.stale);
+            ("invalidations", r.invalidations); ("evictions", r.evictions);
+            ("size", r.size); ("capacity", r.capacity) ]) );
+      ( "func_cache",
+        obj [ ("hits", s.func_hits); ("misses", s.func_misses);
+              ("evictions", s.func_evictions); ("size", s.func_size) ] );
+      ( "idem_cache",
+        obj [ ("hits", s.idem_hits); ("misses", s.idem_misses);
+              ("evictions", s.idem_evictions); ("size", s.idem_size) ] ) ]

@@ -91,13 +91,14 @@ val set_shard_router : t -> (string -> string) -> unit
 
 val shard_map : t -> Shard.t option
 
-val shard_text : ?keys:string list -> t -> string
-(** Human-readable ring description — the shell's [:shards] and the
-    monitoring server's [/shardz]. *)
+val shard_text : ?keys:string list -> Shard.t option -> string
+(** Human-readable description of a peer's {!shard_map} — the shell's
+    [:shards] and the monitoring server's [/shardz]; a note when no map
+    is attached. *)
 
-val shard_json : ?keys:string list -> t -> string
-(** JSON ring description ([/shardz.json]); [{"shard_map":null}] when no
-    map is attached. *)
+val shard_json : ?keys:string list -> Shard.t option -> Xrpc_obs.Json.t
+(** The same ring as a JSON value ([/shardz.json]); [{"shard_map":null}]
+    when no map is attached. *)
 
 val register_module : t -> uri:string -> ?location:string -> string -> unit
 (** Register an XQuery module source under its namespace URI and
@@ -193,6 +194,9 @@ val clear_caches : t -> unit
     cache is kept — it is a correctness mechanism (exactly-once updates),
     not a performance one. *)
 
-val cache_stats_text : t -> string
+val cache_stats_text : cache_stats -> string
 (** Human-readable stats block — what [/cachez] and the shell's
     [:cache stats] print. *)
+
+val cache_stats_json : cache_stats -> Xrpc_obs.Json.t
+(** The same counters as a JSON value ([/cachez.json]). *)

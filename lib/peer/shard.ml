@@ -203,19 +203,17 @@ let describe ?(keys = []) t =
   Buffer.contents buf
 
 let to_json ?(keys = []) t =
-  let jstr s = "\"" ^ Xrpc_obs.Metrics.json_escape s ^ "\"" in
-  let members_json =
+  let module Json = Xrpc_obs.Json in
+  let members =
     match keys with
-    | [] -> List.map (fun m -> Printf.sprintf "{\"member\":%s}" (jstr m)) (members t)
+    | [] -> List.map (fun m -> Json.Obj [ ("member", Json.Str m) ]) (members t)
     | keys ->
         List.map
           (fun (m, ks) ->
-            Printf.sprintf "{\"member\":%s,\"keys\":%d}" (jstr m)
-              (List.length ks))
+            Json.Obj [ ("member", Json.Str m); ("keys", Json.Int (List.length ks)) ])
           (assignment t keys)
   in
   locked t (fun () ->
-      Printf.sprintf
-        "{\"version\":%d,\"replicas\":%d,\"vnodes\":%d,\"members\":[%s]}"
-        t.version t.replicas t.vnodes
-        (String.concat "," members_json))
+      Json.Obj
+        [ ("version", Json.Int t.version); ("replicas", Json.Int t.replicas);
+          ("vnodes", Json.Int t.vnodes); ("members", Json.Arr members) ])

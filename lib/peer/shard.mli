@@ -67,5 +67,5 @@ val describe : ?keys:string list -> t -> string
 (** Human rendering ([:shards]); with [keys], per-member load and the
     max/min ratio. *)
 
-val to_json : ?keys:string list -> t -> string
-(** JSON rendering ([/shardz.json]). *)
+val to_json : ?keys:string list -> t -> Xrpc_obs.Json.t
+(** The same ring as a JSON value ([/shardz.json]). *)

@@ -13,6 +13,9 @@ exception Dynamic_error of string
 
 let dyn_error fmt = Printf.ksprintf (fun s -> raise (Dynamic_error s)) fmt
 
+(* fn:doc of a URI that names no available document *)
+let no_such_document uri = dyn_error "err:FODC0002: no document %S" uri
+
 let singleton i = [ i ]
 let of_atom a = [ Atomic a ]
 let of_node n = [ Node n ]

@@ -82,8 +82,6 @@ type t = {
   call_depth : int;
 }
 
-exception No_such_document of string
-
 let empty () =
   {
     vars = Var_map.empty;
@@ -92,7 +90,7 @@ let empty () =
     ctx_size = 0;
     funcs = Hashtbl.create 16;
     imports = ref [];
-    doc_resolver = (fun uri -> raise (No_such_document uri));
+    doc_resolver = Xdm.no_such_document;
     dispatcher = None;
     dest_resolver = None;
     pul = ref [];

@@ -78,7 +78,7 @@ let docs =
 let doc_resolver uri =
   match List.assoc_opt uri docs with
   | Some s -> s
-  | None -> raise (Context.No_such_document uri)
+  | None -> Xdm.no_such_document uri
 
 let all_nodes (s : Store.t) =
   List.init (Store.node_count s) (fun pre -> { Store.store = s; pre })

@@ -551,6 +551,81 @@ let test_get_document_internal () =
       check bool_ "document node" true (Store.kind n = Store.Doc)
   | _ -> Alcotest.fail "expected document"
 
+(* ------------------------------------------------------------------ *)
+(* fn:doc of a missing document: err:FODC0002 on every path            *)
+(* ------------------------------------------------------------------ *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let missing_module =
+  {|module namespace m = "missing";
+declare function m:count() { count(doc("missing.xml")//a) };|}
+
+(* a served call of [m:count] fails as a typed Sender fault naming the
+   error code and the URI *)
+let expect_missing_fault what call =
+  match call () with
+  | r -> Alcotest.failf "%s: answered %s" what (Xdm.to_display r)
+  | exception
+      Xrpc_net.Xrpc_error.Error { kind = Xrpc_net.Xrpc_error.Fault `Sender; info; _ }
+    ->
+      check bool_ (what ^ ": error code") true (contains info "err:FODC0002");
+      check bool_ (what ^ ": uri") true (contains info "missing.xml")
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_missing_doc_shell () =
+  let shell =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/xrpc_shell.exe"
+  in
+  let dir = Filename.temp_dir "xrpc-missing" "" in
+  Out_channel.with_open_bin (Filename.concat dir "d.xml") (fun oc ->
+      output_string oc "<doc><a>1</a></doc>");
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  Fun.protect ~finally:(fun () ->
+      List.iter Sys.remove [ Filename.concat dir "d.xml"; out; err ];
+      Sys.rmdir dir)
+  @@ fun () ->
+  let status =
+    Sys.command
+      (Printf.sprintf "echo %s | %s --data %s > %s 2> %s"
+         (Filename.quote {|count(doc("missing.xml")//a)|})
+         (Filename.quote shell) (Filename.quote dir) (Filename.quote out)
+         (Filename.quote err))
+  in
+  let stderr = read_file err in
+  check int_ "shell exits normally" 0 status;
+  check bool_ "error line names the code" true
+    (contains stderr "error: err:FODC0002");
+  check bool_ "error line names the uri" true (contains stderr "missing.xml");
+  check string_ "no result printed" "" (read_file out)
+
+let test_missing_doc_http () =
+  let module Server = Xrpc_core.Xrpc_server in
+  let module Client = Xrpc_core.Xrpc_client in
+  let peer = Peer.create "xrpc://127.0.0.1:0" in
+  Peer.register_module peer ~uri:"missing" missing_module;
+  let server =
+    Server.create ~config:(Server.config ~port:0 ~outgoing:false ()) peer
+  in
+  let port = Server.start server in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  expect_missing_fault "over HTTP" (fun () ->
+      Client.call (Client.connect_http ())
+        ~dest:(Printf.sprintf "xrpc://127.0.0.1:%d" port)
+        ~module_uri:"missing" ~fn:"count" [])
+
+let test_missing_doc_simnet () =
+  let module Cluster = Xrpc_core.Cluster in
+  let cluster = Cluster.create ~names:[ "x"; "y" ] () in
+  Cluster.register_module_everywhere cluster ~uri:"missing" missing_module;
+  expect_missing_fault "over Simnet" (fun () ->
+      Xrpc_core.Xrpc_client.call (Cluster.client cluster) ~dest:"xrpc://y"
+        ~module_uri:"missing" ~fn:"count" [])
+
 let () =
   Alcotest.run "peer"
     [
@@ -601,6 +676,15 @@ let () =
             test_prepare_conflict_detection;
           Alcotest.test_case "read-only participant" `Quick
             test_read_only_participant_votes_yes;
+        ] );
+      ( "missing-document",
+        [
+          Alcotest.test_case "shell prints an error line" `Quick
+            test_missing_doc_shell;
+          Alcotest.test_case "HTTP call gets a Sender fault" `Quick
+            test_missing_doc_http;
+          Alcotest.test_case "Simnet call gets a Sender fault" `Quick
+            test_missing_doc_simnet;
         ] );
       ( "bulk-optimization",
         [

@@ -58,135 +58,9 @@ let fake_clock () =
   Trace.set_clock (fun () -> !t);
   t
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON well-formedness checker (RFC 8259 grammar, no
-   semantics) so exporter tests fail on any broken quoting/commas.      *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad_json of string
-
-let check_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let bad msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else bad (Printf.sprintf "expected %c" c)
-  in
-  let lit w =
-    let l = String.length w in
-    if !pos + l <= n && String.sub s !pos l = w then pos := !pos + l
-    else bad ("expected " ^ w)
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      if !pos >= n then bad "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (match peek () with
-            | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> incr pos
-            | Some 'u' ->
-                incr pos;
-                for _ = 1 to 4 do
-                  match peek () with
-                  | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> incr pos
-                  | _ -> bad "bad \\u escape"
-                done
-            | _ -> bad "bad escape");
-            go ()
-        | c when Char.code c < 0x20 -> bad "control char in string"
-        | _ ->
-            incr pos;
-            go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let start = !pos in
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = start then bad "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then incr pos
-        else
-          let rec members () =
-            skip_ws ();
-            string_ ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ()
-            | _ -> expect '}'
-          in
-          members ()
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then incr pos
-        else
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elements ()
-            | _ -> expect ']'
-          in
-          elements ()
-    | Some '"' -> string_ ()
-    | Some 't' -> lit "true"
-    | Some 'f' -> lit "false"
-    | Some 'n' -> lit "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> bad "expected a JSON value"
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then bad "trailing garbage"
-
-let assert_json what s =
-  match check_json s with
-  | () -> ()
-  | exception Bad_json msg -> Alcotest.failf "%s: invalid JSON (%s):\n%s" what msg s
+(* A JSON value printed and read back strictly: exporter tests fail on
+   any broken quoting/commas, then look members up in what was read. *)
+let assert_json what v = Json_check.parse_ok what (Xrpc_obs.Json.to_string v)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics satellites: clamping, labels                                *)
@@ -225,7 +99,7 @@ let test_labeled_series_in_text_export () =
     2;
   let h = Metrics.histogram (Metrics.with_labels "p.lat_ms" [ ("dest", "y") ]) in
   Metrics.observe h 4.;
-  let text = Metrics.to_text () in
+  let text = Metrics.(to_text (snapshot ())) in
   assert_has "x series" {|p.req{dest="x"} 2|} text;
   assert_has "y series" {|p.req{dest="y"} 1|} text;
   assert_has "histogram count series" {|p.lat_ms_count{dest="y"} 1|} text;
@@ -248,7 +122,7 @@ let test_labeled_series_in_text_export () =
   | ix, iy when ix >= 0 && iy >= 0 ->
       check bool_ "x sorts before y" true (ix < iy)
   | _ -> Alcotest.fail "labeled series missing from text export");
-  assert_json "metrics json export" (Metrics.to_json ())
+  ignore (assert_json "metrics json export" Metrics.(to_json (snapshot ())))
 
 (* ------------------------------------------------------------------ *)
 (* Exporters over a hand-built span tree                               *)
@@ -269,45 +143,49 @@ let build_spans () =
 let test_chrome_trace_export () =
   with_clean @@ fun () ->
   let spans = build_spans () in
-  let json = Export.chrome_trace spans in
-  assert_json "chrome trace" json;
+  let json = assert_json "chrome trace" (Export.chrome_trace spans) in
+  let open Json_check in
+  let events = items (member "traceEvents" json) in
   (* one complete event per span, one instant event per span event *)
-  let count needle =
-    let rec go i acc =
-      if i + String.length needle > String.length json then acc
-      else if String.sub json i (String.length needle) = needle then
-        go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  check int_ "two complete events" 2 (count "\"ph\":\"X\"");
-  check int_ "one instant event" 1 (count "\"ph\":\"i\"");
+  let ph p = List.filter (fun e -> str (member "ph" e) = p) events in
+  check int_ "two complete events" 2 (List.length (ph "X"));
+  check int_ "one instant event" 1 (List.length (ph "i"));
+  let named n l = List.find (fun e -> str (member "name" e) = n) l in
+  let float_ = Alcotest.float 1e-9 in
   (* microsecond timestamps: child [1ms,3ms] nests inside root [0,10ms] *)
-  assert_has "child start" "\"ts\":1000," json;
-  assert_has "child duration" "\"dur\":2000," json;
-  assert_has "root duration" "\"dur\":10000," json;
-  assert_has "event timestamp" "\"ts\":2000," json;
+  check float_ "child start" 1000. (num (member "ts" (named "child" (ph "X"))));
+  check float_ "child duration" 2000. (num (member "dur" (named "child" (ph "X"))));
+  check float_ "root duration" 10000. (num (member "dur" (named "root" (ph "X"))));
+  check float_ "event timestamp" 2000. (num (member "ts" (named "tick" (ph "i"))));
   (* parentage is preserved in args, so the tree is reconstructable *)
-  let root =
-    List.find (fun s -> s.Trace.name = "root") spans
-  and child = List.find (fun s -> s.Trace.name = "child") spans in
-  assert_has "child points at root"
-    (Printf.sprintf "\"parent\":\"%s\"" root.Trace.span_id)
-    json;
-  assert_has "detail preserved" "\"detail\":\"root d\"" json;
-  check bool_ "no open spans flagged" false (has "\"open\":true" json);
-  ignore child
+  let root = List.find (fun s -> s.Trace.name = "root") spans in
+  check string_ "child points at root" root.Trace.span_id
+    (str (get (named "child" (ph "X")) [ "args"; "parent" ]));
+  check string_ "detail preserved" "root d"
+    (str (get (named "root" (ph "X")) [ "args"; "detail" ]));
+  check bool_ "no open spans flagged" false
+    (List.exists (fun e -> has "open" (member "args" e)) events)
 
 let test_span_tree_json_export () =
   with_clean @@ fun () ->
   let spans = build_spans () in
-  let json = Export.span_tree_json spans in
-  assert_json "span tree json" json;
-  assert_has "root node" "\"name\":\"root\"" json;
-  assert_has "child nested" "\"children\":[{\"name\":\"child\"" json;
-  assert_has "durations" "\"dur_ms\":2" json;
-  assert_has "event list" "\"events\":[{\"name\":\"tick\"" json
+  let json = assert_json "span tree json" (Export.span_tree_json spans) in
+  let open Json_check in
+  let root =
+    match items (member "spans" json) with
+    | [ r ] -> r
+    | l -> Alcotest.failf "expected one root, got %d" (List.length l)
+  in
+  check string_ "root node" "root" (str (member "name" root));
+  let child =
+    match items (member "children" root) with
+    | [ c ] -> c
+    | l -> Alcotest.failf "expected one child, got %d" (List.length l)
+  in
+  check string_ "child nested" "child" (str (member "name" child));
+  check (Alcotest.float 1e-9) "durations" 2. (num (member "dur_ms" child));
+  check string_ "event list" "tick"
+    (str (member "name" (List.hd (items (member "events" child)))))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
@@ -326,7 +204,7 @@ let test_flight_ring_eviction () =
   for i = 1 to 20 do
     rec_one ~ms:(float_of_int i) i
   done;
-  check int_ "all recordings counted" 20 (Flight_recorder.total_recorded ());
+  check int_ "all recordings counted" 20 (Flight_recorder.snapshot ()).Flight_recorder.s_total;
   let rs = Flight_recorder.recent () in
   check int_ "ring bounded" 8 (List.length rs);
   check int_ "newest first" 20 (List.hd rs).Flight_recorder.id;
@@ -338,7 +216,7 @@ let test_flight_ring_eviction () =
     | Some e -> e.Flight_recorder.label = "q20"
     | None -> false);
   check int_ "nothing crossed the slow bar" 0
-    (List.length (Flight_recorder.pinned ()))
+    (List.length (Flight_recorder.snapshot ()).Flight_recorder.s_pinned)
 
 let test_flight_pinned_slow_queries () =
   with_clean @@ fun () ->
@@ -347,7 +225,7 @@ let test_flight_pinned_slow_queries () =
   List.iteri
     (fun i ms -> rec_one ~ms (i + 1))
     [ 10.; 150.; 500.; 50.; 300.; 120.; 700. ];
-  let ps = Flight_recorder.pinned () in
+  let ps = (Flight_recorder.snapshot ()).Flight_recorder.s_pinned in
   check
     (Alcotest.list (Alcotest.float 1e-9))
     "slowest first, bounded" [ 700.; 500.; 300. ]
@@ -362,9 +240,16 @@ let test_flight_pinned_slow_queries () =
     (match Flight_recorder.find 3 with
     | Some e -> e.Flight_recorder.duration_ms = 500.
     | None -> false);
-  assert_has "text export lists pins" "pinned slow queries" (Flight_recorder.pinned_text ());
-  assert_has "slow threshold shown" "100" (Flight_recorder.pinned_text ());
-  assert_json "flight json export" (Flight_recorder.to_json ())
+  let snap = Flight_recorder.snapshot () in
+  assert_has "text export lists pins" "pinned slow queries"
+    (Flight_recorder.pinned_text snap);
+  assert_has "slow threshold shown" "100" (Flight_recorder.pinned_text snap);
+  let json = assert_json "flight json export" (Flight_recorder.to_json snap) in
+  check (Alcotest.list (Alcotest.float 1e-9)) "pinned in json"
+    [ 700.; 500.; 300. ]
+    (List.map
+       (fun e -> Json_check.(num (member "duration_ms" e)))
+       Json_check.(items (member "pinned" json)))
 
 let test_flight_concurrent_writers () =
   with_clean @@ fun () ->
@@ -379,14 +264,14 @@ let test_flight_concurrent_writers () =
   let ts = List.init nthreads (fun k -> Thread.create (worker k) ()) in
   List.iter Thread.join ts;
   check int_ "every record counted" (per_thread * nthreads)
-    (Flight_recorder.total_recorded ());
+    (Flight_recorder.snapshot ()).Flight_recorder.s_total;
   let rs = Flight_recorder.recent () in
   check int_ "ring exactly full" 32 (List.length rs);
   let ids = List.map (fun e -> e.Flight_recorder.id) rs in
   check int_ "no duplicate ids in the ring"
     (List.length ids)
     (List.length (List.sort_uniq compare ids));
-  let ps = Flight_recorder.pinned () in
+  let ps = (Flight_recorder.snapshot ()).Flight_recorder.s_pinned in
   check bool_ "pinned list bounded" true (List.length ps <= 8);
   List.iter
     (fun e ->
@@ -453,7 +338,8 @@ let test_profile_nodes_and_ops () =
   assert_has "node line" "#2 b (d)" text;
   assert_has "cardinality" "rows=7" text;
   assert_has "merged op" "select x2" text;
-  assert_json "profile json" (Profile.to_json p)
+  let json = assert_json "profile json" (Profile.to_json p) in
+  check string_ "label in json" "unit" Json_check.(str (member "label" json))
 
 let test_profile_node_capacity () =
   with_clean @@ fun () ->
@@ -649,7 +535,9 @@ let test_distributed_profile () =
   assert_has "label rendered" "profile q2" text;
   assert_has "destination section" "destinations:" text;
   assert_has "remote breakdown rendered" "remote:" text;
-  assert_json "profile json export" (Profile.to_json p)
+  let json = assert_json "profile json export" (Profile.to_json p) in
+  check bool_ "destinations in json" true
+    Json_check.(keys (member "dests" json) <> [])
 
 let test_call_profiled () =
   with_clean @@ fun () ->
@@ -703,7 +591,7 @@ let test_flight_records_distributed_query () =
   (* both remote peers' request handling plus the originating query are
      on the record, without anyone having asked beforehand *)
   check bool_ "at least three entries" true
-    (Flight_recorder.total_recorded () >= 3);
+    ((Flight_recorder.snapshot ()).Flight_recorder.s_total >= 3);
   let rs = Flight_recorder.recent () in
   let by_label pre =
     List.find_opt
@@ -722,8 +610,9 @@ let test_flight_records_distributed_query () =
               (Flight_recorder.phases e)));
       assert_has "signature captured" "query" (Flight_recorder.signature e);
       (* the captured slice exports as a valid Chrome trace *)
-      assert_json "per-request chrome trace"
-        (Export.chrome_trace e.Flight_recorder.spans)
+      ignore
+        (assert_json "per-request chrome trace"
+           (Export.chrome_trace e.Flight_recorder.spans))
   | None -> Alcotest.fail "originating query not recorded");
   (match by_label "test:ping" with
   | Some e ->
@@ -735,7 +624,8 @@ let test_flight_records_distributed_query () =
       Alcotest.failf "remote handling not recorded (labels: %s)"
         (String.concat " | "
            (List.map (fun e -> e.Flight_recorder.label) rs)));
-  assert_has "text export renders" "flight recorder:" (Flight_recorder.to_text ())
+  assert_has "text export renders" "flight recorder:"
+    Flight_recorder.(to_text (snapshot ()))
 
 (* Two traced queries that overlap in time, on two threads: each flight
    entry must hold its own query's span subtree and nothing else — one

@@ -516,6 +516,73 @@ declare function q:answer() { 42 };|};
       let reply = Http.post ~host:"127.0.0.1" ~port "not a soap envelope" in
       check bool_ "SOAP fault came back" true (contains reply "fault"))
 
+(* Every JSON surface of a traced server reads back strictly: each
+   view's [.json] form and both /tracez exports of every recorded
+   request, after SOAP traffic that includes a fault whose label holds
+   a quote, a newline and a control byte. *)
+let test_facade_json_surfaces () =
+  let module Trace = Xrpc_obs.Trace in
+  let module Client = Xrpc_core.Xrpc_client in
+  let peer = Peer.create "xrpc://127.0.0.1:0" in
+  Peer.register_module peer ~uri:"q"
+    {|module namespace q = "q";
+declare function q:answer() { 42 };|};
+  let server =
+    Server.create
+      ~config:(Server.config ~port:0 ~outgoing:false ~trace:true ())
+      peer
+  in
+  let port = Server.start server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      let client = Client.connect_http () in
+      let call module_uri = Client.call client ~dest:(dest port) ~module_uri ~fn:"answer" [] in
+      check string_ "served" "42" (Xrpc_xml.Xdm.to_display (call "q"));
+      let weird = "we\"ird\nmod\001ule" in
+      (match call weird with
+      | _ -> Alcotest.fail "a call into an unknown module answered"
+      | exception Xrpc_net.Xrpc_error.Error _ -> ());
+      let fetch path = Http.post ~host:"127.0.0.1" ~port ~path "" in
+      let json path = Json_check.parse_ok path (fetch path) in
+      let views = [ "/metrics"; "/healthz"; "/clusterz"; "/requestz"; "/cachez"; "/shardz" ] in
+      check (Alcotest.list string_) "the views are the routes with a .json form" views
+        (List.filter_map
+           (fun (path, doc) ->
+             if String.ends_with ~suffix:"(also .json)" doc then Some path else None)
+           (Server.routes server));
+      List.iter (fun v -> ignore (json (v ^ ".json"))) views;
+      let entries = Json_check.(items (member "recent" (json "/requestz.json"))) in
+      let label e = Json_check.(str (member "label" e)) in
+      (match
+         List.find_opt
+           (fun e -> String.starts_with ~prefix:(weird ^ ":answer") (label e))
+           entries
+       with
+      | Some e ->
+          check bool_ "the fault is on the record" true (Json_check.has "error" e)
+      | None ->
+          Alcotest.failf "faulted request not recorded (labels: %s)"
+            (String.concat " | " (List.map label entries)));
+      List.iter
+        (fun e ->
+          let id = int_of_float Json_check.(num (member "id" e)) in
+          let chrome = json (Printf.sprintf "/tracez?id=%d" id) in
+          check bool_ "chrome trace has events" true
+            (Json_check.(items (member "traceEvents" chrome)) <> []);
+          let tree = json (Printf.sprintf "/tracez?id=%d&format=tree" id) in
+          check bool_ "span tree has a root" true
+            (Json_check.(items (member "spans" tree)) <> []))
+        entries;
+      (* the weird label also names an SLO endpoint of /healthz.json *)
+      check bool_ "healthz lists the faulted endpoint" true
+        (List.exists
+           (fun e -> Json_check.(str (member "endpoint" e)) = weird ^ ":answer")
+           Json_check.(items (member "endpoints" (json "/healthz.json")))))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -568,6 +635,8 @@ let () =
         [
           Alcotest.test_case "routes + stats" `Quick
             test_facade_routes_and_stats;
+          Alcotest.test_case "every JSON surface parses" `Quick
+            test_facade_json_surfaces;
           Alcotest.test_case "SOAP fallback (streaming)" `Quick
             test_facade_soap_fallback;
         ] );

@@ -103,9 +103,11 @@ let test_describe_surfaces () =
       check bool_ (u ^ " listed") true
         (contains txt u))
     (uris 3);
-  let js = Shard.to_json ~keys:(keys 30) m in
-  check bool_ "json has members" true
-    (contains js "\"members\"")
+  let js =
+    Json_check.parse_ok "shard json" (Xrpc_obs.Json.to_string (Shard.to_json ~keys:(keys 30) m))
+  in
+  check int_ "json has members" 3
+    (List.length Json_check.(items (member "members" js)))
 
 (* ------------------------------------------------------------------ *)
 (* Ring properties (QCheck)                                            *)
@@ -281,20 +283,23 @@ let test_routed_lookup () =
 
 let test_shard_text_surfaces () =
   let t, _, _ = make_cluster ~peers:3 ~records:9 () in
-  let txt = Peer.shard_text (Cluster.peer t "s0") in
+  let map = Peer.shard_map (Cluster.peer t "s0") in
+  let txt = Peer.shard_text map in
   List.iter
     (fun u ->
       check bool_ (u ^ " in :shards") true
         (contains txt u))
     (member_uris 3);
-  let js = Peer.shard_json (Cluster.peer t "s0") in
-  check bool_ "json members" true
-    (contains js "\"members\"");
+  let js =
+    Json_check.parse_ok "peer shard json" (Xrpc_obs.Json.to_string (Peer.shard_json map))
+  in
+  check int_ "json members" 3 (List.length Json_check.(items (member "members" js)));
   (* a peer without a map says so instead of failing *)
   let bare = Peer.create "xrpc://bare" in
   check bool_ "no map note" true
-    (contains (Peer.shard_text bare) "no shard map");
-  check string_ "no map json" "{\"shard_map\":null}" (Peer.shard_json bare)
+    (contains (Peer.shard_text (Peer.shard_map bare)) "no shard map");
+  check string_ "no map json" "{\"shard_map\":null}"
+    (Xrpc_obs.Json.to_string (Peer.shard_json (Peer.shard_map bare)))
 
 (* ------------------------------------------------------------------ *)
 (* Differential battery: sharded vs oracle, >= 200 seeded cases        *)

@@ -26,6 +26,11 @@ let bool_ = Alcotest.bool
 let string_ = Alcotest.string
 let float_ = Alcotest.float 1e-9
 
+(* a JSON value as a route serves it, read back strictly *)
+let reread v = Json_check.parse_ok "json" (Xrpc_obs.Json.to_string v)
+let healthz_json ~scope = reread (Slo.healthz_json (Slo.health ~scope ()))
+let state_of ~scope = (Slo.health ~scope ()).Slo.state
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -217,16 +222,22 @@ let test_export_surfaces () =
   let _t = fake_clock () in
   let h = Metrics.histogram ~windowed:true "w.exp.ms" in
   List.iter (Metrics.observe h) [ 1.; 2.; 4. ];
-  let text = Metrics.to_text () in
+  let snap = Metrics.snapshot () in
+  let text = Metrics.to_text snap in
   check bool_ "text has 1m count" true (contains text "w.exp.ms_1m_count 3");
   check bool_ "text has p99" true (contains text "w.exp.ms_1m_p99");
-  let json = Metrics.to_json () in
-  check bool_ "json has series" true (contains json "\"w.exp.ms\"");
-  check bool_ "json has count" true (contains json "\"count_1m\": 3");
+  let json = reread (Metrics.to_json snap) in
+  check bool_ "json has series" true (Json_check.has "w.exp.ms" json);
+  let series = Json_check.member "w.exp.ms" json in
+  check float_ "json has count" 3. Json_check.(num (member "count_1m" series));
   check bool_ "one export has the cumulative half" true
     (contains text "w.exp.ms_count 3");
-  check bool_ "one json object has both halves" true
-    (contains json "{\"count\": 3, \"sum\": 7")
+  (* one object, cumulative half first *)
+  check (Alcotest.list string_) "one json object has both halves"
+    [ "count"; "sum" ]
+    (List.filteri (fun i _ -> i < 2) (Json_check.keys series));
+  check float_ "cumulative count" 3. Json_check.(num (member "count" series));
+  check float_ "cumulative sum" 7. Json_check.(num (member "sum" series))
 
 (* ------------------------------------------------------------------ *)
 (* SLO: budgets, burn, probes                                          *)
@@ -250,7 +261,7 @@ let test_slo_budget_and_burn () =
   for _ = 1 to 2 do
     Slo.record ~scope ~endpoint:"q" ~dur_ms:5. ~error:true ()
   done;
-  let st, reasons = Slo.evaluate ~scope () in
+  let { Slo.state = st; reasons; _ } = Slo.health ~scope () in
   check string_ "unready once budget exhausted" "unready" (Slo.state_label st);
   check bool_ "reason names the budget" true
     (List.exists (fun r -> contains r "error budget") reasons);
@@ -260,32 +271,32 @@ let test_slo_budget_and_burn () =
   (* the budget is rolling: an hour later the bad window has decayed *)
   t := 3_700_000.;
   check string_ "budget replenished by decay" "ready"
-    (Slo.state_label (fst (Slo.evaluate ~scope ())));
+    (Slo.state_label (state_of ~scope));
   (* latency objective: slow-but-successful traffic degrades, it does
      not drop readiness *)
   for _ = 1 to 15 do
     Slo.record ~scope ~endpoint:"slow" ~dur_ms:500. ~error:false ()
   done;
-  let st, reasons = Slo.evaluate ~scope () in
+  let { Slo.state = st; reasons; _ } = Slo.health ~scope () in
   check string_ "degraded on p99 breach" "degraded" (Slo.state_label st);
   check bool_ "reason names p99" true
     (List.exists (fun r -> contains r "p99") reasons);
   (* healthz renderings carry the state *)
   check bool_ "healthz text" true
-    (contains (Slo.healthz_text ~scope ()) "ready: degraded");
-  check bool_ "healthz json" true
-    (contains (Slo.healthz_json ~scope ()) "\"state\": \"degraded\"")
+    (contains (Slo.healthz_text (Slo.health ~scope ())) "ready: degraded");
+  check string_ "healthz json" "degraded"
+    Json_check.(str (member "state" (healthz_json ~scope)))
 
 let test_slo_probes () =
   with_clean @@ fun () ->
   let mode = ref Slo.Probe_ok in
   Slo.register_probe ~scope:"xrpc://p" ~name:"queue" (fun () -> !mode);
-  let state scope = Slo.state_label (fst (Slo.evaluate ~scope ())) in
+  let state scope = Slo.state_label (state_of ~scope) in
   check string_ "probe ok" "ready" (state "xrpc://p");
   mode := Slo.Probe_degraded "queue building";
   check string_ "probe degrades" "degraded" (state "xrpc://p");
   mode := Slo.Probe_unready "queue saturated";
-  let st, reasons = Slo.evaluate ~scope:"xrpc://p" () in
+  let { Slo.state = st; reasons; _ } = Slo.health ~scope:"xrpc://p" () in
   check string_ "probe drops readiness" "unready" (Slo.state_label st);
   check bool_ "probe reason is named" true
     (List.exists (fun r -> contains r "queue: queue saturated") reasons);
@@ -509,7 +520,7 @@ declare function r:poke() { execute at {"xrpc://y"} {t:echoVoid()} };|};
       true
     with _ -> false
   in
-  let state () = fst (Slo.evaluate ~scope:"xrpc://x" ()) in
+  let state () = state_of ~scope:"xrpc://x" in
   for i = 1 to 15 do
     check bool_ (Printf.sprintf "clean poke %d" i) true (poke ())
   done;
@@ -526,10 +537,12 @@ declare function r:poke() { execute at {"xrpc://y"} {t:echoVoid()} };|};
   done;
   check string_ "unready once the budget is spent" "unready"
     (Slo.state_label (state ()));
-  let hz = Slo.healthz_json ~scope:"xrpc://x" () in
-  check bool_ "healthz says not ready" true (contains hz "\"ready\": false");
+  let hz = healthz_json ~scope:"xrpc://x" in
+  check bool_ "healthz says not ready" false Json_check.(bool (member "ready" hz));
   check bool_ "healthz carries the budget reason" true
-    (contains hz "error budget");
+    (List.exists
+       (fun r -> contains (Json_check.str r) "error budget")
+       Json_check.(items (member "reasons" hz)));
   (* recovery: faults off, y back, and the bad hour ages out of the
      slow window — the budget replenishes by decay, no reset step *)
   Cluster.clear_faults t;
@@ -582,10 +595,10 @@ let test_cluster_health_federation () =
       check bool_ "peer uri known" true (List.mem uri uris);
       (* the scraped state agrees with the peer's own /healthz *)
       check string_ (uri ^ " state agrees with its healthz")
-        (Slo.state_label (fst (Slo.evaluate ~scope:uri ())))
+        (Slo.state_label (state_of ~scope:uri))
         sn.Telemetry.sn_state;
       check bool_ (uri ^ " healthz.json ready") true
-        (contains (Slo.healthz_json ~scope:uri ()) "\"ready\": true");
+        Json_check.(bool (member "ready" (healthz_json ~scope:uri)));
       match
         List.find_opt
           (fun e -> e.Telemetry.ep_name = "test:ping")
@@ -608,8 +621,8 @@ let test_cluster_health_federation () =
             (Float.abs (e.Telemetry.ep_p99 -. local.Slo.h_p99)
             <= 0.001 *. Float.max 1. local.Slo.h_p99))
     cv.Telemetry.cv_peers;
-  check bool_ "cluster json renders" true
-    (contains (Telemetry.cluster_json cv) "\"state\": \"ready\"");
+  check string_ "cluster json renders" "ready"
+    Json_check.(str (member "state" (reread (Telemetry.cluster_json cv))));
   (* kill one member: the very next scrape (well within one window
      tier) must show it unhealthy rather than dropping it *)
   Cluster.crash t "d";
@@ -650,24 +663,56 @@ let test_http_monitoring_routes () =
   let hz = http_get port "/healthz" in
   check bool_ "healthz liveness" true (contains hz "live: ok");
   check bool_ "healthz ready" true (contains hz "ready: ready");
-  let hj = http_get port "/healthz.json" in
-  check bool_ "healthz.json live" true (contains hj "\"live\": true");
-  check bool_ "healthz.json ready" true (contains hj "\"ready\": true");
-  let cz = http_get port "/clusterz.json" in
-  check bool_ "clusterz has the self peer" true (contains cz "\"peers\"");
-  check bool_ "clusterz state" true (contains cz "\"state\": \"ready\"");
+  let json path = Json_check.parse_ok path (http_get port path) in
+  let hj = json "/healthz.json" in
+  check bool_ "healthz.json live" true Json_check.(bool (member "live" hj));
+  check bool_ "healthz.json ready" true Json_check.(bool (member "ready" hj));
+  let cz = json "/clusterz.json" in
+  check int_ "clusterz has the self peer" 1
+    (List.length Json_check.(items (member "peers" cz)));
+  check string_ "clusterz state" "ready" Json_check.(str (member "state" cz));
   check bool_ "clusterz text renders" true
     (contains (http_get port "/clusterz") "cluster: ready");
   check bool_ "metrics exports windowed series" true
     (contains (http_get port "/metrics") "evloop.");
   check bool_ "metrics.json carries the windowed keys" true
-    (contains (http_get port "/metrics.json") "\"rate_1m\"");
+    (List.exists
+       (fun (_, v) -> Json_check.has "rate_1m" v)
+       (match json "/metrics.json" with
+       | Xrpc_obs.Json.Obj kvs -> kvs
+       | _ -> Alcotest.fail "metrics.json is not an object"));
   check bool_ "statz has the windowed block" true
     (contains (http_get port "/statz") "window.");
   (* the fetches above went through the route SLO layer: they are
      endpoints of this peer's healthz now *)
   check bool_ "routes tracked as endpoints" true
     (contains (http_get port "/healthz") "/metrics")
+
+(* An objective that tolerates no error burns at an infinite rate once
+   one occurs: the text says [inf], the JSON (which has no token for
+   it) says null and stays parseable. *)
+let test_http_non_finite_burn () =
+  with_clean @@ fun () ->
+  let peer = Peer.create "xrpc://127.0.0.1:0" in
+  let scope = peer.Peer.uri in
+  let objective = { Slo.default_objective with Slo.max_error_rate = 0. } in
+  Slo.declare ~objective ~scope "strict";
+  for _ = 1 to 3 do
+    Slo.record ~scope ~endpoint:"strict" ~dur_ms:1. ~error:true ()
+  done;
+  let server = Server.create ~config:(Server.config ~port:0 ~workers:2 ()) peer in
+  Fun.protect ~finally:(fun () -> Server.stop server)
+  @@ fun () ->
+  let port = Server.start server in
+  check bool_ "text keeps burn inf" true
+    (contains (http_get port "/healthz") "burn inf");
+  let hj = Json_check.parse_ok "/healthz.json" (http_get port "/healthz.json") in
+  let strict =
+    List.find
+      (fun e -> Json_check.(str (member "endpoint" e)) = "strict")
+      Json_check.(items (member "endpoints" hj))
+  in
+  check bool_ "burn is null" true (Json_check.member "burn" strict = Xrpc_obs.Json.Null)
 
 (* ------------------------------------------------------------------ *)
 
@@ -718,5 +763,7 @@ let () =
         [
           Alcotest.test_case "monitoring routes end-to-end" `Quick
             test_http_monitoring_routes;
+          Alcotest.test_case "non-finite burn is null in JSON" `Quick
+            test_http_non_finite_burn;
         ] );
     ]
