@@ -80,8 +80,8 @@ let plan_bench () =
   Printf.printf
     "plan cache:   %8.0f qps cold  %8.0f qps warm  (%.1fx; %d hits %d \
      misses)\n"
-    cold warm (warm /. cold) stats.Xrpc_peer.Plan_cache.hits
-    stats.Xrpc_peer.Plan_cache.misses;
+    cold warm (warm /. cold) stats.Xrpc_peer.Lru.hits
+    stats.Xrpc_peer.Lru.misses;
   (cold, warm)
 
 (* ------------------------------------------------------------------ *)
@@ -133,8 +133,8 @@ let result_bench () =
   Printf.printf
     "result cache: %8.0f qps cold  %8.0f qps warm  (%.1fx; %d hits %d \
      misses; warm phases [%s])\n"
-    cold warm (warm /. cold) stats.Xrpc_peer.Result_cache.hits
-    stats.Xrpc_peer.Result_cache.misses
+    cold warm (warm /. cold) stats.Xrpc_peer.Lru.hits
+    stats.Xrpc_peer.Lru.misses
     (String.concat ";" phases);
   if not served_from_cache then
     failwith "warm repeat was not served from the result cache";

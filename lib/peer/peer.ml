@@ -2,7 +2,8 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, a {!Func_cache} of prepared modules, and an {!Isolation}
+    sources, four {!Lru} caches (ad-hoc plans, call results, prepared
+    modules, idempotent responses), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -41,22 +42,16 @@ type config = {
           the Table-2 comparison modes, [Rpc_auto] (default) defers to
           [bulk_rpc].  The [XRPC_FORCE_STRATEGY] environment variable (read
           per query) wins over both. *)
-  default_timeout : int;  (** seconds, for queryID isolation entries *)
   idem_capacity : int;
       (** idempotency-cache capacity; an evicted key falls back to
           at-least-once (the request re-executes on replay) *)
-  plan_capacity : int;  (** compiled-plan cache entries (ad-hoc queries) *)
-  result_capacity : int;  (** semantic result-cache entries *)
 }
 
 let default_config =
   {
     bulk_rpc = true;
     rpc_mode = Xctx.Rpc_auto;
-    default_timeout = 30;
     idem_capacity = 256;
-    plan_capacity = 128;
-    result_capacity = 512;
   }
 
 let m_requests = Metrics.counter "peer.requests"
@@ -77,9 +72,8 @@ type internals = {
   clock : unit -> float;
   lock : Mutex.t;
       (** serializes request handling — the HTTP server runs handlers on
-          a pool of worker threads, and peer state (function cache,
-          isolation tables, database versions) is not otherwise
-          synchronized *)
+          a pool of worker threads, and peer state (isolation tables,
+          database versions) is not otherwise synchronized *)
   mutable locked_by : int option;
       (** holder thread id, for reentrant self-calls (a served function may
           [execute at] its own peer) *)
@@ -94,16 +88,23 @@ type internals = {
 type t = {
   uri : string;
   db : Database.t;
-  func_cache : Func_cache.t;
+  func_cache : (Xctx.func_key, Xctx.func) Hashtbl.t Lru.t;
+      (** prepared module plans (§3.3): module uri -> the function
+          registry of the parsed, prolog-loaded, checked module *)
   plan_cache : Plan_cache.t;
       (** compiled plans for ad-hoc [query] sources, keyed on canonical
           query text — repeats skip parse + prolog + static check *)
   result_cache : Result_cache.t;
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
-  idem_cache : Idem_cache.t;
-      (** responses by idempotency key, so retried/duplicated requests do
-          not re-execute updating functions *)
+  idem_cache : string Lru.t;
+      (** exactly-once semantics over an at-least-once transport: the
+          serialized response of every request that carried an [idemKey].
+          A replay with a known key is answered from here without
+          re-executing (rule R_Fu applies pending update lists per
+          request); an evicted key falls back to at-least-once.  Faults
+          are not cached: a failed request had no effects, so re-executing
+          it on retry is safe and the only way a transient error heals. *)
   isolation : Isolation.t;
   mutable transport : Transport.t option;
   mutable executor : Executor.t;
@@ -121,10 +122,10 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
   {
     uri;
     db = Database.create ~clock ();
-    func_cache = Func_cache.create ();
-    plan_cache = Plan_cache.create ~capacity:config.plan_capacity ();
-    result_cache = Result_cache.create ~capacity:config.result_capacity ();
-    idem_cache = Idem_cache.create ~capacity:config.idem_capacity ();
+    func_cache = Lru.create ~capacity:64 "peer.func_cache";
+    plan_cache = Plan_cache.create ();
+    result_cache = Result_cache.create ();
+    idem_cache = Lru.create ~capacity:config.idem_capacity "peer.idem_cache";
     isolation = Isolation.create ~clock ();
     transport = None;
     executor = Executor.sequential;
@@ -193,13 +194,13 @@ let register_module peer ~uri ?location source =
   (match location with
   | Some loc -> Hashtbl.replace peer.internals.locations loc source
   | None -> ());
-  Func_cache.invalidate peer.func_cache uri;
+  ignore (Lru.remove_if peer.func_cache (fun k _ -> k = uri));
   (* cached results of calls into this module reflect the old code *)
   ignore (Result_cache.invalidate_module peer.result_cache uri);
   (* cached ad-hoc plans may embed functions imported from this module;
      plans carry no import provenance, so clear wholesale — blunt but
      correct, and module re-registration is rare *)
-  Plan_cache.clear peer.plan_cache
+  Lru.clear peer.plan_cache.Plan_cache.lru
 
 let module_resolver peer : Runner.module_resolver =
  fun ~uri ~location ->
@@ -416,14 +417,16 @@ let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
 (* Server side: the XRPC request handler                               *)
 (* ------------------------------------------------------------------ *)
 
-let compile_module peer ~uri ~location : Func_cache.compiled =
-  Func_cache.compile peer.func_cache ~uri ~load:(fun () ->
-      let source = module_resolver peer ~uri ~location in
-      let prog = Xrpc_xquery.Parser.parse_prog source in
-      let ctx = Xctx.empty () in
-      let ctx = Runner.load_prolog ctx ~resolver:(module_resolver peer) prog in
-      Xrpc_xquery.Check.check_prog_exn ctx prog;
-      { Func_cache.prog; funcs = ctx.Xctx.funcs })
+(* The function registry of module [uri], compiled (parse + prolog +
+   static check) on a module-cache miss. *)
+let compile_module peer ~uri ~location =
+  fst @@ Lru.find_or_add peer.func_cache uri @@ fun () ->
+  let source = module_resolver peer ~uri ~location in
+  let prog = Xrpc_xquery.Parser.parse_prog source in
+  let ctx = Xctx.empty () in
+  let ctx = Runner.load_prolog ctx ~resolver:(module_resolver peer) prog in
+  Xrpc_xquery.Check.check_prog_exn ctx prog;
+  ctx.Xctx.funcs
 
 let handle_request peer (r : Message.request) : Message.t =
   peer.requests_handled <- peer.requests_handled + 1;
@@ -504,7 +507,7 @@ let handle_request peer (r : Message.request) : Message.t =
               their serialized value, which the value-based key cannot
               distinguish — never cache them *)
         && r.Message.query_id = None
-        && Result_cache.enabled peer.result_cache
+        && Lru.enabled peer.result_cache
       then
         Some
           (Result_cache.key ~module_uri:r.Message.module_uri
@@ -539,7 +542,7 @@ let handle_request peer (r : Message.request) : Message.t =
             peers = [ peer.uri ];
           }
     | None ->
-    let compiled =
+    let funcs =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
       Trace.with_span ~detail:r.Message.module_uri "peer.compile" @@ fun () ->
       compile_module peer ~uri:r.Message.module_uri ~location:r.Message.location
@@ -551,7 +554,7 @@ let handle_request peer (r : Message.request) : Message.t =
       make_context ~deps ~remote_dep peer ~version ~query_id:r.Message.query_id
         ~peers_acc
     in
-    let ctx = { ctx with Xctx.funcs = compiled.Func_cache.funcs } in
+    let ctx = { ctx with Xctx.funcs } in
     let fname =
       Qname.make ~uri:r.Message.module_uri r.Message.method_
     in
@@ -787,7 +790,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
     (* exactly-once over at-least-once delivery: a request whose idemKey
        we already answered is served from the idempotency cache without
        re-executing (in particular without re-applying R_Fu updates) *)
-    match Option.bind idem_key (Idem_cache.find peer.idem_cache) with
+    match Option.bind idem_key (Lru.find peer.idem_cache) with
     | Some cached ->
         Trace.event "idem-hit";
         Cached cached
@@ -824,7 +827,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
             match (idem_key, reply) with
             | _, Message.Fault f -> Ok (Some f.Message.reason)
             | Some k, _ ->
-                Idem_cache.add peer.idem_cache k
+                Lru.add peer.idem_cache k
                   (Buffer.sub out start (Buffer.length out - start));
                 Ok None
             | None, _ -> Ok None))
@@ -959,17 +962,14 @@ let run_query peer (source : string) : query_result =
   let ctx0 = { ctx0 with Xctx.funcs = compiled.Plan_cache.funcs } in
   ctx0.Xctx.options := compiled.Plan_cache.options;
   ctx0.Xctx.imports := compiled.Plan_cache.imports;
+  (* a bad timeout fails here, before a global initializer can send *)
+  let timeout = Xctx.timeout ctx0 in
   (* prolog pass 2: bind global variables against the current database
      (their initializers may call fn:doc or even [execute at]) *)
   let ctx =
     Trace.with_span "client.bind" @@ fun () -> Runner.bind_globals ctx0 prog
   in
   let isolation_level = Xctx.isolation ctx in
-  let timeout =
-    match Xctx.option_value ctx (Qname.make ~uri:Qname.ns_xrpc "timeout") with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> peer.config.default_timeout)
-    | None -> peer.config.default_timeout
-  in
   let query_id =
     match isolation_level with
     | `Repeatable -> Some (fresh_query_id peer ~timeout ~level:Message.Repeatable)
@@ -1090,83 +1090,63 @@ let resolve_in_doubt peer : int * int * int =
 (* ------------------------------------------------------------------ *)
 
 type cache_stats = {
-  plan : Plan_cache.stats;
-  result : Result_cache.stats;
-  func_hits : int;
-  func_misses : int;
-  func_evictions : int;
-  func_size : int;
-  idem_hits : int;
-  idem_misses : int;
-  idem_evictions : int;
-  idem_size : int;
+  plan : Lru.stats;
+  result : Lru.stats;
+  func : Lru.stats;
+  idem : Lru.stats;
+  func_hits : int;  (** [func.hits] *)
+  func_misses : int;  (** [func.misses] *)
 }
 
 let cache_stats peer =
+  let func = Lru.stats peer.func_cache in
   {
-    plan = Plan_cache.stats peer.plan_cache;
-    result = Result_cache.stats peer.result_cache;
-    func_hits = peer.func_cache.Func_cache.hits;
-    func_misses = peer.func_cache.Func_cache.misses;
-    func_evictions = peer.func_cache.Func_cache.evictions;
-    func_size = Func_cache.size peer.func_cache;
-    idem_hits = Idem_cache.hits peer.idem_cache;
-    idem_misses = Idem_cache.misses peer.idem_cache;
-    idem_evictions = Idem_cache.evictions peer.idem_cache;
-    idem_size = Idem_cache.size peer.idem_cache;
+    plan = Lru.stats peer.plan_cache.Plan_cache.lru;
+    result = Lru.stats peer.result_cache;
+    func;
+    idem = Lru.stats peer.idem_cache;
+    func_hits = func.hits;
+    func_misses = func.misses;
   }
 
-let set_plan_caching peer on = Plan_cache.set_enabled peer.plan_cache on
-let set_result_caching peer on = Result_cache.set_enabled peer.result_cache on
+let set_plan_caching peer on = Lru.set_enabled peer.plan_cache.Plan_cache.lru on
+let set_result_caching peer on = Lru.set_enabled peer.result_cache on
 
 (** Drop every performance cache (plan, result, module).  The idempotency
     cache is deliberately kept: it is a correctness mechanism
     (exactly-once updates), not a performance one. *)
 let clear_caches peer =
-  Plan_cache.clear peer.plan_cache;
-  Result_cache.clear peer.result_cache;
-  Func_cache.clear peer.func_cache
+  Lru.clear peer.plan_cache.Plan_cache.lru;
+  Lru.clear peer.result_cache;
+  Lru.clear peer.func_cache
+
+let named_caches s =
+  [ ("plan_cache", s.plan); ("result_cache", s.result); ("func_cache", s.func);
+    ("idem_cache", s.idem) ]
 
 (** Human-readable stats block — what [/cachez] and the shell's [:cache
     stats] print. *)
 let cache_stats_text s =
-  let p = s.plan and r = s.result in
-  Printf.sprintf
-    "plan_cache:   hits=%d misses=%d evictions=%d size=%d/%d enabled=%b\n\
-     result_cache: hits=%d misses=%d stale=%d invalidations=%d evictions=%d \
-     size=%d/%d enabled=%b\n\
-     func_cache:   hits=%d misses=%d evictions=%d size=%d\n\
-     idem_cache:   hits=%d misses=%d evictions=%d size=%d"
-    p.Plan_cache.hits p.Plan_cache.misses p.Plan_cache.evictions
-    p.Plan_cache.size p.Plan_cache.capacity p.Plan_cache.enabled
-    r.Result_cache.hits r.Result_cache.misses r.Result_cache.stale
-    r.Result_cache.invalidations r.Result_cache.evictions r.Result_cache.size
-    r.Result_cache.capacity r.Result_cache.enabled s.func_hits s.func_misses
-    s.func_evictions s.func_size s.idem_hits s.idem_misses s.idem_evictions
-    s.idem_size
+  String.concat "\n"
+    (List.map
+       (fun (name, (c : Lru.stats)) ->
+         Printf.sprintf
+           "%-13s hits=%d misses=%d stale=%d invalidations=%d evictions=%d \
+            size=%d/%d enabled=%b"
+           (name ^ ":") c.hits c.misses c.stale c.invalidations c.evictions
+           c.size c.capacity c.enabled)
+       (named_caches s))
 
 (** The same block as a JSON value: [/cachez.json]. *)
 let cache_stats_json s =
   let open Xrpc_obs.Json in
-  let obj ?enabled kvs =
-    Obj
-      (List.map (fun (k, v) -> (k, Int v)) kvs
-      @ Option.fold ~none:[] ~some:(fun b -> [ ("enabled", Bool b) ]) enabled)
-  in
-  let p = s.plan and r = s.result in
   Obj
-    [ ( "plan_cache",
-        Plan_cache.(obj ~enabled:p.enabled
-          [ ("hits", p.hits); ("misses", p.misses); ("evictions", p.evictions);
-            ("size", p.size); ("capacity", p.capacity) ]) );
-      ( "result_cache",
-        Result_cache.(obj ~enabled:r.enabled
-          [ ("hits", r.hits); ("misses", r.misses); ("stale", r.stale);
-            ("invalidations", r.invalidations); ("evictions", r.evictions);
-            ("size", r.size); ("capacity", r.capacity) ]) );
-      ( "func_cache",
-        obj [ ("hits", s.func_hits); ("misses", s.func_misses);
-              ("evictions", s.func_evictions); ("size", s.func_size) ] );
-      ( "idem_cache",
-        obj [ ("hits", s.idem_hits); ("misses", s.idem_misses);
-              ("evictions", s.idem_evictions); ("size", s.idem_size) ] ) ]
+    (List.map
+       (fun (name, (c : Lru.stats)) ->
+         ( name,
+           Obj
+             [ ("hits", Int c.hits); ("misses", Int c.misses);
+               ("stale", Int c.stale); ("invalidations", Int c.invalidations);
+               ("evictions", Int c.evictions); ("size", Int c.size);
+               ("capacity", Int c.capacity); ("enabled", Bool c.enabled) ] ))
+       (named_caches s))

@@ -2,7 +2,8 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, a {!Func_cache} of prepared modules, and an {!Isolation}
+    sources, four {!Lru} caches (ad-hoc plans, call results, prepared
+    modules, idempotent responses), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -14,7 +15,8 @@
     [handle_raw] is thread-safe (the HTTP server runs handlers on a pool
     of worker threads): request handling is serialized under an
     internal reentrant lock, so a served function may [execute at] its own
-    peer without deadlocking. *)
+    peer without deadlocking.  [query] runs outside that lock; each cache
+    guards itself with its own mutex. *)
 
 exception Peer_error of string
 
@@ -25,12 +27,9 @@ type config = {
           the Table-2 comparison modes, [Rpc_auto] (default) defers to
           [bulk_rpc].  The [XRPC_FORCE_STRATEGY] environment variable (read
           per query) wins over both. *)
-  default_timeout : int;  (** seconds, for queryID isolation entries *)
   idem_capacity : int;
       (** idempotency-cache capacity; an evicted key falls back to
           at-least-once (the request re-executes on replay) *)
-  plan_capacity : int;  (** compiled-plan cache entries (ad-hoc queries) *)
-  result_capacity : int;  (** semantic result-cache entries *)
 }
 
 val default_config : config
@@ -42,16 +41,23 @@ type internals
 type t = {
   uri : string;
   db : Database.t;
-  func_cache : Func_cache.t;
+  func_cache : (Xrpc_xquery.Context.func_key, Xrpc_xquery.Context.func) Hashtbl.t Lru.t;
+      (** prepared module plans (§3.3): module uri -> the function
+          registry of the parsed, prolog-loaded, checked module *)
   plan_cache : Plan_cache.t;
       (** compiled plans for ad-hoc [query] sources, keyed on canonical
           query text — repeats skip parse + prolog + static check *)
   result_cache : Result_cache.t;
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
-  idem_cache : Idem_cache.t;
-      (** responses by idempotency key, so retried/duplicated requests do
-          not re-execute updating functions *)
+  idem_cache : string Lru.t;
+      (** exactly-once semantics over an at-least-once transport: the
+          serialized response of every request that carried an [idemKey].
+          A replay with a known key is answered from here without
+          re-executing (rule R_Fu applies pending update lists per
+          request); an evicted key falls back to at-least-once.  Faults
+          are not cached: a failed request had no effects, so re-executing
+          it on retry is safe and the only way a transient error heals. *)
   isolation : Isolation.t;
   mutable transport : Xrpc_net.Transport.t option;
   mutable executor : Xrpc_net.Executor.t;
@@ -166,21 +172,17 @@ val resolve_in_doubt : t -> int * int * int
 (** {2 Cache introspection & control} *)
 
 type cache_stats = {
-  plan : Plan_cache.stats;
-  result : Result_cache.stats;
-  func_hits : int;
-  func_misses : int;
-  func_evictions : int;
-  func_size : int;
-  idem_hits : int;
-  idem_misses : int;
-  idem_evictions : int;
-  idem_size : int;
+  plan : Lru.stats;
+  result : Lru.stats;
+  func : Lru.stats;
+  idem : Lru.stats;
+  func_hits : int;  (** [func.hits] *)
+  func_misses : int;  (** [func.misses] *)
 }
 
 val cache_stats : t -> cache_stats
-(** Aggregated counters across all four caches (plan, result, module
-    plan, idempotency). *)
+(** The counters of all four caches (plan, result, module plan,
+    idempotency), each read in one critical section of its cache. *)
 
 val set_plan_caching : t -> bool -> unit
 (** Toggle the compiled-plan cache; disabled, every [query] recompiles. *)

@@ -1,6 +1,6 @@
 (** Compiled-plan cache for ad-hoc queries (§3.3, extended).
 
-    {!Func_cache} only covers module plans; every ad-hoc [Peer.query]
+    The module cache only covers module plans; every ad-hoc [Peer.query]
     still paid parse + prolog + static check on each run.  This cache
     keys the {e static} half of compilation — the parsed program, the
     function registry built by prolog pass 1 (imports included), the
@@ -12,17 +12,11 @@
     via {!Xrpc_xquery.Runner.bind_globals}, which is what keeps a cached
     plan coherent with a database that changed under it.
 
-    Bounded LRU over {!Lru}; hit/miss/eviction counters are exported
-    through {!Xrpc_obs.Metrics} as [peer.plan_cache.*]. *)
+    One {!Lru} instance, counted as [peer.plan_cache.*]. *)
 
 module Normalize = Xrpc_xquery.Normalize
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
-module Metrics = Xrpc_obs.Metrics
-
-let m_hits = Metrics.counter "peer.plan_cache.hits"
-let m_misses = Metrics.counter "peer.plan_cache.misses"
-let m_evictions = Metrics.counter "peer.plan_cache.evictions"
 
 type compiled = {
   prog : Xast.prog;
@@ -33,6 +27,8 @@ type compiled = {
   imports : (string * string) list;  (** module uri -> at-hint *)
 }
 
+let capacity = 128
+
 type t = {
   lru : compiled Lru.t;
   by_source : (string, string) Hashtbl.t;
@@ -42,33 +38,31 @@ type t = {
           otherwise cost a sizable fraction of the parse it exists to
           avoid.  Sources differing only in whitespace/comments miss here
           and fall through to {!Normalize.canonical}. *)
+  alias_lock : Mutex.t;  (** guards [by_source]: [Peer.query] runs unlocked *)
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  size : int;
-  capacity : int;
-  enabled : bool;
-}
-
-let create ?(enabled = true) ?(capacity = 128) () =
-  let lru = Lru.create ~enabled ~capacity () in
-  Lru.set_on_evict lru (fun _ -> Metrics.incr m_evictions);
-  { lru; by_source = Hashtbl.create 64 }
+let create () =
+  {
+    lru = Lru.create ~capacity "peer.plan_cache";
+    by_source = Hashtbl.create 64;
+    alias_lock = Mutex.create ();
+  }
 
 (* the alias table is bounded loosely: distinct spellings of the same
    canonical query are rare, so 4x the LRU capacity is plenty; overflow
-   just resets the fast path, never correctness *)
+   just resets the fast path, never correctness.  Canonicalization runs
+   outside the lock. *)
 let canonical_key t source =
-  match Hashtbl.find_opt t.by_source source with
+  match
+    Mutex.protect t.alias_lock (fun () -> Hashtbl.find_opt t.by_source source)
+  with
   | Some key -> key
   | None ->
       let key = Normalize.canonical source in
-      if Hashtbl.length t.by_source >= 4 * Lru.capacity t.lru then
-        Hashtbl.reset t.by_source;
-      Hashtbl.replace t.by_source source key;
+      Mutex.protect t.alias_lock (fun () ->
+          if Hashtbl.length t.by_source >= 4 * capacity then
+            Hashtbl.reset t.by_source;
+          Hashtbl.replace t.by_source source key);
       key
 
 (** [find_or_compile t source ~compile] — the cached plan for [source],
@@ -80,30 +74,4 @@ let canonical_key t source =
 let find_or_compile t (source : string) ~(compile : unit -> compiled) :
     compiled * bool =
   if not (Lru.enabled t.lru) then (compile (), false)
-  else
-    let key = canonical_key t source in
-    match Lru.find t.lru key with
-    | Some c ->
-        Metrics.incr m_hits;
-        (c, true)
-    | None ->
-        Metrics.incr m_misses;
-        let c = compile () in
-        Lru.add t.lru key c;
-        (c, false)
-
-let clear t =
-  Lru.clear t.lru;
-  Hashtbl.reset t.by_source
-let set_enabled t b = Lru.set_enabled t.lru b
-let enabled t = Lru.enabled t.lru
-
-let stats (t : t) : stats =
-  {
-    hits = Lru.hits t.lru;
-    misses = Lru.misses t.lru;
-    evictions = Lru.evictions t.lru;
-    size = Lru.size t.lru;
-    capacity = Lru.capacity t.lru;
-    enabled = Lru.enabled t.lru;
-  }
+  else Lru.find_or_add t.lru (canonical_key t source) compile

@@ -24,18 +24,10 @@
     whose calls pin a queryID (R'_Fr) bypass the cache entirely — their
     snapshot may legitimately diverge from the current version.
 
-    Bounded LRU over {!Lru}; counters exported through
-    {!Xrpc_obs.Metrics} as [peer.result_cache.*]. *)
+    One {!Lru} instance, counted as [peer.result_cache.*]. *)
 
 open Xrpc_xml
 module Marshal = Xrpc_soap.Marshal
-module Metrics = Xrpc_obs.Metrics
-
-let m_hits = Metrics.counter "peer.result_cache.hits"
-let m_misses = Metrics.counter "peer.result_cache.misses"
-let m_evictions = Metrics.counter "peer.result_cache.evictions"
-let m_invalidations = Metrics.counter "peer.result_cache.invalidations"
-let m_stale = Metrics.counter "peer.result_cache.stale"
 
 type entry = {
   results : Xdm.sequence list;  (** one result sequence per call *)
@@ -44,33 +36,9 @@ type entry = {
           with its {!Database.doc_version} at execution time *)
 }
 
-type t = {
-  lru : entry Lru.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stale : int;  (** lazy invalidations (version-vector mismatch) *)
-  mutable invalidations : int;  (** eager invalidations (commit hook) *)
-}
+type t = entry Lru.t
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  invalidations : int;
-  stale : int;
-  size : int;
-  capacity : int;
-  enabled : bool;
-}
-
-let create ?(enabled = true) ?(capacity = 512) () =
-  let lru = Lru.create ~enabled ~capacity () in
-  Lru.set_on_evict lru (fun _ -> Metrics.incr m_evictions);
-  { lru; hits = 0; misses = 0; stale = 0; invalidations = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Keys                                                                *)
-(* ------------------------------------------------------------------ *)
+let create () : t = Lru.create ~capacity:512 "peer.result_cache"
 
 (* The key embeds the module URI first, NUL-separated, so module
    re-registration can invalidate by prefix; arguments are canonicalized
@@ -95,89 +63,24 @@ let key ~module_uri ~fn ~arity ~(calls : Xdm.sequence list list) =
     calls;
   Buffer.contents buf
 
-let module_prefix module_uri = module_uri ^ "\000"
-
-(* ------------------------------------------------------------------ *)
-(* Lookup / store                                                      *)
-(* ------------------------------------------------------------------ *)
-
 (** [find t ~key ~doc_version] — the cached result sequences, provided
     every dependency still has the version it was executed against
-    ([doc_version] reads the current database).  A version mismatch
-    drops the entry (lazy invalidation) and counts as a miss. *)
-let find t ~key ~(doc_version : string -> int) : Xdm.sequence list option =
-  if not (Lru.enabled t.lru) then None
-  else
-    match Lru.peek t.lru key with
-    | Some e when List.for_all (fun (d, v) -> doc_version d = v) e.deps ->
-        Lru.touch t.lru key;
-        t.hits <- t.hits + 1;
-        Metrics.incr m_hits;
-        Some e.results
-    | Some _ ->
-        ignore (Lru.remove t.lru key);
-        t.stale <- t.stale + 1;
-        Metrics.incr m_stale;
-        t.misses <- t.misses + 1;
-        Metrics.incr m_misses;
-        None
-    | None ->
-        t.misses <- t.misses + 1;
-        Metrics.incr m_misses;
-        None
+    ([doc_version] reads the current database and takes no lock, so it
+    may run inside the cache's critical section).  A version mismatch
+    drops the entry and counts as stale and a miss. *)
+let find (t : t) ~key ~(doc_version : string -> int) : Xdm.sequence list option =
+  Lru.find t key ~valid:(fun e ->
+      List.for_all (fun (d, v) -> doc_version d = v) e.deps)
+  |> Option.map (fun e -> e.results)
 
-let add t ~key ~deps results =
-  if Lru.enabled t.lru then Lru.add t.lru key { results; deps }
+let add (t : t) ~key ~deps results = Lru.add t key { results; deps }
 
-(* ------------------------------------------------------------------ *)
-(* Invalidation                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Evict every entry depending on one of [docs] (the commit hook);
-    returns how many were evicted. *)
-let invalidate_docs t docs =
-  let n =
-    Lru.remove_if t.lru (fun _ e ->
-        List.exists (fun (d, _) -> List.mem d docs) e.deps)
-  in
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Metrics.incr_by m_invalidations n
-  end;
-  n
+(** Evict every entry depending on one of [docs] (the commit hook). *)
+let invalidate_docs (t : t) docs =
+  Lru.remove_if t (fun _ e -> List.exists (fun (d, _) -> List.mem d docs) e.deps)
 
 (** Evict every entry for calls into [module_uri] (module re-registration
     changed the code behind them). *)
-let invalidate_module t module_uri =
-  let prefix = module_prefix module_uri in
-  let plen = String.length prefix in
-  let n =
-    Lru.remove_if t.lru (fun k _ ->
-        String.length k >= plen && String.sub k 0 plen = prefix)
-  in
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Metrics.incr_by m_invalidations n
-  end;
-  n
-
-(* ------------------------------------------------------------------ *)
-(* Introspection / control                                             *)
-(* ------------------------------------------------------------------ *)
-
-let clear t = Lru.clear t.lru
-let set_enabled t b = Lru.set_enabled t.lru b
-let enabled t = Lru.enabled t.lru
-let size t = Lru.size t.lru
-
-let stats (t : t) : stats =
-  {
-    hits = t.hits;
-    misses = t.misses;
-    evictions = Lru.evictions t.lru;
-    invalidations = t.invalidations;
-    stale = t.stale;
-    size = Lru.size t.lru;
-    capacity = Lru.capacity t.lru;
-    enabled = Lru.enabled t.lru;
-  }
+let invalidate_module (t : t) module_uri =
+  let prefix = module_uri ^ "\000" in
+  Lru.remove_if t (fun k _ -> String.starts_with ~prefix k)

@@ -342,6 +342,13 @@ let nat_attr what s =
     err "%s is not a non-negative integer: %S" what
       (if String.length s > 20 then String.sub s 0 20 ^ "..." else s)
 
+(* A queryID timeout in seconds: an xs:nonNegativeInteger that must also
+   be positive.  The decoder checks incoming queryIDs with it, and
+   {!Xrpc_xquery.Context.timeout} checks [declare option xrpc:timeout],
+   so a query cannot send a timeout its peers would refuse. *)
+let timeout_attr what s =
+  match nat_attr what s with 0 -> err "%s must be positive" what | n -> n
+
 let parse_query_id = function
   | Tree.Element { attrs; _ } ->
       (* XRPC.xsd: host, timestamp and timeout are use="required" *)
@@ -353,10 +360,7 @@ let parse_query_id = function
       {
         host = required "host";
         timestamp = required "timestamp";
-        timeout =
-          (match nat_attr "queryID timeout" (required "timeout") with
-          | 0 -> err "queryID timeout must be positive"
-          | n -> n);
+        timeout = timeout_attr "queryID timeout" (required "timeout");
         level =
           (match find_attr attrs "level" with
           | Some "snapshot" -> Snapshot

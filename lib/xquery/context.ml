@@ -142,7 +142,13 @@ let isolation ctx =
   | Some "snapshot" -> `Snapshot
   | _ -> `None
 
+(** The queryID timeout in seconds selected with [declare option
+    xrpc:timeout] (default 30).  The value must pass the wire's rule
+    ({!Message.timeout_attr}): a bad one is a dynamic error here, before
+    any request carries it. *)
 let timeout ctx =
   match option_value ctx (Qname.make ~uri:Qname.ns_xrpc "timeout") with
-  | Some s -> ( try int_of_string (String.trim s) with _ -> 30)
+  | Some s -> (
+      try Message.timeout_attr "option xrpc:timeout" s
+      with Message.Protocol_error reason -> raise (Xdm.Dynamic_error reason))
   | None -> 30

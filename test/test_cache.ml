@@ -19,9 +19,8 @@ module Cluster = Xrpc_core.Cluster
 module Client = Xrpc_core.Xrpc_client
 module Peer = Xrpc_peer.Peer
 module Database = Xrpc_peer.Database
-module Plan_cache = Xrpc_peer.Plan_cache
-module Result_cache = Xrpc_peer.Result_cache
 module Lru = Xrpc_peer.Lru
+module Metrics = Xrpc_obs.Metrics
 module Normalize = Xrpc_xquery.Normalize
 module Filmdb = Xrpc_workloads.Filmdb
 module Simnet = Xrpc_net.Simnet
@@ -133,79 +132,87 @@ let prop_literal_kinds_never_collide =
 (* ------------------------------------------------------------------ *)
 
 let test_lru_bounds_and_recency () =
-  let lru = Lru.create ~capacity:2 () in
-  let evicted = ref [] in
-  Lru.set_on_evict lru (fun k -> evicted := k :: !evicted);
+  let lru = Lru.create ~capacity:2 "test.lru" in
   Lru.add lru "a" 1;
   Lru.add lru "b" 2;
   check (Alcotest.option int_) "a cached" (Some 1) (Lru.find lru "a");
   (* a was just used, so inserting c must evict b *)
   Lru.add lru "c" 3;
-  check int_ "bounded" 2 (Lru.size lru);
+  check int_ "bounded" 2 (Lru.stats lru).Lru.size;
   check (Alcotest.option int_) "LRU victim gone" None (Lru.find lru "b");
   check (Alcotest.option int_) "recently used survives" (Some 1)
     (Lru.find lru "a");
-  check int_ "one eviction" 1 (Lru.evictions lru);
-  check (Alcotest.list string_) "on_evict saw the victim" [ "b" ] !evicted
+  check int_ "one eviction" 1 (Lru.stats lru).Lru.evictions
 
 let test_lru_disabled () =
-  let lru = Lru.create ~enabled:false ~capacity:2 () in
+  let lru = Lru.create ~capacity:2 "test.lru" in
+  Lru.set_enabled lru false;
   Lru.add lru "a" 1;
   check (Alcotest.option int_) "disabled stores nothing" None
     (Lru.find lru "a");
-  check int_ "empty" 0 (Lru.size lru)
+  let made = ref 0 in
+  let make () = incr made; 7 in
+  ignore (Lru.find_or_add lru "a" make);
+  ignore (Lru.find_or_add lru "a" make);
+  check int_ "every find_or_add makes" 2 !made;
+  let s = Lru.stats lru in
+  check int_ "empty" 0 s.Lru.size;
+  check int_ "no counter moved" 0 (s.Lru.hits + s.Lru.misses)
 
 let test_lru_remove_if_vs_evictions () =
-  (* remove_if is the invalidation primitive: its removals are not
-     capacity evictions, so neither the counter nor the on_evict hook
-     (which feeds eviction metrics) may fire *)
-  let lru = Lru.create ~capacity:4 () in
-  let hook_fired = ref [] in
-  Lru.set_on_evict lru (fun k -> hook_fired := k :: !hook_fired);
+  (* remove_if is the invalidation primitive: its removals are counted
+     as invalidations, never as capacity evictions *)
+  let lru = Lru.create ~capacity:4 "test.lru" in
   List.iter (fun k -> Lru.add lru k 0) [ "a"; "b"; "c" ];
   let dropped = Lru.remove_if lru (fun k _ -> k <> "b") in
   check int_ "remove_if reports its victims" 2 dropped;
-  check int_ "invalidations are not evictions" 0 (Lru.evictions lru);
-  check (Alcotest.list string_) "on_evict never fired" [] !hook_fired;
-  check int_ "survivor stays" 1 (Lru.size lru);
+  check int_ "invalidations are not evictions" 0 (Lru.stats lru).Lru.evictions;
+  check int_ "counted as invalidations" 2 (Lru.stats lru).Lru.invalidations;
+  check int_ "survivor stays" 1 (Lru.stats lru).Lru.size;
   check (Alcotest.option int_) "survivor readable" (Some 0) (Lru.find lru "b");
-  (* a later capacity eviction still fires the hook exactly once *)
+  (* a later capacity eviction is counted exactly once *)
   List.iter (fun k -> Lru.add lru k 0) [ "d"; "e"; "f"; "g" ];
-  check int_ "capacity eviction counted" 1 (Lru.evictions lru);
-  check int_ "hook saw exactly the capacity victim" 1 (List.length !hook_fired)
+  check int_ "capacity eviction counted" 1 (Lru.stats lru).Lru.evictions
 
-let test_lru_evict_hook_order () =
-  let lru = Lru.create ~capacity:2 () in
-  let seen = ref [] in
-  (* the hook runs inside the lock, after the victim is removed and the
-     counter bumped — it may read the plain counters but must not reenter
-     the cache *)
-  Lru.set_on_evict lru (fun k -> seen := (k, Lru.evictions lru) :: !seen);
+let test_lru_counters () =
+  (* each event is counted once, in the instance and in its metric
+     series; a lookup whose validity check fails drops the entry and
+     counts as stale and as a miss *)
+  let name = "test.lru_counters" in
+  let series kind =
+    int_of_float (Metrics.total (Metrics.counter (name ^ "." ^ kind)))
+  in
+  let lru = Lru.create ~capacity:2 name in
   Lru.add lru "a" 1;
   Lru.add lru "b" 2;
+  ignore (Lru.find lru "a");
+  ignore (Lru.find lru "z");
   Lru.add lru "c" 3;
-  (match !seen with
-  | [ (k, evictions_at_hook) ] ->
-      check string_ "victim is the LRU entry" "a" k;
-      check int_ "counted before the hook observes it" 1 evictions_at_hook
-  | l -> Alcotest.failf "expected one eviction, saw %d" (List.length l));
-  (* replacing the hook only affects later evictions *)
-  Lru.set_on_evict lru (fun _ -> ());
-  Lru.add lru "d" 4;
-  check int_ "second eviction counted" 2 (Lru.evictions lru);
-  check int_ "old hook not called again" 1 (List.length !seen)
+  check (Alcotest.option int_) "refused entry is a miss" None
+    (Lru.find lru "c" ~valid:(fun v -> v <> 3));
+  check (Alcotest.option int_) "and is gone" None (Lru.find lru "c");
+  ignore (Lru.remove_if lru (fun k _ -> k = "a"));
+  let s = Lru.stats lru in
+  List.iter
+    (fun (kind, n, want) ->
+      check int_ kind want n;
+      check int_ (kind ^ " series") want (series kind))
+    [ ("hits", s.Lru.hits, 1); ("misses", s.Lru.misses, 3);
+      ("evictions", s.Lru.evictions, 1); ("stale", s.Lru.stale, 1);
+      ("invalidations", s.Lru.invalidations, 1) ];
+  check int_ "empty" 0 s.Lru.size
 
 let test_lru_remove_if_multi () =
   (* remove_if collects its victims during the scan and removes them
      after: a predicate matching interleaved entries drops each exactly
      once and never disturbs the survivors *)
-  let lru = Lru.create ~capacity:8 () in
+  let lru = Lru.create ~capacity:8 "test.lru" in
   for i = 1 to 6 do
     Lru.add lru (string_of_int i) i
   done;
   let dropped = Lru.remove_if lru (fun _ v -> v mod 2 = 0) in
   check int_ "three removed in one pass" 3 dropped;
-  check int_ "three survivors" 3 (Lru.size lru);
+  check int_ "three survivors" 3 (Lru.stats lru).Lru.size;
   List.iter
     (fun i ->
       check
@@ -216,6 +223,42 @@ let test_lru_remove_if_multi () =
     [ 1; 2; 3; 4; 5; 6 ];
   check int_ "second pass finds nothing" 0
     (Lru.remove_if lru (fun _ v -> v mod 2 = 0))
+
+let test_lru_concurrent () =
+  (* 8 threads mix validated lookups, inserts and invalidations on one
+     small cache.  A value encodes its key and its writer (key * 100 +
+     thread); entries from odd threads fail the validity check.  The
+     bound holds throughout, every lookup is counted exactly once, and a
+     lookup returns only a value added under its own key. *)
+  let capacity = 8 in
+  let lru = Lru.create ~capacity "test.lru_concurrent" in
+  let lookups = Atomic.make 0 and wrong = Atomic.make 0 in
+  let over = Atomic.make 0 in
+  let worker id =
+    let rng = Random.State.make [| id |] in
+    for _ = 1 to 2000 do
+      let k = Random.State.int rng 24 in
+      (match Random.State.int rng 10 with
+      | 0 -> ignore (Lru.remove_if lru (fun _ v -> v mod 100 = id))
+      | 1 | 2 | 3 -> Lru.add lru (string_of_int k) ((k * 100) + id)
+      | _ -> (
+          Atomic.incr lookups;
+          match
+            Lru.find lru (string_of_int k) ~valid:(fun v -> v mod 2 = 0)
+          with
+          | Some v when v / 100 <> k || v mod 2 <> 0 -> Atomic.incr wrong
+          | _ -> ()));
+      if (Lru.stats lru).Lru.size > capacity then Atomic.incr over;
+      Thread.yield ()
+    done
+  in
+  List.iter Thread.join (List.init 8 (Thread.create worker));
+  let s = Lru.stats lru in
+  check int_ "size never above capacity" 0 (Atomic.get over);
+  check int_ "every lookup counted once" (Atomic.get lookups)
+    (s.Lru.hits + s.Lru.misses);
+  check int_ "no value under a foreign key" 0 (Atomic.get wrong);
+  check bool_ "the validity check refused some entries" true (s.Lru.stale > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache at a peer                                                *)
@@ -233,8 +276,8 @@ let test_plan_cache_reuse () =
   in
   check string_ "cached plan prints the same answer" a b;
   let s = plan_stats peer in
-  check int_ "one compilation" 1 s.Plan_cache.misses;
-  check int_ "one plan-cache hit" 1 s.Plan_cache.hits
+  check int_ "one compilation" 1 s.Lru.misses;
+  check int_ "one plan-cache hit" 1 s.Lru.hits
 
 let test_plan_cache_rebinds_globals () =
   (* prolog pass 2 (global variable binding) must re-run per execution:
@@ -249,7 +292,7 @@ let test_plan_cache_rebinds_globals () =
   check string_ "cached plan sees the new document" "1"
     (Xdm.to_display (Peer.query_seq peer q));
   check bool_ "second run really was a plan-cache hit" true
-    ((plan_stats peer).Plan_cache.hits >= 1)
+    ((plan_stats peer).Lru.hits >= 1)
 
 let test_plan_cache_module_invalidation () =
   let peer = Peer.create "xrpc://plan.local" in
@@ -274,14 +317,42 @@ let test_explain_compiles_once () =
   let peer = Peer.create "xrpc://plan.local" in
   let q = "for $v in (1 to 3) return $v + 1" in
   ignore (Peer.compiled_plan peer q);
-  check int_ "explain compiled it" 1 (plan_stats peer).Plan_cache.misses;
+  check int_ "explain compiled it" 1 (plan_stats peer).Lru.misses;
   ignore (Peer.query_seq peer q);
   let s = plan_stats peer in
-  check int_ "the run did not recompile" 1 s.Plan_cache.misses;
-  check int_ "it hit the explained plan" 1 s.Plan_cache.hits;
+  check int_ "the run did not recompile" 1 s.Lru.misses;
+  check int_ "it hit the explained plan" 1 s.Lru.hits;
   (* a reformatted spelling of the same query reuses the plan too *)
   ignore (Peer.compiled_plan peer "for  $v in (1 to 3) (: same :)\nreturn $v + 1");
-  check int_ "reformatted explain is a hit" 2 (plan_stats peer).Plan_cache.hits
+  check int_ "reformatted explain is a hit" 2 (plan_stats peer).Lru.hits
+
+let test_plan_cache_concurrent_queries () =
+  (* [Peer.query] runs outside the peer lock.  8 threads query one peer
+     over 8 whitespace spellings of 100 queries: 800 distinct source
+     texts overflow the 512-entry alias map while the 100 canonical plans
+     fit the plan cache.  Every answer is right and every query is
+     counted once, as a hit or a miss. *)
+  let peer = Peer.create "xrpc://plan.local" in
+  let spelling i j =
+    Printf.sprintf "%s%d +%ssum(1 to 10)%s" (String.make j ' ') i
+      (String.make (j + 1) ' ') (String.make (j mod 3) '\n')
+  in
+  let wrong = Atomic.make 0 in
+  let worker t =
+    for i = 0 to 99 do
+      List.iter
+        (fun j ->
+          let got = Xdm.to_display (Peer.query_seq peer (spelling i j)) in
+          if got <> string_of_int (i + 55) then Atomic.incr wrong;
+          Thread.yield ())
+        [ t; (t + 1) mod 8 ]
+    done
+  in
+  List.iter Thread.join (List.init 8 (Thread.create worker));
+  let s = plan_stats peer in
+  check int_ "every answer right" 0 (Atomic.get wrong);
+  check int_ "every query counted once" 1600 (s.Lru.hits + s.Lru.misses);
+  check bool_ "the canonical plans were shared" true (s.Lru.hits >= 800)
 
 (* ------------------------------------------------------------------ *)
 (* Result cache across a cluster                                       *)
@@ -317,9 +388,9 @@ let test_result_cache_hit () =
   let b = Xdm.to_display (films_by client ~dest "Sean Connery") in
   check string_ "repeat answers identically" a b;
   let s = result_stats y in
-  check int_ "first call executed" 1 s.Result_cache.misses;
-  check int_ "second was served from cache" 1 s.Result_cache.hits;
-  check int_ "one entry" 1 s.Result_cache.size
+  check int_ "first call executed" 1 s.Lru.misses;
+  check int_ "second was served from cache" 1 s.Lru.hits;
+  check int_ "one entry" 1 s.Lru.size
 
 let test_update_then_read_invalidates () =
   (* a committed remote update (rule R_Fu) must evict the dependent
@@ -330,7 +401,7 @@ let test_update_then_read_invalidates () =
   let dest = "xrpc://y.example.org" in
   ignore (films_by client ~dest "Sean Connery");
   ignore (films_by client ~dest "Sean Connery");
-  check int_ "warm" 1 (result_stats y).Result_cache.hits;
+  check int_ "warm" 1 (result_stats y).Lru.hits;
   let r =
     Peer.query x
       {|import module namespace f="films" at "http://x.example.org/film.xq";
@@ -338,7 +409,7 @@ execute at {"xrpc://y.example.org"} {f:addFilm("Fresh", "Sean Connery")}|}
   in
   check bool_ "update applied" true r.Peer.committed;
   check bool_ "commit evicted the dependent entry" true
-    ((result_stats y).Result_cache.invalidations >= 1);
+    ((result_stats y).Lru.invalidations >= 1);
   let cached = Xdm.to_display (films_by client ~dest "Sean Connery") in
   let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
   check string_ "post-update cached == cache-off" off cached;
@@ -365,16 +436,16 @@ declare updating function m:wa()
   in
   ignore (call "ra");
   ignore (call "rb");
-  check int_ "both entries cached" 2 (result_stats y).Result_cache.size;
+  check int_ "both entries cached" 2 (result_stats y).Lru.size;
   ignore
     (Client.call client ~dest:"xrpc://y" ~updating:true ~module_uri:"m"
        ~location:"m.xq" ~fn:"wa" []);
   check int_ "only the a.xml entry was evicted" 1
-    (result_stats y).Result_cache.invalidations;
-  check int_ "b.xml entry survives" 1 (result_stats y).Result_cache.size;
-  let hits0 = (result_stats y).Result_cache.hits in
+    (result_stats y).Lru.invalidations;
+  check int_ "b.xml entry survives" 1 (result_stats y).Lru.size;
+  let hits0 = (result_stats y).Lru.hits in
   ignore (call "rb");
-  check int_ "b repeat still hits" (hits0 + 1) (result_stats y).Result_cache.hits;
+  check int_ "b repeat still hits" (hits0 + 1) (result_stats y).Lru.hits;
   check string_ "a repeat re-executes and sees the update" "<a>1<x/></a>"
     (Xdm.to_display (call "ra"))
 
@@ -397,7 +468,7 @@ let test_aborted_2pc_does_not_invalidate () =
   let dest = "xrpc://y.example.org" in
   let warm = Xdm.to_display (films_by client ~dest "Sean Connery") in
   ignore (films_by client ~dest "Sean Connery");
-  check int_ "warm" 1 (result_stats y).Result_cache.hits;
+  check int_ "warm" 1 (result_stats y).Lru.hits;
   (* an earlier transaction holds the prepared state on filmDB at y *)
   let blocker =
     { Message.host = "xrpc://blocker"; timestamp = "0.1"; timeout = 1000;
@@ -430,10 +501,10 @@ return execute at {$dst} {f:addFilm("Doomed", "Sean Connery")}|}
   let aborted = Peer.query x q_doomed in
   check bool_ "commit refused" false aborted.Peer.committed;
   check int_ "aborted 2PC invalidated nothing" 0
-    (result_stats y).Result_cache.invalidations;
+    (result_stats y).Lru.invalidations;
   let after_abort = Xdm.to_display (films_by client ~dest "Sean Connery") in
   check string_ "cached answer unchanged by the abort" warm after_abort;
-  check int_ "and it was still a cache hit" 2 (result_stats y).Result_cache.hits;
+  check int_ "and it was still a cache hit" 2 (result_stats y).Lru.hits;
   check string_ "cache-off agrees" warm
     (Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery"));
   (* release the blocker; the rerun commits — and THAT invalidates *)
@@ -443,7 +514,7 @@ return execute at {$dst} {f:addFilm("Doomed", "Sean Connery")}|}
   let committed = Peer.query x q_doomed in
   check bool_ "rerun commits" true committed.Peer.committed;
   check bool_ "committed 2PC invalidates" true
-    ((result_stats y).Result_cache.invalidations >= 1);
+    ((result_stats y).Lru.invalidations >= 1);
   let cached = Xdm.to_display (films_by client ~dest "Sean Connery") in
   let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
   check string_ "post-commit cached == cache-off" off cached;
@@ -462,8 +533,8 @@ let test_query_id_bypasses_cache () =
   ignore (films_by client ~dest ~query_id:qid "Sean Connery");
   ignore (films_by client ~dest ~query_id:qid "Sean Connery");
   let s = result_stats y in
-  check int_ "no lookups" 0 (s.Result_cache.hits + s.Result_cache.misses);
-  check int_ "no entries" 0 s.Result_cache.size
+  check int_ "no lookups" 0 (s.Lru.hits + s.Lru.misses);
+  check int_ "no entries" 0 s.Lru.size
 
 let test_cache_off_escape_hatch () =
   let cluster, _, y = film_pair () in
@@ -471,18 +542,18 @@ let test_cache_off_escape_hatch () =
   let dest = "xrpc://y.example.org" in
   let warm = Xdm.to_display (films_by client ~dest "Sean Connery") in
   ignore (films_by client ~dest "Sean Connery");
-  let hits0 = (result_stats y).Result_cache.hits in
+  let hits0 = (result_stats y).Lru.hits in
   let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
   check string_ "cache=off answers identically" warm off;
   check int_ "cache=off never consults the cache" hits0
-    (result_stats y).Result_cache.hits;
+    (result_stats y).Lru.hits;
   (* the client-wide default works too *)
   Client.set_result_caching client false;
   ignore (films_by client ~dest "Sean Connery");
-  check int_ "client default off" hits0 (result_stats y).Result_cache.hits;
+  check int_ "client default off" hits0 (result_stats y).Lru.hits;
   Client.set_result_caching client true;
   ignore (films_by client ~dest "Sean Connery");
-  check int_ "back on" (hits0 + 1) (result_stats y).Result_cache.hits
+  check int_ "back on" (hits0 + 1) (result_stats y).Lru.hits
 
 let test_warm_repeat_runs_zero_exec_phases () =
   (* the acceptance check: serverProfile of a warm repeat shows the cache
@@ -621,7 +692,7 @@ return execute at {$dst} {f:addFilm("C%d-%d", "Sean Connery")}|}
           seed cached off (replay_hint seed);
       (* if y's database never changed, no commit ever fired its hook *)
       let baseline = not (contains off (Printf.sprintf "C%d-" seed)) in
-      if baseline && (result_stats y).Result_cache.invalidations > 0 then
+      if baseline && (result_stats y).Lru.invalidations > 0 then
         Alcotest.failf
           "seed %d: no update committed at y, yet its cache was \
            invalidated\nreplay: %s"
@@ -649,10 +720,11 @@ let () =
           Alcotest.test_case "disabled" `Quick test_lru_disabled;
           Alcotest.test_case "remove_if is not an eviction" `Quick
             test_lru_remove_if_vs_evictions;
-          Alcotest.test_case "eviction hook firing order" `Quick
-            test_lru_evict_hook_order;
+          Alcotest.test_case "counters" `Quick test_lru_counters;
           Alcotest.test_case "remove_if mid-scan" `Quick
             test_lru_remove_if_multi;
+          Alcotest.test_case "concurrent find, add and remove_if" `Quick
+            test_lru_concurrent;
         ] );
       ( "plan-cache",
         [
@@ -662,6 +734,8 @@ let () =
             test_plan_cache_rebinds_globals;
           Alcotest.test_case "module re-registration invalidates" `Quick
             test_plan_cache_module_invalidation;
+          Alcotest.test_case "concurrent queries overflow the alias map"
+            `Quick test_plan_cache_concurrent_queries;
           Alcotest.test_case "explain compiles once" `Quick
             test_explain_compiles_once;
         ] );

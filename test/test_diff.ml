@@ -286,9 +286,9 @@ let cached_peer_battery mode () =
         mode case base q (show reference) (show first) (show second) base
   done;
   let stats = (Xrpc_peer.Peer.cache_stats peer).Xrpc_peer.Peer.plan in
-  if stats.Xrpc_peer.Plan_cache.hits < 200 then
+  if stats.Xrpc_peer.Lru.hits < 200 then
     Alcotest.failf "forced rpc mode %S: expected >= 200 plan-cache hits, saw %d"
-      mode stats.Xrpc_peer.Plan_cache.hits
+      mode stats.Xrpc_peer.Lru.hits
 
 (* the battery is itself deterministic: same base seed, same 500 queries *)
 let test_generator_deterministic () =

@@ -348,6 +348,35 @@ return ($before, $after)|}
   in
   check string_ "repeatable read" "3 3" (Xdm.to_display r2)
 
+(* [declare option xrpc:timeout] obeys the wire's rule for a queryID
+   timeout (a positive xs:nonNegativeInteger): a bad value is a local
+   dynamic error naming the option, raised before any message is sent,
+   rather than a fault from the remote peer or a silent default *)
+let test_timeout_option_checked_locally () =
+  let q timeout =
+    Printf.sprintf
+      {|import module namespace f="films" at "http://x.example.org/film.xq";
+declare option xrpc:isolation "repeatable";
+declare option xrpc:timeout "%s";
+execute at {"xrpc://y.example.org"} {f:filmsByActor("Sean Connery")}|}
+      timeout
+  in
+  List.iter
+    (fun bad ->
+      let cluster, x = film_cluster () in
+      (match Peer.query_seq x (q bad) with
+      | _ -> Alcotest.failf "timeout %S was accepted" bad
+      | exception Xdm.Dynamic_error reason ->
+          check bool_ (bad ^ ": the error names the option") true
+            (String.starts_with ~prefix:"option xrpc:timeout" reason));
+      check int_ (bad ^ ": no message sent") 0 (messages cluster))
+    [ "abc"; "0"; "-5"; "0x1F" ];
+  let cluster, x = film_cluster () in
+  check string_ "\" +7 \" is accepted"
+    "<name>The Rock</name> <name>Goldfinger</name>"
+    (Xdm.to_display (Peer.query_seq x (q " +7 ")));
+  check bool_ "and sent" true (messages cluster > 0)
+
 let test_distributed_update_2pc () =
   let cluster, x = film_cluster () in
   let q =
@@ -630,6 +659,8 @@ let () =
         ] );
       ( "updates",
         [
+          Alcotest.test_case "timeout option checked locally" `Quick
+            test_timeout_option_checked_locally;
           Alcotest.test_case "distributed 2PC" `Quick test_distributed_update_2pc;
           Alcotest.test_case "R_Fu immediate remote" `Quick
             test_updating_without_isolation_applies_immediately;

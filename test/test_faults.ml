@@ -21,7 +21,7 @@ module Strategies = Xrpc_core.Strategies
 module Peer = Xrpc_peer.Peer
 module Database = Xrpc_peer.Database
 module Xmark = Xrpc_workloads.Xmark
-module Idem_cache = Xrpc_peer.Idem_cache
+module Lru = Xrpc_peer.Lru
 module Two_pc = Xrpc_peer.Two_pc
 module Filmdb = Xrpc_workloads.Filmdb
 module Simnet = Xrpc_net.Simnet
@@ -583,14 +583,14 @@ let test_exactly_once_under_duplicates () =
     (film_db_display faulty);
   let y = Cluster.peer faulty "y.example.org" in
   check bool_ "cache saw the replays" true
-    (Idem_cache.hits y.Peer.idem_cache > 0)
+    ((Lru.stats y.Peer.idem_cache).Lru.hits > 0)
 
 let test_exactly_once_needs_idem_cache () =
   (* negative control: with the cache disabled the same schedule
      double-applies at least one update *)
   let faulty, fx = chaos_cluster ~faults:(dup_faults 7) () in
   let y = Cluster.peer faulty "y.example.org" in
-  Idem_cache.set_enabled y.Peer.idem_cache false;
+  Lru.set_enabled y.Peer.idem_cache false;
   add_films fx 10;
   let doubled = ref false in
   for i = 1 to 10 do
@@ -628,38 +628,38 @@ execute at {"xrpc://y.example.org"} {f:addFilm("Retry %d", "A")}|}
   done
 
 (* ------------------------------------------------------------------ *)
-(* Idem_cache boundaries: LRU order at capacity, replacement, and the  *)
-(* at-least-once fallback once a key has been evicted                  *)
+(* Idempotency-cache boundaries: LRU order at capacity, replacement,   *)
+(* and the at-least-once fallback once a key has been evicted          *)
 (* ------------------------------------------------------------------ *)
 
 let test_idem_lru_eviction_order () =
-  let c = Idem_cache.create ~capacity:3 () in
-  Idem_cache.add c "k1" "r1";
-  Idem_cache.add c "k2" "r2";
-  Idem_cache.add c "k3" "r3";
-  check int_ "at capacity" 3 (Idem_cache.size c);
+  let c = Lru.create ~capacity:3 "test.idem_cache" in
+  Lru.add c "k1" "r1";
+  Lru.add c "k2" "r2";
+  Lru.add c "k3" "r3";
+  check int_ "at capacity" 3 (Lru.stats c).Lru.size;
   (* touch k1: k2 becomes the least recently used *)
-  check bool_ "k1 hit" true (Idem_cache.find c "k1" = Some "r1");
-  Idem_cache.add c "k4" "r4";
-  check int_ "still at capacity" 3 (Idem_cache.size c);
-  check int_ "one eviction" 1 (Idem_cache.evictions c);
-  check bool_ "LRU key k2 evicted" true (Idem_cache.find c "k2" = None);
+  check bool_ "k1 hit" true (Lru.find c "k1" = Some "r1");
+  Lru.add c "k4" "r4";
+  check int_ "still at capacity" 3 (Lru.stats c).Lru.size;
+  check int_ "one eviction" 1 (Lru.stats c).Lru.evictions;
+  check bool_ "LRU key k2 evicted" true (Lru.find c "k2" = None);
   check bool_ "k1 survived (recently used)" true
-    (Idem_cache.find c "k1" = Some "r1");
-  check bool_ "k3 survived" true (Idem_cache.find c "k3" = Some "r3");
-  check bool_ "k4 present" true (Idem_cache.find c "k4" = Some "r4")
+    (Lru.find c "k1" = Some "r1");
+  check bool_ "k3 survived" true (Lru.find c "k3" = Some "r3");
+  check bool_ "k4 present" true (Lru.find c "k4" = Some "r4")
 
 let test_idem_replace_at_capacity () =
-  let c = Idem_cache.create ~capacity:2 () in
-  Idem_cache.add c "k1" "r1";
-  Idem_cache.add c "k2" "r2";
+  let c = Lru.create ~capacity:2 "test.idem_cache" in
+  Lru.add c "k1" "r1";
+  Lru.add c "k2" "r2";
   (* replacing a key that is already cached must not evict anything,
      even with the cache exactly full *)
-  Idem_cache.add c "k1" "r1'";
-  check int_ "no growth" 2 (Idem_cache.size c);
-  check int_ "no eviction" 0 (Idem_cache.evictions c);
-  check bool_ "replaced value served" true (Idem_cache.find c "k1" = Some "r1'");
-  check bool_ "other key untouched" true (Idem_cache.find c "k2" = Some "r2")
+  Lru.add c "k1" "r1'";
+  check int_ "no growth" 2 (Lru.stats c).Lru.size;
+  check int_ "no eviction" 0 (Lru.stats c).Lru.evictions;
+  check bool_ "replaced value served" true (Lru.find c "k1" = Some "r1'");
+  check bool_ "other key untouched" true (Lru.find c "k2" = Some "r2")
 
 (* a raw updating request carrying an explicit idempotency key *)
 let add_film_request ~key name =
@@ -701,11 +701,11 @@ let test_idem_evicted_key_reexecutes () =
   (* replay while cached: served from the cache, not re-executed *)
   expect_response "cached replay" (Peer.handle_raw y body);
   check int_ "not re-applied while cached" 1 (count_film y "Evict Me");
-  check bool_ "cache hit recorded" true (Idem_cache.hits y.Peer.idem_cache > 0);
+  check bool_ "cache hit recorded" true ((Lru.stats y.Peer.idem_cache).Lru.hits > 0);
   (* two fresh keys flood the capacity-2 cache; kA is the LRU victim *)
   expect_response "flood 1" (Peer.handle_raw y (add_film_request ~key:"kB" "Other B"));
   expect_response "flood 2" (Peer.handle_raw y (add_film_request ~key:"kC" "Other C"));
-  check int_ "kA evicted" 1 (Idem_cache.evictions y.Peer.idem_cache);
+  check int_ "kA evicted" 1 (Lru.stats y.Peer.idem_cache).Lru.evictions;
   (* replay after eviction: must re-execute, not fail *)
   expect_response "post-eviction replay" (Peer.handle_raw y body);
   check int_ "at-least-once fallback re-applied" 2 (count_film y "Evict Me")
