@@ -73,7 +73,10 @@ let table2 () =
       Testmod.test_module;
     Peer.register_module x ~uri:Testmod.module_ns ~location:Testmod.module_at
       Testmod.test_module;
-    x.Peer.config <- { x.Peer.config with Peer.bulk_rpc = bulk };
+    x.Peer.config <- {
+        x.Peer.config with
+        Peer.rpc_mode = (if bulk then Xrpc_xquery.Context.Rpc_bulk else Rpc_singles);
+      };
     let query = Testmod.echo_void_query ~dest:"xrpc://y" ~iterations in
     if warm_cache then
       (* prime the server-side function cache; its miss is not timed *)
@@ -808,7 +811,10 @@ let faults_bench () =
       Testmod.test_module;
     Peer.register_module x ~uri:Testmod.module_ns ~location:Testmod.module_at
       Testmod.test_module;
-    x.Peer.config <- { x.Peer.config with Peer.bulk_rpc = bulk };
+    x.Peer.config <- {
+        x.Peer.config with
+        Peer.rpc_mode = (if bulk then Xrpc_xquery.Context.Rpc_bulk else Rpc_singles);
+      };
     let query = Testmod.echo_void_query ~dest:"xrpc://y" ~iterations in
     let failed = ref 0 in
     for _ = 1 to queries do

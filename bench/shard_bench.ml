@@ -26,7 +26,7 @@ module Cluster = Xrpc_core.Cluster
 module Client = Xrpc_core.Xrpc_client
 module Peer = Xrpc_peer.Peer
 module Shard = Xrpc_peer.Shard
-module Gather = Xrpc_algebra.Gather
+module Gather = Xrpc_core.Gather
 module Simnet = Xrpc_net.Simnet
 module Shardmod = Xrpc_workloads.Shardmod
 module Xdm = Xrpc_xml.Xdm

@@ -14,8 +14,6 @@ module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
 module Profile = Xrpc_obs.Profile
 module Flight_recorder = Xrpc_obs.Flight_recorder
-module Looplift = Xrpc_algebra.Looplift
-module Runner = Xrpc_xquery.Runner
 module Cost = Xrpc_core.Cost
 module Strategies = Xrpc_core.Strategies
 
@@ -74,71 +72,16 @@ let run_query peer source =
       Printf.eprintf "error: %s\n%!" m);
   if Trace.enabled () then print_trace ()
 
-(* Table-2 annotation on [execute at] plan nodes: what the bulk message
-   saves over one-at-a-time RPC for a nominal 100-iteration loop. *)
-let () =
-  Looplift.execute_note_hook :=
-    Some
-      (fun ~dest ~fn ~nargs ->
-        let ncalls = 100 in
-        let bulk, singles =
-          Cost.estimate_rpc Cost.default_net ~ncalls ~bytes_per_call:128 ()
-        in
-        [
-          Printf.sprintf
-            "table2 %s/%d%s: @%d iters bulk=%.3fms one-at-a-time=%.3fms \
-             (%.1fx)"
-            (Xrpc_xml.Qname.to_string fn)
-            nargs
-            (match dest with Some d -> " -> " ^ d | None -> "")
-            ncalls bulk singles
-            (if bulk > 0. then singles /. bulk else 1.);
-        ])
-
-(* After the operator tree: the cost optimizer's view of each [execute at]
-   site — chosen §5 strategy plus the rejected alternatives with their
-   estimated costs (default site statistics unless a profiled run has
-   calibrated the feedback EMA). *)
-let print_optimizer_section prog =
-  match Runner.execute_sites prog with
-  | [] -> ()
-  | sites ->
-      print_endline "-- optimizer (Tables 2-4 cost model):";
-      List.iteri
-        (fun i (s : Runner.execute_site) ->
-          Printf.printf "   site %d: %s/%d%s%s%s\n" (i + 1)
-            (Xrpc_xml.Qname.to_string s.Runner.site_fn)
-            s.Runner.site_arity
-            (match s.Runner.site_dest with
-            | Some d -> " at " ^ d
-            | None -> " at <dynamic>")
-            (if s.Runner.site_in_loop then " [in loop]" else "")
-            (if s.Runner.site_loop_dependent then " [loop-dependent]" else "");
-          let decision =
-            Cost.choose ?force:(Cost.force_of_env ()) Cost.default_net
-              Cost.zero_cpu
-              { Cost.default_site with Cost.outer_rows = 100 }
-          in
-          print_string
-            (String.concat ""
-               (List.map
-                  (fun line -> "   " ^ line ^ "\n")
-                  (String.split_on_char '\n'
-                     (String.trim (Cost.explain_decision decision))))))
-        sites
-
-(* EXPLAIN: the static operator tree (Looplift's plan-node numbering,
-   annotated with the Table-1 algebra), no execution.  Goes through the
-   peer's plan cache — an explain-then-run pair compiles once. *)
+(* EXPLAIN: what Eval will do with the query (dispatch and span of each
+   [execute at] site, its Table-2 estimate and strategy decision, the
+   form of each path step), no execution.  Goes through the peer's plan
+   cache — an explain-then-run pair compiles once. *)
 let explain_query peer source =
   match Peer.compiled_plan peer source with
-  | compiled -> (
-      let prog = compiled.Xrpc_peer.Plan_cache.prog in
-      match prog.Xrpc_xquery.Ast.body with
-      | Some e ->
-          print_string (Looplift.explain e);
-          print_optimizer_section prog
-      | None -> print_endline "(library module — no query body to explain)")
+  | compiled ->
+      print_string
+        (Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs
+           ~rpc_mode:(Peer.rpc_mode peer) compiled.Xrpc_peer.Plan_cache.prog)
   | exception
       (Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m) ->
       Printf.eprintf "error: %s\n%!" m
@@ -271,8 +214,8 @@ let command peer line =
       true
   | ":help", _ ->
       print_endline
-        ":explain <q>   — operator tree + per-site strategy costs (no \
-         execution; cached plan)";
+        ":explain <q>   — each execute-at site's dispatch, span and strategy \
+         costs, each path step's form (no execution; cached plan)";
       print_endline
         ":optimizer     — cost-model calibration (measured/estimated EMA)";
       print_endline

@@ -38,6 +38,6 @@ let () =
     (Filmdb.q6 ~dest:"xrpc://y.example.org");
 
   (* same Q2 with Bulk RPC disabled: one message per iteration *)
-  x.Peer.config <- { x.Peer.config with Peer.bulk_rpc = false };
+  x.Peer.config <- { x.Peer.config with Peer.rpc_mode = Xrpc_xquery.Context.Rpc_singles };
   run_and_report cluster x "Q2 again, one-at-a-time RPC (bulk disabled)"
     (Filmdb.q2 ~dest:"xrpc://y.example.org")

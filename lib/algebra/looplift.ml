@@ -18,8 +18,6 @@ open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
-module Profile = Xrpc_obs.Profile
-module Trace = Xrpc_obs.Trace
 module IntSet = Set.Make (Int)
 
 exception Unsupported of string
@@ -63,44 +61,7 @@ let const_table env (a : Xs.t) =
     sequences included thanks to the loop relation — footnote 5). *)
 let sequences env t = Table.sequences t ~loop:env.loop
 
-(* Plan-node spans for the profiler: inside a Trace collection, one span
-   per evaluated expression, named by its AST constructor (a process-wide
-   trace alone keeps to request-level spans).  A profile numbers them in
-   pre-order, which for a given query is the same numbering [explain]
-   prints statically. *)
-let node_name : Xast.expr -> string = function
-  | Xast.Literal _ -> "literal"
-  | Xast.Var _ -> "var"
-  | Xast.Sequence _ -> "sequence"
-  | Xast.Range _ -> "range"
-  | Xast.Arith _ -> "arith"
-  | Xast.Compare _ -> "compare"
-  | Xast.Call _ -> "call"
-  | Xast.Flwor _ -> "flwor"
-  | Xast.Execute_at _ -> "execute_at"
-  | Xast.Path _ -> "path"
-  | Xast.Elem_ctor _ -> "elem"
-  | Xast.Filter _ -> "filter"
-  | Xast.If _ -> "if"
-  | _ -> "expr"
-
-let node_detail : Xast.expr -> string = function
-  | Xast.Var q -> "$" ^ Qname.to_string q
-  | Xast.Call (q, _) -> Qname.to_string q
-  | Xast.Execute_at (_, f, _) -> Qname.to_string f
-  | Xast.Elem_ctor (n, _, _) -> Qname.to_string n
-  | Xast.Literal a -> Xs.to_string a
-  | _ -> ""
-
 let rec eval env (e : Xast.expr) : Table.t =
-  if not (Trace.collecting ()) then eval_inner env e
-  else
-    Trace.with_span ~detail:(node_detail e) (node_name e) (fun () ->
-        let t = eval_inner env e in
-        Trace.add Profile.rows_attr (float_of_int (Table.cardinality t));
-        t)
-
-and eval_inner env (e : Xast.expr) : Table.t =
   match e with
   | Xast.Literal a -> const_table env a
   | Xast.Var q -> (
@@ -442,125 +403,3 @@ and eval_flwor env clauses ret =
 let run env e =
   let t = eval env e in
   Table.sequence_of t ~iter:1
-
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN: static plan rendering                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Extra annotation lines for [execute at] plan nodes in {!explain}
-    output.  The cost optimizer installs one that renders its Table 2–4
-    estimates (chosen strategy, rejected alternatives); [None] keeps the
-    plain algebraic rendering.  Receives the destination when it is a
-    string literal, the called function, and its arity. *)
-let execute_note_hook :
-    (dest:string option -> fn:Qname.t -> nargs:int -> string list) option ref =
-  ref None
-
-(** Render the loop-lifted plan of [e] without evaluating it: one line
-    per plan node, numbered in the same deterministic pre-order the
-    profiler uses, annotated with the Table-1 algebra each construct
-    compiles to.  [:profile] output can be read against this numbering. *)
-let explain (e : Xast.expr) : string =
-  let buf = Buffer.create 512 in
-  let next = ref 0 in
-  let line indent text =
-    incr next;
-    Buffer.add_string buf (Printf.sprintf "%s#%d %s\n" indent !next text)
-  in
-  let note indent text =
-    Buffer.add_string buf (Printf.sprintf "%s| %s\n" indent text)
-  in
-  let label e =
-    let d = node_detail e in
-    node_name e ^ if d = "" then "" else " (" ^ d ^ ")"
-  in
-  let rec pr indent e =
-    let deeper = indent ^ "  " in
-    match e with
-    | Xast.Flwor (clauses, _, ret) ->
-        line indent (label e);
-        List.iter
-          (fun c ->
-            match c with
-            | Xast.For (v, _, src) ->
-                note deeper
-                  (Printf.sprintf
-                     "for $%s: ρ_{inner:<iter,pos>}; distribute vars via \
-                      ⋈_{outer=iter} + π"
-                     (Qname.to_string v));
-                pr deeper src
-            | Xast.Let (v, src) ->
-                note deeper (Printf.sprintf "let $%s" (Qname.to_string v));
-                pr deeper src
-            | Xast.Where src ->
-                note deeper "where: σ over the loop relation";
-                pr deeper src)
-          clauses;
-        note deeper "return:";
-        pr deeper ret
-    | Xast.Execute_at (dst, f, args) ->
-        line indent
-          (Printf.sprintf
-             "%s — Bulk RPC: δ(π_{item}(dst)); per peer σ_{item=p} ⋈ params \
-              → one request; reassemble ⋈ + π; merge ⊎_{iter,pos}"
-             (label e));
-        (match !execute_note_hook with
-        | Some hook ->
-            let dest =
-              match dst with
-              | Xast.Literal (Xs.String s) -> Some s
-              | _ -> None
-            in
-            List.iter (note deeper)
-              (hook ~dest ~fn:f ~nargs:(List.length args))
-        | None -> ignore f);
-        note deeper "destination:";
-        pr deeper dst;
-        List.iteri
-          (fun i a ->
-            note deeper (Printf.sprintf "param %d:" (i + 1));
-            pr deeper a)
-          args
-    | Xast.Filter (inner, preds) ->
-        line indent
-          (Printf.sprintf "%s — per predicate: ρ_{rk:<pos>/iter}; σ_{rk=k}; π"
-             (label e));
-        pr deeper inner;
-        List.iter
-          (fun p ->
-            note deeper (Printf.sprintf "[%s]" (Xast.expr_to_string p)))
-          preds
-    | Xast.Sequence es ->
-        line indent (label e);
-        List.iter (pr deeper) es
-    | Xast.Range (a, b) | Xast.Arith (_, a, b) | Xast.Compare (_, a, b) ->
-        line indent (label e);
-        pr deeper a;
-        pr deeper b
-    | Xast.Call (_, args) ->
-        line indent (label e);
-        List.iter (pr deeper) args
-    | Xast.Path (a, step) ->
-        line indent (label e);
-        pr deeper a;
-        note deeper
-          (Printf.sprintf "step: %s (doc-order dedup per iter)"
-             (Xast.expr_to_string step))
-    | Xast.Elem_ctor (_, _, content) ->
-        line indent (label e);
-        List.iter (pr deeper) content
-    | Xast.If (c, t, el) ->
-        line indent (label e);
-        pr deeper c;
-        note deeper "then:";
-        pr deeper t;
-        note deeper "else:";
-        pr deeper el
-    | Xast.Literal _ | Xast.Var _ -> line indent (label e)
-    | other ->
-        line indent
-          (Printf.sprintf "%s: %s" (node_name other)
-             (Xast.expr_to_string other))
-  in
-  pr "" e;
-  Buffer.contents buf

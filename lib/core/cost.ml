@@ -27,6 +27,10 @@
 module Simnet = Xrpc_net.Simnet
 module Flight_recorder = Xrpc_obs.Flight_recorder
 module Eval = Xrpc_xquery.Eval
+module Runner = Xrpc_xquery.Runner
+module Xast = Xrpc_xquery.Ast
+module Xctx = Xrpc_xquery.Context
+module Qname = Xrpc_xml.Qname
 
 (* ------------------------------------------------------------------ *)
 (* Model inputs                                                        *)
@@ -409,23 +413,26 @@ let choose ?force ?dest net cpu site =
 
 (** The [XRPC_FORCE_STRATEGY] debug override, when it names one of the §5
     strategies.  (The same variable also accepts the RPC-level modes
-    [bulk]/[singles]/[auto], handled by [Peer.make_context].) *)
+    [bulk]/[singles], read by [Peer.rpc_mode].) *)
 let force_of_env () =
   match Sys.getenv_opt "XRPC_FORCE_STRATEGY" with
   | Some s -> Strategies.of_string s
   | None -> None
 
-let cost_line c =
+(** One ranked strategy; "cal" is its total under [?dest]'s calibration,
+    the number {!choose} ranked it by. *)
+let cost_line ?dest c =
   Printf.sprintf
     "%-22s est=%8.3fms (cal %8.3fms)  msgs=%d out=%dB in=%dB net=%.3fms \
      cpu=%.3fms"
     (Strategies.name c.strategy)
-    (total c) (calibrated_total c) c.messages c.bytes_out c.bytes_in
+    (total c) (calibrated_total ?dest c) c.messages c.bytes_out c.bytes_in
     c.network_ms c.cpu_ms
 
 (** Human rendering for [:explain]: the winner plus every rejected
-    alternative with its estimated cost. *)
-let explain_decision d =
+    alternative with its estimated cost.  Pass the [?dest] the decision
+    was ranked with. *)
+let explain_decision ?dest d =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "chosen: %s%s\n"
@@ -434,9 +441,93 @@ let explain_decision d =
   List.iter
     (fun c ->
       let tag = if c.strategy = d.chosen.strategy then "->" else "  " in
-      Buffer.add_string buf (Printf.sprintf "%s %s\n" tag (cost_line c)))
+      Buffer.add_string buf (Printf.sprintf "%s %s\n" tag (cost_line ?dest c)))
     d.ranked;
   Buffer.contents buf
+
+(** [:explain]: what {!Eval} will do with [prog] when run in [rpc_mode],
+    without running it ([funcs]: the compiled plan's function registry).
+    For each [execute at] site ({!Runner.execute_sites}): the span
+    [:profile] records for it, its dispatch, the Table-2 bulk vs
+    one-at-a-time estimate for a nominal 100-iteration loop, and the
+    strategy decision at the site's destination.  Then the form of each
+    path step ({!Eval.indexed_step}). *)
+let explain_plan ?funcs ~rpc_mode (prog : Xast.prog) =
+  match prog.Xast.body with
+  | None -> "(library module — no query body to explain)\n"
+  | Some body ->
+      let buf = Buffer.create 512 in
+      let line fmt =
+        Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
+      in
+      let plural n = if n = 1 then "" else "s" in
+      let sites = Runner.execute_sites ~rpc_mode ?funcs prog in
+      line "plan (rpc mode %s): %d execute-at site%s"
+        (Xctx.rpc_mode_name rpc_mode) (List.length sites)
+        (plural (List.length sites));
+      List.iteri
+        (fun i (s : Runner.execute_site) ->
+          let fn =
+            Printf.sprintf "%s/%d" (Qname.to_string s.site_fn) s.site_arity
+          in
+          let dest = s.site_dest in
+          line "site %d: %s at %s%s%s" (i + 1) fn
+            (Option.value dest ~default:"<dynamic>")
+            (if s.site_in_loop then " [in loop]" else "")
+            (if s.site_loop_dependent then " [loop-dependent]" else "");
+          line "   span %s — %s"
+            (match s.site_dispatch with
+            | Runner.Hoisted -> "rpc"
+            | _ -> Eval.bulk_span)
+            (match s.site_dispatch with
+            | Runner.Bulk ->
+                "one Bulk RPC per destination over all iterations of its FLWOR"
+            | Runner.Hoisted ->
+                "hoisted to one call (loop-invariant, not updating; when the \
+                 loop has >= 2 iterations)"
+            | Runner.Per_iteration -> "one call per iteration"
+            | Runner.Single when s.site_in_loop ->
+                "a single call: its loop-invariant clause runs once for all \
+                 iterations"
+            | Runner.Single -> "a single call outside any loop");
+          let ncalls = 100 in
+          let bulk, singles =
+            estimate_rpc default_net ~ncalls ~bytes_per_call:128 ()
+          in
+          line
+            "   table2 %s%s: @%d iters bulk=%.3fms one-at-a-time=%.3fms (%.1fx)"
+            fn
+            (match dest with Some d -> " -> " ^ d | None -> "")
+            ncalls bulk singles
+            (if bulk > 0. then singles /. bulk else 1.);
+          let decision =
+            choose ?force:(force_of_env ()) ?dest default_net zero_cpu
+              { default_site with outer_rows = ncalls }
+          in
+          List.iter (line "   %s")
+            (String.split_on_char '\n'
+               (String.trim (explain_decision ?dest decision))))
+        sites;
+      let rec steps (e : Xast.expr) =
+        (match e with
+        | Xast.Step (axis, test, _) ->
+            [
+              Printf.sprintf "   %s — %s" (Xast.expr_to_string e)
+                (match Eval.indexed_step axis test with
+                | Some q ->
+                    "element-name index slice (" ^ Qname.to_string q ^ ")"
+                | None -> "axis scan");
+            ]
+        | _ -> [])
+        @ List.concat_map steps
+            (Xast.focus_sub_exprs e @ Xast.item_sub_exprs e)
+      in
+      (match steps body with
+      | [] -> ()
+      | ls ->
+          line "path steps:";
+          List.iter (line "%s") ls);
+      Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Profiler annotation hook (Table 2 on live Bulk RPC nodes)           *)

@@ -329,7 +329,6 @@ let call_scatter t ?query_id ?updating ?fragments ?cache ~module_uri ?location
 (* ------------------------------------------------------------------ *)
 
 module Shard = Xrpc_peer.Shard
-module Gather = Xrpc_algebra.Gather
 
 (** How a shard map turns into scatter legs.  [By_owner] sends every live
     member one call asking for the parts it primarily owns (plus, as

@@ -5,12 +5,12 @@
    A profile is data: [profiled f] runs [f] inside one {!Trace.collect}
    and folds the returned span slice.
 
-   - every span under the collection's root is a plan node: Looplift
-     opens one per algebra expression it evaluates, Eval one per
-     top-level function application, Bulk_rpc / Eval.bulk_execute one per
-     distributed dispatch, next to the request-level spans (rpc, net.send,
-     the in-process remote peer's peer.handle, ...).  Ids are assigned in
-     pre-order over the slice's tree, so they are stable for a query;
+   - every span under the collection's root is a plan node: Eval opens
+     one per top-level function application and Eval.bulk_execute one
+     bulkrpc per set-at-a-time dispatch, next to the request-level spans
+     (rpc, net.send, the in-process remote peer's peer.handle, ...).  Ids
+     are assigned in pre-order over the slice's tree, so they are stable
+     for a query;
    - the numeric span attributes named below carry the rest: a node's
      output cardinality, the kernel-level operator stats Ops sums into
      the innermost open span, and destination stats (messages, logical

@@ -36,12 +36,11 @@ exception Peer_error of string
 let err fmt = Printf.ksprintf (fun s -> raise (Peer_error s)) fmt
 
 type config = {
-  bulk_rpc : bool;  (** loop-lift [execute at] into Bulk RPC (default) *)
   rpc_mode : Xctx.rpc_mode;
-      (** per-site override of [bulk_rpc]: [Rpc_bulk]/[Rpc_singles] force
-          the Table-2 comparison modes, [Rpc_auto] (default) defers to
-          [bulk_rpc].  The [XRPC_FORCE_STRATEGY] environment variable (read
-          per query) wins over both. *)
+      (** [Rpc_bulk] (default) loop-lifts [execute at] into Bulk RPC;
+          [Rpc_singles] sends one message per call, the Table-2
+          comparison mode.  The [XRPC_FORCE_STRATEGY] environment variable
+          (read per query) overrides it. *)
   idem_capacity : int;
       (** idempotency-cache capacity; an evicted key falls back to
           at-least-once (the request re-executes on replay) *)
@@ -49,8 +48,7 @@ type config = {
 
 let default_config =
   {
-    bulk_rpc = true;
-    rpc_mode = Xctx.Rpc_auto;
+    rpc_mode = Xctx.Rpc_bulk;
     idem_capacity = 256;
   }
 
@@ -358,6 +356,15 @@ let tracking_doc_resolver peer version ~deps ~remote_dep =
     else remote_dep := true;
     store
 
+(* The env override is read per query (not at startup) so tests and live
+   debugging can flip it with [putenv] between runs; a value that names no
+   mode (e.g. [auto], or a §5 strategy) is no override. *)
+let rpc_mode peer =
+  let forced = Sys.getenv_opt "XRPC_FORCE_STRATEGY" in
+  match Option.bind forced Xctx.rpc_mode_of_string with
+  | Some m -> m
+  | None -> peer.config.rpc_mode
+
 let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
   let base = Xctx.empty () in
   let resolver =
@@ -388,16 +395,6 @@ let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
                   d.Xctx.call_parallel reqs);
             }
   in
-  (* Read the env override per query (not at startup) so tests and live
-     debugging can flip it with [putenv] between runs. *)
-  let rpc_mode =
-    match Sys.getenv_opt "XRPC_FORCE_STRATEGY" with
-    | Some s -> (
-        match Xctx.rpc_mode_of_string s with
-        | Some m -> m
-        | None -> peer.config.rpc_mode)
-    | None -> peer.config.rpc_mode
-  in
   let dest_resolver =
     Option.map
       (fun route -> Runner.shard_resolver ~route)
@@ -409,8 +406,7 @@ let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
     dispatcher;
     dest_resolver;
     query_id;
-    bulk_rpc = peer.config.bulk_rpc;
-    rpc_mode;
+    rpc_mode = rpc_mode peer;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -896,8 +892,8 @@ type query_result = {
 
 (** [query peer source] parses and runs a main-module query at this peer.
 
-    - [execute at] calls go over the peer's transport (Bulk RPC when
-      [config.bulk_rpc]).
+    - [execute at] calls go over the peer's transport (Bulk RPC unless
+      {!rpc_mode} is [Rpc_singles]).
     - With [declare option xrpc:isolation "repeatable"], a fresh queryID is
       attached to every request and the local snapshot is pinned, giving
       rule R'_Fr / R'_Fu semantics; updating queries then commit with 2PC

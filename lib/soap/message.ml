@@ -326,6 +326,9 @@ let elem_children children =
     (function Tree.Element _ as e -> Some e | _ -> None)
     children
 
+(* a received value, bounded for an error message *)
+let clip s = if String.length s > 20 then String.sub s 0 20 ^ "..." else s
+
 (* An xs:nonNegativeInteger attribute (XRPC.xsd): surrounding
    whitespace, an optional "+", then at most 9 ASCII digits.
    [int_of_string] alone would also take "-3", "0x1F" and "1_0". *)
@@ -338,9 +341,26 @@ let nat_attr what s =
     d <> "" && String.length d <= 9
     && String.for_all (function '0' .. '9' -> true | _ -> false) d
   then int_of_string d
-  else
-    err "%s is not a non-negative integer: %S" what
-      (if String.length s > 20 then String.sub s 0 20 ^ "..." else s)
+  else err "%s is not a non-negative integer: %S" what (clip s)
+
+(* An xs:boolean attribute, [false] when absent: "true", "false", "1" or
+   "0" after whitespace trimming.  Anything else is malformed.  A foreign
+   client may send the 1/0 forms: fragments="1" must not pass for false,
+   or its call-by-fragment request would reach the result cache. *)
+let bool_attr attrs local =
+  match Option.map String.trim (find_attr attrs local) with
+  | None | Some ("false" | "0") -> false
+  | Some ("true" | "1") -> true
+  | Some v -> err "%s is not an xs:boolean: %S" local (clip v)
+
+(* An enumerated attribute: [None] when absent, else one of [values]
+   after whitespace trimming. *)
+let enum_attr attrs local values =
+  match Option.map String.trim (find_attr attrs local) with
+  | None -> None
+  | Some v when List.mem v values -> Some v
+  | Some v ->
+      err "%s is not one of %s: %S" local (String.concat "|" values) (clip v)
 
 (* A queryID timeout in seconds: an xs:nonNegativeInteger that must also
    be positive.  The decoder checks incoming queryIDs with it, and
@@ -362,7 +382,7 @@ let parse_query_id = function
         timestamp = required "timestamp";
         timeout = timeout_attr "queryID timeout" (required "timeout");
         level =
-          (match find_attr attrs "level" with
+          (match enum_attr attrs "level" [ "repeatable"; "snapshot" ] with
           | Some "snapshot" -> Snapshot
           | _ -> Repeatable);
       }
@@ -414,11 +434,11 @@ let decode_tree tree =
           location = Option.value ~default:"" (find_attr attrs "location");
           method_ = get "method";
           arity = nat_attr "arity" (get "arity");
-          updating = find_attr attrs "updCall" = Some "true";
-          fragments = find_attr attrs "fragments" = Some "true";
+          updating = bool_attr attrs "updCall";
+          fragments = bool_attr attrs "fragments";
           query_id;
           idem_key = find_attr attrs "idemKey";
-          cache_ok = find_attr attrs "cache" <> Some "off";
+          cache_ok = enum_attr attrs "cache" [ "off" ] = None;
           calls;
         }
   | [ Tree.Element { name; attrs; children } ] when name.Qname.local = "response" ->
@@ -452,7 +472,7 @@ let decode_tree tree =
           resp_method = Option.value ~default:"" (find_attr attrs "method");
           results;
           peers;
-          cached = find_attr attrs "cached" = Some "true";
+          cached = bool_attr attrs "cached";
           db_version =
             Option.bind (find_attr attrs "dbVersion") int_of_string_opt;
         }
@@ -503,7 +523,7 @@ let decode_tree tree =
   | [ Tree.Element { name; attrs; _ } ] when name.Qname.local = "transactionResult" ->
       Tx_response
         {
-          ok = find_attr attrs "ok" = Some "true";
+          ok = bool_attr attrs "ok";
           info = Option.value ~default:"" (find_attr attrs "info");
         }
   | _ -> err "unrecognized SOAP body"
@@ -562,9 +582,9 @@ let server_profile_of_tree tree =
 
 (* Did the caller stamp profile="true" on the request element? *)
 let profile_requested_of_tree tree =
-  Option.bind (envelope_attrs tree "Body" "request") (fun attrs ->
-      find_attr attrs "profile")
-  = Some "true"
+  match envelope_attrs tree "Body" "request" with
+  | Some attrs -> bool_attr attrs "profile"
+  | None -> false
 
 (** Parse an on-the-wire message. *)
 let of_string s = of_tree (Xml_parse.document s)

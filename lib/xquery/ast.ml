@@ -160,6 +160,17 @@ type prog = {
 (* Pretty-printing (for plan/AST debugging and tests)                  *)
 (* ------------------------------------------------------------------ *)
 
+let kind_test_to_string k =
+  let name = function Some q -> Qname.to_string q | None -> "" in
+  match k with
+  | K_node -> "node()"
+  | K_text -> "text()"
+  | K_comment -> "comment()"
+  | K_pi t -> "processing-instruction(" ^ Option.value t ~default:"" ^ ")"
+  | K_element q -> "element(" ^ name q ^ ")"
+  | K_attribute q -> "attribute(" ^ name q ^ ")"
+  | K_document -> "document-node()"
+
 let rec pp_expr fmt e =
   let open Format in
   match e with
@@ -197,7 +208,7 @@ let rec pp_expr fmt e =
         | Any_name -> "*"
         | Ns_wildcard p -> p ^ ":*"
         | Local_wildcard l -> "*:" ^ l
-        | Kind_test _ -> "kind()")
+        | Kind_test k -> kind_test_to_string k)
         (if preds = [] then "" else "[..]")
   | Filter (e, _) -> fprintf fmt "%a[..]" pp_expr e
   | Call (q, args) -> fprintf fmt "%s(#%d)" (Qname.to_string q) (List.length args)
@@ -256,6 +267,14 @@ let focus_sub_exprs (e : expr) : expr list =
       @ content
   | Typeswitch (op, cases, (_, de)) ->
       (op :: List.map (fun (_, _, e) -> e) cases) @ [ de ]
+
+(** The direct sub-expressions of [e] that get a new focus per item: the
+    right operand of a path, the predicates of a step or filter. *)
+let item_sub_exprs (e : expr) : expr list =
+  match e with
+  | Path (_, b) -> [ b ]
+  | Step (_, _, preds) | Filter (_, preds) -> preds
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Free variables                                                      *)

@@ -4,7 +4,7 @@
     make XRPC pluggable: [doc_resolver] (how [fn:doc] finds documents —
     local database or data shipping over the network) and [dispatcher] (how
     [execute at] reaches remote peers — simulated network, real HTTP, or a
-    test stub).  [bulk_rpc] switches between the paper's loop-lifted Bulk
+    test stub).  [rpc_mode] switches between the paper's loop-lifted Bulk
     RPC and the one-at-a-time comparison mode of Table 2. *)
 
 open Xrpc_xml
@@ -24,22 +24,18 @@ type func = {
 
 type func_key = string * string * int (* uri, local, arity *)
 
-(** How loop-dependent [execute at] applications reach the wire.
-    [Rpc_auto] defers to [bulk_rpc] (and, through it, whatever chooser the
-    optimizer installed); [Rpc_bulk] forces the paper's loop-lifted Bulk
-    RPC; [Rpc_singles] forces the one-message-per-call comparison mode of
-    Table 2 — the debug override behind [XRPC_FORCE_STRATEGY]. *)
-type rpc_mode = Rpc_auto | Rpc_bulk | Rpc_singles
+(** How loop-dependent [execute at] applications reach the wire:
+    [Rpc_bulk] is the paper's loop-lifted Bulk RPC; [Rpc_singles] the
+    one-message-per-call comparison mode of Table 2. *)
+type rpc_mode = Rpc_bulk | Rpc_singles
 
 let rpc_mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "bulk" -> Some Rpc_bulk
   | "singles" | "single" | "one-at-a-time" -> Some Rpc_singles
-  | "auto" -> Some Rpc_auto
   | _ -> None
 
 let rpc_mode_name = function
-  | Rpc_auto -> "auto"
   | Rpc_bulk -> "bulk"
   | Rpc_singles -> "singles"
 
@@ -72,10 +68,7 @@ type t = {
   pul : Update.pul ref;
   options : (string * string) list ref;  (** expanded name -> value *)
   query_id : Message.query_id option;
-  bulk_rpc : bool;
   rpc_mode : rpc_mode;
-      (** per-query override of [bulk_rpc]; [Rpc_auto] (the default)
-          leaves the decision to [bulk_rpc] *)
   fragments : bool;
       (** footnote-4 extension: ship descendant node parameters as
           [xrpc:nodeid] references (preserves ancestor relationships) *)
@@ -96,8 +89,7 @@ let empty () =
     pul = ref [];
     options = ref [];
     query_id = None;
-    bulk_rpc = true;
-    rpc_mode = Rpc_auto;
+    rpc_mode = Rpc_bulk;
     fragments = false;
     call_depth = 0;
   }

@@ -2,7 +2,7 @@
 
     Evaluation is a straightforward tree walk over {!Ast.expr} — this plays
     the role Saxon plays in the paper (a non-bulk engine) — {e except} for
-    one crucial feature: when [bulk_rpc] is enabled, FLWOR clauses and
+    one crucial feature: in [Rpc_bulk] mode, FLWOR clauses and
     return expressions that are [execute at] applications are evaluated
     set-at-a-time.  All iterations' destinations and parameters are
     computed first, destinations are deduplicated (the δ(dst.item) of
@@ -93,22 +93,29 @@ let axis_nodes (axis : Ast.axis) (n : Store.node) =
   | Ast.Following -> Store.following n
   | Ast.Preceding -> List.rev (Store.preceding n)
 
+(** The element name a step slices from the store's element-name index:
+    [descendant::QName] and [descendant-or-self::QName] (or their
+    [element(QName)] forms).  [None]: the step filters its axis. *)
+let indexed_step (axis : Ast.axis) (test : Ast.node_test) =
+  match (axis, test) with
+  | ( (Ast.Descendant | Ast.Descendant_or_self),
+      (Ast.Name_test q | Ast.Kind_test (Ast.K_element (Some q))) ) ->
+      Some q
+  | _ -> None
+
 (** [step_nodes axis test n]: the candidates of one axis step, i.e. the
     nodes reached over [axis] from [n] that pass [test], in axis order.
     This is the one step kernel of both engines, {!eval} and the
-    loop-lifted plans.  [descendant::QName] (and [descendant-or-self::])
-    is a slice of the store's element-name index; every other step
-    filters its axis. *)
+    loop-lifted plans.  An {!indexed_step} is a slice of the store's
+    element-name index; every other step filters its axis. *)
 let step_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Store.node) =
-  match (axis, test) with
-  | Ast.Descendant, (Ast.Name_test q | Ast.Kind_test (Ast.K_element (Some q)))
-    ->
-      Store.descendants_named n q
-  | ( Ast.Descendant_or_self,
-      (Ast.Name_test q | Ast.Kind_test (Ast.K_element (Some q))) ) ->
+  match indexed_step axis test with
+  | Some q ->
       let below = Store.descendants_named n q in
-      if test_matches ~principal:`Element test n then n :: below else below
-  | _ ->
+      if axis = Ast.Descendant_or_self && test_matches ~principal:`Element test n
+      then n :: below
+      else below
+  | None ->
       let principal = if axis = Ast.Attribute then `Attribute else `Element in
       List.filter (test_matches ~principal test) (axis_nodes axis n)
 
@@ -223,9 +230,53 @@ let check_attr_duplicates (attrs : Tree.attr list) =
 
 let max_depth = 4096
 
+(** The span a set-at-a-time dispatch opens (a hoisted call opens only
+    the dispatcher's per-request span). *)
+let bulk_span = "bulkrpc"
+
 (** Ablation switch: loop-invariant FLWOR clause hoisting (benchmarks
     disable it to quantify what set-oriented evaluation buys). *)
 let hoisting_enabled = ref true
+
+(* ---- How a FLWOR evaluates its clauses -------------------------- *)
+
+(** [loop_invariant ~bound e]: [e] references none of the variables in
+    [bound] (those the earlier clauses of its FLWOR bind), so it evaluates
+    identically for every tuple. *)
+let loop_invariant ~bound e = Ast.Var_set.disjoint (Ast.free_vars e) bound
+
+(** How {!eval_flwor} evaluates the expression of a [for] or [let] clause
+    over the tuple stream, decided from syntax alone ([:explain] reads the
+    same decision through [Runner.execute_sites]). *)
+type clause_eval =
+  | Set_at_a_time of Ast.expr * Qname.t * Ast.expr list
+      (** an [execute at] application with Bulk RPC on: one
+          {!bulk_execute} over every tuple *)
+  | Once
+      (** loop-invariant: evaluated once, against the FLWOR's own
+          context, when there are several tuples (what a set-oriented
+          engine gets for free from loop-lifting) *)
+  | Per_tuple
+
+let clause_eval ~bulk ~bound = function
+  | Ast.Execute_at (d, f, args) when bulk -> Set_at_a_time (d, f, args)
+  | e when !hoisting_enabled && loop_invariant ~bound e -> Once
+  | _ -> Per_tuple
+
+(** The [execute at] applications a FLWOR's [return] dispatches
+    set-at-a-time with Bulk RPC on: the return itself, or every member of
+    a sequence of them (the Q6 shape: each site is bulk-dispatched across
+    all tuples, out of order, §3.2).  [[]]: the return runs per tuple. *)
+let return_calls ~bulk = function
+  | Ast.Execute_at (d, f, args) when bulk -> [ (d, f, args) ]
+  | Ast.Sequence (_ :: _ as es) when bulk ->
+      let call = function
+        | Ast.Execute_at (d, f, args) -> Some (d, f, args)
+        | _ -> None
+      in
+      let calls = List.filter_map call es in
+      if List.length calls = List.length es then calls else []
+  | _ -> []
 
 let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
   match e with
@@ -534,22 +585,10 @@ and apply_predicates ctx preds seq =
 
 and eval_flwor ctx clauses order_by ret =
   let bulk =
-    ctx.Context.dispatcher <> None
-    &&
-    match ctx.Context.rpc_mode with
-    | Context.Rpc_bulk -> true
-    | Context.Rpc_singles -> false
-    | Context.Rpc_auto -> ctx.Context.bulk_rpc
+    ctx.Context.dispatcher <> None && ctx.Context.rpc_mode = Context.Rpc_bulk
   in
   let tuples = ref [ ctx ] in
-  (* loop-invariant clause hoisting: a clause expression that references no
-     variable bound earlier in this FLWOR evaluates identically for every
-     tuple, so evaluate it once against the incoming context (what a
-     set-oriented engine gets for free from loop-lifting) *)
   let bound = ref Ast.Var_set.empty in
-  let invariant e =
-    !hoisting_enabled && Ast.Var_set.disjoint (Ast.free_vars e) !bound
-  in
   let bind_clause_vars v posv =
     bound := Ast.Var_set.add (Ast.var_set_key v) !bound;
     match posv with
@@ -565,38 +604,31 @@ and eval_flwor ctx clauses order_by ret =
         | None -> tctx)
       items
   in
+  (* one sequence per tuple, in tuple order *)
+  let per_tuple e =
+    match clause_eval ~bulk ~bound:!bound e with
+    | Set_at_a_time (d, f, args) -> bulk_execute ctx !tuples d f args
+    | Once when List.length !tuples > 1 ->
+        let v = eval ctx e in
+        List.map (fun _ -> v) !tuples
+    | Once | Per_tuple -> List.map (fun tctx -> eval tctx e) !tuples
+  in
   List.iter
     (fun clause ->
-      (match clause with
-      | Ast.For (v, posv, Ast.Execute_at (d, f, args)) when bulk ->
-          let results = bulk_execute ctx !tuples d f args in
+      match clause with
+      | Ast.For (v, posv, e) ->
           tuples :=
             List.concat
               (List.map2 (fun tctx seq -> expand_for v posv seq tctx) !tuples
-                 results)
-      | Ast.Let (v, Ast.Execute_at (d, f, args)) when bulk ->
-          let results = bulk_execute ctx !tuples d f args in
-          tuples :=
-            List.map2 (fun tctx seq -> Context.bind_var tctx v seq) !tuples results
-      | Ast.For (v, posv, e) when invariant e && List.length !tuples > 1 ->
-          let items = eval ctx e in
-          tuples := List.concat_map (expand_for v posv items) !tuples
-      | Ast.Let (v, e) when invariant e && List.length !tuples > 1 ->
-          let value = eval ctx e in
-          tuples := List.map (fun tctx -> Context.bind_var tctx v value) !tuples
-      | Ast.For (v, posv, e) ->
-          tuples :=
-            List.concat_map (fun tctx -> expand_for v posv (eval tctx e) tctx)
-              !tuples
+                 (per_tuple e));
+          bind_clause_vars v posv
       | Ast.Let (v, e) ->
           tuples :=
-            List.map (fun tctx -> Context.bind_var tctx v (eval tctx e)) !tuples
+            List.map2 (fun tctx seq -> Context.bind_var tctx v seq) !tuples
+              (per_tuple e);
+          bind_clause_vars v None
       | Ast.Where e ->
-          tuples := List.filter (fun tctx -> Xdm.ebv (eval tctx e)) !tuples);
-      match clause with
-      | Ast.For (v, posv, _) -> bind_clause_vars v posv
-      | Ast.Let (v, _) -> bind_clause_vars v None
-      | Ast.Where _ -> ())
+          tuples := List.filter (fun tctx -> Xdm.ebv (eval tctx e)) !tuples)
     clauses;
   (* order by *)
   (if order_by <> [] then
@@ -634,30 +666,20 @@ and eval_flwor ctx clauses order_by ret =
      in
      tuples := List.map snd (List.stable_sort cmp keyed));
   (* return *)
-  match ret with
-  | Ast.Execute_at (d, f, args) when bulk ->
-      List.concat (bulk_execute ctx !tuples d f args)
-  | Ast.Sequence es
-    when bulk && es <> []
-         && List.for_all
-              (function Ast.Execute_at _ -> true | _ -> false)
-              es ->
-      (* Q6 pattern: each call site is bulk-dispatched across all
-         iterations (out-of-order execution, §3.2), then results are
-         stitched back in query order. *)
-      let per_site =
+  match return_calls ~bulk ret with
+  | [] -> List.concat_map (fun tctx -> eval tctx ret) !tuples
+  | [ (d, f, args) ] -> List.concat (bulk_execute ctx !tuples d f args)
+  | calls ->
+      (* Q6: results are stitched back per tuple, in query order *)
+      let per_call =
         List.map
-          (fun e ->
-            match e with
-            | Ast.Execute_at (d, f, args) -> bulk_execute ctx !tuples d f args
-            | _ -> assert false)
-          es
+          (fun (d, f, args) -> Array.of_list (bulk_execute ctx !tuples d f args))
+          calls
       in
       List.concat
         (List.mapi
-           (fun i _ -> List.concat_map (fun site -> List.nth site i) per_site)
+           (fun i _ -> List.concat_map (fun results -> results.(i)) per_call)
            !tuples)
-  | _ -> List.concat_map (fun tctx -> eval tctx ret) !tuples
 
 (* ---- Function calls --------------------------------------------- *)
 
@@ -895,11 +917,6 @@ and bulk_execute base_ctx tuples dest_e fname args =
   let responses =
     if not (Trace.recording ()) then dispatch ()
     else begin
-      List.iter
-        (fun (dest, req) ->
-          Trace.add (Profile.dest_attr "calls" dest)
-            (float_of_int (List.length req.Message.calls)))
-        requests;
       (* the optimizer's estimate is for a profile's reader only *)
       (if Trace.collecting () then
          match !rpc_estimate_hook with
@@ -912,9 +929,19 @@ and bulk_execute base_ctx tuples dest_e fname args =
              | None -> ())
          | None -> ());
       Trace.with_span
-        ~detail:(fname.Qname.local ^ " -> "
-                 ^ string_of_int (List.length requests) ^ " dest(s)")
-        "bulkrpc" dispatch
+        ~detail:
+          (Printf.sprintf "%s: %d call%s -> %d dest(s)" fname.Qname.local
+             (List.length calls)
+             (if List.length calls = 1 then "" else "s")
+             (List.length requests))
+        bulk_span
+      @@ fun () ->
+      List.iter
+        (fun (dest, req) ->
+          Trace.add (Profile.dest_attr "calls" dest)
+            (float_of_int (List.length req.Message.calls)))
+        requests;
+      dispatch ()
     end
   in
   (* map back: walk tuples in order, pulling the next result for their

@@ -235,6 +235,20 @@ let shard_resolver ~(route : string -> string) : string -> string =
 (* Static [execute at] site analysis                                   *)
 (* ------------------------------------------------------------------ *)
 
+(** How {!Eval} dispatches one [execute at] site, read off the syntax
+    with the rules {!Eval.eval_flwor} applies ({!Eval.clause_eval},
+    {!Eval.return_calls}). *)
+type dispatch =
+  | Bulk  (** one Bulk RPC per destination over all tuples of its FLWOR *)
+  | Hoisted
+      (** set-at-a-time after a [for], loop-invariant and not updating:
+          {!Eval.bulk_execute} sends one call and shares its result when
+          the loop has two or more iterations *)
+  | Per_iteration  (** one call per iteration of an enclosing loop *)
+  | Single
+      (** one call: outside any loop, or in a loop-invariant clause that
+          runs once for all tuples *)
+
 (** One [execute at] application found in a query body — the unit the
     distributed-strategy optimizer costs.  [site_dest] is the destination
     URI when it is a string literal (the common case in §5's plans);
@@ -249,123 +263,115 @@ type execute_site = {
   site_arity : int;
   site_in_loop : bool;
   site_loop_dependent : bool;
+  site_dispatch : dispatch;
 }
 
 (** [execute_sites prog] — every [execute at] site in [prog]'s body, in
-    syntactic order.  Purely static: nothing is evaluated. *)
-let execute_sites (prog : Ast.prog) : execute_site list =
+    syntactic order, with the dispatch it gets in [rpc_mode] (default
+    bulk).  [funcs] (a compiled plan's registry) says which calls are
+    updating.  Purely static: nothing is evaluated. *)
+let execute_sites ?(rpc_mode = Context.Rpc_bulk) ?funcs (prog : Ast.prog) :
+    execute_site list =
+  let bulk = rpc_mode = Context.Rpc_bulk in
+  let updating (f : Qname.t) arity =
+    match
+      Option.bind funcs (fun t ->
+          Hashtbl.find_opt t (f.Qname.uri, f.Qname.local, arity))
+    with
+    | Some fn -> fn.Context.decl.Ast.fn_updating
+    | None -> false
+  in
   let acc = ref [] in
   let module VS = Ast.Var_set in
-  let rec go ~fors ~bound (e : Ast.expr) =
+  (* [fors], [bound]: the enclosing [for] clauses and bound variables (the
+     optimizer's view); [looped]: [e] runs once per iteration of an
+     enclosing loop; [set]: its FLWOR dispatches [e] set-at-a-time, after
+     clauses binding [flwor_bound] ([has_for]: one of them is a [for]) *)
+  let rec go ~fors ~bound ~looped ?set (e : Ast.expr) =
     match e with
     | Ast.Execute_at (d, f, args) ->
-        let dest =
-          match d with
-          | Ast.Literal (Xs.String s) -> Some s
-          | _ -> None
-        in
-        let refs =
-          List.fold_left
-            (fun a arg -> VS.union a (Ast.free_vars arg))
-            (Ast.free_vars d) args
+        let dispatch =
+          match set with
+          | Some (flwor_bound, has_for) ->
+              if
+                has_for
+                && Eval.loop_invariant ~bound:flwor_bound e
+                && not (updating f (List.length args))
+              then Hoisted
+              else Bulk
+          | None -> if looped then Per_iteration else Single
         in
         acc :=
           {
-            site_dest = dest;
+            site_dest =
+              (match d with Ast.Literal (Xs.String s) -> Some s | _ -> None);
             site_fn = f;
             site_arity = List.length args;
             site_in_loop = fors > 0;
-            site_loop_dependent = not (VS.disjoint refs bound);
+            site_loop_dependent = not (Eval.loop_invariant ~bound e);
+            site_dispatch = dispatch;
           }
           :: !acc;
-        go ~fors ~bound d;
-        List.iter (go ~fors ~bound) args
+        List.iter (go ~fors ~bound ~looped) (d :: args)
     | Ast.Flwor (clauses, order_by, ret) ->
-        let fors', bound' =
+        let key = Ast.var_set_key in
+        let add_vars set v posv =
+          let set = VS.add (key v) set in
+          match posv with Some p -> VS.add (key p) set | None -> set
+        in
+        let fors, bound, flwor_bound, has_for =
           List.fold_left
-            (fun (fors, bound) clause ->
+            (fun (fors, bound, flwor_bound, has_for) clause ->
+              let looped' = looped || has_for in
+              let source src =
+                match Eval.clause_eval ~bulk ~bound:flwor_bound src with
+                | Eval.Set_at_a_time _ ->
+                    go ~fors ~bound ~looped:looped'
+                      ~set:(flwor_bound, has_for) src
+                | Eval.Once -> go ~fors ~bound ~looped src
+                | Eval.Per_tuple -> go ~fors ~bound ~looped:looped' src
+              in
               match clause with
               | Ast.For (v, posv, src) ->
-                  go ~fors ~bound src;
-                  let bound = VS.add (Ast.var_set_key v) bound in
-                  let bound =
-                    match posv with
-                    | Some p -> VS.add (Ast.var_set_key p) bound
-                    | None -> bound
-                  in
-                  (fors + 1, bound)
+                  source src;
+                  ( fors + 1,
+                    add_vars bound v posv,
+                    add_vars flwor_bound v posv,
+                    true )
               | Ast.Let (v, src) ->
-                  go ~fors ~bound src;
-                  (fors, VS.add (Ast.var_set_key v) bound)
+                  source src;
+                  ( fors,
+                    add_vars bound v None,
+                    add_vars flwor_bound v None,
+                    has_for )
               | Ast.Where c ->
-                  go ~fors ~bound c;
-                  (fors, bound))
-            (fors, bound) clauses
+                  go ~fors ~bound ~looped:looped' c;
+                  (fors, bound, flwor_bound, has_for))
+            (fors, bound, VS.empty, false)
+            clauses
         in
-        List.iter (fun (e, _) -> go ~fors:fors' ~bound:bound' e) order_by;
-        go ~fors:fors' ~bound:bound' ret
+        let looped = looped || has_for in
+        List.iter (fun (e, _) -> go ~fors ~bound ~looped e) order_by;
+        if Eval.return_calls ~bulk ret = [] then go ~fors ~bound ~looped ret
+        else
+          List.iter
+            (go ~fors ~bound ~looped ~set:(flwor_bound, has_for))
+            (match ret with Ast.Sequence es -> es | e -> [ e ])
     | Ast.Quantified (_, binds, sat) ->
-        let bound' =
+        (* every binding after the first, and the test, run per tuple *)
+        let bound, _ =
           List.fold_left
-            (fun bound (v, src) ->
-              go ~fors ~bound src;
-              VS.add (Ast.var_set_key v) bound)
-            bound binds
+            (fun (bound, looped) (v, src) ->
+              go ~fors ~bound ~looped src;
+              (VS.add (Ast.var_set_key v) bound, true))
+            (bound, looped) binds
         in
-        go ~fors ~bound:bound' sat
-    | Ast.Sequence es -> List.iter (go ~fors ~bound) es
-    | Ast.Range (a, b)
-    | Ast.Arith (_, a, b)
-    | Ast.Compare (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Union (a, b)
-    | Ast.Intersect (a, b)
-    | Ast.Except (a, b)
-    | Ast.Path (a, b)
-    | Ast.Comp_elem (a, b)
-    | Ast.Comp_attr (a, b)
-    | Ast.Insert (_, a, b)
-    | Ast.Replace_node (a, b)
-    | Ast.Replace_value (a, b)
-    | Ast.Rename_node (a, b) ->
-        go ~fors ~bound a;
-        go ~fors ~bound b
-    | Ast.If (c, t, el) ->
-        go ~fors ~bound c;
-        go ~fors ~bound t;
-        go ~fors ~bound el
-    | Ast.Call (_, args) -> List.iter (go ~fors ~bound) args
-    | Ast.Step (_, _, preds) -> List.iter (go ~fors ~bound) preds
-    | Ast.Filter (e, preds) ->
-        go ~fors ~bound e;
-        List.iter (go ~fors ~bound) preds
-    | Ast.Elem_ctor (_, attrs, content) ->
-        List.iter
-          (fun (_, parts) ->
-            List.iter
-              (function
-                | Ast.A_expr e -> go ~fors ~bound e
-                | Ast.A_text _ -> ())
-              parts)
-          attrs;
-        List.iter (go ~fors ~bound) content
-    | Ast.Typeswitch (op, cases, (_, de)) ->
-        go ~fors ~bound op;
-        List.iter (fun (_, _, e) -> go ~fors ~bound e) cases;
-        go ~fors ~bound de
-    | Ast.Text_ctor e | Ast.Comment_ctor e | Ast.Doc_ctor e | Ast.Neg e
-    | Ast.Instance_of (e, _)
-    | Ast.Cast_as (e, _, _)
-    | Ast.Castable_as (e, _, _)
-    | Ast.Treat_as (e, _)
-    | Ast.Delete e ->
-        go ~fors ~bound e
-    | Ast.Literal _ | Ast.Var _ | Ast.Context_item | Ast.Root -> ()
+        go ~fors ~bound ~looped:true sat
+    | e ->
+        List.iter (go ~fors ~bound ~looped) (Ast.focus_sub_exprs e);
+        List.iter (go ~fors ~bound ~looped:true) (Ast.item_sub_exprs e)
   in
-  (match prog.Ast.body with
-  | Some e -> go ~fors:0 ~bound:VS.empty e
-  | None -> ());
+  Option.iter (go ~fors:0 ~bound:VS.empty ~looped:false) prog.Ast.body;
   List.rev !acc
 
 (** Parse-and-run a main-module query.  Returns the result sequence and the

@@ -49,9 +49,26 @@ let test_q2_bulk_one_message () =
   (* two calls, ONE bulk request *)
   check int_ "bulk rpc" 2 (messages cluster)
 
+(* :explain's per-site dispatch matches the bulkrpc spans a profiled run
+   records, for Figure 1's Q2, Q3 and the Q6 return sequence *)
+let test_explain_agrees_with_profile () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (iterations, query) ->
+          let _, x = film_cluster () in
+          x.Peer.config <- { x.Peer.config with Peer.rpc_mode = mode };
+          ignore (Explain_check.agree x ~iterations query))
+        [
+          (2, Filmdb.q2 ~dest:"xrpc://y.example.org");
+          (4, Filmdb.q3 ~dest1:"xrpc://y.example.org" ~dest2:"xrpc://z.example.org");
+          (2, Filmdb.q6 ~dest:"xrpc://y.example.org");
+        ])
+    [ Xrpc_xquery.Context.Rpc_bulk; Xrpc_xquery.Context.Rpc_singles ]
+
 let test_q2_one_at_a_time () =
   let cluster, x = film_cluster () in
-  x.Peer.config <- { x.Peer.config with Peer.bulk_rpc = false };
+  x.Peer.config <- { x.Peer.config with Peer.rpc_mode = Xrpc_xquery.Context.Rpc_singles };
   let r = Peer.query_seq x (Filmdb.q2 ~dest:"xrpc://y.example.org") in
   check string_ "same result"
     "<films><name>The Rock</name><name>Goldfinger</name></films>"
@@ -640,6 +657,8 @@ let () =
         [
           Alcotest.test_case "nested XRPC" `Quick test_nested_xrpc;
           Alcotest.test_case "nested Bulk RPC" `Quick test_nested_bulk_rpc;
+          Alcotest.test_case ":explain agrees with :profile" `Quick
+            test_explain_agrees_with_profile;
           Alcotest.test_case "reentrant self-call" `Quick test_self_call;
           Alcotest.test_case "zero arity / empty results" `Quick
             test_zero_arity_and_empty_results;

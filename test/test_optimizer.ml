@@ -33,7 +33,6 @@ module Xmark = Xrpc_workloads.Xmark
 module Parser = Xrpc_xquery.Parser
 module Runner = Xrpc_xquery.Runner
 module Xctx = Xrpc_xquery.Context
-module Looplift = Xrpc_algebra.Looplift
 module Profile = Xrpc_obs.Profile
 module Flight_recorder = Xrpc_obs.Flight_recorder
 
@@ -378,10 +377,23 @@ let test_rpc_mode_parsing () =
     (Xctx.rpc_mode_of_string "SINGLES" = Some Xctx.Rpc_singles);
   check bool_ "one-at-a-time" true
     (Xctx.rpc_mode_of_string "one-at-a-time" = Some Xctx.Rpc_singles);
-  check bool_ "auto" true (Xctx.rpc_mode_of_string "auto" = Some Xctx.Rpc_auto);
+  check bool_ "auto is no override" true (Xctx.rpc_mode_of_string "auto" = None);
   check bool_ "strategy names are not rpc modes" true
     (Xctx.rpc_mode_of_string "semijoin" = None);
-  check string_ "names render back" "singles" (Xctx.rpc_mode_name Xctx.Rpc_singles)
+  check string_ "names render back" "singles" (Xctx.rpc_mode_name Xctx.Rpc_singles);
+  check bool_ "bulk is the default" true
+    (Peer.default_config.Peer.rpc_mode = Xctx.Rpc_bulk);
+  let peer =
+    Peer.create
+      ~config:{ Peer.default_config with Peer.rpc_mode = Xctx.Rpc_singles }
+      "xrpc://modes.local"
+  in
+  with_env_strategy "auto" (fun () ->
+      check bool_ "XRPC_FORCE_STRATEGY=auto keeps the configured mode" true
+        (Peer.rpc_mode peer = Xctx.Rpc_singles));
+  with_env_strategy "bulk" (fun () ->
+      check bool_ "XRPC_FORCE_STRATEGY=bulk overrides it" true
+        (Peer.rpc_mode peer = Xctx.Rpc_bulk))
 
 (* ------------------------------------------------------------------ *)
 (* The adaptive feedback loop                                          *)
@@ -612,30 +624,116 @@ let test_execute_sites_analysis () =
          {|import module namespace b = "functions_b" at "http://example.org/b.xq";
 for $d in ("xrpc://B", "xrpc://C") return execute at {$d} { b:Q_B1() }|})
   in
-  match dynamic with
+  (match dynamic with
   | [ s ] ->
       check bool_ "dynamic dest is unknown" true (s.Runner.site_dest = None);
       check bool_ "and loop-dependent (dest varies per iteration)" true
         s.Runner.site_loop_dependent
-  | l -> Alcotest.failf "dynamic: expected 1 site, got %d" (List.length l)
+  | l -> Alcotest.failf "dynamic: expected 1 site, got %d" (List.length l));
+  (* the dispatch each site gets, per RPC mode *)
+  let dispatches ?funcs rpc_mode source =
+    List.map
+      (fun s -> s.Runner.site_dispatch)
+      (Runner.execute_sites ~rpc_mode ?funcs (Parser.parse_prog source))
+  in
+  let q7 strategy = Strategies.query ~local_uri:"xrpc://A" q7 strategy in
+  let expect what expected actual =
+    check bool_ what true (actual = expected)
+  in
+  expect "pushdown, bulk: hoisted" [ Runner.Hoisted ]
+    (dispatches Xctx.Rpc_bulk (q7 Strategies.Predicate_pushdown));
+  expect "pushdown, singles: its invariant clause runs once" [ Runner.Single ]
+    (dispatches Xctx.Rpc_singles (q7 Strategies.Predicate_pushdown));
+  expect "semi-join, bulk: one Bulk RPC" [ Runner.Bulk ]
+    (dispatches Xctx.Rpc_bulk (q7 Strategies.Distributed_semijoin));
+  expect "semi-join, singles: one call per iteration" [ Runner.Per_iteration ]
+    (dispatches Xctx.Rpc_singles (q7 Strategies.Distributed_semijoin));
+  expect "relocation: a single call" [ Runner.Single ]
+    (dispatches Xctx.Rpc_bulk (q7 Strategies.Execution_relocation));
+  let q6 =
+    {|for $x in (1, 2)
+return (execute at {"xrpc://B"} {f($x)}, execute at {"xrpc://C"} {g($x)})|}
+  in
+  expect "Q6 return sequence, bulk" [ Runner.Bulk; Runner.Bulk ]
+    (dispatches Xctx.Rpc_bulk q6);
+  expect "Q6 return sequence, singles"
+    [ Runner.Per_iteration; Runner.Per_iteration ]
+    (dispatches Xctx.Rpc_singles q6);
+  expect "a first clause has one tuple: nothing to hoist" [ Runner.Bulk ]
+    (dispatches Xctx.Rpc_bulk
+       {|let $r := execute at {"xrpc://B"} {f()} return $r|});
+  expect "a predicate runs per item" [ Runner.Per_iteration ]
+    (dispatches Xctx.Rpc_bulk
+       {|doc("d.xml")//person[execute at {"xrpc://B"} {f(.)}]|});
+  (* bulk_execute never hoists an updating call *)
+  let updating =
+    {|declare updating function local:u() { () };
+for $i in (1, 2) return execute at {"xrpc://B"} {local:u()}|}
+  in
+  let compiled = Peer.compiled_plan (Peer.create "xrpc://sites.local") updating in
+  expect "an invariant updating call is not hoisted" [ Runner.Bulk ]
+    (dispatches ~funcs:compiled.Xrpc_peer.Plan_cache.funcs Xctx.Rpc_bulk
+       updating);
+  expect "without the registry it would be" [ Runner.Hoisted ]
+    (dispatches Xctx.Rpc_bulk updating)
 
-let test_explain_note_hook () =
-  let e = Parser.parse_expression {|execute at {"xrpc://B"} { probe(1, 2) }|} in
-  check bool_ "no hook, no note" false
-    (contains (Looplift.explain e) "optimizer-note");
-  Looplift.execute_note_hook :=
-    Some
-      (fun ~dest ~fn ~nargs ->
-        [
-          Printf.sprintf "optimizer-note %s %s/%d"
-            (Option.value dest ~default:"?")
-            fn.Qname.local nargs;
-        ]);
-  Fun.protect ~finally:(fun () -> Looplift.execute_note_hook := None)
-  @@ fun () ->
-  let text = Looplift.explain e in
-  check bool_ "hook note attached to the execute-at node" true
-    (contains text "| optimizer-note xrpc://B probe/2")
+let test_explain_table2_note () =
+  let plan =
+    Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
+      (Parser.parse_prog {|execute at {"xrpc://B"} { probe(1, 2) }|})
+  in
+  check bool_ "the site's dispatch" true
+    (contains plan "span bulkrpc — a single call outside any loop");
+  check bool_ "Table-2 note on the site" true
+    (contains plan "table2 probe/2 -> xrpc://B: @100 iters bulk=");
+  check bool_ "against one-at-a-time" true (contains plan "one-at-a-time=")
+
+(* the site section of a rendered plan: from "site N:" to the next site *)
+let site_section plan n =
+  let from = Printf.sprintf "site %d:" n in
+  let rec find i =
+    if String.sub plan i (String.length from) = from then i else find (i + 1)
+  in
+  let start = find 0 in
+  let stop =
+    try find (start + 1) with Invalid_argument _ -> String.length plan
+  in
+  String.sub plan start (stop - start)
+
+let test_explain_dest_calibration () =
+  with_clean_calibration @@ fun () ->
+  let plan () =
+    Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
+      (Parser.parse_prog
+         {|(execute at {"xrpc://B"} { probe() }, execute at {"xrpc://C"} { probe() })|})
+  in
+  let before = plan () in
+  let site = { Cost.default_site with Cost.outer_rows = 100 } in
+  let choose ?dest () = Cost.choose ?dest Cost.default_net Cost.zero_cpu site in
+  let base = (choose ()).Cost.chosen in
+  (* the default winner measures 1000x its estimate at B only; C has its
+     own history, which agrees with the model *)
+  let est = Cost.total base in
+  for _ = 1 to 20 do
+    Cost.observe ~dest:"xrpc://B" base.Cost.strategy ~estimated_ms:est
+      ~measured_ms:(est *. 1000.);
+    Cost.observe ~dest:"xrpc://C" base.Cost.strategy ~estimated_ms:est
+      ~measured_ms:est
+  done;
+  let at_b = (choose ~dest:"xrpc://B" ()).Cost.chosen in
+  check bool_ "B's winner flipped" true (at_b.Cost.strategy <> base.Cost.strategy);
+  let after = plan () in
+  let b = site_section after 1 in
+  check bool_ "B's section names the flipped winner" true
+    (contains b ("chosen: " ^ Strategies.name at_b.Cost.strategy));
+  check bool_ "with the cal number it was ranked by" true
+    (contains b
+       (Printf.sprintf "-> %s" (Cost.cost_line ~dest:"xrpc://B" at_b)));
+  check bool_ "the demoted winner shows its B calibration" true
+    (contains b (Printf.sprintf "(cal %8.3fms)"
+       (Cost.calibrated_total ~dest:"xrpc://B" base)));
+  check string_ "C's section is unchanged" (site_section before 2)
+    (site_section after 2)
 
 (* ------------------------------------------------------------------ *)
 (* Measured crossover on deterministic Simnet                          *)
@@ -831,6 +929,36 @@ let test_estimator_annotation () =
   check bool_ "rendered profiles show the optimizer section" true
     (contains (Profile.render profile) "optimizer:")
 
+(* :explain agrees with :profile on every Q7 strategy, in both modes *)
+let test_explain_agrees_with_profile () =
+  let setting =
+    { s_name = "agree"; s_scale = { Xmark.persons = 8; auctions = 20; matches = 3 };
+      s_latency_ms = 0.6; s_bandwidth = 125_000. }
+  in
+  List.iter
+    (fun (mode, strategy, span) ->
+      let _, a, _, _ = build_cluster setting in
+      a.Peer.config <- { a.Peer.config with Peer.rpc_mode = mode };
+      let plan =
+        Explain_check.agree a ~iterations:setting.s_scale.Xmark.persons
+          (Strategies.query ~local_uri:"xrpc://A" q7 strategy)
+      in
+      check bool_
+        (Printf.sprintf "%s/%s: %s" (Xctx.rpc_mode_name mode)
+           (Strategies.short_name strategy) span)
+        true (contains plan span))
+    [
+      (Xctx.Rpc_bulk, Strategies.Data_shipping, "0 execute-at sites");
+      (Xctx.Rpc_bulk, Strategies.Predicate_pushdown, "span rpc — hoisted");
+      (Xctx.Rpc_bulk, Strategies.Execution_relocation, "span bulkrpc — a single call");
+      (Xctx.Rpc_bulk, Strategies.Distributed_semijoin, "span bulkrpc — one Bulk RPC");
+      (Xctx.Rpc_singles, Strategies.Data_shipping, "0 execute-at sites");
+      (Xctx.Rpc_singles, Strategies.Predicate_pushdown, "span bulkrpc — a single call");
+      (Xctx.Rpc_singles, Strategies.Execution_relocation, "span bulkrpc — a single call");
+      (Xctx.Rpc_singles, Strategies.Distributed_semijoin,
+       "span bulkrpc — one call per iteration");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Chaos differential: the optimizer never changes answers             *)
 (* ------------------------------------------------------------------ *)
@@ -978,7 +1106,11 @@ let () =
             test_explain_decision;
           Alcotest.test_case "static execute-at site analysis" `Quick
             test_execute_sites_analysis;
-          Alcotest.test_case "loop-lift note hook" `Quick test_explain_note_hook;
+          Alcotest.test_case "table2 note per site" `Quick test_explain_table2_note;
+          Alcotest.test_case "per-destination calibration" `Quick
+            test_explain_dest_calibration;
+          Alcotest.test_case ":explain agrees with :profile" `Quick
+            test_explain_agrees_with_profile;
         ] );
       ( "measured",
         [

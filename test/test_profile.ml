@@ -19,7 +19,8 @@ module Client = Xrpc_core.Xrpc_client
 module Peer = Xrpc_peer.Peer
 module Simnet = Xrpc_net.Simnet
 module Message = Xrpc_soap.Message
-module Looplift = Xrpc_algebra.Looplift
+module Cost = Xrpc_core.Cost
+module Xctx = Xrpc_xquery.Context
 module Ops = Xrpc_algebra.Ops
 module Table = Xrpc_algebra.Table
 module Parser = Xrpc_xquery.Parser
@@ -408,20 +409,34 @@ for $d in ("xrpc://y", "xrpc://z")
 return execute at {$d} {t:ping(1)}|}
 
 let test_explain_plan () =
-  let prog = Parser.parse_prog q_two_peers in
-  let body =
-    match prog.Xrpc_xquery.Ast.body with
-    | Some e -> e
-    | None -> Alcotest.fail "query has no body"
+  let plan mode = Cost.explain_plan ~rpc_mode:mode (Parser.parse_prog q_two_peers) in
+  let bulk = plan Xctx.Rpc_bulk in
+  assert_has "mode named" "plan (rpc mode bulk): 1 execute-at site" bulk;
+  assert_has "site listed" "site 1: t:ping/1 at <dynamic> [in loop] [loop-dependent]"
+    bulk;
+  assert_has "set-at-a-time in bulk mode"
+    "span bulkrpc — one Bulk RPC per destination over all iterations" bulk;
+  assert_has "Table-2 estimate" "table2 t:ping/1: @100 iters bulk=" bulk;
+  assert_has "strategy decision" "chosen: " bulk;
+  assert_has "one call per iteration in singles mode"
+    "span bulkrpc — one call per iteration" (plan Xctx.Rpc_singles);
+  check string_ "stable rendering" bulk (plan Xctx.Rpc_bulk);
+  (* path steps: the descendant::T index slice against axis scans *)
+  let steps =
+    Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
+      (Parser.parse_prog {|doc("d.xml")//person[@id = "p1"]/name, doc("d.xml")//person[1]|})
   in
-  let plan = Looplift.explain body in
-  assert_has "numbered nodes" "#1 " plan;
-  assert_has "flwor node" "flwor" plan;
-  assert_has "for clause annotated" "for $d" plan;
-  assert_has "execute node" "execute_at" plan;
-  assert_has "Bulk RPC translation named" "Bulk RPC" plan;
-  (* numbering is deterministic: same query, same plan text *)
-  check string_ "stable rendering" plan (Looplift.explain body)
+  assert_has "index slice"
+    "descendant::person[..] — element-name index slice (person)" steps;
+  assert_has "child step scans" "child::name — axis scan" steps;
+  assert_has "attribute step scans" "attribute::id — axis scan" steps;
+  assert_has "positional // keeps the expanded form"
+    "descendant-or-self::node() — axis scan" steps;
+  assert_has "no sites" "0 execute-at sites" steps;
+  check string_ "library modules have no plan"
+    "(library module — no query body to explain)\n"
+    (Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
+       (Parser.parse_prog Testmod.test_module))
 
 (* ------------------------------------------------------------------ *)
 (* serverProfile attribute round-trip                                     *)
@@ -538,6 +553,17 @@ let test_distributed_profile () =
   let json = assert_json "profile json export" (Profile.to_json p) in
   check bool_ "destinations in json" true
     Json_check.(keys (member "dests" json) <> [])
+
+(* :explain agrees with :profile on the two-peer query, in both modes *)
+let test_explain_agrees_with_profile () =
+  with_clean @@ fun () ->
+  List.iter
+    (fun mode ->
+      let cluster = test_cluster () in
+      let x = Cluster.peer cluster "x" in
+      x.Peer.config <- { x.Peer.config with Peer.rpc_mode = mode };
+      ignore (Explain_check.agree x ~iterations:2 q_two_peers))
+    [ Xctx.Rpc_bulk; Xctx.Rpc_singles ]
 
 let test_call_profiled () =
   with_clean @@ fun () ->
@@ -736,6 +762,8 @@ let () =
         [
           Alcotest.test_case "profiled two-peer query" `Quick
             test_distributed_profile;
+          Alcotest.test_case ":explain agrees with :profile" `Quick
+            test_explain_agrees_with_profile;
           Alcotest.test_case "call_profiled" `Quick test_call_profiled;
           Alcotest.test_case "serverProfile phases from spans" `Quick
             test_server_phases_from_spans;

@@ -27,7 +27,7 @@ module Xrpc_client = Xrpc_core.Xrpc_client
 module Shard = Xrpc_peer.Shard
 module Peer = Xrpc_peer.Peer
 module Database = Xrpc_peer.Database
-module Gather = Xrpc_algebra.Gather
+module Gather = Xrpc_core.Gather
 module Shardmod = Xrpc_workloads.Shardmod
 module Simnet = Xrpc_net.Simnet
 module Transport = Xrpc_net.Transport
@@ -558,14 +558,17 @@ let test_pool_matches_sequential () =
 (* Gather merge unit tests                                             *)
 (* ------------------------------------------------------------------ *)
 
-let part ~owner ~seq inner =
+(* a part whose @seq is any text *)
+let raw_part ~owner ~seq inner =
   let xml =
-    Printf.sprintf "<part owner=\"%s\" seq=\"%d\">%s</part>" owner seq inner
+    Printf.sprintf "<part owner=\"%s\" seq=\"%s\">%s</part>" owner seq inner
   in
   let store = Store.shred ~uri:"gather-test" (Xml_parse.document xml) in
   match Store.children { Store.store; pre = 0 } with
   | [ n ] -> Xdm.Node n
   | _ -> assert false
+
+let part ~owner ~seq inner = raw_part ~owner ~seq:(string_of_int seq) inner
 
 let test_gather_dedups_and_orders () =
   let a = part ~owner:"x" ~seq:2 "<v>2</v>"
@@ -592,7 +595,29 @@ let test_gather_untagged_items () =
   in
   check string_ "content dedup, stable order"
     (Xdm.to_display [ tagged; Xdm.str "b"; Xdm.str "a" ])
-    (Xdm.to_display merged)
+    (Xdm.to_display merged);
+  (* only a non-negative decimal @seq is a tag: a negative one cannot
+     collide with an untagged item, a hex one cannot alias its decimal *)
+  let minus3 = raw_part ~owner:"x" ~seq:"-3" "<v>m</v>" in
+  let merged =
+    Gather.merge [ [ Xdm.str "u1"; Xdm.str "u2"; Xdm.str "u3" ]; [ minus3 ] ]
+  in
+  check int_ "seq=-3 is a fourth distinct item" 4 (List.length merged);
+  check bool_ "seq=-3 is untagged" true (Gather.seq_of minus3 = None);
+  let hex = raw_part ~owner:"x" ~seq:"0x10" "<v>h</v>"
+  and sixteen = part ~owner:"y" ~seq:16 "<v>d</v>" in
+  check bool_ "seq=0x10 is untagged" true (Gather.seq_of hex = None);
+  check int_ "seq=0x10 does not dedup against seq=16" 2
+    (List.length (Gather.merge [ [ sixteen ]; [ hex ] ]));
+  check int_ "an untagged part dedups by content" 1
+    (List.length (Gather.merge [ [ hex ]; [ hex ] ]));
+  List.iter
+    (fun v ->
+      check bool_ ("seq=" ^ v ^ " is untagged") true
+        (Gather.seq_of (raw_part ~owner:"x" ~seq:v "") = None))
+    [ "+5"; "5.0"; "1_0"; ""; "99999999999999999999999" ];
+  check (Alcotest.option int_) "surrounding whitespace is trimmed" (Some 7)
+    (Gather.seq_of (raw_part ~owner:"x" ~seq:" 7 " ""))
 
 let test_gather_empty () =
   check int_ "no legs" 0 (List.length (Gather.merge []));

@@ -310,28 +310,52 @@ let test_query_id_roundtrip () =
 
 (* A queryID timeout or an arity that is not a plain non-negative
    integer is a malformed message, not a silent default (30 s, arity 0):
-   both decoders raise [Protocol_error]. *)
+   both decoders raise [Protocol_error].  So is an xs:boolean flag
+   (updCall, fragments, profile, cached, ok) outside true/false/1/0, a
+   queryID level other than repeatable/snapshot and a cache other than
+   off. *)
 let test_bad_integer_attributes () =
-  let qid =
-    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 42;
-      level = Message.Repeatable }
+  let qid level =
+    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 42; level }
   in
   let wire =
     Message.to_string
-      (Message.Request (sample_request ~query_id:(Some qid) ()))
+      (Message.Request
+         (sample_request ~query_id:(Some (qid Message.Repeatable)) ()))
+  in
+  (* a request with every optional flag on the wire *)
+  let flagged =
+    Message.to_string
+      (Message.Request
+         {
+           (sample_request ~query_id:(Some (qid Message.Snapshot)) ()) with
+           Message.updating = true;
+           fragments = true;
+           cache_ok = false;
+         })
+    |> replace ~sub:{|updCall="true"|} ~by:{|updCall="true" profile="true"|}
+  in
+  let cached_response =
+    Message.to_string
+      (Message.Response
+         { Message.resp_module = "m"; resp_method = "f"; results = [];
+           peers = []; cached = true; db_version = None })
+  in
+  let tx_result =
+    Message.to_string (Message.Tx_response { ok = true; info = "" })
   in
   (* [wire] with attribute [attr]'s value [v0] replaced by [v] *)
-  let with_attr attr v0 v =
-    let sub = Printf.sprintf "%s=%S" attr v0 in
-    let n = String.length sub in
-    let rec find i = if String.sub wire i n = sub then i else find (i + 1) in
-    let i = find 0 in
-    Printf.sprintf "%s%s=\"%s\"%s" (String.sub wire 0 i) attr v
-      (String.sub wire (i + n) (String.length wire - i - n))
+  let with_attr ?(wire = wire) attr v0 v =
+    replace ~sub:(Printf.sprintf "%s=%S" attr v0)
+      ~by:(Printf.sprintf "%s=\"%s\"" attr v)
+      wire
   in
-  let rejected what bad =
+  (* [profile] is the serving side's business: only of_string_server
+     reads it *)
+  let rejected ?(server_only = false) what bad =
     (match Message.of_string bad with
     | exception Message.Protocol_error _ -> ()
+    | _ when server_only -> ()
     | _ -> Alcotest.failf "of_string accepted %s" what);
     match Message.of_string_server bad with
     | exception Message.Protocol_error _ -> ()
@@ -343,13 +367,61 @@ let test_bad_integer_attributes () =
   List.iter
     (fun v -> rejected ("arity=" ^ v) (with_attr "arity" "1" v))
     [ ""; "one"; "-1"; "0x1"; "1_0"; "1.0"; "1 1"; "++1" ];
+  List.iter
+    (fun (wire, attr, v0) ->
+      List.iter
+        (fun v ->
+          rejected ~server_only:(attr = "profile") (attr ^ "=" ^ v)
+            (with_attr ~wire attr v0 v))
+        [ ""; "yes"; "TRUE"; "False"; "2"; "-1"; "t"; "1 0" ])
+    [
+      (flagged, "updCall", "true"); (flagged, "fragments", "true");
+      (flagged, "profile", "true"); (cached_response, "cached", "true");
+      (tx_result, "ok", "true");
+    ];
+  List.iter
+    (fun v -> rejected ("level=" ^ v) (with_attr ~wire:flagged "level" "snapshot" v))
+    [ ""; "Snapshot"; "serializable"; "read-committed"; "1" ];
+  List.iter
+    (fun v -> rejected ("cache=" ^ v) (with_attr ~wire:flagged "cache" "off" v))
+    [ ""; "on"; "OFF"; "false"; "0"; "no" ];
   (* the schema's other lexical forms of an integer still decode *)
   List.iter
     (fun v ->
       match Message.of_string (with_attr "arity" "1" v) with
       | Message.Request r -> check int_ ("arity=" ^ v) 1 r.Message.arity
       | _ -> Alcotest.fail "wrong kind")
-    [ "01"; "+1"; " 1 " ]
+    [ "01"; "+1"; " 1 " ];
+  (* and so do xs:boolean's 1/0 forms, and the explicit defaults *)
+  let request what wire =
+    match Message.of_string_server wire with
+    | Message.Request r, _, profile -> (r, profile)
+    | _ -> Alcotest.failf "%s: wrong kind" what
+  in
+  List.iter
+    (fun (v, expected) ->
+      let r, profile =
+        request v
+          (flagged
+          |> replace ~sub:{|updCall="true"|} ~by:(Printf.sprintf "updCall=%S" v)
+          |> replace ~sub:{|fragments="true"|}
+               ~by:(Printf.sprintf "fragments=%S" v)
+          |> replace ~sub:{|profile="true"|} ~by:(Printf.sprintf "profile=%S" v))
+      in
+      check bool_ ("updCall=" ^ v) expected r.Message.updating;
+      check bool_ ("fragments=" ^ v) expected r.Message.fragments;
+      check bool_ ("profile=" ^ v) expected profile)
+    [ ("1", true); ("0", false); (" true ", true); ("false", false) ];
+  (match request "level=repeatable" (with_attr ~wire:flagged "level" "snapshot" " repeatable") with
+  | { Message.query_id = Some q; _ }, _ ->
+      check bool_ "level=repeatable" true (q.Message.level = Message.Repeatable)
+  | _ -> Alcotest.fail "queryID lost");
+  (match Message.of_string (with_attr ~wire:cached_response "cached" "true" "1") with
+  | Message.Response r -> check bool_ "cached=1" true r.Message.cached
+  | _ -> Alcotest.fail "wrong kind");
+  match Message.of_string (with_attr ~wire:tx_result "ok" "true" "0") with
+  | Message.Tx_response { ok; _ } -> check bool_ "ok=0" false ok
+  | _ -> Alcotest.fail "wrong kind"
 
 (* XRPC.xsd declares host, timestamp and timeout of a queryID
    use="required": a queryID without one is a malformed message, where it
