@@ -503,7 +503,7 @@ let handle_request peer (r : Message.request) : Message.t =
               their serialized value, which the value-based key cannot
               distinguish — never cache them *)
         && r.Message.query_id = None
-        && Lru.enabled peer.result_cache
+        && Lru.enabled peer.result_cache.Result_cache.lru
       then
         Some
           (Result_cache.key ~module_uri:r.Message.module_uri
@@ -595,7 +595,8 @@ let handle_request peer (r : Message.request) : Message.t =
     (* store the result iff the execution was provably a pure function of
        this peer's documents: nothing updated, no remote document fetched,
        no dispatch to any peer (tracked via [remote_dep] and the
-       participant accumulator) *)
+       participant accumulator); a Bulk RPC answer only on its key's
+       second miss (see {!Result_cache.add}) *)
     (match cache_key with
     | Some key
       when pul = []
@@ -1092,45 +1093,53 @@ type cache_stats = {
   idem : Lru.stats;
   func_hits : int;  (** [func.hits] *)
   func_misses : int;  (** [func.misses] *)
+  result_deferred : int;
+      (** Bulk RPC result entries not stored on their first miss *)
 }
 
 let cache_stats peer =
   let func = Lru.stats peer.func_cache in
   {
     plan = Lru.stats peer.plan_cache.Plan_cache.lru;
-    result = Lru.stats peer.result_cache;
+    result = Lru.stats peer.result_cache.Result_cache.lru;
     func;
     idem = Lru.stats peer.idem_cache;
     func_hits = func.hits;
     func_misses = func.misses;
+    result_deferred = Result_cache.deferred peer.result_cache;
   }
 
 let set_plan_caching peer on = Lru.set_enabled peer.plan_cache.Plan_cache.lru on
-let set_result_caching peer on = Lru.set_enabled peer.result_cache on
+let set_result_caching peer on =
+  Lru.set_enabled peer.result_cache.Result_cache.lru on
 
 (** Drop every performance cache (plan, result, module).  The idempotency
     cache is deliberately kept: it is a correctness mechanism
     (exactly-once updates), not a performance one. *)
 let clear_caches peer =
   Lru.clear peer.plan_cache.Plan_cache.lru;
-  Lru.clear peer.result_cache;
+  Result_cache.clear peer.result_cache;
   Lru.clear peer.func_cache
 
+(* each cache's counters, then the fields only it has *)
 let named_caches s =
-  [ ("plan_cache", s.plan); ("result_cache", s.result); ("func_cache", s.func);
-    ("idem_cache", s.idem) ]
+  [ ("plan_cache", s.plan, []);
+    ("result_cache", s.result, [ ("deferred", s.result_deferred) ]);
+    ("func_cache", s.func, []); ("idem_cache", s.idem, []) ]
 
 (** Human-readable stats block — what [/cachez] and the shell's [:cache
     stats] print. *)
 let cache_stats_text s =
   String.concat "\n"
     (List.map
-       (fun (name, (c : Lru.stats)) ->
+       (fun (name, (c : Lru.stats), extra) ->
          Printf.sprintf
            "%-13s hits=%d misses=%d stale=%d invalidations=%d evictions=%d \
-            size=%d/%d enabled=%b"
+            size=%d/%d enabled=%b%s"
            (name ^ ":") c.hits c.misses c.stale c.invalidations c.evictions
-           c.size c.capacity c.enabled)
+           c.size c.capacity c.enabled
+           (String.concat ""
+              (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) extra)))
        (named_caches s))
 
 (** The same block as a JSON value: [/cachez.json]. *)
@@ -1138,11 +1147,12 @@ let cache_stats_json s =
   let open Xrpc_obs.Json in
   Obj
     (List.map
-       (fun (name, (c : Lru.stats)) ->
+       (fun (name, (c : Lru.stats), extra) ->
          ( name,
            Obj
-             [ ("hits", Int c.hits); ("misses", Int c.misses);
-               ("stale", Int c.stale); ("invalidations", Int c.invalidations);
-               ("evictions", Int c.evictions); ("size", Int c.size);
-               ("capacity", Int c.capacity); ("enabled", Bool c.enabled) ] ))
+             ([ ("hits", Int c.hits); ("misses", Int c.misses);
+                ("stale", Int c.stale); ("invalidations", Int c.invalidations);
+                ("evictions", Int c.evictions); ("size", Int c.size);
+                ("capacity", Int c.capacity); ("enabled", Bool c.enabled) ]
+             @ List.map (fun (k, v) -> (k, Int v)) extra) ))
        (named_caches s))

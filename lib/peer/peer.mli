@@ -181,11 +181,15 @@ type cache_stats = {
   idem : Lru.stats;
   func_hits : int;  (** [func.hits] *)
   func_misses : int;  (** [func.misses] *)
+  result_deferred : int;
+      (** Bulk RPC result entries not stored on their first miss
+          ([peer.result_cache.deferred]) *)
 }
 
 val cache_stats : t -> cache_stats
 (** The counters of all four caches (plan, result, module plan,
-    idempotency), each read in one critical section of its cache. *)
+    idempotency), each read in one critical section of its cache, and
+    the result cache's deferred admissions. *)
 
 val set_plan_caching : t -> bool -> unit
 (** Toggle the compiled-plan cache; disabled, every [query] recompiles. *)
@@ -195,7 +199,8 @@ val set_result_caching : t -> bool -> unit
     executes. *)
 
 val clear_caches : t -> unit
-(** Drop every performance cache (plan, result, module).  The idempotency
+(** Drop every performance cache (plan, result with its admission
+    doorkeeper, module).  The idempotency
     cache is kept — it is a correctness mechanism (exactly-once updates),
     not a performance one. *)
 

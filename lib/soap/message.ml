@@ -521,6 +521,9 @@ let decode_tree tree =
       in
       Tx_request (op, qid)
   | [ Tree.Element { name; attrs; _ } ] when name.Qname.local = "transactionResult" ->
+      (* XRPC.xsd: ok is use="required" *)
+      if find_attr attrs "ok" = None then
+        err "transactionResult without its required ok attribute";
       Tx_response
         {
           ok = bool_attr attrs "ok";

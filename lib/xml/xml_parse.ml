@@ -37,6 +37,12 @@ type state = {
    start tags recurses once per tag. *)
 let max_depth = 2048
 
+(* A start tag carries at most this many attributes, namespace
+   declarations not counted (they bind prefixes rather than make
+   attribute nodes, and their duplicate check is linear).  The suites'
+   widest tag has a handful. *)
+let max_attributes = 1024
+
 let error st fmt =
   Printf.ksprintf
     (fun m -> raise (Parse_error (Printf.sprintf "%s at offset %d" m st.pos)))
@@ -410,17 +416,21 @@ let read_text st =
 (* Elements                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* the attributes of a start tag, last first, [xmlns] ones included *)
-let rec read_attrs st acc =
+(* the attributes of a start tag, last first, [xmlns] ones included;
+   [count] of them are not namespace declarations *)
+let rec read_attrs st count acc =
   skip_space st;
   if not (is_name_start (byte st st.pos)) then acc
   else
     let n = read_name st in
+    let count = if n.declares = None then count + 1 else count in
+    if count > max_attributes then
+      error st "more than %d attributes on one start tag" max_attributes;
     skip_space st;
     expect st "=";
     skip_space st;
     let v = read_attr_value st in
-    read_attrs st ((n, v) :: acc)
+    read_attrs st count ((n, v) :: acc)
 
 (* the namespace declarations among [raw], in document order *)
 let rec ns_decls acc = function
@@ -492,7 +502,7 @@ let rec read_element st =
   let tag = st.pos in
   let n = read_name st in
   let tag_len = st.pos - tag in
-  let raw = read_attrs st [] in
+  let raw = read_attrs st 0 [] in
   let decls = ns_decls [] raw in
   check_unique st decls
     ~same:(fun (p, _) (q, _) -> String.equal p q)

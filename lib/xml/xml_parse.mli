@@ -11,12 +11,19 @@
     duplicate attribute (by expanded name) or namespace declaration,
     anything but whitespace, comments and PIs after the root element, and
     a character reference that is not [&#N;] / [&#xH;] naming an XML
-    [Char], and elements nested deeper than {!max_depth}. *)
+    [Char], elements nested deeper than {!max_depth}, and a start tag
+    with more than {!max_attributes} attributes. *)
 
 exception Parse_error of string
 
 val max_depth : int
 (** The deepest element nesting accepted (2048). *)
+
+val max_attributes : int
+(** The most attributes accepted on one start tag (1024).  Namespace
+    declarations do not count: they bind prefixes rather than make
+    attribute nodes.  The next attribute raises {!Parse_error} at its
+    offset, before any duplicate check. *)
 
 val document : ?preserve_space:bool -> string -> Tree.t
 (** [document s] parses a complete XML document into a [Tree.Document].

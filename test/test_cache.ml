@@ -12,7 +12,14 @@
    phase attribution (a warm repeat runs zero exec phases), trace events,
    and a seeded chaos sweep where cached answers must stay consistent with
    cache-off answers while distributed updates commit and abort around
-   them.  Replay the chaos schedules with FAULT_SEED=<n> dune runtest. *)
+   them.  Replay the chaos schedules with FAULT_SEED=<n> dune runtest.
+
+   The result-cache key is checked against the canonical key it replaced
+   (test/result_cache_ref.ml) on seeded near-equal call lists and on the
+   requests the suites send (replay with KEY_SEED=<n>), and its admission
+   rule — Bulk RPC answers on their second sighting, one-call answers at
+   once — across commits, module re-registration, doorkeeper resets and
+   8 threads. *)
 
 open Xrpc_xml
 module Cluster = Xrpc_core.Cluster
@@ -600,6 +607,485 @@ let test_trace_events () =
         [ "plan-cache-hit"; "result-cache-hit"; "remote-cache-hit" ])
 
 (* ------------------------------------------------------------------ *)
+(* Result-cache key: the direct encoding vs the canonical oracle       *)
+(* ------------------------------------------------------------------ *)
+
+module Result_cache = Xrpc_peer.Result_cache
+
+(* identity functions over a document: the suites' call shapes *)
+let ids_module =
+  {|module namespace i = "ids";
+declare function i:id($x) { $x };
+declare function i:pair($x, $y) { ($x, $y) };
+declare function i:doc() { doc("d.xml") };
+declare updating function i:touch() { insert node <t/> into exactly-one(doc("d.xml")/d) };|}
+
+type request = {
+  r_module : string;
+  r_fn : string;
+  r_arity : int;
+  r_calls : Xdm.sequence list list;
+}
+
+let direct_key r =
+  Result_cache.key ~module_uri:r.r_module ~fn:r.r_fn ~arity:r.r_arity
+    ~calls:r.r_calls
+
+let oracle_key r =
+  Result_cache_ref.key ~module_uri:r.r_module ~fn:r.r_fn ~arity:r.r_arity
+    ~calls:r.r_calls
+
+(* [ref a = ref b] iff [key a = key b]; true when the pair is equal *)
+let check_key_pair what a b =
+  let oracle = oracle_key a = oracle_key b in
+  let direct = direct_key a = direct_key b in
+  if oracle <> direct then
+    Alcotest.failf "%s: the oracle says %s, the direct key says %s\nkeys: %S\n  vs %S"
+      what
+      (if oracle then "equal" else "different")
+      (if direct then "equal" else "different")
+      (oracle_key a) (oracle_key b);
+  oracle
+
+let key_seed () =
+  match Sys.getenv_opt "KEY_SEED" with
+  | Some s -> int_of_string (String.trim s)
+  | None -> 2026
+
+(* every node kind, including element twins that serialize identically
+   and text that holds NUL and \001 *)
+let key_nodes =
+  lazy
+    (let q = Qname.make in
+     let tree variant =
+       Tree.Document
+         [
+           Tree.elem (q "r")
+             ~attrs:[ Tree.attr (q "a") "1"; Tree.attr (q "b") ("x:" ^ variant) ]
+             [
+               Tree.elem (q "e") [ Tree.text "t" ];
+               Tree.elem (q "e") [ Tree.text "t" ];
+               Tree.elem (q "e") [ Tree.text ("t\001" ^ variant) ];
+               Tree.elem (q ~prefix:"p" ~uri:"urn:p" "g")
+                 ~attrs:[ Tree.attr (q ~prefix:"p" ~uri:"urn:p" "a") "\000" ]
+                 [];
+               Tree.text ("text" ^ variant);
+               Tree.Comment "c";
+               Tree.Pi { target = "pi"; data = "d" ^ variant };
+             ];
+         ]
+     in
+     List.concat_map
+       (fun v ->
+         let nodes = Store.descendant_or_self (Store.root (Store.shred (tree v))) in
+         nodes @ List.concat_map Store.attributes nodes)
+       [ "1"; "2" ]
+     |> Array.of_list)
+
+let key_strings =
+  [| ""; "a"; "ab"; "1"; "12"; ":"; "1:"; ":1"; "a:1"; "\000"; "\001";
+     "a\000"; "\000a"; "a\001b"; "1\0002"; "1:\0002"; "<e>t</e>"; "&"; " " |]
+
+let key_floats = [| 0.; -0.; 1.; 1.5; 12.; 1e21; Float.infinity; Float.nan |]
+
+let key_qnames =
+  [| Qname.make "a"; Qname.make ~prefix:"p" ~uri:"urn:p" "a";
+     Qname.make ~prefix:"p" ~uri:"urn:q" "a"; Qname.make ~prefix:"q" ~uri:"urn:p" "a" |]
+
+let pick_a rng a = a.(Random.State.int rng (Array.length a))
+
+let gen_key_string rng =
+  if Random.State.bool rng then pick_a rng key_strings
+  else
+    String.init (Random.State.int rng 5) (fun _ ->
+        pick_a rng [| 'a'; '1'; ':'; '\000'; '\001'; '<'; '&'; ' ' |])
+
+let gen_atomic rng =
+  let s () = gen_key_string rng and f () = pick_a rng key_floats in
+  match Random.State.int rng 13 with
+  | 0 -> Xs.String (s ())
+  | 1 -> Xs.Boolean (Random.State.bool rng)
+  | 2 -> Xs.Integer (Random.State.int rng 16 - 3)
+  | 3 -> Xs.Decimal (f ())
+  | 4 -> Xs.Double (f ())
+  | 5 -> Xs.Float (f ())
+  | 6 -> Xs.Untyped (s ())
+  | 7 -> Xs.AnyURI (s ())
+  | 8 -> Xs.QName (pick_a rng key_qnames)
+  | 9 -> Xs.Date (s ())
+  | 10 -> Xs.DateTime (s ())
+  | 11 -> Xs.Time (s ())
+  | _ -> Xs.Duration (s ())
+
+let gen_item rng =
+  if Random.State.int rng 10 < 7 then Xdm.Atomic (gen_atomic rng)
+  else Xdm.Node (pick_a rng (Lazy.force key_nodes))
+
+let gen_seq rng = List.init (Random.State.int rng 4) (fun _ -> gen_item rng)
+
+let gen_request rng =
+  let arity = Random.State.int rng 4 in
+  {
+    r_module = "m";
+    r_fn = "f";
+    r_arity = arity;
+    r_calls =
+      List.init (1 + Random.State.int rng 3) (fun _ ->
+          List.init arity (fun _ -> gen_seq rng));
+  }
+
+(* the same value under a neighbouring type, or the same text one
+   character longer *)
+let near_atomic rng a =
+  let text = Xs.to_string a in
+  match Random.State.int rng 3 with
+  | 0 -> Xs.String text
+  | 1 -> Xs.Untyped text
+  | _ -> Xs.String (text ^ String.make 1 (pick_a rng [| '\000'; '\001'; ':'; '1' |]))
+
+(* [item]'s bytes inside a direct key: what a hostile string would have
+   to embed to pass for an extra item *)
+let item_encoding item =
+  let k = Result_cache.key ~module_uri:"" ~fn:"" ~arity:1 ~calls:[ [ [ item ] ] ] in
+  let header = String.length "\000#1\000\001" in
+  String.sub k header (String.length k - header)
+
+(* [x; y] spliced into one string whose text ends in [y]'s encoding *)
+let splice x y = Xdm.str (Xdm.string_value x ^ item_encoding y)
+
+(* [f] applied to one random item of the flattened request *)
+let map_one_item rng f calls =
+  let n =
+    List.fold_left
+      (fun acc params -> List.fold_left (fun acc s -> acc + List.length s) acc params)
+      0 calls
+  in
+  if n = 0 then calls
+  else
+    let target = Random.State.int rng n and i = ref (-1) in
+    List.map
+      (List.map
+         (List.map (fun item ->
+              incr i;
+              if !i = target then f item else item)))
+      calls
+
+(* a neighbour of [r]: most mutations keep the oracle key or change it
+   by one item, one type, one character or one boundary *)
+let mutate rng r =
+  let calls = r.r_calls in
+  let calls =
+    match Random.State.int rng 8 with
+    | 0 -> calls
+    | 1 -> map_one_item rng (fun _ -> gen_item rng) calls
+    | 2 ->
+        map_one_item rng
+          (function Xdm.Atomic a -> Xdm.Atomic (near_atomic rng a) | it -> it)
+          calls
+    | 3 ->
+        (* a node for another node, often an identical twin *)
+        map_one_item rng
+          (function
+            | Xdm.Node _ -> Xdm.Node (pick_a rng (Lazy.force key_nodes))
+            | it -> it)
+          calls
+    | 4 -> (
+        (* shift the first item of a parameter onto the end of the one
+           before it: same items, another boundary *)
+        let params = List.concat calls in
+        let arr = Array.of_list params in
+        let n = Array.length arr in
+        if n < 2 then calls
+        else
+          let i = 1 + Random.State.int rng (n - 1) in
+          match arr.(i) with
+          | [] -> calls
+          | x :: rest ->
+              arr.(i - 1) <- arr.(i - 1) @ [ x ];
+              arr.(i) <- rest;
+              let a = r.r_arity in
+              List.init (n / a) (fun c -> Array.to_list (Array.sub arr (c * a) a)))
+    | 5 ->
+        (* the first two items of a parameter spliced into one string *)
+        List.map
+          (List.map (function x :: y :: rest -> splice x y :: rest | seq -> seq))
+          calls
+    | 6 -> (
+        (* one call fewer, or one call repeated *)
+        match calls with
+        | c :: rest when Random.State.bool rng -> c :: c :: rest
+        | _ :: (_ :: _ as rest) -> rest
+        | cs -> cs)
+    | _ -> (gen_request rng).r_calls
+  in
+  { r with r_calls = calls }
+
+let test_key_matches_oracle () =
+  let seed = key_seed () in
+  let rng = Random.State.make [| seed |] in
+  let pairs = 12_000 in
+  let equal = ref 0 in
+  for i = 1 to pairs do
+    let a = gen_request rng in
+    let b = mutate rng a in
+    if check_key_pair (Printf.sprintf "pair %d (replay: KEY_SEED=%d)" i seed) a b
+    then incr equal
+  done;
+  (* the battery needs both outcomes in volume to mean anything *)
+  if !equal < pairs / 10 || pairs - !equal < pairs / 10 then
+    Alcotest.failf "%d of %d pairs equal: the mutations lost their mix"
+      !equal pairs
+
+(* a NUL or \001 inside a string never shifts a boundary, a string never
+   passes for a typed value with the same text, and a string holding an
+   item's encoding never passes for that item *)
+let test_key_corners () =
+  let req calls = { r_module = "m"; r_fn = "f"; r_arity = 2; r_calls = calls } in
+  let s = Xdm.str in
+  let pairs =
+    [
+      ([ [ [ s "a\001" ]; [ s "b" ] ] ], [ [ [ s "a" ]; [ s "\001b" ] ] ]);
+      ([ [ [ s "a"; s "b" ]; [] ] ], [ [ [ s "a" ]; [ s "b" ] ] ]);
+      ([ [ [ s "a\000" ]; [] ]; [ []; [] ] ], [ [ [ s "a" ]; [ s "\000" ] ]; [ []; [] ] ]);
+      ([ [ [ s "1" ]; [] ] ], [ [ [ Xdm.int 1 ]; [] ] ]);
+      ([ [ [ s "1" ]; [] ] ], [ [ [ Xdm.Atomic (Xs.Untyped "1") ]; [] ] ]);
+      ([ [ [ s "1:a" ]; [] ] ], [ [ [ s "1"; s "a" ]; [] ] ]);
+      ([ [ [ s "" ]; [] ] ], [ [ []; [] ] ]);
+      ([ [ [ s "x"; s "y" ]; [] ] ], [ [ [ splice (s "x") (s "y") ]; [] ] ]);
+      ([ [ [ s "1"; Xdm.int 2 ]; [] ] ], [ [ [ splice (s "1") (Xdm.int 2) ]; [] ] ]);
+    ]
+  in
+  List.iteri
+    (fun i (a, b) ->
+      if check_key_pair (Printf.sprintf "corner %d" i) (req a) (req b) then
+        Alcotest.failf "corner %d: distinct calls share a key" i)
+    pairs
+
+(* the requests the result-cache and differential suites send, captured
+   on the wire at the serving peer: film lookups one at a time and in
+   bulk, and the differential corner expressions as call arguments *)
+let test_key_matches_oracle_on_suite_requests () =
+  let cluster, x, y = film_pair () in
+  Peer.register_module x ~uri:"ids" ~location:"ids.xq" ids_module;
+  Peer.register_module y ~uri:"ids" ~location:"ids.xq" ids_module;
+  let captured = ref [] in
+  Simnet.register (Cluster.net cluster) "xrpc://y.example.org" (fun body ->
+      (match Message.of_string body with
+      | Message.Request r ->
+          captured :=
+            { r_module = r.Message.module_uri; r_fn = r.Message.method_;
+              r_arity = r.Message.arity; r_calls = r.Message.calls }
+            :: !captured
+      | _ -> ());
+      Peer.handle_raw y body);
+  let client = Cluster.client cluster in
+  let dest = "xrpc://y.example.org" in
+  List.iter
+    (fun actor -> ignore (films_by client ~dest actor))
+    [ "Sean Connery"; "Julie Andrews"; "Sean Connery"; "" ];
+  ignore
+    (Client.call_bulk client ~dest ~module_uri:Filmdb.module_ns
+       ~location:Filmdb.module_at ~fn:"filmsByActor"
+       [ [ [ Xdm.str "Sean Connery" ] ]; [ [ Xdm.str "Julie Andrews" ] ] ]);
+  let films_import =
+    {|import module namespace f="films" at "http://x.example.org/film.xq";
+|}
+  and ids_import = {|import module namespace i="ids" at "ids.xq";
+|} in
+  ignore
+    (Peer.query x
+       (films_import
+      ^ {|for $a in ("Sean Connery", "Julie Andrews", "Sean Connery")
+return execute at {"xrpc://y.example.org"} {f:filmsByActor($a)}|}));
+  List.iter
+    (fun e ->
+      List.iter
+        (fun q -> ignore (Peer.query x (ids_import ^ q)))
+        [
+          Printf.sprintf {|execute at {"xrpc://y.example.org"} {i:id(%s)}|} e;
+          Printf.sprintf
+            {|for $v in %s return execute at {"xrpc://y.example.org"} {i:id($v)}|} e;
+          Printf.sprintf
+            {|execute at {"xrpc://y.example.org"} {i:pair(%s, (%s, "1"))}|} e e;
+        ])
+    [
+      "(1, 2, 3)[2]"; "(1, 2)[5]"; "((10 to 14)[3], (5 to 4)[1])";
+      "(for $v at $p in (7, 8, 9) return ($p, $v))";
+      "(let $s := (2 to 5) return (count($s), $s[2]))";
+      "(if (count(()) = 0) then (1, 2) else 3)";
+      {|(<a b="1">t<!--c--></a>, <a b="1">t</a>/@b, comment {"c"}, "t", 1.5,
+  xs:double(2))|};
+      {|(<e>t</e>, <e>t</e>/text(), <e>t</e>/@*)|};
+      {|document { <d>1</d> }|};
+    ];
+  let reqs = !captured in
+  (* each call on its own is a request the suites send as well *)
+  let reqs =
+    reqs
+    @ List.concat_map
+        (fun r -> List.map (fun c -> { r with r_calls = [ c ] }) r.r_calls)
+        reqs
+  in
+  if List.length reqs < 40 then
+    Alcotest.failf "only %d requests captured" (List.length reqs);
+  let equal = ref 0 in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j && check_key_pair (Printf.sprintf "requests %d and %d" i j) a b
+          then incr equal)
+        reqs)
+    reqs;
+  check bool_ "some captured requests repeat" true (!equal > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Result-cache admission: Bulk RPC entries on their second sighting   *)
+(* ------------------------------------------------------------------ *)
+
+(* one peer serving the ids module over d.xml, driven through raw SOAP *)
+let ids_peer () =
+  let p = Peer.create "xrpc://ids.local" in
+  Database.add_doc_xml p.Peer.db "d.xml" "<d/>";
+  Peer.register_module p ~uri:"ids" ~location:"ids.xq" ids_module;
+  p
+
+let ids_request ?(updating = false) fn calls =
+  {
+    Message.module_uri = "ids";
+    location = "ids.xq";
+    method_ = fn;
+    arity = (match calls with c :: _ -> List.length c | [] -> 0);
+    updating;
+    fragments = false;
+    query_id = None;
+    idem_key = None;
+    cache_ok = true;
+    calls;
+  }
+
+let serve p req =
+  match Message.of_string (Peer.handle_raw p (Message.to_string (Message.Request req))) with
+  | Message.Response r -> r
+  | Message.Fault f -> Alcotest.failf "fault: %s" f.Message.reason
+  | _ -> Alcotest.fail "not a response"
+
+let deferred p = (Peer.cache_stats p).Peer.result_deferred
+
+let bulk_ids = ids_request "id" [ [ [ Xdm.int 1 ] ]; [ [ Xdm.int 2 ] ] ]
+
+let test_admission_bulk_second_sighting () =
+  let p = ids_peer () in
+  let series = Metrics.counter "peer.result_cache.deferred" in
+  let d0 = series.Metrics.count in
+  let first = serve p bulk_ids in
+  check bool_ "first: executed" false first.Message.cached;
+  check int_ "first: not stored" 0 (result_stats p).Lru.size;
+  check int_ "first: deferred" 1 (deferred p);
+  check int_ "deferred counted once in the metric series" 1
+    (series.Metrics.count - d0);
+  let second = serve p bulk_ids in
+  check bool_ "second: executed" false second.Message.cached;
+  check int_ "second: stored" 1 (result_stats p).Lru.size;
+  let third = serve p bulk_ids in
+  check bool_ "third: a hit" true third.Message.cached;
+  check string_ "same answers"
+    (String.concat "|" (List.map Xdm.to_display first.Message.results))
+    (String.concat "|" (List.map Xdm.to_display third.Message.results));
+  let s = result_stats p in
+  check int_ "two misses" 2 s.Lru.misses;
+  check int_ "one hit" 1 s.Lru.hits;
+  check int_ "still one deferral" 1 (deferred p)
+
+let test_admission_single_first_miss () =
+  let p = ids_peer () in
+  ignore (serve p (ids_request "id" [ [ [ Xdm.int 1 ] ] ]));
+  check int_ "stored on its first miss" 1 (result_stats p).Lru.size;
+  check int_ "nothing deferred" 0 (deferred p);
+  check bool_ "second: a hit" true
+    (serve p (ids_request "id" [ [ [ Xdm.int 1 ] ] ])).Message.cached
+
+let test_admission_restore_after_commit () =
+  let p = ids_peer () in
+  let bulk = ids_request "doc" [ []; [] ] in
+  ignore (serve p bulk);
+  ignore (serve p bulk);
+  check int_ "stored on the second sighting" 1 (result_stats p).Lru.size;
+  check bool_ "and hit" true (serve p bulk).Message.cached;
+  ignore (serve p (ids_request ~updating:true "touch" [ [] ]));
+  check int_ "the commit invalidated it" 1 (result_stats p).Lru.invalidations;
+  check int_ "gone" 0 (result_stats p).Lru.size;
+  let after = serve p bulk in
+  check bool_ "next read executes" false after.Message.cached;
+  check string_ "and sees the write" "<d><t/></d>"
+    (Xdm.to_display (List.hd after.Message.results));
+  check int_ "re-stored on that miss" 1 (result_stats p).Lru.size;
+  check int_ "without a new deferral" 1 (deferred p);
+  check bool_ "then hits" true (serve p bulk).Message.cached
+
+let test_admission_module_prefix_eviction () =
+  let p = ids_peer () in
+  Peer.register_module p ~uri:"ids2" ~location:"ids2.xq"
+    {|module namespace j = "ids2";
+declare function j:id($x) { $x };|};
+  let other = { bulk_ids with Message.module_uri = "ids2"; location = "ids2.xq" } in
+  List.iter (fun r -> ignore (serve p r); ignore (serve p r)) [ bulk_ids; other ];
+  ignore (serve p (ids_request "id" [ [ [ Xdm.int 7 ] ] ]));
+  check int_ "three entries" 3 (result_stats p).Lru.size;
+  Peer.register_module p ~uri:"ids" ~location:"ids.xq" ids_module;
+  check int_ "both ids entries evicted" 2 (result_stats p).Lru.invalidations;
+  check int_ "the ids2 entry survives" 1 (result_stats p).Lru.size;
+  check bool_ "ids2 still hits" true (serve p other).Message.cached;
+  check bool_ "the bulk ids entry re-stores at once (the doorkeeper remembers)"
+    false (serve p bulk_ids).Message.cached;
+  check bool_ "and hits" true (serve p bulk_ids).Message.cached
+
+let bulk_key i =
+  Result_cache.key ~module_uri:"m" ~fn:"f" ~arity:1
+    ~calls:[ [ [ Xdm.int i ] ]; [ [ Xdm.int (-i) ] ] ]
+
+let two_results = [ [ Xdm.int 1 ]; [ Xdm.int 2 ] ]
+
+let test_admission_doorkeeper_bounded () =
+  let t = Result_cache.create () in
+  let n = (3 * Result_cache.doorkeeper_size) + 17 in
+  for i = 1 to n do
+    Result_cache.add t ~key:(bulk_key i) ~deps:[] two_results;
+    let held = Hashtbl.length t.Result_cache.seen in
+    if held > Result_cache.doorkeeper_size then
+      Alcotest.failf "doorkeeper holds %d hashes after %d keys" held i
+  done;
+  check int_ "every first sighting deferred" n (Result_cache.deferred t);
+  check int_ "nothing stored" 0 (Lru.stats t.Result_cache.lru).Lru.size;
+  (* right after a reset a repeated key still gets in on its second miss *)
+  Result_cache.add t ~key:(bulk_key n) ~deps:[] two_results;
+  check int_ "the latest key admitted" 1 (Lru.stats t.Result_cache.lru).Lru.size
+
+let test_admission_concurrent () =
+  let t = Result_cache.create () in
+  let keys = 40 and threads = 8 and rounds = 300 in
+  let finds = Atomic.make 0 and wrong = Atomic.make 0 in
+  let worker w =
+    let rng = Random.State.make [| w |] in
+    for _ = 1 to rounds do
+      let key = bulk_key (Random.State.int rng keys) in
+      Atomic.incr finds;
+      match Result_cache.find t ~key ~doc_version:(fun _ -> 0) with
+      | Some r -> if r <> two_results then Atomic.incr wrong
+      | None -> Result_cache.add t ~key ~deps:[] two_results
+    done
+  in
+  List.iter Thread.join (List.init threads (fun w -> Thread.create worker w));
+  let s = Lru.stats t.Result_cache.lru in
+  check int_ "every hit returned the stored answer" 0 (Atomic.get wrong);
+  check int_ "every lookup counted once" (Atomic.get finds) (s.Lru.hits + s.Lru.misses);
+  check int_ "one deferral per distinct key" keys (Result_cache.deferred t);
+  check bool_ "no more entries than keys" true (s.Lru.size <= keys);
+  check int_ "no evictions below capacity" 0 s.Lru.evictions;
+  check bool_ "misses cover every deferral and store" true
+    (s.Lru.misses >= keys + s.Lru.size)
+
+(* ------------------------------------------------------------------ *)
 (* Seeded chaos: caching never changes an answer                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -755,6 +1241,29 @@ let () =
           Alcotest.test_case "warm repeat: zero exec phases" `Quick
             test_warm_repeat_runs_zero_exec_phases;
           Alcotest.test_case "trace events" `Quick test_trace_events;
+        ] );
+      ( "result-key",
+        [
+          Alcotest.test_case "12k seeded pairs vs the canonical oracle" `Quick
+            test_key_matches_oracle;
+          Alcotest.test_case "boundary and type corners" `Quick test_key_corners;
+          Alcotest.test_case "the suites' requests vs the canonical oracle"
+            `Quick test_key_matches_oracle_on_suite_requests;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "bulk: stored on the second sighting" `Quick
+            test_admission_bulk_second_sighting;
+          Alcotest.test_case "one call: stored on the first miss" `Quick
+            test_admission_single_first_miss;
+          Alcotest.test_case "re-stored after a commit" `Quick
+            test_admission_restore_after_commit;
+          Alcotest.test_case "module re-registration evicts by prefix" `Quick
+            test_admission_module_prefix_eviction;
+          Alcotest.test_case "doorkeeper stays bounded" `Quick
+            test_admission_doorkeeper_bounded;
+          Alcotest.test_case "8 threads, overlapping bulk keys" `Quick
+            test_admission_concurrent;
         ] );
       ( "chaos",
         [

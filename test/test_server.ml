@@ -583,6 +583,58 @@ declare function q:answer() { 42 };|};
            (fun e -> Json_check.(str (member "endpoint" e)) = weird ^ ":answer")
            Json_check.(items (member "endpoints" (json "/healthz.json")))))
 
+(* /cachez and /cachez.json render one Peer.cache_stats value: a Bulk
+   RPC answer not stored on its first miss shows as the result cache's
+   deferred admission in both, and its second sighting stores it. *)
+let test_facade_cachez_deferred () =
+  let module Client = Xrpc_core.Xrpc_client in
+  let peer = Peer.create "xrpc://127.0.0.1:0" in
+  Peer.register_module peer ~uri:"q"
+    {|module namespace q = "q";
+declare function q:echo($x) { $x };|};
+  let server =
+    Server.create ~config:(Server.config ~port:0 ~outgoing:false ()) peer
+  in
+  let port = Server.start server in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let client = Client.connect_http () in
+      let bulk () =
+        Client.call_bulk client ~dest:(dest port) ~module_uri:"q" ~fn:"echo"
+          [ [ [ Xrpc_xml.Xdm.int 1 ] ]; [ [ Xrpc_xml.Xdm.int 2 ] ] ]
+      in
+      let fetch path = Http.post ~host:"127.0.0.1" ~port ~path "" in
+      let result_line () =
+        match
+          List.find_opt
+            (String.starts_with ~prefix:"result_cache:")
+            (String.split_on_char '\n' (fetch "/cachez"))
+        with
+        | Some l -> l
+        | None -> Alcotest.fail "/cachez has no result_cache line"
+      in
+      let member name =
+        Json_check.(
+          num (member name (member "result_cache" (parse_ok "/cachez.json" (fetch "/cachez.json")))))
+      in
+      ignore (bulk ());
+      check bool_ "text: one deferred" true
+        (String.ends_with ~suffix:" deferred=1" (result_line ()));
+      check bool_ "text: nothing stored" true (contains (result_line ()) "size=0/");
+      check (Alcotest.float 0.) "json: one deferred" 1. (member "deferred");
+      check (Alcotest.float 0.) "json: nothing stored" 0. (member "size");
+      ignore (bulk ());
+      check (Alcotest.float 0.) "json: stored on the second sighting" 1.
+        (member "size");
+      check (Alcotest.float 0.) "json: still one deferred" 1. (member "deferred");
+      check bool_ "the other caches carry no deferred field" true
+        (List.for_all
+           (fun l ->
+             String.starts_with ~prefix:"result_cache:" l
+             || not (contains l "deferred"))
+           (String.split_on_char '\n' (fetch "/cachez"))))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -639,5 +691,7 @@ let () =
             test_facade_json_surfaces;
           Alcotest.test_case "SOAP fallback (streaming)" `Quick
             test_facade_soap_fallback;
+          Alcotest.test_case "/cachez shows deferred admissions" `Quick
+            test_facade_cachez_deferred;
         ] );
     ]

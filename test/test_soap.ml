@@ -455,6 +455,35 @@ let test_query_id_required_attributes () =
       | _ -> Alcotest.fail "queryID lost")
     [ request; tx ]
 
+(* transactionResult/@ok is use="required" in XRPC.xsd: a result
+   without it, or with an empty or non-boolean one, is a malformed
+   message — which a peer answers with a Sender fault — not a refusal. *)
+let test_tx_result_ok_required () =
+  let wire = Message.to_string (Message.Tx_response { ok = true; info = "done" }) in
+  let peer = Xrpc_peer.Peer.create "xrpc://tx.local" in
+  List.iter
+    (fun (what, by) ->
+      let bad = replace ~sub:{| ok="true"|} ~by wire in
+      (match Message.of_string bad with
+      | exception Message.Protocol_error _ -> ()
+      | _ -> Alcotest.failf "of_string accepted a transactionResult with %s" what);
+      (match Message.of_string_server bad with
+      | exception Message.Protocol_error _ -> ()
+      | _ ->
+          Alcotest.failf "of_string_server accepted a transactionResult with %s"
+            what);
+      match Message.of_string (Xrpc_peer.Peer.handle_raw peer bad) with
+      | Message.Fault { fault_code = `Sender; reason } ->
+          if not (String.starts_with ~prefix:"malformed message" reason) then
+            Alcotest.failf "%s: unexpected fault %S" what reason
+      | _ -> Alcotest.failf "%s: the peer did not answer a Sender fault" what)
+    [ ("no ok", ""); ("an empty ok", {| ok=""|}); ("ok=\"yes\"", {| ok="yes"|}) ];
+  match Message.of_string wire with
+  | Message.Tx_response { ok; info } ->
+      check bool_ "ok" true ok;
+      check string_ "info" "done" info
+  | _ -> Alcotest.fail "wrong kind"
+
 let test_updating_flag_roundtrip () =
   let r = { (sample_request ()) with Message.updating = true } in
   match Message.of_string (Message.to_string (Message.Request r)) with
@@ -632,6 +661,8 @@ let () =
             test_bad_integer_attributes;
           Alcotest.test_case "queryID without a required attribute rejected"
             `Quick test_query_id_required_attributes;
+          Alcotest.test_case "transactionResult without ok rejected" `Quick
+            test_tx_result_ok_required;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -252,6 +252,36 @@ let test_parse_many_ns_decls () =
       then Alcotest.failf "unexpected error %S" m
   | None -> Alcotest.fail "duplicate default namespace accepted"
 
+(* one start tag may carry Xml_parse.max_attributes attributes; the next
+   one is refused where it stands, before the duplicate check would see
+   the (here duplicated) names.  Namespace declarations do not count. *)
+let test_parse_attribute_bound () =
+  let attrs n = List.init n (fun i -> Printf.sprintf "a%d='%d'" i i) in
+  let tag ds = "<r " ^ String.concat " " ds ^ "/>" in
+  (match parse (tag (attrs Xml_parse.max_attributes @ [ "xmlns:p='urn:p'" ])) with
+  | Tree.Document [ Tree.Element { attrs; _ } ] ->
+      check int_ "every attribute at the bound" Xml_parse.max_attributes
+        (List.length attrs)
+  | _ -> Alcotest.fail "shape at the bound");
+  let past = tag (attrs Xml_parse.max_attributes @ [ "a0='dup'" ]) in
+  match parse_error past with
+  | Some m ->
+      let prefix =
+        Printf.sprintf "more than %d attributes on one start tag at offset "
+          Xml_parse.max_attributes
+      in
+      if not (String.starts_with ~prefix m) then
+        Alcotest.failf "unexpected error %S" m;
+      let offset =
+        int_of_string
+          (String.sub m (String.length prefix) (String.length m - String.length prefix))
+      in
+      (* positioned inside the offending (last) attribute *)
+      check bool_ "offset at the extra attribute" true
+        (offset > String.length past - String.length " a0='dup'/>"
+        && offset < String.length past)
+  | None -> Alcotest.fail "an attribute past the bound accepted"
+
 let test_parse_name_rebinding () =
   (* one lexical name, three URIs in turn: the per-document name table
      must not hand out a stale resolution *)
@@ -635,6 +665,7 @@ let () =
           Alcotest.test_case "well-formedness" `Quick test_parse_well_formed;
           Alcotest.test_case "name rebinding" `Quick test_parse_name_rebinding;
           Alcotest.test_case "depth bound" `Quick test_parse_depth_bound;
+          Alcotest.test_case "attribute bound" `Quick test_parse_attribute_bound;
           Alcotest.test_case "many namespace declarations" `Quick
             test_parse_many_ns_decls;
         ] );
