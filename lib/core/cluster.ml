@@ -16,6 +16,7 @@ module Transport = Xrpc_net.Transport
 module Http = Xrpc_net.Http
 module Serialize = Xrpc_xml.Serialize
 module Executor = Xrpc_net.Executor
+module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Xdm = Xrpc_xml.Xdm
 module Qname = Xrpc_xml.Qname
@@ -71,14 +72,14 @@ let register_breaker_source ~policied uri =
   match policied with
   | None -> ()
   | Some p ->
-      Telemetry.register_breakers ~scope:uri (fun () ->
+      Slo.register_source ~scope:uri ~name:"breaker" (fun () ->
           let st =
             match Transport.breaker_state p uri with
             | Transport.Closed -> "closed"
             | Transport.Open _ -> "open"
             | Transport.Half_open -> "half_open"
           in
-          [ (uri, st) ])
+          (Slo.Probe_ok, [ Slo.Breaker (uri, st) ]))
 
 (** [create ?faults ?policy ~names ()] — [faults] installs seeded fault
     injection on the simulated network; [policy] wraps every peer's

@@ -273,7 +273,7 @@ let default_routes t =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) peer =
-  Flight_recorder.configure ~slow:config.slow_ms ();
+  Flight_recorder.set_slow_ms config.slow_ms;
   if config.trace then begin
     (* span ids get a per-process tag so traces stitched across several
        server processes cannot collide *)
@@ -348,56 +348,59 @@ let run_route t (r, render) ~query =
       finish ~error:true;
       raise e
 
-(* Readiness probes and snapshot gauges for this serving process: the
-   conditions /healthz must surface that no request counter can see —
-   executor queue saturation and breakers open toward cluster peers —
-   plus the runtime gauges that ride in the telemetry snapshot.
-   [executor] runs the served requests. *)
+(* Health sources for this serving process: the conditions /healthz
+   must surface that no request counter can see — executor queue
+   saturation and breakers open toward cluster peers — plus the runtime
+   gauges that ride in the telemetry snapshot.  [executor] runs the
+   served requests. *)
 let register_runtime_sources t executor =
   let scope = t.peer.Peer.uri in
   let cap = min 1024 (max 1 (Executor.threads executor)) in
-  Slo.register_probe ~scope ~name:"executor" (fun () ->
+  Slo.register_source ~scope ~name:"executor" (fun () ->
       let d = Executor.queue_depth executor in
-      if d >= cap * 16 then
-        Slo.Probe_unready
-          (Printf.sprintf "queue saturated (%d jobs behind %d workers)" d cap)
-      else if d >= cap * 4 then
-        Slo.Probe_degraded (Printf.sprintf "queue backlog (%d jobs)" d)
-      else Slo.Probe_ok);
+      ( (if d >= cap * 16 then
+           Slo.Probe_unready
+             (Printf.sprintf "queue saturated (%d jobs behind %d workers)" d cap)
+         else if d >= cap * 4 then
+           Slo.Probe_degraded (Printf.sprintf "queue backlog (%d jobs)" d)
+         else Slo.Probe_ok),
+        [] ));
   (match (t.client, t.cfg.cluster_peers) with
   | Some c, (_ :: _ as peers) ->
-      let breaker_of d =
-        match Xrpc_client.breaker c d with
-        | Some (Xrpc_net.Transport.Open _) -> Some (d, "open")
-        | Some Xrpc_net.Transport.Half_open -> Some (d, "half_open")
-        | Some Xrpc_net.Transport.Closed -> Some (d, "closed")
-        | None -> None
-      in
-      Slo.register_probe ~scope ~name:"breaker" (fun () ->
-          match
+      Slo.register_source ~scope ~name:"breaker" (fun () ->
+          let states =
             List.filter_map
               (fun d ->
-                match breaker_of d with
-                | Some (d, "open") -> Some d
-                | _ -> None)
+                match Xrpc_client.breaker c d with
+                | Some (Xrpc_net.Transport.Open _) -> Some (d, "open")
+                | Some Xrpc_net.Transport.Half_open -> Some (d, "half_open")
+                | Some Xrpc_net.Transport.Closed -> Some (d, "closed")
+                | None -> None)
               peers
-          with
-          | [] -> Slo.Probe_ok
-          | opens ->
-              Slo.Probe_degraded
-                ("circuit open to " ^ String.concat ", " opens));
-      Telemetry.register_breakers ~scope (fun () ->
-          List.filter_map breaker_of peers)
+          in
+          let opens =
+            List.filter_map
+              (fun (d, st) -> if st = "open" then Some d else None)
+              states
+          in
+          let circuit_open = "circuit open to " ^ String.concat ", " opens in
+          ( (if opens = [] then Slo.Probe_ok
+             else Slo.Probe_degraded circuit_open),
+            List.map (fun (d, st) -> Slo.Breaker (d, st)) states ))
   | _ -> ());
-  Telemetry.register_gauges ~scope (fun () ->
+  Slo.register_source ~scope ~name:"gauges" (fun () ->
       let s = stats t in
-      [
-        ("active_connections", float_of_int s.Evloop.active);
-        ( "served_1m_rate",
-          Metrics.rate (Metrics.counter "http.requests_served") );
-        ("loop_lag_p99_ms", loop_lag_p99 ());
-        ("executor_queue_depth", float_of_int (Executor.queue_depth executor));
-      ])
+      ( Slo.Probe_ok,
+        [
+          Slo.Gauge ("active_connections", float_of_int s.Evloop.active);
+          Slo.Gauge
+            ( "served_1m_rate",
+              Metrics.rate (Metrics.counter "http.requests_served") );
+          Slo.Gauge ("loop_lag_p99_ms", loop_lag_p99 ());
+          Slo.Gauge
+            ( "executor_queue_depth",
+              float_of_int (Executor.queue_depth executor) );
+        ] ))
 
 let start t =
   match t.server with

@@ -42,34 +42,20 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let default_capacity = 128
-let default_slow_ms = 250.
-let default_pinned_capacity = 16
-let ring : entry option array ref = ref (Array.make default_capacity None)
+let capacity = 128
+let pinned_capacity = 16
+let ring : entry option array = Array.make capacity None
 let next_slot = ref 0
 let total = ref 0
-let slow_ms = ref default_slow_ms
-let pinned_capacity = ref default_pinned_capacity
+let slow_ms = ref 250.
 let pinned_list : entry list ref = ref [] (* slowest first, bounded *)
 
-let configure ?capacity ?slow ?pinned () =
-  locked (fun () ->
-      (match capacity with
-      | Some n when n > 0 ->
-          ring := Array.make n None;
-          next_slot := 0
-      | _ -> ());
-      (match slow with Some ms -> slow_ms := ms | None -> ());
-      match pinned with
-      | Some n when n > 0 ->
-          pinned_capacity := n;
-          pinned_list :=
-            List.filteri (fun i _ -> i < n) !pinned_list
-      | _ -> ())
+(* Requests at least this slow are pinned. *)
+let set_slow_ms ms = locked (fun () -> slow_ms := ms)
 
 let reset () =
   locked (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
+      Array.fill ring 0 capacity None;
       next_slot := 0;
       total := 0;
       pinned_list := [])
@@ -85,7 +71,7 @@ let pin_locked e =
         if e.duration_ms > x.duration_ms then e :: x :: rest
         else x :: ins rest
   in
-  pinned_list := List.filteri (fun i _ -> i < !pinned_capacity) (ins !pinned_list)
+  pinned_list := List.filteri (fun i _ -> i < pinned_capacity) (ins !pinned_list)
 
 let record ?error ?idem_key ~label ~duration_ms ~spans () =
   locked (fun () ->
@@ -94,8 +80,8 @@ let record ?error ?idem_key ~label ~duration_ms ~spans () =
         { id = !total; label; error; idem_key; duration_ms; at_ms = Trace.now_ms ();
           wall_at = Unix.gettimeofday (); spans }
       in
-      !ring.(!next_slot) <- Some e;
-      next_slot := (!next_slot + 1) mod Array.length !ring;
+      ring.(!next_slot) <- Some e;
+      next_slot := (!next_slot + 1) mod capacity;
       if duration_ms >= !slow_ms then pin_locked e;
       e.id)
 
@@ -126,11 +112,10 @@ let complete ~scope c =
 
 (* Newest first; caller holds [mutex]. *)
 let recent_locked () =
-  let cap = Array.length !ring in
   let acc = ref [] in
-  for i = 0 to cap - 1 do
+  for i = 0 to capacity - 1 do
     (* walk forward from the oldest slot so [acc] ends newest first *)
-    match !ring.((!next_slot + i) mod cap) with
+    match ring.((!next_slot + i) mod capacity) with
     | Some e -> acc := e :: !acc
     | None -> ()
   done;
@@ -147,7 +132,7 @@ let find id =
             | Some _, _ -> acc
             | None, Some e when e.id = id -> Some e
             | None, _ -> None)
-          None !ring
+          None ring
       in
       match in_ring with
       | Some _ -> in_ring

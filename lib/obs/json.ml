@@ -20,16 +20,20 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let add_num buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
+(* The shortest decimal that reads back as the finite float [f]; the
+   telemetry wire prints its numbers with it too. *)
+let finite_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else
     let rec shortest p =
       let s = Printf.sprintf "%.*g" p f in
       if p >= 17 || float_of_string s = f then s else shortest (p + 1)
     in
-    Buffer.add_string buf (shortest 15)
+    shortest 15
+
+let add_num buf f =
+  Buffer.add_string buf
+    (if Float.is_finite f then finite_to_string f else "null")
 
 let add_str buf s =
   Buffer.add_char buf '"';

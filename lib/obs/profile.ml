@@ -11,11 +11,11 @@
      (rpc, net.send, the in-process remote peer's peer.handle, ...).  Ids
      are assigned in pre-order over the slice's tree, so they are stable
      for a query;
-   - the numeric span attributes named below carry the rest: a node's
-     output cardinality, the kernel-level operator stats Ops sums into
-     the innermost open span, and destination stats (messages, logical
-     calls, serialized bytes both ways, and the remote peer's phase costs
-     read from the response's serverProfile attribute);
+   - the numeric span attributes named below carry the rest: the
+     kernel-level operator stats Ops sums into the innermost open span,
+     and destination stats (messages, logical calls, serialized bytes
+     both ways, and the remote peer's phase costs read from the
+     response's serverProfile attribute);
    - optimizer notes are span events named [annotation_event].
 
    Timings are Trace's clock, so Cluster-bound profiles run on the
@@ -33,7 +33,6 @@ type node = {
   name : string;
   detail : string;
   parent : int option;
-  rows_out : int; (* -1 = not set *)
   incl_ms : float; (* inclusive wall time *)
   ops : (string * op_stat) list; (* first-seen order *)
   children : node list;
@@ -64,9 +63,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* The attributes and events the fold reads                            *)
 (* ------------------------------------------------------------------ *)
-
-(* A plan node's output cardinality. *)
-let rows_attr = "rows"
 
 (* One kernel operator's [field] (calls, rows_in, rows_out, ms). *)
 let op_attr field op = "op:" ^ field ^ ":" ^ op
@@ -170,10 +166,6 @@ let of_spans ?(label = "") = function
         let id = !next in
         let ops = visit_span s in
         { id; name = s.name; detail = s.detail; parent;
-          rows_out =
-            (match Trace.attr s rows_attr with
-            | Some r -> int_of_float r
-            | None -> -1);
           incl_ms = Trace.duration_ms s; ops;
           children = List.map (node (Some id)) (kids s.span_id) }
       in
@@ -233,11 +225,9 @@ let render p =
        (if p.dropped > 0 then Printf.sprintf ", %d dropped" p.dropped else ""));
   let rec pr indent n =
     Buffer.add_string buf
-      (Printf.sprintf "%s#%d %s%s  %.3f ms%s\n" indent n.id n.name
+      (Printf.sprintf "%s#%d %s%s  %.3f ms\n" indent n.id n.name
          (if n.detail = "" then "" else " (" ^ n.detail ^ ")")
-         n.incl_ms
-         (if n.rows_out >= 0 then Printf.sprintf "  rows=%d" n.rows_out
-          else ""));
+         n.incl_ms);
     render_ops buf (indent ^ "   ") n.ops;
     List.iter (pr (indent ^ "  ")) n.children
   in
@@ -292,9 +282,8 @@ let to_json p =
     Json.Obj
       ([ ("id", Json.Int n.id); ("name", Json.Str n.name) ]
       @ Json.nonempty "detail" n.detail
-      @ [ ("ms", Json.Num n.incl_ms) ]
-      @ (if n.rows_out >= 0 then [ ("rows", Json.Int n.rows_out) ] else [])
-      @ [ ("ops", ops_json n.ops); ("children", Json.Arr (List.map node n.children)) ])
+      @ [ ("ms", Json.Num n.incl_ms); ("ops", ops_json n.ops);
+          ("children", Json.Arr (List.map node n.children)) ])
   in
   let dest (name, d) =
     ( name,

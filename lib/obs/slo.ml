@@ -1,8 +1,9 @@
-(* Per-endpoint service-level objectives over the sliding windows.
+(* Per-endpoint service-level objectives over the sliding windows, and
+   the one health value built from them.
 
-   An objective says what "healthy" means for one endpoint — a latency
-   bound (p99 <= 100 ms by default) and an error-rate bound (<= 1%).
-   Against it we track, on the windowed {!Metrics} tiers:
+   The objective says what "healthy" means for every endpoint — p99 <=
+   100 ms and an error rate <= 1%.  Against it we track, on the windowed
+   {!Metrics} tiers:
 
    - the {b error budget}: over the slow (1 h) tier, the fraction of the
      allowed errors not yet spent.  budget = 1 - errs/(max_error_rate *
@@ -20,18 +21,25 @@
    one process against process-global registries, and peer x's faults
    must not burn peer y's budget.  Single-peer binaries use their own
    URI; [~scope:""] aggregates nothing and belongs to process-wide
-   probes only.
+   sources only.
 
-   Readiness also consults registered {b probes} — closures the runtime
-   hooks in for conditions no request counter can see from inside
-   (executor queue saturated, circuit breaker open to a dependency).
-   [/healthz] reports liveness (the process answers) plus readiness with
+   Readiness also consults registered {b sources} — closures the runtime
+   hooks in for what no request counter can see from inside (executor
+   queue saturated, circuit breaker open to a dependency).  A source
+   answers a verdict and the named values that ride in the federation
+   snapshot (gauges, the shard-map version, breaker states).  A scope
+   reads its own sources and the process-global [""] ones; a source that
+   raises makes the scope unready with the reason "<name> probe raised".
+
+   {!health} is the one health value: [/healthz] renders it,
+   {!Telemetry} sends it over the wire as a peer's snapshot, and
+   [/clusterz] merges the snapshots.  It reports the worst state with
    the structured reasons, so an LB or operator sees *why*, not just
    503. *)
 
 type objective = { p99_ms : float; max_error_rate : float }
 
-let default_objective = { p99_ms = 100.; max_error_rate = 0.01 }
+let objective = { p99_ms = 100.; max_error_rate = 0.01 }
 
 (* Below this many requests in the slow window, budget math is noise
    (one failed request out of three is not "budget exhausted"). *)
@@ -44,24 +52,39 @@ let overflow_endpoint = "other"
 
 type entry = {
   e_endpoint : string;
-  e_obj : objective;
   e_lat : Metrics.histogram;
   e_reqs : Metrics.counter;
   e_errs : Metrics.counter;
 }
 
-type state = Ready | Degraded | Unready
+(* Best to worst: [worse] ranks by declaration order.  [Unreachable] is
+   what a cluster view says of a peer it could not scrape. *)
+type state = Ready | Degraded | Unready | Unreachable
+
+let worse (a : state) b = if a >= b then a else b
+
+let states = [ Ready; Degraded; Unready; Unreachable ]
 
 let state_label = function
   | Ready -> "ready"
   | Degraded -> "degraded"
   | Unready -> "unready"
+  | Unreachable -> "unreachable"
+
+let state_of_label l = List.find_opt (fun s -> state_label s = l) states
 
 type probe_result = Probe_ok | Probe_degraded of string | Probe_unready of string
 
+(* A named value a source reports next to its verdict. *)
+type value =
+  | Gauge of string * float
+  | Shard_version of int
+  | Breaker of string * string  (* destination, closed | open | half_open *)
+
+type source = unit -> probe_result * value list
+
 let entries : (string * string, entry) Hashtbl.t = Hashtbl.create 32
-let probes : (string, (string * (unit -> probe_result)) list) Hashtbl.t =
-  Hashtbl.create 8
+let sources : (string, (string * source) list) Hashtbl.t = Hashtbl.create 8
 
 let m = Mutex.create ()
 
@@ -80,7 +103,7 @@ let series_name scope endpoint kind =
   Printf.sprintf "slo.%s.%s.%s" (if scope = "" then "global" else scope)
     endpoint kind
 
-let get_entry ?(objective = default_objective) ~scope endpoint =
+let get_entry ~scope endpoint =
   locked (fun () ->
       match Hashtbl.find_opt entries (scope, endpoint) with
       | Some e -> e
@@ -98,7 +121,6 @@ let get_entry ?(objective = default_objective) ~scope endpoint =
               let e =
                 {
                   e_endpoint = endpoint;
-                  e_obj = objective;
                   e_lat =
                     Metrics.histogram ~windowed:true
                       (series_name scope endpoint "ms");
@@ -113,22 +135,19 @@ let get_entry ?(objective = default_objective) ~scope endpoint =
               Hashtbl.replace entries (scope, endpoint) e;
               e))
 
-let declare ?objective ~scope endpoint =
-  ignore (get_entry ?objective ~scope endpoint)
-
-let record ?objective ?(scope = "") ~endpoint ~dur_ms ~error () =
+let record ?(scope = "") ~endpoint ~dur_ms ~error () =
   if Metrics.windows_enabled () then begin
-    let e = get_entry ?objective ~scope endpoint in
+    let e = get_entry ~scope endpoint in
     Metrics.observe e.e_lat dur_ms;
     Metrics.incr e.e_reqs;
     if error then Metrics.incr e.e_errs
   end
 
-let register_probe ?(scope = "") ~name f =
+(** Register (or replace) the source [name] of [scope]. *)
+let register_source ?(scope = "") ~name f =
   locked (fun () ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt probes scope) in
-      Hashtbl.replace probes scope
-        ((name, f) :: List.remove_assoc name cur))
+      let cur = Option.value ~default:[] (Hashtbl.find_opt sources scope) in
+      Hashtbl.replace sources scope ((name, f) :: List.remove_assoc name cur))
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -136,7 +155,6 @@ let register_probe ?(scope = "") ~name f =
 
 type endpoint_health = {
   h_endpoint : string;
-  h_obj : objective;
   h_rate : float;  (* reqs/s over 1m *)
   h_err_rate : float;  (* errs/reqs over 1m; 0 when idle *)
   h_p50 : float;
@@ -158,15 +176,9 @@ let eval_entry e =
   let budget =
     if reqs_1h < min_samples then 1.
     else
-      let allowed = e.e_obj.max_error_rate *. reqs_1h in
-      if allowed <= 0. then if errs_1h > 0. then 0. else 1.
-      else Float.max 0. (1. -. (errs_1h /. allowed))
+      Float.max 0. (1. -. (errs_1h /. (objective.max_error_rate *. reqs_1h)))
   in
-  let burn =
-    if reqs_1m < 1. then 0.
-    else if e.e_obj.max_error_rate <= 0. then if errs_1m > 0. then infinity else 0.
-    else err_rate /. e.e_obj.max_error_rate
-  in
+  let burn = if reqs_1m < 1. then 0. else err_rate /. objective.max_error_rate in
   let p99 = Metrics.quantile ~tier:Metrics.Fast e.e_lat 0.99 in
   let state, reason =
     if budget <= 0. then
@@ -179,17 +191,16 @@ let eval_entry e =
         Some
           (Printf.sprintf "error budget burning %.1fx on %s" burn e.e_endpoint)
       )
-    else if (not (Float.is_nan p99)) && p99 > e.e_obj.p99_ms
+    else if (not (Float.is_nan p99)) && p99 > objective.p99_ms
             && reqs_1m >= min_samples then
       ( Degraded,
         Some
           (Printf.sprintf "p99 %.1fms over objective %.0fms on %s" p99
-             e.e_obj.p99_ms e.e_endpoint) )
+             objective.p99_ms e.e_endpoint) )
     else (Ready, None)
   in
   {
     h_endpoint = e.e_endpoint;
-    h_obj = e.e_obj;
     h_rate = Metrics.rate ~tier:Metrics.Fast e.e_reqs;
     h_err_rate = err_rate;
     h_p50 = Metrics.quantile ~tier:Metrics.Fast e.e_lat 0.50;
@@ -213,20 +224,15 @@ let endpoints ?(scope = "") () =
     (fun a b -> compare a.h_endpoint b.h_endpoint)
     (List.map eval_entry es)
 
-let worse a b =
-  match (a, b) with
-  | Unready, _ | _, Unready -> Unready
-  | Degraded, _ | _, Degraded -> Degraded
-  | Ready, Ready -> Ready
-
-(** The [/healthz] value: overall readiness for a scope — the worst
-    endpoint state joined with every registered probe (scope-local and
-    process-global [""] ones) — and the endpoint rows it was read from,
-    all evaluated once. *)
+(** The health of a scope: the worst endpoint state joined with every
+    source's verdict (scope-local and process-global [""] ones), the
+    reasons, the endpoint rows, and the sources' named values — all read
+    once. *)
 type health = {
   state : state;
   reasons : string list;
   endpoints : endpoint_health list;
+  values : value list;
 }
 
 let health ?(scope = "") () =
@@ -238,23 +244,28 @@ let health ?(scope = "") () =
           match h.h_reason with Some r -> r :: rs | None -> rs ))
       (Ready, []) eps
   in
-  let probe_list =
+  let source_list =
     locked (fun () ->
         let of_scope s =
-          Option.value ~default:[] (Hashtbl.find_opt probes s)
+          Option.value ~default:[] (Hashtbl.find_opt sources s)
         in
         if scope = "" then of_scope "" else of_scope scope @ of_scope "")
   in
-  let st, reasons =
+  let st, reasons, values =
     List.fold_left
-      (fun (st, rs) (name, f) ->
-        match (try f () with _ -> Probe_unready (name ^ " probe raised")) with
-        | Probe_ok -> (st, rs)
-        | Probe_degraded r -> (worse st Degraded, (name ^ ": " ^ r) :: rs)
-        | Probe_unready r -> (Unready, (name ^ ": " ^ r) :: rs))
-      (st, reasons) probe_list
+      (fun (st, rs, vs) (name, f) ->
+        let verdict, values =
+          try f () with _ -> (Probe_unready (name ^ " probe raised"), [])
+        in
+        let vs = List.rev_append values vs in
+        match verdict with
+        | Probe_ok -> (st, rs, vs)
+        | Probe_degraded r -> (worse st Degraded, (name ^ ": " ^ r) :: rs, vs)
+        | Probe_unready r -> (worse st Unready, (name ^ ": " ^ r) :: rs, vs))
+      (st, reasons, []) source_list
   in
-  { state = st; reasons = List.rev reasons; endpoints = eps }
+  { state = st; reasons = List.rev reasons; endpoints = eps;
+    values = List.rev values }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -288,8 +299,8 @@ let endpoint_json h =
       ("burn", Json.Num h.h_burn);
       ( "objective",
         Json.Obj
-          [ ("p99_ms", Json.Num h.h_obj.p99_ms);
-            ("max_error_rate", Json.Num h.h_obj.max_error_rate) ] ) ]
+          [ ("p99_ms", Json.Num objective.p99_ms);
+            ("max_error_rate", Json.Num objective.max_error_rate) ] ) ]
 
 let healthz_json hz =
   Json.Obj
@@ -301,4 +312,4 @@ let healthz_json hz =
 let reset () =
   locked (fun () ->
       Hashtbl.reset entries;
-      Hashtbl.reset probes)
+      Hashtbl.reset sources)

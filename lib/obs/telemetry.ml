@@ -1,5 +1,10 @@
-(* Federation telemetry: one peer's windowed health as a portable
-   snapshot, and the merge of many snapshots into the cluster view.
+(* Federation telemetry: one peer's health as a portable snapshot, and
+   the merge of many snapshots into the cluster view.
+
+   A snapshot is the peer, the time it was taken and the peer's
+   {!Slo.health} — state, reasons, endpoint rows and the named values of
+   its sources — so [/healthz], the [telemetry] built-in and [/clusterz]
+   carry one value.
 
    The scrape path is ordinary XRPC — the coordinator calls the built-in
    [telemetry] function (namespace {!ns_xrpc}, like [getDocument]) on
@@ -13,124 +18,55 @@
    Wire format: tab-separated lines, one record per line, first field is
    the record tag.  This layer (lib/obs) sits below the XML stack and
    owns no parser, and TSV round-trips with [String.split_on_char] —
-   values are sanitized so tag/field positions cannot be forged.
+   strings are sanitized so tag/field positions cannot be forged.  Every
+   field of the snapshot crosses and is checked on decode; a finite
+   number is the shortest decimal that reads back as the same float
+   ({!Json.finite_to_string}), so timestamps and quantiles arrive
+   bit-exact. *)
 
-   Sources: the runtime registers closures (shard-map version, breaker
-   states, extra gauges) per scope; snapshot assembly pulls from {!Slo}
-   plus these.  Scope is the peer URI, same convention as {!Slo}. *)
-
-type endpoint_stat = {
-  ep_name : string;
-  ep_rate : float;
-  ep_err_rate : float;
-  ep_p50 : float;
-  ep_p95 : float;
-  ep_p99 : float;
-  ep_reqs_1m : float;
-}
-
-type snapshot = {
-  sn_peer : string;
-  sn_at_ms : float;
-  sn_state : string;  (* ready | degraded | unready | unreachable *)
-  sn_reasons : string list;
-  sn_gauges : (string * float) list;
-  sn_endpoints : endpoint_stat list;
-  sn_shard_version : int option;
-  sn_breakers : (string * string) list;  (* dest -> closed/open/half_open *)
-}
-
-(* -- sources ------------------------------------------------------- *)
-
-let gauge_sources : (string, unit -> (string * float) list) Hashtbl.t =
-  Hashtbl.create 8
-
-let shard_sources : (string, unit -> int option) Hashtbl.t = Hashtbl.create 8
-
-let breaker_sources : (string, unit -> (string * string) list) Hashtbl.t =
-  Hashtbl.create 8
-
-let m = Mutex.create ()
-
-let with_m f =
-  Mutex.lock m;
-  let r = f () in
-  Mutex.unlock m;
-  r
-
-let register_gauges ~scope f = with_m (fun () -> Hashtbl.replace gauge_sources scope f)
-let register_shard_version ~scope f =
-  with_m (fun () -> Hashtbl.replace shard_sources scope f)
-let register_breakers ~scope f =
-  with_m (fun () -> Hashtbl.replace breaker_sources scope f)
-
-let reset_sources () =
-  with_m (fun () ->
-      Hashtbl.reset gauge_sources;
-      Hashtbl.reset shard_sources;
-      Hashtbl.reset breaker_sources)
-
-let pull tbl scope =
-  (* scope-local source plus the process-global "" one *)
-  let get s = with_m (fun () -> Hashtbl.find_opt tbl s) in
-  let run = function
-    | Some f -> ( try f () with _ -> [])
-    | None -> []
-  in
-  run (get scope) @ if scope = "" then [] else run (get "")
+type snapshot = { sn_peer : string; sn_at_ms : float; sn_health : Slo.health }
 
 (** Assemble this process's snapshot for one peer scope. *)
 let local_snapshot ~peer () =
-  let scope = peer in
-  let hz = Slo.health ~scope () in
-  let eps =
-    List.map
-      (fun (h : Slo.endpoint_health) ->
-        {
-          ep_name = h.Slo.h_endpoint;
-          ep_rate = h.Slo.h_rate;
-          ep_err_rate = h.Slo.h_err_rate;
-          ep_p50 = h.Slo.h_p50;
-          ep_p95 = h.Slo.h_p95;
-          ep_p99 = h.Slo.h_p99;
-          ep_reqs_1m = h.Slo.h_reqs_1m;
-        })
-      hz.Slo.endpoints
-  in
-  let shard_version =
-    match with_m (fun () -> Hashtbl.find_opt shard_sources scope) with
-    | Some f -> ( try f () with _ -> None)
-    | None -> None
-  in
-  {
-    sn_peer = peer;
-    sn_at_ms = Trace.now_ms ();
-    sn_state = Slo.state_label hz.Slo.state;
-    sn_reasons = hz.Slo.reasons;
-    sn_gauges = pull gauge_sources scope;
-    sn_endpoints = eps;
-    sn_shard_version = shard_version;
-    sn_breakers = pull breaker_sources scope;
-  }
+  { sn_peer = peer; sn_at_ms = Trace.now_ms ();
+    sn_health = Slo.health ~scope:peer () }
 
 let unreachable ~peer ~at_ms ~reason =
   {
     sn_peer = peer;
     sn_at_ms = at_ms;
-    sn_state = "unreachable";
-    sn_reasons = [ reason ];
-    sn_gauges = [];
-    sn_endpoints = [];
-    sn_shard_version = None;
-    sn_breakers = [];
+    sn_health =
+      { Slo.state = Slo.Unreachable; reasons = [ reason ]; endpoints = [];
+        values = [] };
   }
+
+let shard_version sn =
+  List.find_map
+    (function Slo.Shard_version v -> Some v | _ -> None)
+    sn.sn_health.Slo.values
+
+let breakers sn =
+  List.filter_map
+    (function Slo.Breaker (d, st) -> Some (d, st) | _ -> None)
+    sn.sn_health.Slo.values
+
+let gauges sn =
+  List.filter_map
+    (function Slo.Gauge (n, v) -> Some (n, v) | _ -> None)
+    sn.sn_health.Slo.values
 
 (* -- wire ---------------------------------------------------------- *)
 
 let clean s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
-let f2s v = if Float.is_nan v then "nan" else Printf.sprintf "%.6g" v
+let f2s v =
+  if Float.is_nan v then "nan"
+  else if v = infinity then "inf"
+  else if v = neg_infinity then "-inf"
+  else Json.finite_to_string v
+
+let breaker_states = [ "closed"; "open"; "half_open" ]
 
 (** A scrape reply that is not a snapshot [to_wire] could have written. *)
 exception Malformed of string
@@ -141,23 +77,25 @@ let to_wire sn =
     Buffer.add_string buf (String.concat "\t" (List.map clean parts));
     Buffer.add_char buf '\n'
   in
+  let hz = sn.sn_health in
   line [ "peer"; sn.sn_peer ];
   line [ "at"; f2s sn.sn_at_ms ];
-  line [ "state"; sn.sn_state ];
-  List.iter (fun r -> line [ "reason"; r ]) sn.sn_reasons;
-  List.iter (fun (n, v) -> line [ "gauge"; n; f2s v ]) sn.sn_gauges;
-  (match sn.sn_shard_version with
-  | Some v -> line [ "shardv"; string_of_int v ]
-  | None -> ());
-  List.iter (fun (d, s) -> line [ "breaker"; d; s ]) sn.sn_breakers;
+  line [ "state"; Slo.state_label hz.Slo.state ];
+  List.iter (fun r -> line [ "reason"; r ]) hz.Slo.reasons;
   List.iter
-    (fun e ->
+    (fun (h : Slo.endpoint_health) ->
       line
-        [
-          "ep"; e.ep_name; f2s e.ep_rate; f2s e.ep_err_rate; f2s e.ep_p50;
-          f2s e.ep_p95; f2s e.ep_p99; f2s e.ep_reqs_1m;
-        ])
-    sn.sn_endpoints;
+        ([ "ep"; h.h_endpoint; f2s h.h_rate; f2s h.h_err_rate; f2s h.h_p50;
+           f2s h.h_p95; f2s h.h_p99; f2s h.h_reqs_1m; f2s h.h_budget;
+           f2s h.h_burn; Slo.state_label h.h_state ]
+        @ Option.to_list h.h_reason))
+    hz.Slo.endpoints;
+  List.iter
+    (function
+      | Slo.Gauge (n, v) -> line [ "gauge"; n; f2s v ]
+      | Slo.Shard_version v -> line [ "shardv"; string_of_int v ]
+      | Slo.Breaker (d, st) -> line [ "breaker"; d; st ])
+    hz.Slo.values;
   Buffer.contents buf
 
 (* The bytes come from another peer, so every line and field is checked:
@@ -169,9 +107,7 @@ let of_wire s =
   let lines = String.split_on_char '\n' s in
   let last = List.length lines - 1 in
   let peer = ref None and at = ref None and state = ref None in
-  let shardv = ref None in
-  let reasons = ref [] and gauges = ref [] and breakers = ref [] in
-  let eps = ref [] in
+  let reasons = ref [] and eps = ref [] and values = ref [] in
   List.iteri
     (fun i line ->
       let bad what =
@@ -197,41 +133,40 @@ let of_wire s =
             | Some f when v <> "" && String.for_all ok v -> f
             | _ -> bad ("bad number " ^ v))
       in
-      let one_of what allowed v =
-        if List.mem v allowed then v
-        else bad (Printf.sprintf "bad %s %s" what v)
+      let state_of v =
+        match Slo.state_of_label v with
+        | Some st -> st
+        | None -> bad ("bad state " ^ v)
+      in
+      let endpoint name rate err p50 p95 p99 r1m budget burn st reason =
+        eps :=
+          { Slo.h_endpoint = name; h_rate = num rate; h_err_rate = num err;
+            h_p50 = num p50; h_p95 = num p95; h_p99 = num p99;
+            h_reqs_1m = num r1m; h_budget = num budget; h_burn = num burn;
+            h_state = state_of st; h_reason = reason }
+          :: !eps
       in
       match String.split_on_char '\t' line with
       | [ "" ] when i = last -> ()
       | [ "peer"; p ] -> once peer p "peer"
       | [ "at"; v ] -> once at (num v) "at"
-      | [ "state"; st ] ->
-          let states = [ "ready"; "degraded"; "unready"; "unreachable" ] in
-          once state (one_of "state" states st) "state"
+      | [ "state"; st ] -> once state (state_of st) "state"
       | [ "reason"; r ] -> reasons := r :: !reasons
-      | [ "gauge"; n; v ] -> gauges := (n, num v) :: !gauges
+      | [ "ep"; name; rate; err; p50; p95; p99; r1m; budget; burn; st ] ->
+          endpoint name rate err p50 p95 p99 r1m budget burn st None
+      | [ "ep"; name; rate; err; p50; p95; p99; r1m; budget; burn; st; r ] ->
+          endpoint name rate err p50 p95 p99 r1m budget burn st (Some r)
+      | [ "gauge"; n; v ] -> values := Slo.Gauge (n, num v) :: !values
       | [ "shardv"; v ] -> (
           let digit = function '0' .. '9' -> true | _ -> false in
           match int_of_string_opt v with
-          | Some n when String.for_all digit v -> once shardv n "shardv"
+          | Some n when String.for_all digit v ->
+              values := Slo.Shard_version n :: !values
           | _ -> bad ("bad shard version " ^ v))
       | [ "breaker"; d; st ] ->
-          breakers :=
-            (d, one_of "breaker state" [ "closed"; "open"; "half_open" ] st)
-            :: !breakers
-      | [ "ep"; name; rate; err; p50; p95; p99; r1m ] ->
-          let e =
-            {
-              ep_name = name;
-              ep_rate = num rate;
-              ep_err_rate = num err;
-              ep_p50 = num p50;
-              ep_p95 = num p95;
-              ep_p99 = num p99;
-              ep_reqs_1m = num r1m;
-            }
-          in
-          eps := e :: !eps
+          if not (List.mem st breaker_states) then
+            bad ("bad breaker state " ^ st);
+          values := Slo.Breaker (d, st) :: !values
       | _ -> bad ("unexpected record: " ^ line))
     lines;
   let required what = function
@@ -241,12 +176,9 @@ let of_wire s =
   {
     sn_peer = required "peer" !peer;
     sn_at_ms = required "at" !at;
-    sn_state = required "state" !state;
-    sn_reasons = List.rev !reasons;
-    sn_gauges = List.rev !gauges;
-    sn_endpoints = List.rev !eps;
-    sn_shard_version = !shardv;
-    sn_breakers = List.rev !breakers;
+    sn_health =
+      { Slo.state = required "state" !state; reasons = List.rev !reasons;
+        endpoints = List.rev !eps; values = List.rev !values };
   }
 
 (** A peer's snapshot from its scrape reply, or an [unreachable]
@@ -270,38 +202,37 @@ type cluster_view = {
   cv_hot : (string * string * float) list;  (* peer, endpoint, req/s *)
   cv_shard_versions : (string * int) list;
   cv_shard_agree : bool;  (* all reported versions equal *)
-  cv_state : string;  (* worst peer state *)
+  cv_state : Slo.state;  (* worst peer state *)
 }
-
-let state_rank = function
-  | "ready" -> 0
-  | "degraded" -> 1
-  | "unready" -> 2
-  | _ -> 3 (* unreachable *)
 
 let merge ~at_ms snapshots =
   let peers =
     List.sort (fun a b -> compare a.sn_peer b.sn_peer) snapshots
   in
+  let rows sn = sn.sn_health.Slo.endpoints in
   let total_rate =
     List.fold_left
       (fun acc sn ->
-        List.fold_left (fun a e -> a +. e.ep_rate) acc sn.sn_endpoints)
+        List.fold_left
+          (fun a (e : Slo.endpoint_health) -> a +. e.h_rate)
+          acc (rows sn))
       0. peers
   in
   let reqs, errs =
     List.fold_left
       (fun acc sn ->
         List.fold_left
-          (fun (r, e) ep ->
-            (r +. ep.ep_reqs_1m, e +. (ep.ep_err_rate *. ep.ep_reqs_1m)))
-          acc sn.sn_endpoints)
+          (fun (r, e) (ep : Slo.endpoint_health) ->
+            (r +. ep.h_reqs_1m, e +. (ep.h_err_rate *. ep.h_reqs_1m)))
+          acc (rows sn))
       (0., 0.) peers
   in
   let hot =
     List.concat_map
       (fun sn ->
-        List.map (fun e -> (sn.sn_peer, e.ep_name, e.ep_rate)) sn.sn_endpoints)
+        List.map
+          (fun (e : Slo.endpoint_health) -> (sn.sn_peer, e.h_endpoint, e.h_rate))
+          (rows sn))
       peers
     |> List.filter (fun (_, _, r) -> r > 0.)
     |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
@@ -309,19 +240,13 @@ let merge ~at_ms snapshots =
   in
   let versions =
     List.filter_map
-      (fun sn ->
-        Option.map (fun v -> (sn.sn_peer, v)) sn.sn_shard_version)
+      (fun sn -> Option.map (fun v -> (sn.sn_peer, v)) (shard_version sn))
       peers
   in
   let agree =
     match versions with
     | [] -> true
     | (_, v0) :: rest -> List.for_all (fun (_, v) -> v = v0) rest
-  in
-  let worst =
-    List.fold_left
-      (fun acc sn -> if state_rank sn.sn_state > state_rank acc then sn.sn_state else acc)
-      "ready" peers
   in
   {
     cv_at_ms = at_ms;
@@ -331,7 +256,10 @@ let merge ~at_ms snapshots =
     cv_hot = hot;
     cv_shard_versions = versions;
     cv_shard_agree = agree;
-    cv_state = worst;
+    cv_state =
+      List.fold_left
+        (fun acc sn -> Slo.worse acc sn.sn_health.Slo.state)
+        Slo.Ready peers;
   }
 
 (* -- rendering ----------------------------------------------------- *)
@@ -340,7 +268,7 @@ let cluster_text cv =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "cluster: %s  peers %d  %.1f req/s  err %.2f%%\n"
-       cv.cv_state (List.length cv.cv_peers) cv.cv_total_rate
+       (Slo.state_label cv.cv_state) (List.length cv.cv_peers) cv.cv_total_rate
        (cv.cv_err_rate *. 100.));
   if cv.cv_shard_versions <> [] then
     Buffer.add_string buf
@@ -352,23 +280,25 @@ let cluster_text cv =
                cv.cv_shard_versions)));
   List.iter
     (fun sn ->
-      let p99s =
-        List.filter_map
-          (fun e -> if Float.is_nan e.ep_p99 then None else Some e.ep_p99)
-          sn.sn_endpoints
+      let hz = sn.sn_health in
+      let p99_max =
+        List.fold_left
+          (fun acc (e : Slo.endpoint_health) ->
+            if Float.is_nan e.h_p99 then acc else Float.max acc e.h_p99)
+          neg_infinity hz.Slo.endpoints
       in
-      let p99_max = List.fold_left Float.max neg_infinity p99s in
       Buffer.add_string buf
-        (Printf.sprintf "peer %-32s %-11s %s%s%s\n" sn.sn_peer sn.sn_state
+        (Printf.sprintf "peer %-32s %-11s %s%s%s\n" sn.sn_peer
+           (Slo.state_label hz.Slo.state)
            (if p99_max = neg_infinity then "p99 -"
             else Printf.sprintf "p99 %.1fms" p99_max)
-           (match sn.sn_breakers with
+           (match breakers sn with
            | [] -> ""
            | bs ->
                "  breakers "
                ^ String.concat ","
                    (List.map (fun (d, s) -> d ^ ":" ^ s) bs))
-           (match sn.sn_reasons with
+           (match hz.Slo.reasons with
            | [] -> ""
            | r :: _ -> "  (" ^ r ^ ")"))
       )
@@ -383,28 +313,24 @@ let cluster_text cv =
   end;
   Buffer.contents buf
 
-let endpoint_json e =
-  Json.Obj
-    [ ("endpoint", Json.Str e.ep_name); ("rate", Json.Num e.ep_rate);
-      ("err_rate", Json.Num e.ep_err_rate); ("p50_ms", Json.Num e.ep_p50);
-      ("p95_ms", Json.Num e.ep_p95); ("p99_ms", Json.Num e.ep_p99);
-      ("reqs_1m", Json.Num e.ep_reqs_1m) ]
-
 let snapshot_json sn =
+  let hz = sn.sn_health in
   Json.Obj
     [ ("peer", Json.Str sn.sn_peer); ("at_ms", Json.Num sn.sn_at_ms);
-      ("state", Json.Str sn.sn_state);
-      ("reasons", Json.Arr (List.map (fun r -> Json.Str r) sn.sn_reasons));
+      ("state", Json.Str (Slo.state_label hz.Slo.state));
+      ("reasons", Json.Arr (List.map (fun r -> Json.Str r) hz.Slo.reasons));
       ( "shard_version",
         Option.fold ~none:Json.Null ~some:(fun v -> Json.Int v)
-          sn.sn_shard_version );
-      ("breakers", Json.Obj (List.map (fun (d, st) -> (d, Json.Str st)) sn.sn_breakers));
-      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Num v)) sn.sn_gauges));
-      ("endpoints", Json.Arr (List.map endpoint_json sn.sn_endpoints)) ]
+          (shard_version sn) );
+      ( "breakers",
+        Json.Obj (List.map (fun (d, st) -> (d, Json.Str st)) (breakers sn)) );
+      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Num v)) (gauges sn)));
+      ("endpoints", Json.Arr (List.map Slo.endpoint_json hz.Slo.endpoints)) ]
 
 let cluster_json cv =
   Json.Obj
-    [ ("at_ms", Json.Num cv.cv_at_ms); ("state", Json.Str cv.cv_state);
+    [ ("at_ms", Json.Num cv.cv_at_ms);
+      ("state", Json.Str (Slo.state_label cv.cv_state));
       ("total_rate", Json.Num cv.cv_total_rate);
       ("err_rate", Json.Num cv.cv_err_rate);
       ("shard_agree", Json.Bool cv.cv_shard_agree);

@@ -111,8 +111,7 @@ let mint kind counter =
    process buffer (recording while tracing is on) and each collection
    are bounded: past [capacity] new spans are counted as dropped but
    stack discipline (and so parentage of later spans) is preserved. *)
-let capacity = ref 50_000
-let set_capacity n = capacity := n
+let capacity = 50_000
 let new_collection () = { c_spans = []; c_n = 0; c_dropped = 0 }
 let process = new_collection ()
 
@@ -164,7 +163,7 @@ let reset () =
 
 let collect_locked span =
   List.iter (fun c ->
-      if c.c_n >= !capacity then c.c_dropped <- c.c_dropped + 1
+      if c.c_n >= capacity then c.c_dropped <- c.c_dropped + 1
       else begin
         c.c_spans <- span :: c.c_spans;
         c.c_n <- c.c_n + 1

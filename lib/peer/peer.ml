@@ -22,6 +22,7 @@ module Executor = Xrpc_net.Executor
 module Xrpc_error = Xrpc_net.Xrpc_error
 module Xrpc_uri = Xrpc_net.Xrpc_uri
 module Metrics = Xrpc_obs.Metrics
+module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
 module Trace = Xrpc_obs.Trace
 module Profile = Xrpc_obs.Profile
@@ -153,8 +154,12 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
       ignore (Result_cache.invalidate_docs peer.result_cache touched));
   (* this peer's shard-map version rides in its telemetry snapshot, so
      the cluster view can flag ring-version disagreement across peers *)
-  Telemetry.register_shard_version ~scope:uri (fun () ->
-      Option.map Shard.version peer.internals.shard_map);
+  Slo.register_source ~scope:uri ~name:"shard" (fun () ->
+      ( Slo.Probe_ok,
+        Option.to_list
+          (Option.map
+             (fun m -> Slo.Shard_version (Shard.version m))
+             peer.internals.shard_map) ));
   peer
 
 let set_transport peer transport = peer.transport <- Some transport

@@ -199,15 +199,11 @@ let test_trace_capacity_bounded () =
   with_tracer @@ fun () ->
   ignore (fake_clock ());
   Trace.set_enabled true;
-  Trace.set_capacity 10;
-  Fun.protect
-    ~finally:(fun () -> Trace.set_capacity 50_000)
-    (fun () ->
-      for _ = 1 to 25 do
-        Trace.with_span "s" (fun () -> ())
-      done;
-      check int_ "buffer capped" 10 (List.length (Trace.spans ()));
-      check int_ "overflow counted" 15 (Trace.dropped_count ()))
+  for _ = 1 to Trace.capacity + 15 do
+    Trace.with_span "s" (fun () -> ())
+  done;
+  check int_ "buffer capped" Trace.capacity (List.length (Trace.spans ()));
+  check int_ "overflow counted" 15 (Trace.dropped_count ())
 
 let test_collect_slice () =
   with_tracer @@ fun () ->
@@ -260,19 +256,15 @@ let test_collect_slice () =
 
 let test_collect_bounded () =
   with_tracer @@ fun () ->
-  Trace.set_capacity 3;
-  Fun.protect
-    ~finally:(fun () -> Trace.set_capacity 50_000)
-    (fun () ->
-      let (), spans =
-        Trace.collect (fun () ->
-            for _ = 1 to 5 do
-              Trace.with_span "s" (fun () -> Trace.add "x" 1.)
-            done)
-      in
-      check int_ "root plus capacity" 4 (List.length spans);
-      check (Alcotest.option (Alcotest.float 1e-9)) "drops counted on the root"
-        (Some 2.) (Trace.attr (List.hd spans) Trace.dropped_attr))
+  let (), spans =
+    Trace.collect (fun () ->
+        for _ = 1 to Trace.capacity + 2 do
+          Trace.with_span "s" (fun () -> Trace.add "x" 1.)
+        done)
+  in
+  check int_ "root plus capacity" (Trace.capacity + 1) (List.length spans);
+  check (Alcotest.option (Alcotest.float 1e-9)) "drops counted on the root"
+    (Some 2.) (Trace.attr (List.hd spans) Trace.dropped_attr)
 
 (* ------------------------------------------------------------------ *)
 (* SOAP envelope propagation                                           *)

@@ -49,8 +49,7 @@ let with_clean f =
       Trace.set_enabled false;
       Trace.use_wall_clock ();
       Trace.reset ();
-      Trace.set_capacity 50_000;
-      Flight_recorder.configure ~capacity:128 ~slow:250. ~pinned:16 ();
+      Flight_recorder.set_slow_ms 250.;
       Flight_recorder.reset ())
     f
 
@@ -200,61 +199,78 @@ let rec_one ?error ~ms i =
 
 let test_flight_ring_eviction () =
   with_clean @@ fun () ->
-  Flight_recorder.configure ~capacity:8 ~slow:1e9 ~pinned:4 ();
+  Flight_recorder.set_slow_ms 1e9;
   Flight_recorder.reset ();
-  for i = 1 to 20 do
+  let cap = Flight_recorder.capacity in
+  let n = cap + 12 in
+  for i = 1 to n do
     rec_one ~ms:(float_of_int i) i
   done;
-  check int_ "all recordings counted" 20 (Flight_recorder.snapshot ()).Flight_recorder.s_total;
+  check int_ "all recordings counted" n (Flight_recorder.snapshot ()).Flight_recorder.s_total;
   let rs = Flight_recorder.recent () in
-  check int_ "ring bounded" 8 (List.length rs);
-  check int_ "newest first" 20 (List.hd rs).Flight_recorder.id;
+  check int_ "ring bounded" cap (List.length rs);
+  check int_ "newest first" n (List.hd rs).Flight_recorder.id;
   check int_ "oldest survivor" 13
-    (List.nth rs 7).Flight_recorder.id;
+    (List.nth rs (cap - 1)).Flight_recorder.id;
   check bool_ "evicted entry unfindable" true (Flight_recorder.find 5 = None);
   check bool_ "live entry findable" true
-    (match Flight_recorder.find 20 with
-    | Some e -> e.Flight_recorder.label = "q20"
+    (match Flight_recorder.find n with
+    | Some e -> e.Flight_recorder.label = Printf.sprintf "q%d" n
     | None -> false);
   check int_ "nothing crossed the slow bar" 0
     (List.length (Flight_recorder.snapshot ()).Flight_recorder.s_pinned)
 
 let test_flight_pinned_slow_queries () =
   with_clean @@ fun () ->
-  Flight_recorder.configure ~capacity:4 ~slow:100. ~pinned:3 ();
+  Flight_recorder.set_slow_ms 100.;
   Flight_recorder.reset ();
-  List.iteri
-    (fun i ms -> rec_one ~ms (i + 1))
-    [ 10.; 150.; 500.; 50.; 300.; 120.; 700. ];
+  (* four more slow queries than the pinned list holds, 101..120 ms in
+     shuffled order (ids 1..20), then a ring's worth of fast traffic *)
+  let pinned = Flight_recorder.pinned_capacity in
+  let slow = pinned + 4 in
+  let ms_of i = 101. +. float_of_int (i * 7 mod slow) in
+  for i = 0 to slow - 1 do
+    rec_one ~ms:(ms_of i) (i + 1)
+  done;
+  for i = 1 to Flight_recorder.capacity do
+    rec_one ~ms:10. (slow + i)
+  done;
   let ps = (Flight_recorder.snapshot ()).Flight_recorder.s_pinned in
+  let slowest = 100. +. float_of_int slow in
   check
     (Alcotest.list (Alcotest.float 1e-9))
-    "slowest first, bounded" [ 700.; 500.; 300. ]
+    "slowest first, bounded"
+    (List.init pinned (fun i -> slowest -. float_of_int i))
     (List.map (fun e -> e.Flight_recorder.duration_ms) ps);
-  (* the 500ms query (id 3) was evicted from the ring by fast traffic,
-     but stays reachable through its pin *)
+  (* every slow query was evicted from the ring by fast traffic; the
+     pinned ones stay reachable through their pin, the bumped ones not *)
+  let id_of ms =
+    1 + Option.get (List.find_index (fun i -> ms_of i = ms) (List.init slow Fun.id))
+  in
   let ring_ids =
     List.map (fun e -> e.Flight_recorder.id) (Flight_recorder.recent ())
   in
-  check bool_ "slow query evicted from the ring" false (List.mem 3 ring_ids);
+  check bool_ "slow query evicted from the ring" false
+    (List.mem (id_of slowest) ring_ids);
   check bool_ "…but still findable via the pin" true
-    (match Flight_recorder.find 3 with
-    | Some e -> e.Flight_recorder.duration_ms = 500.
+    (match Flight_recorder.find (id_of slowest) with
+    | Some e -> e.Flight_recorder.duration_ms = slowest
     | None -> false);
+  check bool_ "a bumped pin is gone" true (Flight_recorder.find (id_of 101.) = None);
   let snap = Flight_recorder.snapshot () in
   assert_has "text export lists pins" "pinned slow queries"
     (Flight_recorder.pinned_text snap);
   assert_has "slow threshold shown" "100" (Flight_recorder.pinned_text snap);
   let json = assert_json "flight json export" (Flight_recorder.to_json snap) in
   check (Alcotest.list (Alcotest.float 1e-9)) "pinned in json"
-    [ 700.; 500.; 300. ]
+    (List.map (fun e -> e.Flight_recorder.duration_ms) ps)
     (List.map
        (fun e -> Json_check.(num (member "duration_ms" e)))
        Json_check.(items (member "pinned" json)))
 
 let test_flight_concurrent_writers () =
   with_clean @@ fun () ->
-  Flight_recorder.configure ~capacity:32 ~slow:90. ~pinned:8 ();
+  Flight_recorder.set_slow_ms 90.;
   Flight_recorder.reset ();
   let per_thread = 50 and nthreads = 4 in
   let worker k () =
@@ -267,13 +283,14 @@ let test_flight_concurrent_writers () =
   check int_ "every record counted" (per_thread * nthreads)
     (Flight_recorder.snapshot ()).Flight_recorder.s_total;
   let rs = Flight_recorder.recent () in
-  check int_ "ring exactly full" 32 (List.length rs);
+  check int_ "ring exactly full" Flight_recorder.capacity (List.length rs);
   let ids = List.map (fun e -> e.Flight_recorder.id) rs in
   check int_ "no duplicate ids in the ring"
     (List.length ids)
     (List.length (List.sort_uniq compare ids));
   let ps = (Flight_recorder.snapshot ()).Flight_recorder.s_pinned in
-  check bool_ "pinned list bounded" true (List.length ps <= 8);
+  check bool_ "pinned list bounded" true
+    (List.length ps <= Flight_recorder.pinned_capacity);
   List.iter
     (fun e ->
       if e.Flight_recorder.duration_ms < 90. then
@@ -309,7 +326,6 @@ let test_profile_nodes_and_ops () =
             t := 2.;
             Trace.with_span ~detail:"d" "b" (fun () ->
                 t := 5.;
-                Trace.add Profile.rows_attr 7.;
                 record_op "select" ~rows_in:10 ~rows_out:7 1.5;
                 record_op "select" ~rows_in:4 ~rows_out:2 0.5));
         42)
@@ -324,7 +340,6 @@ let test_profile_nodes_and_ops () =
       check int_ "stable pre-order ids" 1 a.Profile.id;
       check string_ "names" "b" b.Profile.name;
       check bool_ "parentage" true (b.Profile.parent = Some a.Profile.id);
-      check int_ "cardinality recorded" 7 b.Profile.rows_out;
       check (Alcotest.float 1e-9) "inclusive time of b" 3. b.Profile.incl_ms;
       (match b.Profile.ops with
       | [ ("select", os) ] ->
@@ -337,7 +352,7 @@ let test_profile_nodes_and_ops () =
   let text = Profile.render p in
   assert_has "label" "profile unit" text;
   assert_has "node line" "#2 b (d)" text;
-  assert_has "cardinality" "rows=7" text;
+  assert_has "cardinality" "select x2  14->9 rows" text;
   assert_has "merged op" "select x2" text;
   let json = assert_json "profile json" (Profile.to_json p) in
   check string_ "label in json" "unit" Json_check.(str (member "label" json))
@@ -345,14 +360,13 @@ let test_profile_nodes_and_ops () =
 let test_profile_node_capacity () =
   with_clean @@ fun () ->
   ignore (fake_clock ());
-  Trace.set_capacity 3;
   let (), p =
     Profile.profiled (fun () ->
-        for _ = 1 to 5 do
+        for _ = 1 to Trace.capacity + 2 do
           Trace.with_span "n" (fun () -> ())
         done)
   in
-  check int_ "nodes capped" 3 (Profile.node_count p);
+  check int_ "nodes capped" Trace.capacity (Profile.node_count p);
   check int_ "overflow counted" 2 (Profile.dropped_count p)
 
 let test_profile_off_records_nothing () =
@@ -362,7 +376,6 @@ let test_profile_off_records_nothing () =
     (Trace.with_span "x" (fun () -> 9));
   record_op "select" ~rows_in:1 ~rows_out:1 1.;
   Trace.add (Profile.dest_attr "msgs" "xrpc://y") 1.;
-  Trace.add Profile.rows_attr 5.;
   (* a later profile must not see any of it *)
   let (), p = Profile.profiled (fun () -> ()) in
   check int_ "no leaked nodes" 0 (Profile.node_count p);
@@ -609,7 +622,7 @@ let test_server_phases_from_spans () =
 let test_flight_records_distributed_query () =
   with_clean @@ fun () ->
   Flight_recorder.reset ();
-  Flight_recorder.configure ~capacity:32 ~slow:1e9 ~pinned:4 ();
+  Flight_recorder.set_slow_ms 1e9;
   let cluster = test_cluster () in
   Cluster.enable_tracing cluster;
   ignore (Peer.query_seq (Cluster.peer cluster "x") q_two_peers);
@@ -658,7 +671,7 @@ let test_flight_records_distributed_query () =
    trace id, one [query] span, and phases that sum only its own spans. *)
 let test_concurrent_query_slices () =
   with_clean @@ fun () ->
-  Flight_recorder.configure ~capacity:32 ~slow:1e9 ~pinned:4 ();
+  Flight_recorder.set_slow_ms 1e9;
   Flight_recorder.reset ();
   Trace.set_enabled true;
   let spin tag =

@@ -43,8 +43,7 @@ let with_clean f =
     Trace.use_wall_clock ();
     Metrics.set_windows_enabled true;
     Metrics.reset ();
-    Slo.reset ();
-    Telemetry.reset_sources ()
+    Slo.reset ()
   in
   setup ();
   Fun.protect ~finally:setup f
@@ -290,7 +289,7 @@ let test_slo_budget_and_burn () =
 let test_slo_probes () =
   with_clean @@ fun () ->
   let mode = ref Slo.Probe_ok in
-  Slo.register_probe ~scope:"xrpc://p" ~name:"queue" (fun () -> !mode);
+  Slo.register_source ~scope:"xrpc://p" ~name:"queue" (fun () -> (!mode, []));
   let state scope = Slo.state_label (state_of ~scope) in
   check string_ "probe ok" "ready" (state "xrpc://p");
   mode := Slo.Probe_degraded "queue building";
@@ -302,112 +301,154 @@ let test_slo_probes () =
     (List.exists (fun r -> contains r "queue: queue saturated") reasons);
   (* a process-global probe applies to every scope *)
   mode := Slo.Probe_ok;
-  Slo.register_probe ~name:"disk" (fun () -> Slo.Probe_degraded "disk 95% full");
+  Slo.register_source ~name:"disk" (fun () ->
+      (Slo.Probe_degraded "disk 95% full", []));
   check string_ "global probe reaches scoped healthz" "degraded"
     (state "xrpc://p");
   (* a raising probe reads as unready, never as a crash *)
-  Slo.register_probe ~scope:"xrpc://q" ~name:"boom" (fun () -> failwith "x");
+  Slo.register_source ~scope:"xrpc://q" ~name:"boom" (fun () -> failwith "x");
   check string_ "raising probe = unready" "unready" (state "xrpc://q");
+  check bool_ "raising probe is named" true
+    (List.mem "boom: boom probe raised"
+       (Slo.health ~scope:"xrpc://q" ()).Slo.reasons);
   (* scopes are isolated: peer r sees only the global probe *)
-  check string_ "other scopes unaffected" "degraded" (state "xrpc://r")
+  check string_ "other scopes unaffected" "degraded" (state "xrpc://r");
+  (* a source's named values join its scope's health, read once with
+     the verdict *)
+  let reads = ref 0 in
+  Slo.register_source ~scope:"xrpc://p" ~name:"ring" (fun () ->
+      incr reads;
+      (Slo.Probe_ok, [ Slo.Shard_version 4; Slo.Gauge ("g", 1.) ]));
+  check bool_ "values reach the scope" true
+    ((Slo.health ~scope:"xrpc://p" ()).Slo.values
+    = [ Slo.Shard_version 4; Slo.Gauge ("g", 1.) ]);
+  check int_ "one read per health" 1 !reads;
+  check bool_ "and only that scope" true
+    ((Slo.health ~scope:"xrpc://r" ()).Slo.values = [])
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot wire format                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* a health value with every field set *)
+let row ?reason ?(state = Slo.Ready) name =
+  { Slo.h_endpoint = name; h_rate = 1.5; h_err_rate = 0.01; h_p50 = 2.;
+    h_p95 = 8.; h_p99 = 20.5; h_reqs_1m = 90.; h_budget = 0.75;
+    h_burn = 0.5; h_state = state; h_reason = reason }
+
+let snapshot ?(peer = "xrpc://p1") ?(at_ms = 12345.5) ?(state = Slo.Degraded)
+    ?(reasons = []) ?(endpoints = []) ?(values = []) () =
+  { Telemetry.sn_peer = peer; sn_at_ms = at_ms;
+    sn_health = { Slo.state; reasons; endpoints; values } }
+
+(* bit-exact float equality; NaN equals NaN (the wire has one "nan") *)
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_row (a : Slo.endpoint_health) (b : Slo.endpoint_health) =
+  let fs (h : Slo.endpoint_health) =
+    [ h.h_rate; h.h_err_rate; h.h_p50; h.h_p95; h.h_p99; h.h_reqs_1m;
+      h.h_budget; h.h_burn ]
+  in
+  a.h_endpoint = b.h_endpoint && List.for_all2 same_float (fs a) (fs b)
+  && a.h_state = b.h_state && a.h_reason = b.h_reason
+
+let same_value a b =
+  match (a, b) with
+  | Slo.Gauge (n, v), Slo.Gauge (n', v') -> n = n' && same_float v v'
+  | _ -> a = b
+
+let same_snapshot (a : Telemetry.snapshot) (b : Telemetry.snapshot) =
+  let ha = a.sn_health and hb = b.sn_health in
+  a.sn_peer = b.sn_peer && same_float a.sn_at_ms b.sn_at_ms
+  && ha.state = hb.state && ha.reasons = hb.reasons
+  && List.equal same_row ha.endpoints hb.endpoints
+  && List.equal same_value ha.values hb.values
+
 let test_wire_roundtrip () =
   with_clean @@ fun () ->
   let sn =
-    {
-      Telemetry.sn_peer = "xrpc://p1";
-      sn_at_ms = 12345.5;
-      sn_state = "degraded";
-      sn_reasons = [ "p99 over\tobjective"; "second\nline" ];
-      sn_gauges = [ ("active", 3.); ("lag", 0.25) ];
-      sn_endpoints =
-        [
-          {
-            Telemetry.ep_name = "films:filmsByActor";
-            ep_rate = 1.5;
-            ep_err_rate = 0.01;
-            ep_p50 = 2.;
-            ep_p95 = 8.;
-            ep_p99 = 20.5;
-            ep_reqs_1m = 90.;
-          };
-        ];
-      sn_shard_version = Some 7;
-      sn_breakers = [ ("xrpc://p2", "open") ];
-    }
+    snapshot
+      ~reasons:[ "p99 over\tobjective"; "second\nline" ]
+      ~endpoints:
+        [ row ~state:Slo.Degraded ~reason:"error budget burning"
+            "films:filmsByActor";
+          row "b:g" ]
+      ~values:
+        [ Slo.Gauge ("active", 3.); Slo.Gauge ("lag", 0.25);
+          Slo.Shard_version 7; Slo.Breaker ("xrpc://p2", "open") ]
+      ()
   in
   let rt = Telemetry.of_wire (Telemetry.to_wire sn) in
-  check string_ "peer" "xrpc://p1" rt.Telemetry.sn_peer;
-  check string_ "state" "degraded" rt.Telemetry.sn_state;
-  check (Alcotest.float 1e-6) "timestamp" 12345.5 rt.Telemetry.sn_at_ms;
   (* tabs/newlines inside values are flattened to spaces, never promoted
      to field or record separators *)
   check
     (Alcotest.list string_)
     "reasons sanitized"
     [ "p99 over objective"; "second line" ]
-    rt.Telemetry.sn_reasons;
-  check bool_ "shard version" true (rt.Telemetry.sn_shard_version = Some 7);
-  check bool_ "breakers" true
-    (rt.Telemetry.sn_breakers = [ ("xrpc://p2", "open") ]);
-  check bool_ "gauges" true
-    (List.assoc "lag" rt.Telemetry.sn_gauges = 0.25);
-  (match rt.Telemetry.sn_endpoints with
-  | [ e ] ->
-      check string_ "endpoint name" "films:filmsByActor" e.Telemetry.ep_name;
-      check (Alcotest.float 1e-6) "p99" 20.5 e.Telemetry.ep_p99;
-      check (Alcotest.float 1e-6) "reqs" 90. e.Telemetry.ep_reqs_1m
-  | l -> Alcotest.failf "expected 1 endpoint, got %d" (List.length l));
+    rt.Telemetry.sn_health.Slo.reasons;
+  check bool_ "every other field crosses" true
+    (same_snapshot rt
+       { sn with
+         Telemetry.sn_health =
+           { sn.Telemetry.sn_health with
+             Slo.reasons = rt.Telemetry.sn_health.Slo.reasons } });
+  (* numbers cross bit-exactly: a wall-clock timestamp in ms (six
+     significant digits would be 50 minutes off) and a sum with no short
+     decimal *)
+  List.iter
+    (fun v ->
+      let rt = Telemetry.of_wire (Telemetry.to_wire (snapshot ~at_ms:v ())) in
+      check bool_ (Printf.sprintf "%h round-trips" v) true
+        (same_float v rt.Telemetry.sn_at_ms))
+    [ 1792287005162.233; 0.1 +. 0.2; -0.; 5e-324; max_float; infinity;
+      neg_infinity; nan ];
   (* nan quantiles survive the round trip as nan, and an unreachable
      pseudo-snapshot is wire-clean too *)
   let u = Telemetry.unreachable ~peer:"xrpc://p3" ~at_ms:1. ~reason:"down" in
-  let u' = Telemetry.of_wire (Telemetry.to_wire u) in
-  check string_ "unreachable round-trips" "unreachable" u'.Telemetry.sn_state;
-  check (Alcotest.list string_) "reason kept" [ "down" ] u'.Telemetry.sn_reasons
+  check bool_ "unreachable round-trips" true
+    (same_snapshot u (Telemetry.of_wire (Telemetry.to_wire u)));
+  (* the named values render where /clusterz always printed them *)
+  let cv = Telemetry.merge ~at_ms:1. [ rt; u ] in
+  let text = Telemetry.cluster_text cv in
+  check bool_ "text: shard map" true
+    (contains text "shard map: agreed (xrpc://p1=v7)");
+  check bool_ "text: breakers" true (contains text "breakers xrpc://p2:open");
+  check bool_ "text: worst state" true (contains text "cluster: unreachable");
+  let cz = reread (Telemetry.cluster_json cv) in
+  let p1 = List.hd Json_check.(items (member "peers" cz)) in
+  check float_ "json: shard_version" 7.
+    Json_check.(num (member "shard_version" p1));
+  check string_ "json: breakers" "open"
+    Json_check.(str (member "xrpc://p2" (member "breakers" p1)));
+  check float_ "json: gauges" 0.25
+    Json_check.(num (member "lag" (member "gauges" p1)));
+  check string_ "json: endpoint rows are /healthz rows" "degraded"
+    Json_check.(str (member "state" (List.hd (items (member "endpoints" p1)))))
 
-(* Scrape replies are bytes another peer wrote.  Seeded mutations of a
-   valid wire form either decode or raise [Malformed], never anything
-   else; garbage in a numeric field always raises; a flood of reason
-   lines decodes in linear time; and a malformed reply shows the peer
-   as unreachable with the reason. *)
+(* Scrape replies are bytes another peer wrote.  Garbage in a numeric
+   field always raises [Malformed]; a flood of reason lines decodes in
+   linear time; and a malformed reply shows the peer as unreachable with
+   the reason.  Random mutations are the fuzz group's. *)
 let test_wire_mutations () =
   with_clean @@ fun () ->
   let seed = 16 in
   let rng = Random.State.make [| seed |] in
-  let ep name =
-    { Telemetry.ep_name = name; ep_rate = 1.5; ep_err_rate = 0.;
-      ep_p50 = nan; ep_p95 = 2.; ep_p99 = 1e6; ep_reqs_1m = 90. }
-  in
+  let ep name = { (row name) with Slo.h_p50 = nan; h_p99 = 1e6 } in
   let sn =
-    { (Telemetry.unreachable ~peer:"xrpc://p" ~at_ms:5. ~reason:"r") with
-      Telemetry.sn_state = "degraded";
-      sn_gauges = [ ("lag", 0.25); ("inf", infinity) ];
-      sn_endpoints = [ ep "a:f"; ep "b:g" ];
-      sn_shard_version = Some 3;
-      sn_breakers = [ ("xrpc://q", "half_open") ] }
+    snapshot ~reasons:[ "r" ] ~endpoints:[ ep "a:f"; ep "b:g" ]
+      ~values:
+        [ Slo.Gauge ("lag", 0.25); Slo.Gauge ("inf", infinity);
+          Slo.Shard_version 3; Slo.Breaker ("xrpc://q", "half_open") ]
+      ()
   in
   let wire = Telemetry.to_wire sn in
-  let decodes_or_malformed what w =
-    match Telemetry.of_wire w with
-    | _ | (exception Telemetry.Malformed _) -> ()
-    | exception e ->
-        Alcotest.failf "seed %d, %s: %s escaped" seed what
-          (Printexc.to_string e)
-  in
-  for i = 0 to String.length wire do
-    decodes_or_malformed
-      (Printf.sprintf "truncated at %d" i)
-      (String.sub wire 0 i)
-  done;
   (* every numeric field, replaced by garbage, is rejected *)
   let lines = String.split_on_char '\n' wire in
   let numeric = function
     | "at" -> [ 1 ] | "gauge" -> [ 2 ] | "shardv" -> [ 1 ]
-    | "ep" -> [ 2; 3; 4; 5; 6; 7 ] | _ -> []
+    | "ep" -> [ 2; 3; 4; 5; 6; 7; 8; 9 ] | _ -> []
   in
   let garbage =
     [| ""; "x"; "1.2.3"; "0x10"; "1_0"; "--1"; "na"; "1e"; "infinity" |]
@@ -430,21 +471,16 @@ let test_wire_mutations () =
           | _ -> Alcotest.failf "seed %d: %S accepted in %S" seed g line)
         (numeric (List.hd (Array.to_list fields))))
     lines;
-  (* random byte flips: decode or Malformed *)
-  for _ = 1 to 2_000 do
-    let b = Bytes.of_string wire in
-    Bytes.set b
-      (Random.State.int rng (Bytes.length b))
-      (Char.chr (Random.State.int rng 256));
-    decodes_or_malformed "byte flip" (Bytes.to_string b)
-  done;
-  (* an unknown record and a missing state line are rejected too *)
-  (match Telemetry.of_wire (wire ^ "bogus\t1\n") with
-  | exception Telemetry.Malformed _ -> ()
-  | _ -> Alcotest.fail "unknown record accepted");
-  (match Telemetry.of_wire "peer\tp\nat\t1\n" with
-  | exception Telemetry.Malformed _ -> ()
-  | _ -> Alcotest.fail "snapshot without a state accepted");
+  (* an unknown record, an unknown state and a missing state line are
+     rejected too *)
+  List.iter
+    (fun (what, w) ->
+      match Telemetry.of_wire w with
+      | exception Telemetry.Malformed _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [ ("unknown record", wire ^ "bogus\t1\n");
+      ("unknown state", "peer\tp\nat\t1\nstate\tfine\n");
+      ("snapshot without a state", "peer\tp\nat\t1\n") ];
   (* 100k reason lines: linear, where appending per line was quadratic *)
   let flood = Buffer.create (100_000 * 10) in
   Buffer.add_string flood wire;
@@ -454,9 +490,9 @@ let test_wire_mutations () =
   let t0 = Unix.gettimeofday () in
   let big = Telemetry.of_wire (Buffer.contents flood) in
   let dt = Unix.gettimeofday () -. t0 in
-  check int_ "every reason kept" 100_001 (List.length big.Telemetry.sn_reasons);
-  check bool_ "reasons in order" true
-    (List.nth big.Telemetry.sn_reasons 100_000 = "100000");
+  let reasons = big.Telemetry.sn_health.Slo.reasons in
+  check int_ "every reason kept" 100_001 (List.length reasons);
+  check bool_ "reasons in order" true (List.nth reasons 100_000 = "100000");
   if dt > 2. then Alcotest.failf "100k-line decode took %.1f s" dt;
   (* the cluster view shows a peer with a malformed reply as unreachable *)
   let u =
@@ -464,11 +500,158 @@ let test_wire_mutations () =
         "peer\tx\nat\tfast\n")
   in
   check string_ "malformed reply is unreachable" "unreachable"
-    u.Telemetry.sn_state;
+    (Slo.state_label u.Telemetry.sn_health.Slo.state);
   check bool_ "reason names the decode failure" true
     (List.exists
        (fun r -> contains r "malformed telemetry")
-       u.Telemetry.sn_reasons)
+       u.Telemetry.sn_health.Slo.reasons)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot decoder fuzzing                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The seeds: wire forms of snapshots covering every record, an
+   unreachable peer, non-finite numbers and reasons with tabs and
+   newlines (which [to_wire] flattens). *)
+let fuzz_seeds =
+  Array.map Telemetry.to_wire
+    [| snapshot
+         ~reasons:[ "queue: backlog\t(12 jobs)"; "two\nlines" ]
+         ~endpoints:
+           [ row ~state:Slo.Unready ~reason:"error budget exhausted" "a:f";
+             { (row "b:g") with Slo.h_p50 = nan; h_p95 = nan; h_p99 = nan } ]
+         ~values:
+           [ Slo.Gauge ("lag", 0.25); Slo.Gauge ("big", infinity);
+             Slo.Gauge ("neg", neg_infinity); Slo.Shard_version 42;
+             Slo.Breaker ("xrpc://q", "half_open") ]
+         ();
+       Telemetry.unreachable ~peer:"xrpc://d" ~at_ms:1792287005162.233
+         ~reason:"Failure(\"connection\trefused\")";
+       snapshot ~state:Slo.Ready ~at_ms:(0.1 +. 0.2) ();
+       snapshot ~state:Slo.Unready ~reasons:[ "" ]
+         ~endpoints:[ row ~reason:"" "" ]
+         ~values:[ Slo.Breaker ("", "closed"); Slo.Shard_version 0 ]
+         () |]
+
+(* One mutation: truncate, flip a bit, splice in a slice of a seed,
+   duplicate a line or drop one. *)
+let mutate rng w =
+  let n = String.length w in
+  let pos () = Random.State.int rng (n + 1) in
+  let lines () = String.split_on_char '\n' w in
+  let pick l = Random.State.int rng (max 1 (List.length l)) in
+  match Random.State.int rng 5 with
+  | 0 -> String.sub w 0 (pos ())
+  | 1 when n > 0 ->
+      let b = Bytes.of_string w in
+      let i = Random.State.int rng n in
+      Bytes.set b i
+        (Char.chr (Char.code w.[i] lxor (1 lsl Random.State.int rng 8)));
+      Bytes.to_string b
+  | 2 ->
+      let src = fuzz_seeds.(Random.State.int rng (Array.length fuzz_seeds)) in
+      let a = Random.State.int rng (String.length src + 1) in
+      let len = Random.State.int rng (String.length src - a + 1) in
+      let at = pos () in
+      String.sub w 0 at ^ String.sub src a len ^ String.sub w at (n - at)
+  | 3 ->
+      let ls = lines () in
+      let k = pick ls in
+      String.concat "\n"
+        (List.concat
+           (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) ls))
+  | _ ->
+      let ls = lines () in
+      let k = pick ls in
+      String.concat "\n" (List.filteri (fun i _ -> i <> k) ls)
+
+(* FUZZ_SEED=<n> replays the one case a failure names. *)
+let fuzz_seed = Option.bind (Sys.getenv_opt "FUZZ_SEED") int_of_string_opt
+
+let fuzz_case seed =
+  let rng = Random.State.make [| seed |] in
+  let w = ref fuzz_seeds.(Random.State.int rng (Array.length fuzz_seeds)) in
+  for _ = 0 to Random.State.int rng 4 do
+    w := mutate rng !w
+  done;
+  match Telemetry.of_wire !w with
+  | _ | (exception Telemetry.Malformed _) -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "FUZZ_SEED=%d: %s escaped on %S" seed
+        (Printexc.to_string e) !w
+
+(* 10k cases under runtest; [dune build @fuzz] sets QCHECK_LONG for 100k *)
+let prop_mutations =
+  QCheck.Test.make ~name:"mutated wire decodes or raises Malformed"
+    ~count:(if fuzz_seed = None then 10_000 else 1)
+    ~long_factor:10
+    (QCheck.make
+       ~print:(Printf.sprintf "FUZZ_SEED=%d")
+       (match fuzz_seed with
+       | Some s -> QCheck.Gen.return s
+       | None -> QCheck.Gen.int_bound 0x3FFF_FFFF))
+    fuzz_case
+
+let test_truncation_every_byte () =
+  Array.iter
+    (fun w ->
+      for i = 0 to String.length w do
+        match Telemetry.of_wire (String.sub w 0 i) with
+        | _ | (exception Telemetry.Malformed _) -> ()
+        | exception e ->
+            Alcotest.failf "truncated at %d: %s escaped" i (Printexc.to_string e)
+      done)
+    fuzz_seeds
+
+(* Arbitrary snapshots whose strings are already clean (no tab, newline
+   or carriage return): the wire must give each one back bit-exactly. *)
+let gen_snapshot =
+  let open QCheck.Gen in
+  let clean_char = map (function '\t' | '\n' | '\r' -> ' ' | c -> c) char in
+  let str = string_size ~gen:clean_char (int_bound 12) in
+  let num =
+    frequency
+      [ ( 1,
+          oneofl
+            [ nan; infinity; neg_infinity; 0.; -0.; 0.1 +. 0.2;
+              1792287005162.233; 5e-324; max_float; 1e15; 123456789012345.6 ] );
+        (3, map Int64.float_of_bits ui64); (2, float) ]
+  in
+  let state = oneofl Slo.states in
+  let row =
+    let* name = str and* fs = list_repeat 8 num and* st = state
+    and* reason = opt str in
+    match fs with
+    | [ rate; err; p50; p95; p99; r1m; budget; burn ] ->
+        return
+          { Slo.h_endpoint = name; h_rate = rate; h_err_rate = err;
+            h_p50 = p50; h_p95 = p95; h_p99 = p99; h_reqs_1m = r1m;
+            h_budget = budget; h_burn = burn; h_state = st; h_reason = reason }
+    | _ -> assert false
+  in
+  let value =
+    oneof
+      [ map2 (fun n v -> Slo.Gauge (n, v)) str num;
+        map (fun v -> Slo.Shard_version v) (int_bound max_int);
+        map2
+          (fun d st -> Slo.Breaker (d, st))
+          str (oneofl Telemetry.breaker_states) ]
+  in
+  let* peer = str and* at_ms = num and* state = state
+  and* reasons = list_size (int_bound 4) str
+  and* endpoints = list_size (int_bound 4) row
+  and* values = list_size (int_bound 6) value in
+  return (snapshot ~peer ~at_ms ~state ~reasons ~endpoints ~values ())
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"of_wire inverts to_wire, bit-exact" ~count:2_000
+    ~long_factor:10
+    (QCheck.make ~print:Telemetry.to_wire gen_snapshot)
+    (fun sn -> same_snapshot (Telemetry.of_wire (Telemetry.to_wire sn)) sn)
+
+let qcheck_quick t =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 23 |]) t
 
 (* ------------------------------------------------------------------ *)
 (* Executor instrumentation                                            *)
@@ -582,9 +765,10 @@ let test_cluster_health_federation () =
              [ [ Xdm.int i ] ])
       done)
     uris;
+  let state_of_sn sn = Slo.state_label sn.Telemetry.sn_health.Slo.state in
   let cv = Cluster.cluster_health t in
   check int_ "one snapshot per peer" 4 (List.length cv.Telemetry.cv_peers);
-  check string_ "cluster healthy" "ready" cv.Telemetry.cv_state;
+  check string_ "cluster healthy" "ready" (Slo.state_label cv.Telemetry.cv_state);
   check bool_ "shard versions reported" true
     (List.length cv.Telemetry.cv_shard_versions = 4);
   check bool_ "shard map agreed" true cv.Telemetry.cv_shard_agree;
@@ -592,37 +776,65 @@ let test_cluster_health_federation () =
   List.iter
     (fun sn ->
       let uri = sn.Telemetry.sn_peer in
+      let scraped = sn.Telemetry.sn_health in
       check bool_ "peer uri known" true (List.mem uri uris);
       (* the scraped state agrees with the peer's own /healthz *)
+      let own = Slo.health ~scope:uri () in
       check string_ (uri ^ " state agrees with its healthz")
-        (Slo.state_label (state_of ~scope:uri))
-        sn.Telemetry.sn_state;
+        (Slo.state_label own.Slo.state) (state_of_sn sn);
       check bool_ (uri ^ " healthz.json ready") true
         Json_check.(bool (member "ready" (healthz_json ~scope:uri)));
+      (* every scraped row is the peer's own row, every float bit-exact
+         (the scrape itself may add the telemetry endpoint's row at home) *)
+      List.iter
+        (fun (e : Slo.endpoint_health) ->
+          match
+            List.find_opt
+              (fun (h : Slo.endpoint_health) -> h.h_endpoint = e.h_endpoint)
+              own.Slo.endpoints
+          with
+          | Some h ->
+              check bool_ (uri ^ " " ^ e.h_endpoint ^ " row equals its own") true
+                (same_row e h)
+          | None -> Alcotest.failf "%s: scraped row %s unknown" uri e.h_endpoint)
+        scraped.Slo.endpoints;
       match
         List.find_opt
-          (fun e -> e.Telemetry.ep_name = "test:ping")
-          sn.Telemetry.sn_endpoints
+          (fun (e : Slo.endpoint_health) -> e.h_endpoint = "test:ping")
+          scraped.Slo.endpoints
       with
       | None -> Alcotest.failf "%s snapshot lacks the ping endpoint" uri
       | Some e ->
-          check (Alcotest.float 1e-6) (uri ^ " windowed request count") 12.
-            e.Telemetry.ep_reqs_1m;
+          check float_ (uri ^ " windowed request count") 12. e.h_reqs_1m;
           check bool_ (uri ^ " windowed p99 present") true
-            (not (Float.is_nan e.Telemetry.ep_p99));
-          (* the wire p99 is the peer's own windowed quantile (mod the
-             %.6g wire rounding) *)
-          let local =
-            List.find
-              (fun (h : Slo.endpoint_health) -> h.Slo.h_endpoint = "test:ping")
-              (Slo.endpoints ~scope:uri ())
-          in
-          check bool_ (uri ^ " p99 agrees with local window") true
-            (Float.abs (e.Telemetry.ep_p99 -. local.Slo.h_p99)
-            <= 0.001 *. Float.max 1. local.Slo.h_p99))
+            (not (Float.is_nan e.h_p99)))
     cv.Telemetry.cv_peers;
-  check string_ "cluster json renders" "ready"
-    Json_check.(str (member "state" (reread (Telemetry.cluster_json cv))));
+  let cz = reread (Telemetry.cluster_json cv) in
+  check string_ "cluster json renders" "ready" Json_check.(str (member "state" cz));
+  check bool_ "cluster json endpoint rows are /healthz rows" true
+    (List.for_all
+       (fun p ->
+         List.for_all
+           (fun e -> Json_check.has "budget" e && Json_check.has "objective" e)
+           Json_check.(items (member "endpoints" p)))
+       Json_check.(items (member "peers" cz)));
+  (* a source that raises makes its scope unready with a reason, both in
+     the peer's /healthz and in the scraped snapshot *)
+  Slo.register_source ~scope:"xrpc://c" ~name:"disk" (fun () -> failwith "io");
+  let reason = "disk: disk probe raised" in
+  check bool_ "healthz names the raising source" true
+    (contains
+       (Slo.healthz_text (Slo.health ~scope:"xrpc://c" ()))
+       ("reason: " ^ reason));
+  let cv = Cluster.cluster_health t in
+  let c =
+    List.find (fun sn -> sn.Telemetry.sn_peer = "xrpc://c") cv.Telemetry.cv_peers
+  in
+  check string_ "scraped raising source is unready" "unready" (state_of_sn c);
+  check bool_ "scraped snapshot carries the reason" true
+    (List.mem reason c.Telemetry.sn_health.Slo.reasons);
+  check string_ "cluster takes the worst" "unready"
+    (Slo.state_label cv.Telemetry.cv_state);
   (* kill one member: the very next scrape (well within one window
      tier) must show it unhealthy rather than dropping it *)
   Cluster.crash t "d";
@@ -634,14 +846,14 @@ let test_cluster_health_federation () =
       (fun sn -> sn.Telemetry.sn_peer = "xrpc://d")
       cv.Telemetry.cv_peers
   in
-  check string_ "dead peer unreachable" "unreachable"
-    dead.Telemetry.sn_state;
-  check string_ "worst state wins" "unreachable" cv.Telemetry.cv_state;
+  check string_ "dead peer unreachable" "unreachable" (state_of_sn dead);
+  check string_ "worst state wins" "unreachable"
+    (Slo.state_label cv.Telemetry.cv_state);
   List.iter
     (fun sn ->
-      if sn.Telemetry.sn_peer <> "xrpc://d" then
-        check string_ (sn.Telemetry.sn_peer ^ " still ready") "ready"
-          sn.Telemetry.sn_state)
+      match sn.Telemetry.sn_peer with
+      | "xrpc://d" | "xrpc://c" -> ()
+      | p -> check string_ (p ^ " still ready") "ready" (state_of_sn sn))
     cv.Telemetry.cv_peers;
   check bool_ "cluster text renders the outage" true
     (contains (Telemetry.cluster_text cv) "unreachable")
@@ -671,6 +883,11 @@ let test_http_monitoring_routes () =
   check int_ "clusterz has the self peer" 1
     (List.length Json_check.(items (member "peers" cz)));
   check string_ "clusterz state" "ready" Json_check.(str (member "state" cz));
+  let self = List.hd Json_check.(items (member "peers" cz)) in
+  check (Alcotest.list string_) "clusterz carries the runtime gauges"
+    [ "active_connections"; "served_1m_rate"; "loop_lag_p99_ms";
+      "executor_queue_depth" ]
+    (Json_check.keys (Json_check.member "gauges" self));
   check bool_ "clusterz text renders" true
     (contains (http_get port "/clusterz") "cluster: ready");
   check bool_ "metrics exports windowed series" true
@@ -688,31 +905,35 @@ let test_http_monitoring_routes () =
   check bool_ "routes tracked as endpoints" true
     (contains (http_get port "/healthz") "/metrics")
 
-(* An objective that tolerates no error burns at an infinite rate once
-   one occurs: the text says [inf], the JSON (which has no token for
-   it) says null and stays parseable. *)
-let test_http_non_finite_burn () =
+(* An endpoint idle for a minute has no p99: the text says [-], the
+   JSON (which has no token for NaN) says null and stays parseable. *)
+let test_http_non_finite_p99 () =
   with_clean @@ fun () ->
+  let t = fake_clock () in
   let peer = Peer.create "xrpc://127.0.0.1:0" in
   let scope = peer.Peer.uri in
-  let objective = { Slo.default_objective with Slo.max_error_rate = 0. } in
-  Slo.declare ~objective ~scope "strict";
   for _ = 1 to 3 do
-    Slo.record ~scope ~endpoint:"strict" ~dur_ms:1. ~error:true ()
+    Slo.record ~scope ~endpoint:"idle" ~dur_ms:1. ~error:false ()
   done;
+  t := 120_000.;
   let server = Server.create ~config:(Server.config ~port:0 ~workers:2 ()) peer in
   Fun.protect ~finally:(fun () -> Server.stop server)
   @@ fun () ->
   let port = Server.start server in
-  check bool_ "text keeps burn inf" true
-    (contains (http_get port "/healthz") "burn inf");
+  check bool_ "text says p99 -" true
+    (List.exists
+       (fun l -> contains l "endpoint idle" && contains l "p99 -  budget")
+       (String.split_on_char '\n' (http_get port "/healthz")));
   let hj = Json_check.parse_ok "/healthz.json" (http_get port "/healthz.json") in
-  let strict =
+  let idle =
     List.find
-      (fun e -> Json_check.(str (member "endpoint" e)) = "strict")
+      (fun e -> Json_check.(str (member "endpoint" e)) = "idle")
       Json_check.(items (member "endpoints" hj))
   in
-  check bool_ "burn is null" true (Json_check.member "burn" strict = Xrpc_obs.Json.Null)
+  check bool_ "p99 is null" true
+    (Json_check.member "p99_ms" idle = Xrpc_obs.Json.Null);
+  check float_ "objective printed from the constant" 100.
+    Json_check.(num (member "p99_ms" (member "objective" idle)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -763,7 +984,14 @@ let () =
         [
           Alcotest.test_case "monitoring routes end-to-end" `Quick
             test_http_monitoring_routes;
-          Alcotest.test_case "non-finite burn is null in JSON" `Quick
-            test_http_non_finite_burn;
+          Alcotest.test_case "non-finite p99 is null in JSON" `Quick
+            test_http_non_finite_p99;
+        ] );
+      ( "fuzz",
+        [
+          qcheck_quick prop_mutations;
+          Alcotest.test_case "every seed truncated at every byte" `Quick
+            test_truncation_every_byte;
+          qcheck_quick prop_roundtrip;
         ] );
     ]
