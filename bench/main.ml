@@ -387,7 +387,7 @@ let table4 () =
   let cluster = Cluster.create ~names:[ "A" ] () in
   let a = Cluster.peer cluster "A" in
   let b = Cluster.add_wrapper cluster ~join_detect:true "B" in
-  b.Wrapper.transport <- Some (Simnet.transport (Cluster.net cluster));
+  Wrapper.set_transport b (Simnet.transport (Cluster.net cluster));
   Database.add_doc_xml a.Peer.db "persons.xml"
     (Xmark.persons ~count:scale.Xmark.persons ());
   Database.add_doc_xml b.Wrapper.db "auctions.xml"

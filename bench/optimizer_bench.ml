@@ -98,7 +98,7 @@ let build_cluster setting =
   let cluster = Cluster.create ~config:sim ~names:[ "A" ] () in
   let a = Cluster.peer cluster "A" in
   let b = Cluster.add_wrapper cluster ~join_detect:true "B" in
-  b.Wrapper.transport <- Some (Simnet.transport (Cluster.net cluster));
+  Wrapper.set_transport b (Simnet.transport (Cluster.net cluster));
   let persons_xml = Xmark.persons ~count:setting.s_scale.Xmark.persons () in
   let auctions_xml =
     Xmark.auctions ~count:setting.s_scale.Xmark.auctions

@@ -97,7 +97,7 @@ let profile_query peer source =
   print_string (Profile.render prof)
 
 (* REPL meta-commands, ':'-prefixed like most database shells. *)
-let command peer line =
+let command ~client peer line =
   let line = String.trim line in
   let word, rest =
     match String.index_opt line ' ' with
@@ -136,9 +136,8 @@ let command peer line =
       let now = Trace.now_ms () in
       let scrape dest =
         Telemetry.scrape ~peer:dest ~at_ms:now (fun () ->
-            Xrpc_core.Xrpc_client.call
-              (Xrpc_core.Xrpc_client.connect_http ~origin:peer.Peer.uri ())
-              ~dest ~module_uri:Xrpc_xml.Qname.ns_xrpc ~fn:"telemetry" []
+            Xrpc_core.Xrpc_client.call client ~dest
+              ~module_uri:Xrpc_xml.Qname.ns_xrpc ~fn:"telemetry" []
             |> Xrpc_xml.Xdm.one_item ~what:"telemetry"
             |> Xrpc_xml.Xdm.string_value)
       in
@@ -249,7 +248,7 @@ let command peer line =
       true
   | _ -> false
 
-let repl peer =
+let repl ~client peer =
   print_endline
     "XRPC shell — terminate a query with a single '.' line; ctrl-d exits.\n\
      Meta-commands: :explain <q>, :profile <q>, :trace on|off, :metrics \
@@ -265,7 +264,7 @@ let repl peer =
         if Buffer.length buf > 0 then run_query peer (Buffer.contents buf);
         Buffer.clear buf;
         loop ()
-    | line when Buffer.length buf = 0 && command peer line -> loop ()
+    | line when Buffer.length buf = 0 && command ~client peer line -> loop ()
     | line ->
         Buffer.add_string buf line;
         Buffer.add_char buf '\n';
@@ -283,11 +282,19 @@ let main verbose data trace query_file =
      process's first call could be answered from a server's idem cache
      with the FIRST process's response *)
   let peer = Peer.create (Printf.sprintf "xrpc://shell-%d.local" (Unix.getpid ())) in
-  Peer.set_transport peer (Xrpc_net.Http.transport ());
+  (* the peer's execute-at calls and :cluster's scrapes share one
+     outgoing path, so they draw their keys from one counter *)
+  let client =
+    Xrpc_core.Xrpc_client.(
+      connect_http
+        ~config:(config ~executor:Xrpc_net.Executor.unbounded ())
+        ~origin:peer.Peer.uri ())
+  in
+  peer.Peer.transport <- Some (Xrpc_core.Xrpc_client.outbound client);
   Option.iter (load_data peer) data;
   match query_file with
   | Some path -> run_query peer (read_file path)
-  | None -> if Unix.isatty Unix.stdin then repl peer
+  | None -> if Unix.isatty Unix.stdin then repl ~client peer
             else run_query peer (In_channel.input_all stdin)
 
 open Cmdliner

@@ -1,9 +1,9 @@
 (** Unified XRPC client façade.
 
-    One front door for everything the query-originating site does on the
-    wire: connect over Simnet, HTTP or any transport; call remote XQuery
-    functions singly, in Bulk RPC batches, scattered across peers, or
-    asynchronously; and observe the recovery policy at work.
+    Typed XDM in and out for everything the query-originating site does
+    on the wire: call remote XQuery functions singly, in Bulk RPC batches
+    or scattered across peers, over HTTP or any transport, and observe
+    the recovery policy's breakers.
 
     {[
       let client =
@@ -18,44 +18,32 @@
           ~fn:"filmsByActor" [ [ Xdm.str "Sean Connery" ] ]
     ]}
 
-    Every outgoing request is stamped with a unique idempotency key, so
-    retries at the transport layer never re-execute updating functions.
-    SOAP Faults surface as typed {!Xrpc_net.Xrpc_error.Error} exceptions
-    (the fault reason round-trips losslessly).  Multi-peer calls fan out
-    through the configured {!Xrpc_net.Executor}. *)
+    Every message goes through the site's one outgoing path
+    ({!Xrpc_peer.Outbound}): it is serialized in an [rpc] span, stamped
+    with a unique idempotency key (so retries at the transport layer never
+    re-execute updating functions), counted in the profile's destination
+    rows and decoded with [Message.of_reply].  SOAP Faults surface as
+    typed {!Xrpc_net.Xrpc_error.Error} exceptions (the fault reason
+    round-trips losslessly). *)
 
 (** {2 Configuration} *)
 
 type config = {
   policy : Xrpc_net.Transport.policy option;
+      (** retry, backoff and circuit breaker, on the wall clock *)
   executor : Xrpc_net.Executor.t;
-  seed : int;  (** deterministic backoff jitter *)
-  tracing : bool;  (** enable the global tracer on connect *)
+      (** drives parallel sends and the policy's concurrent retries *)
   keep_alive : bool;  (** HTTP: pool one connection per destination *)
-  default_port : int;  (** HTTP: port for xrpc:// URIs without one *)
-  result_cache : bool;
-      (** allow serving peers to answer this client's read-only calls from
-          their semantic result caches (default); [false] stamps every
-          request [cache="off"] *)
-  strategy : Strategies.strategy option;
-      (** pin {!choose_strategy} to one §5 strategy instead of letting the
-          cost model rank them (the [~strategy] config counterpart of the
-          [XRPC_FORCE_STRATEGY] env override) *)
 }
 
 val config :
   ?policy:Xrpc_net.Transport.policy ->
   ?executor:Xrpc_net.Executor.t ->
-  ?seed:int ->
-  ?tracing:bool ->
   ?keep_alive:bool ->
-  ?default_port:int ->
-  ?result_cache:bool ->
-  ?strategy:Strategies.strategy ->
   unit ->
   config
-(** Builder with the defaults: no policy, sequential executor, seed 0,
-    tracing off, keep-alive off, port 8080, result caching allowed. *)
+(** Builder with the defaults: no policy, sequential executor, keep-alive
+    off. *)
 
 val default_config : config
 
@@ -72,33 +60,21 @@ val connect_transport :
 val connect_policied :
   ?config:config -> ?origin:string -> Xrpc_net.Transport.policied -> t
 (** Front an already-policied transport (e.g. a cluster's shared policy
-    layer), keeping its stats and breakers visible via {!policy_stats}. *)
-
-val connect_simnet :
-  ?config:config -> ?origin:string -> Xrpc_net.Simnet.t -> t
-(** Front the deterministic simulated network.  The executor is {e forced
-    sequential} regardless of [config.executor] — Simnet owns a virtual
-    clock and is single-threaded, so this is the mode whose seeded chaos
-    runs replay bit-identically. *)
+    layer), keeping its breakers visible via {!breaker}. *)
 
 val connect_http : ?config:config -> ?origin:string -> unit -> t
-(** Front real HTTP: destinations are [xrpc://host:port[/path]] URIs.
-    The policy's [timeout_ms] doubles as the socket timeout. *)
+(** Front real HTTP: destinations are [xrpc://host:port[/path]] URIs
+    (port 8080 when absent).  The policy's [timeout_ms] doubles as the
+    socket timeout. *)
 
 (** {2 Introspection} *)
 
-val transport : t -> Xrpc_net.Transport.t
-(** The underlying transport, for wiring into [Peer.set_transport]. *)
+val outbound : t -> Xrpc_peer.Outbound.t
+(** The client's outgoing path.  A peer that shares it (set as its
+    [Peer.transport]) mints its keys from the same counter. *)
 
 val executor : t -> Xrpc_net.Executor.t
-val policy_stats : t -> Xrpc_net.Transport.policy_stats option
 val breaker : t -> string -> Xrpc_net.Transport.breaker_state option
-
-val set_result_caching : t -> bool -> unit
-(** Flip the default for requests without an explicit [?cache] argument:
-    [false] stamps them [cache="off"], so serving peers always execute. *)
-
-val result_caching : t -> bool
 
 (** {2 Calls}
 
@@ -166,13 +142,8 @@ val call_scatter :
   (string * Xrpc_xml.Xdm.sequence list) list ->
   Xrpc_xml.Xdm.sequence list
 (** One single-call request per [(dest, params)] pair, dispatched
-    concurrently through the client's executor; results in input order. *)
-
-val call_raw : t -> dest:string -> string -> string
-(** Send a pre-serialized message body; returns the raw reply body. *)
-
-val call_raw_bulk : t -> (string * string) list -> string list
-(** Raw multi-destination fan-out through the executor. *)
+    concurrently through the transport's parallel send; results in input
+    order. *)
 
 (** {2 Sharded scatter-gather}
 
@@ -213,54 +184,7 @@ val call_gather :
     failing leg raises that leg's typed error with the failing [dest];
     partial results are never returned. *)
 
-(** {2 Asynchronous calls} *)
-
-type 'a future = 'a Xrpc_net.Executor.future
-
-val call_async :
-  t ->
-  dest:string ->
-  ?query_id:Xrpc_soap.Message.query_id ->
-  ?updating:bool ->
-  ?fragments:bool ->
-  ?cache:bool ->
-  module_uri:string ->
-  ?location:string ->
-  fn:string ->
-  Xrpc_xml.Xdm.sequence list ->
-  Xrpc_xml.Xdm.sequence future
-(** Like {!call} but returns immediately with a future (resolved inline
-    when the executor is sequential). *)
-
-val await : 'a future -> 'a
-val await_result : 'a future -> ('a, exn) result
-
-(** {2 Cost-based strategy choice}
-
-    The client is the query-originating site, so it is where the §5
-    strategy decision surfaces: {!choose_strategy} ranks the four plans
-    with the {!Cost} model (Tables 2–4 terms), {!measure_site} seeds the
-    model's site statistics from a live probe. *)
-
-val set_strategy : t -> Strategies.strategy option -> unit
-(** Pin (or unpin) the strategy {!choose_strategy} returns. *)
-
-val strategy : t -> Strategies.strategy option
-
-val choose_strategy :
-  t ->
-  ?force:Strategies.strategy ->
-  ?dest:string ->
-  ?net:Cost.net ->
-  ?cpu:Cost.cpu ->
-  Cost.site ->
-  Cost.decision
-(** Rank the §5 strategies for a site and return the full decision —
-    chosen plan plus every rejected alternative with its estimated cost.
-    [?dest] applies that destination's calibration factors (falling back
-    to the global per-strategy EMA).  Force precedence: [?force], then
-    the client's configured [~strategy], then the [XRPC_FORCE_STRATEGY]
-    environment variable. *)
+(** {2 Optimizer feedback} *)
 
 val measure_site :
   t ->

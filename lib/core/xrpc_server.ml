@@ -28,6 +28,7 @@ module Peer = Xrpc_peer.Peer
 module Http = Xrpc_net.Http
 module Evloop = Xrpc_net.Evloop
 module Executor = Xrpc_net.Executor
+module Transport = Xrpc_net.Transport
 module Metrics = Xrpc_obs.Metrics
 module Slo = Xrpc_obs.Slo
 module Telemetry = Xrpc_obs.Telemetry
@@ -292,14 +293,19 @@ let create ?(config = default_config) peer =
   in
   if config.outgoing then begin
     (* outgoing calls of hosted functions also travel over HTTP, through
-       the client façade: pooled keep-alive connections, parallel fan-out *)
+       the client façade: pooled keep-alive connections, parallel fan-out,
+       and the default recovery policy, whose breakers feed the "breaker"
+       health source.  The peer shares the client's outgoing path, so
+       its execute-at calls and the telemetry scrapes draw idempotency
+       keys from one counter *)
     let client =
       Xrpc_client.connect_http
         ~config:
-          (Xrpc_client.config ~executor:Executor.unbounded ~keep_alive:true ())
+          (Xrpc_client.config ~policy:Transport.default_policy
+             ~executor:Executor.unbounded ~keep_alive:true ())
         ~origin:peer.Peer.uri ()
     in
-    Peer.set_transport peer (Xrpc_client.transport client);
+    peer.Peer.transport <- Some (Xrpc_client.outbound client);
     Peer.set_executor peer (Xrpc_client.executor client);
     t.client <- Some client
   end;
@@ -372,9 +378,9 @@ let register_runtime_sources t executor =
             List.filter_map
               (fun d ->
                 match Xrpc_client.breaker c d with
-                | Some (Xrpc_net.Transport.Open _) -> Some (d, "open")
-                | Some Xrpc_net.Transport.Half_open -> Some (d, "half_open")
-                | Some Xrpc_net.Transport.Closed -> Some (d, "closed")
+                | Some (Transport.Open _) -> Some (d, "open")
+                | Some Transport.Half_open -> Some (d, "half_open")
+                | Some Transport.Closed -> Some (d, "closed")
                 | None -> None)
               peers
           in

@@ -45,7 +45,6 @@ exception Error = Xrpc_error.Error
 
 let error = Xrpc_error.error
 let kind_name = Xrpc_error.kind_name
-let error_to_string = Xrpc_error.error_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Recovery policy                                                     *)

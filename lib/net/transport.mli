@@ -31,7 +31,6 @@ exception Error of Xrpc_error.t
 
 val error : kind:error_kind -> dest:string -> ('a, unit, string, 'b) format4 -> 'a
 val kind_name : error_kind -> string
-val error_to_string : exn -> string
 
 (** {2 Recovery policy} *)
 

@@ -41,9 +41,10 @@ let to_string { kind; dest; info } =
   if dest = "" then Printf.sprintf "%s: %s" k info
   else Printf.sprintf "%s to %s: %s" k dest info
 
-let error_to_string = function
-  | Error e -> to_string e
-  | e -> Printexc.to_string e
+(* [Printexc.to_string] of an [Error] names its kind, destination and
+   info, wherever it is printed (a /clusterz reason, a 2PC vote) *)
+let () =
+  Printexc.register_printer (function Error e -> Some (to_string e) | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* SOAP fault round trip                                               *)

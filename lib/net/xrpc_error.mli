@@ -19,9 +19,8 @@ val error : kind:kind -> dest:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val kind_name : kind -> string
 val to_string : t -> string
-
-val error_to_string : exn -> string
-(** {!to_string} on {!Error}, [Printexc.to_string] otherwise. *)
+(** Also registered with [Printexc]: [Printexc.to_string (Error e)] is
+    [to_string e]. *)
 
 val to_soap_fault : t -> [ `Sender | `Receiver ] * string
 (** Render as a SOAP (fault-code, reason) pair.  Transport-kind errors

@@ -17,7 +17,6 @@ module Message = Xrpc_soap.Message
 module Xctx = Xrpc_xquery.Context
 module Runner = Xrpc_xquery.Runner
 module Update = Xrpc_xquery.Update
-module Transport = Xrpc_net.Transport
 module Executor = Xrpc_net.Executor
 module Xrpc_error = Xrpc_net.Xrpc_error
 module Xrpc_uri = Xrpc_net.Xrpc_uri
@@ -58,13 +57,11 @@ let m_calls = Metrics.counter "peer.calls"
 let m_queries = Metrics.counter "peer.queries"
 
 (** Peer-private state, hidden behind the interface: module registries,
-    the client-side idempotency counter, the coordinator's decision log,
-    the clock, and the request-handling lock. *)
+    the coordinator's decision log, the clock, and the request-handling
+    lock. *)
 type internals = {
   modules : (string, string) Hashtbl.t;  (** module namespace uri -> source *)
   locations : (string, string) Hashtbl.t;  (** at-hint location -> source *)
-  mutable idem_seq : int;  (** client-side idempotency key counter *)
-  seq_lock : Mutex.t;  (** guards [idem_seq] against concurrent dispatch *)
   tx_decisions : (string, bool) Hashtbl.t;
       (** coordinator decision log (queryID key -> committed) backing the
           Status recovery of in-doubt participants (presumed abort) *)
@@ -105,7 +102,8 @@ type t = {
           are not cached: a failed request had no effects, so re-executing
           it on retry is safe and the only way a transient error heals. *)
   isolation : Isolation.t;
-  mutable transport : Transport.t option;
+  mutable transport : Outbound.t option;
+      (** every message this peer originates goes through it *)
   mutable executor : Executor.t;
       (** drives the 2PC prepare/decision broadcasts of distributed
           commits; sequential by default so Simnet chaos runs replay
@@ -135,8 +133,6 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
       {
         modules = Hashtbl.create 8;
         locations = Hashtbl.create 8;
-        idem_seq = 0;
-        seq_lock = Mutex.create ();
         tx_decisions = Hashtbl.create 8;
         clock;
         lock = Mutex.create ();
@@ -162,7 +158,8 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
              peer.internals.shard_map) ));
   peer
 
-let set_transport peer transport = peer.transport <- Some transport
+let set_transport peer transport =
+  peer.transport <- Some (Outbound.create ~origin:peer.uri transport)
 let set_executor peer executor = peer.executor <- executor
 
 (** Attach (or detach) a shard map: [execute at {"xrpc://shard/<key>"}]
@@ -231,101 +228,33 @@ let doc_resolver peer (version : Database.version) uri_str : Store.t =
     if Xrpc_uri.peer_key uri = self_key then
       Database.doc_exn version uri.Xrpc_uri.path
     else
-      let transport =
-        match peer.transport with
-        | Some t -> t
-        | None -> err "fn:doc(%s): no transport configured" uri_str
-      in
-      let request =
-        {
-          Message.module_uri = Qname.ns_xrpc;
-          location = "";
-          method_ = "getDocument";
-          arity = 1;
-          updating = false;
-          fragments = false;
-          query_id = None;
-          idem_key = None; cache_ok = true;
-          calls = [ [ [ Xdm.str uri.Xrpc_uri.path ] ] ];
-        }
-      in
-      let raw =
-        transport.Transport.send
-          ~dest:("xrpc://" ^ Xrpc_uri.peer_key uri)
-          (Message.to_string (Message.Request request))
-      in
-      match Message.of_string raw with
-      | Message.Response { results = [ [ Xdm.Node n ] ]; _ } -> n.Store.store
-      | Message.Fault f -> err "fn:doc(%s): %s" uri_str f.Message.reason
-      | _ -> err "fn:doc(%s): malformed response" uri_str
+      match peer.transport with
+      | Some out -> Outbound.fetch_document out uri_str
+      | None -> err "fn:doc(%s): no transport configured" uri_str
 
-(* every outgoing request gets a unique idempotency key; retries at the
-   transport layer resend the same serialized body, so the serving peer
-   can deduplicate by key *)
-let assign_idem_key peer (req : Message.request) =
-  match req.Message.idem_key with
-  | Some _ -> req
-  | None ->
-      let i = peer.internals in
-      let seq =
-        Mutex.lock i.seq_lock;
-        i.idem_seq <- i.idem_seq + 1;
-        let s = i.idem_seq in
-        Mutex.unlock i.seq_lock;
-        s
-      in
-      { req with Message.idem_key = Some (Printf.sprintf "%s/%d" peer.uri seq) }
-
-(* dispatcher over the transport; records every destination and piggybacked
-   participant into [peers_acc] for 2PC registration *)
+(* dispatcher over the outgoing path; records every destination and
+   piggybacked participant into [peers_acc] for 2PC registration *)
 let dispatcher peer peers_acc : Xctx.dispatcher =
-  let transport =
+  let out =
     match peer.transport with
-    | Some t -> t
+    | Some o -> o
     | None -> err "execute at: no transport configured on %s" peer.uri
   in
   let note dest = if not (List.mem dest !peers_acc) then peers_acc := dest :: !peers_acc in
-  let decode dest raw =
-    if Trace.recording () then
-      Trace.add (Profile.dest_attr "bytes_in" dest)
-        (float_of_int (String.length raw));
-    match Message.of_reply ~dest raw with
+  let noted dest = function
     | Message.Response r as m ->
         note dest;
         List.iter note r.Message.peers;
         m
     | m -> m
   in
-  let serialize ~dest req =
-    let body = Message.to_string (Message.Request (assign_idem_key peer req)) in
-    if Trace.recording () then begin
-      Trace.add (Profile.dest_attr "msgs" dest) 1.;
-      Trace.add (Profile.dest_attr "bytes_out" dest)
-        (float_of_int (String.length body))
-    end;
-    body
-  in
-  (* each logical RPC gets its own span; the request body is serialized
-     inside it so the SOAP header's parent-span is the rpc span — retries
-     resend the same body, i.e. the same logical parent *)
   {
-    Xctx.call =
-      (fun ~dest req ->
-        Trace.with_span ~detail:dest "rpc" @@ fun () ->
-        decode dest (transport.Transport.send ~dest (serialize ~dest req)));
+    Xctx.call = (fun ~dest req -> noted dest (Outbound.call out ~dest req));
     call_parallel =
       (fun reqs ->
-        Trace.with_span
-          ~detail:(string_of_int (List.length reqs) ^ " peers")
-          "rpc.parallel"
-        @@ fun () ->
-        let bodies =
-          List.map (fun (dest, req) -> (dest, serialize ~dest req)) reqs
-        in
         List.map2
-          (fun (dest, _) raw -> decode dest raw)
-          reqs
-          (transport.Transport.send_parallel bodies));
+          (fun (dest, _) m -> noted dest m)
+          reqs (Outbound.call_parallel out reqs));
   }
 
 (* fn:doc must be stable within a query (XQuery 1.0 §2.1.2), and caching is
@@ -1005,7 +934,7 @@ let run_query peer (source : string) : query_result =
            that miss a Commit/Rollback can recover it via Status. *)
         let transport =
           match peer.transport with
-          | Some t -> t
+          | Some o -> o
           | None -> err "2PC requires a transport"
         in
         let outcome =

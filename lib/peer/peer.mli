@@ -34,8 +34,8 @@ type config = {
 val default_config : config
 
 type internals
-(** Peer-private state (module registries, idempotency-key counter,
-    coordinator decision log, clock, request lock) — not part of the API. *)
+(** Peer-private state (module registries, coordinator decision log,
+    clock, request lock) — not part of the API. *)
 
 type t = {
   uri : string;
@@ -58,7 +58,9 @@ type t = {
           are not cached: a failed request had no effects, so re-executing
           it on retry is safe and the only way a transient error heals. *)
   isolation : Isolation.t;
-  mutable transport : Xrpc_net.Transport.t option;
+  mutable transport : Outbound.t option;
+      (** the outgoing-message path every message this peer originates
+          takes: [execute at] calls, [getDocument] fetches, 2PC *)
   mutable executor : Xrpc_net.Executor.t;
       (** drives the 2PC prepare/decision broadcasts of distributed
           commits; sequential by default so Simnet chaos runs replay
@@ -75,6 +77,8 @@ val create : ?config:config -> ?clock:(unit -> float) -> string -> t
     the wall clock; clusters pass the simulated clock). *)
 
 val set_transport : t -> Xrpc_net.Transport.t -> unit
+(** Send this peer's outgoing messages over [transport], through an
+    {!Outbound} path whose idempotency keys are [uri/N]. *)
 
 val set_executor : t -> Xrpc_net.Executor.t -> unit
 (** Fan this peer's 2PC broadcasts out through [executor].  Keep the

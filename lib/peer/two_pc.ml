@@ -44,35 +44,20 @@ type outcome = {
           via [Status] recovery *)
 }
 
+(* [transport] is the coordinator's (or participant's) outgoing path *)
 let tx transport ~dest op qid =
-  let body = Message.to_string (Message.Tx_request (op, qid)) in
-  match Message.of_string (transport.Transport.send ~dest body) with
-  | Message.Tx_response { ok; info } ->
-      { peer = dest; ok; info; transport_failed = false }
-  | Message.Fault f ->
-      { peer = dest; ok = false; info = f.Message.reason; transport_failed = false }
-  | _ ->
-      {
-        peer = dest;
-        ok = false;
-        info = "malformed transaction reply";
-        transport_failed = false;
-      }
+  let vote ?(transport_failed = false) ok info =
+    { peer = dest; ok; info; transport_failed }
+  in
+  match Outbound.send transport ~dest (Message.Tx_request (op, qid)) with
+  | Message.Tx_response { ok; info } -> vote ok info
+  | Message.Fault f -> vote false f.Message.reason
+  | _ -> vote false "malformed transaction reply"
   | exception (Transport.Error _ as e) ->
-      {
-        peer = dest;
-        ok = false;
-        info = Transport.error_to_string e;
-        transport_failed = true;
-      }
+      vote ~transport_failed:true false (Printexc.to_string e)
   | exception Message.Protocol_error m
   | exception Xrpc_xml.Xml_parse.Parse_error m ->
-      {
-        peer = dest;
-        ok = false;
-        info = "garbled transaction reply: " ^ m;
-        transport_failed = true;
-      }
+      vote ~transport_failed:true false ("garbled transaction reply: " ^ m)
 
 (** In-doubt recovery probe: ask [dest] (the coordinator) whether [qid]
     committed.  [ok = true] means committed; anything else — including an

@@ -94,7 +94,7 @@ type t = {
   modules : (string, string) Hashtbl.t;
   locations : (string, string) Hashtbl.t;
   mutable join_detect : bool;
-  mutable transport : Xrpc_net.Transport.t option;
+  mutable transport : Outbound.t option;
       (** for [fn:doc("xrpc://...")] data shipping only — the wrapper still
           cannot make outgoing XRPC {e calls} (§4) *)
   last : timings;  (** per-request breakdown, Table-3 style *)
@@ -119,6 +119,10 @@ let create ?(join_detect = false) uri =
   Hashtbl.replace t.modules "xrpc-wrapper" wrapper_xq;
   Hashtbl.replace t.locations "wrapper.xq" wrapper_xq;
   t
+
+(** Fetch [fn:doc("xrpc://...")] documents over [transport]. *)
+let set_transport w transport =
+  w.transport <- Some (Outbound.create ~origin:w.uri transport)
 
 let register_module w ~uri ?location source =
   Hashtbl.replace w.modules uri source;
@@ -250,34 +254,9 @@ let handle_raw (w : t) (body : string) : string =
       (* data shipping into the wrapper: plain document fetch, the one
          network interaction an XRPC-incapable engine can do (think Saxon
          resolving an http: URL in fn:doc) *)
-      let transport =
-        match w.transport with
-        | Some t -> t
-        | None -> err "fn:doc(%s): wrapper has no transport" uri_str
-      in
-      let uri = Xrpc_net.Xrpc_uri.parse uri_str in
-      let request =
-        {
-          Message.module_uri = Qname.ns_xrpc;
-          location = "";
-          method_ = "getDocument";
-          arity = 1;
-          updating = false;
-          fragments = false;
-          query_id = None;
-          idem_key = None; cache_ok = true;
-          calls = [ [ [ Xdm.str uri.Xrpc_net.Xrpc_uri.path ] ] ];
-        }
-      in
-      let raw =
-        transport.Xrpc_net.Transport.send
-          ~dest:("xrpc://" ^ Xrpc_net.Xrpc_uri.peer_key uri)
-          (Message.to_string (Message.Request request))
-      in
-      match Message.of_string raw with
-      | Message.Response { results = [ [ Xdm.Node n ] ]; _ } -> n.Store.store
-      | Message.Fault f -> err "fn:doc(%s): %s" uri_str f.Message.reason
-      | _ -> err "fn:doc(%s): malformed response" uri_str
+      match w.transport with
+      | Some out -> Outbound.fetch_document out uri_str
+      | None -> err "fn:doc(%s): wrapper has no transport" uri_str
     in
     let base =
       {

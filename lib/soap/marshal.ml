@@ -121,7 +121,10 @@ let n2s (t : Tree.t) : Xdm.sequence =
                   | Some t -> t
                   | None -> Xs.TUntypedAtomic)
             in
-            Xdm.Atomic (Xs.of_string typ (Tree.string_value (Tree.Document children)))
+            (* a lexical form its type rejects is a malformed message *)
+            (match Xs.of_string typ (Tree.string_value (Tree.Document children)) with
+            | v -> Xdm.Atomic v
+            | exception Xs.Type_error m -> err "xrpc:atomic-value: %s" m)
         | "element" -> (
             match
               List.find_opt

@@ -866,7 +866,6 @@ and bulk_execute base_ctx tuples dest_e fname args =
             calls = [ p0 ];
           }
         in
-        if Trace.recording () then Trace.add (Profile.dest_attr "calls" d0) 1.;
         let result =
           match dispatcher.Context.call ~dest:d0 req with
           | Message.Response { results = [ r ]; _ } -> r
@@ -935,13 +934,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
              (if List.length calls = 1 then "" else "s")
              (List.length requests))
         bulk_span
-      @@ fun () ->
-      List.iter
-        (fun (dest, req) ->
-          Trace.add (Profile.dest_attr "calls" dest)
-            (float_of_int (List.length req.Message.calls)))
-        requests;
-      dispatch ()
+      @@ dispatch
     end
   in
   (* map back: walk tuples in order, pulling the next result for their

@@ -554,11 +554,6 @@ let test_cache_off_escape_hatch () =
   check string_ "cache=off answers identically" warm off;
   check int_ "cache=off never consults the cache" hits0
     (result_stats y).Lru.hits;
-  (* the client-wide default works too *)
-  Client.set_result_caching client false;
-  ignore (films_by client ~dest "Sean Connery");
-  check int_ "client default off" hits0 (result_stats y).Lru.hits;
-  Client.set_result_caching client true;
   ignore (films_by client ~dest "Sean Connery");
   check int_ "back on" (hits0 + 1) (result_stats y).Lru.hits
 

@@ -255,10 +255,11 @@ let test_client_typed_calls () =
   check bool_ "bulk: one result per call, in order" true
     (List.map Xdm.to_display rs = [ "1"; "2"; "3" ]);
   let fut =
-    Client.call_async client ~dest:"xrpc://y" ~module_uri:Testmod.module_ns
-      ~location:Testmod.module_at ~fn:"ping" [ [ Xdm.int 5 ] ]
+    Executor.submit (Client.executor client) (fun () ->
+        Client.call client ~dest:"xrpc://y" ~module_uri:Testmod.module_ns
+          ~location:Testmod.module_at ~fn:"ping" [ [ Xdm.int 5 ] ])
   in
-  check string_ "async" "5" (Xdm.to_display (Client.await fut))
+  check string_ "async" "5" (Xdm.to_display (Executor.await fut))
 
 let test_client_typed_errors () =
   let cluster = Cluster.create ~names:[ "x"; "y" ] () in

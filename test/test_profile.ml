@@ -724,6 +724,231 @@ let test_concurrent_query_slices () =
       | _ -> Alcotest.fail "expected exactly one query phase")
     entries
 
+(* ------------------------------------------------------------------ *)
+(* One outgoing path: every message a site sends is counted alike       *)
+(* ------------------------------------------------------------------ *)
+
+module Transport = Xrpc_net.Transport
+module Strategies = Xrpc_core.Strategies
+module Database = Xrpc_peer.Database
+module Xmark = Xrpc_workloads.Xmark
+module Filmdb = Xrpc_workloads.Filmdb
+
+(* A transport that logs every (dest, request body, reply body). *)
+let recording (inner : Transport.t) log =
+  Transport.sequential (fun ~dest body ->
+      let reply = inner.Transport.send ~dest body in
+      log := !log @ [ (dest, body, reply) ];
+      reply)
+
+let sent_to dest log = List.filter (fun (d, _, _) -> d = dest) !log
+let total f l = List.fold_left (fun acc x -> acc + f x) 0 l
+let dest_row p dest =
+  match List.assoc_opt dest (Profile.dests p) with
+  | Some d -> d
+  | None -> Alcotest.failf "no destination row for %s" dest
+
+let has_rpc_span p dest =
+  List.exists
+    (fun (n : Profile.node) -> n.Profile.name = "rpc" && n.Profile.detail = dest)
+    (Profile.nodes p)
+
+(* Q7 as pure data shipping: the getDocument fetch of auctions.xml is a
+   destination row whose bytes are exactly what crossed the wire *)
+let test_q7_data_shipping_row () =
+  with_clean @@ fun () ->
+  let cluster = Cluster.create ~config:sim_config ~names:[ "A"; "B" ] () in
+  let a = Cluster.peer cluster "A" and b = Cluster.peer cluster "B" in
+  let scale = Xmark.small_scale in
+  Database.add_doc_xml a.Peer.db "persons.xml"
+    (Xmark.persons ~count:scale.Xmark.persons ());
+  Database.add_doc_xml b.Peer.db "auctions.xml"
+    (Xmark.auctions ~count:scale.Xmark.auctions ~matches:scale.Xmark.matches
+       ~persons_count:scale.Xmark.persons ());
+  let q7 =
+    { Strategies.local_doc = "persons.xml"; remote_uri = "xrpc://B";
+      remote_doc = "auctions.xml"; module_ns = "functions_b";
+      module_at = "http://example.org/b.xq" }
+  in
+  let log = ref [] in
+  Peer.set_transport a (recording (Simnet.transport (Cluster.net cluster)) log);
+  let r, p =
+    Cluster.profiled cluster (fun () ->
+        Peer.query_seq a
+          (Strategies.query ~local_uri:"xrpc://A" q7 Strategies.Data_shipping))
+  in
+  check int_ "six matches" 6 (List.length r);
+  let wire = sent_to "xrpc://B" log in
+  check int_ "one fetch" 1 (List.length wire);
+  let d = dest_row p "xrpc://B" in
+  check int_ "one message" 1 d.Profile.d_msgs;
+  check int_ "one call" 1 d.Profile.d_calls;
+  check int_ "bytes out = request on the wire"
+    (total (fun (_, b, _) -> String.length b) wire)
+    d.Profile.d_bytes_out;
+  check int_ "bytes in = reply on the wire"
+    (total (fun (_, _, r) -> String.length r) wire)
+    d.Profile.d_bytes_in;
+  check bool_ "the fetch has an rpc span" true (has_rpc_span p "xrpc://B");
+  assert_has "destination section" "destinations:" (Profile.render p)
+
+let film_cluster () =
+  let cluster = Cluster.create ~config:sim_config ~names:[ "x"; "y"; "z" ] () in
+  let x = Cluster.peer cluster "x" in
+  Filmdb.install (Cluster.peer cluster "y") ();
+  Filmdb.install (Cluster.peer cluster "z") ~variant:`Z ();
+  Peer.register_module x ~uri:Filmdb.module_ns ~location:Filmdb.module_at
+    Filmdb.film_module;
+  (cluster, x)
+
+let add_films =
+  {|import module namespace f="films" at "http://x.example.org/film.xq";
+declare option xrpc:isolation "repeatable";
+for $dst in ("xrpc://y", "xrpc://z")
+return execute at {$dst} {f:addFilm("Counted", "Actor C")}|}
+
+let tx_op body =
+  match Message.of_string body with
+  | Message.Tx_request (op, _) -> Some op
+  | _ -> None
+
+(* a repeatable-isolation update commits with 2PC; the Prepare and Commit
+   messages are rows of the profile like the update itself *)
+let test_2pc_messages_in_rows () =
+  with_clean @@ fun () ->
+  let cluster, x = film_cluster () in
+  let log = ref [] in
+  Peer.set_transport x (recording (Simnet.transport (Cluster.net cluster)) log);
+  let r, p = Cluster.profiled cluster (fun () -> Peer.query x add_films) in
+  check bool_ "committed" true r.Peer.committed;
+  List.iter
+    (fun dest ->
+      let wire = sent_to dest log in
+      check
+        (Alcotest.list string_)
+        (dest ^ " saw the update, Prepare and Commit")
+        [ "request"; "prepare"; "commit" ]
+        (List.map
+           (fun (_, b, _) ->
+             match tx_op b with
+             | Some op -> Message.tx_op_name op
+             | None -> "request")
+           wire);
+      let d = dest_row p dest in
+      check int_ (dest ^ " msgs") 3 d.Profile.d_msgs;
+      check int_ (dest ^ " calls") 1 d.Profile.d_calls;
+      check int_ (dest ^ " bytes out")
+        (total (fun (_, b, _) -> String.length b) wire)
+        d.Profile.d_bytes_out;
+      check int_ (dest ^ " bytes in")
+        (total (fun (_, _, r) -> String.length r) wire)
+        d.Profile.d_bytes_in)
+    [ "xrpc://y"; "xrpc://z" ]
+
+(* which messages carry an idemKey: execute-at requests and client
+   requests do, each a fresh one; getDocument fetches and 2PC messages
+   do not *)
+let test_idem_key_kinds () =
+  with_clean @@ fun () ->
+  let cluster, x = film_cluster () in
+  let log = ref [] in
+  let wire = recording (Simnet.transport (Cluster.net cluster)) log in
+  Peer.set_transport x wire;
+  ignore (Peer.query x add_films);
+  ignore
+    (Peer.query_seq x
+       {|count(doc("xrpc://y/filmDB.xml")//film)|});
+  let client = Client.connect_transport ~origin:"xrpc://c" wire in
+  ignore
+    (Client.call client ~dest:"xrpc://y" ~module_uri:Filmdb.module_ns
+       ~location:Filmdb.module_at ~fn:"filmsByActor" [ [ Xdm.str "Sean Connery" ] ]);
+  let kinds =
+    List.map
+      (fun (_, body, _) ->
+        match Message.of_string body with
+        | Message.Request { method_ = "getDocument"; idem_key; _ } ->
+            ("getDocument", idem_key)
+        | Message.Request { idem_key; _ } -> ("request", idem_key)
+        | Message.Tx_request (op, _) -> (Message.tx_op_name op, None)
+        | _ -> Alcotest.fail "a non-message was sent")
+      !log
+  in
+  let keyed kind = List.filter_map (fun (k, key) -> if k = kind then key else None) kinds in
+  let sent kind = List.length (List.filter (fun (k, _) -> k = kind) kinds) in
+  check int_ "3 requests (2 execute at, 1 client)" 3 (sent "request");
+  check int_ "every request keyed" 3 (List.length (keyed "request"));
+  check int_ "keys are distinct" 3
+    (List.length (List.sort_uniq compare (keyed "request")));
+  check (Alcotest.list string_) "keys name their origin"
+    [ "xrpc://c/1"; "xrpc://x/1"; "xrpc://x/2" ]
+    (List.sort compare (keyed "request"));
+  check int_ "one fetch" 1 (sent "getDocument");
+  check int_ "fetch unkeyed" 0 (List.length (keyed "getDocument"));
+  check int_ "2PC: 2 prepares, 2 commits" 4 (sent "prepare" + sent "commit")
+
+let strip_idem_key body =
+  let attr = {| idemKey="|} in
+  let n = String.length attr in
+  let rec find i =
+    if i + n > String.length body then Alcotest.failf "no idemKey in %s" body
+    else if String.sub body i n = attr then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let close = String.index_from body (i + n) '"' in
+  String.sub body 0 i
+  ^ String.sub body (close + 1) (String.length body - close - 1)
+
+(* the same Bulk RPC through the peer's execute-at dispatcher and through
+   Xrpc_client.call_bulk: one envelope apart from its key, one row *)
+let test_dispatcher_equals_client () =
+  with_clean @@ fun () ->
+  let run send =
+    let cluster = test_cluster () in
+    let log = ref [] in
+    let wire = recording (Simnet.transport (Cluster.net cluster)) log in
+    let (), p = Cluster.profiled cluster (fun () -> send cluster wire) in
+    match !log with
+    | [ (dest, body, _) ] ->
+        let d = dest_row p dest in
+        ( dest, strip_idem_key body,
+          (d.Profile.d_msgs, d.Profile.d_calls, d.Profile.d_bytes_out,
+           d.Profile.d_bytes_in),
+          has_rpc_span p dest )
+    | l -> Alcotest.failf "expected one message, got %d" (List.length l)
+  in
+  let via_peer =
+    run (fun cluster wire ->
+        let x = Cluster.peer cluster "x" in
+        Peer.set_transport x wire;
+        check string_ "peer answers" "1 2 3"
+          (Xdm.to_display
+             (Peer.query_seq x
+                {|import module namespace t="test" at "http://x.example.org/test.xq";
+for $i in (1, 2, 3) return execute at {"xrpc://y"} {t:ping($i)}|})))
+  and via_client =
+    run (fun _ wire ->
+        let c = Client.connect_transport ~origin:"xrpc://x" wire in
+        check string_ "client answers" "1 2 3"
+          (Xdm.to_display
+             (List.concat
+                (Client.call_bulk c ~dest:"xrpc://y"
+                   ~module_uri:Testmod.module_ns ~location:Testmod.module_at
+                   ~fn:"ping"
+                   [ [ [ Xdm.int 1 ] ]; [ [ Xdm.int 2 ] ]; [ [ Xdm.int 3 ] ] ]))))
+  in
+  let dest, body, row, span = via_peer
+  and dest', body', row', span' = via_client in
+  check string_ "same destination" dest dest';
+  check string_ "same envelope apart from idemKey" body body';
+  let msgs, calls, out, inb = row and msgs', calls', out', inb' = row' in
+  check
+    (Alcotest.list int_)
+    "same destination row" [ msgs; calls; out; inb ] [ msgs'; calls'; out'; inb' ];
+  check int_ "one message" 1 msgs;
+  check int_ "three calls" 3 calls;
+  check bool_ "both in an rpc span" true (span && span')
+
 let () =
   Alcotest.run "profile"
     [
@@ -784,5 +1009,16 @@ let () =
             test_flight_records_distributed_query;
           Alcotest.test_case "overlapping queries keep their own slices"
             `Quick test_concurrent_query_slices;
+        ] );
+      ( "outbound",
+        [
+          Alcotest.test_case "Q7 data shipping has a destination row" `Quick
+            test_q7_data_shipping_row;
+          Alcotest.test_case "2PC messages in the destination rows" `Quick
+            test_2pc_messages_in_rows;
+          Alcotest.test_case "which messages carry an idemKey" `Quick
+            test_idem_key_kinds;
+          Alcotest.test_case "dispatcher and client send one envelope" `Quick
+            test_dispatcher_equals_client;
         ] );
     ]

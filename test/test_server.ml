@@ -637,6 +637,37 @@ declare function q:echo($x) { $x };|};
 
 (* ------------------------------------------------------------------ *)
 
+(* A server's peer and its outgoing client are one sending site: the
+   client's calls (telemetry scrapes) and the peer's execute-at calls
+   draw idempotency keys from one counter, so a serving peer never
+   answers one from the other's idempotency-cache entry. *)
+let test_facade_one_key_counter () =
+  let q =
+    {|module namespace q = "q";
+declare function q:echo($i as xs:integer) { $i };|}
+  in
+  let b = Peer.create "xrpc://127.0.0.1:0" in
+  Peer.register_module b ~uri:"q" q;
+  let sb = Server.create ~config:(Server.config ~port:0 ~outgoing:false ()) b in
+  let port = Server.start sb in
+  let a = Peer.create "xrpc://a.test" in
+  Peer.register_module a ~uri:"q" ~location:"q.xq" q;
+  let sa = Server.create ~config:(Server.config ~port:0 ()) a in
+  Fun.protect ~finally:(fun () -> Server.stop sb)
+  @@ fun () ->
+  let client = Option.get (Server.client sa) in
+  check string_ "the client's call" "1"
+    (Xrpc_xml.Xdm.to_display
+       (Xrpc_core.Xrpc_client.call client ~dest:(dest port) ~module_uri:"q"
+          ~fn:"echo" [ [ Xrpc_xml.Xdm.int 1 ] ]));
+  check string_ "the peer's execute at gets its own answer" "2"
+    (Xrpc_xml.Xdm.to_display
+       (Peer.query_seq a
+          (Printf.sprintf
+             {|import module namespace q = "q" at "q.xq";
+execute at {%S} {q:echo(2)}|}
+             (dest port))))
+
 let () =
   Alcotest.run "server"
     [
@@ -693,5 +724,7 @@ let () =
             test_facade_soap_fallback;
           Alcotest.test_case "/cachez shows deferred admissions" `Quick
             test_facade_cachez_deferred;
+          Alcotest.test_case "peer and client share one key counter" `Quick
+            test_facade_one_key_counter;
         ] );
     ]

@@ -618,6 +618,94 @@ let prop_wire_roundtrip =
                r'.Message.calls
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Reply decoder fuzzing                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Xrpc_obs.Trace
+module Peer = Xrpc_peer.Peer
+module Filmdb = Xrpc_workloads.Filmdb
+module Testmod = Xrpc_workloads.Testmod
+
+(* The seeds are replies a serving peer wrote: node and atomic results,
+   a profiled reply carrying serverProfile, a result-cache hit carrying
+   cached and dbVersion, an updating call's empty response, a Fault and
+   two transactionResults. *)
+let reply_seeds =
+  let y = Peer.create "xrpc://y" in
+  Filmdb.install y ();
+  Peer.register_module y ~uri:Testmod.module_ns ~location:Testmod.module_at
+    Testmod.test_module;
+  let request ?(profiled = false) ?(updating = false) ~module_uri ~fn calls =
+    let msg =
+      Message.Request
+        { Message.module_uri; location = ""; method_ = fn;
+          arity = (match calls with c :: _ -> List.length c | [] -> 0);
+          updating; fragments = false; query_id = None; idem_key = None;
+          cache_ok = true; calls }
+    in
+    if profiled then fst (Trace.collect (fun () -> Message.to_string msg))
+    else Message.to_string msg
+  in
+  let films ?profiled () =
+    request ?profiled ~module_uri:Filmdb.module_ns ~fn:"filmsByActor"
+      [ [ [ Xdm.str "Sean Connery" ] ] ]
+  in
+  let qid =
+    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 30;
+      level = Message.Repeatable }
+  in
+  let tx op = Message.to_string (Message.Tx_request (op, qid)) in
+  Array.map (Peer.handle_raw y)
+    [| films ~profiled:true ();
+       films ();
+       request ~module_uri:Testmod.module_ns ~fn:"ping"
+         (List.init 3 (fun i -> [ [ Xdm.int i ] ]));
+       request ~updating:true ~module_uri:Filmdb.module_ns ~fn:"addFilm"
+         [ [ [ Xdm.str "Fuzz" ]; [ Xdm.str "Actor F" ] ] ];
+       request ~module_uri:Testmod.module_ns ~fn:"noSuchFunction" [ [] ];
+       tx Message.Status;
+       tx Message.Commit |]
+
+(* Message.of_reply on a mutated reply decodes or raises one of the two
+   typed decoder errors; every other case also runs inside a Trace
+   collection, where of_reply parses the serverProfile phases too *)
+let prop_reply_mutations =
+  Fuzz.prop ~name:"mutated reply decodes or raises a typed error"
+    ~seeds:reply_seeds
+    ~expected:(function
+      | Message.Protocol_error _ | Xml_parse.Parse_error _ -> true
+      | _ -> false)
+    (fun w ->
+      ignore (Message.of_reply ~dest:"xrpc://y" w);
+      if String.length w land 1 = 0 then
+        ignore (Trace.collect (fun () -> Message.of_reply ~dest:"xrpc://y" w)))
+
+let test_reply_seeds () =
+  let kind w =
+    match Message.of_string w with
+    | Message.Response { cached = true; db_version = Some _; _ } -> "cached"
+    | Message.Response { results = []; _ } -> "empty"
+    | Message.Response _ -> "response"
+    | Message.Fault _ -> "fault"
+    | Message.Tx_response _ -> "tx"
+    | _ -> "other"
+  in
+  check (Alcotest.list string_) "every seed is the reply it stands for"
+    [ "response"; "cached"; "response"; "empty"; "fault"; "tx"; "tx" ]
+    (Array.to_list (Array.map kind reply_seeds));
+  check bool_ "the profiled seed carries serverProfile" true
+    (let w = reply_seeds.(0) and sub = "serverProfile=" in
+     let n = String.length sub in
+     let rec go i =
+       i + n <= String.length w && (String.sub w i n = sub || go (i + 1))
+     in
+     go 0)
+
+let qcheck_quick t =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 23 |]) t
+
 let () =
   Alcotest.run "soap"
     [
@@ -667,4 +755,10 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_marshal_roundtrip; prop_wire_roundtrip ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "reply seeds are peer replies" `Quick
+            test_reply_seeds;
+          qcheck_quick prop_reply_mutations;
+        ] );
     ]

@@ -533,64 +533,10 @@ let fuzz_seeds =
          ~values:[ Slo.Breaker ("", "closed"); Slo.Shard_version 0 ]
          () |]
 
-(* One mutation: truncate, flip a bit, splice in a slice of a seed,
-   duplicate a line or drop one. *)
-let mutate rng w =
-  let n = String.length w in
-  let pos () = Random.State.int rng (n + 1) in
-  let lines () = String.split_on_char '\n' w in
-  let pick l = Random.State.int rng (max 1 (List.length l)) in
-  match Random.State.int rng 5 with
-  | 0 -> String.sub w 0 (pos ())
-  | 1 when n > 0 ->
-      let b = Bytes.of_string w in
-      let i = Random.State.int rng n in
-      Bytes.set b i
-        (Char.chr (Char.code w.[i] lxor (1 lsl Random.State.int rng 8)));
-      Bytes.to_string b
-  | 2 ->
-      let src = fuzz_seeds.(Random.State.int rng (Array.length fuzz_seeds)) in
-      let a = Random.State.int rng (String.length src + 1) in
-      let len = Random.State.int rng (String.length src - a + 1) in
-      let at = pos () in
-      String.sub w 0 at ^ String.sub src a len ^ String.sub w at (n - at)
-  | 3 ->
-      let ls = lines () in
-      let k = pick ls in
-      String.concat "\n"
-        (List.concat
-           (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) ls))
-  | _ ->
-      let ls = lines () in
-      let k = pick ls in
-      String.concat "\n" (List.filteri (fun i _ -> i <> k) ls)
-
-(* FUZZ_SEED=<n> replays the one case a failure names. *)
-let fuzz_seed = Option.bind (Sys.getenv_opt "FUZZ_SEED") int_of_string_opt
-
-let fuzz_case seed =
-  let rng = Random.State.make [| seed |] in
-  let w = ref fuzz_seeds.(Random.State.int rng (Array.length fuzz_seeds)) in
-  for _ = 0 to Random.State.int rng 4 do
-    w := mutate rng !w
-  done;
-  match Telemetry.of_wire !w with
-  | _ | (exception Telemetry.Malformed _) -> true
-  | exception e ->
-      QCheck.Test.fail_reportf "FUZZ_SEED=%d: %s escaped on %S" seed
-        (Printexc.to_string e) !w
-
-(* 10k cases under runtest; [dune build @fuzz] sets QCHECK_LONG for 100k *)
 let prop_mutations =
-  QCheck.Test.make ~name:"mutated wire decodes or raises Malformed"
-    ~count:(if fuzz_seed = None then 10_000 else 1)
-    ~long_factor:10
-    (QCheck.make
-       ~print:(Printf.sprintf "FUZZ_SEED=%d")
-       (match fuzz_seed with
-       | Some s -> QCheck.Gen.return s
-       | None -> QCheck.Gen.int_bound 0x3FFF_FFFF))
-    fuzz_case
+  Fuzz.prop ~name:"mutated wire decodes or raises Malformed" ~seeds:fuzz_seeds
+    ~expected:(function Telemetry.Malformed _ -> true | _ -> false)
+    (fun w -> ignore (Telemetry.of_wire w))
 
 let test_truncation_every_byte () =
   Array.iter
@@ -935,6 +881,74 @@ let test_http_non_finite_p99 () =
   check float_ "objective printed from the constant" 100.
     Json_check.(num (member "p99_ms" (member "objective" idle)))
 
+(* A loopback port nothing listens on: bound, read, closed. *)
+let closed_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close s;
+  port
+
+(* a server whose [--peers] names [dead]; [f port] runs against it *)
+let with_dead_member uri f =
+  with_clean @@ fun () ->
+  let dead = Printf.sprintf "xrpc://127.0.0.1:%d" (closed_port ()) in
+  let peer = Peer.create uri in
+  let server =
+    Server.create
+      ~config:(Server.config ~port:0 ~workers:2 ~cluster_peers:[ dead ] ())
+      peer
+  in
+  Fun.protect ~finally:(fun () -> Server.stop server)
+  @@ fun () -> f dead (Server.start server)
+
+let member_named dead cz =
+  List.find
+    (fun p -> Json_check.(str (member "peer" p)) = dead)
+    Json_check.(items (member "peers" cz))
+
+(* a dead --peers member reads as unreachable, and the reason names the
+   error's kind and destination, not the exception's constructor *)
+let test_clusterz_names_dead_member () =
+  with_dead_member "xrpc://scrape.test" @@ fun dead port ->
+  let cz = Json_check.parse_ok "/clusterz.json" (http_get port "/clusterz.json") in
+  let d = member_named dead cz in
+  check string_ "dead member unreachable" "unreachable"
+    Json_check.(str (member "state" d));
+  let reason =
+    String.concat "; "
+      (List.map Json_check.str Json_check.(items (member "reasons" d)))
+  in
+  check bool_ ("reason names kind and port: " ^ reason) true
+    (contains reason ("unreachable to " ^ dead));
+  check bool_ "reason is not the bare constructor" false
+    (contains reason "Xrpc_error.Error(")
+
+(* the outgoing client runs the default recovery policy: repeated scrapes
+   of a dead member open its breaker, which /clusterz.json lists and
+   which degrades /healthz *)
+let test_breaker_source_live () =
+  with_dead_member "xrpc://breaker.test" @@ fun dead port ->
+  let self_breakers () =
+    let cz = Json_check.parse_ok "/clusterz.json" (http_get port "/clusterz.json") in
+    Json_check.member "breakers" (member_named "xrpc://breaker.test" cz)
+  in
+  let rec scrape n =
+    let b = self_breakers () in
+    if Json_check.has dead b && Json_check.(str (member dead b)) = "open" then ()
+    else if n = 0 then
+      Alcotest.failf "breaker to %s never opened: %s" dead
+        (Xrpc_obs.Json.to_string b)
+    else scrape (n - 1)
+  in
+  scrape 5;
+  let hz = http_get port "/healthz" in
+  check bool_ ("healthz degraded: " ^ hz) true (contains hz "ready: degraded");
+  check bool_ "healthz names the circuit" true
+    (contains hz ("circuit open to " ^ dead))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -986,6 +1000,10 @@ let () =
             test_http_monitoring_routes;
           Alcotest.test_case "non-finite p99 is null in JSON" `Quick
             test_http_non_finite_p99;
+          Alcotest.test_case "clusterz names a dead member's error" `Quick
+            test_clusterz_names_dead_member;
+          Alcotest.test_case "breakers of a live server open" `Quick
+            test_breaker_source_live;
         ] );
       ( "fuzz",
         [
