@@ -5,7 +5,10 @@
     the moral equivalent of MonetDB/XQuery's shadow-paging snapshots that
     the paper relies on for repeatable-read isolation (§2.2).  Committing a
     pending update list produces a fresh version; older snapshots held by
-    in-flight queries keep reading their own version. *)
+    in-flight queries keep reading their own version.  Like a shadow-paged
+    commit, one that only changes values copies just the column it writes
+    ({!Store.patch}) and shares the rest of the store with its
+    predecessor. *)
 
 open Xrpc_xml
 module Update = Xrpc_xquery.Update
@@ -20,6 +23,11 @@ type version = {
           document was last (re)loaded or rebuilt — what the semantic
           result cache pins its entries to, so an update to one document
           invalidates exactly the results that read it *)
+  bytes : int;  (** {!Store.bytes} summed over [docs] *)
+  own_bytes : int;
+      (** the bytes of the stores this version built that it does not
+          share with the version before it: all of a shredded store, the
+          copied column(s) and new strings of a patched one *)
 }
 
 type t = {
@@ -28,6 +36,7 @@ type t = {
       (** recent versions with their commit timestamps, newest first —
           enables the distributed snapshot isolation of §2.2 ("all peers
           use the same timestamp t_q") *)
+  mutable truncated : bool;  (** [remember] has dropped a version *)
   clock : unit -> float;
   mutable on_commit : (string list -> unit) list;
       (** fired after every version bump with the touched document names
@@ -36,12 +45,19 @@ type t = {
           reaching here, which is exactly the invalidation contract) *)
 }
 
-let history_limit = 128
+(* The history keeps old versions while the bytes they do not share add up
+   to at most this many times the current version's bytes: a handful of
+   full rebuilds, or many value-only commits.  A query pinned to a dropped
+   version keeps it alive itself; only [version_at] needs the history. *)
+let history_factor = 4
 
 let create ?(clock = Unix.gettimeofday) () =
   {
-    current = { docs = Doc_map.empty; version_no = 0; doc_versions = Doc_map.empty };
+    current =
+      { docs = Doc_map.empty; version_no = 0; doc_versions = Doc_map.empty;
+        bytes = 0; own_bytes = 0 };
     history = [];
+    truncated = false;
     clock;
     on_commit = [];
   }
@@ -54,35 +70,57 @@ let fire_hooks db touched =
   if touched <> [] then List.iter (fun f -> f touched) db.on_commit
 
 let remember db =
-  db.history <- (db.clock (), db.current) :: db.history;
-  if List.length db.history > history_limit then
-    db.history <-
-      List.filteri (fun i _ -> i < history_limit) db.history
+  let budget = history_factor * db.current.bytes in
+  let rec keep spent = function
+    | [] -> []
+    | ((_, v) as entry) :: older ->
+        let spent = spent + v.own_bytes in
+        if spent > budget then begin
+          db.truncated <- true;
+          []
+        end
+        else entry :: keep spent older
+  in
+  db.history <- (db.clock (), db.current) :: keep 0 db.history
+
+(* Install [stores] — each [(name, store, own bytes)], a later one for a
+   name winning — as the next version. *)
+let install db stores =
+  let docs, own_bytes, touched =
+    List.fold_left
+      (fun (docs, own, touched) (name, store, bytes) ->
+        (Doc_map.add name store docs, own + bytes, name :: touched))
+      (db.current.docs, 0, []) stores
+  in
+  let touched = List.sort_uniq String.compare touched in
+  let version_no = db.current.version_no + 1 in
+  let doc_versions =
+    List.fold_left
+      (fun dv name -> Doc_map.add name version_no dv)
+      db.current.doc_versions touched
+  in
+  let bytes = Doc_map.fold (fun _ s acc -> acc + s.Store.bytes) docs 0 in
+  db.current <- { docs; version_no; doc_versions; bytes; own_bytes };
+  remember db;
+  fire_hooks db touched
 
 (** [add_doc db name tree] loads (or replaces) a document. *)
 let add_doc db name tree =
   let store = Store.shred ~uri:name tree in
-  let version_no = db.current.version_no + 1 in
-  db.current <-
-    {
-      docs = Doc_map.add name store db.current.docs;
-      version_no;
-      doc_versions = Doc_map.add name version_no db.current.doc_versions;
-    };
-  remember db;
-  fire_hooks db [ name ]
+  install db [ (name, store, store.Store.bytes) ]
 
 let add_doc_xml db name xml = add_doc db name (Xml_parse.document xml)
 
 let snapshot db = db.current
 
-(** [version_at db t] — the newest version committed at or before [t]
-    (the oldest known version if [t] predates the history). *)
+(** [version_at db t] — the newest version committed at or before [t];
+    [None] when [t] predates the oldest kept version and older ones have
+    been dropped (the oldest version, if nothing was ever dropped). *)
 let version_at db t =
   let rec find = function
-    | [] -> db.current
-    | [ (_, v) ] -> v
-    | (time, v) :: rest -> if time <= t then v else find rest
+    | [] -> Some db.current
+    | [ (time, v) ] -> if time <= t || not db.truncated then Some v else None
+    | (time, v) :: rest -> if time <= t then Some v else find rest
   in
   find db.history
 
@@ -117,53 +155,48 @@ let doc_version (v : version) name =
 
 let doc_names (v : version) = List.map fst (Doc_map.bindings v.docs)
 
-(** [commit db pul] applies a pending update list: every touched document
-    is rebuilt, [fn:put] documents are stored.  Documents are matched by
-    the URI recorded in their store at shred time.  Updates to stores not
-    in this database (e.g. constructed fragments) are ignored — their
-    effects are invisible by definition. *)
-let commit db (pul : Update.pul) =
-  if pul = [] then ()
-  else begin
+(* Documents are matched by the URI recorded in their store at shred
+   time.  A store built against an older version is still committed by
+   name (last-committer-wins, which matches the paper's non-deterministic
+   update order); stores without a URI (constructed fragments) are
+   skipped — their effects are invisible by definition. *)
+let named (store : Store.t) = store.Store.uri <> ""
+
+(** [rebuild db pul] commits [pul] by rebuilding every document it touches
+    ({!Update.apply}, then {!Store.shred}) and storing its [fn:put]
+    documents.  {!commit} takes this path for every PUL that is not
+    value-only; it is also the oracle the value-only path is tested
+    against. *)
+let rebuild db (pul : Update.pul) =
   let updated_docs, puts = Update.apply pul in
-  let touched = ref [] in
-  let docs =
-    List.fold_left
-      (fun docs (store, tree) ->
-        let name = store.Store.uri in
-        match Doc_map.find_opt name docs with
-        | Some current when current.Store.doc_id = store.Store.doc_id ->
-            touched := name :: !touched;
-            Doc_map.add name (Store.shred ~uri:name tree) docs
-        | Some _ | None ->
-            (* snapshot-based update: the PUL was built against an older
-               version; still apply it by name (last-committer-wins, which
-               matches the paper's non-deterministic update order) *)
-            if name = "" then docs
-            else begin
-              touched := name :: !touched;
-              Doc_map.add name (Store.shred ~uri:name tree) docs
-            end)
-      db.current.docs updated_docs
+  let shred (name, tree) =
+    let store = Store.shred ~uri:name tree in
+    (name, store, store.Store.bytes)
   in
-  let docs =
-    List.fold_left
-      (fun docs (uri, tree) ->
-        touched := uri :: !touched;
-        Doc_map.add uri (Store.shred ~uri tree) docs)
-      docs puts
-  in
-  let touched = List.sort_uniq String.compare !touched in
-  let version_no = db.current.version_no + 1 in
-  let doc_versions =
-    List.fold_left
-      (fun dv name -> Doc_map.add name version_no dv)
-      db.current.doc_versions touched
-  in
-  db.current <- { docs; version_no; doc_versions };
-  remember db;
-  fire_hooks db touched
-  end
+  install db
+    (List.filter_map
+       (fun (store, tree) ->
+         if named store then Some (shred (store.Store.uri, tree)) else None)
+       updated_docs
+    @ List.map shred puts)
+
+(** [commit db pul] applies a pending update list as the next version.  A
+    PUL that only changes values and names in place ({!Update.value_edits})
+    patches each touched store's value (and name) column and shares the
+    rest; any other is {!rebuild}'s. *)
+let commit db (pul : Update.pul) =
+  if pul <> [] then
+    match Update.value_edits pul with
+    | None -> rebuild db pul
+    | Some edits ->
+        install db
+          (List.filter_map
+             (fun (store, writes) ->
+               if named store then
+                 let patched, own = Store.patch store writes in
+                 Some (store.Store.uri, patched, own)
+               else None)
+             edits)
 
 (** Document names a PUL touches (used for 2PC conflict detection). *)
 let touched_docs (pul : Update.pul) =

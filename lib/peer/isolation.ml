@@ -28,6 +28,10 @@ type t = {
 
 exception Expired of string
 
+(** A snapshot-level request whose timestamp predates the versions the
+    database still keeps; carries the queryID's timestamp. *)
+exception Snapshot_too_old of string
+
 let create ?(clock = Unix.gettimeofday) () =
   { entries = Hashtbl.create 16; expired = Hashtbl.create 16; clock }
 
@@ -50,7 +54,9 @@ let sweep t =
 
 (** [pin t qid db] returns the snapshot for [qid], creating it from the
     database's current version on the query's first request.  Raises
-    {!Expired} for a request arriving after the timeout. *)
+    {!Expired} for a request arriving after the timeout, and
+    {!Snapshot_too_old} for a snapshot-level first request older than the
+    kept history. *)
 let pin t (qid : Message.query_id) (db : Database.t) : entry =
   sweep t;
   let key = Message.query_id_key qid in
@@ -65,10 +71,10 @@ let pin t (qid : Message.query_id) (db : Database.t) : entry =
       let snapshot =
         match qid.Message.level with
         | Message.Repeatable -> Database.snapshot db
-        | Message.Snapshot ->
-            Database.version_at db
-              (try float_of_string qid.Message.timestamp
-               with _ -> t.clock ())
+        | Message.Snapshot -> (
+            match Database.version_at db (Message.snapshot_time qid) with
+            | Some v -> v
+            | None -> raise (Snapshot_too_old qid.Message.timestamp))
       in
       let e =
         {

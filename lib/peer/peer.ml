@@ -645,6 +645,9 @@ let reply_to peer msg =
     | Isolation.Expired key ->
         Message.Fault
           { fault_code = `Sender; reason = "queryID expired: " ^ key }
+    | Isolation.Snapshot_too_old timestamp ->
+        Message.Fault
+          { fault_code = `Sender; reason = "snapshot too old: " ^ timestamp }
     | Message.Protocol_error m | Xml_parse.Parse_error m ->
         Message.Fault { fault_code = `Sender; reason = "malformed message: " ^ m }
     | Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m ->

@@ -84,7 +84,31 @@ exception Protocol_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
+(* a received value, bounded for an error message *)
+let clip s = if String.length s > 20 then String.sub s 0 20 ^ "..." else s
+
 let query_id_key (q : query_id) = q.host ^ "@" ^ q.timestamp
+
+(** [snapshot_time q] — the instant, in seconds, that a snapshot-level
+    queryID pins.  Its [timestamp] must be a finite decimal: surrounding
+    whitespace, an optional sign, digits with an optional fraction
+    (xs:decimal's lexical form; no exponent, hex, [_] or [nan]).  Anything
+    else is a {!Protocol_error}, never some other instant. *)
+let snapshot_time (q : query_id) =
+  let s = String.trim q.timestamp in
+  let n = String.length s in
+  let rec digits i =
+    if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i
+  in
+  let i = if n > 0 && (s.[0] = '+' || s.[0] = '-') then 1 else 0 in
+  let j = digits i in
+  let k = if j < n && s.[j] = '.' then digits (j + 1) else j in
+  let has_digit = j > i || k > j + 1 in
+  match float_of_string_opt s with
+  | Some t when k = n && has_digit && Float.is_finite t -> t
+  | _ ->
+      err "snapshot queryID timestamp is not a decimal number of seconds: %S"
+        (clip s)
 
 let tx_op_name = function
   | Prepare -> "prepare"
@@ -326,9 +350,6 @@ let elem_children children =
     (function Tree.Element _ as e -> Some e | _ -> None)
     children
 
-(* a received value, bounded for an error message *)
-let clip s = if String.length s > 20 then String.sub s 0 20 ^ "..." else s
-
 (* An xs:nonNegativeInteger attribute (XRPC.xsd): surrounding
    whitespace, an optional "+", then at most 9 ASCII digits.
    [int_of_string] alone would also take "-3", "0x1F" and "1_0". *)
@@ -377,15 +398,21 @@ let parse_query_id = function
         | Some v -> v
         | None -> err "queryID without its required %s attribute" a
       in
-      {
-        host = required "host";
-        timestamp = required "timestamp";
-        timeout = timeout_attr "queryID timeout" (required "timeout");
-        level =
-          (match enum_attr attrs "level" [ "repeatable"; "snapshot" ] with
-          | Some "snapshot" -> Snapshot
-          | _ -> Repeatable);
-      }
+      let q =
+        {
+          host = required "host";
+          timestamp = required "timestamp";
+          timeout = timeout_attr "queryID timeout" (required "timeout");
+          level =
+            (match enum_attr attrs "level" [ "repeatable"; "snapshot" ] with
+            | Some "snapshot" -> Snapshot
+            | _ -> Repeatable);
+        }
+      in
+      (* a snapshot pins the instant its timestamp names; a repeatable
+         read only keys on it *)
+      if q.level = Snapshot then ignore (snapshot_time q);
+      q
   | _ -> err "malformed queryID"
 
 let decode_tree tree =

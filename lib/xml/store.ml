@@ -7,7 +7,9 @@
     parents come from the [parent] array, and [descendant::QName] is a
     binary-searched slice of a lazy element-name index.  Attributes occupy
     their own pre slots (kind [Attr]) directly after their owner element,
-    which keeps node identity uniform. *)
+    which keeps node identity uniform.  A store never changes; {!patch}
+    makes a new version that rewrites values and names in place and shares
+    every other column with the old one. *)
 
 type kind = Doc | Elem | Attr | Txt | Comm | Pi
 
@@ -21,7 +23,6 @@ end)
 type t = {
   doc_id : int;  (** globally unique store id; also orders documents *)
   uri : string;  (** document URI, or "" for constructed fragments *)
-  tree : Tree.t;  (** the original immutable tree *)
   kind : kind array;
   name : Qname.t option array;  (** element/attribute/PI names *)
   value : string array;  (** text/comment/attr content; PI data *)
@@ -31,6 +32,7 @@ type t = {
   names : int array Name_map.t Atomic.t;
       (** element-name index: each name's element pre ranks, in document
           order, added on the first search for that name *)
+  bytes : int;  (** heap bytes of the columns and the strings they hold *)
 }
 
 (** A node reference: a store plus a preorder rank within it. *)
@@ -41,6 +43,14 @@ let next_doc_id = Atomic.make 1
 (* process-wide and race-free: two stores sharing an id would compare as
    one document, and dedup would drop distinct nodes *)
 let fresh_doc_id () = Atomic.fetch_and_add next_doc_id 1
+
+(* Heap sizes, counted arithmetically: a column is a block of one word per
+   node, a string a header word plus its bytes padded to whole words, and
+   a name a [Some] box (the [Qname.t] itself is shared with the tree). *)
+let word = Sys.word_size / 8
+let string_bytes s = word * ((String.length s / word) + 2)
+let column_bytes n = word * (n + 1)
+let name_box_bytes = 2 * word
 
 (** [shred ?uri tree] builds a store for [tree] with a fresh [doc_id]. *)
 let shred ?(uri = "") tree =
@@ -88,8 +98,50 @@ let shred ?(uri = "") tree =
     size.(pre) <- !next - pre - 1
   in
   go (-1) 0 tree;
-  { doc_id = fresh_doc_id (); uri; tree; kind; name; value; parent; size;
-    level; names = Atomic.make Name_map.empty }
+  let bytes = ref (6 * column_bytes n) in
+  for pre = 0 to n - 1 do
+    (match kind.(pre) with
+    | Attr | Txt | Comm | Pi -> bytes := !bytes + string_bytes value.(pre)
+    | Doc | Elem -> ());
+    if name.(pre) <> None then bytes := !bytes + name_box_bytes
+  done;
+  { doc_id = fresh_doc_id (); uri; kind; name; value; parent; size; level;
+    names = Atomic.make Name_map.empty; bytes = !bytes }
+
+(** A write into one node's slot of the [value] or [name] column. *)
+type edit = Value of string | Name of Qname.t
+
+(** [patch s edits] is a new version of [s] with each [(pre, edit)]
+    written in order (a later write to one slot wins), and the bytes it
+    does not share with [s].  Only the [value] column is copied, plus
+    [name] when an edit renames; [kind], [parent], [size] and [level] are
+    [s]'s own arrays, and so is the element-name index unless an element
+    is renamed, in which case the new store starts an empty one.  The
+    caller keeps the node kinds intact: an element's value goes to its
+    text child. *)
+let patch s edits =
+  let renames = List.exists (function _, Name _ -> true | _ -> false) edits in
+  let renames_elem =
+    List.exists (function pre, Name _ -> s.kind.(pre) = Elem | _ -> false) edits
+  in
+  let value = Array.copy s.value in
+  let name = if renames then Array.copy s.name else s.name in
+  let bytes = ref s.bytes and own = ref (column_bytes (Array.length value)) in
+  if renames then own := !own + column_bytes (Array.length name);
+  List.iter
+    (fun (pre, edit) ->
+      match edit with
+      | Value v ->
+          bytes := !bytes - string_bytes value.(pre) + string_bytes v;
+          own := !own + string_bytes v;
+          value.(pre) <- v
+      | Name q ->
+          own := !own + name_box_bytes;
+          name.(pre) <- Some q)
+    edits;
+  let names = if renames_elem then Atomic.make Name_map.empty else s.names in
+  ( { s with doc_id = fresh_doc_id (); value; name; names; bytes = !bytes },
+    !own )
 
 let root store = { store; pre = 0 }
 let node_count t = Array.length t.kind
@@ -123,7 +175,8 @@ let elements_named s (q : Qname.t) =
   in
   Array.of_list (collect (Array.length s.kind - 1) [])
 
-(* A store never changes after [shred], so an entry never goes stale.
+(* A store never changes after it is built, so an entry never goes
+   stale; [patch] shares the index only while no element is renamed.
    Entries are added on first use, so [shred] and names never searched for
    pay nothing.  The map is immutable and published through the atomic:
    threads racing on one name each add an equal array, and none is lost. *)

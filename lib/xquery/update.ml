@@ -217,6 +217,76 @@ let apply (pul : pul) :
   in
   (docs, puts)
 
+(** [value_edits pul] — when [pul] changes values and names in place and
+    nothing else, the column writes that turn each store it targets into
+    what {!apply} and a re-shred would build; [None] when some primitive
+    needs the rebuild.  In place means: [Replace_value] on a text,
+    attribute, comment or processing-instruction node, or on an element
+    whose only child is one text node (the write goes to that child), and
+    [Rename] of an element, attribute or processing instruction.  Stores
+    come in the order the PUL first targets them.  Repeated edits to one
+    node resolve as in {!apply}: the last [Replace_value] and the last
+    [Rename] win, and an element's new value overrides one given to its
+    text child. *)
+let value_edits (pul : pul) : (Store.t * (int * Store.edit) list) list option =
+  let exception Rebuild in
+  (* per store: value writes by pre, each marked when it comes through an
+     element, and renames by pre *)
+  let stores = ref [] in
+  let writes (n : Store.node) =
+    let s = n.Store.store in
+    match List.assq_opt s !stores with
+    | Some w -> w
+    | None ->
+        let w = (Hashtbl.create 4, Hashtbl.create 4) in
+        stores := (s, w) :: !stores;
+        w
+  in
+  let set_value n pre v ~via_elem =
+    let values, _ = writes n in
+    match Hashtbl.find_opt values pre with
+    | Some (_, true) when not via_elem -> ()
+    | _ -> Hashtbl.replace values pre (v, via_elem)
+  in
+  let rename n q =
+    let _, names = writes n in
+    Hashtbl.replace names n.Store.pre q
+  in
+  let edit prim =
+    match prim with
+    | Replace_value (n, v) -> (
+        match Store.kind n with
+        | Store.Txt | Store.Attr | Store.Comm | Store.Pi ->
+            set_value n n.Store.pre v ~via_elem:false
+        | Store.Elem -> (
+            match Store.children n with
+            | [ c ] when Store.kind c = Store.Txt ->
+                set_value n c.Store.pre v ~via_elem:true
+            | _ -> raise Rebuild)
+        | Store.Doc -> raise Rebuild)
+    | Rename (n, q) -> (
+        match Store.kind n with
+        | Store.Elem | Store.Attr -> rename n q
+        | Store.Pi -> rename n (Qname.make q.Qname.local)
+        | Store.Doc | Store.Txt | Store.Comm -> raise Rebuild)
+    | _ -> raise Rebuild
+  in
+  match List.iter edit pul with
+  | exception Rebuild -> None
+  | () ->
+      let by_pre tbl edit =
+        List.sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (Hashtbl.fold (fun pre x acc -> (pre, edit x) :: acc) tbl [])
+      in
+      Some
+        (List.rev_map
+           (fun (store, (values, names)) ->
+             ( store,
+               by_pre values (fun (v, _) -> Store.Value v)
+               @ by_pre names (fun q -> Store.Name q) ))
+           !stores)
+
 (** Human-readable PUL dump (used by tests and [fn:trace]). *)
 let primitive_to_string = function
   | Insert_into (_, ts) -> Printf.sprintf "insert-into(%d nodes)" (List.length ts)

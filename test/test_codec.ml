@@ -326,7 +326,8 @@ let messages () =
   let all_kinds = Xdm.Node (Store.root store) :: List.map (fun n -> Xdm.Node n)
       (Store.attributes a @ Store.children a) in
   let qid level =
-    { Message.host = "xrpc://h"; timestamp = "2007-09-23T10:00:00Z";
+    (* 2007-09-23T10:00:00Z *)
+    { Message.host = "xrpc://h"; timestamp = "1190541600.000000";
       timeout = 30; level }
   in
   [

@@ -445,6 +445,93 @@ let test_read_only_participant_votes_yes () =
   | Message.Tx_response { ok = true; _ } -> ()
   | _ -> Alcotest.fail "read-only prepare"
 
+(* ---- the kept history: snapshot too old, pinned snapshots ---- *)
+
+(* [k] R_Fu inserts, one per tick of the peer's clock: more than the 128
+   versions the history once kept, so the oldest ones are gone *)
+let add_films peer now k =
+  for i = 1 to k do
+    now := !now +. 1.;
+    let film = Printf.sprintf "Film %d" i in
+    match handle peer (add_film_request ~query_id:None film) with
+    | Message.Response _ -> ()
+    | _ -> Alcotest.fail "addFilm"
+  done
+
+let snapshot_qid ts =
+  { Message.host = "xrpc://origin"; timestamp = ts; timeout = 1000;
+    level = Message.Snapshot }
+
+let has_film peer name =
+  let store = Database.doc_exn (Database.snapshot peer.Peer.db) "filmDB.xml" in
+  List.exists
+    (fun n -> Store.string_value n = name)
+    (Store.descendants_named (Store.root store) (Qname.make "name"))
+
+(* a snapshot-level request older than the kept history is refused, not
+   answered from a newer version *)
+let test_snapshot_too_old () =
+  let peer, now = make_peer () in
+  add_films peer now 130;
+  (match handle peer (film_request ~query_id:(snapshot_qid "0.5") ()) with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check string_ "reason" "snapshot too old: 0.5" reason
+  | Message.Response _ -> Alcotest.fail "answered from a newer version"
+  | _ -> Alcotest.fail "expected a Sender fault");
+  (* a timestamp inside the kept history still pins its version *)
+  match handle peer (film_request ~query_id:(snapshot_qid "129.5") ()) with
+  | Message.Response r ->
+      check int_ "the version committed at 129" (2 + 129)
+        (List.length (List.hd r.Message.results))
+  | _ -> Alcotest.fail "resp"
+
+(* a snapshot timestamp that is not a decimal number of seconds is a
+   malformed message, not "now" *)
+let test_snapshot_timestamp_not_a_number () =
+  let peer, _ = make_peer () in
+  List.iter
+    (fun ts ->
+      match handle peer (film_request ~query_id:(snapshot_qid ts) ()) with
+      | Message.Fault { fault_code = `Sender; reason } ->
+          check bool_ ("malformed: " ^ reason) true
+            (String.starts_with ~prefix:"malformed message" reason)
+      | _ -> Alcotest.failf "snapshot timestamp %S accepted" ts)
+    [ "yesterday"; "2007-09-23T10:00:00Z"; "nan"; "inf"; "1e9"; "0x1F"; "";
+      "1_0"; "." ];
+  (* repeatable read only keys on its timestamp *)
+  match handle peer (film_request ~query_id:(qid "2007-09-23T10:00:00Z") ()) with
+  | Message.Response _ -> ()
+  | _ -> Alcotest.fail "repeatable queryID refused"
+
+(* a repeatable-read query holds its own version: commits past the
+   history's bound do not take it away *)
+let test_repeatable_outlives_history () =
+  let peer, now = make_peer () in
+  let q = qid ~timeout:1000 "1.0" in
+  ignore (handle peer (film_request ~query_id:q ()));
+  add_films peer now 130;
+  check bool_ "history truncated" true peer.Peer.db.Database.truncated;
+  match handle peer (film_request ~query_id:q ()) with
+  | Message.Response r ->
+      check int_ "still the first snapshot" 2
+        (List.length (List.hd r.Message.results))
+  | _ -> Alcotest.fail "resp"
+
+(* a prepared ∆ still commits after its snapshot left the history *)
+let test_prepared_commits_after_eviction () =
+  let peer, now = make_peer () in
+  let q = qid ~timeout:1000 "1.0" in
+  ignore (handle peer (add_film_request ~query_id:(Some q) "Prepared"));
+  (match tx peer Message.Prepare q with
+  | Message.Tx_response { ok = true; _ } -> ()
+  | _ -> Alcotest.fail "prepare");
+  add_films peer now 130;
+  check bool_ "history truncated" true peer.Peer.db.Database.truncated;
+  (match tx peer Message.Commit q with
+  | Message.Tx_response { ok = true; _ } -> ()
+  | _ -> Alcotest.fail "commit");
+  check bool_ "the prepared film is in" true (has_film peer "Prepared")
+
 (* ---- bulk hash join (§1 set-orientation / §4 Saxon) ---- *)
 
 let test_bulk_hash_join_used_and_correct () =
@@ -697,6 +784,16 @@ let () =
             test_prepare_conflict_detection;
           Alcotest.test_case "read-only participant" `Quick
             test_read_only_participant_votes_yes;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "snapshot too old" `Quick test_snapshot_too_old;
+          Alcotest.test_case "snapshot timestamp not a number" `Quick
+            test_snapshot_timestamp_not_a_number;
+          Alcotest.test_case "repeatable read outlives the history" `Quick
+            test_repeatable_outlives_history;
+          Alcotest.test_case "prepared commit after eviction" `Quick
+            test_prepared_commits_after_eviction;
         ] );
       ( "missing-document",
         [

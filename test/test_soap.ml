@@ -455,6 +455,43 @@ let test_query_id_required_attributes () =
       | _ -> Alcotest.fail "queryID lost")
     [ request; tx ]
 
+(* A snapshot-level queryID pins the instant its timestamp names, so the
+   timestamp must be a finite decimal number of seconds; a repeatable
+   read only keys on it. *)
+let test_snapshot_timestamp_decimal () =
+  let qid level ts =
+    { Message.host = "xrpc://x"; timestamp = ts; timeout = 42; level }
+  in
+  let decodes msg =
+    let wire = Message.to_string msg in
+    match (Message.of_string wire, Message.of_string_server wire) with
+    | _ -> true
+    | exception Message.Protocol_error _ -> false
+  in
+  let both q =
+    [ Message.Request (sample_request ~query_id:(Some q) ());
+      Message.Tx_request (Message.Prepare, q) ]
+  in
+  List.iter
+    (fun ts ->
+      List.iter
+        (fun m ->
+          check bool_ ("snapshot " ^ ts) true (decodes m);
+          check (Alcotest.float 0.) ("time of " ^ ts) (float_of_string ts)
+            (Message.snapshot_time (qid Message.Snapshot ts)))
+        (both (qid Message.Snapshot ts)))
+    [ "1"; "1.5"; "-2."; ".5"; "+3.25"; "1190541600.000000" ];
+  List.iter
+    (fun ts ->
+      List.iter
+        (fun m -> check bool_ ("snapshot " ^ ts) false (decodes m))
+        (both (qid Message.Snapshot ts));
+      List.iter
+        (fun m -> check bool_ ("repeatable " ^ ts) true (decodes m))
+        (both (qid Message.Repeatable ts)))
+    [ "yesterday"; "2007-09-23T10:00:00Z"; "nan"; "inf"; "-infinity"; "1e9";
+      "0x1F"; "1_0"; ""; "."; "+"; "1.2.3"; String.make 400 '9' ]
+
 (* transactionResult/@ok is use="required" in XRPC.xsd: a result
    without it, or with an empty or non-boolean one, is a malformed
    message — which a peer answers with a Sender fault — not a refusal. *)
@@ -751,6 +788,8 @@ let () =
             `Quick test_query_id_required_attributes;
           Alcotest.test_case "transactionResult without ok rejected" `Quick
             test_tx_result_ok_required;
+          Alcotest.test_case "snapshot timestamp must be a decimal" `Quick
+            test_snapshot_timestamp_decimal;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

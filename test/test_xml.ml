@@ -325,8 +325,9 @@ let film_store () =
     (parse Xrpc_workloads.Filmdb.film_db_xml)
 
 let test_store_counts () =
-  let s = film_store () in
-  check int_ "node count" (Tree.node_count s.Store.tree) (Store.node_count s)
+  let t = parse Xrpc_workloads.Filmdb.film_db_xml in
+  check int_ "node count" (Tree.node_count t)
+    (Store.node_count (Store.shred ~uri:"filmDB.xml" t))
 
 let test_store_children_descendants () =
   let s = film_store () in
