@@ -22,6 +22,7 @@ module Filmdb = Xrpc_workloads.Filmdb
 module Testmod = Xrpc_workloads.Testmod
 module Xmark = Xrpc_workloads.Xmark
 module Message = Xrpc_soap.Message
+module Profile = Xrpc_obs.Profile
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let only_tables = Array.exists (( = ) "--tables") Sys.argv
@@ -296,6 +297,19 @@ let throughput () =
 (* Table 3: Saxon (wrapper) latency                                    *)
 (* ================================================================== *)
 
+(* Run [f] profiled: its result, and the time the wrapper's spans of each
+   Table-3 column (compile, treebuild, exec) took inside it. *)
+let wrapper_phases f =
+  let r, profile = Profile.profiled f in
+  let ms phase =
+    List.fold_left
+      (fun acc (n : Profile.node) ->
+        if n.Profile.name = "wrapper." ^ phase then acc +. n.Profile.incl_ms
+        else acc)
+      0. (Profile.nodes profile)
+  in
+  (r, (ms "compile", ms "treebuild", ms "exec"))
+
 let table3 () =
   header "Table 3: wrapper-peer latency via the XRPC wrapper (msec)";
   Printf.printf
@@ -322,16 +336,16 @@ let table3 () =
   Printf.printf "%-28s | %9s %9s %10s %9s\n" "" "total" "compile" "treebuild"
     "exec";
   let row label ~join_detect query =
-    let cluster, mdb, w = make_wrapper ~join_detect in
-    Wrapper.reset_timings w;
+    let cluster, mdb, _ = make_wrapper ~join_detect in
     Cluster.reset_stats cluster;
     let t0 = now_ms () in
-    ignore (Peer.query_seq mdb query);
+    let _, (compile, treebuild, exec) =
+      wrapper_phases (fun () -> Peer.query_seq mdb query)
+    in
     let total = now_ms () -. t0 +. (Cluster.stats cluster).Simnet.network_ms in
-    Printf.printf "%-28s | %9.1f %9.1f %10.1f %9.1f\n" label total
-      w.Wrapper.total.Wrapper.compile_ms w.Wrapper.total.Wrapper.treebuild_ms
-      w.Wrapper.total.Wrapper.exec_ms;
-    (total, w.Wrapper.total.Wrapper.exec_ms)
+    Printf.printf "%-28s | %9.1f %9.1f %10.1f %9.1f\n" label total compile
+      treebuild exec;
+    (total, exec)
   in
   let ev1, _ =
     row "echoVoid $x=1" ~join_detect:false
@@ -412,17 +426,14 @@ let table4 () =
   List.iter
     (fun strategy ->
       Cluster.reset_stats cluster;
-      Wrapper.reset_timings b;
       let query = Strategies.query ~local_uri:"xrpc://A" q7 strategy in
       let t0 = now_ms () in
-      let result = Peer.query_seq a query in
+      let result, (compile, treebuild, exec) =
+        wrapper_phases (fun () -> Peer.query_seq a query)
+      in
       let wall = now_ms () -. t0 in
       let stats = Cluster.stats cluster in
-      let b_cpu =
-        b.Wrapper.total.Wrapper.compile_ms
-        +. b.Wrapper.total.Wrapper.treebuild_ms
-        +. b.Wrapper.total.Wrapper.exec_ms
-      in
+      let b_cpu = compile +. treebuild +. exec in
       let total = wall +. stats.Simnet.network_ms in
       Printf.printf "%-22s | %10.1f %12.1f %12.1f | %5d %10d   (%d results)\n"
         (Strategies.name strategy)

@@ -68,6 +68,7 @@ let run_query peer source =
       | Xrpc_xquery.Lexer.Lex_error m
       | Xrpc_xquery.Eval.Error m
       | Xrpc_xml.Xdm.Dynamic_error m
+      | Xrpc_xml.Xs.Type_error m
       | Peer.Peer_error m ) ->
       Printf.eprintf "error: %s\n%!" m);
   if Trace.enabled () then print_trace ()

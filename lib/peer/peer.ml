@@ -16,9 +16,7 @@ open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Xctx = Xrpc_xquery.Context
 module Runner = Xrpc_xquery.Runner
-module Update = Xrpc_xquery.Update
 module Executor = Xrpc_net.Executor
-module Xrpc_error = Xrpc_net.Xrpc_error
 module Xrpc_uri = Xrpc_net.Xrpc_uri
 module Metrics = Xrpc_obs.Metrics
 module Slo = Xrpc_obs.Slo
@@ -31,7 +29,7 @@ let log_src = Logs.Src.create "xrpc.peer" ~doc:"XRPC peer request handling"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-exception Peer_error of string
+exception Peer_error = Inbound.Peer_error
 
 let err fmt = Printf.ksprintf (fun s -> raise (Peer_error s)) fmt
 
@@ -49,7 +47,7 @@ type config = {
 let default_config =
   {
     rpc_mode = Xctx.Rpc_bulk;
-    idem_capacity = 256;
+    idem_capacity = Inbound.default_idem_capacity;
   }
 
 let m_requests = Metrics.counter "peer.requests"
@@ -57,8 +55,7 @@ let m_calls = Metrics.counter "peer.calls"
 let m_queries = Metrics.counter "peer.queries"
 
 (** Peer-private state, hidden behind the interface: module registries,
-    the coordinator's decision log, the clock, and the request-handling
-    lock. *)
+    the coordinator's decision log, the clock, and the inbound path. *)
 type internals = {
   modules : (string, string) Hashtbl.t;  (** module namespace uri -> source *)
   locations : (string, string) Hashtbl.t;  (** at-hint location -> source *)
@@ -66,13 +63,7 @@ type internals = {
       (** coordinator decision log (queryID key -> committed) backing the
           Status recovery of in-doubt participants (presumed abort) *)
   clock : unit -> float;
-  lock : Mutex.t;
-      (** serializes request handling — the HTTP server runs handlers on
-          a pool of worker threads, and peer state (isolation tables,
-          database versions) is not otherwise synchronized *)
-  mutable locked_by : int option;
-      (** holder thread id, for reentrant self-calls (a served function may
-          [execute at] its own peer) *)
+  inbound : Inbound.t;  (** serves every request, one at a time *)
   mutable shard_map : Shard.t option;
       (** the consistent-hash ring this peer routes virtual
           [xrpc://shard/<key>] destinations with (introspection surface) *)
@@ -94,13 +85,8 @@ type t = {
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
   idem_cache : string Lru.t;
-      (** exactly-once semantics over an at-least-once transport: the
-          serialized response of every request that carried an [idemKey].
-          A replay with a known key is answered from here without
-          re-executing (rule R_Fu applies pending update lists per
-          request); an evicted key falls back to at-least-once.  Faults
-          are not cached: a failed request had no effects, so re-executing
-          it on retry is safe and the only way a transient error heals. *)
+      (** the inbound path's idempotency cache (exactly-once over an
+          at-least-once transport) *)
   isolation : Isolation.t;
   mutable transport : Outbound.t option;
       (** every message this peer originates goes through it *)
@@ -115,6 +101,7 @@ type t = {
 }
 
 let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
+  let inbound = Inbound.create ~scope:uri ~idem_capacity:config.idem_capacity in
   let peer =
   {
     uri;
@@ -122,7 +109,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
     func_cache = Lru.create ~capacity:64 "peer.func_cache";
     plan_cache = Plan_cache.create ();
     result_cache = Result_cache.create ();
-    idem_cache = Lru.create ~capacity:config.idem_capacity "peer.idem_cache";
+    idem_cache = Inbound.idem_cache inbound;
     isolation = Isolation.create ~clock ();
     transport = None;
     executor = Executor.sequential;
@@ -135,8 +122,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
         locations = Hashtbl.create 8;
         tx_decisions = Hashtbl.create 8;
         clock;
-        lock = Mutex.create ();
-        locked_by = None;
+        inbound;
         shard_map = None;
         shard_route = None;
       };
@@ -390,38 +376,11 @@ let handle_request peer (r : Message.request) : Message.t =
        itself exercises (and is throttled/observed by) the same
        transport, executor and breaker the queries use *)
     let wire = Telemetry.to_wire (Telemetry.local_snapshot ~peer:peer.uri ()) in
-    Message.Response
-      {
-        resp_module = r.Message.module_uri;
-        resp_method = r.Message.method_;
-        results = List.map (fun _ -> [ Xdm.str wire ]) r.Message.calls;
-        cached = false;
-        db_version = None;
-        peers = [ peer.uri ];
-      }
-  else if
-    r.Message.module_uri = Qname.ns_xrpc && r.Message.method_ = "getDocument"
-  then
+    Inbound.response ~peers:[ peer.uri ] r
+      (List.map (fun _ -> [ Xdm.str wire ]) r.Message.calls)
+  else if Inbound.is_get_document r then
     (* internal data-shipping handler behind fn:doc("xrpc://...") *)
-    let results =
-      List.map
-        (fun params ->
-          match params with
-          | [ path_seq ] ->
-              let path = Xdm.string_value (Xdm.one_item ~what:"path" path_seq) in
-              [ Xdm.Node (Store.root (Database.doc_exn version path)) ]
-          | _ -> err "getDocument expects one parameter")
-        r.Message.calls
-    in
-    Message.Response
-      {
-        resp_module = r.Message.module_uri;
-        resp_method = r.Message.method_;
-        results;
-        cached = false;
-        db_version = None;
-        peers = [ peer.uri ];
-      }
+    Inbound.get_document ~self:peer.uri version r
   else
     (* semantic result cache (R_Fr only): a read-only, non-isolated call
        whose caller did not opt out is answerable from a memoized result,
@@ -462,15 +421,8 @@ let handle_request peer (r : Message.request) : Message.t =
           Trace.add (Profile.op_attr "rows_out" "cache.result_hit")
             (float_of_int (List.length results))
         end;
-        Message.Response
-          {
-            resp_module = r.Message.module_uri;
-            resp_method = r.Message.method_;
-            results;
-            cached = true;
-            db_version = Some version.Database.version_no;
-            peers = [ peer.uri ];
-          }
+        Inbound.response ~cached:true ~db_version:version.Database.version_no
+          ~peers:[ peer.uri ] r results
     | None ->
     let funcs =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
@@ -507,13 +459,7 @@ let handle_request peer (r : Message.request) : Message.t =
       match joined with
       | Some rs -> rs
       | None ->
-          List.map
-            (fun params ->
-              if List.length params <> r.Message.arity then
-                err "call has %d parameters, expected %d" (List.length params)
-                  r.Message.arity;
-              Xrpc_xquery.Eval.apply_function ctx f params)
-            r.Message.calls
+          List.map (Xrpc_xquery.Eval.apply_function ctx f) r.Message.calls
     in
     (* updating semantics *)
     let pul = List.rev !(ctx.Xctx.pul) in
@@ -541,15 +487,8 @@ let handle_request peer (r : Message.request) : Message.t =
           ~deps:(Hashtbl.fold (fun d v acc -> (d, v) :: acc) deps [])
           results
     | _ -> ());
-    Message.Response
-      {
-        resp_module = r.Message.module_uri;
-        resp_method = r.Message.method_;
-        results = (if r.Message.updating then [] else results);
-        cached = false;
-        db_version = Some version.Database.version_no;
-        peers = !peers_acc;
-      }
+    Inbound.response ~db_version:version.Database.version_no ~peers:!peers_acc r
+      (if r.Message.updating then [] else results)
 
 (* 2PC participant (WS-AtomicTransaction-style, §2.3) *)
 let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
@@ -578,13 +517,28 @@ let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
                         mine)
               peer.isolation.Isolation.entries false
           in
-          if conflict then
-            Message.Tx_response { ok = false; info = "conflicting transaction in prepared state" }
-          else (
-            (* "log(∆) to stable storage": the PUL is retained in the
-               isolation entry; mark the vote *)
-            e.Isolation.prepared <- true;
-            Message.Tx_response { ok = true; info = "prepared" }))
+          (* first committer wins: a document committed to since this
+             query pinned its snapshot would lose that commit if the ∆
+             built against the snapshot were applied, so vote no *)
+          let current = Database.snapshot peer.db in
+          let changed =
+            List.find_opt
+              (fun d ->
+                Database.doc_version current d
+                <> Database.doc_version e.Isolation.snapshot d)
+              mine
+          in
+          match changed with
+          | _ when conflict ->
+              Message.Tx_response { ok = false; info = "conflicting transaction in prepared state" }
+          | Some d ->
+              Message.Tx_response
+                { ok = false; info = "document changed since the snapshot: " ^ d }
+          | None ->
+              (* "log(∆) to stable storage": the PUL is retained in the
+                 isolation entry; mark the vote *)
+              e.Isolation.prepared <- true;
+              Message.Tx_response { ok = true; info = "prepared" })
   | Message.Commit -> (
       match Isolation.find peer.isolation qid with
       | None -> Message.Tx_response { ok = true; info = "nothing to commit" }
@@ -607,205 +561,17 @@ let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
           Message.Tx_response
             { ok = false; info = "unknown transaction (presumed abort)" })
 
-(** The raw SOAP-over-HTTP handler: body in, body out.  Any error becomes a
-    SOAP Fault, which the originating site turns into a run-time error
-    (§2.1, "XRPC Error Message"). *)
-let with_peer_lock peer f =
-  let self = Thread.id (Thread.self ()) in
-  if peer.internals.locked_by = Some self then f ()
-  else begin
-    Mutex.lock peer.internals.lock;
-    peer.internals.locked_by <- Some self;
-    Fun.protect
-      ~finally:(fun () ->
-        peer.internals.locked_by <- None;
-        Mutex.unlock peer.internals.lock)
-      f
-  end
+(* The native engine behind the inbound path. *)
+let answer peer msg ~body:_ ~pos:_ ~len:_ =
+  match msg with
+  | Message.Request r -> Inbound.Reply (handle_request peer r)
+  | Message.Tx_request (op, qid) -> Inbound.Reply (handle_tx peer op qid)
+  | _ -> err "expected a request"
 
-(* The reply to one parsed message: a SOAP Fault on failure. *)
-let reply_to peer msg =
-  let reply =
-    try
-      match msg with
-      | Ok (Message.Request r) -> handle_request peer r
-      | Ok (Message.Tx_request (op, qid)) -> handle_tx peer op qid
-      | Ok _ -> Message.Fault { fault_code = `Sender; reason = "expected a request" }
-      | Error e -> raise e
-    with
-    | Peer_error m | Xdm.Dynamic_error m | Xrpc_xquery.Eval.Error m
-    | Xrpc_xquery.Runner.Module_error m ->
-        Message.Fault { fault_code = `Sender; reason = m }
-    | Xrpc_error.Error e ->
-        (* a served function's own [execute at] dispatch failed: surface
-           the typed transport error losslessly (round-trips through
-           {!Xrpc_error.of_soap_fault} on the caller's side) *)
-        let fault_code, reason = Xrpc_error.to_soap_fault e in
-        Message.Fault { fault_code; reason }
-    | Isolation.Expired key ->
-        Message.Fault
-          { fault_code = `Sender; reason = "queryID expired: " ^ key }
-    | Isolation.Snapshot_too_old timestamp ->
-        Message.Fault
-          { fault_code = `Sender; reason = "snapshot too old: " ^ timestamp }
-    | Message.Protocol_error m | Xml_parse.Parse_error m ->
-        Message.Fault { fault_code = `Sender; reason = "malformed message: " ^ m }
-    | Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m ->
-        Message.Fault { fault_code = `Sender; reason = "module syntax error: " ^ m }
-    | Xrpc_xquery.Check.Static_error errors ->
-        Message.Fault
-          {
-            fault_code = `Sender;
-            reason =
-              "static errors: "
-              ^ String.concat "; "
-                  (List.map Xrpc_xquery.Check.error_to_string errors);
-          }
-  in
-  (match reply with
-  | Message.Fault f ->
-      Trace.event ~detail:f.Message.reason "fault";
-      Log.warn (fun m -> m "%s: fault: %s" peer.uri f.Message.reason)
-  | _ -> ());
-  reply
+let handle_raw_into peer ?pos ?len body out =
+  Inbound.serve_into peer.internals.inbound (answer peer) ?pos ?len body out
 
-(* serverProfile, folded from the request's span slice: the parse time
-   (an attribute of the peer.handle root), then the root's phase spans in
-   the order they ran.  Only the root's direct children count, so a
-   nested in-process peer's own phases never add to this peer's. *)
-let phase_spans =
-  [ ("peer.cache", "cache"); ("peer.compile", "compile");
-    ("peer.exec", "exec"); ("peer.commit", "commit") ]
-
-let server_phases = function
-  | [] -> []
-  | (root : Trace.span) :: rest ->
-      ("parse", Option.value ~default:0. (Trace.attr root "parse_ms"))
-      :: List.filter_map
-           (fun (s : Trace.span) ->
-             match List.assoc_opt s.Trace.name phase_spans with
-             | Some phase when s.Trace.parent = Some root.Trace.span_id ->
-                 Some (phase, Trace.duration_ms s)
-             | _ -> None)
-           rest
-
-type served = Cached of string | Reply of Message.t
-
-let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
-    unit =
-  let len = match len with Some l -> l | None -> String.length body - pos in
-  let t0 = Unix.gettimeofday () in
-  with_peer_lock peer @@ fun () ->
-  let tparse0 = Trace.now_ms () in
-  let parsed =
-    try Ok (Message.of_string_server ~pos ~len body) with e -> Error e
-  in
-  let parse_ms = Trace.now_ms () -. tparse0 in
-  let msg = Result.map (fun (m, _, _) -> m) parsed in
-  let idem_key =
-    match msg with
-    | Ok (Message.Request { idem_key = Some k; _ }) -> Some k
-    | _ -> None
-  in
-  (* the request's spans are collected whenever someone will read them:
-     the caller asked for the phase breakdown (the profile request
-     attribute), sent a trace context (a traced distributed query), or
-     tracing is on in this process.  The root adopts the caller's
-     propagated (trace-id, parent-span), so peer-side work lands in the
-     originating query's tree.  Plain traffic pays one test and its wire
-     format is unchanged. *)
-  let remote, want_phases =
-    match parsed with
-    | Ok (_, remote, flag) -> (remote, flag || remote <> None || Trace.enabled ())
-    | Error _ -> (None, Trace.enabled ())
-  in
-  let serve () =
-    Trace.add "parse_ms" parse_ms;
-    (* exactly-once over at-least-once delivery: a request whose idemKey
-       we already answered is served from the idempotency cache without
-       re-executing (in particular without re-applying R_Fu updates) *)
-    match Option.bind idem_key (Lru.find peer.idem_cache) with
-    | Some cached ->
-        Trace.event "idem-hit";
-        Cached cached
-    | None -> Reply (reply_to peer msg)
-  in
-  let run () = try Ok (serve ()) with e -> Error e in
-  let served, spans =
-    if want_phases then
-      Trace.collect ~label:"peer.handle" ~detail:peer.uri ?remote run
-    else (Trace.with_span ~detail:peer.uri "peer.handle" run, [])
-  in
-  (* the phase breakdown rides back on the response element, so the
-     calling site's profile can split remote time into phases without
-     another round trip; the reply is serialized exactly once, directly
-     into the caller's (reused) output buffer — the streaming-serialize
-     half of the event-loop server.  Successful replies are remembered
-     for retries; a faulted request had no effects, so a retry may
-     legitimately re-execute it. *)
-  let outcome =
-    match served with
-    | Error e -> Error e
-    | Ok (Cached cached) ->
-        Buffer.add_string out cached;
-        Ok None
-    | Ok (Reply reply) -> (
-        let start = Buffer.length out in
-        match
-          Message.to_buffer
-            ?server_profile:(if want_phases then Some (server_phases spans) else None)
-            out reply
-        with
-        | exception e -> Error e
-        | () -> (
-            match (idem_key, reply) with
-            | _, Message.Fault f -> Ok (Some f.Message.reason)
-            | Some k, _ ->
-                Lru.add peer.idem_cache k
-                  (Buffer.sub out start (Buffer.length out - start));
-                Ok None
-            | None, _ -> Ok None))
-  in
-  (* the request's one exit: one clock read for its duration, one
-     completion record for the metrics, SLO and flight-recorder views.
-     The SLO endpoint is the function or 2PC op served; the label adds
-     the arity and call count. *)
-  let endpoint, label =
-    match msg with
-    | Ok (Message.Request r) ->
-        let n = List.length r.Message.calls in
-        ( r.Message.module_uri ^ ":" ^ r.Message.method_,
-          Printf.sprintf "%s:%s#%d (%d call%s)" r.Message.module_uri
-            r.Message.method_ r.Message.arity n
-            (if n = 1 then "" else "s") )
-    | Ok (Message.Tx_request (op, qid)) ->
-        ( "tx:" ^ Message.tx_op_name op,
-          Printf.sprintf "tx:%s %s" (Message.tx_op_name op)
-            (Message.query_id_key qid) )
-    | Ok _ -> ("malformed", "unexpected message kind")
-    | Error e -> ("malformed", "unparseable request: " ^ Printexc.to_string e)
-  in
-  Flight_recorder.complete ~scope:peer.uri
-    {
-      Flight_recorder.c_endpoint = endpoint;
-      c_label = label;
-      c_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-      c_error =
-        (match outcome with
-        | Ok fault -> fault
-        | Error e -> Some (Printexc.to_string e));
-      c_idem_key = idem_key;
-      (* the ring keeps a slice only when tracing is on: holding every
-         profiled request's spans would promote them all to the major
-         heap *)
-      c_spans = (if Trace.enabled () then spans else []);
-    };
-  match outcome with Ok _ -> () | Error e -> raise e
-
-let handle_raw peer (body : string) : string =
-  let out = Buffer.create 1024 in
-  handle_raw_into peer body out;
-  Buffer.contents out
+let handle_raw peer body = Inbound.serve peer.internals.inbound (answer peer) body
 
 (* ------------------------------------------------------------------ *)
 (* Client side: running queries                                        *)

@@ -12,13 +12,13 @@
     isolation — commits distributed updates with 2PC over the piggybacked
     participant list (§2.3).
 
-    [handle_raw] is thread-safe (the HTTP server runs handlers on a pool
-    of worker threads): request handling is serialized under an
-    internal reentrant lock, so a served function may [execute at] its own
-    peer without deadlocking.  [query] runs outside that lock; each cache
-    guards itself with its own mutex. *)
+    [handle_raw] is this peer's engine behind the one {!Inbound} path,
+    which decodes, locks, records and answers every served request;
+    [query] runs outside the path's lock, and each cache guards itself
+    with its own mutex. *)
 
 exception Peer_error of string
+(** The same exception as {!Inbound.Peer_error}. *)
 
 type config = {
   rpc_mode : Xrpc_xquery.Context.rpc_mode;
@@ -35,7 +35,7 @@ val default_config : config
 
 type internals
 (** Peer-private state (module registries, coordinator decision log,
-    clock, request lock) — not part of the API. *)
+    clock, inbound path) — not part of the API. *)
 
 type t = {
   uri : string;
@@ -50,13 +50,9 @@ type t = {
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
   idem_cache : string Lru.t;
-      (** exactly-once semantics over an at-least-once transport: the
-          serialized response of every request that carried an [idemKey].
-          A replay with a known key is answered from here without
-          re-executing (rule R_Fu applies pending update lists per
-          request); an evicted key falls back to at-least-once.  Faults
-          are not cached: a failed request had no effects, so re-executing
-          it on retry is safe and the only way a transient error heals. *)
+      (** the inbound path's idempotency cache: exactly-once semantics
+          over an at-least-once transport (rule R_Fu applies pending
+          update lists per request), [config.idem_capacity] entries *)
   isolation : Isolation.t;
   mutable transport : Outbound.t option;
       (** the outgoing-message path every message this peer originates
@@ -118,16 +114,17 @@ val module_resolver : t -> Xrpc_xquery.Runner.module_resolver
 
 val handle_raw : t -> string -> string
 (** The raw SOAP-over-HTTP handler: body in, body out.  Any error becomes
-    a SOAP Fault ({!Xrpc_net.Xrpc_error} values losslessly, via
-    [to_soap_fault]), which the originating site turns into a run-time
-    error (§2.1, "XRPC Error Message"). *)
+    a SOAP Fault by the {!Inbound} path's one table
+    ({!Xrpc_net.Xrpc_error} values losslessly, via [to_soap_fault]),
+    which the originating site turns into a run-time error (§2.1, "XRPC
+    Error Message"). *)
 
 val handle_raw_into : t -> ?pos:int -> ?len:int -> string -> Buffer.t -> unit
-(** Streaming form of {!handle_raw}: the request envelope is parsed out
-    of the window [body.[pos .. pos+len)] (no substring copy — the
-    event-loop server points this at the SOAP body inside its connection
-    buffer) and the reply is serialized exactly once, appended to the
-    caller's reused output buffer. *)
+(** Streaming form of {!handle_raw} ({!Inbound.serve_into}): the request
+    envelope is parsed out of the window [body.[pos .. pos+len)] (no
+    substring copy — the event-loop server points this at the SOAP body
+    inside its connection buffer) and the reply is serialized exactly
+    once, appended to the caller's reused output buffer. *)
 
 (** {2 Client side: running queries} *)
 

@@ -10,20 +10,23 @@
     [wrapper.xq] below), demonstrating the paper's claim that the
     marshaling functions need no engine support.
 
-    Timing of each request is broken down into compile / treebuild / exec,
-    matching Table 3's columns.  With [join_detect] the wrapper mimics
-    Saxon's optimizer: a bulk request whose target function is a selection
-    [doc(..)//elem[key = $param]] is answered with one hash join over all
-    calls instead of [n] scans (§4, "Saxon Experiments"). *)
+    The wrapper is an engine behind the one {!Inbound} path, like the
+    native peer: the path decodes the envelope, locks, keeps the
+    idempotency cache, maps failures to Faults and records the request.
+    Each request's work is three spans, Table 3's columns:
+    [wrapper.treebuild], [wrapper.compile] and [wrapper.exec].  With
+    [join_detect] the wrapper mimics Saxon's optimizer: a bulk request
+    whose target function is a selection [doc(..)//elem[key = $param]] is
+    answered with one hash join over all calls instead of [n] scans (§4,
+    "Saxon Experiments"). *)
 
 open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
+module Trace = Xrpc_obs.Trace
 
-exception Wrapper_error of string
-
-let err fmt = Printf.ksprintf (fun s -> raise (Wrapper_error s)) fmt
+let err fmt = Printf.ksprintf (fun s -> raise (Inbound.Peer_error s)) fmt
 
 (** Pure-XQuery marshaling module served under the namespace
     ["xrpc-wrapper"].  [w:n2s] converts an [xrpc:sequence] element into a
@@ -82,12 +85,6 @@ declare function w:s2n($items as item()*) as node() {
 };
 |}
 
-type timings = {
-  mutable compile_ms : float;
-  mutable treebuild_ms : float;
-  mutable exec_ms : float;
-}
-
 type t = {
   uri : string;
   db : Database.t;
@@ -97,9 +94,7 @@ type t = {
   mutable transport : Outbound.t option;
       (** for [fn:doc("xrpc://...")] data shipping only — the wrapper still
           cannot make outgoing XRPC {e calls} (§4) *)
-  last : timings;  (** per-request breakdown, Table-3 style *)
-  total : timings;
-  mutable request_counter : int;
+  inbound : Inbound.t;
 }
 
 let create ?(join_detect = false) uri =
@@ -111,9 +106,8 @@ let create ?(join_detect = false) uri =
       locations = Hashtbl.create 8;
       join_detect;
       transport = None;
-      last = { compile_ms = 0.; treebuild_ms = 0.; exec_ms = 0. };
-      total = { compile_ms = 0.; treebuild_ms = 0.; exec_ms = 0. };
-      request_counter = 0;
+      inbound =
+        Inbound.create ~scope:uri ~idem_capacity:Inbound.default_idem_capacity;
     }
   in
   Hashtbl.replace t.modules "xrpc-wrapper" wrapper_xq;
@@ -138,8 +132,6 @@ let resolver w : Xrpc_xquery.Runner.module_resolver =
       match Hashtbl.find_opt w.locations location with
       | Some src -> src
       | None -> err "could not load module! (%s at %s)" uri location)
-
-let now_ms () = Unix.gettimeofday () *. 1000.
 
 (* ------------------------------------------------------------------ *)
 (* Figure-3 query generation                                           *)
@@ -173,177 +165,88 @@ let generate_query ~module_uri ~location ~method_ ~arity ~request_doc =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let find_attr attrs local =
-  List.find_map
-    (fun (a : Tree.attr) ->
-      if a.name.Qname.local = local then Some a.value else None)
-    attrs
+(* The request message, shredded as a document, is resolved per request
+   under this one name. *)
+let request_doc = "/tmp/request.xml"
+
+(* [fn:doc] at the wrapper: the request message, a local document, or —
+   data shipping, the one network interaction an XRPC-incapable engine
+   can do (think Saxon resolving an http: URL) — a fetched one; each
+   resolved once per request *)
+let doc_resolver w ~request_store =
+  let version = Database.snapshot w.db and docs = Hashtbl.create 4 in
+  fun name ->
+    if name = request_doc then request_store
+    else
+      match Hashtbl.find_opt docs name with
+      | Some s -> s
+      | None ->
+          let s =
+            if not (String.starts_with ~prefix:"xrpc://" name) then
+              Database.doc_exn version name
+            else
+              match w.transport with
+              | Some out -> Outbound.fetch_document out name
+              | None -> err "fn:doc(%s): wrapper has no transport" name
+          in
+          Hashtbl.replace docs name s;
+          s
+
+(* Figure 3 over one bulk request: shred the message (treebuild), generate
+   and compile the query (compile), run it (exec). *)
+let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.reply =
+  (* with no calls the body never runs: its parameter list stays empty,
+     or a few bytes of arity could ask for a query of any size *)
+  let arity = if r.Message.calls = [] then 0 else r.Message.arity in
+  let module_uri = r.Message.module_uri and method_ = r.Message.method_ in
+  let request_store =
+    Trace.with_span "wrapper.treebuild" @@ fun () ->
+    Store.shred ~uri:request_doc (Xml_parse.document_sub body ~pos ~len)
+  in
+  let ctx, body_expr =
+    Trace.with_span "wrapper.compile" @@ fun () ->
+    let prog =
+      Xrpc_xquery.Parser.parse_prog
+        (generate_query ~module_uri ~location:r.Message.location ~method_
+           ~arity ~request_doc)
+    in
+    (* the wrapper peer cannot make outgoing XRPC calls (§4) *)
+    let base =
+      { (Xctx.empty ()) with
+        Xctx.doc_resolver = doc_resolver w ~request_store; dispatcher = None }
+    in
+    ( Xrpc_xquery.Runner.load_prolog base ~resolver:(resolver w) prog,
+      prog.Xast.body )
+  in
+  Trace.with_span "wrapper.exec" @@ fun () ->
+  let joined =
+    if not w.join_detect then None
+    else
+      (* Saxon's optimizer view: fetch the target function and try the
+         equi-join plan over all calls of the bulk request *)
+      match Xctx.find_function ctx (Qname.make ~uri:module_uri method_) arity with
+      | None -> None
+      | Some f -> Bulk_opt.hash_join_execute ctx f r.Message.calls
+  in
+  match (joined, body_expr) with
+  | Some results, _ -> Inbound.Reply (Inbound.response ~peers:[ w.uri ] r results)
+  | None, Some b -> (
+      match Xrpc_xquery.Eval.eval ctx b with
+      | [ Xdm.Node n ] ->
+          Inbound.Serialized
+            (Serialize.document_to_string (Tree.Document [ Store.to_tree n ]))
+      | _ -> err "generated query did not yield one envelope")
+  | None, None -> err "generated query has no body"
+
+(* The wrapper's engine: a plain document fetch (data shipping) is the
+   one request shape an XRPC-incapable engine's HTTP layer can serve
+   without XQuery; every other request runs Figure 3. *)
+let answer w msg ~body ~pos ~len =
+  match msg with
+  | Message.Request r when Inbound.is_get_document r ->
+      Inbound.Reply (Inbound.get_document ~self:w.uri (Database.snapshot w.db) r)
+  | Message.Request r -> run_figure3 w r ~body ~pos ~len
+  | _ -> err "expected a request"
 
 (** Handle one raw SOAP XRPC request body, returning the response body. *)
-let handle_raw (w : t) (body : string) : string =
-  try
-    (* treebuild: parse + shred the request document *)
-    let t0 = now_ms () in
-    let tree = Xml_parse.document body in
-    let request_store = Store.shred ~uri:"/tmp/request.xml" tree in
-    let t1 = now_ms () in
-    (* locate the xrpc:request element to read module/method/arity *)
-    let rec find_request t =
-      match t with
-      | Tree.Element { name; attrs; children } ->
-          if name.Qname.local = "request" && name.Qname.uri = Qname.ns_xrpc then
-            Some attrs
-          else List.find_map find_request children
-      | Tree.Document cs -> List.find_map find_request cs
-      | _ -> None
-    in
-    let attrs =
-      match find_request tree with
-      | Some a -> a
-      | None -> err "no xrpc:request in message"
-    in
-    let get what =
-      match find_attr attrs what with
-      | Some v -> v
-      | None -> err "request missing %s" what
-    in
-    let module_uri = get "module" and method_ = get "method" in
-    let arity = int_of_string (get "arity") in
-    let location = Option.value ~default:"" (find_attr attrs "location") in
-    if module_uri = Qname.ns_xrpc && method_ = "getDocument" then
-      (* plain document fetch (data shipping) — the one request shape an
-         XRPC-incapable engine's HTTP layer can serve without XQuery *)
-      let version = Database.snapshot w.db in
-      let results =
-        match Message.of_string body with
-        | Message.Request r ->
-            List.map
-              (fun params ->
-                match params with
-                | [ path_seq ] ->
-                    let path =
-                      Xdm.string_value (Xdm.one_item ~what:"path" path_seq)
-                    in
-                    [ Xdm.Node (Store.root (Database.doc_exn version path)) ]
-                | _ -> err "getDocument expects one parameter")
-              r.Message.calls
-        | _ -> err "malformed getDocument request"
-      in
-      Message.to_string
-        (Message.Response
-           {
-             resp_module = module_uri;
-             resp_method = method_;
-             results;
-             cached = false;
-             db_version = None;
-             peers = [ w.uri ];
-           })
-    else begin
-    w.request_counter <- w.request_counter + 1;
-    let request_doc = Printf.sprintf "/tmp/request%d.xml" w.request_counter in
-    (* compile: generate + parse the query and the modules it imports *)
-    let query =
-      generate_query ~module_uri ~location ~method_ ~arity ~request_doc
-    in
-    let prog = Xrpc_xquery.Parser.parse_prog query in
-    let base = Xctx.empty () in
-    let version = Database.snapshot w.db in
-    let doc_cache = Hashtbl.create 4 in
-    let fetch_remote uri_str =
-      (* data shipping into the wrapper: plain document fetch, the one
-         network interaction an XRPC-incapable engine can do (think Saxon
-         resolving an http: URL in fn:doc) *)
-      match w.transport with
-      | Some out -> Outbound.fetch_document out uri_str
-      | None -> err "fn:doc(%s): wrapper has no transport" uri_str
-    in
-    let base =
-      {
-        base with
-        Xctx.doc_resolver =
-          (fun name ->
-            if name = request_doc then request_store
-            else
-              match Hashtbl.find_opt doc_cache name with
-              | Some s -> s
-              | None ->
-                  let s =
-                    if String.length name >= 7 && String.sub name 0 7 = "xrpc://"
-                    then fetch_remote name
-                    else Database.doc_exn version name
-                  in
-                  Hashtbl.replace doc_cache name s;
-                  s);
-        (* the wrapper peer cannot make outgoing XRPC calls (§4) *)
-        dispatcher = None;
-      }
-    in
-    let ctx = Xrpc_xquery.Runner.load_prolog base ~resolver:(resolver w) prog in
-    let t2 = now_ms () in
-    (* exec *)
-    let response_body =
-      let joined =
-        if not w.join_detect then None
-        else
-          (* Saxon's optimizer view: fetch the target function and try the
-             equi-join plan over all calls of the bulk request *)
-          let fname = Qname.make ~uri:module_uri method_ in
-          match Xctx.find_function ctx fname arity with
-          | None -> None
-          | Some f -> (
-              match Message.of_string body with
-              | Message.Request r -> (
-                  match Bulk_opt.hash_join_execute ctx f r.Message.calls with
-                  | Some results ->
-                      Some
-                        (Message.to_string
-                           (Message.Response
-                              {
-                                resp_module = module_uri;
-                                resp_method = method_;
-                                results;
-                                cached = false;
-                                db_version = None;
-                                peers = [ w.uri ];
-                              }))
-                  | None -> None)
-              | _ -> None)
-      in
-      match joined with
-      | Some s -> s
-      | None -> (
-          match prog.Xast.body with
-          | None -> assert false
-          | Some b ->
-              let result = Xrpc_xquery.Eval.eval ctx b in
-              let envelope =
-                match result with
-                | [ Xdm.Node n ] -> Store.to_tree n
-                | _ -> err "generated query did not yield one envelope"
-              in
-              Serialize.document_to_string (Tree.Document [ envelope ]))
-    in
-    let t3 = now_ms () in
-    w.last.treebuild_ms <- t1 -. t0;
-    w.last.compile_ms <- t2 -. t1;
-    w.last.exec_ms <- t3 -. t2;
-    w.total.treebuild_ms <- w.total.treebuild_ms +. (t1 -. t0);
-    w.total.compile_ms <- w.total.compile_ms +. (t2 -. t1);
-    w.total.exec_ms <- w.total.exec_ms +. (t3 -. t2);
-    response_body
-    end
-  with
-  | Wrapper_error m
-  | Xdm.Dynamic_error m
-  | Xrpc_xquery.Eval.Error m
-  | Xrpc_xquery.Runner.Module_error m ->
-      Message.to_string (Message.Fault { fault_code = `Sender; reason = m })
-  | Xml_parse.Parse_error m ->
-      Message.to_string
-        (Message.Fault { fault_code = `Sender; reason = "malformed message: " ^ m })
-
-let reset_timings w =
-  w.total.compile_ms <- 0.;
-  w.total.treebuild_ms <- 0.;
-  w.total.exec_ms <- 0.
+let handle_raw w body = Inbound.serve w.inbound (answer w) body

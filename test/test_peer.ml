@@ -110,6 +110,22 @@ declare function b:boom() { error("XYZ: kaboom") };|};
         (String.length f.Message.reason >= 3 && String.sub f.Message.reason 0 3 = "XYZ")
   | _ -> Alcotest.fail "expected fault"
 
+(* an untyped argument that does not cast to the parameter's type is a
+   Sender fault, not a cast error out of the handler *)
+let test_uncastable_argument_fault () =
+  let peer, _ = make_peer () in
+  Peer.register_module peer ~uri:Xrpc_workloads.Testmod.module_ns
+    Xrpc_workloads.Testmod.test_module;
+  let req =
+    { (film_request ()) with
+      Message.module_uri = Xrpc_workloads.Testmod.module_ns; location = "";
+      method_ = "ping"; calls = [ [ [ Xdm.Atomic (Xs.Untyped "abc") ] ] ] }
+  in
+  match handle peer req with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check string_ "reason" {|cannot cast "abc" to xs:integer|} reason
+  | _ -> Alcotest.fail "expected a Sender fault"
+
 let test_malformed_message_fault () =
   let peer, _ = make_peer () in
   match Message.of_string (Peer.handle_raw peer "this is not xml") with
@@ -439,6 +455,46 @@ let test_prepare_conflict_detection () =
   ignore (tx peer Message.Rollback q2);
   check int_ "only one applied" 4 (count_films peer)
 
+(* first committer wins: documents committed to after a repeatable query
+   pinned its snapshot make that query's Prepare vote no, naming the
+   document, so the commits made since are kept *)
+let test_prepare_refuses_changed_snapshot () =
+  let peer, _ = make_peer () in
+  let q = qid "10.0" in
+  ignore (handle peer (add_film_request ~query_id:(Some q) "Deferred"));
+  List.iter
+    (fun name ->
+      match handle peer (add_film_request ~query_id:None name) with
+      | Message.Response _ -> ()
+      | _ -> Alcotest.fail "addFilm")
+    [ "A"; "B"; "C" ];
+  check int_ "three writes" 6 (count_films peer);
+  (match tx peer Message.Prepare q with
+  | Message.Tx_response { ok = false; info } ->
+      check string_ "names the document"
+        "document changed since the snapshot: filmDB.xml" info
+  | _ -> Alcotest.fail "prepare must vote no");
+  ignore (tx peer Message.Rollback q);
+  check int_ "no write lost" 6 (count_films peer)
+
+(* a served updating function whose pending update list cannot be applied
+   answers a Sender fault, not an exception out of the handler *)
+let test_update_error_fault () =
+  let peer, _ = make_peer () in
+  Peer.register_module peer ~uri:"wipe"
+    {|module namespace w = "wipe";
+declare updating function w:wipe() { delete nodes root(doc("filmDB.xml")) };|};
+  let req =
+    { (add_film_request ~query_id:None "") with
+      Message.module_uri = "wipe"; location = ""; method_ = "wipe"; arity = 0;
+      calls = [ [] ] }
+  in
+  (match handle peer req with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check string_ "reason" "cannot delete the document root" reason
+  | _ -> Alcotest.fail "expected a Sender fault");
+  check int_ "nothing applied" 3 (count_films peer)
+
 let test_read_only_participant_votes_yes () =
   let peer, _ = make_peer () in
   match tx peer Message.Prepare (qid "9.0") with
@@ -639,6 +695,21 @@ let test_q_b3_hash_join () =
     (List.length (List.filter (fun r -> r <> []) bulk));
   check bool_ "bulk = singles" true (List.for_all2 Xdm.deep_equal bulk singles)
 
+(* a bulk request to a join-shaped function whose calls carry the wrong
+   number of parameters is a Sender fault, not an exception out of the
+   join planner *)
+let test_bulk_wrong_parameter_count () =
+  let peer, _ = make_peer () in
+  let req = film_request ~actors:[ "Julie Andrews"; "Sean Connery" ] () in
+  match
+    handle peer
+      { req with
+        Message.calls = req.Message.calls @ [ [ [ Xdm.str "a" ]; [ Xdm.str "b" ] ] ] }
+  with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check string_ "reason" "call has 2 parameters, expected 1" reason
+  | _ -> Alcotest.fail "expected a Sender fault"
+
 let test_get_document_internal () =
   let peer, _ = make_peer () in
   let req =
@@ -746,6 +817,8 @@ let () =
           Alcotest.test_case "runtime error fault" `Quick
             test_runtime_error_becomes_fault;
           Alcotest.test_case "malformed message" `Quick test_malformed_message_fault;
+          Alcotest.test_case "uncastable argument" `Quick
+            test_uncastable_argument_fault;
           Alcotest.test_case "bad character reference" `Quick
             test_bad_char_ref_fault;
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;
@@ -784,6 +857,10 @@ let () =
             test_prepare_conflict_detection;
           Alcotest.test_case "read-only participant" `Quick
             test_read_only_participant_votes_yes;
+          Alcotest.test_case "prepare after a newer commit votes no" `Quick
+            test_prepare_refuses_changed_snapshot;
+          Alcotest.test_case "unappliable update is a Sender fault" `Quick
+            test_update_error_fault;
         ] );
       ( "history",
         [
@@ -808,5 +885,7 @@ let () =
         [
           Alcotest.test_case "hash join" `Quick test_bulk_hash_join_used_and_correct;
           Alcotest.test_case "Q_B3 stays a hash join" `Quick test_q_b3_hash_join;
+          Alcotest.test_case "wrong parameter count is a Sender fault" `Quick
+            test_bulk_wrong_parameter_count;
         ] );
     ]

@@ -142,12 +142,22 @@ let test_wrapper_echo_void () =
   | Message.Fault f -> Alcotest.fail f.Message.reason
   | _ -> Alcotest.fail "kind"
 
+(* Table 3's columns are the wrapper's spans: one each per request *)
 let test_wrapper_timings_recorded () =
   let w = make_wrapper () in
-  ignore (handle w (get_person_request [ 1 ]));
-  check bool_ "treebuild > 0" true (w.Wrapper.last.Wrapper.treebuild_ms > 0.);
-  check bool_ "compile > 0" true (w.Wrapper.last.Wrapper.compile_ms > 0.);
-  check bool_ "exec > 0" true (w.Wrapper.last.Wrapper.exec_ms > 0.)
+  let _, p =
+    Xrpc_obs.Profile.profiled (fun () -> handle w (get_person_request [ 1 ]))
+  in
+  List.iter
+    (fun phase ->
+      match
+        List.filter
+          (fun (n : Xrpc_obs.Profile.node) -> n.Xrpc_obs.Profile.name = phase)
+          (Xrpc_obs.Profile.nodes p)
+      with
+      | [ n ] -> check bool_ (phase ^ " > 0") true (n.Xrpc_obs.Profile.incl_ms > 0.)
+      | ns -> Alcotest.failf "%d %s spans" (List.length ns) phase)
+    [ "wrapper.treebuild"; "wrapper.compile"; "wrapper.exec" ]
 
 let test_wrapper_fault_on_unknown_module () =
   let w = make_wrapper () in
@@ -156,6 +166,62 @@ let test_wrapper_fault_on_unknown_module () =
   | Message.Fault f ->
       check bool_ "could not load module" true (String.length f.Message.reason > 0)
   | _ -> Alcotest.fail "expected fault"
+
+(* [s] with its first [sub] replaced by [by] *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let expect_malformed what reply =
+  match Message.of_string reply with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check bool_ (what ^ ": " ^ reason) true
+        (String.starts_with ~prefix:"malformed message" reason)
+  | _ -> Alcotest.failf "%s: expected a Sender fault" what
+
+(* an arity that is not a number is a malformed message, not a Failure
+   out of the handler *)
+let test_wrapper_bad_arity () =
+  let w = make_wrapper () in
+  let body = Message.to_string (Message.Request (get_person_request [ 1 ])) in
+  expect_malformed "arity=x"
+    (Wrapper.handle_raw w (replace ~sub:{|arity="2"|} ~by:{|arity="x"|} body))
+
+(* a getDocument parameter typed xs:integer whose text is not one is a
+   malformed message, not a Protocol_error out of the handler *)
+let test_wrapper_bad_get_document_integer () =
+  let w = make_wrapper () in
+  let body =
+    Message.to_string
+      (Message.Request
+         { (get_person_request []) with
+           Message.module_uri = Qname.ns_xrpc; location = "";
+           method_ = "getDocument"; arity = 1;
+           calls = [ [ [ Xdm.int 12345 ] ] ] })
+  in
+  expect_malformed "xs:integer abc"
+    (Wrapper.handle_raw w (replace ~sub:">12345<" ~by:">abc<" body))
+
+(* the wrapper serves behind the shared inbound path: a keyed request is
+   executed once and replayed from the idempotency cache, and every
+   request leaves a flight-recorder entry *)
+let test_wrapper_shared_path () =
+  let w = make_wrapper () in
+  let idem = Xrpc_peer.Inbound.idem_cache w.Wrapper.inbound in
+  let req = { (get_person_request [ 3 ]) with Message.idem_key = Some "k1" } in
+  let first = Wrapper.handle_raw w (Message.to_string (Message.Request req)) in
+  let replay = Wrapper.handle_raw w (Message.to_string (Message.Request req)) in
+  check string_ "replay answers the same bytes" first replay;
+  check int_ "one hit" 1 (Xrpc_peer.Lru.stats idem).Xrpc_peer.Lru.hits;
+  match Xrpc_obs.Flight_recorder.recent () with
+  | e :: _ ->
+      check string_ "recorded" "functions:getPerson#2 (1 call)"
+        e.Xrpc_obs.Flight_recorder.label;
+      check bool_ "with its key" true
+        (e.Xrpc_obs.Flight_recorder.idem_key = Some "k1")
+  | [] -> Alcotest.fail "no flight-recorder entry"
 
 let test_join_detection_equivalence () =
   (* with and without join detection, bulk getPerson answers agree *)
@@ -253,6 +319,12 @@ let () =
           Alcotest.test_case "timings" `Quick test_wrapper_timings_recorded;
           Alcotest.test_case "unknown module fault" `Quick
             test_wrapper_fault_on_unknown_module;
+          Alcotest.test_case "arity x is a Sender fault" `Quick
+            test_wrapper_bad_arity;
+          Alcotest.test_case "getDocument xs:integer abc is a Sender fault"
+            `Quick test_wrapper_bad_get_document_integer;
+          Alcotest.test_case "idempotent replay and flight record" `Quick
+            test_wrapper_shared_path;
         ] );
       ( "join-detection",
         [
