@@ -603,7 +603,7 @@ let micro () =
     Test.make ~name:"table3/wrapper-request"
       (Staged.stage (fun () -> ignore (Wrapper.handle_raw w wrapper_body)))
   in
-  (* Table 4: semi-join probes answered with the bulk hash join *)
+  (* Table 4: semi-join probes answered by the bulk index join *)
   let jpeer = Peer.create "xrpc://bench-join" in
   Peer.register_module jpeer ~uri:Xmark.functions_ns
     ~location:Xmark.functions_at Xmark.functions_module;
@@ -757,7 +757,7 @@ let ablations () =
     "call-by-fragment        : %d bytes plain, %d bytes with nodeid refs (%.1fx smaller)\n"
     plain compressed
     (float_of_int plain /. float_of_int compressed);
-  (* 3. bulk selection as hash join (also visible in Table 3) *)
+  (* 3. bulk selection as an index join (also visible in Table 3) *)
   let jpeer = Peer.create "xrpc://abl" in
   Peer.register_module jpeer ~uri:Xmark.functions_ns
     ~location:Xmark.functions_at Xmark.functions_module;

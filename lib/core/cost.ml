@@ -509,18 +509,24 @@ let explain_plan ?funcs ~rpc_mode (prog : Xast.prog) =
                (String.trim (explain_decision ?dest decision))))
         sites;
       let rec steps (e : Xast.expr) =
-        (match e with
-        | Xast.Step (axis, test, _) ->
-            [
-              Printf.sprintf "   %s — %s" (Xast.expr_to_string e)
-                (match Eval.indexed_step axis test with
-                | Some q ->
-                    "element-name index slice (" ^ Qname.to_string q ^ ")"
-                | None -> "axis scan");
-            ]
-        | _ -> [])
-        @ List.concat_map steps
-            (Xast.focus_sub_exprs e @ Xast.item_sub_exprs e)
+        let line form = Printf.sprintf "   %s — %s" (Xast.expr_to_string e) form in
+        match e with
+        | Xast.Step (axis, test, preds) -> (
+            match Eval.value_probe axis test preds with
+            | Some p ->
+                (* the key path is read from the index, not stepped *)
+                line (Eval.probe_label p)
+                :: List.concat_map steps (p.Eval.operand :: p.Eval.rest)
+            | None ->
+                line
+                  (match Eval.indexed_step axis test with
+                  | Some q ->
+                      "element-name index slice (" ^ Qname.to_string q ^ ")"
+                  | None -> "axis scan")
+                :: List.concat_map steps preds)
+        | _ ->
+            List.concat_map steps
+              (Xast.focus_sub_exprs e @ Xast.item_sub_exprs e)
       in
       (match steps body with
       | [] -> ()

@@ -448,13 +448,13 @@ let handle_request peer (r : Message.request) : Message.t =
             r.Message.arity r.Message.module_uri
     in
     (* bulk execution: a selection function with a call-dependent key is
-       answered with one scan + hash join over all calls (the set-oriented
+       answered with one index probe per call (the set-oriented
        opportunity of §1); otherwise the body runs once per call *)
     let results =
       Trace.with_span ~detail:r.Message.method_ "peer.exec" @@ fun () ->
       let joined =
         if f.Xctx.decl.Xrpc_xquery.Ast.fn_updating then None
-        else Bulk_opt.hash_join_execute ctx f r.Message.calls
+        else Bulk_opt.join_execute ctx f r.Message.calls
       in
       match joined with
       | Some rs -> rs
@@ -542,6 +542,10 @@ let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
   | Message.Commit -> (
       match Isolation.find peer.isolation qid with
       | None -> Message.Tx_response { ok = true; info = "nothing to commit" }
+      | Some e when not e.Isolation.prepared ->
+          (* only a yes vote logged the ∆: a stray or duplicated Commit
+             after a no vote (or none) applies nothing *)
+          Message.Tx_response { ok = false; info = "not prepared" }
       | Some e ->
           Database.commit peer.db e.Isolation.pul;
           Isolation.release peer.isolation qid;

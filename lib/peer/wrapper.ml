@@ -17,8 +17,8 @@
     [wrapper.treebuild], [wrapper.compile] and [wrapper.exec].  With
     [join_detect] the wrapper mimics Saxon's optimizer: a bulk request
     whose target function is a selection [doc(..)//elem[key = $param]] is
-    answered with one hash join over all calls instead of [n] scans (§4,
-    "Saxon Experiments"). *)
+    answered with one index probe per call instead of [n] evaluations of
+    the body (§4, "Saxon Experiments"). *)
 
 open Xrpc_xml
 module Message = Xrpc_soap.Message
@@ -226,7 +226,7 @@ let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.reply =
          equi-join plan over all calls of the bulk request *)
       match Xctx.find_function ctx (Qname.make ~uri:module_uri method_) arity with
       | None -> None
-      | Some f -> Bulk_opt.hash_join_execute ctx f r.Message.calls
+      | Some f -> Bulk_opt.join_execute ctx f r.Message.calls
   in
   match (joined, body_expr) with
   | Some results, _ -> Inbound.Reply (Inbound.response ~peers:[ w.uri ] r results)

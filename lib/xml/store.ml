@@ -5,7 +5,8 @@
     [(doc_id, pre)].  All XPath axes are answered from the arrays:
     descendants of [pre] are the contiguous range [pre+1 .. pre+size.(pre)],
     parents come from the [parent] array, and [descendant::QName] is a
-    binary-searched slice of a lazy element-name index.  Attributes occupy
+    binary-searched slice of a lazy element-name index, and [T[K = v]]
+    a lookup in a lazy attribute-value index.  Attributes occupy
     their own pre slots (kind [Attr]) directly after their owner element,
     which keeps node identity uniform.  A store never changes; {!patch}
     makes a new version that rewrites values and names in place and shares
@@ -16,6 +17,18 @@ type kind = Doc | Elem | Attr | Txt | Comm | Pi
 (* expanded names (uri, local) *)
 module Name_map = Map.Make (struct
   type t = string * string
+
+  let compare = Stdlib.compare
+end)
+
+(** A key path [c1/.../ck/@a]: child element names, then one attribute
+    name.  [{ children = []; attr }] is [@attr]. *)
+type key_path = { children : Qname.t list; attr : Qname.t }
+
+(* an attribute-value index's key: element name, children, attribute,
+   all as expanded names *)
+module Value_key = Map.Make (struct
+  type t = (string * string) * (string * string) list * (string * string)
 
   let compare = Stdlib.compare
 end)
@@ -32,6 +45,10 @@ type t = {
   names : int array Name_map.t Atomic.t;
       (** element-name index: each name's element pre ranks, in document
           order, added on the first search for that name *)
+  values : (string, int array) Hashtbl.t Value_key.t Atomic.t;
+      (** attribute-value index: for each element name and key path, each
+          key value's element pre ranks, in document order, built on the
+          first probe of that pair and never written after *)
   bytes : int;  (** heap bytes of the columns and the strings they hold *)
 }
 
@@ -106,7 +123,8 @@ let shred ?(uri = "") tree =
     if name.(pre) <> None then bytes := !bytes + name_box_bytes
   done;
   { doc_id = fresh_doc_id (); uri; kind; name; value; parent; size; level;
-    names = Atomic.make Name_map.empty; bytes = !bytes }
+    names = Atomic.make Name_map.empty; values = Atomic.make Value_key.empty;
+    bytes = !bytes }
 
 (** A write into one node's slot of the [value] or [name] column. *)
 type edit = Value of string | Name of Qname.t
@@ -117,6 +135,8 @@ type edit = Value of string | Name of Qname.t
     [name] when an edit renames; [kind], [parent], [size] and [level] are
     [s]'s own arrays, and so is the element-name index unless an element
     is renamed, in which case the new store starts an empty one.  The
+    attribute-value index is shared unless an edit renames a node or
+    writes an attribute's value.  The
     caller keeps the node kinds intact: an element's value goes to its
     text child. *)
 let patch s edits =
@@ -140,7 +160,13 @@ let patch s edits =
           name.(pre) <- Some q)
     edits;
   let names = if renames_elem then Atomic.make Name_map.empty else s.names in
-  ( { s with doc_id = fresh_doc_id (); value; name; names; bytes = !bytes },
+  let values =
+    if renames || List.exists (fun (pre, _) -> s.kind.(pre) = Attr) edits then
+      Atomic.make Value_key.empty
+    else s.values
+  in
+  ( { s with doc_id = fresh_doc_id (); value; name; names; values;
+      bytes = !bytes },
     !own )
 
 let root store = { store; pre = 0 }
@@ -175,23 +201,23 @@ let elements_named s (q : Qname.t) =
   in
   Array.of_list (collect (Array.length s.kind - 1) [])
 
+(* [add] a missing entry to the immutable map in [cell]: threads racing
+   on one key each add an equal value, and none is lost *)
+let rec publish cell add =
+  let m = Atomic.get cell in
+  if not (Atomic.compare_and_set cell m (add m)) then publish cell add
+
 (* A store never changes after it is built, so an entry never goes
    stale; [patch] shares the index only while no element is renamed.
    Entries are added on first use, so [shred] and names never searched for
-   pay nothing.  The map is immutable and published through the atomic:
-   threads racing on one name each add an equal array, and none is lost. *)
+   pay nothing. *)
 let pres_named s (q : Qname.t) =
   let key = (q.Qname.uri, q.Qname.local) in
   match Name_map.find_opt key (Atomic.get s.names) with
   | Some pres -> pres
   | None ->
       let pres = elements_named s q in
-      let rec publish () =
-        let m = Atomic.get s.names in
-        if not (Atomic.compare_and_set s.names m (Name_map.add key pres m))
-        then publish ()
-      in
-      publish ();
+      publish s.names (Name_map.add key pres);
       pres
 
 (* first position in the sorted [a] whose value is >= [x] *)
@@ -204,17 +230,102 @@ let lower_bound a x =
   in
   go 0 (Array.length a)
 
-(** [descendants_named n q]: the element descendants of [n] named [q], in
-    document order — a binary search for the slice
-    [n.pre+1 .. n.pre+size] of [q]'s pre ranks. *)
-let descendants_named n (q : Qname.t) =
-  let pres = pres_named n.store q in
-  let lo = lower_bound pres (n.pre + 1)
-  and hi = lower_bound pres (n.pre + n.store.size.(n.pre) + 1) in
+(* the positions [lo, hi) of the sorted pre ranks [pres] that lie in [n]'s
+   subtree, [n] itself included only [~or_self] *)
+let subtree_range ~or_self n pres =
+  ( lower_bound pres (if or_self then n.pre else n.pre + 1),
+    lower_bound pres (n.pre + n.store.size.(n.pre) + 1) )
+
+let nodes_of n pres lo hi =
   let rec collect i acc =
     if i < lo then acc else collect (i - 1) ({ n with pre = pres.(i) } :: acc)
   in
   collect (hi - 1) []
+
+(** [descendants_named ?or_self n q]: the element descendants of [n]
+    named [q] ([n] too if [or_self] and it is one), in document order — a
+    binary search for the slice [n.pre+1 .. n.pre+size] of [q]'s pre
+    ranks. *)
+let descendants_named ?(or_self = false) n (q : Qname.t) =
+  let pres = pres_named n.store q in
+  let lo, hi = subtree_range ~or_self n pres in
+  nodes_of n pres lo hi
+
+(** [has_named ~or_self n q]: [descendants_named ~or_self n q <> []]. *)
+let has_named ~or_self n (q : Qname.t) =
+  let lo, hi = subtree_range ~or_self n (pres_named n.store q) in
+  lo < hi
+
+(* ------------------------------------------------------------------ *)
+(* Attribute-value index                                               *)
+(* ------------------------------------------------------------------ *)
+
+let expanded (q : Qname.t) = (q.Qname.uri, q.Qname.local)
+
+let named_at s kind (q : Qname.t) pre =
+  s.kind.(pre) = kind
+  && match s.name.(pre) with Some q' -> Qname.equal q q' | None -> false
+
+(* one pass over the columns from each element named [q]: the key values
+   it reaches over [key], mapped to the elements that reach them *)
+let elements_valued s (q : Qname.t) key =
+  let acc = Hashtbl.create 64 in
+  (* [owner]s arrive in document order: the head is the latest one *)
+  let add v owner =
+    match Hashtbl.find_opt acc v with
+    | Some (p :: _) when p = owner -> ()
+    | Some l -> Hashtbl.replace acc v (owner :: l)
+    | None -> Hashtbl.replace acc v [ owner ]
+  in
+  let rec walk owner pre = function
+    | [] ->
+        let a = ref (pre + 1) in
+        while !a < Array.length s.kind && s.kind.(!a) = Attr
+              && s.parent.(!a) = pre do
+          if named_at s Attr key.attr !a then add s.value.(!a) owner;
+          incr a
+        done
+    | c :: rest ->
+        (* the children of [pre]: each subtree skipped whole *)
+        let child = ref (pre + 1) and stop = pre + s.size.(pre) in
+        while !child <= stop do
+          if named_at s Elem c !child then walk owner !child rest;
+          child := !child + s.size.(!child) + 1
+        done
+  in
+  Array.iter (fun pre -> walk pre pre key.children) (pres_named s q);
+  let index = Hashtbl.create (Hashtbl.length acc) in
+  Hashtbl.iter (fun v l -> Hashtbl.replace index v (Array.of_list (List.rev l))) acc;
+  index
+
+(* Built on the first probe of a (name, key path) pair and published like
+   the element-name index; a table is complete before it is published
+   and only read after, so threads and domains share it unlocked. *)
+let value_index s (q : Qname.t) key =
+  let k = (expanded q, List.map expanded key.children, expanded key.attr) in
+  match Value_key.find_opt k (Atomic.get s.values) with
+  | Some index -> index
+  | None ->
+      let index = elements_valued s q key in
+      publish s.values (Value_key.add k index);
+      index
+
+(** [probe ~or_self n q key vs]: the elements named [q] in [n]'s subtree
+    ([n] itself only if [or_self]) that reach one of the values [vs] over
+    [key], in document order — what [descendant(-or-self)::q[key = vs]]
+    selects when every item of [vs] compares as a string. *)
+let probe ~or_self n (q : Qname.t) key vs =
+  let index = value_index n.store q key in
+  let slice v =
+    match Hashtbl.find_opt index v with
+    | None -> []
+    | Some pres ->
+        let lo, hi = subtree_range ~or_self n pres in
+        nodes_of n pres lo hi
+  in
+  match vs with
+  | [ v ] -> slice v
+  | vs -> List.sort_uniq compare_nodes (List.concat_map slice vs)
 
 (* ------------------------------------------------------------------ *)
 (* Axes                                                                *)

@@ -268,6 +268,12 @@ let focus_sub_exprs (e : expr) : expr list =
   | Typeswitch (op, cases, (_, de)) ->
       (op :: List.map (fun (_, _, e) -> e) cases) @ [ de ]
 
+(** [e] asks [position()] or [last()] at its own focus. *)
+let rec mentions_position (e : expr) =
+  match e with
+  | Call ({ Qname.local = "position" | "last"; _ }, []) -> true
+  | e -> List.exists mentions_position (focus_sub_exprs e)
+
 (** The direct sub-expressions of [e] that get a new focus per item: the
     right operand of a path, the predicates of a step or filter. *)
 let item_sub_exprs (e : expr) : expr list =

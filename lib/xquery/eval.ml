@@ -111,13 +111,89 @@ let indexed_step (axis : Ast.axis) (test : Ast.node_test) =
 let step_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Store.node) =
   match indexed_step axis test with
   | Some q ->
-      let below = Store.descendants_named n q in
-      if axis = Ast.Descendant_or_self && test_matches ~principal:`Element test n
-      then n :: below
-      else below
+      Store.descendants_named ~or_self:(axis = Ast.Descendant_or_self) n q
   | None ->
       let principal = if axis = Ast.Attribute then `Attribute else `Element in
       List.filter (test_matches ~principal test) (axis_nodes axis n)
+
+(* ---- Attribute-value index probes --------------------------------- *)
+
+(** A step [descendant(-or-self)::T[K = X]] (or [[X = K]]) that probes the
+    store's attribute-value index. *)
+type value_probe = {
+  elem : Qname.t;  (** [T] *)
+  key : Store.key_path;  (** [K] *)
+  key_expr : Ast.expr;
+  operand : Ast.expr;  (** [X]: evaluated once per context node *)
+  key_first : bool;  (** [K] is the left operand *)
+  rest : Ast.expr list;  (** the step's other predicates *)
+}
+
+(* [@a], [c/@a], [./c/@a], [c/d/@a]: child name steps, then one
+   attribute name test, none with a predicate *)
+let key_path (e : Ast.expr) =
+  let rec steps = function
+    | Ast.Path (a, b) ->
+        Option.bind (steps a) (fun x -> Option.map (( @ ) x) (steps b))
+    | Ast.Context_item -> Some []
+    | Ast.Step (((Ast.Child | Ast.Attribute) as axis), Ast.Name_test q, []) ->
+        Some [ (axis, q) ]
+    | _ -> None
+  in
+  match Option.map List.rev (steps e) with
+  | Some ((Ast.Attribute, attr) :: children)
+    when List.for_all (fun (axis, _) -> axis = Ast.Child) children ->
+      Some { Store.children = List.rev_map snd children; attr }
+  | _ -> None
+
+(* [e] gives one value for every candidate: it reads no context item,
+   position or size *)
+let rec focus_free (e : Ast.expr) =
+  match e with
+  | Ast.Context_item | Ast.Root | Ast.Step _ -> false
+  | Ast.Call ({ Qname.local = "root" | "string" | "name"; _ }, []) -> false
+  | e ->
+      (not (Ast.mentions_position e))
+      && List.for_all focus_free (Ast.focus_sub_exprs e)
+
+(* items that a general comparison with an untyped key value compares as
+   strings; numbers, booleans, dates and QNames cast differently *)
+let string_like = function
+  | Xs.String _ | Xs.Untyped _ | Xs.AnyURI _ -> true
+  | _ -> false
+
+(* [e]'s syntax says it yields an item that is not {!string_like} *)
+let rec non_string (e : Ast.expr) =
+  match e with
+  | Ast.Literal a -> not (string_like a)
+  | Ast.Sequence es -> List.exists non_string es
+  | Ast.Neg _ | Ast.Arith _ | Ast.Range _ -> true
+  | _ -> false
+
+(** The one decision of when a step probes, read by {!eval} and by
+    [:explain]: a {!indexed_step} whose first predicate is [K = X] with a
+    {!key_path} [K] and an [X] that is focus-free and not a non-string
+    literal.  At run time an [X] holding any non-string item still
+    compares each candidate instead. *)
+let value_probe (axis : Ast.axis) (test : Ast.node_test) preds =
+  match (indexed_step axis test, preds) with
+  | Some elem, Ast.Compare (Ast.G_eq, a, b) :: rest -> (
+      let probe key_expr operand key_first =
+        match key_path key_expr with
+        | Some key when focus_free operand && not (non_string operand) ->
+            Some { elem; key; key_expr; operand; key_first; rest }
+        | _ -> None
+      in
+      match probe a b true with Some p -> Some p | None -> probe b a false)
+  | _ -> None
+
+(** How [:explain] and a profile name a probe. *)
+let probe_label p =
+  Printf.sprintf "attribute-value index probe (%s, %s)"
+    (Qname.to_string p.elem)
+    (String.concat "/"
+       (List.map Qname.to_string p.key.Store.children
+       @ [ "@" ^ Qname.to_string p.key.Store.attr ]))
 
 let is_forward = function
   | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Preceding_sibling
@@ -173,6 +249,17 @@ let value_compare op (a : Xs.t) (b : Xs.t) =
   | Ast.V_gt | Ast.G_gt -> c > 0
   | Ast.V_ge | Ast.G_ge -> c >= 0
   | _ -> err "not a value comparison"
+
+(* the general comparison [xs op ys]: existential over both sides *)
+let general_compare op xs ys =
+  List.exists
+    (fun x ->
+      List.exists
+        (fun y ->
+          let x, y = Xs.coerce_general x y in
+          value_compare op x y)
+        ys)
+    xs
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -374,9 +461,13 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
       else if nodes = [] then atomics
       else Xdm.dyn_error "XPTY0018: path step mixes nodes and atomic values"
   | Ast.Step (axis, test, preds) ->
-      let candidates = step_nodes axis test (Context.context_node ctx) in
+      let n = Context.context_node ctx in
       let filtered =
-        apply_predicates ctx preds (List.map (fun n -> Xdm.Node n) candidates)
+        match value_probe axis test preds with
+        | Some p -> apply_predicates ctx p.rest (probe_step ctx axis p n)
+        | None ->
+            apply_predicates ctx preds
+              (List.map (fun n -> Xdm.Node n) (step_nodes axis test n))
       in
       (* a reverse axis lists its nodes in reverse document order *)
       if is_forward axis then filtered else List.rev filtered
@@ -552,19 +643,34 @@ and eval_compare ctx op a b =
           let y = Xdm.one_atom ~what:"operand" sb in
           [ Xdm.bool (value_compare op x y) ])
   | _ ->
-      (* general comparison: existential over atomized operands *)
-      let xs = Xdm.atomize sa and ys = Xdm.atomize sb in
-      let sat =
-        List.exists
-          (fun x ->
-            List.exists
-              (fun y ->
-                let x, y = Xs.coerce_general x y in
-                value_compare op x y)
-              ys)
-          xs
-      in
-      [ Xdm.bool sat ]
+      [ Xdm.bool (general_compare op (Xdm.atomize sa) (Xdm.atomize sb)) ]
+
+(* [descendant(-or-self)::T[K = X]] from [n], before the other predicates:
+   [X] is evaluated once, and only when the step has candidates; if every
+   item compares as a string, the index answers, else each candidate's [K]
+   is compared with [X] as the predicate would (same order, same errors) *)
+and probe_step ctx axis p n =
+  let or_self = axis = Ast.Descendant_or_self in
+  if not (Store.has_named ~or_self n p.elem) then []
+  else
+    let xs = Xdm.atomize (eval ctx p.operand) in
+    let nodes =
+      if List.for_all string_like xs then (
+        if Trace.recording () then
+          Trace.add (Profile.op_attr "calls" (probe_label p)) 1.;
+        Store.probe ~or_self n p.elem p.key (List.map Xs.to_string xs))
+      else
+        List.filter
+          (fun c ->
+            let ks =
+              Xdm.atomize
+                (eval (Context.with_context_item ctx (Xdm.Node c) 1 1) p.key_expr)
+            in
+            if p.key_first then general_compare Ast.G_eq ks xs
+            else general_compare Ast.G_eq xs ks)
+          (Store.descendants_named ~or_self n p.elem)
+    in
+    List.map (fun n -> Xdm.Node n) nodes
 
 and apply_predicates ctx preds seq =
   List.fold_left

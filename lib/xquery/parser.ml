@@ -134,10 +134,6 @@ let var_qname p (prefix, local) =
    one selects by position) and must not ask position() or last() at its
    own focus.  [//T[1]], [//T[$n]], [//@a] and [//text()] keep the long
    form. *)
-let rec mentions_position (e : Ast.expr) =
-  match e with
-  | Ast.Call ({ Qname.local = "position" | "last"; _ }, []) -> true
-  | e -> List.exists mentions_position (Ast.focus_sub_exprs e)
 
 let rec ends_in_step = function
   | Ast.Step _ -> true
@@ -151,7 +147,7 @@ let boolean_predicate (e : Ast.expr) =
       q.Qname.uri = Qname.ns_fn
       && List.mem q.Qname.local [ "not"; "exists"; "empty"; "boolean" ]
   | e -> ends_in_step e)
-  && not (mentions_position e)
+  && not (Ast.mentions_position e)
 
 let descendant_step = function
   | Ast.Step

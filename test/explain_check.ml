@@ -10,7 +10,10 @@
    - hoisted (rpc) -> no bulkrpc span, an rpc span to the destination
 
    A bulkrpc span no printed site predicts fails too.  [iterations] is
-   the number of loop iterations the sites see.  Returns the plan. *)
+   the number of loop iterations the sites see.  The path steps printed
+   as attribute-value index probes must be the probes the run recorded
+   outside any served request (an in-process serving peer's probes
+   belong to that peer's plan).  Returns the plan. *)
 
 module Peer = Xrpc_peer.Peer
 module Profile = Xrpc_obs.Profile
@@ -105,4 +108,36 @@ let agree peer ~iterations query =
           fn (calls expected) (calls got))
     (List.sort_uniq compare
        (List.map (fun (f, _, _, _) -> f) sites @ List.map fst recorded));
+  let probe = "attribute-value index probe" in
+  (* "   step — form": the forms that name a probe *)
+  let form l =
+    let sep = " — " in
+    let n = String.length sep in
+    let rec go i =
+      if i + n > String.length l then None
+      else if String.sub l i n = sep then
+        Some (String.sub l (i + n) (String.length l - i - n))
+      else go (i + 1)
+    in
+    go 0
+  in
+  let printed_probes =
+    List.filter
+      (starts_with ~prefix:probe)
+      (List.filter_map form (String.split_on_char '\n' plan))
+  in
+  let rec local_ops (n : Profile.node) =
+    if n.Profile.name = "peer.handle" then []
+    else List.map fst n.Profile.ops @ List.concat_map local_ops n.Profile.children
+  in
+  let recorded_probes =
+    List.filter (starts_with ~prefix:probe)
+      (List.map fst profile.Profile.root_ops
+      @ List.concat_map local_ops profile.Profile.roots)
+  in
+  let set l = List.sort_uniq compare l in
+  if set printed_probes <> set recorded_probes then
+    fail ":explain prints probes [%s], :profile recorded [%s]"
+      (String.concat "; " (set printed_probes))
+      (String.concat "; " (set recorded_probes));
   plan

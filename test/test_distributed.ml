@@ -66,6 +66,69 @@ let test_explain_agrees_with_profile () =
         ])
     [ Xrpc_xquery.Context.Rpc_bulk; Xrpc_xquery.Context.Rpc_singles ]
 
+(* :explain's index probes match the probes a profiled run records: Q7's
+   client query probes persons.xml for its subset of ids; a numeric key
+   is compared instead, and its step stays an index slice *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let q7_cluster () =
+  let cluster = Cluster.create ~names:[ "x.example.org"; "y.example.org" ] () in
+  let x = Cluster.peer cluster "x.example.org"
+  and y = Cluster.peer cluster "y.example.org" in
+  let q =
+    { Strategies.local_doc = "persons.xml"; remote_uri = "xrpc://y.example.org";
+      remote_doc = "auctions.xml"; module_ns = "functions_b";
+      module_at = "http://example.org/b.xq" }
+  in
+  List.iter
+    (fun p ->
+      Peer.register_module p ~uri:q.Strategies.module_ns
+        ~location:q.Strategies.module_at (Strategies.functions_b q))
+    [ x; y ];
+  Database.add_doc_xml x.Peer.db "persons.xml" (Xmark.persons ~count:20 ());
+  Database.add_doc_xml y.Peer.db "auctions.xml"
+    (Xmark.auctions ~count:40 ~matches:6 ~persons_count:20 ());
+  x
+
+let q7_client selection =
+  Printf.sprintf
+    {|import module namespace b = "functions_b" at "http://example.org/b.xq";
+for $p in doc("persons.xml")//person[%s]
+let $ca := execute at {"xrpc://y.example.org"} { b:Q_B3(string($p/@id)) }
+return if (empty($ca)) then () else <result>{$p, $ca/annotation}</result>|}
+    selection
+
+let test_explain_agrees_on_probes () =
+  let x = q7_cluster () in
+  let plan =
+    Explain_check.agree x ~iterations:5
+      (q7_client {|@id = ("person1", "person3", "person5", "person7", "person9", "nobody")|})
+  in
+  check bool_ "the probe is printed" true
+    (contains plan "attribute-value index probe (person, @id)");
+  let income =
+    Xdm.to_display
+      (Peer.query_seq x {|string((doc("persons.xml")//person)[3]/profile/@income)|})
+  in
+  let iterations =
+    int_of_string
+      (Xdm.to_display
+         (Peer.query_seq x
+            (Printf.sprintf {|count(doc("persons.xml")//person[profile/@income = %s])|}
+               income)))
+  in
+  let plan =
+    Explain_check.agree x ~iterations
+      (q7_client (Printf.sprintf "profile/@income = %s" income))
+  in
+  check bool_ "a numeric key is no probe" false
+    (contains plan "attribute-value index probe");
+  check bool_ "the step is an index slice" true
+    (contains plan "element-name index slice (person)")
+
 let test_q2_one_at_a_time () =
   let cluster, x = film_cluster () in
   x.Peer.config <- { x.Peer.config with Peer.rpc_mode = Xrpc_xquery.Context.Rpc_singles };
@@ -659,6 +722,8 @@ let () =
           Alcotest.test_case "nested Bulk RPC" `Quick test_nested_bulk_rpc;
           Alcotest.test_case ":explain agrees with :profile" `Quick
             test_explain_agrees_with_profile;
+          Alcotest.test_case ":explain agrees on index probes" `Quick
+            test_explain_agrees_on_probes;
           Alcotest.test_case "reentrant self-call" `Quick test_self_call;
           Alcotest.test_case "zero arity / empty results" `Quick
             test_zero_arity_and_empty_results;

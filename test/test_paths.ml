@@ -588,6 +588,282 @@ let test_index_race () =
   check int_ "one entry per name" (Array.length names)
     (Store.Name_map.cardinal (Atomic.get s.Store.names))
 
+(* ------------------------------------------------------------------ *)
+(* The attribute-value index against the scan                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [t] elements carrying [n] and [p:n] (at times neither), [c] and [d]
+   children with keys of their own, values repeated across elements and
+   within one element's children, and [t] nested in [t] *)
+let keys_xml =
+  let rs = Random.State.make [| 29 |] in
+  let buf = Buffer.create 4096 in
+  let value () = [| "k1"; "k2"; "k3"; "1"; "2.0"; "true"; "" |].(Random.State.int rs 7) in
+  let attrs () =
+    (if Random.State.int rs 3 > 0 then Printf.sprintf " n=%S" (value ()) else "")
+    ^ if Random.State.int rs 3 = 0 then Printf.sprintf " p:n=%S" (value ()) else ""
+  in
+  let rec elem name depth =
+    Printf.bprintf buf "<%s%s>" name (attrs ());
+    if depth < 4 then
+      for _ = 1 to Random.State.int rs 4 do
+        match Random.State.int rs 4 with
+        | 0 -> Buffer.add_string buf (value ())
+        | _ -> elem [| "t"; "c"; "d" |].(Random.State.int rs 3) (depth + 1)
+      done;
+    Printf.bprintf buf "</%s>" name
+  in
+  Buffer.add_string buf "<t xmlns:p=\"urn:p\">";
+  for _ = 1 to 12 do
+    elem "t" 1
+  done;
+  Buffer.add_string buf "</t>";
+  Buffer.contents buf
+
+let keys_store = Store.shred ~uri:"keys.xml" (Xml_parse.document keys_xml)
+
+let key_resolver uri =
+  if uri = "keys.xml" then keys_store else doc_resolver uri
+
+let fn name args = Ast.Call (Qname.make ~uri:Qname.ns_fn name, args)
+let doc_call uri = fn "doc" [ Ast.Literal (Xs.String uri) ]
+
+(* one [descendant(-or-self)::T[K = X]] step from a node of a document,
+   now and then followed by a second predicate.  Most cases follow the
+   document: [T] is the name of a real element, [K] a key path it has and
+   [X] holds the value [K] reaches, from one of its ancestors or itself *)
+let probe_case rs =
+  let store =
+    pick rs
+      [| keys_store; keys_store; keys_store; snd (List.nth docs 0);
+         snd (List.nth docs 1); snd (List.nth docs 2) |]
+  in
+  let elems =
+    Array.of_list
+      (List.filter (fun n -> Store.kind n = Store.Elem) (all_nodes store))
+  in
+  let names = names_of Store.Elem [ store ] in
+  let attrs = names_of Store.Attr [ store ] in
+  let guided = Random.State.int rs 6 > 0 in
+  let target = pick rs elems in
+  let elements n = List.filter (fun c -> Store.kind c = Store.Elem) (Store.children n) in
+  let q_of n = Option.get (Store.name n) in
+  let step axis q = Ast.Step (axis, Ast.Name_test q, []) in
+  (* the key path's children: up to two real descendants of [target] *)
+  let rec down n depth =
+    match elements n with
+    | kids when depth > 0 && kids <> [] ->
+        let c = pick rs (Array.of_list kids) in
+        let path, last = down c (depth - 1) in
+        (q_of c :: path, last)
+    | _ -> ([], n)
+  in
+  let children, owner =
+    if guided then down target (Random.State.int rs 3)
+    else
+      ( List.init (Random.State.int rs 3) (fun _ -> Qname.make (elem_name rs names)),
+        target )
+  in
+  let attr, found =
+    match Store.attributes owner with
+    | _ :: _ as l when guided ->
+        let a = pick rs (Array.of_list l) in
+        (q_of a, Some (Store.string_value a))
+    | _ ->
+        ( (if store == keys_store && Random.State.bool rs then
+             Qname.make ~prefix:"p" ~uri:"urn:p" "n"
+           else Qname.make (pick rs attrs)),
+          None )
+  in
+  let t = if guided then q_of target else Qname.make (elem_name rs names) in
+  let context =
+    match Store.ancestors target with
+    | ancs when guided && Random.State.int rs 4 > 0 ->
+        pick rs (Array.of_list (target :: ancs))
+    | _ -> if Random.State.bool rs then Store.root store else pick rs elems
+  in
+  let key =
+    let a = step Ast.Attribute attr in
+    match children with
+    | [] -> a
+    | c :: rest ->
+        let first =
+          if Random.State.bool rs then step Ast.Child c
+          else Ast.Path (Ast.Context_item, step Ast.Child c)
+        in
+        Ast.Path
+          (List.fold_left (fun p c -> Ast.Path (p, step Ast.Child c)) first rest, a)
+  in
+  let kv = [| "k1"; "k2"; "k3"; "1"; "2.0"; "true"; "" |] in
+  let value () =
+    match found with
+    | Some v when Random.State.int rs 4 > 0 -> v
+    | _ -> if Random.State.bool rs then pick rs kv else pick rs attr_values
+  in
+  let lit () =
+    let v = value () in
+    if Random.State.int rs 3 = 0 then Ast.Literal (Xs.Untyped v)
+    else Ast.Literal (Xs.String v)
+  in
+  (* node-valued: every [attr] attribute of a document, atomized *)
+  let nodes () =
+    Ast.Path
+      ( Ast.Path
+          ( doc_call (if Random.State.bool rs then "keys.xml" else store.Store.uri),
+            Ast.Step (Ast.Descendant_or_self, Ast.Kind_test Ast.K_node, []) ),
+        step Ast.Attribute attr )
+  in
+  let x =
+    match Random.State.int rs 16 with
+    | 0 -> Ast.Sequence []
+    | 1 ->
+        let l = lit () in
+        Ast.Sequence [ l; l ]
+    | 2 -> Ast.Sequence (List.init (2 + Random.State.int rs 4) (fun _ -> lit ()))
+    | 3 -> nodes ()
+    | 4 -> Ast.Literal (Xs.Integer (Random.State.int rs 3))
+    | 5 -> Ast.Literal (Xs.Double 2.0)
+    | 6 -> Ast.Sequence [ lit (); Ast.Literal (Xs.Integer 1) ]
+    (* focus-free, numeric or boolean only once evaluated *)
+    | 7 -> fn "count" [ Ast.Path (doc_call "keys.xml", step Ast.Descendant t) ]
+    | 8 -> Ast.Sequence [ lit (); fn "boolean" [ nodes () ] ]
+    | _ -> lit ()
+  in
+  let cmp =
+    if Random.State.bool rs then Ast.Compare (Ast.G_eq, key, x)
+    else Ast.Compare (Ast.G_eq, x, key)
+  in
+  let more =
+    match Random.State.int rs 6 with
+    | 0 -> [ Ast.Literal (Xs.Integer 1) ]
+    | 1 -> [ fn "last" [] ]
+    | 2 -> [ step Ast.Attribute attr ]
+    | _ -> []
+  in
+  let axis =
+    if Random.State.bool rs then Ast.Descendant else Ast.Descendant_or_self
+  in
+  (context, Ast.Step (axis, Ast.Name_test t, cmp :: more))
+
+let index_cases = 3000
+
+let test_index_matches_scan_values () =
+  let ctx = { ctx with Context.doc_resolver = key_resolver } in
+  let probed = ref 0 and nonempty = ref 0 in
+  for i = 0 to index_cases - 1 do
+    let seed = base_seed + i in
+    let context, e = probe_case (Random.State.make [| seed |]) in
+    let ctx = Context.with_context_item ctx (Xdm.Node context) 1 1 in
+    let got = outcome (fun () -> Eval.eval ctx e)
+    and want = outcome (fun () -> Path_ref.eval ctx e) in
+    if not (agree got want) then
+      Alcotest.failf
+        "probe diverges from the scan\n\
+         step:   %s from %s#%d\n\
+         oracle: %s\n\
+         eval:   %s\n\
+         replay with: PATH_SEED=%d dune build @paths"
+        (Ast.expr_to_string e) context.Store.store.Store.uri context.Store.pre
+        (describe want) (describe got) seed;
+    (match got with Ok s when s <> "" -> incr nonempty | _ -> ());
+    match e with
+    | Ast.Step (axis, test, preds) -> (
+        match Eval.value_probe axis test preds with
+        | Some p -> (
+            match Eval.eval ctx p.Eval.operand with
+            | xs when List.for_all Eval.string_like (Xdm.atomize xs) -> incr probed
+            | _ -> ()
+            | exception _ -> ())
+        | None -> ())
+    | _ -> ()
+  done;
+  Printf.printf "%d of %d steps probe the index, %d answers non-empty\n"
+    !probed index_cases !nonempty;
+  check bool_ "most steps probe" true (!probed * 2 >= index_cases);
+  check bool_ "answers are not all empty" true (!nonempty * 5 >= index_cases)
+
+(* the [t[@n = v]] probe of [s] for every value, against the scan *)
+let probes_agree s =
+  let root = Store.root s in
+  let key = { Store.children = []; attr = Qname.make "n" } in
+  List.iter
+    (fun v ->
+      let scan =
+        List.filter
+          (fun n ->
+            List.exists
+              (fun a -> Store.name a = Some (Qname.make "n") && Store.string_value a = v)
+              (Store.attributes n))
+          (Store.descendants_named root (Qname.make "t"))
+      in
+      if not (List.equal Store.equal_nodes scan
+                (Store.probe ~or_self:false root (Qname.make "t") key [ v ]))
+      then Alcotest.failf "t[@n = %S]" v)
+    [ "k1"; "k2"; "k3"; "1"; "new"; "" ]
+
+(* domains racing on a fresh store's first probes all publish: each key
+   ends up with one table, and every answer equals the scan *)
+let test_value_index_race () =
+  let s = Store.shred (Xml_parse.document keys_xml) in
+  let t = Qname.make "t" in
+  let keys =
+    [| { Store.children = []; attr = Qname.make "n" };
+       { Store.children = [ Qname.make "c" ]; attr = Qname.make "n" } |]
+  in
+  let worker k () =
+    List.init 200 (fun i ->
+        let key = keys.((i + k) mod 2) in
+        List.length (Store.probe ~or_self:true (Store.root s) t key [ "k1"; "k2" ]))
+  in
+  let domains = List.init 2 (fun k -> Domain.spawn (worker k)) in
+  let counts = List.map Domain.join domains in
+  let fresh = Store.shred (Xml_parse.document keys_xml) in
+  List.iteri
+    (fun k c ->
+      List.iteri
+        (fun i got ->
+          let key = keys.((i + k) mod 2) in
+          check int_ "count"
+            (List.length (Store.probe ~or_self:true (Store.root fresh) t key [ "k1"; "k2" ]))
+            got)
+        c)
+    counts;
+  probes_agree s;
+  check int_ "one table per key" 2
+    (Store.Value_key.cardinal (Atomic.get s.Store.values))
+
+let first_of kind s =
+  let rec go pre = if s.Store.kind.(pre) = kind then pre else go (pre + 1) in
+  go 0
+
+(* a text-only commit keeps the built index; an attribute write starts a
+   fresh one that gives the new answer *)
+let test_value_index_across_patches () =
+  let s = Store.shred (Xml_parse.document keys_xml) in
+  probes_agree s;
+  let text, _ = Store.patch s [ (first_of Store.Txt s, Store.Value "k1") ] in
+  check bool_ "text commit shares the index" true (text.Store.values == s.Store.values);
+  probes_agree text;
+  let attr =
+    let rec go pre =
+      if s.Store.kind.(pre) = Store.Attr && Store.name { Store.store = s; pre } = Some (Qname.make "n")
+         && s.Store.kind.(s.Store.parent.(pre)) = Store.Elem
+         && Store.name { Store.store = s; pre = s.Store.parent.(pre) } = Some (Qname.make "t")
+      then pre
+      else go (pre + 1)
+    in
+    go 0
+  in
+  let written, _ = Store.patch text [ (attr, Store.Value "new") ] in
+  check bool_ "attribute write gets a fresh index" false
+    (written.Store.values == s.Store.values);
+  probes_agree written;
+  check int_ "the written element answers" 1
+    (List.length
+       (List.filter (fun n -> n.Store.pre = s.Store.parent.(attr))
+          (Store.probe ~or_self:false (Store.root written) (Qname.make "t")
+             { Store.children = []; attr = Qname.make "n" } [ "new" ])))
+
 let test_sorted_input_not_copied () =
   let _, s = List.hd docs in
   let nodes = Store.descendants (Store.root s) in
@@ -640,5 +916,12 @@ let () =
             test_sorted_input_not_copied;
           Alcotest.test_case "intersect / except merge" `Quick
             test_set_operations;
+          Alcotest.test_case
+            (Printf.sprintf "value index = scan, %d steps" index_cases)
+            `Quick test_index_matches_scan_values;
+          Alcotest.test_case "value index: racing first probe" `Quick
+            test_value_index_race;
+          Alcotest.test_case "value index across commits" `Quick
+            test_value_index_across_patches;
         ] );
     ]

@@ -477,6 +477,23 @@ let test_prepare_refuses_changed_snapshot () =
   ignore (tx peer Message.Rollback q);
   check int_ "no write lost" 6 (count_films peer)
 
+(* a Commit for an entry whose Prepare voted no applies nothing *)
+let test_commit_after_no_vote () =
+  let peer, _ = make_peer () in
+  let q = qid "11.0" in
+  ignore (handle peer (add_film_request ~query_id:(Some q) "Deferred"));
+  List.iter
+    (fun name -> ignore (handle peer (add_film_request ~query_id:None name)))
+    [ "A"; "B"; "C" ];
+  (match tx peer Message.Prepare q with
+  | Message.Tx_response { ok = false; _ } -> ()
+  | _ -> Alcotest.fail "prepare must vote no");
+  (match tx peer Message.Commit q with
+  | Message.Tx_response { ok = false; info } ->
+      check string_ "refused" "not prepared" info
+  | _ -> Alcotest.fail "commit must be refused");
+  check int_ "no write lost" 6 (count_films peer)
+
 (* a served updating function whose pending update list cannot be applied
    answers a Sender fault, not an exception out of the handler *)
 let test_update_error_fault () =
@@ -710,6 +727,227 @@ let test_bulk_wrong_parameter_count () =
       check string_ "reason" "call has 2 parameters, expected 1" reason
   | _ -> Alcotest.fail "expected a Sender fault"
 
+(* ---- Bulk RPC answers what N single calls answer ---- *)
+
+let sel_xml = {|<r><a n="x">1</a><a n="y">2</a><a n="x">3</a><a n="z"/></r>|}
+
+(* a peer holding sel.xml and a one-function module [uri] *)
+let sel_peer ~uri decl =
+  let peer = Peer.create "xrpc://bulk.example.org" in
+  Database.add_doc_xml peer.Peer.db "sel.xml" sel_xml;
+  Peer.register_module peer ~uri
+    (Printf.sprintf "module namespace s = %S;\n%s;" uri decl);
+  peer
+
+let sel_request ~uri calls =
+  {
+    Message.module_uri = uri;
+    location = "";
+    method_ = "f";
+    arity = (match calls with c :: _ -> List.length c | [] -> 1);
+    updating = false;
+    fragments = false;
+    query_id = None;
+    idem_key = None;
+    cache_ok = false;
+    calls;
+  }
+
+(* [calls] as one Bulk RPC and as one request each: [Ok] when the bulk
+   reply is the single Responses, or a Fault where a single call faults *)
+let bulk_vs_singles peer ~uri calls =
+  let bulk = handle peer (sel_request ~uri calls) in
+  let singles = List.map (fun c -> handle peer (sel_request ~uri [ c ])) calls in
+  let show = function
+    | Message.Response r ->
+        String.concat " | " (List.map Xdm.to_display r.Message.results)
+    | Message.Fault f -> "fault: " ^ f.Message.reason
+    | _ -> "not a response"
+  in
+  let faults = List.filter (function Message.Fault _ -> true | _ -> false) singles in
+  let ok =
+    match (bulk, faults) with
+    | Message.Fault _, _ :: _ -> true
+    | Message.Response b, [] ->
+        List.length b.Message.results = List.length singles
+        && List.for_all2
+             (fun r s ->
+               match s with
+               | Message.Response { results = [ s ]; _ } -> Xdm.deep_equal r s
+               | _ -> false)
+             b.Message.results singles
+    | _ -> false
+  in
+  if ok then Ok bulk
+  else
+    Error
+      (Printf.sprintf "bulk: %s\nsingles: %s" (show bulk)
+         (String.concat "; " (List.map show singles)))
+
+let expect_agree peer ~uri calls =
+  match bulk_vs_singles peer ~uri calls with
+  | Ok bulk -> bulk
+  | Error m -> Alcotest.fail m
+
+(* a two-item key probes each item: the single call's answer, not [] *)
+let test_bulk_multi_item_key () =
+  let uri = "sel-multi" in
+  let peer = sel_peer ~uri "declare function s:f($k) { doc(\"sel.xml\")//a[@n = $k] }" in
+  match
+    expect_agree peer ~uri
+      [ [ [ Xdm.str "x"; Xdm.str "y" ] ]; [ [ Xdm.str "z" ] ] ]
+  with
+  | Message.Response { results = [ xy; z ]; _ } ->
+      check int_ "x and y match three" 3 (List.length xy);
+      check int_ "z matches one" 1 (List.length z)
+  | _ -> Alcotest.fail "expected two results"
+
+(* an xs:integer key casts the untyped @n to a double: "x" faults *)
+let test_bulk_integer_key () =
+  let uri = "sel-int" in
+  let peer = sel_peer ~uri "declare function s:f($k) { doc(\"sel.xml\")//a[@n = $k] }" in
+  match expect_agree peer ~uri [ [ [ Xdm.int 5 ] ]; [ [ Xdm.str "x" ] ] ] with
+  | Message.Fault _ -> ()
+  | _ -> Alcotest.fail "expected a fault"
+
+(* zero-or-one over two matches faults, as the single call does *)
+let test_bulk_wrapper_checked () =
+  let uri = "sel-one" in
+  let peer =
+    sel_peer ~uri
+      "declare function s:f($k) { zero-or-one(doc(\"sel.xml\")//a[@n = $k]) }"
+  in
+  match expect_agree peer ~uri [ [ [ Xdm.str "x" ] ]; [ [ Xdm.str "y" ] ] ] with
+  | Message.Fault { reason; _ } ->
+      check string_ "FORG0003" "FORG0003" (String.sub reason 0 8)
+  | _ -> Alcotest.fail "expected a fault"
+
+(* Seeded bulk-vs-singles differential: random documents, selection
+   functions (key paths, wrappers, parameter and return types, a second
+   parameter) and keys of every kind.  Case i runs from seed
+   BULK_SEED + i; with BULK_SEED set only that case runs.  QCHECK_LONG
+   (the @fuzz alias) runs ten times the cases. *)
+let bulk_cases =
+  if Sys.getenv_opt "QCHECK_LONG" <> None then 10_000 else 1000
+
+let bulk_case seed =
+  let rs = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let values = [| "x"; "y"; "z"; "1"; "2.0"; "true"; "" |] in
+  let attr name =
+    if Random.State.int rs 3 = 0 then ""
+    else Printf.sprintf " %s=%S" name (pick values)
+  in
+  let rec elem depth =
+    let kids =
+      if depth >= 3 then ""
+      else
+        String.concat ""
+          (List.init (Random.State.int rs 3) (fun _ ->
+               if Random.State.bool rs then
+                 Printf.sprintf "<c%s%s/>" (attr "n") (attr "p:n")
+               else elem (depth + 1)))
+    in
+    Printf.sprintf "<a%s%s>%s</a>" (attr "n") (attr "p:n") kids
+  in
+  let xml =
+    Printf.sprintf "<r xmlns:p=\"urn:p\">%s</r>"
+      (String.concat "" (List.init (1 + Random.State.int rs 4) (fun _ -> elem 0)))
+  in
+  let key = pick [| "@n"; "c/@n"; "./c/@n"; "c/c/@n"; "@p:n" |] in
+  let step =
+    pick [| "//a"; "/descendant-or-self::a"; "/r/descendant::a"; "//c" |]
+  in
+  let two = Random.State.int rs 4 = 0 in
+  let pred =
+    if Random.State.bool rs then Printf.sprintf "%s = $k" key
+    else Printf.sprintf "$k = %s" key
+  in
+  let body =
+    Printf.sprintf "doc(%s)%s[%s]" (if two then "$d" else "\"sel.xml\"") step pred
+  in
+  (* a quarter of the cases may fault: casting keys, wrappers, types *)
+  let hostile = Random.State.int rs 4 = 0 in
+  let body =
+    match Random.State.int rs (if hostile then 4 else 20) with
+    | 0 -> Printf.sprintf "zero-or-one(%s)" body
+    | 1 -> Printf.sprintf "exactly-one(%s)" body
+    | 2 -> Printf.sprintf "one-or-more(%s)" body
+    | _ -> body
+  in
+  let ptype =
+    pick
+      (if hostile then [| ""; " as xs:string"; " as xs:integer" |]
+       else [| ""; " as xs:string"; " as xs:string*" |])
+  in
+  let rtype =
+    pick
+      (if hostile then [| ""; " as element()?"; " as element(a)+" |]
+       else [| ""; " as node()*" |])
+  in
+  let decl =
+    Printf.sprintf
+      "declare namespace p = \"urn:p\";\n\
+       declare function s:f(%s$k%s)%s { %s }"
+      (if two then "$d as xs:string, " else "")
+      ptype rtype body
+  in
+  let item () =
+    match Random.State.int rs (if hostile then 8 else 5) with
+    | 0 ->
+        Xdm.Node
+          (Store.root
+             (Store.shred (Xml_parse.document ("<v>" ^ pick values ^ "</v>"))))
+    | 1 -> Xdm.Atomic (Xs.Untyped (pick values))
+    | 5 -> Xdm.int (Random.State.int rs 3)
+    | 6 -> Xdm.Atomic (Xs.Double 2.0)
+    | 7 -> Xdm.bool true
+    | _ -> Xdm.str (pick values)
+  in
+  (* a parameter declared with one item gets one but now and then *)
+  let one = ptype = " as xs:string" || ptype = " as xs:integer" in
+  let key_value () =
+    match Random.State.int rs (if one then 40 else 6) with
+    | 0 -> []
+    | 1 -> [ item (); item () ]
+    | 2 -> [ Xdm.str "x"; Xdm.str "x" ]
+    | _ -> [ item () ]
+  in
+  let calls =
+    List.init (2 + Random.State.int rs 4) (fun _ ->
+        let d =
+          if hostile && Random.State.bool rs then "other.xml" else "sel.xml"
+        in
+        (if two then [ [ Xdm.str d ] ] else []) @ [ key_value () ])
+  in
+  (xml, decl, calls)
+
+let test_bulk_differential () =
+  let seeds =
+    match Option.bind (Sys.getenv_opt "BULK_SEED") int_of_string_opt with
+    | Some s -> [ s ]
+    | None -> List.init bulk_cases (fun i -> 7000 + i)
+  in
+  let faults = ref 0 in
+  List.iter
+    (fun seed ->
+      let xml, decl, calls = bulk_case seed in
+      let uri = Printf.sprintf "sel%d" seed in
+      let peer = Peer.create "xrpc://bulk.example.org" in
+      Database.add_doc_xml peer.Peer.db "sel.xml" xml;
+      Database.add_doc_xml peer.Peer.db "other.xml" xml;
+      Peer.register_module peer ~uri
+        (Printf.sprintf "module namespace s = %S;\n%s;" uri decl);
+      match bulk_vs_singles peer ~uri calls with
+      | Ok (Message.Fault _) -> incr faults
+      | Ok _ -> ()
+      | Error m ->
+          Alcotest.failf "%s\n%s\nreplay with: BULK_SEED=%d dune exec \
+                          test/test_peer.exe -- test bulk-optimization"
+            decl m seed)
+    seeds;
+  Printf.printf "%d of %d cases fault\n" !faults (List.length seeds)
+
 let test_get_document_internal () =
   let peer, _ = make_peer () in
   let req =
@@ -861,6 +1099,8 @@ let () =
             test_prepare_refuses_changed_snapshot;
           Alcotest.test_case "unappliable update is a Sender fault" `Quick
             test_update_error_fault;
+          Alcotest.test_case "commit after a no vote applies nothing" `Quick
+            test_commit_after_no_vote;
         ] );
       ( "history",
         [
@@ -887,5 +1127,14 @@ let () =
           Alcotest.test_case "Q_B3 stays a hash join" `Quick test_q_b3_hash_join;
           Alcotest.test_case "wrong parameter count is a Sender fault" `Quick
             test_bulk_wrong_parameter_count;
+          Alcotest.test_case "two-item key probes each item" `Quick
+            test_bulk_multi_item_key;
+          Alcotest.test_case "integer key faults like a single call" `Quick
+            test_bulk_integer_key;
+          Alcotest.test_case "stripped wrapper still checked" `Quick
+            test_bulk_wrapper_checked;
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded bulk vs singles" bulk_cases)
+            `Quick test_bulk_differential;
         ] );
     ]

@@ -434,11 +434,16 @@ let test_explain_plan () =
   assert_has "one call per iteration in singles mode"
     "span bulkrpc — one call per iteration" (plan Xctx.Rpc_singles);
   check string_ "stable rendering" bulk (plan Xctx.Rpc_bulk);
-  (* path steps: the descendant::T index slice against axis scans *)
+  (* path steps: the value probe and the descendant::T index slice
+     against axis scans *)
   let steps =
     Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
-      (Parser.parse_prog {|doc("d.xml")//person[@id = "p1"]/name, doc("d.xml")//person[1]|})
+      (Parser.parse_prog
+         {|doc("d.xml")//person[@id = "p1"]/name, doc("d.xml")//person[@id],
+           doc("d.xml")//person[1]|})
   in
+  assert_has "value probe"
+    "descendant::person[..] — attribute-value index probe (person, @id)" steps;
   assert_has "index slice"
     "descendant::person[..] — element-name index slice (person)" steps;
   assert_has "child step scans" "child::name — axis scan" steps;
