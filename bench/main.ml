@@ -205,7 +205,6 @@ let algebra_bench () =
           Message.resp_module = req.Message.module_uri;
           resp_method = req.Message.method_;
           results = List.map (fun _ -> [ Xdm.int 0 ]) req.Message.calls;
-          cached = false;
           db_version = None;
           peers = [];
         }
@@ -501,7 +500,6 @@ let figures () =
           List.map
             (fun c -> answer (Xdm.string_value (List.hd (List.hd c))))
             req.Message.calls;
-        cached = false;
         db_version = None;
         peers = [ dest ];
       }
@@ -569,7 +567,7 @@ let micro () =
            updating = false;
            fragments = false;
            query_id = None;
-           idem_key = None; cache_ok = true;
+           idem_key = None;
            calls = List.init 100 (fun i -> [ [ Xdm.int i ] ]);
          })
   in
@@ -595,7 +593,7 @@ let micro () =
            updating = false;
            fragments = false;
            query_id = None;
-           idem_key = None; cache_ok = true;
+           idem_key = None;
            calls = [ [ [ Xdm.str "persons.xml" ]; [ Xdm.str "person7" ] ] ];
          })
   in
@@ -619,7 +617,7 @@ let micro () =
            updating = false;
            fragments = false;
            query_id = None;
-           idem_key = None; cache_ok = true;
+           idem_key = None;
            calls =
              List.init 100 (fun i ->
                  [ [ Xdm.str "persons.xml" ];
@@ -650,7 +648,7 @@ let micro () =
            updating = false;
            fragments = false;
            query_id = None;
-           idem_key = None; cache_ok = true;
+           idem_key = None;
            calls = List.init 1000 (fun i -> [ [ Xdm.int (i + 1) ] ]);
          })
   in
@@ -773,7 +771,7 @@ let ablations () =
            updating = false;
            fragments = false;
            query_id = None;
-           idem_key = None; cache_ok = true;
+           idem_key = None;
            calls;
          })
   in

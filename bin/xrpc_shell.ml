@@ -68,7 +68,6 @@ let run_query peer source =
       | Xrpc_xquery.Lexer.Lex_error m
       | Xrpc_xquery.Eval.Error m
       | Xrpc_xml.Xdm.Dynamic_error m
-      | Xrpc_xml.Xs.Type_error m
       | Peer.Peer_error m ) ->
       Printf.eprintf "error: %s\n%!" m);
   if Trace.enabled () then print_trace ()
@@ -197,17 +196,15 @@ let command ~client peer line =
       true
   | ":cache", "clear" ->
       Peer.clear_caches peer;
-      print_endline "caches cleared (plan, result, module plans)";
+      print_endline "caches cleared (plan, module plans)";
       true
   | ":cache", "on" ->
       Peer.set_plan_caching peer true;
-      Peer.set_result_caching peer true;
-      print_endline "plan + result caching on";
+      print_endline "plan caching on";
       true
   | ":cache", "off" ->
       Peer.set_plan_caching peer false;
-      Peer.set_result_caching peer false;
-      print_endline "plan + result caching off";
+      print_endline "plan caching off";
       true
   | ":cache", _ ->
       print_endline "usage: :cache [stats|clear|on|off]";
@@ -238,11 +235,9 @@ let command ~client peer line =
       print_endline ":flight slow   — pinned slow queries";
       print_endline
         ":shards [keys] — shard map: members, replication, key placement";
-      print_endline
-        ":cache [stats] — plan/result/module/idem cache counters";
+      print_endline ":cache [stats] — plan/module/idem cache counters";
       print_endline ":cache clear   — drop the performance caches";
-      print_endline
-        ":cache on|off  — toggle plan + result caching (cache=off calls)";
+      print_endline ":cache on|off  — toggle plan caching";
       true
   | cmd, _ when String.length cmd > 0 && cmd.[0] = ':' ->
       Printf.eprintf "unknown command %s (try :help)\n%!" cmd;

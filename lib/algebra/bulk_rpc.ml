@@ -106,7 +106,7 @@ let execute ~(dst : Table.t) ~(params : Table.t list)
               updating = false;
               fragments = false;
               query_id;
-              idem_key = None; cache_ok = true;
+              idem_key = None;
               calls;
             }
           in

@@ -454,9 +454,6 @@ let cache_stats t =
 let set_plan_caching t on =
   List.iter (fun (_, p) -> Peer.set_plan_caching p on) t.peers
 
-let set_result_caching t on =
-  List.iter (fun (_, p) -> Peer.set_result_caching p on) t.peers
-
 let clear_caches t = List.iter (fun (_, p) -> Peer.clear_caches p) t.peers
 
 (** Every peer's {!Peer.cache_stats_text} block, name-prefixed. *)

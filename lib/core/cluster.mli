@@ -175,11 +175,8 @@ val cache_stats : t -> (string * Xrpc_peer.Peer.cache_stats) list
 val set_plan_caching : t -> bool -> unit
 (** Toggle every peer's compiled-plan cache. *)
 
-val set_result_caching : t -> bool -> unit
-(** Toggle every peer's semantic result cache. *)
-
 val clear_caches : t -> unit
-(** Drop every peer's performance caches (plan, result, module plans). *)
+(** Drop every peer's performance caches (plan, module plans). *)
 
 val cache_stats_text : t -> string
 (** Every peer's {!Xrpc_peer.Peer.cache_stats_text} block, name-prefixed. *)

@@ -98,8 +98,8 @@ let breaker t dest = Option.map (fun p -> Transport.breaker_state p dest) t.poli
 (* ------------------------------------------------------------------ *)
 
 (* the idempotency key is the outgoing path's to mint *)
-let request ?query_id ?(updating = false) ?(fragments = false) ?(cache = true)
-    ~module_uri ?(location = "") ~fn calls =
+let request ?query_id ?(updating = false) ?(fragments = false) ~module_uri
+    ?(location = "") ~fn calls =
   {
     Message.module_uri;
     location;
@@ -109,7 +109,6 @@ let request ?query_id ?(updating = false) ?(fragments = false) ?(cache = true)
     fragments;
     query_id;
     idem_key = None;
-    cache_ok = cache;
     calls;
   }
 
@@ -126,41 +125,40 @@ let results ~dest = function
         ~kind:(Xrpc_error.Protocol "unexpected-reply")
         ~dest "expected a response or fault"
 
-let call_bulk t ~dest ?query_id ?updating ?fragments ?cache ~module_uri
-    ?location ~fn calls =
+let call_bulk t ~dest ?query_id ?updating ?fragments ~module_uri ?location
+    ~fn calls =
   let req =
-    request ?query_id ?updating ?fragments ?cache ~module_uri ?location ~fn
-      calls
+    request ?query_id ?updating ?fragments ~module_uri ?location ~fn calls
   in
   results ~dest (Outbound.call t.out ~dest req)
 
 let first = function seq :: _ -> seq | [] -> []  (* updating: no results *)
 
-let call t ~dest ?query_id ?updating ?fragments ?cache ~module_uri ?location
+let call t ~dest ?query_id ?updating ?fragments ~module_uri ?location
     ~fn params =
   first
-    (call_bulk t ~dest ?query_id ?updating ?fragments ?cache ~module_uri
-       ?location ~fn [ params ])
+    (call_bulk t ~dest ?query_id ?updating ?fragments ~module_uri ?location
+       ~fn [ params ])
 
 (** [call] with profiling on for its duration: returns the result together
     with the finished profile — per-destination messages/bytes and, when
     the serving peer measured them, its parse/compile/exec/commit phase
     costs from the response header. *)
-let call_profiled t ~dest ?query_id ?updating ?fragments ?cache ~module_uri
+let call_profiled t ~dest ?query_id ?updating ?fragments ~module_uri
     ?location ~fn params =
   Profile.profiled ~label:(fn ^ " @ " ^ dest) (fun () ->
-      call t ~dest ?query_id ?updating ?fragments ?cache ~module_uri ?location
+      call t ~dest ?query_id ?updating ?fragments ~module_uri ?location
         ~fn params)
 
 (** One single-call request per destination, dispatched concurrently
     through the transport's parallel send. *)
-let call_scatter t ?query_id ?updating ?fragments ?cache ~module_uri ?location
+let call_scatter t ?query_id ?updating ?fragments ~module_uri ?location
     ~fn dest_params =
   let reqs =
     List.map
       (fun (dest, params) ->
         ( dest,
-          request ?query_id ?updating ?fragments ?cache ~module_uri ?location
+          request ?query_id ?updating ?fragments ~module_uri ?location
             ~fn [ params ] ))
       dest_params
   in
@@ -208,8 +206,8 @@ let plan_scatter ?(mode = By_owner) ?alive shard =
     it should answer for as its first parameter (an [xs:string*]), then
     [params].  One leg failing raises that leg's typed
     {!Xrpc_error.Error}; no partial result is ever returned. *)
-let call_gather t ?(mode = By_owner) ?alive ~shard ?query_id ?cache
-    ~module_uri ?location ~fn ?(params = []) () =
+let call_gather t ?(mode = By_owner) ?alive ~shard ?query_id ~module_uri
+    ?location ~fn ?(params = []) () =
   let legs = plan_scatter ~mode ?alive shard in
   let dest_params =
     List.map
@@ -217,7 +215,7 @@ let call_gather t ?(mode = By_owner) ?alive ~shard ?query_id ?cache
       legs
   in
   let partials =
-    call_scatter t ?query_id ?cache ~module_uri ?location ~fn dest_params
+    call_scatter t ?query_id ~module_uri ?location ~fn dest_params
   in
   Gather.merge partials
 

@@ -87,7 +87,6 @@ val call :
   ?query_id:Xrpc_soap.Message.query_id ->
   ?updating:bool ->
   ?fragments:bool ->
-  ?cache:bool ->
   module_uri:string ->
   ?location:string ->
   fn:string ->
@@ -103,7 +102,6 @@ val call_profiled :
   ?query_id:Xrpc_soap.Message.query_id ->
   ?updating:bool ->
   ?fragments:bool ->
-  ?cache:bool ->
   module_uri:string ->
   ?location:string ->
   fn:string ->
@@ -113,7 +111,7 @@ val call_profiled :
     together with the finished {!Xrpc_obs.Profile.t} — per-destination
     messages, serialized bytes both ways, and (the request carries the
     [xrpc:profile] header flag, so cooperating peers measure and return
-    them) the remote side's parse/cache/compile/exec/commit phase costs. *)
+    them) the remote side's parse/compile/exec/commit phase costs. *)
 
 val call_bulk :
   t ->
@@ -121,7 +119,6 @@ val call_bulk :
   ?query_id:Xrpc_soap.Message.query_id ->
   ?updating:bool ->
   ?fragments:bool ->
-  ?cache:bool ->
   module_uri:string ->
   ?location:string ->
   fn:string ->
@@ -135,7 +132,6 @@ val call_scatter :
   ?query_id:Xrpc_soap.Message.query_id ->
   ?updating:bool ->
   ?fragments:bool ->
-  ?cache:bool ->
   module_uri:string ->
   ?location:string ->
   fn:string ->
@@ -171,7 +167,6 @@ val call_gather :
   ?alive:(string -> bool) ->
   shard:Xrpc_peer.Shard.t ->
   ?query_id:Xrpc_soap.Message.query_id ->
-  ?cache:bool ->
   module_uri:string ->
   ?location:string ->
   fn:string ->

@@ -252,7 +252,7 @@ let default_routes t =
     ~text:Flight_recorder.to_text ~json:Flight_recorder.to_json;
   r "/slowz" "pinned slow queries (>= slow-ms)" (fun ~query:_ ->
       Flight_recorder.(pinned_text (snapshot ())));
-  v "/cachez" "plan/result/func/idem cache stats"
+  v "/cachez" "plan/func/idem cache stats"
     (fun () -> Peer.cache_stats t.peer)
     ~text:Peer.cache_stats_text ~json:Peer.cache_stats_json;
   add_view t ~path:"/shardz" ~doc:"consistent-hash ring (?keys=a,b shows placement)"

@@ -19,10 +19,9 @@ type version = {
   docs : Store.t Doc_map.t;
   version_no : int;
   doc_versions : int Doc_map.t;
-      (** per-document version vector: the [version_no] at which each
-          document was last (re)loaded or rebuilt — what the semantic
-          result cache pins its entries to, so an update to one document
-          invalidates exactly the results that read it *)
+      (** the [version_no] at which each document was last (re)loaded
+          or rebuilt — what 2PC Prepare's first-committer-wins rule
+          compares between a query's snapshot and the current version *)
   bytes : int;  (** {!Store.bytes} summed over [docs] *)
   own_bytes : int;
       (** the bytes of the stores this version built that it does not
@@ -38,11 +37,6 @@ type t = {
           use the same timestamp t_q") *)
   mutable truncated : bool;  (** [remember] has dropped a version *)
   clock : unit -> float;
-  mutable on_commit : (string list -> unit) list;
-      (** fired after every version bump with the touched document names
-          (commits {e and} [add_doc] loads, never rollbacks — a presumed-
-          abort 2PC rollback releases the isolation entry without ever
-          reaching here, which is exactly the invalidation contract) *)
 }
 
 (* The history keeps old versions while the bytes they do not share add up
@@ -59,15 +53,7 @@ let create ?(clock = Unix.gettimeofday) () =
     history = [];
     truncated = false;
     clock;
-    on_commit = [];
   }
-
-(** Register an invalidation hook; hooks run newest-first, after the new
-    version is installed. *)
-let on_commit db f = db.on_commit <- f :: db.on_commit
-
-let fire_hooks db touched =
-  if touched <> [] then List.iter (fun f -> f touched) db.on_commit
 
 let remember db =
   let budget = history_factor * db.current.bytes in
@@ -101,8 +87,7 @@ let install db stores =
   in
   let bytes = Doc_map.fold (fun _ s acc -> acc + s.Store.bytes) docs 0 in
   db.current <- { docs; version_no; doc_versions; bytes; own_bytes };
-  remember db;
-  fire_hooks db touched
+  remember db
 
 (** [add_doc db name tree] loads (or replaces) a document. *)
 let add_doc db name tree =

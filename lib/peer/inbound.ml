@@ -58,10 +58,10 @@ let with_lock t f =
 let is_get_document (r : Message.request) =
   r.Message.module_uri = Qname.ns_xrpc && r.Message.method_ = "getDocument"
 
-let response ?(cached = false) ?db_version ~peers (r : Message.request) results =
+let response ?db_version ~peers (r : Message.request) results =
   Message.Response
     { resp_module = r.Message.module_uri; resp_method = r.Message.method_;
-      results; cached; db_version; peers }
+      results; db_version; peers }
 
 let get_document ~self version (r : Message.request) =
   response ~peers:[ self ] r
@@ -128,10 +128,9 @@ let answer t (engine : engine) msg ~body ~pos ~len =
    the order they ran.  Only the root's direct children count, so a
    nested in-process peer's own phases never add to this one's. *)
 let phase_spans =
-  [ ("peer.cache", "cache"); ("peer.compile", "compile");
-    ("peer.exec", "exec"); ("peer.commit", "commit");
-    ("wrapper.treebuild", "treebuild"); ("wrapper.compile", "compile");
-    ("wrapper.exec", "exec") ]
+  [ ("peer.compile", "compile"); ("peer.exec", "exec");
+    ("peer.commit", "commit"); ("wrapper.treebuild", "treebuild");
+    ("wrapper.compile", "compile"); ("wrapper.exec", "exec") ]
 
 let server_phases = function
   | [] -> []

@@ -69,7 +69,7 @@ val serve : t -> engine -> string -> string
 (** [serve_into] on a whole body, returning the reply. *)
 
 val response :
-  ?cached:bool -> ?db_version:int -> peers:string list ->
+  ?db_version:int -> peers:string list ->
   Xrpc_soap.Message.request -> Xrpc_xml.Xdm.sequence list -> Xrpc_soap.Message.t
 (** The Response to a request: one result sequence per call. *)
 

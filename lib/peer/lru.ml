@@ -1,12 +1,11 @@
 (** Bounded LRU table — the one cache implementation of the peer: the
-    plan, result, module and idempotency caches are each an instance.
+    plan, module and idempotency caches are each an instance.
 
     Every operation is one critical section of the instance's mutex: a
-    lookup together with its validity check and any stale removal, an
-    insert together with its eviction, an invalidation pass.  Each event
-    is counted once, in the instance's own counters (read with {!stats})
-    and in the process-wide {!Xrpc_obs.Metrics} series [<name>.hits],
-    [.misses], [.evictions], [.invalidations] and [.stale], shared by
+    lookup, an insert together with its eviction, an invalidation pass.
+    Each event is counted once, in the instance's own counters (read with
+    {!stats}) and in the process-wide {!Xrpc_obs.Metrics} series
+    [<name>.hits], [.misses], [.evictions] and [.invalidations], shared by
     every instance created under the same [name].  A disabled instance
     stores nothing and moves no counter.
 
@@ -31,7 +30,6 @@ type 'a t = {
   misses : event;
   evictions : event;  (** capacity evictions only *)
   invalidations : event;  (** entries dropped by {!remove_if} *)
-  stale : event;  (** entries a lookup found but its [valid] check refused *)
   lock : Mutex.t;
 }
 
@@ -40,7 +38,6 @@ type stats = {
   misses : int;
   evictions : int;
   invalidations : int;
-  stale : int;
   size : int;
   capacity : int;
   enabled : bool;
@@ -59,7 +56,6 @@ let create ~capacity name : 'a t =
     misses = event "misses";
     evictions = event "evictions";
     invalidations = event "invalidations";
-    stale = event "stale";
     lock = Mutex.create ();
   }
 
@@ -67,23 +63,17 @@ let count e k =
   e.n <- e.n + k;
   Metrics.incr_by e.series k
 
-(** The value cached under [key], refreshing its recency.  An entry that
-    fails [valid] is removed and counted as both stale and a miss. *)
-let find ?(valid = fun _ -> true) (t : 'a t) key : 'a option =
+(** The value cached under [key], refreshing its recency. *)
+let find (t : 'a t) key : 'a option =
   Mutex.protect t.lock @@ fun () ->
   if not t.enabled then None
   else
     match Hashtbl.find_opt t.entries key with
-    | Some e when valid e.value ->
+    | Some e ->
         t.tick <- t.tick + 1;
         e.last_used <- t.tick;
         count t.hits 1;
         Some e.value
-    | Some _ ->
-        Hashtbl.remove t.entries key;
-        count t.stale 1;
-        count t.misses 1;
-        None
     | None ->
         count t.misses 1;
         None
@@ -151,7 +141,6 @@ let stats (t : _ t) : stats =
     misses = t.misses.n;
     evictions = t.evictions.n;
     invalidations = t.invalidations.n;
-    stale = t.stale.n;
     size = Hashtbl.length t.entries;
     capacity = t.capacity;
     enabled = t.enabled;

@@ -39,10 +39,6 @@ let encode ~dest msg =
   body
 
 (* resolved per reply (a registry lookup), noise next to a round trip *)
-let m_cache_hits dest =
-  Metrics.counter
-    (Metrics.with_labels "client.remote_cache_hits" [ ("dest", dest) ])
-
 let m_db_version dest =
   Metrics.gauge
     (Metrics.with_labels "client.remote_db_version" [ ("dest", dest) ])
@@ -54,10 +50,6 @@ let decode ~dest raw =
   let m = Message.of_reply ~dest raw in
   (match m with
   | Message.Response r ->
-      if r.Message.cached then begin
-        Metrics.incr (m_cache_hits dest);
-        Trace.event ~detail:dest "remote-cache-hit"
-      end;
       Option.iter
         (fun v -> Metrics.set (m_db_version dest) (float_of_int v))
         r.Message.db_version
@@ -97,7 +89,6 @@ let fetch_document t uri_str : Store.t =
       fragments = false;
       query_id = None;
       idem_key = None;
-      cache_ok = true;
       calls = [ [ [ Xdm.str uri.Xrpc_uri.path ] ] ];
     }
   in

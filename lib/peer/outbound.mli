@@ -14,9 +14,8 @@
     - every message adds to the profile's per-destination [msgs],
       [calls], [bytes_out] and [bytes_in] attributes;
     - every reply is decoded with {!Xrpc_soap.Message.of_reply} (the
-      serving peer's [serverProfile] phases), and a [Response]'s [cached]
-      flag and database version feed the [remote-cache-hit] event and the
-      [client.remote_cache_hits{dest}] / [client.remote_db_version{dest}]
+      serving peer's [serverProfile] phases), and a [Response]'s
+      database version feeds the [client.remote_db_version{dest}]
       series.
 
     Transport failures propagate as {!Xrpc_net.Xrpc_error.Error}. *)

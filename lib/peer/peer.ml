@@ -2,8 +2,8 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, four {!Lru} caches (ad-hoc plans, call results, prepared
-    modules, idempotent responses), and an {!Isolation}
+    sources, three {!Lru} caches (ad-hoc plans, prepared modules,
+    idempotent responses), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -81,9 +81,6 @@ type t = {
   plan_cache : Plan_cache.t;
       (** compiled plans for ad-hoc [query] sources, keyed on canonical
           query text — repeats skip parse + prolog + static check *)
-  result_cache : Result_cache.t;
-      (** memoized answers for read-only remote calls, pinned to the
-          per-document version vector; invalidated by commits *)
   idem_cache : string Lru.t;
       (** the inbound path's idempotency cache (exactly-once over an
           at-least-once transport) *)
@@ -108,7 +105,6 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
     db = Database.create ~clock ();
     func_cache = Lru.create ~capacity:64 "peer.func_cache";
     plan_cache = Plan_cache.create ();
-    result_cache = Result_cache.create ();
     idem_cache = Inbound.idem_cache inbound;
     isolation = Isolation.create ~clock ();
     transport = None;
@@ -128,12 +124,6 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
       };
   }
   in
-  (* eager result-cache invalidation: every version bump (committed XQUF
-     update, document load, Commit leg of 2PC) evicts exactly the entries
-     depending on a touched document.  An aborted 2PC releases its
-     isolation entry without committing, so it never fires this hook. *)
-  Database.on_commit peer.db (fun touched ->
-      ignore (Result_cache.invalidate_docs peer.result_cache touched));
   (* this peer's shard-map version rides in its telemetry snapshot, so
      the cluster view can flag ring-version disagreement across peers *)
   Slo.register_source ~scope:uri ~name:"shard" (fun () ->
@@ -181,8 +171,6 @@ let register_module peer ~uri ?location source =
   | Some loc -> Hashtbl.replace peer.internals.locations loc source
   | None -> ());
   ignore (Lru.remove_if peer.func_cache (fun k _ -> k = uri));
-  (* cached results of calls into this module reflect the old code *)
-  ignore (Result_cache.invalidate_module peer.result_cache uri);
   (* cached ad-hoc plans may embed functions imported from this module;
      plans carry no import provenance, so clear wholesale — blunt but
      correct, and module re-registration is rare *)
@@ -256,26 +244,6 @@ let memoized_doc_resolver peer version =
         Hashtbl.replace cache uri store;
         store
 
-(* Result-cache dependency tracking: every locally resolved document is
-   recorded under its canonical store name with the doc version it was
-   read at (the entry's version vector); a document fetched from another
-   peer depends on state we cannot version, so it poisons cacheability. *)
-let tracking_doc_resolver peer version ~deps ~remote_dep =
-  let base = memoized_doc_resolver peer version in
-  let self_key = Xrpc_uri.peer_key_of_string peer.uri in
-  fun uri_str ->
-    let store = base uri_str in
-    let local =
-      if not (String.length uri_str >= 7 && String.sub uri_str 0 7 = "xrpc://")
-      then true
-      else Xrpc_uri.peer_key (Xrpc_uri.parse uri_str) = self_key
-    in
-    if local then
-      Hashtbl.replace deps store.Store.uri
-        (Database.doc_version version store.Store.uri)
-    else remote_dep := true;
-    store
-
 (* The env override is read per query (not at startup) so tests and live
    debugging can flip it with [putenv] between runs; a value that names no
    mode (e.g. [auto], or a §5 strategy) is no override. *)
@@ -285,35 +253,10 @@ let rpc_mode peer =
   | Some m -> m
   | None -> peer.config.rpc_mode
 
-let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
+let make_context peer ~version ~query_id ~peers_acc : Xctx.t =
   let base = Xctx.empty () in
-  let resolver =
-    match (deps, remote_dep) with
-    | Some deps, Some remote_dep ->
-        tracking_doc_resolver peer version ~deps ~remote_dep
-    | _ -> memoized_doc_resolver peer version
-  in
   let dispatcher =
-    if peer.transport = None then None
-    else
-      let d = dispatcher peer peers_acc in
-      match remote_dep with
-      | None -> Some d
-      | Some remote_dep ->
-          (* any dispatch — even back to this peer — executes code whose
-             document reads are not tracked here, so the result cannot be
-             pinned to a version vector *)
-          Some
-            {
-              Xctx.call =
-                (fun ~dest req ->
-                  remote_dep := true;
-                  d.Xctx.call ~dest req);
-              call_parallel =
-                (fun reqs ->
-                  remote_dep := true;
-                  d.Xctx.call_parallel reqs);
-            }
+    if peer.transport = None then None else Some (dispatcher peer peers_acc)
   in
   let dest_resolver =
     Option.map
@@ -322,7 +265,7 @@ let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
   in
   {
     base with
-    Xctx.doc_resolver = resolver;
+    Xctx.doc_resolver = memoized_doc_resolver peer version;
     dispatcher;
     dest_resolver;
     query_id;
@@ -382,59 +325,14 @@ let handle_request peer (r : Message.request) : Message.t =
     (* internal data-shipping handler behind fn:doc("xrpc://...") *)
     Inbound.get_document ~self:peer.uri version r
   else
-    (* semantic result cache (R_Fr only): a read-only, non-isolated call
-       whose caller did not opt out is answerable from a memoized result,
-       provided the entry's document-version vector still matches.  A
-       queryID-pinned call (R'_Fr) bypasses the cache — its snapshot may
-       legitimately diverge from the current version. *)
-    let cache_key =
-      if
-        r.Message.cache_ok
-        && (not r.Message.updating)
-        && (not r.Message.fragments)
-           (* call-by-fragment arguments carry ancestor context beyond
-              their serialized value, which the value-based key cannot
-              distinguish — never cache them *)
-        && r.Message.query_id = None
-        && Lru.enabled peer.result_cache.Result_cache.lru
-      then
-        Some
-          (Result_cache.key ~module_uri:r.Message.module_uri
-             ~fn:r.Message.method_ ~arity:r.Message.arity
-             ~calls:r.Message.calls)
-      else None
-    in
-    match
-      match cache_key with
-      | Some key ->
-          Trace.with_span "peer.cache" @@ fun () ->
-          Result_cache.find peer.result_cache ~key
-            ~doc_version:(Database.doc_version version)
-      | None -> None
-    with
-    | Some results ->
-        Trace.event
-          ~detail:(r.Message.module_uri ^ ":" ^ r.Message.method_)
-          "result-cache-hit";
-        if Trace.recording () then begin
-          Trace.add (Profile.op_attr "calls" "cache.result_hit") 1.;
-          Trace.add (Profile.op_attr "rows_out" "cache.result_hit")
-            (float_of_int (List.length results))
-        end;
-        Inbound.response ~cached:true ~db_version:version.Database.version_no
-          ~peers:[ peer.uri ] r results
-    | None ->
     let funcs =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
       Trace.with_span ~detail:r.Message.module_uri "peer.compile" @@ fun () ->
       compile_module peer ~uri:r.Message.module_uri ~location:r.Message.location
     in
     let peers_acc = ref [ peer.uri ] in
-    let deps = Hashtbl.create 4 in
-    let remote_dep = ref false in
     let ctx =
-      make_context ~deps ~remote_dep peer ~version ~query_id:r.Message.query_id
-        ~peers_acc
+      make_context peer ~version ~query_id:r.Message.query_id ~peers_acc
     in
     let ctx = { ctx with Xctx.funcs } in
     let fname =
@@ -472,21 +370,6 @@ let handle_request peer (r : Message.request) : Message.t =
        | None ->
            (* R_Fu: apply the pending update list immediately *)
            Database.commit peer.db pul);
-    (* store the result iff the execution was provably a pure function of
-       this peer's documents: nothing updated, no remote document fetched,
-       no dispatch to any peer (tracked via [remote_dep] and the
-       participant accumulator); a Bulk RPC answer only on its key's
-       second miss (see {!Result_cache.add}) *)
-    (match cache_key with
-    | Some key
-      when pul = []
-           && (not f.Xctx.decl.Xrpc_xquery.Ast.fn_updating)
-           && (not !remote_dep)
-           && !peers_acc = [ peer.uri ] ->
-        Result_cache.add peer.result_cache ~key
-          ~deps:(Hashtbl.fold (fun d v acc -> (d, v) :: acc) deps [])
-          results
-    | _ -> ());
     Inbound.response ~db_version:version.Database.version_no ~peers:!peers_acc r
       (if r.Message.updating then [] else results)
 
@@ -729,11 +612,17 @@ let run_query peer (source : string) : query_result =
   { value; participants; committed; tx }
 
 (* With tracing on, the query runs inside its own collection, so its
-   flight-recorder entry holds exactly its own span subtree. *)
+   flight-recorder entry holds exactly its own span subtree.  A failed
+   cast or arithmetic error leaves as the dynamic error it is, its W3C
+   code first in the message. *)
 let query peer (source : string) : query_result =
   Metrics.incr m_queries;
   let t0 = Unix.gettimeofday () in
-  let run () = try Ok (run_query peer source) with e -> Error e in
+  let run () =
+    try Ok (run_query peer source) with
+    | Xs.Type_error m -> Error (Xdm.Dynamic_error m)
+    | e -> Error e
+  in
   let outcome, spans =
     if Trace.enabled () then Trace.collect ~label:"query" ~detail:peer.uri run
     else (Trace.with_span ~detail:peer.uri "query" run, [])
@@ -800,53 +689,48 @@ type cache_stats = {
   idem : Lru.stats;
   func_hits : int;  (** [func.hits] *)
   func_misses : int;  (** [func.misses] *)
-  result_deferred : int;
-      (** Bulk RPC result entries not stored on their first miss *)
 }
+
+(* every served call executes: the counters of a cache that never holds
+   anything *)
+let no_result_cache : Lru.stats =
+  { hits = 0; misses = 0; evictions = 0; invalidations = 0; size = 0;
+    capacity = 0; enabled = false }
 
 let cache_stats peer =
   let func = Lru.stats peer.func_cache in
   {
     plan = Lru.stats peer.plan_cache.Plan_cache.lru;
-    result = Lru.stats peer.result_cache.Result_cache.lru;
+    result = no_result_cache;
     func;
     idem = Lru.stats peer.idem_cache;
     func_hits = func.hits;
     func_misses = func.misses;
-    result_deferred = Result_cache.deferred peer.result_cache;
   }
 
 let set_plan_caching peer on = Lru.set_enabled peer.plan_cache.Plan_cache.lru on
-let set_result_caching peer on =
-  Lru.set_enabled peer.result_cache.Result_cache.lru on
 
-(** Drop every performance cache (plan, result, module).  The idempotency
+(** Drop every performance cache (plan, module).  The idempotency
     cache is deliberately kept: it is a correctness mechanism
     (exactly-once updates), not a performance one. *)
 let clear_caches peer =
   Lru.clear peer.plan_cache.Plan_cache.lru;
-  Result_cache.clear peer.result_cache;
   Lru.clear peer.func_cache
 
-(* each cache's counters, then the fields only it has *)
 let named_caches s =
-  [ ("plan_cache", s.plan, []);
-    ("result_cache", s.result, [ ("deferred", s.result_deferred) ]);
-    ("func_cache", s.func, []); ("idem_cache", s.idem, []) ]
+  [ ("plan_cache", s.plan); ("func_cache", s.func); ("idem_cache", s.idem) ]
 
 (** Human-readable stats block — what [/cachez] and the shell's [:cache
     stats] print. *)
 let cache_stats_text s =
   String.concat "\n"
     (List.map
-       (fun (name, (c : Lru.stats), extra) ->
+       (fun (name, (c : Lru.stats)) ->
          Printf.sprintf
-           "%-13s hits=%d misses=%d stale=%d invalidations=%d evictions=%d \
-            size=%d/%d enabled=%b%s"
-           (name ^ ":") c.hits c.misses c.stale c.invalidations c.evictions
-           c.size c.capacity c.enabled
-           (String.concat ""
-              (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) extra)))
+           "%-11s hits=%d misses=%d invalidations=%d evictions=%d \
+            size=%d/%d enabled=%b"
+           (name ^ ":") c.hits c.misses c.invalidations c.evictions c.size
+           c.capacity c.enabled)
        (named_caches s))
 
 (** The same block as a JSON value: [/cachez.json]. *)
@@ -854,12 +738,11 @@ let cache_stats_json s =
   let open Xrpc_obs.Json in
   Obj
     (List.map
-       (fun (name, (c : Lru.stats), extra) ->
+       (fun (name, (c : Lru.stats)) ->
          ( name,
            Obj
-             ([ ("hits", Int c.hits); ("misses", Int c.misses);
-                ("stale", Int c.stale); ("invalidations", Int c.invalidations);
-                ("evictions", Int c.evictions); ("size", Int c.size);
-                ("capacity", Int c.capacity); ("enabled", Bool c.enabled) ]
-             @ List.map (fun (k, v) -> (k, Int v)) extra) ))
+             [ ("hits", Int c.hits); ("misses", Int c.misses);
+               ("invalidations", Int c.invalidations);
+               ("evictions", Int c.evictions); ("size", Int c.size);
+               ("capacity", Int c.capacity); ("enabled", Bool c.enabled) ] ))
        (named_caches s))

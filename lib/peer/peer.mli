@@ -2,8 +2,8 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, four {!Lru} caches (ad-hoc plans, call results, prepared
-    modules, idempotent responses), and an {!Isolation}
+    sources, three {!Lru} caches (ad-hoc plans, prepared modules,
+    idempotent responses), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -46,9 +46,6 @@ type t = {
   plan_cache : Plan_cache.t;
       (** compiled plans for ad-hoc [query] sources, keyed on canonical
           query text — repeats skip parse + prolog + static check *)
-  result_cache : Result_cache.t;
-      (** memoized answers for read-only remote calls, pinned to the
-          per-document version vector; invalidated by commits *)
   idem_cache : string Lru.t;
       (** the inbound path's idempotency cache: exactly-once semantics
           over an at-least-once transport (rule R_Fu applies pending
@@ -162,7 +159,10 @@ val query : t -> string -> query_result
       across all participating peers (broadcast through the peer's
       {!set_executor} executor).
     - Without it, rules R_Fr / R_Fu apply: remote updates are applied per
-      request, local updates when the query finishes. *)
+      request, local updates when the query finishes.
+
+    A failed cast or arithmetic error raises {!Xrpc_xml.Xdm.Dynamic_error}
+    whose message starts with its W3C code ([FORG0001], [FOAR0001], …). *)
 
 val query_seq : t -> string -> Xrpc_xml.Xdm.sequence
 (** Convenience: result sequence only; raises on failed distributed
@@ -178,30 +178,24 @@ val resolve_in_doubt : t -> int * int * int
 type cache_stats = {
   plan : Lru.stats;
   result : Lru.stats;
+      (** always zero: every served call executes.  Kept for its one
+          reader, the [peer.result_hit_ratio] per-layer metric of
+          [bench/e2e], which reads 0 on every workload. *)
   func : Lru.stats;
   idem : Lru.stats;
   func_hits : int;  (** [func.hits] *)
   func_misses : int;  (** [func.misses] *)
-  result_deferred : int;
-      (** Bulk RPC result entries not stored on their first miss
-          ([peer.result_cache.deferred]) *)
 }
 
 val cache_stats : t -> cache_stats
-(** The counters of all four caches (plan, result, module plan,
-    idempotency), each read in one critical section of its cache, and
-    the result cache's deferred admissions. *)
+(** The counters of the three caches (plan, module plan, idempotency),
+    each read in one critical section of its cache. *)
 
 val set_plan_caching : t -> bool -> unit
 (** Toggle the compiled-plan cache; disabled, every [query] recompiles. *)
 
-val set_result_caching : t -> bool -> unit
-(** Toggle the semantic result cache; disabled, every incoming call
-    executes. *)
-
 val clear_caches : t -> unit
-(** Drop every performance cache (plan, result with its admission
-    doorkeeper, module).  The idempotency
+(** Drop every performance cache (plan, module).  The idempotency
     cache is kept — it is a correctness mechanism (exactly-once updates),
     not a performance one. *)
 

@@ -39,11 +39,6 @@ type request = {
       (** idempotency key: peers cache the response under this key so a
           retried or duplicated request (at-least-once transports) returns
           the cached reply instead of re-executing updating functions *)
-  cache_ok : bool;
-      (** [false] rides as [cache="off"] and forbids the serving peer to
-          answer from its semantic result cache — the escape hatch the
-          differential tests use to compare cached vs fresh answers.  The
-          default [true] leaves the wire format unchanged. *)
   calls : Xdm.sequence list list;
       (** one entry per call; each call is [arity] parameter sequences *)
 }
@@ -53,9 +48,6 @@ type response = {
   resp_method : string;
   results : Xdm.sequence list;  (** one result sequence per call *)
   peers : string list;  (** piggybacked participating peers (§2.3) *)
-  cached : bool;
-      (** the serving peer answered from its semantic result cache
-          (rides as [cached="true"], omitted otherwise) *)
   db_version : int option;
       (** the serving peer's database version token ([dbVersion]
           attribute) — lets callers observe remote data movement without
@@ -228,10 +220,6 @@ let to_tree ?trace ?server_profile ?(profile_flag = false) = function
                  a header element) to keep the flag at one node of cost *)
               @ (if profile_flag then [ Tree.attr (Qname.make "profile") "true" ]
                  else [])
-              (* cache="off" only when the caller opts out — the common
-                 case costs zero wire bytes *)
-              @ (if r.cache_ok then []
-                 else [ Tree.attr (Qname.make "cache") "off" ])
               @ if r.fragments then [ Tree.attr (Qname.make "fragments") "true" ] else [])
             (qid @ calls);
         ]
@@ -259,8 +247,6 @@ let to_tree ?trace ?server_profile ?(profile_flag = false) = function
                  Tree.attr (Qname.make "module") r.resp_module;
                  Tree.attr (Qname.make "method") r.resp_method;
                ]
-              @ (if r.cached then [ Tree.attr (Qname.make "cached") "true" ]
-                 else [])
               @ (match r.db_version with
                 | Some v ->
                     [ Tree.attr (Qname.make "dbVersion") (string_of_int v) ]
@@ -367,7 +353,7 @@ let nat_attr what s =
 (* An xs:boolean attribute, [false] when absent: "true", "false", "1" or
    "0" after whitespace trimming.  Anything else is malformed.  A foreign
    client may send the 1/0 forms: fragments="1" must not pass for false,
-   or its call-by-fragment request would reach the result cache. *)
+   or its call-by-fragment request would lose its node references. *)
 let bool_attr attrs local =
   match Option.map String.trim (find_attr attrs local) with
   | None | Some ("false" | "0") -> false
@@ -465,7 +451,6 @@ let decode_tree tree =
           fragments = bool_attr attrs "fragments";
           query_id;
           idem_key = find_attr attrs "idemKey";
-          cache_ok = enum_attr attrs "cache" [ "off" ] = None;
           calls;
         }
   | [ Tree.Element { name; attrs; children } ] when name.Qname.local = "response" ->
@@ -499,7 +484,6 @@ let decode_tree tree =
           resp_method = Option.value ~default:"" (find_attr attrs "method");
           results;
           peers;
-          cached = bool_attr attrs "cached";
           db_version =
             Option.bind (find_attr attrs "dbVersion") int_of_string_opt;
         }

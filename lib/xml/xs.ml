@@ -119,12 +119,12 @@ let parse_bool s =
   match String.trim s with
   | "true" | "1" -> true
   | "false" | "0" -> false
-  | s -> type_error "cannot cast %S to xs:boolean" s
+  | s -> type_error "FORG0001: cannot cast %S to xs:boolean" s
 
 let parse_int s =
   match int_of_string_opt (String.trim s) with
   | Some i -> i
-  | None -> type_error "cannot cast %S to xs:integer" s
+  | None -> type_error "FORG0001: cannot cast %S to xs:integer" s
 
 let parse_float s =
   match String.trim s with
@@ -134,7 +134,7 @@ let parse_float s =
   | s -> (
       match float_of_string_opt s with
       | Some f -> f
-      | None -> type_error "cannot cast %S to xs:double" s)
+      | None -> type_error "FORG0001: cannot cast %S to xs:double" s)
 
 (** [of_string typ lexical] parses a lexical form into a typed value; raises
     {!Type_error} on an invalid lexical form. *)
@@ -170,7 +170,7 @@ let to_float = function
   | Integer i -> float_of_int i
   | Decimal f | Double f | Float f -> f
   | Untyped s -> parse_float s
-  | v -> type_error "not a number: %s" (to_string v)
+  | v -> type_error "XPTY0004: not a number: %s" (to_string v)
 
 (** Result type of a binary arithmetic op under XPath promotion. *)
 let promote a b =
@@ -197,13 +197,13 @@ let arith op a b =
   | `Div -> (
       match t with
       | TInteger ->
-          if y = 0. then type_error "division by zero" else Decimal (x /. y)
+          if y = 0. then type_error "FOAR0001: division by zero" else Decimal (x /. y)
       | _ -> of_promoted t (x /. y))
   | `Idiv ->
-      if y = 0. then type_error "integer division by zero"
+      if y = 0. then type_error "FOAR0001: integer division by zero"
       else Integer (int_of_float (Float.trunc (x /. y)))
   | `Mod ->
-      if y = 0. && t = TInteger then type_error "modulo by zero"
+      if y = 0. && t = TInteger then type_error "FOAR0001: modulo by zero"
       else of_promoted t (Float.rem x y)
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +325,7 @@ let ebv = function
   | String s | Untyped s | AnyURI s -> s <> ""
   | Integer i -> i <> 0
   | Decimal f | Double f | Float f -> f <> 0. && not (Float.is_nan f)
-  | v -> type_error "no effective boolean value for %s" (to_string v)
+  | v -> type_error "FORG0006: no effective boolean value for %s" (to_string v)
 
 (* ------------------------------------------------------------------ *)
 (* Casting                                                             *)

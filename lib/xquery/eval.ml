@@ -968,7 +968,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
             updating;
             fragments = base_ctx.Context.fragments;
             query_id = base_ctx.Context.query_id;
-            idem_key = None; cache_ok = true;
+            idem_key = None;
             calls = [ p0 ];
           }
         in
@@ -1009,7 +1009,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
             updating;
             fragments = base_ctx.Context.fragments;
             query_id = base_ctx.Context.query_id;
-            idem_key = None; cache_ok = true;
+            idem_key = None;
             calls = params_for_dest;
           } ))
       dests

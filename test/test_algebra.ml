@@ -214,7 +214,6 @@ let film_service dst_calls_log ~dest (req : Message.request) : Message.t =
         List.map
           (fun call -> answer (Xdm.string_value (List.hd (List.hd call))))
           req.Message.calls;
-      cached = false;
       db_version = None;
       peers = [ dest ];
     }

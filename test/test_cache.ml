@@ -1,25 +1,17 @@
-(* Two-level caching suite (plan cache + semantic result cache).
+(* Plan-cache suite, and the freshness guarantees of served reads.
 
    Covers: canonical-key normalization (whitespace/comment insensitivity,
    literal-kind tagging, the direct-constructor raw fallback), the bounded
    LRU primitive, plan-cache reuse at a peer (same answer, fresh global
-   bindings, module re-registration invalidates), and the semantic result
-   cache across a simulated cluster: version-vector invalidation on
-   committed updates, precision (an update to one document keeps entries
-   that depend only on another), the deterministic aborted-2PC schedule
-   (presumed abort must NOT invalidate — and the later committed rerun
-   must), queryID bypass, the cache="off" escape hatch, serverProfile
-   phase attribution (a warm repeat runs zero exec phases), trace events,
-   and a seeded chaos sweep where cached answers must stay consistent with
-   cache-off answers while distributed updates commit and abort around
-   them.  Replay the chaos schedules with FAULT_SEED=<n> dune runtest.
-
-   The result-cache key is checked against the canonical key it replaced
-   (test/result_cache_ref.ml) on seeded near-equal call lists and on the
-   requests the suites send (replay with KEY_SEED=<n>), and its admission
-   rule — Bulk RPC answers on their second sighting, one-call answers at
-   once — across commits, module re-registration, doorkeeper resets and
-   8 threads. *)
+   bindings, module re-registration invalidates), and what a served read
+   answers across a simulated cluster: it sees a committed R_Fu update, an
+   update to one document moves only that document's version, a
+   presumed-abort rollback changes nothing while the committed rerun is
+   seen, a queryID-pinned read keeps its snapshot, and a seeded chaos
+   sweep where every read equals the serving peer's committed state while
+   distributed updates commit and abort around it.  Every served call
+   executes: the peer keeps no answers.  Replay the chaos schedules with
+   FAULT_SEED=<n> dune runtest. *)
 
 open Xrpc_xml
 module Cluster = Xrpc_core.Cluster
@@ -183,8 +175,7 @@ let test_lru_remove_if_vs_evictions () =
 
 let test_lru_counters () =
   (* each event is counted once, in the instance and in its metric
-     series; a lookup whose validity check fails drops the entry and
-     counts as stale and as a miss *)
+     series *)
   let name = "test.lru_counters" in
   let series kind =
     int_of_float (Metrics.total (Metrics.counter (name ^ "." ^ kind)))
@@ -195,18 +186,17 @@ let test_lru_counters () =
   ignore (Lru.find lru "a");
   ignore (Lru.find lru "z");
   Lru.add lru "c" 3;
-  check (Alcotest.option int_) "refused entry is a miss" None
-    (Lru.find lru "c" ~valid:(fun v -> v <> 3));
-  check (Alcotest.option int_) "and is gone" None (Lru.find lru "c");
-  ignore (Lru.remove_if lru (fun k _ -> k = "a"));
+  check (Alcotest.option int_) "an evicted entry is a miss" None
+    (Lru.find lru "b");
+  ignore (Lru.remove_if lru (fun k _ -> k = "a" || k = "c"));
   let s = Lru.stats lru in
   List.iter
     (fun (kind, n, want) ->
       check int_ kind want n;
       check int_ (kind ^ " series") want (series kind))
-    [ ("hits", s.Lru.hits, 1); ("misses", s.Lru.misses, 3);
-      ("evictions", s.Lru.evictions, 1); ("stale", s.Lru.stale, 1);
-      ("invalidations", s.Lru.invalidations, 1) ];
+    [ ("hits", s.Lru.hits, 1); ("misses", s.Lru.misses, 2);
+      ("evictions", s.Lru.evictions, 1);
+      ("invalidations", s.Lru.invalidations, 2) ];
   check int_ "empty" 0 s.Lru.size
 
 let test_lru_remove_if_multi () =
@@ -232,11 +222,11 @@ let test_lru_remove_if_multi () =
     (Lru.remove_if lru (fun _ v -> v mod 2 = 0))
 
 let test_lru_concurrent () =
-  (* 8 threads mix validated lookups, inserts and invalidations on one
-     small cache.  A value encodes its key and its writer (key * 100 +
-     thread); entries from odd threads fail the validity check.  The
-     bound holds throughout, every lookup is counted exactly once, and a
-     lookup returns only a value added under its own key. *)
+  (* 8 threads mix lookups, inserts and invalidations on one small
+     cache.  A value encodes its key and its writer (key * 100 +
+     thread).  The bound holds throughout, every lookup is counted
+     exactly once, and a lookup returns only a value added under its own
+     key. *)
   let capacity = 8 in
   let lru = Lru.create ~capacity "test.lru_concurrent" in
   let lookups = Atomic.make 0 and wrong = Atomic.make 0 in
@@ -250,10 +240,8 @@ let test_lru_concurrent () =
       | 1 | 2 | 3 -> Lru.add lru (string_of_int k) ((k * 100) + id)
       | _ -> (
           Atomic.incr lookups;
-          match
-            Lru.find lru (string_of_int k) ~valid:(fun v -> v mod 2 = 0)
-          with
-          | Some v when v / 100 <> k || v mod 2 <> 0 -> Atomic.incr wrong
+          match Lru.find lru (string_of_int k) with
+          | Some v when v / 100 <> k -> Atomic.incr wrong
           | _ -> ()));
       if (Lru.stats lru).Lru.size > capacity then Atomic.incr over;
       Thread.yield ()
@@ -265,7 +253,8 @@ let test_lru_concurrent () =
   check int_ "every lookup counted once" (Atomic.get lookups)
     (s.Lru.hits + s.Lru.misses);
   check int_ "no value under a foreign key" 0 (Atomic.get wrong);
-  check bool_ "the validity check refused some entries" true (s.Lru.stale > 0)
+  check bool_ "some lookups hit" true (s.Lru.hits > 0);
+  check bool_ "some entries were invalidated" true (s.Lru.invalidations > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache at a peer                                                *)
@@ -362,7 +351,7 @@ let test_plan_cache_concurrent_queries () =
   check bool_ "the canonical plans were shared" true (s.Lru.hits >= 800)
 
 (* ------------------------------------------------------------------ *)
-(* Result cache across a cluster                                       *)
+(* What a served read answers                                          *)
 (* ------------------------------------------------------------------ *)
 
 let sim_config = { Simnet.default_config with Simnet.charge_cpu = false }
@@ -380,51 +369,44 @@ let film_pair () =
     Filmdb.film_module;
   (cluster, x, y)
 
-let result_stats peer = (Peer.cache_stats peer).Peer.result
-
-let films_by ?cache ?query_id client ~dest actor =
-  Client.call client ~dest ?cache ?query_id ~module_uri:Filmdb.module_ns
+let films_by ?query_id client ~dest actor =
+  Client.call client ~dest ?query_id ~module_uri:Filmdb.module_ns
     ~location:Filmdb.module_at ~fn:"filmsByActor"
     [ [ Xdm.str actor ] ]
 
-let test_result_cache_hit () =
-  let cluster, _, y = film_pair () in
-  let client = Cluster.client cluster in
-  let dest = "xrpc://y.example.org" in
-  let a = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  let b = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  check string_ "repeat answers identically" a b;
-  let s = result_stats y in
-  check int_ "first call executed" 1 s.Lru.misses;
-  check int_ "second was served from cache" 1 s.Lru.hits;
-  check int_ "one entry" 1 s.Lru.size
+(* the serving peer's committed state: the same function run at y over
+   its current database, no message involved *)
+let committed_films y =
+  Xdm.to_display
+    (Peer.query_seq y
+       (Printf.sprintf
+          {|import module namespace f="films" at %S;
+f:filmsByActor("Sean Connery")|}
+          Filmdb.module_at))
 
 let test_update_then_read_invalidates () =
-  (* a committed remote update (rule R_Fu) must evict the dependent
-     entry: the next read executes and sees the new film, identically to
-     a cache=off read *)
+  (* a read after a committed remote update (rule R_Fu) sees it *)
   let cluster, x, y = film_pair () in
   let client = Cluster.client cluster in
   let dest = "xrpc://y.example.org" in
-  ignore (films_by client ~dest "Sean Connery");
-  ignore (films_by client ~dest "Sean Connery");
-  check int_ "warm" 1 (result_stats y).Lru.hits;
+  let before = Xdm.to_display (films_by client ~dest "Sean Connery") in
+  check string_ "a repeat answers the same" before
+    (Xdm.to_display (films_by client ~dest "Sean Connery"));
   let r =
     Peer.query x
       {|import module namespace f="films" at "http://x.example.org/film.xq";
 execute at {"xrpc://y.example.org"} {f:addFilm("Fresh", "Sean Connery")}|}
   in
   check bool_ "update applied" true r.Peer.committed;
-  check bool_ "commit evicted the dependent entry" true
-    ((result_stats y).Lru.invalidations >= 1);
-  let cached = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
-  check string_ "post-update cached == cache-off" off cached;
-  check bool_ "the new film is visible" true (contains cached "Fresh")
+  let after = Xdm.to_display (films_by client ~dest "Sean Connery") in
+  check bool_ "the new film is visible" true (contains after "Fresh");
+  check bool_ "it was not there before" false (contains before "Fresh");
+  check string_ "the read is the committed state" (committed_films y) after
 
 let test_version_vector_precision () =
-  (* entries are pinned per document: an update touching a.xml evicts
-     only the entries that read a.xml *)
+  (* a commit moves the version of the documents it touched and of no
+     other (2PC Prepare's first-committer-wins rule reads these), and a
+     read of each document answers its current state *)
   let cluster =
     Cluster.create ~config:sim_config ~names:[ "x"; "y" ] ()
   in
@@ -439,28 +421,56 @@ declare updating function m:wa()
 { insert node <x/> into exactly-one(doc("a.xml")/a) };|};
   let client = Cluster.client cluster in
   let call fn =
-    Client.call client ~dest:"xrpc://y" ~module_uri:"m" ~location:"m.xq" ~fn []
+    Xdm.to_display
+      (Client.call client ~dest:"xrpc://y" ~module_uri:"m" ~location:"m.xq" ~fn [])
   in
-  ignore (call "ra");
-  ignore (call "rb");
-  check int_ "both entries cached" 2 (result_stats y).Lru.size;
+  let version d = Database.doc_version (Database.snapshot y.Peer.db) d in
+  let a0 = version "a.xml" and b0 = version "b.xml" in
+  check string_ "a before" "<a>1</a>" (call "ra");
+  check string_ "b before" "<b>2</b>" (call "rb");
   ignore
     (Client.call client ~dest:"xrpc://y" ~updating:true ~module_uri:"m"
        ~location:"m.xq" ~fn:"wa" []);
-  check int_ "only the a.xml entry was evicted" 1
-    (result_stats y).Lru.invalidations;
-  check int_ "b.xml entry survives" 1 (result_stats y).Lru.size;
-  let hits0 = (result_stats y).Lru.hits in
-  ignore (call "rb");
-  check int_ "b repeat still hits" (hits0 + 1) (result_stats y).Lru.hits;
-  check string_ "a repeat re-executes and sees the update" "<a>1<x/></a>"
-    (Xdm.to_display (call "ra"))
+  check bool_ "a.xml's version moved" true (version "a.xml" > a0);
+  check int_ "b.xml's version did not" b0 (version "b.xml");
+  check string_ "b unchanged" "<b>2</b>" (call "rb");
+  check string_ "a sees the update" "<a>1<x/></a>" (call "ra")
+
+(* a transaction [qid] holding filmDB at y in the prepared state, as an
+   earlier distributed update would, so a later one's Prepare votes no *)
+let hold_prepared y qid =
+  let update =
+    {
+      Message.module_uri = Filmdb.module_ns;
+      location = Filmdb.module_at;
+      method_ = "addFilm";
+      arity = 2;
+      updating = true;
+      fragments = false;
+      query_id = Some qid;
+      idem_key = None;
+      calls = [ [ [ Xdm.str "Blocker" ]; [ Xdm.str "B" ] ] ];
+    }
+  in
+  ignore (Peer.handle_raw y (Message.to_string (Message.Request update)));
+  ignore
+    (Peer.handle_raw y
+       (Message.to_string (Message.Tx_request (Message.Prepare, qid))))
+
+let release y qid =
+  ignore
+    (Peer.handle_raw y
+       (Message.to_string (Message.Tx_request (Message.Rollback, qid))))
+
+let blocker_qid timestamp =
+  { Message.host = "xrpc://blocker"; timestamp; timeout = 1000;
+    level = Message.Repeatable }
 
 let test_aborted_2pc_does_not_invalidate () =
   (* deterministic presumed-abort schedule: a prepared blocker at y makes
      the distributed update abort — the rollback never reaches
-     Database.commit, so the cache keeps its (still correct) entry; after
-     the blocker is rolled back, the rerun commits and must invalidate *)
+     Database.commit, so a read answers what it answered before; after
+     the blocker is rolled back, the rerun commits and a read sees it *)
   let cluster =
     Cluster.create ~config:sim_config
       ~names:[ "x.example.org"; "y.example.org"; "z.example.org" ] ()
@@ -473,32 +483,10 @@ let test_aborted_2pc_does_not_invalidate () =
     Filmdb.film_module;
   let client = Cluster.client cluster in
   let dest = "xrpc://y.example.org" in
-  let warm = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  ignore (films_by client ~dest "Sean Connery");
-  check int_ "warm" 1 (result_stats y).Lru.hits;
+  let before = Xdm.to_display (films_by client ~dest "Sean Connery") in
   (* an earlier transaction holds the prepared state on filmDB at y *)
-  let blocker =
-    { Message.host = "xrpc://blocker"; timestamp = "0.1"; timeout = 1000;
-      level = Message.Repeatable }
-  in
-  let blocking_update =
-    {
-      Message.module_uri = Filmdb.module_ns;
-      location = Filmdb.module_at;
-      method_ = "addFilm";
-      arity = 2;
-      updating = true;
-      fragments = false;
-      query_id = Some blocker;
-      idem_key = None;
-      cache_ok = true;
-      calls = [ [ [ Xdm.str "Blocker" ]; [ Xdm.str "B" ] ] ];
-    }
-  in
-  ignore (Peer.handle_raw y (Message.to_string (Message.Request blocking_update)));
-  ignore
-    (Peer.handle_raw y
-       (Message.to_string (Message.Tx_request (Message.Prepare, blocker))));
+  let blocker = blocker_qid "0.1" in
+  hold_prepared y blocker;
   let q_doomed =
     {|import module namespace f="films" at "http://x.example.org/film.xq";
 declare option xrpc:isolation "repeatable";
@@ -507,581 +495,58 @@ return execute at {$dst} {f:addFilm("Doomed", "Sean Connery")}|}
   in
   let aborted = Peer.query x q_doomed in
   check bool_ "commit refused" false aborted.Peer.committed;
-  check int_ "aborted 2PC invalidated nothing" 0
-    (result_stats y).Lru.invalidations;
-  let after_abort = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  check string_ "cached answer unchanged by the abort" warm after_abort;
-  check int_ "and it was still a cache hit" 2 (result_stats y).Lru.hits;
-  check string_ "cache-off agrees" warm
-    (Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery"));
-  (* release the blocker; the rerun commits — and THAT invalidates *)
-  ignore
-    (Peer.handle_raw y
-       (Message.to_string (Message.Tx_request (Message.Rollback, blocker))));
+  check string_ "a read is unchanged by the abort" before
+    (Xdm.to_display (films_by client ~dest "Sean Connery"));
+  (* release the blocker; the rerun commits and is seen *)
+  release y blocker;
   let committed = Peer.query x q_doomed in
   check bool_ "rerun commits" true committed.Peer.committed;
-  check bool_ "committed 2PC invalidates" true
-    ((result_stats y).Lru.invalidations >= 1);
-  let cached = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
-  check string_ "post-commit cached == cache-off" off cached;
-  check bool_ "the committed film is visible" true (cached <> warm)
+  let after = Xdm.to_display (films_by client ~dest "Sean Connery") in
+  check bool_ "the committed film is visible" true (contains after "Doomed");
+  check string_ "the read is the committed state" (committed_films y) after
 
 let test_query_id_bypasses_cache () =
-  (* R'_Fr calls pin a snapshot that may diverge from the current
-     version; they must not populate or consult the cache *)
-  let cluster, _, y = film_pair () in
+  (* R'_Fr: a queryID-pinned read keeps the snapshot it pinned at first
+     contact, while an unpinned read sees a later commit *)
+  let cluster, x, _ = film_pair () in
   let client = Cluster.client cluster in
   let dest = "xrpc://y.example.org" in
   let qid =
     { Message.host = "xrpc://x.example.org"; timestamp = "1.0";
       timeout = 1000; level = Message.Repeatable }
   in
-  ignore (films_by client ~dest ~query_id:qid "Sean Connery");
-  ignore (films_by client ~dest ~query_id:qid "Sean Connery");
-  let s = result_stats y in
-  check int_ "no lookups" 0 (s.Lru.hits + s.Lru.misses);
-  check int_ "no entries" 0 s.Lru.size
-
-let test_cache_off_escape_hatch () =
-  let cluster, _, y = film_pair () in
-  let client = Cluster.client cluster in
-  let dest = "xrpc://y.example.org" in
-  let warm = Xdm.to_display (films_by client ~dest "Sean Connery") in
-  ignore (films_by client ~dest "Sean Connery");
-  let hits0 = (result_stats y).Lru.hits in
-  let off = Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery") in
-  check string_ "cache=off answers identically" warm off;
-  check int_ "cache=off never consults the cache" hits0
-    (result_stats y).Lru.hits;
-  ignore (films_by client ~dest "Sean Connery");
-  check int_ "back on" (hits0 + 1) (result_stats y).Lru.hits
-
-let test_warm_repeat_runs_zero_exec_phases () =
-  (* the acceptance check: serverProfile of a warm repeat shows the cache
-     phase and NO exec phase at the serving peer *)
-  let cluster, _, _ = film_pair () in
-  let client = Cluster.client cluster in
-  let dest = "xrpc://y.example.org" in
-  ignore (films_by client ~dest "Sean Connery");
-  let _, profile =
-    Client.call_profiled client ~dest ~module_uri:Filmdb.module_ns
-      ~location:Filmdb.module_at ~fn:"filmsByActor"
-      [ [ Xdm.str "Sean Connery" ] ]
+  let pinned = Xdm.to_display (films_by client ~dest ~query_id:qid "Sean Connery") in
+  let r =
+    Peer.query x
+      {|import module namespace f="films" at "http://x.example.org/film.xq";
+execute at {"xrpc://y.example.org"} {f:addFilm("Later", "Sean Connery")}|}
   in
-  let phases =
-    List.concat_map
-      (fun (_, d) -> List.map fst d.Profile.d_remote)
-      (Profile.dests profile)
-  in
-  check bool_ "cache phase present" true (List.mem "cache" phases);
-  check bool_ "no exec phase" false (List.mem "exec" phases)
+  check bool_ "update applied" true r.Peer.committed;
+  check string_ "the pinned read keeps its snapshot" pinned
+    (Xdm.to_display (films_by client ~dest ~query_id:qid "Sean Connery"));
+  check bool_ "an unpinned read sees the commit" true
+    (contains (Xdm.to_display (films_by client ~dest "Sean Connery")) "Later")
 
 let test_trace_events () =
-  let cluster, x, _ = film_pair () in
-  let client = Cluster.client cluster in
-  let dest = "xrpc://y.example.org" in
+  (* a repeated ad-hoc query records the plan cache's hit event *)
+  let peer = Peer.create "xrpc://plan.local" in
   Trace.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Trace.set_enabled false;
       Trace.reset ())
     (fun () ->
-      ignore (Peer.query_seq x "2 + 2");
-      ignore (Peer.query_seq x "2 + 2");
-      ignore (films_by client ~dest "Sean Connery");
-      ignore (films_by client ~dest "Sean Connery");
+      ignore (Peer.query_seq peer "2 + 2");
+      ignore (Peer.query_seq peer "2 + 2");
       let events =
         List.concat_map
           (fun s -> List.map (fun e -> e.Trace.e_name) s.Trace.events)
           (Trace.spans ())
       in
-      List.iter
-        (fun name ->
-          check bool_ name true (List.mem name events))
-        [ "plan-cache-hit"; "result-cache-hit"; "remote-cache-hit" ])
+      check bool_ "plan-cache-hit" true (List.mem "plan-cache-hit" events))
 
 (* ------------------------------------------------------------------ *)
-(* Result-cache key: the direct encoding vs the canonical oracle       *)
-(* ------------------------------------------------------------------ *)
-
-module Result_cache = Xrpc_peer.Result_cache
-
-(* identity functions over a document: the suites' call shapes *)
-let ids_module =
-  {|module namespace i = "ids";
-declare function i:id($x) { $x };
-declare function i:pair($x, $y) { ($x, $y) };
-declare function i:doc() { doc("d.xml") };
-declare updating function i:touch() { insert node <t/> into exactly-one(doc("d.xml")/d) };|}
-
-type request = {
-  r_module : string;
-  r_fn : string;
-  r_arity : int;
-  r_calls : Xdm.sequence list list;
-}
-
-let direct_key r =
-  Result_cache.key ~module_uri:r.r_module ~fn:r.r_fn ~arity:r.r_arity
-    ~calls:r.r_calls
-
-let oracle_key r =
-  Result_cache_ref.key ~module_uri:r.r_module ~fn:r.r_fn ~arity:r.r_arity
-    ~calls:r.r_calls
-
-(* [ref a = ref b] iff [key a = key b]; true when the pair is equal *)
-let check_key_pair what a b =
-  let oracle = oracle_key a = oracle_key b in
-  let direct = direct_key a = direct_key b in
-  if oracle <> direct then
-    Alcotest.failf "%s: the oracle says %s, the direct key says %s\nkeys: %S\n  vs %S"
-      what
-      (if oracle then "equal" else "different")
-      (if direct then "equal" else "different")
-      (oracle_key a) (oracle_key b);
-  oracle
-
-let key_seed () =
-  match Sys.getenv_opt "KEY_SEED" with
-  | Some s -> int_of_string (String.trim s)
-  | None -> 2026
-
-(* every node kind, including element twins that serialize identically
-   and text that holds NUL and \001 *)
-let key_nodes =
-  lazy
-    (let q = Qname.make in
-     let tree variant =
-       Tree.Document
-         [
-           Tree.elem (q "r")
-             ~attrs:[ Tree.attr (q "a") "1"; Tree.attr (q "b") ("x:" ^ variant) ]
-             [
-               Tree.elem (q "e") [ Tree.text "t" ];
-               Tree.elem (q "e") [ Tree.text "t" ];
-               Tree.elem (q "e") [ Tree.text ("t\001" ^ variant) ];
-               Tree.elem (q ~prefix:"p" ~uri:"urn:p" "g")
-                 ~attrs:[ Tree.attr (q ~prefix:"p" ~uri:"urn:p" "a") "\000" ]
-                 [];
-               Tree.text ("text" ^ variant);
-               Tree.Comment "c";
-               Tree.Pi { target = "pi"; data = "d" ^ variant };
-             ];
-         ]
-     in
-     List.concat_map
-       (fun v ->
-         let nodes = Store.descendant_or_self (Store.root (Store.shred (tree v))) in
-         nodes @ List.concat_map Store.attributes nodes)
-       [ "1"; "2" ]
-     |> Array.of_list)
-
-let key_strings =
-  [| ""; "a"; "ab"; "1"; "12"; ":"; "1:"; ":1"; "a:1"; "\000"; "\001";
-     "a\000"; "\000a"; "a\001b"; "1\0002"; "1:\0002"; "<e>t</e>"; "&"; " " |]
-
-let key_floats = [| 0.; -0.; 1.; 1.5; 12.; 1e21; Float.infinity; Float.nan |]
-
-let key_qnames =
-  [| Qname.make "a"; Qname.make ~prefix:"p" ~uri:"urn:p" "a";
-     Qname.make ~prefix:"p" ~uri:"urn:q" "a"; Qname.make ~prefix:"q" ~uri:"urn:p" "a" |]
-
-let pick_a rng a = a.(Random.State.int rng (Array.length a))
-
-let gen_key_string rng =
-  if Random.State.bool rng then pick_a rng key_strings
-  else
-    String.init (Random.State.int rng 5) (fun _ ->
-        pick_a rng [| 'a'; '1'; ':'; '\000'; '\001'; '<'; '&'; ' ' |])
-
-let gen_atomic rng =
-  let s () = gen_key_string rng and f () = pick_a rng key_floats in
-  match Random.State.int rng 13 with
-  | 0 -> Xs.String (s ())
-  | 1 -> Xs.Boolean (Random.State.bool rng)
-  | 2 -> Xs.Integer (Random.State.int rng 16 - 3)
-  | 3 -> Xs.Decimal (f ())
-  | 4 -> Xs.Double (f ())
-  | 5 -> Xs.Float (f ())
-  | 6 -> Xs.Untyped (s ())
-  | 7 -> Xs.AnyURI (s ())
-  | 8 -> Xs.QName (pick_a rng key_qnames)
-  | 9 -> Xs.Date (s ())
-  | 10 -> Xs.DateTime (s ())
-  | 11 -> Xs.Time (s ())
-  | _ -> Xs.Duration (s ())
-
-let gen_item rng =
-  if Random.State.int rng 10 < 7 then Xdm.Atomic (gen_atomic rng)
-  else Xdm.Node (pick_a rng (Lazy.force key_nodes))
-
-let gen_seq rng = List.init (Random.State.int rng 4) (fun _ -> gen_item rng)
-
-let gen_request rng =
-  let arity = Random.State.int rng 4 in
-  {
-    r_module = "m";
-    r_fn = "f";
-    r_arity = arity;
-    r_calls =
-      List.init (1 + Random.State.int rng 3) (fun _ ->
-          List.init arity (fun _ -> gen_seq rng));
-  }
-
-(* the same value under a neighbouring type, or the same text one
-   character longer *)
-let near_atomic rng a =
-  let text = Xs.to_string a in
-  match Random.State.int rng 3 with
-  | 0 -> Xs.String text
-  | 1 -> Xs.Untyped text
-  | _ -> Xs.String (text ^ String.make 1 (pick_a rng [| '\000'; '\001'; ':'; '1' |]))
-
-(* [item]'s bytes inside a direct key: what a hostile string would have
-   to embed to pass for an extra item *)
-let item_encoding item =
-  let k = Result_cache.key ~module_uri:"" ~fn:"" ~arity:1 ~calls:[ [ [ item ] ] ] in
-  let header = String.length "\000#1\000\001" in
-  String.sub k header (String.length k - header)
-
-(* [x; y] spliced into one string whose text ends in [y]'s encoding *)
-let splice x y = Xdm.str (Xdm.string_value x ^ item_encoding y)
-
-(* [f] applied to one random item of the flattened request *)
-let map_one_item rng f calls =
-  let n =
-    List.fold_left
-      (fun acc params -> List.fold_left (fun acc s -> acc + List.length s) acc params)
-      0 calls
-  in
-  if n = 0 then calls
-  else
-    let target = Random.State.int rng n and i = ref (-1) in
-    List.map
-      (List.map
-         (List.map (fun item ->
-              incr i;
-              if !i = target then f item else item)))
-      calls
-
-(* a neighbour of [r]: most mutations keep the oracle key or change it
-   by one item, one type, one character or one boundary *)
-let mutate rng r =
-  let calls = r.r_calls in
-  let calls =
-    match Random.State.int rng 8 with
-    | 0 -> calls
-    | 1 -> map_one_item rng (fun _ -> gen_item rng) calls
-    | 2 ->
-        map_one_item rng
-          (function Xdm.Atomic a -> Xdm.Atomic (near_atomic rng a) | it -> it)
-          calls
-    | 3 ->
-        (* a node for another node, often an identical twin *)
-        map_one_item rng
-          (function
-            | Xdm.Node _ -> Xdm.Node (pick_a rng (Lazy.force key_nodes))
-            | it -> it)
-          calls
-    | 4 -> (
-        (* shift the first item of a parameter onto the end of the one
-           before it: same items, another boundary *)
-        let params = List.concat calls in
-        let arr = Array.of_list params in
-        let n = Array.length arr in
-        if n < 2 then calls
-        else
-          let i = 1 + Random.State.int rng (n - 1) in
-          match arr.(i) with
-          | [] -> calls
-          | x :: rest ->
-              arr.(i - 1) <- arr.(i - 1) @ [ x ];
-              arr.(i) <- rest;
-              let a = r.r_arity in
-              List.init (n / a) (fun c -> Array.to_list (Array.sub arr (c * a) a)))
-    | 5 ->
-        (* the first two items of a parameter spliced into one string *)
-        List.map
-          (List.map (function x :: y :: rest -> splice x y :: rest | seq -> seq))
-          calls
-    | 6 -> (
-        (* one call fewer, or one call repeated *)
-        match calls with
-        | c :: rest when Random.State.bool rng -> c :: c :: rest
-        | _ :: (_ :: _ as rest) -> rest
-        | cs -> cs)
-    | _ -> (gen_request rng).r_calls
-  in
-  { r with r_calls = calls }
-
-let test_key_matches_oracle () =
-  let seed = key_seed () in
-  let rng = Random.State.make [| seed |] in
-  let pairs = 12_000 in
-  let equal = ref 0 in
-  for i = 1 to pairs do
-    let a = gen_request rng in
-    let b = mutate rng a in
-    if check_key_pair (Printf.sprintf "pair %d (replay: KEY_SEED=%d)" i seed) a b
-    then incr equal
-  done;
-  (* the battery needs both outcomes in volume to mean anything *)
-  if !equal < pairs / 10 || pairs - !equal < pairs / 10 then
-    Alcotest.failf "%d of %d pairs equal: the mutations lost their mix"
-      !equal pairs
-
-(* a NUL or \001 inside a string never shifts a boundary, a string never
-   passes for a typed value with the same text, and a string holding an
-   item's encoding never passes for that item *)
-let test_key_corners () =
-  let req calls = { r_module = "m"; r_fn = "f"; r_arity = 2; r_calls = calls } in
-  let s = Xdm.str in
-  let pairs =
-    [
-      ([ [ [ s "a\001" ]; [ s "b" ] ] ], [ [ [ s "a" ]; [ s "\001b" ] ] ]);
-      ([ [ [ s "a"; s "b" ]; [] ] ], [ [ [ s "a" ]; [ s "b" ] ] ]);
-      ([ [ [ s "a\000" ]; [] ]; [ []; [] ] ], [ [ [ s "a" ]; [ s "\000" ] ]; [ []; [] ] ]);
-      ([ [ [ s "1" ]; [] ] ], [ [ [ Xdm.int 1 ]; [] ] ]);
-      ([ [ [ s "1" ]; [] ] ], [ [ [ Xdm.Atomic (Xs.Untyped "1") ]; [] ] ]);
-      ([ [ [ s "1:a" ]; [] ] ], [ [ [ s "1"; s "a" ]; [] ] ]);
-      ([ [ [ s "" ]; [] ] ], [ [ []; [] ] ]);
-      ([ [ [ s "x"; s "y" ]; [] ] ], [ [ [ splice (s "x") (s "y") ]; [] ] ]);
-      ([ [ [ s "1"; Xdm.int 2 ]; [] ] ], [ [ [ splice (s "1") (Xdm.int 2) ]; [] ] ]);
-    ]
-  in
-  List.iteri
-    (fun i (a, b) ->
-      if check_key_pair (Printf.sprintf "corner %d" i) (req a) (req b) then
-        Alcotest.failf "corner %d: distinct calls share a key" i)
-    pairs
-
-(* the requests the result-cache and differential suites send, captured
-   on the wire at the serving peer: film lookups one at a time and in
-   bulk, and the differential corner expressions as call arguments *)
-let test_key_matches_oracle_on_suite_requests () =
-  let cluster, x, y = film_pair () in
-  Peer.register_module x ~uri:"ids" ~location:"ids.xq" ids_module;
-  Peer.register_module y ~uri:"ids" ~location:"ids.xq" ids_module;
-  let captured = ref [] in
-  Simnet.register (Cluster.net cluster) "xrpc://y.example.org" (fun body ->
-      (match Message.of_string body with
-      | Message.Request r ->
-          captured :=
-            { r_module = r.Message.module_uri; r_fn = r.Message.method_;
-              r_arity = r.Message.arity; r_calls = r.Message.calls }
-            :: !captured
-      | _ -> ());
-      Peer.handle_raw y body);
-  let client = Cluster.client cluster in
-  let dest = "xrpc://y.example.org" in
-  List.iter
-    (fun actor -> ignore (films_by client ~dest actor))
-    [ "Sean Connery"; "Julie Andrews"; "Sean Connery"; "" ];
-  ignore
-    (Client.call_bulk client ~dest ~module_uri:Filmdb.module_ns
-       ~location:Filmdb.module_at ~fn:"filmsByActor"
-       [ [ [ Xdm.str "Sean Connery" ] ]; [ [ Xdm.str "Julie Andrews" ] ] ]);
-  let films_import =
-    {|import module namespace f="films" at "http://x.example.org/film.xq";
-|}
-  and ids_import = {|import module namespace i="ids" at "ids.xq";
-|} in
-  ignore
-    (Peer.query x
-       (films_import
-      ^ {|for $a in ("Sean Connery", "Julie Andrews", "Sean Connery")
-return execute at {"xrpc://y.example.org"} {f:filmsByActor($a)}|}));
-  List.iter
-    (fun e ->
-      List.iter
-        (fun q -> ignore (Peer.query x (ids_import ^ q)))
-        [
-          Printf.sprintf {|execute at {"xrpc://y.example.org"} {i:id(%s)}|} e;
-          Printf.sprintf
-            {|for $v in %s return execute at {"xrpc://y.example.org"} {i:id($v)}|} e;
-          Printf.sprintf
-            {|execute at {"xrpc://y.example.org"} {i:pair(%s, (%s, "1"))}|} e e;
-        ])
-    [
-      "(1, 2, 3)[2]"; "(1, 2)[5]"; "((10 to 14)[3], (5 to 4)[1])";
-      "(for $v at $p in (7, 8, 9) return ($p, $v))";
-      "(let $s := (2 to 5) return (count($s), $s[2]))";
-      "(if (count(()) = 0) then (1, 2) else 3)";
-      {|(<a b="1">t<!--c--></a>, <a b="1">t</a>/@b, comment {"c"}, "t", 1.5,
-  xs:double(2))|};
-      {|(<e>t</e>, <e>t</e>/text(), <e>t</e>/@*)|};
-      {|document { <d>1</d> }|};
-    ];
-  let reqs = !captured in
-  (* each call on its own is a request the suites send as well *)
-  let reqs =
-    reqs
-    @ List.concat_map
-        (fun r -> List.map (fun c -> { r with r_calls = [ c ] }) r.r_calls)
-        reqs
-  in
-  if List.length reqs < 40 then
-    Alcotest.failf "only %d requests captured" (List.length reqs);
-  let equal = ref 0 in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if i < j && check_key_pair (Printf.sprintf "requests %d and %d" i j) a b
-          then incr equal)
-        reqs)
-    reqs;
-  check bool_ "some captured requests repeat" true (!equal > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Result-cache admission: Bulk RPC entries on their second sighting   *)
-(* ------------------------------------------------------------------ *)
-
-(* one peer serving the ids module over d.xml, driven through raw SOAP *)
-let ids_peer () =
-  let p = Peer.create "xrpc://ids.local" in
-  Database.add_doc_xml p.Peer.db "d.xml" "<d/>";
-  Peer.register_module p ~uri:"ids" ~location:"ids.xq" ids_module;
-  p
-
-let ids_request ?(updating = false) fn calls =
-  {
-    Message.module_uri = "ids";
-    location = "ids.xq";
-    method_ = fn;
-    arity = (match calls with c :: _ -> List.length c | [] -> 0);
-    updating;
-    fragments = false;
-    query_id = None;
-    idem_key = None;
-    cache_ok = true;
-    calls;
-  }
-
-let serve p req =
-  match Message.of_string (Peer.handle_raw p (Message.to_string (Message.Request req))) with
-  | Message.Response r -> r
-  | Message.Fault f -> Alcotest.failf "fault: %s" f.Message.reason
-  | _ -> Alcotest.fail "not a response"
-
-let deferred p = (Peer.cache_stats p).Peer.result_deferred
-
-let bulk_ids = ids_request "id" [ [ [ Xdm.int 1 ] ]; [ [ Xdm.int 2 ] ] ]
-
-let test_admission_bulk_second_sighting () =
-  let p = ids_peer () in
-  let series = Metrics.counter "peer.result_cache.deferred" in
-  let d0 = series.Metrics.count in
-  let first = serve p bulk_ids in
-  check bool_ "first: executed" false first.Message.cached;
-  check int_ "first: not stored" 0 (result_stats p).Lru.size;
-  check int_ "first: deferred" 1 (deferred p);
-  check int_ "deferred counted once in the metric series" 1
-    (series.Metrics.count - d0);
-  let second = serve p bulk_ids in
-  check bool_ "second: executed" false second.Message.cached;
-  check int_ "second: stored" 1 (result_stats p).Lru.size;
-  let third = serve p bulk_ids in
-  check bool_ "third: a hit" true third.Message.cached;
-  check string_ "same answers"
-    (String.concat "|" (List.map Xdm.to_display first.Message.results))
-    (String.concat "|" (List.map Xdm.to_display third.Message.results));
-  let s = result_stats p in
-  check int_ "two misses" 2 s.Lru.misses;
-  check int_ "one hit" 1 s.Lru.hits;
-  check int_ "still one deferral" 1 (deferred p)
-
-let test_admission_single_first_miss () =
-  let p = ids_peer () in
-  ignore (serve p (ids_request "id" [ [ [ Xdm.int 1 ] ] ]));
-  check int_ "stored on its first miss" 1 (result_stats p).Lru.size;
-  check int_ "nothing deferred" 0 (deferred p);
-  check bool_ "second: a hit" true
-    (serve p (ids_request "id" [ [ [ Xdm.int 1 ] ] ])).Message.cached
-
-let test_admission_restore_after_commit () =
-  let p = ids_peer () in
-  let bulk = ids_request "doc" [ []; [] ] in
-  ignore (serve p bulk);
-  ignore (serve p bulk);
-  check int_ "stored on the second sighting" 1 (result_stats p).Lru.size;
-  check bool_ "and hit" true (serve p bulk).Message.cached;
-  ignore (serve p (ids_request ~updating:true "touch" [ [] ]));
-  check int_ "the commit invalidated it" 1 (result_stats p).Lru.invalidations;
-  check int_ "gone" 0 (result_stats p).Lru.size;
-  let after = serve p bulk in
-  check bool_ "next read executes" false after.Message.cached;
-  check string_ "and sees the write" "<d><t/></d>"
-    (Xdm.to_display (List.hd after.Message.results));
-  check int_ "re-stored on that miss" 1 (result_stats p).Lru.size;
-  check int_ "without a new deferral" 1 (deferred p);
-  check bool_ "then hits" true (serve p bulk).Message.cached
-
-let test_admission_module_prefix_eviction () =
-  let p = ids_peer () in
-  Peer.register_module p ~uri:"ids2" ~location:"ids2.xq"
-    {|module namespace j = "ids2";
-declare function j:id($x) { $x };|};
-  let other = { bulk_ids with Message.module_uri = "ids2"; location = "ids2.xq" } in
-  List.iter (fun r -> ignore (serve p r); ignore (serve p r)) [ bulk_ids; other ];
-  ignore (serve p (ids_request "id" [ [ [ Xdm.int 7 ] ] ]));
-  check int_ "three entries" 3 (result_stats p).Lru.size;
-  Peer.register_module p ~uri:"ids" ~location:"ids.xq" ids_module;
-  check int_ "both ids entries evicted" 2 (result_stats p).Lru.invalidations;
-  check int_ "the ids2 entry survives" 1 (result_stats p).Lru.size;
-  check bool_ "ids2 still hits" true (serve p other).Message.cached;
-  check bool_ "the bulk ids entry re-stores at once (the doorkeeper remembers)"
-    false (serve p bulk_ids).Message.cached;
-  check bool_ "and hits" true (serve p bulk_ids).Message.cached
-
-let bulk_key i =
-  Result_cache.key ~module_uri:"m" ~fn:"f" ~arity:1
-    ~calls:[ [ [ Xdm.int i ] ]; [ [ Xdm.int (-i) ] ] ]
-
-let two_results = [ [ Xdm.int 1 ]; [ Xdm.int 2 ] ]
-
-let test_admission_doorkeeper_bounded () =
-  let t = Result_cache.create () in
-  let n = (3 * Result_cache.doorkeeper_size) + 17 in
-  for i = 1 to n do
-    Result_cache.add t ~key:(bulk_key i) ~deps:[] two_results;
-    let held = Hashtbl.length t.Result_cache.seen in
-    if held > Result_cache.doorkeeper_size then
-      Alcotest.failf "doorkeeper holds %d hashes after %d keys" held i
-  done;
-  check int_ "every first sighting deferred" n (Result_cache.deferred t);
-  check int_ "nothing stored" 0 (Lru.stats t.Result_cache.lru).Lru.size;
-  (* right after a reset a repeated key still gets in on its second miss *)
-  Result_cache.add t ~key:(bulk_key n) ~deps:[] two_results;
-  check int_ "the latest key admitted" 1 (Lru.stats t.Result_cache.lru).Lru.size
-
-let test_admission_concurrent () =
-  let t = Result_cache.create () in
-  let keys = 40 and threads = 8 and rounds = 300 in
-  let finds = Atomic.make 0 and wrong = Atomic.make 0 in
-  let worker w =
-    let rng = Random.State.make [| w |] in
-    for _ = 1 to rounds do
-      let key = bulk_key (Random.State.int rng keys) in
-      Atomic.incr finds;
-      match Result_cache.find t ~key ~doc_version:(fun _ -> 0) with
-      | Some r -> if r <> two_results then Atomic.incr wrong
-      | None -> Result_cache.add t ~key ~deps:[] two_results
-    done
-  in
-  List.iter Thread.join (List.init threads (fun w -> Thread.create worker w));
-  let s = Lru.stats t.Result_cache.lru in
-  check int_ "every hit returned the stored answer" 0 (Atomic.get wrong);
-  check int_ "every lookup counted once" (Atomic.get finds) (s.Lru.hits + s.Lru.misses);
-  check int_ "one deferral per distinct key" keys (Result_cache.deferred t);
-  check bool_ "no more entries than keys" true (s.Lru.size <= keys);
-  check int_ "no evictions below capacity" 0 s.Lru.evictions;
-  check bool_ "misses cover every deferral and store" true
-    (s.Lru.misses >= keys + s.Lru.size)
-
-(* ------------------------------------------------------------------ *)
-(* Seeded chaos: caching never changes an answer                       *)
+(* Seeded chaos: every read is the committed state                     *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_policy =
@@ -1103,13 +568,14 @@ let chaos_seeds () =
 let replay_hint seed = Printf.sprintf "FAULT_SEED=%d dune runtest" seed
 
 let test_chaos_cached_answers_consistent () =
-  (* interleave reads (cached, then cache=off) with distributed 2PC
-     updates under seeded faults.  During the run a cached answer must
-     match one of the uncached answers bracketing it; after the network
-     recovers, cached and uncached answers must agree exactly — whatever
-     mixture of commits and presumed-abort rollbacks the schedule
-     produced.  And if nothing ever committed at y, its result cache must
-     show zero invalidations: aborted transactions invalidate nothing. *)
+  (* interleave reads with distributed 2PC updates under seeded faults;
+     half the updates meet a transaction holding y prepared, so they
+     abort (or, under loss, may fail before 2PC).  Each read that gets an answer must equal y's committed state when
+     it was sent or when it returned, and must never show an update whose
+     transaction aborted.  After the network recovers and in-doubt
+     participants resolve, a read equals y's committed state exactly, and
+     both participants' committed states show every update whose
+     transaction committed and none that aborted. *)
   List.iter
     (fun seed ->
       let cluster =
@@ -1120,64 +586,80 @@ let test_chaos_cached_answers_consistent () =
       in
       let x = Cluster.peer cluster "x.example.org" in
       let y = Cluster.peer cluster "y.example.org" in
+      let z = Cluster.peer cluster "z.example.org" in
       Filmdb.install y ();
-      Filmdb.install (Cluster.peer cluster "z.example.org") ~variant:`Z ();
+      Filmdb.install z ~variant:`Z ();
       Peer.register_module x ~uri:Filmdb.module_ns ~location:Filmdb.module_at
         Filmdb.film_module;
       let client = Cluster.client cluster in
       let dest = "xrpc://y.example.org" in
       let rng = Random.State.make [| seed; 77 |] in
-      let read ?cache () =
-        try Some (Xdm.to_display (films_by client ~dest ?cache "Sean Connery"))
-        with _ -> None
+      let committed = ref [] and aborted = ref [] in
+      let check_aborted_unseen what answer =
+        List.iter
+          (fun title ->
+            if contains answer title then
+              Alcotest.failf "seed %d: %s shows %s, whose transaction \
+                              aborted\nreplay: %s"
+                seed what title (replay_hint seed))
+          !aborted
       in
       for step = 1 to 6 do
-        if Random.State.int rng 3 = 0 then
-          ignore
-            (try
-               (Peer.query x
-                  (Printf.sprintf
-                     {|import module namespace f="films" at "http://x.example.org/film.xq";
+        if Random.State.int rng 3 = 0 then begin
+          let title = Printf.sprintf "C%d-%d" seed step in
+          let blocker = blocker_qid (Printf.sprintf "0.%d" step) in
+          let blocked = Random.State.bool rng in
+          if blocked then hold_prepared y blocker;
+          (match
+            Peer.query x
+              (Printf.sprintf
+                 {|import module namespace f="films" at "http://x.example.org/film.xq";
 declare option xrpc:isolation "repeatable";
 for $dst in ("xrpc://y.example.org", "xrpc://z.example.org")
-return execute at {$dst} {f:addFilm("C%d-%d", "Sean Connery")}|}
-                     seed step))
-                 .Peer.committed
-             with _ -> false)
+return execute at {$dst} {f:addFilm(%S, "Sean Connery")}|}
+                 title)
+          with
+          | r when r.Peer.committed -> committed := title :: !committed
+          | _ -> aborted := title :: !aborted
+          | exception _ -> ());
+          if blocked then release y blocker
+        end
         else
-          let before = read ~cache:false () in
-          let cached = read () in
-          let after = read ~cache:false () in
-          match cached with
-          | None -> ()
-          | Some c ->
-              if Some c <> before && Some c <> after then
+          let before = committed_films y in
+          match Xdm.to_display (films_by client ~dest "Sean Connery") with
+          | exception _ -> ()
+          | got ->
+              let after = committed_films y in
+              if got <> before && got <> after then
                 Alcotest.failf
-                  "seed %d step %d: cached answer %s matches neither \
-                   bracketing uncached answer\nreplay: %s"
-                  seed step c (replay_hint seed)
+                  "seed %d step %d: read %s is neither committed state \
+                   around it\nreplay: %s"
+                  seed step got (replay_hint seed);
+              check_aborted_unseen (Printf.sprintf "step %d's read" step) got
       done;
-      (* network recovers: cached and uncached must agree exactly *)
+      (* network recovers; in-doubt participants learn the decision *)
       Cluster.clear_faults cluster;
       Simnet.sleep (Cluster.net cluster)
         (chaos_policy.Transport.breaker_cooldown_ms +. 1.);
       ignore (Cluster.resolve_in_doubt cluster);
-      let off =
-        Xdm.to_display (films_by client ~dest ~cache:false "Sean Connery")
-      in
-      let cached = Xdm.to_display (films_by client ~dest "Sean Connery") in
-      if cached <> off then
+      let got = Xdm.to_display (films_by client ~dest "Sean Connery") in
+      let state = committed_films y in
+      if got <> state then
         Alcotest.failf
-          "seed %d: recovered cached answer diverges\ncached:    %s\n\
-           cache-off: %s\nreplay: %s"
-          seed cached off (replay_hint seed);
-      (* if y's database never changed, no commit ever fired its hook *)
-      let baseline = not (contains off (Printf.sprintf "C%d-" seed)) in
-      if baseline && (result_stats y).Lru.invalidations > 0 then
-        Alcotest.failf
-          "seed %d: no update committed at y, yet its cache was \
-           invalidated\nreplay: %s"
-          seed (replay_hint seed))
+          "seed %d: recovered read diverges from the committed state\n\
+           read:      %s\ncommitted: %s\nreplay: %s"
+          seed got state (replay_hint seed);
+      List.iter
+        (fun (name, state) ->
+          check_aborted_unseen (name ^ "'s committed state") state;
+          List.iter
+            (fun title ->
+              if not (contains state title) then
+                Alcotest.failf "seed %d: committed %s is missing at %s\n\
+                                replay: %s"
+                  seed title name (replay_hint seed))
+            !committed)
+        [ ("y", got); ("z", committed_films z) ])
     (chaos_seeds ())
 
 let () =
@@ -1222,7 +704,6 @@ let () =
         ] );
       ( "result-cache",
         [
-          Alcotest.test_case "hit on repeat" `Quick test_result_cache_hit;
           Alcotest.test_case "update-then-read invalidates" `Quick
             test_update_then_read_invalidates;
           Alcotest.test_case "version-vector precision" `Quick
@@ -1231,34 +712,7 @@ let () =
             test_aborted_2pc_does_not_invalidate;
           Alcotest.test_case "queryID bypasses" `Quick
             test_query_id_bypasses_cache;
-          Alcotest.test_case "cache=off escape hatch" `Quick
-            test_cache_off_escape_hatch;
-          Alcotest.test_case "warm repeat: zero exec phases" `Quick
-            test_warm_repeat_runs_zero_exec_phases;
           Alcotest.test_case "trace events" `Quick test_trace_events;
-        ] );
-      ( "result-key",
-        [
-          Alcotest.test_case "12k seeded pairs vs the canonical oracle" `Quick
-            test_key_matches_oracle;
-          Alcotest.test_case "boundary and type corners" `Quick test_key_corners;
-          Alcotest.test_case "the suites' requests vs the canonical oracle"
-            `Quick test_key_matches_oracle_on_suite_requests;
-        ] );
-      ( "admission",
-        [
-          Alcotest.test_case "bulk: stored on the second sighting" `Quick
-            test_admission_bulk_second_sighting;
-          Alcotest.test_case "one call: stored on the first miss" `Quick
-            test_admission_single_first_miss;
-          Alcotest.test_case "re-stored after a commit" `Quick
-            test_admission_restore_after_commit;
-          Alcotest.test_case "module re-registration evicts by prefix" `Quick
-            test_admission_module_prefix_eviction;
-          Alcotest.test_case "doorkeeper stays bounded" `Quick
-            test_admission_doorkeeper_bounded;
-          Alcotest.test_case "8 threads, overlapping bulk keys" `Quick
-            test_admission_concurrent;
         ] );
       ( "chaos",
         [

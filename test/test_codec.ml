@@ -297,7 +297,6 @@ let request ?(fragments = false) ?query_id ?idem_key ?(updating = false) calls
       fragments;
       query_id;
       idem_key;
-      cache_ok = fragments;
       calls;
     }
 
@@ -310,7 +309,6 @@ let bulk_response n =
       resp_method = "ping";
       results = List.init n (fun i -> [ Xdm.int i ]);
       peers = [];
-      cached = false;
       db_version = None;
     }
 
@@ -346,7 +344,7 @@ let messages () =
      Message.Response
        { Message.resp_module = "m"; resp_method = "f";
          results = [ [ Xdm.Node a ]; [] ]; peers = [ "xrpc://p1"; "xrpc://p2" ];
-         cached = true; db_version = Some 7 });
+         db_version = Some 7 });
     ("fault", None,
      Message.Fault { fault_code = `Receiver; reason = "<boom> & \"quoted\"" });
     ("tx request", None, Message.Tx_request (Message.Prepare, qid Message.Snapshot));

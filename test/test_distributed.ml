@@ -407,7 +407,7 @@ return ($before, $after)|}
         updating = true;
         fragments = false;
         query_id = None;
-        idem_key = None; cache_ok = true;
+        idem_key = None;
         calls = [ [ [ Xdm.str "Interleaved" ]; [ Xdm.str "Sean Connery" ] ] ];
       }
     in
@@ -551,7 +551,7 @@ let test_2pc_abort_applies_nowhere () =
       updating = true;
       fragments = false;
       query_id = Some blocker;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.str "Blocker" ]; [ Xdm.str "B" ] ] ];
     }
   in
@@ -595,7 +595,7 @@ let test_snapshot_isolation_end_to_end () =
         updating = true;
         fragments = false;
         query_id = None;
-        idem_key = None; cache_ok = true;
+        idem_key = None;
         calls = [ [ [ Xdm.str "Interleaved" ]; [ Xdm.str "Sean Connery" ] ] ];
       }
     in

@@ -673,7 +673,7 @@ let add_film_request ~key name =
          updating = true;
          fragments = false;
          query_id = None;
-         idem_key = Some key; cache_ok = true;
+         idem_key = Some key;
          calls = [ [ [ Xdm.str name ]; [ Xdm.str "Actor E" ] ] ];
        })
 

@@ -20,22 +20,22 @@ let check = Alcotest.check
 
 (* The requests the suites send: single and bulk calls of the film,
    test and XMark modules, an updating call, calls under repeatable and
-   snapshot queryIDs, keyed, cache="off", call-by-fragment and profiled
+   snapshot queryIDs, keyed, call-by-fragment and profiled
    requests, getDocument, the telemetry scrape and the four transaction
    messages. *)
 let request_seeds =
   let request ?(updating = false) ?(fragments = false) ?query_id ?idem_key
-      ?(cache_ok = true) ?(location = "") ~module_uri ~fn calls =
+      ?(location = "") ~module_uri ~fn calls =
     Message.Request
       { Message.module_uri; location; method_ = fn;
         arity = (match calls with c :: _ -> List.length c | [] -> 0);
-        updating; fragments; query_id; idem_key; cache_ok; calls }
+        updating; fragments; query_id; idem_key; calls }
   in
   let qid ?(timestamp = "1.0") level =
     { Message.host = "xrpc://x"; timestamp; timeout = 30; level }
   in
-  let films ?query_id ?idem_key ?cache_ok actors =
-    request ?query_id ?idem_key ?cache_ok ~location:Filmdb.module_at
+  let films ?query_id ?idem_key actors =
+    request ?query_id ?idem_key ~location:Filmdb.module_at
       ~module_uri:Filmdb.module_ns ~fn:"filmsByActor"
       (List.map (fun a -> [ [ Xdm.str a ] ]) actors)
   in
@@ -61,7 +61,7 @@ let request_seeds =
        films [ "Sean Connery" ];
        films [ "Julie Andrews"; "Sean Connery"; "Gerard Depardieu" ];
        films ~query_id:(qid Message.Repeatable) [ "Sean Connery" ];
-       films ~query_id:(qid Message.Snapshot) ~cache_ok:false [ "Sean Connery" ];
+       films ~query_id:(qid Message.Snapshot) [ "Sean Connery" ];
        films ~idem_key:"xrpc://x/1" [ "Sean Connery" ];
        add_film "Fuzz";
        add_film ~query_id:(qid Message.Repeatable) "Deferred";

@@ -176,7 +176,7 @@ let test_http_concurrent_peer () =
                updating = false;
                fragments = false;
                query_id = None;
-               idem_key = None; cache_ok = true;
+               idem_key = None;
                calls = [ [ [ Xrpc_xml.Xdm.str "Sean Connery" ] ] ];
              })
       in

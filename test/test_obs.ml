@@ -280,7 +280,7 @@ let ping_request =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.int 1 ] ] ];
     }
 

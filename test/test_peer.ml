@@ -34,7 +34,7 @@ let film_request ?(actors = [ "Sean Connery" ]) ?query_id () =
     updating = false;
     fragments = false;
     query_id;
-    idem_key = None; cache_ok = true;
+    idem_key = None;
     calls = List.map (fun a -> [ [ Xdm.str a ] ]) actors;
   }
 
@@ -100,7 +100,7 @@ declare function b:boom() { error("XYZ: kaboom") };|};
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [] ];
     }
   in
@@ -123,7 +123,43 @@ let test_uncastable_argument_fault () =
   in
   match handle peer req with
   | Message.Fault { fault_code = `Sender; reason } ->
-      check string_ "reason" {|cannot cast "abc" to xs:integer|} reason
+      check string_ "reason" {|FORG0001: cannot cast "abc" to xs:integer|}
+        reason
+  | _ -> Alcotest.fail "expected a Sender fault"
+
+(* a failed cast or an arithmetic error in a local query is the dynamic
+   error it is, with its W3C code first *)
+let test_query_error_codes () =
+  let peer, _ = make_peer () in
+  List.iter
+    (fun (q, code) ->
+      match Peer.query peer q with
+      | exception Xdm.Dynamic_error m ->
+          if not (String.starts_with ~prefix:code m) then
+            Alcotest.failf "%s: %S does not start with %s" q m code
+      | exception e ->
+          Alcotest.failf "%s: raised %s, not a dynamic error" q
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: expected an error" q)
+    [ ({|xs:integer("abc")|}, "FORG0001"); ("1 idiv 0", "FOAR0001");
+      ("5 mod 0", "FOAR0001"); ({|"a" + 1|}, "XPTY0004");
+      ({|if (xs:date("2007-09-23")) then 1 else 0|}, "FORG0006") ]
+
+(* the same codes reach a remote caller as the Sender Fault's reason *)
+let test_served_error_code () =
+  let peer, _ = make_peer () in
+  Peer.register_module peer ~uri:"arith"
+    {|module namespace a = "arith";
+declare function a:div($x as xs:integer) as xs:integer { 1 idiv $x };|};
+  let req =
+    { (film_request ()) with
+      Message.module_uri = "arith"; location = ""; method_ = "div";
+      calls = [ [ [ Xdm.int 0 ] ] ] }
+  in
+  match handle peer req with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check bool_ ("FOAR0001 in " ^ reason) true
+        (String.starts_with ~prefix:"FOAR0001: " reason)
   | _ -> Alcotest.fail "expected a Sender fault"
 
 let test_malformed_message_fault () =
@@ -221,9 +257,6 @@ let func_stats peer = (Peer.cache_stats peer).Peer.func
 
 let test_func_cache_hits () =
   let peer, _ = make_peer () in
-  (* pin the test to the module-plan cache: with result caching on, the
-     repeats are answered above it and never reach the compile path *)
-  Peer.set_result_caching peer false;
   ignore (handle peer (film_request ()));
   ignore (handle peer (film_request ()));
   ignore (handle peer (film_request ()));
@@ -234,7 +267,6 @@ let test_func_cache_disabled () =
   (* a disabled cache holds nothing, so each request compiles the module
      afresh, and it moves no counter *)
   let peer, _ = make_peer () in
-  Peer.set_result_caching peer false;
   Lru.set_enabled peer.Peer.func_cache false;
   let answer what =
     match handle peer (film_request ()) with
@@ -253,7 +285,6 @@ let test_func_cache_compile_count () =
   (* what Table 2 charges 130 ms for: the miss delta over a timed run —
      one compilation cold, none once the module is cached *)
   let peer, _ = make_peer () in
-  Peer.set_result_caching peer false;
   let compiles_in f =
     let m0 = (Peer.cache_stats peer).Peer.func_misses in
     f ();
@@ -297,7 +328,7 @@ let test_repeatable_read_pins_snapshot () =
       updating = true;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.str "Dr. No" ]; [ Xdm.str "Sean Connery" ] ] ];
     }
   in
@@ -363,7 +394,7 @@ let test_snapshot_isolation_pins_query_timestamp () =
          updating = true;
          fragments = false;
          query_id = None;
-         idem_key = None; cache_ok = true;
+         idem_key = None;
          calls = [ [ [ Xdm.str "Later" ]; [ Xdm.str "Sean Connery" ] ] ];
        });
   (* ... and at t=3.0 the queries' first requests arrive *)
@@ -390,7 +421,7 @@ let add_film_request ~query_id name =
     updating = true;
     fragments = false;
     query_id;
-    idem_key = None; cache_ok = true;
+    idem_key = None;
     calls = [ [ [ Xdm.str name ]; [ Xdm.str "Sean Connery" ] ] ];
   }
 
@@ -623,7 +654,7 @@ let test_bulk_hash_join_used_and_correct () =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls =
         List.map
           (fun i ->
@@ -693,7 +724,6 @@ let test_q_b3_hash_join () =
       fragments = false;
       query_id = None;
       idem_key = None;
-      cache_ok = false;
       calls =
         List.map (fun i -> [ [ Xdm.str (Printf.sprintf "person%d" i) ] ]) ids;
     }
@@ -749,7 +779,6 @@ let sel_request ~uri calls =
     fragments = false;
     query_id = None;
     idem_key = None;
-    cache_ok = false;
     calls;
   }
 
@@ -959,7 +988,7 @@ let test_get_document_internal () =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.str "filmDB.xml" ] ] ];
     }
   in
@@ -1057,6 +1086,10 @@ let () =
           Alcotest.test_case "malformed message" `Quick test_malformed_message_fault;
           Alcotest.test_case "uncastable argument" `Quick
             test_uncastable_argument_fault;
+          Alcotest.test_case "local query errors carry their code" `Quick
+            test_query_error_codes;
+          Alcotest.test_case "served error carries its code" `Quick
+            test_served_error_code;
           Alcotest.test_case "bad character reference" `Quick
             test_bad_char_ref_fault;
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;

@@ -470,7 +470,7 @@ let ping_request =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.int 1 ] ] ];
     }
 
@@ -482,7 +482,6 @@ let test_server_profile_roundtrip () =
         Message.resp_module = "test";
         resp_method = "ping";
         results = [ [ Xdm.int 1 ] ];
-        cached = false;
         db_version = None;
         peers = [];
       }
@@ -605,8 +604,9 @@ let test_call_profiled () =
   | ds -> Alcotest.failf "expected one destination, got %d" (List.length ds)
 
 (* serverProfile is folded from the serving peer's span slice: the parse
-   attribute first, then its cache/compile/exec spans in the order they
-   ran; a warm repeat answers from the result cache and runs no exec *)
+   attribute first, then its compile/exec spans in the order they ran; a
+   warm repeat executes again (the module plan comes from the function
+   cache, so its compile phase is a lookup) *)
 let test_server_phases_from_spans () =
   with_clean @@ fun () ->
   let cluster = test_cluster () in
@@ -620,9 +620,10 @@ let test_server_phases_from_spans () =
     | [ (_, d) ] -> List.map fst d.Profile.d_remote
     | _ -> Alcotest.fail "expected one destination"
   in
-  check (Alcotest.list string_) "cold call"
-    [ "parse"; "cache"; "compile"; "exec" ] (phases ());
-  check (Alcotest.list string_) "warm repeat" [ "parse"; "cache" ] (phases ())
+  check (Alcotest.list string_) "cold call" [ "parse"; "compile"; "exec" ]
+    (phases ());
+  check (Alcotest.list string_) "warm repeat" [ "parse"; "compile"; "exec" ]
+    (phases ())
 
 let test_flight_records_distributed_query () =
   with_clean @@ fun () ->

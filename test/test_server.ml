@@ -583,10 +583,10 @@ declare function q:answer() { 42 };|};
            (fun e -> Json_check.(str (member "endpoint" e)) = weird ^ ":answer")
            Json_check.(items (member "endpoints" (json "/healthz.json")))))
 
-(* /cachez and /cachez.json render one Peer.cache_stats value: a Bulk
-   RPC answer not stored on its first miss shows as the result cache's
-   deferred admission in both, and its second sighting stores it. *)
-let test_facade_cachez_deferred () =
+(* /cachez and /cachez.json render one Peer.cache_stats value: one line
+   and one member per cache (plan, module plan, idempotency), and a
+   served call's module compile shows in both as a func_cache miss. *)
+let test_facade_cachez_agree () =
   let module Client = Xrpc_core.Xrpc_client in
   let peer = Peer.create "xrpc://127.0.0.1:0" in
   Peer.register_module peer ~uri:"q"
@@ -600,40 +600,24 @@ declare function q:echo($x) { $x };|};
     ~finally:(fun () -> Server.stop server)
     (fun () ->
       let client = Client.connect_http () in
-      let bulk () =
-        Client.call_bulk client ~dest:(dest port) ~module_uri:"q" ~fn:"echo"
-          [ [ [ Xrpc_xml.Xdm.int 1 ] ]; [ [ Xrpc_xml.Xdm.int 2 ] ] ]
-      in
+      ignore
+        (Client.call_bulk client ~dest:(dest port) ~module_uri:"q" ~fn:"echo"
+           [ [ [ Xrpc_xml.Xdm.int 1 ] ]; [ [ Xrpc_xml.Xdm.int 2 ] ] ]);
       let fetch path = Http.post ~host:"127.0.0.1" ~port ~path "" in
-      let result_line () =
-        match
-          List.find_opt
-            (String.starts_with ~prefix:"result_cache:")
-            (String.split_on_char '\n' (fetch "/cachez"))
-        with
-        | Some l -> l
-        | None -> Alcotest.fail "/cachez has no result_cache line"
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' (fetch "/cachez"))
       in
-      let member name =
-        Json_check.(
-          num (member name (member "result_cache" (parse_ok "/cachez.json" (fetch "/cachez.json")))))
-      in
-      ignore (bulk ());
-      check bool_ "text: one deferred" true
-        (String.ends_with ~suffix:" deferred=1" (result_line ()));
-      check bool_ "text: nothing stored" true (contains (result_line ()) "size=0/");
-      check (Alcotest.float 0.) "json: one deferred" 1. (member "deferred");
-      check (Alcotest.float 0.) "json: nothing stored" 0. (member "size");
-      ignore (bulk ());
-      check (Alcotest.float 0.) "json: stored on the second sighting" 1.
-        (member "size");
-      check (Alcotest.float 0.) "json: still one deferred" 1. (member "deferred");
-      check bool_ "the other caches carry no deferred field" true
-        (List.for_all
-           (fun l ->
-             String.starts_with ~prefix:"result_cache:" l
-             || not (contains l "deferred"))
-           (String.split_on_char '\n' (fetch "/cachez"))))
+      let caches = [ "plan_cache"; "func_cache"; "idem_cache" ] in
+      check (Alcotest.list string_) "text: one line per cache" caches
+        (List.map (fun l -> List.hd (String.split_on_char ':' l)) lines);
+      let json = Json_check.parse_ok "/cachez.json" (fetch "/cachez.json") in
+      check (Alcotest.list string_) "json: one member per cache" caches
+        (Json_check.keys json);
+      let func_line = List.find (String.starts_with ~prefix:"func_cache:") lines in
+      check bool_ "text: the compile was a miss" true
+        (contains func_line " misses=1 ");
+      check (Alcotest.float 0.) "json: the compile was a miss" 1.
+        Json_check.(num (member "misses" (member "func_cache" json))))
 
 (* ------------------------------------------------------------------ *)
 
@@ -722,8 +706,8 @@ let () =
             test_facade_json_surfaces;
           Alcotest.test_case "SOAP fallback (streaming)" `Quick
             test_facade_soap_fallback;
-          Alcotest.test_case "/cachez shows deferred admissions" `Quick
-            test_facade_cachez_deferred;
+          Alcotest.test_case "/cachez and /cachez.json agree" `Quick
+            test_facade_cachez_agree;
           Alcotest.test_case "peer and client share one key counter" `Quick
             test_facade_one_key_counter;
         ] );

@@ -191,7 +191,7 @@ let test_fragments_wire_roundtrip () =
     {
       Message.module_uri = "m"; location = ""; method_ = "f"; arity = 2;
       updating = false; fragments = true; query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.Node a ]; [ Xdm.Node b ] ] ];
     }
   in
@@ -245,7 +245,7 @@ let test_fragments_nodeid_bounds () =
     {
       Message.module_uri = "m"; location = ""; method_ = "f"; arity = 2;
       updating = false; fragments = true; query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.Node b ]; [ Xdm.Node c ] ] ];
     }
   in
@@ -268,7 +268,7 @@ let sample_request ?(query_id = None) ?(calls = 1) () =
     updating = false;
     fragments = false;
     query_id;
-    idem_key = None; cache_ok = true;
+    idem_key = None;
     calls =
       List.init calls (fun i -> [ [ Xdm.str (Printf.sprintf "Actor %d" i) ] ]);
   }
@@ -311,9 +311,8 @@ let test_query_id_roundtrip () =
 (* A queryID timeout or an arity that is not a plain non-negative
    integer is a malformed message, not a silent default (30 s, arity 0):
    both decoders raise [Protocol_error].  So is an xs:boolean flag
-   (updCall, fragments, profile, cached, ok) outside true/false/1/0, a
-   queryID level other than repeatable/snapshot and a cache other than
-   off. *)
+   (updCall, fragments, profile, ok) outside true/false/1/0 and a queryID
+   level other than repeatable/snapshot. *)
 let test_bad_integer_attributes () =
   let qid level =
     { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 42; level }
@@ -331,15 +330,8 @@ let test_bad_integer_attributes () =
            (sample_request ~query_id:(Some (qid Message.Snapshot)) ()) with
            Message.updating = true;
            fragments = true;
-           cache_ok = false;
          })
     |> replace ~sub:{|updCall="true"|} ~by:{|updCall="true" profile="true"|}
-  in
-  let cached_response =
-    Message.to_string
-      (Message.Response
-         { Message.resp_module = "m"; resp_method = "f"; results = [];
-           peers = []; cached = true; db_version = None })
   in
   let tx_result =
     Message.to_string (Message.Tx_response { ok = true; info = "" })
@@ -376,15 +368,11 @@ let test_bad_integer_attributes () =
         [ ""; "yes"; "TRUE"; "False"; "2"; "-1"; "t"; "1 0" ])
     [
       (flagged, "updCall", "true"); (flagged, "fragments", "true");
-      (flagged, "profile", "true"); (cached_response, "cached", "true");
-      (tx_result, "ok", "true");
+      (flagged, "profile", "true"); (tx_result, "ok", "true");
     ];
   List.iter
     (fun v -> rejected ("level=" ^ v) (with_attr ~wire:flagged "level" "snapshot" v))
     [ ""; "Snapshot"; "serializable"; "read-committed"; "1" ];
-  List.iter
-    (fun v -> rejected ("cache=" ^ v) (with_attr ~wire:flagged "cache" "off" v))
-    [ ""; "on"; "OFF"; "false"; "0"; "no" ];
   (* the schema's other lexical forms of an integer still decode *)
   List.iter
     (fun v ->
@@ -416,9 +404,6 @@ let test_bad_integer_attributes () =
   | { Message.query_id = Some q; _ }, _ ->
       check bool_ "level=repeatable" true (q.Message.level = Message.Repeatable)
   | _ -> Alcotest.fail "queryID lost");
-  (match Message.of_string (with_attr ~wire:cached_response "cached" "true" "1") with
-  | Message.Response r -> check bool_ "cached=1" true r.Message.cached
-  | _ -> Alcotest.fail "wrong kind");
   match Message.of_string (with_attr ~wire:tx_result "ok" "true" "0") with
   | Message.Tx_response { ok; _ } -> check bool_ "ok=0" false ok
   | _ -> Alcotest.fail "wrong kind"
@@ -536,7 +521,6 @@ let test_response_roundtrip_with_peers () =
       results =
         [ [ Xdm.Node (List.hd (Store.children (Store.root store))) ];
           [ Xdm.int 7 ] ];
-      cached = false;
       db_version = None;
       peers = [ "xrpc://y.example.org"; "xrpc://z.example.org" ];
     }
@@ -637,7 +621,7 @@ let prop_wire_roundtrip =
           updating = false;
           fragments = false;
           query_id = None;
-          idem_key = None; cache_ok = true;
+          idem_key = None;
           calls =
             List.init ncalls (fun _ -> [ List.map (fun a -> Xdm.Atomic a) params ]);
         }
@@ -665,8 +649,8 @@ module Filmdb = Xrpc_workloads.Filmdb
 module Testmod = Xrpc_workloads.Testmod
 
 (* The seeds are replies a serving peer wrote: node and atomic results,
-   a profiled reply carrying serverProfile, a result-cache hit carrying
-   cached and dbVersion, an updating call's empty response, a Fault and
+   a profiled reply carrying serverProfile, a plain one carrying
+   dbVersion, an updating call's empty response, a Fault and
    two transactionResults. *)
 let reply_seeds =
   let y = Peer.create "xrpc://y" in
@@ -679,7 +663,7 @@ let reply_seeds =
         { Message.module_uri; location = ""; method_ = fn;
           arity = (match calls with c :: _ -> List.length c | [] -> 0);
           updating; fragments = false; query_id = None; idem_key = None;
-          cache_ok = true; calls }
+          calls }
     in
     if profiled then fst (Trace.collect (fun () -> Message.to_string msg))
     else Message.to_string msg
@@ -718,10 +702,54 @@ let prop_reply_mutations =
       if String.length w land 1 = 0 then
         ignore (Trace.collect (fun () -> Message.of_reply ~dest:"xrpc://y" w)))
 
+(* A client or peer built before the result cache was removed may still
+   send cache="off" on a request or cached="true" on a Response.  XRPC.xsd
+   declares neither attribute, and the decoder ignores an attribute the
+   schema does not declare, so both still decode and serve. *)
+let test_legacy_cache_off_request () =
+  let y = Peer.create "xrpc://y" in
+  Filmdb.install y ();
+  let wire =
+    Message.to_string
+      (Message.Request
+         { (sample_request ()) with calls = [ [ [ Xdm.str "Sean Connery" ] ] ] })
+    |> replace ~sub:{|method="filmsByActor"|}
+         ~by:{|method="filmsByActor" cache="off"|}
+  in
+  (match Message.of_string_server wire with
+  | Message.Request r, _, _ ->
+      check int_ "one call" 1 (List.length r.Message.calls)
+  | _ -> Alcotest.fail "not a request");
+  match Message.of_string (Peer.handle_raw y wire) with
+  | Message.Response { results = [ films ]; _ } ->
+      check string_ "executed" "<name>The Rock</name> <name>Goldfinger</name>"
+        (Xdm.to_display films)
+  | _ -> Alcotest.fail "expected a response"
+
+let test_legacy_cached_response () =
+  let wire =
+    Message.to_string
+      (Message.Response
+         { Message.resp_module = "m"; resp_method = "f";
+           results = [ [ Xdm.int 1; Xdm.str "a" ]; [] ];
+           peers = [ "xrpc://p" ]; db_version = Some 3 })
+    |> replace ~sub:{|method="f"|} ~by:{|method="f" cached="true"|}
+  in
+  List.iter
+    (fun (what, decode) ->
+      match decode wire with
+      | Message.Response r ->
+          check (Alcotest.list string_) (what ^ ": results") [ "1 a"; "" ]
+            (List.map Xdm.to_display r.Message.results);
+          check (Alcotest.option int_) (what ^ ": dbVersion") (Some 3)
+            r.Message.db_version
+      | _ -> Alcotest.failf "%s: not a response" what)
+    [ ("of_string", Message.of_string);
+      ("of_reply", Message.of_reply ~dest:"xrpc://p") ]
+
 let test_reply_seeds () =
   let kind w =
     match Message.of_string w with
-    | Message.Response { cached = true; db_version = Some _; _ } -> "cached"
     | Message.Response { results = []; _ } -> "empty"
     | Message.Response _ -> "response"
     | Message.Fault _ -> "fault"
@@ -729,7 +757,7 @@ let test_reply_seeds () =
     | _ -> "other"
   in
   check (Alcotest.list string_) "every seed is the reply it stands for"
-    [ "response"; "cached"; "response"; "empty"; "fault"; "tx"; "tx" ]
+    [ "response"; "response"; "response"; "empty"; "fault"; "tx"; "tx" ]
     (Array.to_list (Array.map kind reply_seeds));
   check bool_ "the profiled seed carries serverProfile" true
     (let w = reply_seeds.(0) and sub = "serverProfile=" in
@@ -790,6 +818,10 @@ let () =
             test_tx_result_ok_required;
           Alcotest.test_case "snapshot timestamp must be a decimal" `Quick
             test_snapshot_timestamp_decimal;
+          Alcotest.test_case "request with a legacy cache=\"off\" executes"
+            `Quick test_legacy_cache_off_request;
+          Alcotest.test_case "response with a legacy cached=\"true\" decodes"
+            `Quick test_legacy_cached_response;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -29,7 +29,7 @@ let get_person_request ids =
     updating = false;
     fragments = false;
     query_id = None;
-    idem_key = None; cache_ok = true;
+    idem_key = None;
     calls =
       List.map
         (fun i ->
@@ -104,7 +104,7 @@ let test_wrapper_atomic_results () =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = [ [ [ Xdm.int 5 ] ]; [ [ Xdm.int 7 ] ] ];
     }
   in
@@ -131,7 +131,7 @@ let test_wrapper_echo_void () =
       updating = false;
       fragments = false;
       query_id = None;
-      idem_key = None; cache_ok = true;
+      idem_key = None;
       calls = List.init 10 (fun _ -> []);
     }
   in
