@@ -634,7 +634,9 @@ let micro () =
   let bench_marshal =
     Test.make ~name:"throughput/s2n+serialize-64KB"
       (Staged.stage (fun () ->
-           ignore (Serialize.to_string (Xrpc_soap.Marshal.s2n payload))))
+           let buf = Buffer.create 1024 in
+           Xrpc_soap.Marshal.add_sequence buf payload;
+           ignore (Buffer.contents buf)))
   in
   (* the XML codec alone on the Table 2 request at $x=1000 (~120 KB) *)
   let bulk_1000 =
@@ -745,10 +747,9 @@ let ablations () =
   let subs = Store.children root_el in
   let params = [ Xdm.Node root_el ] :: List.map (fun s -> [ Xdm.Node s ]) subs in
   let size fragments =
-    List.fold_left
-      (fun n t -> n + String.length (Serialize.to_string t))
-      0
-      (Xrpc_soap.Marshal.s2n_call ~fragments params)
+    let buf = Buffer.create 4096 in
+    Xrpc_soap.Marshal.add_params ~fragments buf params;
+    Buffer.length buf
   in
   let plain = size false and compressed = size true in
   Printf.printf

@@ -36,7 +36,22 @@ let create ~scope ~idem_capacity =
 let idem_cache t = t.idem_cache
 
 type reply = Reply of Message.t | Serialized of string
-type engine = Message.t -> body:string -> pos:int -> len:int -> reply
+type prepared = { updating : bool; run : unit -> reply }
+type engine = Message.t -> body:string -> pos:int -> len:int -> prepared
+
+let read answer = { updating = false; run = (fun () -> Reply (answer ())) }
+
+(* A request's updCall must say what the called function declares: only
+   an updating request's reply is kept, so an update sent as a read could
+   be applied again on replay, and a read sent as an update would have
+   its results dropped. *)
+let check_upd_call (r : Message.request) ~declared =
+  if r.Message.updating && not declared then
+    err "updCall=\"true\" on %s#%d, which is not an updating function"
+      r.Message.method_ r.Message.arity
+  else if declared && not r.Message.updating then
+    err "updating function %s#%d called without updCall=\"true\""
+      r.Message.method_ r.Message.arity
 
 let with_lock t f =
   let self = Thread.id (Thread.self ()) in
@@ -91,8 +106,10 @@ let answer t (engine : engine) msg ~body ~pos ~len =
               if n <> r.Message.arity then
                 err "call has %d parameters, expected %d" n r.Message.arity)
             r.Message.calls;
-          engine m ~body ~pos ~len
-      | Ok m -> engine m ~body ~pos ~len
+          let p = engine m ~body ~pos ~len in
+          check_upd_call r ~declared:p.updating;
+          p.run ()
+      | Ok m -> (engine m ~body ~pos ~len).run ()
       | Error e -> raise e
     with
     | Peer_error m | Xdm.Dynamic_error m | Xs.Type_error m | Xq.Eval.Error m
@@ -159,6 +176,13 @@ let serve_into t engine ?(pos = 0) ?len (body : string) (out : Buffer.t) =
     | Ok (Message.Request { idem_key = Some k; _ }) -> Some k
     | _ -> None
   in
+  (* only an updating request's reply is kept: a read has no effects, so
+     its replay simply runs again *)
+  let retained_key =
+    match msg with
+    | Ok (Message.Request { updating = true; _ }) -> idem_key
+    | _ -> None
+  in
   (* spans are collected only when someone will read them: plain
      traffic pays one test and its wire format is unchanged *)
   let remote, want_phases =
@@ -170,7 +194,7 @@ let serve_into t engine ?(pos = 0) ?len (body : string) (out : Buffer.t) =
     try
       Trace.add "parse_ms" parse_ms;
       (* exactly-once: a replay never re-applies R_Fu updates *)
-      match Option.bind idem_key (Lru.find t.idem_cache) with
+      match Option.bind retained_key (Lru.find t.idem_cache) with
       | Some cached ->
           Trace.event "idem-hit";
           Ok (Serialized cached)
@@ -184,7 +208,9 @@ let serve_into t engine ?(pos = 0) ?len (body : string) (out : Buffer.t) =
   in
   (* the phases ride back on the response element, so the caller's
      profile splits remote time without another round trip *)
-  let remember bytes = Option.iter (fun k -> Lru.add t.idem_cache k bytes) idem_key in
+  let remember bytes =
+    Option.iter (fun k -> Lru.add t.idem_cache k bytes) retained_key
+  in
   let outcome =
     match served with
     | Error e -> Error e
@@ -205,7 +231,7 @@ let serve_into t engine ?(pos = 0) ?len (body : string) (out : Buffer.t) =
             match reply with
             | Message.Fault f -> Ok (Some f.Message.reason)
             | _ ->
-                if idem_key <> None then
+                if retained_key <> None then
                   remember (Buffer.sub out start (Buffer.length out - start));
                 Ok None))
   in

@@ -11,10 +11,17 @@
       engine's isolation tables and database versions are not otherwise
       synchronized); the holder's thread re-enters, so a served function
       may [execute at] its own site;
-    - a request whose [idemKey] was already answered is served from the
-      idempotency cache without re-executing; a successful reply is
-      remembered under its key, a Fault is not (a failed request had no
-      effects, so a retry may run it again);
+    - an updating request ([updCall="true"]) whose [idemKey] was
+      already answered is served from the idempotency cache without
+      re-executing; its successful reply is remembered under its key, a
+      Fault is not (a failed request had no effects, so a retry may run
+      it again).  A read request keeps no reply: it has no effects, so a
+      replay simply runs again, and the cache holds only updating
+      replies, which are empty sequences.  So the flag is checked here,
+      for every engine: a request whose [updCall] disagrees with what the
+      engine resolved it to call ({!prepared}) is refused with a Sender
+      Fault before it runs, or an update sent as a read would be applied
+      again on replay, and a read sent as an update would be kept;
     - the request runs inside one [peer.handle] span under the caller's
       propagated trace context; its spans are collected when someone
       will read them (a [profile] flag, a trace context, tracing on), and
@@ -50,16 +57,27 @@ val create : scope:string -> idem_capacity:int -> t
     idempotency cache; an evicted key falls back to at-least-once. *)
 
 val idem_cache : t -> string Lru.t
-(** The serialized replies of keyed requests. *)
+(** The serialized replies of keyed updating requests. *)
 
 type reply =
   | Reply of Xrpc_soap.Message.t  (** serialized by the path *)
   | Serialized of string  (** an envelope the engine built itself *)
 
+type prepared = {
+  updating : bool;
+      (** what the called function declares; [false] for the built-in
+          calls and the 2PC messages *)
+  run : unit -> reply;  (** executes the request *)
+}
+(** A request the engine has resolved to what it calls, not yet run. *)
+
+val read : (unit -> Xrpc_soap.Message.t) -> prepared
+(** A read (not updating) answered by the function. *)
+
 type engine =
-  Xrpc_soap.Message.t -> body:string -> pos:int -> len:int -> reply
-(** Answers one decoded message; [body.[pos .. pos+len)] is its envelope
-    on the wire.  Raises to fail the request. *)
+  Xrpc_soap.Message.t -> body:string -> pos:int -> len:int -> prepared
+(** Resolves one decoded message; [body.[pos .. pos+len)] is its envelope
+    on the wire.  Raises, or makes [run] raise, to fail the request. *)
 
 val serve_into : t -> engine -> ?pos:int -> ?len:int -> string -> Buffer.t -> unit
 (** Serve the request in [body.[pos .. pos+len)] (default: all of

@@ -3,7 +3,7 @@
 
     A peer owns a versioned {!Database}, a registry of XQuery module
     sources, three {!Lru} caches (ad-hoc plans, prepared modules,
-    idempotent responses), and an {!Isolation}
+    the replies of keyed updating requests), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -287,7 +287,9 @@ let compile_module peer ~uri ~location =
   Xrpc_xquery.Check.check_prog_exn ctx prog;
   ctx.Xctx.funcs
 
-let handle_request peer (r : Message.request) : Message.t =
+(* A request resolved to what it calls, run once the inbound path has
+   checked its updCall against [updating] *)
+let prepare_request peer (r : Message.request) : Inbound.prepared =
   peer.requests_handled <- peer.requests_handled + 1;
   peer.calls_handled <- peer.calls_handled + List.length r.Message.calls;
   Metrics.incr m_requests;
@@ -318,12 +320,15 @@ let handle_request peer (r : Message.request) : Message.t =
        peer's windowed snapshot over the ordinary RPC path, so the scrape
        itself exercises (and is throttled/observed by) the same
        transport, executor and breaker the queries use *)
-    let wire = Telemetry.to_wire (Telemetry.local_snapshot ~peer:peer.uri ()) in
-    Inbound.response ~peers:[ peer.uri ] r
-      (List.map (fun _ -> [ Xdm.str wire ]) r.Message.calls)
+    Inbound.read (fun () ->
+        let wire =
+          Telemetry.to_wire (Telemetry.local_snapshot ~peer:peer.uri ())
+        in
+        Inbound.response ~peers:[ peer.uri ] r
+          (List.map (fun _ -> [ Xdm.str wire ]) r.Message.calls))
   else if Inbound.is_get_document r then
     (* internal data-shipping handler behind fn:doc("xrpc://...") *)
-    Inbound.get_document ~self:peer.uri version r
+    Inbound.read (fun () -> Inbound.get_document ~self:peer.uri version r)
   else
     let funcs =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
@@ -345,33 +350,42 @@ let handle_request peer (r : Message.request) : Message.t =
           err "no function %s#%d in module %s" r.Message.method_
             r.Message.arity r.Message.module_uri
     in
-    (* bulk execution: a selection function with a call-dependent key is
-       answered with one index probe per call (the set-oriented
-       opportunity of §1); otherwise the body runs once per call *)
-    let results =
-      Trace.with_span ~detail:r.Message.method_ "peer.exec" @@ fun () ->
-      let joined =
-        if f.Xctx.decl.Xrpc_xquery.Ast.fn_updating then None
-        else Bulk_opt.join_execute ctx f r.Message.calls
-      in
-      match joined with
-      | Some rs -> rs
-      | None ->
-          List.map (Xrpc_xquery.Eval.apply_function ctx f) r.Message.calls
-    in
-    (* updating semantics *)
-    let pul = List.rev !(ctx.Xctx.pul) in
-    (if pul <> [] then
-       Trace.with_span "peer.commit" @@ fun () ->
-       match entry with
-       | Some e ->
-           (* R'_Fu: defer — union into the per-query ∆ collection *)
-           e.Isolation.pul <- e.Isolation.pul @ pul
-       | None ->
-           (* R_Fu: apply the pending update list immediately *)
-           Database.commit peer.db pul);
-    Inbound.response ~db_version:version.Database.version_no ~peers:!peers_acc r
-      (if r.Message.updating then [] else results)
+    let updating = f.Xctx.decl.Xrpc_xquery.Ast.fn_updating in
+    {
+      Inbound.updating;
+      run =
+        (fun () ->
+          (* bulk execution: a selection function with a call-dependent
+             key is answered with one index probe per call (the
+             set-oriented opportunity of §1); otherwise the body runs
+             once per call *)
+          let results =
+            Trace.with_span ~detail:r.Message.method_ "peer.exec" @@ fun () ->
+            let joined =
+              if updating then None
+              else Bulk_opt.join_execute ctx f r.Message.calls
+            in
+            match joined with
+            | Some rs -> rs
+            | None ->
+                List.map (Xrpc_xquery.Eval.apply_function ctx f) r.Message.calls
+          in
+          (* updating semantics *)
+          let pul = List.rev !(ctx.Xctx.pul) in
+          (if pul <> [] then
+             Trace.with_span "peer.commit" @@ fun () ->
+             match entry with
+             | Some e ->
+                 (* R'_Fu: defer — union into the per-query ∆ collection *)
+                 e.Isolation.pul <- e.Isolation.pul @ pul
+             | None ->
+                 (* R_Fu: apply the pending update list immediately *)
+                 Database.commit peer.db pul);
+          Inbound.Reply
+            (Inbound.response ~db_version:version.Database.version_no
+               ~peers:!peers_acc r
+               (if updating then [] else results)));
+    }
 
 (* 2PC participant (WS-AtomicTransaction-style, §2.3) *)
 let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
@@ -451,8 +465,8 @@ let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
 (* The native engine behind the inbound path. *)
 let answer peer msg ~body:_ ~pos:_ ~len:_ =
   match msg with
-  | Message.Request r -> Inbound.Reply (handle_request peer r)
-  | Message.Tx_request (op, qid) -> Inbound.Reply (handle_tx peer op qid)
+  | Message.Request r -> prepare_request peer r
+  | Message.Tx_request (op, qid) -> Inbound.read (fun () -> handle_tx peer op qid)
   | _ -> err "expected a request"
 
 let handle_raw_into peer ?pos ?len body out =

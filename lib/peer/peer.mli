@@ -3,7 +3,7 @@
 
     A peer owns a versioned {!Database}, a registry of XQuery module
     sources, three {!Lru} caches (ad-hoc plans, prepared modules,
-    idempotent responses), and an {!Isolation}
+    the replies of keyed updating requests), and an {!Isolation}
     manager for queryID-pinned snapshots.  [handle_raw] is the server side
     (the paper's "XRPC request handler"); [query] is the client side (the
     stub code the Pathfinder compiler generates, §3): it runs a local query
@@ -49,7 +49,9 @@ type t = {
   idem_cache : string Lru.t;
       (** the inbound path's idempotency cache: exactly-once semantics
           over an at-least-once transport (rule R_Fu applies pending
-          update lists per request), [config.idem_capacity] entries *)
+          update lists per request), [config.idem_capacity] entries.  It
+          keeps the replies of keyed updating requests only; a replayed
+          read runs again *)
   isolation : Isolation.t;
   mutable transport : Outbound.t option;
       (** the outgoing-message path every message this peer originates
@@ -114,7 +116,11 @@ val handle_raw : t -> string -> string
     a SOAP Fault by the {!Inbound} path's one table
     ({!Xrpc_net.Xrpc_error} values losslessly, via [to_soap_fault]),
     which the originating site turns into a run-time error (§2.1, "XRPC
-    Error Message"). *)
+    Error Message").  A request whose [updCall] disagrees with the called
+    function's declaration (updating or not; the built-in [getDocument]
+    and [telemetry] calls read) is refused by the inbound path with a
+    Sender Fault before it runs: the idempotency cache keeps updating
+    replies only, so the flag must be true. *)
 
 val handle_raw_into : t -> ?pos:int -> ?len:int -> string -> Buffer.t -> unit
 (** Streaming form of {!handle_raw} ({!Inbound.serve_into}): the request

@@ -11,8 +11,9 @@
     marshaling functions need no engine support.
 
     The wrapper is an engine behind the one {!Inbound} path, like the
-    native peer: the path decodes the envelope, locks, keeps the
-    idempotency cache, maps failures to Faults and records the request.
+    native peer: the path decodes the envelope, locks, checks [updCall]
+    against the function the wrapper resolved, keeps the idempotency
+    cache, maps failures to Faults and records the request.
     Each request's work is three spans, Table 3's columns:
     [wrapper.treebuild], [wrapper.compile] and [wrapper.exec].  With
     [join_detect] the wrapper mimics Saxon's optimizer: a bulk request
@@ -193,8 +194,9 @@ let doc_resolver w ~request_store =
           s
 
 (* Figure 3 over one bulk request: shred the message (treebuild), generate
-   and compile the query (compile), run it (exec). *)
-let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.reply =
+   and compile the query (compile); the prepared request runs it
+   (exec). *)
+let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.prepared =
   (* with no calls the body never runs: its parameter list stays empty,
      or a few bytes of arity could ask for a query of any size *)
   let arity = if r.Message.calls = [] then 0 else r.Message.arity in
@@ -218,25 +220,38 @@ let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.reply =
     ( Xrpc_xquery.Runner.load_prolog base ~resolver:(resolver w) prog,
       prog.Xast.body )
   in
-  Trace.with_span "wrapper.exec" @@ fun () ->
-  let joined =
-    if not w.join_detect then None
-    else
-      (* Saxon's optimizer view: fetch the target function and try the
-         equi-join plan over all calls of the bulk request *)
-      match Xctx.find_function ctx (Qname.make ~uri:module_uri method_) arity with
-      | None -> None
-      | Some f -> Bulk_opt.join_execute ctx f r.Message.calls
+  let f =
+    match
+      Xctx.find_function ctx (Qname.make ~uri:module_uri method_)
+        r.Message.arity
+    with
+    | Some f -> f
+    | None ->
+        err "no function %s#%d in module %s" method_ r.Message.arity module_uri
   in
-  match (joined, body_expr) with
-  | Some results, _ -> Inbound.Reply (Inbound.response ~peers:[ w.uri ] r results)
-  | None, Some b -> (
-      match Xrpc_xquery.Eval.eval ctx b with
-      | [ Xdm.Node n ] ->
-          Inbound.Serialized
-            (Serialize.document_to_string (Tree.Document [ Store.to_tree n ]))
-      | _ -> err "generated query did not yield one envelope")
-  | None, None -> err "generated query has no body"
+  {
+    Inbound.updating = f.Xctx.decl.Xrpc_xquery.Ast.fn_updating;
+    run =
+      (fun () ->
+        Trace.with_span "wrapper.exec" @@ fun () ->
+        let joined =
+          (* Saxon's optimizer view: try the equi-join plan over all
+             calls of the bulk request *)
+          if w.join_detect then Bulk_opt.join_execute ctx f r.Message.calls
+          else None
+        in
+        match (joined, body_expr) with
+        | Some results, _ ->
+            Inbound.Reply (Inbound.response ~peers:[ w.uri ] r results)
+        | None, Some b -> (
+            match Xrpc_xquery.Eval.eval ctx b with
+            | [ Xdm.Node n ] ->
+                Inbound.Serialized
+                  (Serialize.document_to_string
+                     (Tree.Document [ Store.to_tree n ]))
+            | _ -> err "generated query did not yield one envelope")
+        | None, None -> err "generated query has no body");
+  }
 
 (* The wrapper's engine: a plain document fetch (data shipping) is the
    one request shape an XRPC-incapable engine's HTTP layer can serve
@@ -244,7 +259,8 @@ let run_figure3 w (r : Message.request) ~body ~pos ~len : Inbound.reply =
 let answer w msg ~body ~pos ~len =
   match msg with
   | Message.Request r when Inbound.is_get_document r ->
-      Inbound.Reply (Inbound.get_document ~self:w.uri (Database.snapshot w.db) r)
+      Inbound.read (fun () ->
+          Inbound.get_document ~self:w.uri (Database.snapshot w.db) r)
   | Message.Request r -> run_figure3 w r ~body ~pos ~len
   | _ -> err "expected a request"
 

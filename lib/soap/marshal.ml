@@ -1,11 +1,15 @@
 (** Parameter marshaling for SOAP XRPC — the [s2n]/[n2s] functions of §2.2.
 
-    [s2n] turns an XDM sequence into an [xrpc:sequence] element; [n2s]
-    performs the inverse.  Crucially, [n2s] re-shreds every node-typed value
-    into a {e fresh} store, which enforces the paper's call-by-value
-    semantics: on the receiving side each node parameter is the root of its
-    own XML fragment, so upward and sideways XPath axes yield empty results
-    and ancestor/descendant relationships between separate parameters are
+    [add_sequence] writes an XDM sequence as an [xrpc:sequence] element;
+    [read_sequence] performs the inverse, reading the element off the
+    envelope's {!Xml_parse.cursor}.  Neither builds an envelope tree:
+    atomic values are written and read in place, and only a node value is
+    a tree, because it is serialized from or shredded into a store.
+    Crucially, [read_sequence] re-shreds every node-typed value into a
+    {e fresh} store, which enforces the paper's call-by-value semantics:
+    on the receiving side each node parameter is the root of its own XML
+    fragment, so upward and sideways XPath axes yield empty results and
+    ancestor/descendant relationships between separate parameters are
     destroyed (§2.2, "Call-by-Value"). *)
 
 open Xrpc_xml
@@ -14,40 +18,98 @@ exception Marshal_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Marshal_error s)) fmt
 
+(* An xs:nonNegativeInteger (XRPC.xsd): surrounding whitespace, an
+   optional "+", then at most 9 ASCII digits.  [int_of_string] alone
+   would also take "-3", "0x1F" and "1_0". *)
+let nat s =
+  let t = String.trim s in
+  let d =
+    if t <> "" && t.[0] = '+' then String.sub t 1 (String.length t - 1) else t
+  in
+  if
+    d <> "" && String.length d <= 9
+    && String.for_all (function '0' .. '9' -> true | _ -> false) d
+  then Some (int_of_string d)
+  else None
+
+(* a received value, bounded for an error message *)
+let clip s = if String.length s > 20 then String.sub s 0 20 ^ "..." else s
+
 let xrpc local = Qname.make ~prefix:"xrpc" ~uri:Qname.ns_xrpc local
-let xsi local = Qname.make ~prefix:"xsi" ~uri:Qname.ns_xsi local
 
-let wrap_item = function
-    | Xdm.Atomic a ->
-        Tree.elem (xrpc "atomic-value")
-          ~attrs:
-            [ Tree.attr (xsi "type") ("xs:" ^ Xs.type_name (Xs.type_of a)) ]
-          [ Tree.Text (Xs.to_string a) ]
-    | Xdm.Node n -> (
-        match Store.kind n with
-        | Store.Elem -> Tree.elem (xrpc "element") [ Store.to_tree n ]
-        | Store.Doc ->
-            Tree.elem (xrpc "document")
-              (match Store.to_tree n with
-              | Tree.Document cs -> cs
-              | t -> [ t ])
-        | Store.Txt -> Tree.elem (xrpc "text") [ Tree.Text (Store.string_value n) ]
-        | Store.Comm ->
-            Tree.elem (xrpc "comment") [ Tree.Text (Store.string_value n) ]
-        | Store.Pi ->
-            let target =
-              match Store.name n with Some q -> Qname.to_string q | None -> ""
-            in
-            Tree.elem (xrpc "pi")
-              ~attrs:[ Tree.attr (Qname.make "target") target ]
-              [ Tree.Text (Store.string_value n) ]
-        | Store.Attr ->
-            let a = Store.attr_tree n in
-            Tree.elem (xrpc "attribute") ~attrs:[ a ] [])
+(* ------------------------------------------------------------------ *)
+(* Encoding                                                            *)
+(* ------------------------------------------------------------------ *)
 
-(** [s2n seq] — sequence-to-node: the SOAP representation of [seq]. *)
-let s2n (seq : Xdm.sequence) : Tree.t =
-  Tree.elem (xrpc "sequence") (List.map wrap_item seq)
+(** The bindings every SOAP XRPC envelope declares on its root; a node
+    value is serialized inside them. *)
+let scope =
+  [ ("xrpc", Qname.ns_xrpc); ("env", Qname.ns_env); ("xs", Qname.ns_xs);
+    ("xsi", Qname.ns_xsi) ]
+
+let add_tree buf t = Serialize.to_buffer ~scope buf t
+
+(* [<xrpc:tag>text</xrpc:tag>], the text escaped *)
+let add_text_elem buf tag text =
+  Buffer.add_string buf "<xrpc:";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>';
+  Serialize.add_escaped_text buf text;
+  Buffer.add_string buf "</xrpc:";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
+
+let add_item buf = function
+  | Xdm.Atomic a ->
+      Buffer.add_string buf "<xrpc:atomic-value xsi:type=\"xs:";
+      Buffer.add_string buf (Xs.type_name (Xs.type_of a));
+      Buffer.add_string buf "\">";
+      Serialize.add_escaped_text buf (Xs.to_string a);
+      Buffer.add_string buf "</xrpc:atomic-value>"
+  | Xdm.Node n -> (
+      match Store.kind n with
+      | Store.Elem ->
+          Buffer.add_string buf "<xrpc:element>";
+          add_tree buf (Store.to_tree n);
+          Buffer.add_string buf "</xrpc:element>"
+      | Store.Doc -> (
+          match Store.children n with
+          | [] -> Buffer.add_string buf "<xrpc:document/>"
+          | _ ->
+              Buffer.add_string buf "<xrpc:document>";
+              add_tree buf (Store.to_tree n);
+              Buffer.add_string buf "</xrpc:document>")
+      | Store.Txt -> add_text_elem buf "text" (Store.string_value n)
+      | Store.Comm -> add_text_elem buf "comment" (Store.string_value n)
+      | Store.Pi ->
+          let target =
+            match Store.name n with Some q -> Qname.to_string q | None -> ""
+          in
+          Buffer.add_string buf "<xrpc:pi target=\"";
+          Serialize.add_escaped_attr buf target;
+          Buffer.add_string buf "\">";
+          Serialize.add_escaped_text buf (Store.string_value n);
+          Buffer.add_string buf "</xrpc:pi>"
+      | Store.Attr ->
+          (* the attribute may need its own namespace declaration *)
+          add_tree buf
+            (Tree.elem (xrpc "attribute") ~attrs:[ Store.attr_tree n ] []))
+
+let rec add_items buf = function
+  | [] -> ()
+  | item :: rest ->
+      add_item buf item;
+      add_items buf rest
+
+(** [add_sequence buf seq] — sequence-to-node: the SOAP representation of
+    [seq], an [xrpc:sequence] element, appended to [buf]. *)
+let add_sequence buf (seq : Xdm.sequence) =
+  match seq with
+  | [] -> Buffer.add_string buf "<xrpc:sequence/>"
+  | _ ->
+      Buffer.add_string buf "<xrpc:sequence>";
+      add_items buf seq;
+      Buffer.add_string buf "</xrpc:sequence>"
 
 (** Call-by-fragment marshaling — the protocol extension sketched in
     footnote 4 of the paper.  Within one call, a node parameter that is a
@@ -57,222 +119,226 @@ let s2n (seq : Xdm.sequence) : Tree.t =
     the receiving side the reference resolves {e into the same fragment},
     so ancestor/descendant relationships between parameters — destroyed by
     plain call-by-value — are preserved, and the SOAP message shrinks. *)
-let s2n_call ?(fragments = false) (params : Xdm.sequence list) : Tree.t list =
-  if not fragments then List.map s2n params
-  else begin
-    (* nodes already serialized in full, with their (param, item) slot *)
-    let serialized : (Store.node * int * int) list ref = ref [] in
-    let covering (n : Store.node) =
-      List.find_opt
-        (fun ((anc : Store.node), _, _) ->
-          anc.Store.store.Store.doc_id = n.Store.store.Store.doc_id
-          && anc.Store.pre <= n.Store.pre
-          && n.Store.pre
-             <= anc.Store.pre + anc.Store.store.Store.size.(anc.Store.pre))
-        !serialized
-    in
-    List.mapi
-      (fun pi seq ->
-        Tree.elem (xrpc "sequence")
-          (List.mapi
-             (fun ii item ->
-               match item with
-               | Xdm.Node n when Store.kind n = Store.Elem -> (
-                   match covering n with
-                   | Some (anc, api, aii) ->
-                       Tree.elem (xrpc "element")
-                         ~attrs:
-                           [
-                             Tree.attr (xrpc "nodeid")
-                               (string_of_int (n.Store.pre - anc.Store.pre));
-                             Tree.attr (xrpc "param") (string_of_int api);
-                             Tree.attr (xrpc "item") (string_of_int aii);
-                           ]
-                         []
-                   | None ->
-                       serialized := (n, pi, ii) :: !serialized;
-                       wrap_item item)
-               | item -> wrap_item item)
-             seq))
-      params
-  end
-
-(** [n2s node_tree] — node-to-sequence: parse an [xrpc:sequence] element
-    back into an XDM sequence, constructing each node value as a separate
-    fragment (fresh store). *)
-let n2s (t : Tree.t) : Xdm.sequence =
-  let unwrap_child = function
-    | Tree.Element { name; attrs; children } when name.Qname.uri = Qname.ns_xrpc
-      -> (
-        match name.Qname.local with
-        | "atomic-value" ->
-            let typ =
-              match
-                List.find_opt
-                  (fun (a : Tree.attr) ->
-                    a.name.Qname.local = "type"
-                    && (a.name.Qname.uri = Qname.ns_xsi || a.name.Qname.uri = ""))
-                  attrs
-              with
-              | None -> Xs.TUntypedAtomic
-              | Some a -> (
-                  let _, local = Qname.split a.value in
-                  match Xs.type_of_name local with
-                  | Some t -> t
-                  | None -> Xs.TUntypedAtomic)
-            in
-            (* a lexical form its type rejects is a malformed message *)
-            (match Xs.of_string typ (Tree.string_value (Tree.Document children)) with
-            | v -> Xdm.Atomic v
-            | exception Xs.Type_error m -> err "xrpc:atomic-value: %s" m)
-        | "element" -> (
-            match
-              List.find_opt
-                (function Tree.Element _ -> true | _ -> false)
-                children
-            with
-            | Some e ->
-                let store = Store.shred e in
-                Xdm.Node (Store.root store)
-            | None -> err "xrpc:element without element child")
-        | "document" ->
-            let store = Store.shred (Tree.Document children) in
-            Xdm.Node (Store.root store)
-        | "text" ->
-            let store = Store.shred (Tree.Text (Tree.string_value (Tree.Document children))) in
-            Xdm.Node (Store.root store)
-        | "comment" ->
-            let store = Store.shred (Tree.Comment (Tree.string_value (Tree.Document children))) in
-            Xdm.Node (Store.root store)
-        | "pi" ->
-            let target =
-              match
-                List.find_opt
-                  (fun (a : Tree.attr) -> a.name.Qname.local = "target")
-                  attrs
-              with
-              | Some a -> a.value
-              | None -> ""
-            in
-            let store =
-              Store.shred
-                (Tree.Pi { target; data = Tree.string_value (Tree.Document children) })
-            in
-            Xdm.Node (Store.root store)
-        | "attribute" -> (
-            match attrs with
-            | a :: _ ->
-                (* An attribute node needs an owner element in the store;
-                   shred a carrier element and return its attribute. *)
-                let store =
-                  Store.shred (Tree.elem (xrpc "attr-carrier") ~attrs:[ a ] [])
-                in
-                let owner = Store.root store in
-                (match Store.attributes owner with
-                | at :: _ -> Xdm.Node at
-                | [] -> err "attribute carrier lost its attribute")
-            | [] -> err "xrpc:attribute without attribute")
-        | other -> err "unexpected xrpc:%s in sequence" other)
-    | Tree.Text s when String.trim s = "" ->
-        err "whitespace"
-    | _ -> err "unexpected content in xrpc:sequence"
+let add_fragment_params buf (params : Xdm.sequence list) =
+  (* nodes already serialized in full, with their (param, item) slot *)
+  let serialized : (Store.node * int * int) list ref = ref [] in
+  let covering (n : Store.node) =
+    List.find_opt
+      (fun ((anc : Store.node), _, _) ->
+        anc.Store.store.Store.doc_id = n.Store.store.Store.doc_id
+        && anc.Store.pre <= n.Store.pre
+        && n.Store.pre
+           <= anc.Store.pre + anc.Store.store.Store.size.(anc.Store.pre))
+      !serialized
   in
-  match t with
-  | Tree.Element { name; children; _ }
-    when name.Qname.uri = Qname.ns_xrpc && name.Qname.local = "sequence" ->
-      List.filter_map
-        (fun c ->
-          match c with
-          | Tree.Text s when String.trim s = "" -> None
-          | c -> Some (unwrap_child c))
-        children
-  | _ -> err "expected xrpc:sequence element"
+  List.iteri
+    (fun pi seq ->
+      match seq with
+      | [] -> Buffer.add_string buf "<xrpc:sequence/>"
+      | _ ->
+          Buffer.add_string buf "<xrpc:sequence>";
+          List.iteri
+            (fun ii item ->
+              match item with
+              | Xdm.Node n when Store.kind n = Store.Elem -> (
+                  match covering n with
+                  | Some (anc, api, aii) ->
+                      Printf.bprintf buf
+                        "<xrpc:element xrpc:nodeid=\"%d\" xrpc:param=\"%d\" \
+                         xrpc:item=\"%d\"/>"
+                        (n.Store.pre - anc.Store.pre) api aii
+                  | None ->
+                      serialized := (n, pi, ii) :: !serialized;
+                      add_item buf item)
+              | item -> add_item buf item)
+            seq;
+          Buffer.add_string buf "</xrpc:sequence>")
+    params
 
-let get_attr attrs local =
-  List.find_map
-    (fun (a : Tree.attr) ->
-      if a.name.Qname.local = local then Some a.value else None)
-    attrs
+(** [add_params buf params] — the parameter sequences of one call, in
+    order; with [fragments], by {!add_fragment_params}. *)
+let add_params ?(fragments = false) buf (params : Xdm.sequence list) =
+  if fragments then add_fragment_params buf params
+  else List.iter (add_sequence buf) params
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let is_xrpc c local =
+  let q = Xml_parse.name c in
+  String.equal q.Qname.local local && String.equal q.Qname.uri Qname.ns_xrpc
+
+let shredded tree = Xdm.Node (Store.root (Store.shred tree))
+let xsi_type_ns uri = String.equal uri Qname.ns_xsi || uri = ""
+
+(* At the [Start] of an item element: its value, read through its
+   [End]. *)
+let read_item c =
+  if not (String.equal (Xml_parse.name c).Qname.uri Qname.ns_xrpc) then
+    err "unexpected content in xrpc:sequence";
+  match Xml_parse.local c with
+  | "atomic-value" -> (
+      let typ =
+        match Xml_parse.attr_where c "type" xsi_type_ns with
+        | None -> Xs.TUntypedAtomic
+        | Some v -> (
+            let _, local = Qname.split v in
+            match Xs.type_of_name local with
+            | Some t -> t
+            | None -> Xs.TUntypedAtomic)
+      in
+      (* a lexical form its type rejects is a malformed message *)
+      match Xs.of_string typ (Xml_parse.text_content c) with
+      | v -> Xdm.Atomic v
+      | exception Xs.Type_error m -> err "xrpc:atomic-value: %s" m)
+  | "element" ->
+      (* the first element child; text, comments and further elements
+         are read and dropped *)
+      let rec first found =
+        match Xml_parse.next c with
+        | Xml_parse.End | Xml_parse.Eof -> found
+        | Xml_parse.Start -> (
+            match found with
+            | None -> first (Some (Xml_parse.element c))
+            | Some _ ->
+                Xml_parse.skip c;
+                first found)
+        | Xml_parse.Text | Xml_parse.Comment | Xml_parse.Pi -> first found
+      in
+      (match first None with
+      | Some e -> shredded e
+      | None -> err "xrpc:element without element child")
+  | "document" -> shredded (Tree.Document (Xml_parse.content c))
+  | "text" -> shredded (Tree.Text (Xml_parse.text_content c))
+  | "comment" -> shredded (Tree.Comment (Xml_parse.text_content c))
+  | "pi" ->
+      let target = Option.value ~default:"" (Xml_parse.attr c "target") in
+      shredded (Tree.Pi { target; data = Xml_parse.text_content c })
+  | "attribute" -> (
+      match Xml_parse.attrs c with
+      | a :: _ -> (
+          Xml_parse.skip c;
+          (* An attribute node needs an owner element in the store;
+             shred a carrier element and return its attribute. *)
+          let store =
+            Store.shred (Tree.elem (xrpc "attr-carrier") ~attrs:[ a ] [])
+          in
+          match Store.attributes (Store.root store) with
+          | at :: _ -> Xdm.Node at
+          | [] -> err "attribute carrier lost its attribute")
+      | [] -> err "xrpc:attribute without attribute")
+  | other -> err "unexpected xrpc:%s in sequence" other
 
 (* an [xrpc:nodeid] reference into an earlier parameter *)
-let is_ref = function
-  | Tree.Element { name; attrs; _ } ->
-      name.Qname.uri = Qname.ns_xrpc
-      && name.Qname.local = "element"
-      && get_attr attrs "nodeid" <> None
-  | _ -> false
+type reference = {
+  at_param : int;
+  at_item : int;
+  param : int;
+  item : int;
+  delta : int;
+}
 
-(* the call-by-fragment decoder: references resolve into the fragments of
-   their fully-serialized ancestors *)
-let n2s_refs (seq_trees : Tree.t list) : Xdm.sequence list =
-  let children_of = function
-    | Tree.Element { name; children; _ }
-      when name.Qname.uri = Qname.ns_xrpc && name.Qname.local = "sequence" ->
-        List.filter
-          (function Tree.Text s -> String.trim s <> "" | _ -> true)
-          children
-    | _ -> err "expected xrpc:sequence element"
-  in
-  let specs =
-    List.map
-      (fun t ->
-        List.map
-          (fun c ->
-            match c with
-            | Tree.Element { attrs; _ } when is_ref c ->
-                let geti what =
-                  match get_attr attrs what with
-                  | Some v -> ( try int_of_string v with _ -> err "bad %s" what)
-                  | None -> err "nodeid reference missing %s" what
-                in
-                `Ref (geti "param", geti "item", geti "nodeid")
-            | c -> `Plain c)
-          (children_of t))
-      seq_trees
-  in
-  (* pass 1: plain items *)
-  let table : (int * int, Xdm.item) Hashtbl.t = Hashtbl.create 8 in
-  List.iteri
-    (fun pi items ->
-      List.iteri
-        (fun ii spec ->
-          match spec with
-          | `Plain c ->
-              let seq = n2s (Tree.elem (xrpc "sequence") [ c ]) in
-              (match seq with
-              | [ item ] -> Hashtbl.replace table (pi, ii) item
-              | _ -> err "single item expected")
-          | `Ref _ -> ())
-        items)
-    specs;
-  (* pass 2: resolve references into their ancestors' fragments *)
-  List.mapi
-    (fun pi items ->
-      List.mapi
-        (fun ii spec ->
-          match spec with
-          | `Plain _ -> Hashtbl.find table (pi, ii)
-          | `Ref (rp, ri, delta) -> (
-              match Hashtbl.find_opt table (rp, ri) with
-              | Some (Xdm.Node ({ Store.store; pre } as base)) ->
-                  (* the reference must name a node of the shipped
-                     fragment: base itself or one of its descendants *)
-                  if delta < 0 || delta > store.Store.size.(pre) then
-                    err "nodeid offset %d out of range" delta
-                  else Xdm.Node { base with Store.pre = pre + delta }
-              | Some (Xdm.Atomic _) -> err "nodeid reference to atomic parameter"
-              | None -> err "nodeid reference to unknown parameter (%d,%d)" rp ri))
-        items)
-    specs
+let ref_attr c what =
+  match Xml_parse.attr c what with
+  | None -> err "nodeid reference missing %s" what
+  | Some v -> (
+      match nat v with
+      | Some n -> n
+      | None -> err "%s is not a non-negative integer: %S" what (clip v))
 
-(** [n2s_call seqs] — unmarshal all parameter sequences of one call,
-    resolving any [xrpc:nodeid] references (footnote-4 extension) into the
-    fragments of their fully-serialized ancestors.  Without references
-    (every call not sent by fragment) this is exactly mapping {!n2s}. *)
-let n2s_call (seq_trees : Tree.t list) : Xdm.sequence list =
-  let has_refs = function
-    | Tree.Element { children; _ } -> List.exists is_ref children
-    | _ -> false
+(* the item a reference holds until it is resolved; no decoded item is
+   physically equal to it *)
+let placeholder = Xdm.Atomic (Xs.Untyped "")
+
+(* the items of the sequence whose [Start] was read, through its [End].
+   In a call ([refs] is the call's), an [xrpc:nodeid] reference is added
+   to [refs], and the item list holds {!placeholder} for it. *)
+let rec read_items c ~in_call refs pi ii acc =
+  match Xml_parse.next c with
+  | Xml_parse.End | Xml_parse.Eof -> List.rev acc
+  | Xml_parse.Start ->
+      let item =
+        if in_call && is_xrpc c "element" && Xml_parse.attr c "nodeid" <> None
+        then (
+          let r =
+            {
+              at_param = pi;
+              at_item = ii;
+              param = ref_attr c "param";
+              item = ref_attr c "item";
+              delta = ref_attr c "nodeid";
+            }
+          in
+          Xml_parse.skip c;
+          refs := r :: !refs;
+          placeholder)
+        else read_item c
+      in
+      read_items c ~in_call refs pi (ii + 1) (item :: acc)
+  | Xml_parse.Text when String.trim (Xml_parse.text c) = "" ->
+      read_items c ~in_call refs pi ii acc
+  | Xml_parse.Text | Xml_parse.Comment | Xml_parse.Pi ->
+      err "unexpected content in xrpc:sequence"
+
+(* outside a call, nothing is added to it *)
+let no_refs : reference list ref = ref []
+
+let check_sequence c =
+  if not (is_xrpc c "sequence") then err "expected xrpc:sequence element"
+
+(** [read_sequence c] — node-to-sequence: at the [Start] of an
+    [xrpc:sequence] element, its XDM sequence, read through its [End],
+    each node value a separate fragment (fresh store). *)
+let read_sequence c =
+  check_sequence c;
+  read_items c ~in_call:false no_refs 0 0 []
+
+(* resolve references into the fragments of their fully serialized
+   ancestors: a reference names a plain item of the call (not another
+   reference), and a node of its fragment *)
+let resolve (refs : reference list) (params : Xdm.sequence list) =
+  let items = Array.of_list (List.map Array.of_list params) in
+  (* the reference slots, marked before any is resolved *)
+  let is_ref = Array.map (Array.map (fun item -> item == placeholder)) items in
+  let base r =
+    if
+      r.param < Array.length items
+      && r.item < Array.length items.(r.param)
+      && not is_ref.(r.param).(r.item)
+    then Some items.(r.param).(r.item)
+    else None
   in
-  if List.exists has_refs seq_trees then n2s_refs seq_trees
-  else List.map n2s seq_trees
+  List.iter
+    (fun r ->
+      items.(r.at_param).(r.at_item) <-
+        (match base r with
+        | Some (Xdm.Node ({ Store.store; pre } as b)) ->
+            (* the reference must name a node of the shipped fragment:
+               base itself or one of its descendants *)
+            if r.delta > store.Store.size.(pre) then
+              err "nodeid offset %d out of range" r.delta
+            else Xdm.Node { b with Store.pre = pre + r.delta }
+        | Some (Xdm.Atomic _) -> err "nodeid reference to atomic parameter"
+        | None ->
+            err "nodeid reference to unknown parameter (%d,%d)" r.param r.item))
+    refs;
+  Array.to_list (Array.map Array.to_list items)
+
+let rec read_params c refs pi acc =
+  match Xml_parse.next c with
+  | Xml_parse.End | Xml_parse.Eof -> List.rev acc
+  | Xml_parse.Start ->
+      check_sequence c;
+      let seq = read_items c ~in_call:true refs pi 0 [] in
+      read_params c refs (pi + 1) (seq :: acc)
+  | Xml_parse.Text | Xml_parse.Comment | Xml_parse.Pi -> read_params c refs pi acc
+
+(** [read_call c] — at the [Start] of an [xrpc:call] element, its
+    parameter sequences, read through its [End].  Each element child is
+    one [xrpc:sequence]; [xrpc:nodeid] references (footnote-4 extension)
+    resolve into the fragments of their fully serialized ancestors. *)
+let read_call c =
+  let refs = ref [] in
+  let params = read_params c refs 0 [] in
+  match !refs with [] -> params | refs -> resolve refs params

@@ -36,9 +36,10 @@ type request = {
           [xrpc:nodeid] references into earlier parameters *)
   query_id : query_id option;
   idem_key : string option;
-      (** idempotency key: peers cache the response under this key so a
-          retried or duplicated request (at-least-once transports) returns
-          the cached reply instead of re-executing updating functions *)
+      (** idempotency key: peers cache an updating request's response
+          under this key so a retried or duplicated request (at-least-once
+          transports) returns the cached reply instead of re-executing
+          updating functions; a read is simply run again *)
   calls : Xdm.sequence list list;
       (** one entry per call; each call is [arity] parameter sequences *)
 }
@@ -76,8 +77,7 @@ exception Protocol_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
-(* a received value, bounded for an error message *)
-let clip s = if String.length s > 20 then String.sub s 0 20 ^ "..." else s
+let clip = Marshal.clip
 
 let query_id_key (q : query_id) = q.host ^ "@" ^ q.timestamp
 
@@ -109,32 +109,26 @@ let tx_op_name = function
   | Status -> "status"
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
+(* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let xrpc local = Qname.make ~prefix:"xrpc" ~uri:Qname.ns_xrpc local
-let env local = Qname.make ~prefix:"env" ~uri:Qname.ns_env local
+(* An envelope is written straight into the output buffer, with no tree:
+   fixed markup as literals, attribute values and text through
+   Serialize's in-place escaping, parameters and results by
+   {!Marshal.add_sequence}.  The bytes are those a tree of the envelope
+   would serialize to. *)
 
-(* When tracing is active the envelope grows a SOAP Header carrying the
-   (trace-id, parent-span) pair — see protocol/XRPC.xsd, xrpc:trace — so a
-   serving peer can hang its spans under the caller's span tree. *)
-let trace_header = function
-  | None -> []
-  | Some (trace_id, parent_span) ->
-      [
-        Tree.elem (xrpc "trace")
-          ~attrs:
-            [
-              Tree.attr (Qname.make "traceId") trace_id;
-              Tree.attr (Qname.make "parentSpan") parent_span;
-            ]
-          [];
-      ]
+let add_attr buf name value =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  Serialize.add_escaped_attr buf value;
+  Buffer.add_char buf '"'
 
 (* Profiled responses carry the serving peer's per-phase wall costs back
    as one [serverProfile="name=ms;..."] attribute on xrpc:response
    (protocol/XRPC.xsd), so a client profile of a distributed query can
-   break down remote time into parse/cache/compile/exec/commit without a
+   break down remote time into parse/compile/exec/commit without a
    second round trip.  An attribute rather than a header element because XML
    serialization and parsing cost per *node*, and this rides every
    profiled response — measured, a Header/serverProfile element pair cost
@@ -148,152 +142,133 @@ let fixed3 ms =
   ^ (if frac < 10 then "00" else if frac < 100 then "0" else "")
   ^ string_of_int frac
 
-let profile_attr = function
-  | None | Some [] -> []
+let add_profile_attr buf = function
+  | None | Some [] -> ()
   | Some phases ->
-      [
-        Tree.attr
-          (Qname.make "serverProfile")
-          (String.concat ";"
-             (List.map (fun (name, ms) -> name ^ "=" ^ fixed3 ms) phases));
-      ]
+      add_attr buf "serverProfile"
+        (String.concat ";"
+           (List.map (fun (name, ms) -> name ^ "=" ^ fixed3 ms) phases))
 
-let envelope ?trace body_children =
-  let header =
-    match trace_header trace with
-    | [] -> []
-    | children -> [ Tree.elem (env "Header") children ]
-  in
-  Tree.elem (env "Envelope")
-    ~attrs:
-      [
-        Tree.attr (Qname.make ~prefix:"xmlns" "xrpc") Qname.ns_xrpc;
-        Tree.attr (Qname.make ~prefix:"xmlns" "env") Qname.ns_env;
-        Tree.attr (Qname.make ~prefix:"xmlns" "xs") Qname.ns_xs;
-        Tree.attr (Qname.make ~prefix:"xmlns" "xsi") Qname.ns_xsi;
-        Tree.attr
-          (Qname.make ~prefix:"xsi" ~uri:Qname.ns_xsi "schemaLocation")
-          "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd";
-      ]
-    (header @ [ Tree.elem (env "Body") body_children ])
+(* the root declares the bindings a node value is serialized inside *)
+let envelope_open =
+  "<env:Envelope"
+  ^ String.concat ""
+      (List.map (fun (p, uri) -> " xmlns:" ^ p ^ "=\"" ^ uri ^ "\"") Marshal.scope)
+  ^ " xsi:schemaLocation=\"http://monetdb.cwi.nl/XQuery \
+     http://monetdb.cwi.nl/XQuery/XRPC.xsd\">"
 
-let query_id_elem (q : query_id) =
-  Tree.elem (xrpc "queryID")
-    ~attrs:
-      ([
-         Tree.attr (Qname.make "host") q.host;
-         Tree.attr (Qname.make "timestamp") q.timestamp;
-         Tree.attr (Qname.make "timeout") (string_of_int q.timeout);
-       ]
-      @
-      match q.level with
-      | Repeatable -> []
-      | Snapshot -> [ Tree.attr (Qname.make "level") "snapshot" ])
-    []
+(* When tracing is active the envelope grows a SOAP Header carrying the
+   (trace-id, parent-span) pair — see protocol/XRPC.xsd, xrpc:trace — so a
+   serving peer can hang its spans under the caller's span tree. *)
+let add_envelope_start buf trace =
+  Buffer.add_string buf Serialize.xml_declaration;
+  Buffer.add_string buf envelope_open;
+  (match trace with
+  | None -> ()
+  | Some (trace_id, parent_span) ->
+      Buffer.add_string buf "<env:Header><xrpc:trace";
+      add_attr buf "traceId" trace_id;
+      add_attr buf "parentSpan" parent_span;
+      Buffer.add_string buf "/></env:Header>");
+  Buffer.add_string buf "<env:Body>"
 
-let to_tree ?trace ?server_profile ?(profile_flag = false) = function
-  | Request r ->
-      let calls =
-        List.map
-          (fun params ->
-            Tree.elem (xrpc "call")
-              (Marshal.s2n_call ~fragments:r.fragments params))
-          r.calls
-      in
-      let qid = match r.query_id with None -> [] | Some q -> [ query_id_elem q ] in
-      envelope ?trace
-        [
-          Tree.elem (xrpc "request")
-            ~attrs:
-              ([
-                 Tree.attr (Qname.make "module") r.module_uri;
-                 Tree.attr (Qname.make "method") r.method_;
-                 Tree.attr (Qname.make "arity") (string_of_int r.arity);
-                 Tree.attr (Qname.make "location") r.location;
-               ]
-              @ (if r.updating then [ Tree.attr (Qname.make "updCall") "true" ] else [])
-              @ (match r.idem_key with
-                | Some k -> [ Tree.attr (Qname.make "idemKey") k ]
-                | None -> [])
-              (* profile="true" asks the serving peer to measure and
-                 return its phase costs; an attribute (like idemKey, not
-                 a header element) to keep the flag at one node of cost *)
-              @ (if profile_flag then [ Tree.attr (Qname.make "profile") "true" ]
-                 else [])
-              @ if r.fragments then [ Tree.attr (Qname.make "fragments") "true" ] else [])
-            (qid @ calls);
-        ]
-  | Response r ->
-      let seqs = List.map Marshal.s2n r.results in
-      let peers =
-        match r.peers with
-        | [] -> []
-        | ps ->
-            [
-              Tree.elem (xrpc "participatingPeers")
-                (List.map
-                   (fun p ->
-                     Tree.elem (xrpc "peer")
-                       ~attrs:[ Tree.attr (Qname.make "uri") p ]
-                       [])
-                   ps);
-            ]
-      in
-      envelope ?trace
-        [
-          Tree.elem (xrpc "response")
-            ~attrs:
-              ([
-                 Tree.attr (Qname.make "module") r.resp_module;
-                 Tree.attr (Qname.make "method") r.resp_method;
-               ]
-              @ (match r.db_version with
-                | Some v ->
-                    [ Tree.attr (Qname.make "dbVersion") (string_of_int v) ]
-                | None -> [])
-              @ profile_attr server_profile)
-            (peers @ seqs);
-        ]
-  | Fault f ->
-      let code = match f.fault_code with `Sender -> "env:Sender" | `Receiver -> "env:Receiver" in
-      envelope ?trace
-        [
-          Tree.elem (env "Fault")
-            [
-              Tree.elem (env "Code") [ Tree.elem (env "Value") [ Tree.Text code ] ];
-              Tree.elem (env "Reason")
-                [
-                  Tree.elem (env "Text")
-                    ~attrs:[ Tree.attr (Qname.make ~prefix:"xml" ~uri:Qname.ns_xml "lang") "en" ]
-                    [ Tree.Text f.reason ];
-                ];
-            ];
-        ]
+let envelope_close = "</env:Body></env:Envelope>"
+
+let add_query_id buf (q : query_id) =
+  Buffer.add_string buf "<xrpc:queryID";
+  add_attr buf "host" q.host;
+  add_attr buf "timestamp" q.timestamp;
+  add_attr buf "timeout" (string_of_int q.timeout);
+  (match q.level with
+  | Repeatable -> ()
+  | Snapshot -> add_attr buf "level" "snapshot");
+  Buffer.add_string buf "/>"
+
+let add_call buf ~fragments params =
+  match params with
+  | [] -> Buffer.add_string buf "<xrpc:call/>"
+  | _ ->
+      Buffer.add_string buf "<xrpc:call>";
+      Marshal.add_params ~fragments buf params;
+      Buffer.add_string buf "</xrpc:call>"
+
+let add_request buf ~profile_flag (r : request) =
+  Buffer.add_string buf "<xrpc:request";
+  add_attr buf "module" r.module_uri;
+  add_attr buf "method" r.method_;
+  add_attr buf "arity" (string_of_int r.arity);
+  add_attr buf "location" r.location;
+  if r.updating then add_attr buf "updCall" "true";
+  Option.iter (add_attr buf "idemKey") r.idem_key;
+  (* profile="true" asks the serving peer to measure and return its
+     phase costs; an attribute (like idemKey, not a header element) to
+     keep the flag at one node of cost *)
+  if profile_flag then add_attr buf "profile" "true";
+  if r.fragments then add_attr buf "fragments" "true";
+  match (r.query_id, r.calls) with
+  | None, [] -> Buffer.add_string buf "/>"
+  | qid, calls ->
+      Buffer.add_char buf '>';
+      Option.iter (add_query_id buf) qid;
+      List.iter (add_call buf ~fragments:r.fragments) calls;
+      Buffer.add_string buf "</xrpc:request>"
+
+let add_response buf ~server_profile (r : response) =
+  Buffer.add_string buf "<xrpc:response";
+  add_attr buf "module" r.resp_module;
+  add_attr buf "method" r.resp_method;
+  Option.iter (fun v -> add_attr buf "dbVersion" (string_of_int v)) r.db_version;
+  add_profile_attr buf server_profile;
+  match (r.peers, r.results) with
+  | [], [] -> Buffer.add_string buf "/>"
+  | peers, results ->
+      Buffer.add_char buf '>';
+      if peers <> [] then (
+        Buffer.add_string buf "<xrpc:participatingPeers>";
+        List.iter
+          (fun p ->
+            Buffer.add_string buf "<xrpc:peer";
+            add_attr buf "uri" p;
+            Buffer.add_string buf "/>")
+          peers;
+        Buffer.add_string buf "</xrpc:participatingPeers>");
+      List.iter (Marshal.add_sequence buf) results;
+      Buffer.add_string buf "</xrpc:response>"
+
+let add_fault buf f =
+  Buffer.add_string buf "<env:Fault><env:Code><env:Value>";
+  Buffer.add_string buf
+    (match f.fault_code with `Sender -> "env:Sender" | `Receiver -> "env:Receiver");
+  Buffer.add_string buf
+    "</env:Value></env:Code><env:Reason><env:Text xml:lang=\"en\">";
+  Serialize.add_escaped_text buf f.reason;
+  Buffer.add_string buf "</env:Text></env:Reason></env:Fault>"
+
+let add_body buf ~server_profile ~profile_flag = function
+  | Request r -> add_request buf ~profile_flag r
+  | Response r -> add_response buf ~server_profile r
+  | Fault f -> add_fault buf f
   | Tx_request (op, q) ->
-      envelope ?trace
-        [
-          Tree.elem (xrpc "transaction")
-            ~attrs:[ Tree.attr (Qname.make "operation") (tx_op_name op) ]
-            [ query_id_elem q ];
-        ]
+      Buffer.add_string buf "<xrpc:transaction";
+      add_attr buf "operation" (tx_op_name op);
+      Buffer.add_char buf '>';
+      add_query_id buf q;
+      Buffer.add_string buf "</xrpc:transaction>"
   | Tx_response r ->
-      envelope ?trace
-        [
-          Tree.elem (xrpc "transactionResult")
-            ~attrs:
-              [
-                Tree.attr (Qname.make "ok") (if r.ok then "true" else "false");
-                Tree.attr (Qname.make "info") r.info;
-              ]
-            [];
-        ]
+      Buffer.add_string buf "<xrpc:transactionResult";
+      add_attr buf "ok" (if r.ok then "true" else "false");
+      add_attr buf "info" r.info;
+      Buffer.add_string buf "/>"
 
-(** Serialize a message to its on-the-wire form (with XML declaration).
-    When tracing is enabled and no explicit [?trace] pair is given, the
-    ambient span context ([Xrpc_obs.Trace.propagation]) is stamped into the
-    envelope header automatically; with tracing off the wire format is
-    byte-identical to previous releases. *)
-let to_string ?trace ?server_profile m =
+(** Append a message's on-the-wire form (with XML declaration) to [buf] —
+    the streaming-serialize hook: the event-loop server hands each
+    connection's reused output buffer here, so an envelope goes straight
+    into the socket's write queue without an intermediate per-response
+    string.  When tracing is enabled and no explicit [?trace] pair is
+    given, the ambient span context ([Xrpc_obs.Trace.propagation]) is
+    stamped into the envelope header automatically; with tracing off the
+    wire format is byte-identical to previous releases. *)
+let to_buffer ?trace ?server_profile buf m =
   let trace =
     match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
   in
@@ -303,67 +278,50 @@ let to_string ?trace ?server_profile m =
   let profile_flag =
     match m with Request _ -> Xrpc_obs.Trace.collecting () | _ -> false
   in
-  Serialize.document_to_string
-    (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
+  add_envelope_start buf trace;
+  add_body buf ~server_profile ~profile_flag m;
+  Buffer.add_string buf envelope_close
 
-(** Like {!to_string}, but appending the wire form to [buf] — the
-    streaming-serialize hook: the event-loop server hands each
-    connection's reused output buffer here, so an envelope goes straight
-    from the tree into the socket's write queue without an intermediate
-    per-response string. *)
-let to_buffer ?trace ?server_profile buf m =
-  let trace =
-    match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
-  in
-  let profile_flag =
-    match m with Request _ -> Xrpc_obs.Trace.collecting () | _ -> false
-  in
-  Serialize.document_to_buffer buf
-    (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
+(** Serialize a message to its on-the-wire form, as {!to_buffer}. *)
+let to_string ?trace ?server_profile m =
+  let buf = Buffer.create 512 in
+  to_buffer ?trace ?server_profile buf m;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
+(* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let find_attr attrs local =
-  List.find_map
-    (fun (a : Tree.attr) ->
-      if a.name.Qname.local = local then Some a.value else None)
-    attrs
+(* An envelope is decoded straight off the one XML scanner's cursor into
+   [Message] and [Xdm] values; only node-valued parameters and results
+   (and call-by-fragment subtrees) are read as trees, to be shredded.
+   Elements are matched by local name.  The whole document is scanned,
+   so a message that is not well-formed XML is rejected wherever its
+   fault is. *)
 
-let elem_children children =
-  List.filter_map
-    (function Tree.Element _ as e -> Some e | _ -> None)
-    children
+module C = Xml_parse
 
 (* An xs:nonNegativeInteger attribute (XRPC.xsd): surrounding
-   whitespace, an optional "+", then at most 9 ASCII digits.
-   [int_of_string] alone would also take "-3", "0x1F" and "1_0". *)
+   whitespace, an optional "+", then at most 9 ASCII digits. *)
 let nat_attr what s =
-  let t = String.trim s in
-  let d =
-    if t <> "" && t.[0] = '+' then String.sub t 1 (String.length t - 1) else t
-  in
-  if
-    d <> "" && String.length d <= 9
-    && String.for_all (function '0' .. '9' -> true | _ -> false) d
-  then int_of_string d
-  else err "%s is not a non-negative integer: %S" what (clip s)
+  match Marshal.nat s with
+  | Some n -> n
+  | None -> err "%s is not a non-negative integer: %S" what (clip s)
 
 (* An xs:boolean attribute, [false] when absent: "true", "false", "1" or
    "0" after whitespace trimming.  Anything else is malformed.  A foreign
    client may send the 1/0 forms: fragments="1" must not pass for false,
    or its call-by-fragment request would lose its node references. *)
-let bool_attr attrs local =
-  match Option.map String.trim (find_attr attrs local) with
+let bool_attr c local =
+  match Option.map String.trim (C.attr c local) with
   | None | Some ("false" | "0") -> false
   | Some ("true" | "1") -> true
   | Some v -> err "%s is not an xs:boolean: %S" local (clip v)
 
 (* An enumerated attribute: [None] when absent, else one of [values]
    after whitespace trimming. *)
-let enum_attr attrs local values =
-  match Option.map String.trim (find_attr attrs local) with
+let enum_attr c local values =
+  match Option.map String.trim (C.attr c local) with
   | None -> None
   | Some v when List.mem v values -> Some v
   | Some v ->
@@ -376,208 +334,85 @@ let enum_attr attrs local values =
 let timeout_attr what s =
   match nat_attr what s with 0 -> err "%s must be positive" what | n -> n
 
-let parse_query_id = function
-  | Tree.Element { attrs; _ } ->
-      (* XRPC.xsd: host, timestamp and timeout are use="required" *)
-      let required a =
-        match find_attr attrs a with
-        | Some v -> v
-        | None -> err "queryID without its required %s attribute" a
-      in
-      let q =
-        {
-          host = required "host";
-          timestamp = required "timestamp";
-          timeout = timeout_attr "queryID timeout" (required "timeout");
-          level =
-            (match enum_attr attrs "level" [ "repeatable"; "snapshot" ] with
-            | Some "snapshot" -> Snapshot
-            | _ -> Repeatable);
-        }
-      in
-      (* a snapshot pins the instant its timestamp names; a repeatable
-         read only keys on it *)
-      if q.level = Snapshot then ignore (snapshot_time q);
-      q
-  | _ -> err "malformed queryID"
+(* the children of the element whose [Start] was read, through its
+   [End]: [f] is called at each child element's [Start] and must read it
+   through its [End]; character data, comments and PIs are dropped *)
+let rec each_child c f =
+  match C.next c with
+  | C.End | C.Eof -> ()
+  | C.Start ->
+      f ();
+      each_child c f
+  | C.Text | C.Comment | C.Pi -> each_child c f
 
-let decode_tree tree =
-  let body =
-    match tree with
-    | Tree.Document [ Tree.Element { name; children; _ } ]
-      when name.Qname.local = "Envelope" -> (
-        match
-          List.find_opt
-            (function
-              | Tree.Element { name; _ } -> name.Qname.local = "Body"
-              | _ -> false)
-            (elem_children children)
-        with
-        | Some (Tree.Element { children; _ }) -> elem_children children
-        | _ -> err "SOAP envelope without Body")
-    | _ -> err "not a SOAP envelope"
+(* at the [Start] of a queryID, read through its [End] *)
+let read_query_id c =
+  (* XRPC.xsd: host, timestamp and timeout are use="required" *)
+  let required a =
+    match C.attr c a with
+    | Some v -> v
+    | None -> err "queryID without its required %s attribute" a
   in
-  match body with
-  | [ Tree.Element { name; attrs; children } ] when name.Qname.local = "request" ->
-      let get what =
-        match find_attr attrs what with
-        | Some v -> v
-        | None -> err "request missing %s attribute" what
-      in
-      let kids = elem_children children in
-      let query_id =
-        List.find_opt
-          (function
-            | Tree.Element { name; _ } -> name.Qname.local = "queryID"
-            | _ -> false)
-          kids
-        |> Option.map parse_query_id
-      in
-      let calls =
-        List.filter_map
-          (function
-            | Tree.Element { name; children; _ } when name.Qname.local = "call" ->
-                Some (Marshal.n2s_call (elem_children children))
-            | _ -> None)
-          kids
-      in
-      Request
-        {
-          module_uri = get "module";
-          location = Option.value ~default:"" (find_attr attrs "location");
-          method_ = get "method";
-          arity = nat_attr "arity" (get "arity");
-          updating = bool_attr attrs "updCall";
-          fragments = bool_attr attrs "fragments";
-          query_id;
-          idem_key = find_attr attrs "idemKey";
-          calls;
-        }
-  | [ Tree.Element { name; attrs; children } ] when name.Qname.local = "response" ->
-      let kids = elem_children children in
-      let peers =
-        List.concat_map
-          (function
-            | Tree.Element { name; children; _ }
-              when name.Qname.local = "participatingPeers" ->
-                List.filter_map
-                  (function
-                    | Tree.Element { name; attrs; _ }
-                      when name.Qname.local = "peer" ->
-                        find_attr attrs "uri"
-                    | _ -> None)
-                  (elem_children children)
-            | _ -> [])
-          kids
-      in
-      let results =
-        List.filter_map
-          (function
-            | Tree.Element { name; _ } as e when name.Qname.local = "sequence" ->
-                Some (Marshal.n2s e)
-            | _ -> None)
-          kids
-      in
-      Response
-        {
-          resp_module = Option.value ~default:"" (find_attr attrs "module");
-          resp_method = Option.value ~default:"" (find_attr attrs "method");
-          results;
-          peers;
-          db_version =
-            Option.bind (find_attr attrs "dbVersion") int_of_string_opt;
-        }
-  | [ Tree.Element { name; children; _ } ] when name.Qname.local = "Fault" ->
-      let kids = elem_children children in
-      let code =
-        match
-          List.find_opt
-            (function
-              | Tree.Element { name; _ } -> name.Qname.local = "Code"
-              | _ -> false)
-            kids
-        with
-        | Some c when String.length (Tree.string_value c) > 0
-                      && String.length (Tree.string_value c) >= 6
-                      && String.sub (String.trim (Tree.string_value c))
-                           (String.length (String.trim (Tree.string_value c)) - 6) 6
-                         = "Sender" -> `Sender
-        | _ -> `Receiver
-      in
-      let reason =
-        match
-          List.find_opt
-            (function
-              | Tree.Element { name; _ } -> name.Qname.local = "Reason"
-              | _ -> false)
-            kids
-        with
-        | Some r -> String.trim (Tree.string_value r)
-        | None -> ""
-      in
-      Fault { fault_code = code; reason }
-  | [ Tree.Element { name; attrs; children } ] when name.Qname.local = "transaction" ->
-      let op =
-        match find_attr attrs "operation" with
-        | Some "prepare" -> Prepare
-        | Some "commit" -> Commit
-        | Some "rollback" -> Rollback
-        | Some "status" -> Status
-        | _ -> err "unknown transaction operation"
-      in
-      let qid =
-        match elem_children children with
-        | q :: _ -> parse_query_id q
-        | [] -> err "transaction without queryID"
-      in
-      Tx_request (op, qid)
-  | [ Tree.Element { name; attrs; _ } ] when name.Qname.local = "transactionResult" ->
-      (* XRPC.xsd: ok is use="required" *)
-      if find_attr attrs "ok" = None then
-        err "transactionResult without its required ok attribute";
-      Tx_response
-        {
-          ok = bool_attr attrs "ok";
-          info = Option.value ~default:"" (find_attr attrs "info");
-        }
-  | _ -> err "unrecognized SOAP body"
+  let q =
+    {
+      host = required "host";
+      timestamp = required "timestamp";
+      timeout = timeout_attr "queryID timeout" (required "timeout");
+      level =
+        (match enum_attr c "level" [ "repeatable"; "snapshot" ] with
+        | Some "snapshot" -> Snapshot
+        | _ -> Repeatable);
+    }
+  in
+  (* a snapshot pins the instant its timestamp names; a repeatable
+     read only keys on it *)
+  if q.level = Snapshot then ignore (snapshot_time q);
+  C.skip c;
+  q
 
-(* a payload the marshaler rejects is a malformed message too *)
-let of_tree tree =
-  try decode_tree tree with Marshal.Marshal_error m -> err "%s" m
+(* What a decode reports besides the message: the caller's trace context
+   and profile flag (read by a serving peer) and the serving peer's
+   phase costs (read by a profiling caller). *)
+type extras = {
+  server : bool;  (** a served request: read the Header and profile flag *)
+  phases_wanted : bool;
+  mutable trace : (string * string) option;
+  mutable profile : bool;
+  mutable phases : (string * float) list option;
+}
 
-(* The attributes and children of the first element [local] among
-   [children]. *)
-let child local children =
-  List.find_map
-    (function
-      | Tree.Element { name; attrs; children = kids }
-        when name.Qname.local = local ->
-          Some (attrs, kids)
-      | _ -> None)
-    children
+let read_request c x =
+  let get what =
+    match C.attr c what with
+    | Some v -> v
+    | None -> err "request missing %s attribute" what
+  in
+  let module_uri = get "module" and method_ = get "method" in
+  let arity = nat_attr "arity" (get "arity") in
+  let location = Option.value ~default:"" (C.attr c "location") in
+  let updating = bool_attr c "updCall" and fragments = bool_attr c "fragments" in
+  let idem_key = C.attr c "idemKey" in
+  if x.server then x.profile <- bool_attr c "profile";
+  let query_id = ref None and calls = ref [] in
+  each_child c (fun () ->
+      match C.local c with
+      | "queryID" when !query_id = None -> query_id := Some (read_query_id c)
+      | "call" -> calls := Marshal.read_call c :: !calls
+      | _ -> C.skip c);
+  Request
+    {
+      module_uri;
+      location;
+      method_;
+      arity;
+      updating;
+      fragments;
+      query_id = !query_id;
+      idem_key;
+      calls = List.rev !calls;
+    }
 
-(* The attributes of the envelope's first [section]/[elem] element. *)
-let envelope_attrs tree section elem =
-  match tree with
-  | Tree.Document envelope ->
-      Option.bind (child "Envelope" envelope) (fun (_, sections) ->
-          Option.bind (child section sections) (fun (_, elems) ->
-              Option.map fst (child elem elems)))
-  | _ -> None
-
-(* The propagated (trace-id, parent-span) pair, if the envelope carries an
-   xrpc:trace header. *)
-let trace_of_tree tree =
-  match envelope_attrs tree "Header" "trace" with
-  | Some attrs -> (
-      match (find_attr attrs "traceId", find_attr attrs "parentSpan") with
-      | Some t, Some p -> Some (t, p)
-      | _ -> None)
-  | None -> None
-
-(* The serving peer's phase costs, if the response element carries a
-   serverProfile attribute. *)
+(* The serving peer's phase costs: "name=ms;..." *)
 let parse_phase_list text =
   List.filter_map
     (fun pair ->
@@ -590,24 +425,143 @@ let parse_phase_list text =
       | None -> None)
     (String.split_on_char ';' text)
 
-let server_profile_of_tree tree =
-  Option.bind (envelope_attrs tree "Body" "response") (fun attrs ->
-      Option.map parse_phase_list (find_attr attrs "serverProfile"))
+let read_response c x =
+  let resp_module = Option.value ~default:"" (C.attr c "module") in
+  let resp_method = Option.value ~default:"" (C.attr c "method") in
+  let db_version = Option.map (nat_attr "dbVersion") (C.attr c "dbVersion") in
+  if x.phases_wanted then
+    x.phases <- Option.map parse_phase_list (C.attr c "serverProfile");
+  let peers = ref [] and results = ref [] in
+  each_child c (fun () ->
+      match C.local c with
+      | "participatingPeers" ->
+          each_child c (fun () ->
+              if C.local c = "peer" then (
+                (* XRPC.xsd: uri is use="required"; a peer without one
+                   would be a 2PC participant lost *)
+                match C.attr c "uri" with
+                | Some uri ->
+                    peers := uri :: !peers;
+                    C.skip c
+                | None -> err "xrpc:peer without its required uri attribute")
+              else C.skip c)
+      | "sequence" -> results := Marshal.read_sequence c :: !results
+      | _ -> C.skip c);
+  Response
+    {
+      resp_module;
+      resp_method;
+      results = List.rev !results;
+      peers = List.rev !peers;
+      db_version;
+    }
 
-(* Did the caller stamp profile="true" on the request element? *)
-let profile_requested_of_tree tree =
-  match envelope_attrs tree "Body" "request" with
-  | Some attrs -> bool_attr attrs "profile"
-  | None -> false
+let read_fault c =
+  let code = ref None and reason = ref None in
+  each_child c (fun () ->
+      match C.local c with
+      | "Code" when !code = None -> code := Some (C.text_content c)
+      | "Reason" when !reason = None ->
+          reason := Some (String.trim (C.text_content c))
+      | _ -> C.skip c);
+  (* env:Sender under any prefix is the sender's fault; any other value,
+     or none, the receiver's *)
+  let fault_code =
+    match !code with
+    | Some v when String.ends_with ~suffix:"Sender" (String.trim v) -> `Sender
+    | _ -> `Receiver
+  in
+  Fault { fault_code; reason = Option.value ~default:"" !reason }
+
+let read_transaction c =
+  let op =
+    match C.attr c "operation" with
+    | Some "prepare" -> Prepare
+    | Some "commit" -> Commit
+    | Some "rollback" -> Rollback
+    | Some "status" -> Status
+    | _ -> err "unknown transaction operation"
+  in
+  let qid = ref None in
+  (* the queryID is the first element child, whatever its name *)
+  each_child c (fun () ->
+      if !qid = None then qid := Some (read_query_id c) else C.skip c);
+  match !qid with
+  | Some q -> Tx_request (op, q)
+  | None -> err "transaction without queryID"
+
+let read_transaction_result c =
+  (* XRPC.xsd: ok is use="required" *)
+  if C.attr c "ok" = None then
+    err "transactionResult without its required ok attribute";
+  let ok = bool_attr c "ok" in
+  let info = Option.value ~default:"" (C.attr c "info") in
+  C.skip c;
+  Tx_response { ok; info }
+
+(* the Body's one element *)
+let read_body c x =
+  let msg = ref None in
+  each_child c (fun () ->
+      match !msg with
+      | Some _ -> err "unrecognized SOAP body"
+      | None ->
+          msg :=
+            Some
+              (match C.local c with
+              | "request" -> read_request c x
+              | "response" -> read_response c x
+              | "Fault" -> read_fault c
+              | "transaction" -> read_transaction c
+              | "transactionResult" -> read_transaction_result c
+              | _ -> err "unrecognized SOAP body"));
+  match !msg with Some m -> m | None -> err "unrecognized SOAP body"
+
+(* The propagated (trace-id, parent-span) pair, if the first Header
+   carries an xrpc:trace element. *)
+let read_header c x =
+  let seen = ref false in
+  each_child c (fun () ->
+      if (not !seen) && C.local c = "trace" then (
+        seen := true;
+        (match (C.attr c "traceId", C.attr c "parentSpan") with
+        | Some t, Some p -> x.trace <- Some (t, p)
+        | _ -> ()));
+      C.skip c)
+
+let decode x s ~pos ~len =
+  let c = C.cursor s ~pos ~len in
+  ignore (C.next c);
+  if C.local c <> "Envelope" then (
+    (* as malformed XML, if it is that too *)
+    C.skip c;
+    ignore (C.next c);
+    err "not a SOAP envelope");
+  let body = ref None and header = ref false in
+  match
+    each_child c (fun () ->
+        match C.local c with
+        | "Body" when !body = None -> body := Some (read_body c x)
+        | "Header" when x.server && not !header ->
+            header := true;
+            read_header c x
+        | _ -> C.skip c);
+    ignore (C.next c)
+  with
+  | () -> (
+      match !body with Some m -> m | None -> err "SOAP envelope without Body")
+  | exception Marshal.Marshal_error m ->
+      (* a payload the marshaler rejects is a malformed message too *)
+      err "%s" m
+
+let extras ~server ~phases_wanted =
+  { server; phases_wanted; trace = None; profile = false; phases = None }
 
 (** Parse an on-the-wire message. *)
-let of_string s = of_tree (Xml_parse.document s)
-
-(** Parse a message together with the serving peer's phase costs, if the
-    response element carries a serverProfile attribute. *)
-let of_string_profiled s =
-  let tree = Xml_parse.document s in
-  (of_tree tree, server_profile_of_tree tree)
+let of_string s =
+  decode
+    (extras ~server:false ~phases_wanted:false)
+    s ~pos:0 ~len:(String.length s)
 
 (** Parse [dest]'s reply.  Inside a Trace collection the serving peer's
     serverProfile phases are summed into the current span, one
@@ -615,11 +569,12 @@ let of_string_profiled s =
 let of_reply ~dest s =
   if not (Xrpc_obs.Trace.collecting ()) then of_string s
   else
-    let m, phases = of_string_profiled s in
+    let x = extras ~server:false ~phases_wanted:true in
+    let m = decode x s ~pos:0 ~len:(String.length s) in
     List.iter
       (fun (phase, ms) ->
         Xrpc_obs.Trace.add (Xrpc_obs.Profile.remote_attr phase dest) ms)
-      (Option.value ~default:[] phases);
+      (Option.value ~default:[] x.phases);
     m
 
 (** Server-side parse: the message, its propagated trace context, and
@@ -629,10 +584,6 @@ let of_reply ~dest s =
     the request body inside its connection buffer, copy-free. *)
 let of_string_server ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let tree = Xml_parse.document_sub s ~pos ~len in
-  (of_tree tree, trace_of_tree tree, profile_requested_of_tree tree)
-
-(** Parse a message together with its propagated trace context, if any. *)
-let of_string_traced s =
-  let tree = Xml_parse.document s in
-  (of_tree tree, trace_of_tree tree)
+  let x = extras ~server:true ~phases_wanted:false in
+  let m = decode x s ~pos ~len in
+  (m, x.trace, x.profile)

@@ -178,8 +178,8 @@ and write_children ~indent ~depth ~ns_env buf = function
       write_node ~indent ~depth ~ns_env buf c;
       write_children ~indent ~depth ~ns_env buf rest
 
-let to_buffer ?(indent = false) buf t =
-  write_node ~indent ~depth:0 ~ns_env:[ ("xml", Qname.ns_xml) ] buf t
+let to_buffer ?(indent = false) ?(scope = []) buf t =
+  write_node ~indent ~depth:0 ~ns_env:(scope @ [ ("xml", Qname.ns_xml) ]) buf t
 
 let to_string ?(indent = false) t =
   let buf = Buffer.create 256 in

@@ -13,11 +13,23 @@ val escape_attr : string -> string
 (** [escape_attr s] escapes less-than, ampersand and double quote for a
     double-quoted attribute value. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> Tree.t -> unit
+val add_escaped_text : Buffer.t -> string -> unit
+(** [add_escaped_text buf s] appends [s] as character data: less-than,
+    ampersand and greater-than escaped, unescaped runs copied in place. *)
+
+val add_escaped_attr : Buffer.t -> string -> unit
+(** [add_escaped_attr buf s] appends [s] as a double-quoted attribute
+    value's content: less-than, ampersand and double quote escaped. *)
+
+val to_buffer :
+  ?indent:bool -> ?scope:(string * string) list -> Buffer.t -> Tree.t -> unit
 (** [to_buffer buf t] serializes a tree (no XML declaration) straight
     into [buf] — the streaming hook for servers that serialize responses
     into a reused per-connection output buffer instead of materializing
-    an intermediate string. *)
+    an intermediate string.  [scope] lists the (prefix, URI) bindings
+    already declared around the point [t] is written at (none by
+    default): [t] declares only the bindings it needs beyond them, as if
+    it were serialized as a descendant of the element declaring them. *)
 
 val to_string : ?indent:bool -> Tree.t -> string
 (** [to_string t] serializes a tree without an XML declaration. *)

@@ -1,10 +1,16 @@
-(* The scanner allocates only what the tree keeps: lookahead compares
-   bytes in place, a text or attribute run becomes one [String.sub] (a
-   scratch buffer is used only when an entity or CDATA section breaks the
-   run), and every distinct lexical name is allocated once per document
-   in a name table that also caches its resolved [Qname.t]. *)
+(* One scanner, read as a pull cursor: [next] moves to the next event
+   and leaves its data in the state, so an event allocates nothing but
+   what a consumer keeps.  Lookahead compares bytes in place, a text or
+   attribute run becomes one [String.sub] (a scratch buffer is used only
+   when an entity or CDATA section breaks the run), every distinct
+   lexical name is allocated once per document in a name table that also
+   caches its resolved [Qname.t], and a start tag's attributes stay raw
+   until a consumer asks for them resolved.  [document] and [fragment]
+   are the tree-building consumers. *)
 
 exception Parse_error of string
+
+type event = Start | End | Text | Comment | Pi | Eof
 
 (* One distinct lexical name ("p:l" or "l") of the document being parsed.
    [qname] caches the last resolution; it is reused while the prefix keeps
@@ -30,6 +36,22 @@ type state = {
   mutable names : name list array;  (** hash buckets, power-of-two size *)
   mutable n_names : int;
   mutable depth : int;  (** open elements *)
+  fragment : bool;  (** mixed content without a root element *)
+  mutable phase : int;
+      (** a document's: 0 before the root, 1 from its start tag, 2 at
+          the end; a fragment's: 2 at the end *)
+  mutable open_tags : int array;
+      (** per open element, innermost last: its name's offset *)
+  mutable open_info : int array;
+      (** per open element: its name's length * 2, + 1 if it pushed a
+          namespace scope *)
+  mutable empty_pending : bool;
+      (** the last [Start] was an empty-element tag: its [End] is next *)
+  mutable el_qname : Qname.t;  (** [Start]: the element's resolved name *)
+  mutable el_raw : (name * string) list;
+      (** [Start]: the attributes, last first, [xmlns] ones included *)
+  mutable data : string;  (** [Text], [Comment], [Pi]: the data *)
+  mutable target : string;  (** [Pi]: the target *)
 }
 
 (* Elements nest at most this deep.  The suites' deepest document or
@@ -53,7 +75,7 @@ let error st fmt =
 let no_name =
   { lex = ""; prefix = ""; local = ""; declares = None; qname = Qname.make "" }
 
-let make_state ~preserve_space src ~pos ~lim =
+let make_state ?(fragment = false) ~preserve_space src ~pos ~lim =
   {
     src;
     pos;
@@ -64,6 +86,15 @@ let make_state ~preserve_space src ~pos ~lim =
     names = Array.make 64 [];
     n_names = 0;
     depth = 0;
+    fragment;
+    phase = 0;
+    open_tags = Array.make 16 0;
+    open_info = Array.make 16 0;
+    empty_pending = false;
+    el_qname = no_name.qname;
+    el_raw = [];
+    data = "";
+    target = "";
   }
 
 (* [src.[i+k .. i+n)] spells [s.[k .. n)] *)
@@ -331,7 +362,7 @@ let read_comment st =
   let start = st.pos in
   let stop = find_from st start "-->" "comment" in
   st.pos <- stop + 3;
-  Tree.Comment (String.sub st.src start (stop - start))
+  st.data <- String.sub st.src start (stop - start)
 
 let read_pi st =
   expect st "<?";
@@ -340,7 +371,8 @@ let read_pi st =
   let start = st.pos in
   let stop = find_from st start "?>" "PI" in
   st.pos <- stop + 2;
-  Tree.Pi { target; data = String.sub st.src start (stop - start) }
+  st.target <- target;
+  st.data <- String.sub st.src start (stop - start)
 
 let skip_doctype st =
   expect st "<!DOCTYPE";
@@ -361,7 +393,7 @@ let rec skip_misc ~doctype st =
     st.pos <- find_from st (st.pos + 4) "-->" "comment" + 3;
     skip_misc ~doctype st)
   else if at st st.pos "<?" then (
-    ignore (read_pi st);
+    read_pi st;
     skip_misc ~doctype st)
   else if doctype && at st st.pos "<!DOCTYPE" then (
     skip_doctype st;
@@ -463,16 +495,41 @@ let check_unique st ~same ~key ~dup l =
           Hashtbl.add seen k ())
         l
 
+(* the namespace URI of an attribute name: none without a prefix *)
+let attr_uri st n = if n.prefix = "" then "" else lookup_ns st n.prefix
+
 (* the other attributes, resolved, in document order *)
 let rec resolve_attrs st acc = function
   | [] -> acc
-  | (n, v) :: rest ->
+  | (n, v) :: rest -> (
       match n.declares with
       | Some _ -> resolve_attrs st acc rest
       | None ->
-          let uri = if n.prefix = "" then "" else lookup_ns st n.prefix in
-          resolve_attrs st ({ Tree.name = qname_of n uri; value = v } :: acc) rest
+          resolve_attrs st
+            ({ Tree.name = qname_of n (attr_uri st n); value = v } :: acc)
+            rest)
 
+(* the number of attributes in [raw], namespace declarations not
+   counted, resolving each one's prefix (an unbound one raises) *)
+let rec count_bound st n = function
+  | [] -> n
+  | ((a, _) : name * string) :: rest ->
+      if a.declares = None then (
+        ignore (attr_uri st a);
+        count_bound st (n + 1) rest)
+      else count_bound st n rest
+
+(* Every attribute prefix is bound, and no two attributes share an
+   expanded name (XML 1.0 WFC "Unique Att Spec").  The raw list is
+   resolved into a new one only when there are two attributes to
+   compare. *)
+let check_attrs st raw =
+  if count_bound st 0 raw > 1 then
+    check_unique st (resolve_attrs st [] raw)
+      ~same:(fun (a : Tree.attr) (b : Tree.attr) -> Qname.equal a.name b.name)
+      ~key:(fun (a : Tree.attr) -> (a.name.Qname.uri, a.name.Qname.local))
+      ~dup:(fun st (a : Tree.attr) ->
+        error st "duplicate attribute %s" (Qname.expanded a.name))
 
 (* the end tag must spell the start tag's name, [src.[start .. start+len)] *)
 let rec same_bytes src a b k len =
@@ -494,10 +551,33 @@ let read_end_tag st start len =
   skip_space st;
   expect st ">"
 
-let rec read_element st =
+(* ------------------------------------------------------------------ *)
+(* The cursor                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let push_open st tag len scoped =
+  let d = st.depth in
+  if d >= Array.length st.open_tags then (
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 d;
+      b
+    in
+    st.open_tags <- grow st.open_tags;
+    st.open_info <- grow st.open_info);
+  st.open_tags.(d) <- tag;
+  st.open_info.(d) <- (len lsl 1) lor if scoped then 1 else 0;
+  st.depth <- d + 1
+
+let pop_open st =
+  let d = st.depth - 1 in
+  if st.open_info.(d) land 1 = 1 then st.ns_stack <- List.tl st.ns_stack;
+  st.depth <- d
+
+(* a start tag at [st.pos] *)
+let open_element st =
   if st.depth >= max_depth then
     error st "elements nested deeper than %d" max_depth;
-  st.depth <- st.depth + 1;
   expect st "<";
   let tag = st.pos in
   let n = read_name st in
@@ -512,49 +592,145 @@ let rec read_element st =
         (if p = "" then "xmlns" else "xmlns:" ^ p));
   let scoped = match decls with [] -> false | _ -> true in
   if scoped then st.ns_stack <- decls :: st.ns_stack;
-  let name = qname_of n (lookup_ns st n.prefix) in
-  let attrs = resolve_attrs st [] raw in
-  (* XML 1.0 WFC "Unique Att Spec", on expanded names *)
-  check_unique st attrs
-    ~same:(fun (a : Tree.attr) (b : Tree.attr) -> Qname.equal a.name b.name)
-    ~key:(fun (a : Tree.attr) -> (a.name.Qname.uri, a.name.Qname.local))
-    ~dup:(fun st (a : Tree.attr) ->
-      error st "duplicate attribute %s" (Qname.expanded a.name));
-  let node =
-    if at st st.pos "/>" then (
-      st.pos <- st.pos + 2;
-      Tree.Element { name; attrs; children = [] })
-    else (
-      expect st ">";
-      let children = read_content st in
-      read_end_tag st tag tag_len;
-      Tree.Element { name; attrs; children })
-  in
-  if scoped then st.ns_stack <- List.tl st.ns_stack;
-  st.depth <- st.depth - 1;
-  node
+  st.el_qname <- qname_of n (lookup_ns st n.prefix);
+  st.el_raw <- raw;
+  check_attrs st raw;
+  push_open st tag tag_len scoped;
+  if at st st.pos "/>" then (
+    st.pos <- st.pos + 2;
+    st.empty_pending <- true)
+  else expect st ">";
+  Start
 
-and read_content st = content st []
+let close_element st =
+  let d = st.depth - 1 in
+  read_end_tag st st.open_tags.(d) (st.open_info.(d) lsr 1);
+  pop_open st;
+  End
 
-and content st acc =
-  if st.pos >= st.lim then List.rev acc
-  else if String.unsafe_get st.src st.pos <> '<' || at st st.pos cdata_open then
+(* inside an element, or anywhere in a fragment *)
+let rec content_event st =
+  if st.pos >= st.lim then
+    if st.depth = 0 then (
+      st.phase <- 2;
+      Eof)
+    else close_element st
+  else if String.unsafe_get st.src st.pos <> '<' || at st st.pos cdata_open then (
     match read_text st with
-    | "" -> content st acc
-    | t -> content st (Tree.Text t :: acc)
+    | "" -> content_event st
+    | t ->
+        st.data <- t;
+        Text)
   else
     match byte st (st.pos + 1) with
-    | '/' -> List.rev acc
-    | '?' -> content st (read_pi st :: acc)
-    | '!' when at st st.pos "<!--" -> content st (read_comment st :: acc)
-    | _ -> content st (read_element st :: acc)
+    | '/' ->
+        if st.depth = 0 then (
+          st.phase <- 2;
+          Eof)
+        else close_element st
+    | '?' ->
+        read_pi st;
+        Pi
+    | '!' when at st st.pos "<!--" ->
+        read_comment st;
+        Comment
+    | _ -> open_element st
+
+let next st =
+  if st.empty_pending then (
+    st.empty_pending <- false;
+    pop_open st;
+    End)
+  else if st.depth > 0 then content_event st
+  else if st.phase = 2 then Eof
+  else if st.fragment then content_event st
+  else if st.phase = 0 then (
+    if at st st.pos "<?xml" then read_pi st;
+    skip_misc ~doctype:true st;
+    st.phase <- 1;
+    open_element st)
+  else (
+    skip_misc ~doctype:false st;
+    if st.pos < st.lim then error st "content after the root element";
+    st.phase <- 2;
+    Eof)
+
+type cursor = state
+
+let cursor ?(preserve_space = false) s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Xml_parse.cursor";
+  make_state ~preserve_space s ~pos ~lim:(pos + len)
+
+let name st = st.el_qname
+let local st = st.el_qname.Qname.local
+let text st = st.data
+let attrs st = resolve_attrs st [] st.el_raw
+
+let attr_where st local ns =
+  let rec last found = function
+    | [] -> found
+    | ((n, v) : name * string) :: rest ->
+        last
+          (if n.declares = None && String.equal n.local local && ns (attr_uri st n)
+           then Some v
+           else found)
+          rest
+  in
+  last None st.el_raw
+
+let attr st local = attr_where st local (fun _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Consumers                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let rec element st =
+  let name = st.el_qname in
+  let attrs = attrs st in
+  Tree.Element { name; attrs; children = children st [] }
+
+and children st acc =
+  match next st with
+  | End | Eof -> List.rev acc
+  | Start ->
+      let e = element st in
+      children st (e :: acc)
+  | Text -> children st (Tree.Text st.data :: acc)
+  | Comment -> children st (Tree.Comment st.data :: acc)
+  | Pi -> children st (Tree.Pi { target = st.target; data = st.data } :: acc)
+
+let content st = children st []
+
+let rec skip_from st d =
+  match next st with
+  | End -> if d > 0 then skip_from st (d - 1)
+  | Start -> skip_from st (d + 1)
+  | Eof -> ()
+  | Text | Comment | Pi -> skip_from st d
+
+let skip st = skip_from st 0
+
+(* the pieces in reverse order, joined once: a run of text broken by
+   comments or child elements costs its length, not its square *)
+let rec text_from st d acc =
+  match next st with
+  | End -> if d = 0 then acc else text_from st (d - 1) acc
+  | Eof -> acc
+  | Start -> text_from st (d + 1) acc
+  | Text -> text_from st d (st.data :: acc)
+  | Comment | Pi -> text_from st d acc
+
+let text_content st =
+  match text_from st 0 [] with
+  | [] -> ""
+  | [ s ] -> s
+  | pieces -> String.concat "" (List.rev pieces)
 
 let parse_document st =
-  if at st st.pos "<?xml" then ignore (read_pi st);
-  skip_misc ~doctype:true st;
-  let root = read_element st in
-  skip_misc ~doctype:false st;
-  if st.pos < st.lim then error st "content after the root element";
+  ignore (next st);
+  let root = element st in
+  ignore (next st);
   Tree.Document [ root ]
 
 let document ?(preserve_space = false) s =
@@ -566,4 +742,6 @@ let document_sub ?(preserve_space = false) s ~pos ~len =
   parse_document (make_state ~preserve_space s ~pos ~lim:(pos + len))
 
 let fragment ?(preserve_space = true) s =
-  read_content (make_state ~preserve_space s ~pos:0 ~lim:(String.length s))
+  content
+    (make_state ~fragment:true ~preserve_space s ~pos:0
+       ~lim:(String.length s))

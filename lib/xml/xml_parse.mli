@@ -38,3 +38,66 @@ val document_sub : ?preserve_space:bool -> string -> pos:int -> len:int -> Tree.
 val fragment : ?preserve_space:bool -> string -> Tree.t list
 (** [fragment s] parses mixed content (zero or more nodes, no declaration);
     whitespace is kept unless [preserve_space] is [false]. *)
+
+(** {1 The pull cursor}
+
+    The one scanner behind {!document}, {!document_sub} and {!fragment},
+    for consumers that decode a document without building its tree (the
+    SOAP codec).  {!next} moves to the next event; the event's data is
+    read with the accessors below until the following {!next}.  An event
+    allocates nothing a consumer does not ask for.  The cursor checks
+    everything {!document} checks, as it goes: a document that is not
+    well-formed raises {!Parse_error} from the {!next} that reaches the
+    fault, at the latest from the one that returns [Eof]. *)
+
+type cursor
+
+type event =
+  | Start  (** a start tag, or an empty-element tag (its [End] follows) *)
+  | End  (** the end of the innermost open element *)
+  | Text  (** character data; all-whitespace runs are skipped unless
+              [preserve_space] *)
+  | Comment
+  | Pi
+  | Eof  (** after the root element and what may follow it *)
+
+val cursor : ?preserve_space:bool -> string -> pos:int -> len:int -> cursor
+(** A cursor over the document in the window [s.[pos .. pos+len)]; its
+    first event is the root's [Start]. *)
+
+val next : cursor -> event
+
+val name : cursor -> Qname.t
+(** At [Start]: the element's resolved name. *)
+
+val local : cursor -> string
+(** At [Start]: the element's local name. *)
+
+val attr : cursor -> string -> string option
+(** At [Start]: the value of the first attribute (in document order,
+    namespace declarations excluded) with this local name. *)
+
+val attr_where : cursor -> string -> (string -> bool) -> string option
+(** [attr_where c local ns]: like {!attr}, among the attributes whose
+    namespace URI ([""] for none) satisfies [ns]. *)
+
+val attrs : cursor -> Tree.attr list
+(** At [Start]: the resolved attributes, in document order. *)
+
+val text : cursor -> string
+(** At [Text], [Comment] or [Pi]: the data. *)
+
+val element : cursor -> Tree.t
+(** At [Start]: the element and its content as a tree, read through its
+    [End]. *)
+
+val content : cursor -> Tree.t list
+(** At [Start]: the element's children as trees, read through its
+    [End]. *)
+
+val skip : cursor -> unit
+(** At [Start]: read through the element's [End]. *)
+
+val text_content : cursor -> string
+(** At [Start]: the element's string value (its descendant text, in
+    order), read through its [End]. *)

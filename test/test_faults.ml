@@ -710,6 +710,96 @@ let test_idem_evicted_key_reexecutes () =
   expect_response "post-eviction replay" (Peer.handle_raw y body);
   check int_ "at-least-once fallback re-applied" 2 (count_film y "Evict Me")
 
+(* Retention: the idempotency cache keeps the replies of updating
+   requests only, and a request's updCall must match the function's
+   declaration for that to be safe. *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [s] with its first [sub] replaced by [by] *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let films_request ?(updating = false) ~key actor =
+  Message.to_string
+    (Message.Request
+       {
+         Message.module_uri = Filmdb.module_ns;
+         location = Filmdb.module_at;
+         method_ = "filmsByActor";
+         arity = 1;
+         updating;
+         fragments = false;
+         query_id = None;
+         idem_key = Some key;
+         calls = [ [ [ Xdm.str actor ] ] ];
+       })
+
+let film_peer () =
+  let cluster = Cluster.create ~config:sim_config ~names:[ "y.example.org" ] () in
+  let y = Cluster.peer cluster "y.example.org" in
+  Filmdb.install y ();
+  y
+
+let test_idem_read_replay_reexecutes () =
+  let y = film_peer () in
+  let body = films_request ~key:"kR" "Sean Connery" in
+  let first = Peer.handle_raw y body in
+  let size = (Lru.stats y.Peer.idem_cache).Lru.size in
+  let handled = y.Peer.requests_handled in
+  let replay = Peer.handle_raw y body in
+  check string_ "the same answer" first replay;
+  check int_ "the replay ran again" (handled + 1) y.Peer.requests_handled;
+  check int_ "no hit" 0 (Lru.stats y.Peer.idem_cache).Lru.hits;
+  check int_ "the cache did not grow" size (Lru.stats y.Peer.idem_cache).Lru.size
+
+let test_idem_update_replay_cached () =
+  let y = film_peer () in
+  let body = add_film_request ~key:"kU" "Kept Once" in
+  let first = Peer.handle_raw y body in
+  let handled = y.Peer.requests_handled in
+  let replay = Peer.handle_raw y body in
+  check string_ "the cached answer" first replay;
+  check int_ "not run again" handled y.Peer.requests_handled;
+  check int_ "one hit" 1 (Lru.stats y.Peer.idem_cache).Lru.hits;
+  check int_ "one reply kept" 1 (Lru.stats y.Peer.idem_cache).Lru.size;
+  check int_ "applied once" 1 (count_film y "Kept Once")
+
+let test_idem_upd_call_must_match () =
+  let y = film_peer () in
+  let sender_fault what body =
+    match Message.of_string (Peer.handle_raw y body) with
+    | Message.Fault { fault_code = `Sender; reason } ->
+        check bool_ (what ^ ": names updCall") true
+          (contains reason "updCall")
+    | _ -> Alcotest.failf "%s: expected a Sender fault" what
+  in
+  (* an update sent as a read would go unkept, and apply again on replay *)
+  let as_read =
+    replace_first ~sub:{|updCall="true" |} ~by:""
+      (add_film_request ~key:"kM" "Sent As Read")
+  in
+  sender_fault "update without updCall" as_read;
+  sender_fault "update without updCall, replayed" as_read;
+  check int_ "never applied" 0 (count_film y "Sent As Read");
+  (* a read sent as an update would have its results dropped *)
+  sender_fault "read with updCall"
+    (films_request ~updating:true ~key:"kN" "Sean Connery");
+  sender_fault "getDocument with updCall"
+    (Message.to_string
+       (Message.Request
+          { Message.module_uri = Qname.ns_xrpc; location = "";
+            method_ = "getDocument"; arity = 1; updating = true;
+            fragments = false; query_id = None; idem_key = Some "kD";
+            calls = [ [ [ Xdm.str "filmDB.xml" ] ] ] }));
+  check int_ "no fault kept" 0 (Lru.stats y.Peer.idem_cache).Lru.size
+
 (* ------------------------------------------------------------------ *)
 (* 2PC decision phase (satellite: run_detailed must not swallow acks)  *)
 (* ------------------------------------------------------------------ *)
@@ -828,6 +918,12 @@ let () =
             test_idem_replace_at_capacity;
           Alcotest.test_case "evicted key re-executes on replay" `Quick
             test_idem_evicted_key_reexecutes;
+          Alcotest.test_case "a replayed read runs again, nothing kept" `Quick
+            test_idem_read_replay_reexecutes;
+          Alcotest.test_case "a replayed update is answered from the cache"
+            `Quick test_idem_update_replay_cached;
+          Alcotest.test_case "updCall must match the declaration" `Quick
+            test_idem_upd_call_must_match;
         ] );
       ( "two-pc",
         [

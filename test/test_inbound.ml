@@ -6,7 +6,6 @@
    per engine under runtest, 100k under `dune build @fuzz`; a failure
    prints FUZZ_SEED=<n>, which replays that one case. *)
 
-open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Peer = Xrpc_peer.Peer
 module Wrapper = Xrpc_peer.Wrapper
@@ -17,65 +16,6 @@ module Testmod = Xrpc_workloads.Testmod
 module Xmark = Xrpc_workloads.Xmark
 
 let check = Alcotest.check
-
-(* The requests the suites send: single and bulk calls of the film,
-   test and XMark modules, an updating call, calls under repeatable and
-   snapshot queryIDs, keyed, call-by-fragment and profiled
-   requests, getDocument, the telemetry scrape and the four transaction
-   messages. *)
-let request_seeds =
-  let request ?(updating = false) ?(fragments = false) ?query_id ?idem_key
-      ?(location = "") ~module_uri ~fn calls =
-    Message.Request
-      { Message.module_uri; location; method_ = fn;
-        arity = (match calls with c :: _ -> List.length c | [] -> 0);
-        updating; fragments; query_id; idem_key; calls }
-  in
-  let qid ?(timestamp = "1.0") level =
-    { Message.host = "xrpc://x"; timestamp; timeout = 30; level }
-  in
-  let films ?query_id ?idem_key actors =
-    request ?query_id ?idem_key ~location:Filmdb.module_at
-      ~module_uri:Filmdb.module_ns ~fn:"filmsByActor"
-      (List.map (fun a -> [ [ Xdm.str a ] ]) actors)
-  in
-  let add_film ?query_id name =
-    request ~updating:true ?query_id ~module_uri:Filmdb.module_ns
-      ~fn:"addFilm" [ [ [ Xdm.str name ]; [ Xdm.str "Actor F" ] ] ]
-  in
-  let persons ids =
-    request ~module_uri:Xmark.functions_ns ~location:Xmark.functions_at
-      ~fn:"getPerson"
-      (List.map
-         (fun i ->
-           [ [ Xdm.str "persons.xml" ];
-             [ Xdm.str (Printf.sprintf "person%d" i) ] ])
-         ids)
-  in
-  let tx ?timestamp op =
-    Message.Tx_request (op, qid ?timestamp Message.Repeatable)
-  in
-  let profiled m = fst (Trace.collect (fun () -> Message.to_string m)) in
-  Array.map Message.to_string
-    [| persons [ 1; 99; 3 ];
-       films [ "Sean Connery" ];
-       films [ "Julie Andrews"; "Sean Connery"; "Gerard Depardieu" ];
-       films ~query_id:(qid Message.Repeatable) [ "Sean Connery" ];
-       films ~query_id:(qid Message.Snapshot) [ "Sean Connery" ];
-       films ~idem_key:"xrpc://x/1" [ "Sean Connery" ];
-       add_film "Fuzz";
-       add_film ~query_id:(qid Message.Repeatable) "Deferred";
-       request ~module_uri:Testmod.module_ns ~location:Testmod.module_at
-         ~fn:"ping" (List.init 3 (fun i -> [ [ Xdm.int i ] ]));
-       request ~module_uri:Testmod.module_ns ~fn:"echoVoid" [ []; [] ];
-       request ~fragments:true ~module_uri:Testmod.module_ns ~fn:"echo"
-         [ [ [ Xdm.str "x"; Xdm.int 7 ] ] ];
-       request ~module_uri:Qname.ns_xrpc ~fn:"getDocument"
-         [ [ [ Xdm.str "filmDB.xml" ] ] ];
-       request ~module_uri:Qname.ns_xrpc ~fn:"telemetry" [ [] ];
-       tx Message.Prepare; tx Message.Commit;
-       tx ~timestamp:"2.0" Message.Rollback; tx Message.Status |]
-  |> Fun.flip Array.append [| profiled (persons [ 2 ]) |]
 
 (* Both engines hold the same modules and documents.  The peer's clock
    advances a second per served request, so the queryIDs the cases pin
@@ -113,7 +53,7 @@ let answered serve body =
   | _ -> failwith "the reply is a request"
 
 let prop name serve =
-  Fuzz.prop ~name ~seeds:request_seeds ~expected:(fun _ -> false)
+  Fuzz.prop ~name ~seeds:Seeds.request_seeds ~expected:(fun _ -> false)
     (answered serve)
 
 (* every seed is served without a Fault by the peer, so the cases start
@@ -124,9 +64,9 @@ let test_seeds_answered () =
       match Message.of_string (peer_engine body) with
       | Message.Fault f -> Alcotest.failf "seed %d: fault %s" i f.Message.reason
       | _ -> ())
-    request_seeds;
+    Seeds.request_seeds;
   check Alcotest.bool "the wrapper answers the bulk getPerson seed" true
-    (match Message.of_string (wrapper_engine request_seeds.(0)) with
+    (match Message.of_string (wrapper_engine Seeds.request_seeds.(0)) with
     | Message.Response r -> List.length r.Message.results = 3
     | _ -> false)
 

@@ -288,17 +288,17 @@ let test_envelope_header_roundtrip () =
   with_tracer @@ fun () ->
   (* explicit context *)
   let s = Message.to_string ~trace:("t9", "s9") ping_request in
-  (match Message.of_string_traced s with
-  | Message.Request r, Some (tid, sid) ->
+  (match Message.of_string_server s with
+  | Message.Request r, Some (tid, sid), _ ->
       check string_ "method survives" "ping" r.Message.method_;
       check string_ "trace id" "t9" tid;
       check string_ "parent span" "s9" sid
   | _ -> Alcotest.fail "bad parse");
   (* no context, no header *)
-  (match Message.of_string_traced (Message.to_string ping_request) with
-  | Message.Request _, None -> ()
-  | _, Some _ -> Alcotest.fail "spurious trace header"
-  | _, None -> Alcotest.fail "bad parse")
+  (match Message.of_string_server (Message.to_string ping_request) with
+  | Message.Request _, None, _ -> ()
+  | _, Some _, _ -> Alcotest.fail "spurious trace header"
+  | _, None, _ -> Alcotest.fail "bad parse")
 
 let test_envelope_ambient_stamping () =
   with_tracer @@ fun () ->
@@ -307,11 +307,11 @@ let test_envelope_ambient_stamping () =
   Trace.with_span "caller" (fun () ->
       let s = Message.to_string ping_request in
       let caller = find_span "caller" in
-      match Message.of_string_traced s with
-      | _, Some (tid, sid) ->
+      match Message.of_string_server s with
+      | _, Some (tid, sid), _ ->
           check string_ "ambient trace id" caller.Trace.trace_id tid;
           check string_ "ambient parent is the open span" caller.Trace.span_id sid
-      | _, None -> Alcotest.fail "enabled tracer did not stamp the envelope")
+      | _, None, _ -> Alcotest.fail "enabled tracer did not stamp the envelope")
 
 (* ------------------------------------------------------------------ *)
 (* Distributed span trees over the simulated network                   *)

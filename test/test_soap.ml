@@ -11,7 +11,23 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let string_ = Alcotest.string
 
-let roundtrip seq = Marshal.n2s (Marshal.s2n seq)
+(* a one-result response carrying [seq_xml] as its xrpc:sequence *)
+let response_envelope seq_xml =
+  {|<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope" xmlns:xrpc="http://monetdb.cwi.nl/XQuery"><env:Body><xrpc:response module="m" method="f">|}
+  ^ seq_xml ^ {|</xrpc:response></env:Body></env:Envelope>|}
+
+let one_result wire =
+  match Message.of_string wire with
+  | Message.Response { results = [ seq ]; _ } -> seq
+  | _ -> Alcotest.fail "not a one-result response"
+
+(* s2n then n2s: a sequence through a response on the wire *)
+let roundtrip seq =
+  one_result
+    (Message.to_string
+       (Message.Response
+          { Message.resp_module = "m"; resp_method = "f"; results = [ seq ];
+            peers = []; db_version = None }))
 
 (* [s] with its first [sub] replaced by [by] *)
 let replace ~sub ~by s =
@@ -54,12 +70,9 @@ let test_paper_example_n2s () =
 <xrpc:atomic-value xsi:type="xs:integer">42</xrpc:atomic-value>
 </xrpc:sequence>|}
   in
-  match Xml_parse.document xml with
-  | Tree.Document [ e ] ->
-      let seq = Marshal.n2s e in
-      check bool_ "abc,42" true
-        (seq = [ Xdm.Atomic (Xs.String "abc"); Xdm.Atomic (Xs.Integer 42) ])
-  | _ -> Alcotest.fail "parse"
+  let seq = one_result (response_envelope xml) in
+  check bool_ "abc,42" true
+    (seq = [ Xdm.Atomic (Xs.String "abc"); Xdm.Atomic (Xs.Integer 42) ])
 
 let test_element_roundtrip () =
   let store = Store.shred (Xml_parse.document "<name g=\"x\">The Rock</name>") in
@@ -124,18 +137,28 @@ let test_untyped_without_annotation () =
     {|<xrpc:sequence xmlns:xrpc="http://monetdb.cwi.nl/XQuery">
 <xrpc:atomic-value>plain</xrpc:atomic-value></xrpc:sequence>|}
   in
-  match Xml_parse.document xml with
-  | Tree.Document [ e ] -> (
-      match Marshal.n2s e with
-      | [ Xdm.Atomic (Xs.Untyped "plain") ] -> ()
-      | _ -> Alcotest.fail "expected untypedAtomic")
-  | _ -> Alcotest.fail "parse"
+  match one_result (response_envelope xml) with
+  | [ Xdm.Atomic (Xs.Untyped "plain") ] -> ()
+  | _ -> Alcotest.fail "expected untypedAtomic"
 
 (* ---- footnote-4 extension: call-by-fragment ---- *)
 
+(* a one-call request with [params]: its wire form and [params] decoded *)
+let fragment_request ?(fragments = true) params =
+  Message.to_string
+    (Message.Request
+       { Message.module_uri = "m"; location = ""; method_ = "f";
+         arity = List.length params; updating = false; fragments;
+         query_id = None; idem_key = None; calls = [ params ] })
+
+let decoded_call wire =
+  match Message.of_string wire with
+  | Message.Request { calls = [ params ]; _ } -> params
+  | _ -> Alcotest.fail "not a one-call request"
+
 let fragment_roundtrip params =
-  let trees = Marshal.s2n_call ~fragments:true params in
-  (trees, Marshal.n2s_call trees)
+  let wire = fragment_request params in
+  (wire, decoded_call wire)
 
 let test_fragments_preserve_ancestry () =
   (* two parameters in a descendant relationship: plain call-by-value
@@ -165,12 +188,10 @@ let test_fragments_compress_message () =
   let root_el = List.hd (Store.children (Store.root big)) in
   let sub = List.nth (Store.children root_el) 10 in
   let params = [ [ Xdm.Node root_el ]; [ Xdm.Node sub ] ] in
-  let plain = Marshal.s2n_call ~fragments:false params in
-  let compressed = Marshal.s2n_call ~fragments:true params in
-  let size ts =
-    List.fold_left (fun n t -> n + String.length (Serialize.to_string t)) 0 ts
-  in
-  check bool_ "smaller on the wire" true (size compressed < size plain)
+  let plain = fragment_request ~fragments:false params in
+  let compressed = fragment_request params in
+  check bool_ "smaller on the wire" true
+    (String.length compressed < String.length plain)
 
 let test_fragments_plain_params_unchanged () =
   (* unrelated parameters marshal exactly as without the extension *)
@@ -201,59 +222,50 @@ let test_fragments_wire_roundtrip () =
         (List.exists (fun x -> Store.equal_nodes x a') (Store.ancestors b'))
   | _ -> Alcotest.fail "wire shape"
 
-(* [trees] with every xrpc:nodeid reference rewritten to [v] *)
-let with_nodeid v trees =
-  let rec fix = function
-    | Tree.Element e ->
-        Tree.Element
-          {
-            e with
-            attrs =
-              List.map
-                (fun (a : Tree.attr) ->
-                  if a.name.Qname.local = "nodeid" then { a with value = v }
-                  else a)
-                e.attrs;
-            children = List.map fix e.children;
-          }
-    | t -> t
-  in
-  List.map fix trees
-
 (* A reference must name the base node or one of its descendants in the
-   shipped fragment: a negative nodeid (which int_of_string accepts) or
-   one past the base's size is a typed decode error, never an uncaught
-   exception or a node outside the fragment. *)
+   shipped fragment, by an xs:nonNegativeInteger: a negative or
+   non-decimal nodeid, or one past the base's size, is a malformed
+   message, never an uncaught exception or a node outside the
+   fragment. *)
 let test_fragments_nodeid_bounds () =
   let store = Store.shred (Xml_parse.document "<a><b><c/></b><d/></a>") in
   let a = List.hd (Store.children (Store.root store)) in
   let b = List.hd (Store.children a) in
   let c = List.hd (Store.children b) in
-  let trees, _ = fragment_roundtrip [ [ Xdm.Node b ]; [ Xdm.Node c ] ] in
+  let wire, _ = fragment_roundtrip [ [ Xdm.Node b ]; [ Xdm.Node c ] ] in
+  let with_nodeid v = replace ~sub:{|nodeid="1"|} ~by:(Printf.sprintf {|nodeid="%s"|} v) wire in
   List.iter
     (fun v ->
-      match Marshal.n2s_call (with_nodeid v trees) with
-      | exception Marshal.Marshal_error _ -> ()
+      match Message.of_string (with_nodeid v) with
+      | exception Message.Protocol_error _ -> ()
       | _ -> Alcotest.failf "nodeid=%s accepted" v)
-    [ "-3"; "-1"; "2"; "99" ];
-  (match Marshal.n2s_call (with_nodeid "0" trees) with
+    [ "-3"; "-1"; "2"; "99"; "0x1" ];
+  match decoded_call (with_nodeid "0") with
   | [ [ Xdm.Node b' ]; [ Xdm.Node self ] ] ->
       check bool_ "nodeid 0 names the base" true (Store.equal_nodes b' self)
+  | _ -> Alcotest.fail "shape"
+
+(* Many references to one base resolve in time linear in their number:
+   each checks that its base is not itself a reference in O(1).  A
+   quadratic check took seconds here (CPU time, so a loaded host does
+   not fail it). *)
+let test_fragments_many_references () =
+  let store = Store.shred (Xml_parse.document "<a><b/></a>") in
+  let a = List.hd (Store.children (Store.root store)) in
+  let n = 50_000 in
+  let wire = fragment_request [ List.init (n + 1) (fun _ -> Xdm.Node a) ] in
+  let t0 = Sys.time () in
+  let params = decoded_call wire in
+  let cpu = Sys.time () -. t0 in
+  (match params with
+  | [ (Xdm.Node a' :: refs) ] ->
+      check int_ "references" n (List.length refs);
+      check bool_ "each names the base" true
+        (List.for_all
+           (function Xdm.Node r -> Store.equal_nodes r a' | _ -> false)
+           refs)
   | _ -> Alcotest.fail "shape");
-  (* on the wire the same reference is a malformed message *)
-  let r =
-    {
-      Message.module_uri = "m"; location = ""; method_ = "f"; arity = 2;
-      updating = false; fragments = true; query_id = None;
-      idem_key = None;
-      calls = [ [ [ Xdm.Node b ]; [ Xdm.Node c ] ] ];
-    }
-  in
-  let wire = Message.to_string (Message.Request r) in
-  let bad = replace ~sub:{|nodeid="1"|} ~by:{|nodeid="-3"|} wire in
-  match Message.of_string bad with
-  | exception Message.Protocol_error _ -> ()
-  | _ -> Alcotest.fail "of_string accepted nodeid=-3"
+  check bool_ (Printf.sprintf "decoded in %.2f s of CPU" cpu) true (cpu < 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
@@ -506,6 +518,115 @@ let test_tx_result_ok_required () =
       check string_ "info" "done" info
   | _ -> Alcotest.fail "wrong kind"
 
+(* Regression: a Code value shorter than its surrounding whitespace once
+   made both reply decoders raise Invalid_argument (an untrimmed length
+   check before a trimmed suffix).  It is a Receiver fault. *)
+let test_fault_code_padded () =
+  List.iter
+    (fun (what, decode) ->
+      match decode Seeds.padded_fault_code with
+      | Message.Fault { fault_code = `Receiver; reason = "" } -> ()
+      | Message.Fault _ -> Alcotest.failf "%s: wrong fault" what
+      | _ -> Alcotest.failf "%s: not a fault" what)
+    [ ("of_string", Message.of_string);
+      ("of_reply", Message.of_reply ~dest:"xrpc://p") ];
+  let code v =
+    match
+      Message.of_string
+        (replace ~sub:"  ab  " ~by:v Seeds.padded_fault_code)
+    with
+    | Message.Fault f -> f.Message.fault_code
+    | _ -> Alcotest.fail "not a fault"
+  in
+  check bool_ "env:Sender" true (code "env:Sender" = `Sender);
+  check bool_ "padded env:Sender" true (code " env:Sender\n" = `Sender);
+  check bool_ "env:Receiver" true (code "env:Receiver" = `Receiver);
+  check bool_ "unknown" true (code "env:Other" = `Receiver)
+
+(* An atomic value's text broken into many pieces by comments is joined
+   once: decoding allocates a small multiple of the message, where
+   appending piece by piece copied the text once per piece. *)
+let test_text_pieces_linear () =
+  let n = 100_000 in
+  let wire =
+    response_envelope
+      ("<xrpc:sequence><xrpc:atomic-value>"
+      ^ String.concat "" (List.init n (fun _ -> "a<!---->"))
+      ^ "</xrpc:atomic-value></xrpc:sequence>")
+  in
+  let b0 = Gc.allocated_bytes () in
+  let seq = one_result wire in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  (match seq with
+  | [ Xdm.Atomic (Xs.Untyped v) ] -> check int_ "all pieces" n (String.length v)
+  | _ -> Alcotest.fail "not one untyped value");
+  let ratio = allocated /. float_of_int (String.length wire) in
+  check bool_ (Printf.sprintf "allocates %.1fx the message" ratio) true
+    (ratio < 64.)
+
+(* [of_string] and [of_reply] both reject [wire] as malformed *)
+let rejected what wire =
+  List.iter
+    (fun (decoder, decode) ->
+      match decode wire with
+      | exception Message.Protocol_error _ -> ()
+      | _ -> Alcotest.failf "%s accepted %s" decoder what)
+    [ ("of_string", Message.of_string);
+      ("of_reply", Message.of_reply ~dest:"xrpc://p") ]
+
+let sample_response =
+  Message.to_string
+    (Message.Response
+       { Message.resp_module = "m"; resp_method = "f"; results = [ [] ];
+         peers = [ "xrpc://p1" ]; db_version = Some 31 })
+
+(* XRPC.xsd types dbVersion as xs:nonNegativeInteger *)
+let test_db_version_decimal () =
+  List.iter
+    (fun v ->
+      rejected ("dbVersion=" ^ v)
+        (replace ~sub:{|dbVersion="31"|} ~by:(Printf.sprintf {|dbVersion="%s"|} v)
+           sample_response))
+    [ "0x1F"; "-3"; "1_0"; "" ];
+  match
+    Message.of_string
+      (replace ~sub:{|dbVersion="31"|} ~by:{|dbVersion=" +31 "|} sample_response)
+  with
+  | Message.Response r ->
+      check (Alcotest.option int_) "whitespace and + allowed" (Some 31)
+        r.Message.db_version
+  | _ -> Alcotest.fail "not a response"
+
+(* XRPC.xsd: a participating peer's uri is use="required"; dropping the
+   element would lose a 2PC participant *)
+let test_peer_uri_required () =
+  rejected "an xrpc:peer without uri"
+    (replace ~sub:{|<xrpc:peer uri="xrpc://p1"/>|} ~by:{|<xrpc:peer/>|}
+       sample_response);
+  match Message.of_string sample_response with
+  | Message.Response r ->
+      check (Alcotest.list string_) "peers" [ "xrpc://p1" ] r.Message.peers
+  | _ -> Alcotest.fail "not a response"
+
+(* xrpc:nodeid, xrpc:param and xrpc:item are xs:nonNegativeIntegers *)
+let test_nodeid_attributes_decimal () =
+  let store = Store.shred (Xml_parse.document "<a><b><c/></b></a>") in
+  let a = List.hd (Store.children (Store.root store)) in
+  let b = List.hd (Store.children a) in
+  let wire, _ = fragment_roundtrip [ [ Xdm.Node a ]; [ Xdm.Node b ] ] in
+  List.iter
+    (fun (attr, v0) ->
+      let sub = Printf.sprintf {|xrpc:%s="%s"|} attr v0 in
+      rejected
+        (Printf.sprintf "xrpc:%s=\"0x%s\"" attr v0)
+        (replace ~sub ~by:(Printf.sprintf {|xrpc:%s="0x%s"|} attr v0) wire))
+    [ ("nodeid", "1"); ("param", "0"); ("item", "0") ];
+  match decoded_call wire with
+  | [ [ Xdm.Node a' ]; [ Xdm.Node b' ] ] ->
+      check bool_ "decimal references resolve" true
+        (List.exists (fun x -> Store.equal_nodes x a') (Store.ancestors b'))
+  | _ -> Alcotest.fail "shape"
+
 let test_updating_flag_roundtrip () =
   let r = { (sample_request ()) with Message.updating = true } in
   match Message.of_string (Message.to_string (Message.Request r)) with
@@ -648,52 +769,12 @@ module Peer = Xrpc_peer.Peer
 module Filmdb = Xrpc_workloads.Filmdb
 module Testmod = Xrpc_workloads.Testmod
 
-(* The seeds are replies a serving peer wrote: node and atomic results,
-   a profiled reply carrying serverProfile, a plain one carrying
-   dbVersion, an updating call's empty response, a Fault and
-   two transactionResults. *)
-let reply_seeds =
-  let y = Peer.create "xrpc://y" in
-  Filmdb.install y ();
-  Peer.register_module y ~uri:Testmod.module_ns ~location:Testmod.module_at
-    Testmod.test_module;
-  let request ?(profiled = false) ?(updating = false) ~module_uri ~fn calls =
-    let msg =
-      Message.Request
-        { Message.module_uri; location = ""; method_ = fn;
-          arity = (match calls with c :: _ -> List.length c | [] -> 0);
-          updating; fragments = false; query_id = None; idem_key = None;
-          calls }
-    in
-    if profiled then fst (Trace.collect (fun () -> Message.to_string msg))
-    else Message.to_string msg
-  in
-  let films ?profiled () =
-    request ?profiled ~module_uri:Filmdb.module_ns ~fn:"filmsByActor"
-      [ [ [ Xdm.str "Sean Connery" ] ] ]
-  in
-  let qid =
-    { Message.host = "xrpc://x"; timestamp = "1.0"; timeout = 30;
-      level = Message.Repeatable }
-  in
-  let tx op = Message.to_string (Message.Tx_request (op, qid)) in
-  Array.map (Peer.handle_raw y)
-    [| films ~profiled:true ();
-       films ();
-       request ~module_uri:Testmod.module_ns ~fn:"ping"
-         (List.init 3 (fun i -> [ [ Xdm.int i ] ]));
-       request ~updating:true ~module_uri:Filmdb.module_ns ~fn:"addFilm"
-         [ [ [ Xdm.str "Fuzz" ]; [ Xdm.str "Actor F" ] ] ];
-       request ~module_uri:Testmod.module_ns ~fn:"noSuchFunction" [ [] ];
-       tx Message.Status;
-       tx Message.Commit |]
-
 (* Message.of_reply on a mutated reply decodes or raises one of the two
    typed decoder errors; every other case also runs inside a Trace
    collection, where of_reply parses the serverProfile phases too *)
 let prop_reply_mutations =
   Fuzz.prop ~name:"mutated reply decodes or raises a typed error"
-    ~seeds:reply_seeds
+    ~seeds:Seeds.reply_seeds
     ~expected:(function
       | Message.Protocol_error _ | Xml_parse.Parse_error _ -> true
       | _ -> false)
@@ -757,10 +838,11 @@ let test_reply_seeds () =
     | _ -> "other"
   in
   check (Alcotest.list string_) "every seed is the reply it stands for"
-    [ "response"; "response"; "response"; "empty"; "fault"; "tx"; "tx" ]
-    (Array.to_list (Array.map kind reply_seeds));
+    [ "response"; "response"; "response"; "empty"; "fault"; "tx"; "tx";
+      "fault" ]
+    (Array.to_list (Array.map kind Seeds.reply_seeds));
   check bool_ "the profiled seed carries serverProfile" true
-    (let w = reply_seeds.(0) and sub = "serverProfile=" in
+    (let w = Seeds.reply_seeds.(0) and sub = "serverProfile=" in
      let n = String.length sub in
      let rec go i =
        i + n <= String.length w && (String.sub w i n = sub || go (i + 1))
@@ -786,6 +868,8 @@ let () =
           Alcotest.test_case "mixed node kinds" `Quick test_mixed_node_kinds;
           Alcotest.test_case "empty sequence" `Quick test_empty_sequence;
           Alcotest.test_case "untyped default" `Quick test_untyped_without_annotation;
+          Alcotest.test_case "text pieces joined in linear time" `Quick
+            test_text_pieces_linear;
         ] );
       ( "call-by-fragment",
         [
@@ -798,6 +882,8 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_fragments_wire_roundtrip;
           Alcotest.test_case "nodeid out of the fragment rejected" `Quick
             test_fragments_nodeid_bounds;
+          Alcotest.test_case "many references decode in linear time" `Quick
+            test_fragments_many_references;
         ] );
       ( "message",
         [
@@ -818,6 +904,14 @@ let () =
             test_tx_result_ok_required;
           Alcotest.test_case "snapshot timestamp must be a decimal" `Quick
             test_snapshot_timestamp_decimal;
+          Alcotest.test_case "fault Code shorter than its padding" `Quick
+            test_fault_code_padded;
+          Alcotest.test_case "dbVersion must be a decimal" `Quick
+            test_db_version_decimal;
+          Alcotest.test_case "participating peer without uri rejected" `Quick
+            test_peer_uri_required;
+          Alcotest.test_case "nodeid, param and item must be decimals" `Quick
+            test_nodeid_attributes_decimal;
           Alcotest.test_case "request with a legacy cache=\"off\" executes"
             `Quick test_legacy_cache_off_request;
           Alcotest.test_case "response with a legacy cached=\"true\" decodes"

@@ -204,9 +204,9 @@ let test_wrapper_bad_get_document_integer () =
   expect_malformed "xs:integer abc"
     (Wrapper.handle_raw w (replace ~sub:">12345<" ~by:">abc<" body))
 
-(* the wrapper serves behind the shared inbound path: a keyed request is
-   executed once and replayed from the idempotency cache, and every
-   request leaves a flight-recorder entry *)
+(* the wrapper serves behind the shared inbound path: a keyed read is
+   replayed by running it again (only updating replies are kept), and
+   every request leaves a flight-recorder entry with its key *)
 let test_wrapper_shared_path () =
   let w = make_wrapper () in
   let idem = Xrpc_peer.Inbound.idem_cache w.Wrapper.inbound in
@@ -214,7 +214,9 @@ let test_wrapper_shared_path () =
   let first = Wrapper.handle_raw w (Message.to_string (Message.Request req)) in
   let replay = Wrapper.handle_raw w (Message.to_string (Message.Request req)) in
   check string_ "replay answers the same bytes" first replay;
-  check int_ "one hit" 1 (Xrpc_peer.Lru.stats idem).Xrpc_peer.Lru.hits;
+  (* a read keeps no reply: its replay runs again *)
+  check int_ "no hit" 0 (Xrpc_peer.Lru.stats idem).Xrpc_peer.Lru.hits;
+  check int_ "nothing kept" 0 (Xrpc_peer.Lru.stats idem).Xrpc_peer.Lru.size;
   match Xrpc_obs.Flight_recorder.recent () with
   | e :: _ ->
       check string_ "recorded" "functions:getPerson#2 (1 call)"
@@ -222,6 +224,23 @@ let test_wrapper_shared_path () =
       check bool_ "with its key" true
         (e.Xrpc_obs.Flight_recorder.idem_key = Some "k1")
   | [] -> Alcotest.fail "no flight-recorder entry"
+
+(* the inbound path checks updCall against the called function for
+   every engine: a keyed read sent as an update is refused, and nothing
+   is kept *)
+let test_wrapper_upd_call_checked () =
+  let w = make_wrapper () in
+  let idem = Xrpc_peer.Inbound.idem_cache w.Wrapper.inbound in
+  let req =
+    { (get_person_request [ 3 ]) with
+      Message.updating = true; idem_key = Some "k2" }
+  in
+  (match handle w req with
+  | Message.Fault { fault_code = `Sender; reason } ->
+      check bool_ reason true
+        (String.starts_with ~prefix:"updCall=\"true\" on getPerson#2" reason)
+  | _ -> Alcotest.fail "expected a Sender fault");
+  check int_ "nothing kept" 0 (Xrpc_peer.Lru.stats idem).Xrpc_peer.Lru.size
 
 let test_join_detection_equivalence () =
   (* with and without join detection, bulk getPerson answers agree *)
@@ -319,6 +338,8 @@ let () =
           Alcotest.test_case "timings" `Quick test_wrapper_timings_recorded;
           Alcotest.test_case "unknown module fault" `Quick
             test_wrapper_fault_on_unknown_module;
+          Alcotest.test_case "updCall checked against the function" `Quick
+            test_wrapper_upd_call_checked;
           Alcotest.test_case "arity x is a Sender fault" `Quick
             test_wrapper_bad_arity;
           Alcotest.test_case "getDocument xs:integer abc is a Sender fault"
