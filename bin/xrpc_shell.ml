@@ -74,13 +74,14 @@ let run_query peer source =
 
 (* EXPLAIN: what Eval will do with the query (dispatch and span of each
    [execute at] site, its Table-2 estimate and strategy decision, the
-   form of each path step), no execution.  Goes through the peer's plan
-   cache — an explain-then-run pair compiles once. *)
+   form of each path step, the values of its lifted literals), no
+   execution.  Goes through the peer's plan cache — an explain-then-run
+   pair compiles once, and the plan shown is the lifted one. *)
 let explain_query peer source =
-  match Peer.compiled_plan peer source with
-  | compiled ->
+  match Peer.lifted_plan peer source with
+  | compiled, literals ->
       print_string
-        (Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs
+        (Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs ~literals
            ~rpc_mode:(Peer.rpc_mode peer) compiled.Xrpc_peer.Plan_cache.prog)
   | exception
       (Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m) ->

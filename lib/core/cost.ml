@@ -451,8 +451,9 @@ let explain_decision ?dest d =
     [:profile] records for it, its dispatch, the Table-2 bulk vs
     one-at-a-time estimate for a nominal 100-iteration loop, and the
     strategy decision at the site's destination.  Then the form of each
-    path step ({!Eval.indexed_step}). *)
-let explain_plan ?funcs ~rpc_mode (prog : Xast.prog) =
+    path step ({!Eval.indexed_step}), and the value each lifted literal
+    ([literals], in the plan cache's [$xrpc:lit-N] order) is bound to. *)
+let explain_plan ?funcs ?(literals = [||]) ~rpc_mode (prog : Xast.prog) =
   match prog.Xast.body with
   | None -> "(library module — no query body to explain)\n"
   | Some body ->
@@ -533,6 +534,15 @@ let explain_plan ?funcs ~rpc_mode (prog : Xast.prog) =
       | ls ->
           line "path steps:";
           List.iter (line "%s") ls);
+      if literals <> [||] then begin
+        line "lifted literals:";
+        Array.iteri
+          (fun i v ->
+            line "   $%s := %S"
+              (Qname.to_string (Xrpc_xquery.Normalize.literal_var (i + 1)))
+              v)
+          literals
+      end;
       Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -15,7 +15,9 @@
 open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Xctx = Xrpc_xquery.Context
+module Xast = Xrpc_xquery.Ast
 module Runner = Xrpc_xquery.Runner
+module Normalize = Xrpc_xquery.Normalize
 module Executor = Xrpc_net.Executor
 module Xrpc_uri = Xrpc_net.Xrpc_uri
 module Metrics = Xrpc_obs.Metrics
@@ -54,11 +56,15 @@ let m_requests = Metrics.counter "peer.requests"
 let m_calls = Metrics.counter "peer.calls"
 let m_queries = Metrics.counter "peer.queries"
 
+(* a registered module's source and, once a compile has needed it, its
+   parse: a module is parsed once per registration, not once per compile *)
+type module_entry = { source : string; mutable parsed : Xast.prog option }
+
 (** Peer-private state, hidden behind the interface: module registries,
     the coordinator's decision log, the clock, and the inbound path. *)
 type internals = {
-  modules : (string, string) Hashtbl.t;  (** module namespace uri -> source *)
-  locations : (string, string) Hashtbl.t;  (** at-hint location -> source *)
+  modules : (string, module_entry) Hashtbl.t;  (** module namespace uri -> module *)
+  locations : (string, module_entry) Hashtbl.t;  (** at-hint location -> module *)
   tx_decisions : (string, bool) Hashtbl.t;
       (** coordinator decision log (queryID key -> committed) backing the
           Status recovery of in-doubt participants (presumed abort) *)
@@ -166,9 +172,10 @@ let shard_json ?keys = function
     (optionally) an at-hint location, so that both [import module ... at]
     forms and incoming XRPC requests can find it. *)
 let register_module peer ~uri ?location source =
-  Hashtbl.replace peer.internals.modules uri source;
+  let entry = { source; parsed = None } in
+  Hashtbl.replace peer.internals.modules uri entry;
   (match location with
-  | Some loc -> Hashtbl.replace peer.internals.locations loc source
+  | Some loc -> Hashtbl.replace peer.internals.locations loc entry
   | None -> ());
   ignore (Lru.remove_if peer.func_cache (fun k _ -> k = uri));
   (* cached ad-hoc plans may embed functions imported from this module;
@@ -176,14 +183,28 @@ let register_module peer ~uri ?location source =
      correct, and module re-registration is rare *)
   Lru.clear peer.plan_cache.Plan_cache.lru
 
-let module_resolver peer : Runner.module_resolver =
- fun ~uri ~location ->
+let module_entry peer ~uri ~location =
   match Hashtbl.find_opt peer.internals.modules uri with
-  | Some src -> src
+  | Some m -> m
   | None -> (
       match Hashtbl.find_opt peer.internals.locations location with
-      | Some src -> src
+      | Some m -> m
       | None -> err "could not load module! (%s at %s)" uri location)
+
+let module_resolver peer : Runner.module_resolver =
+ fun ~uri ~location -> (module_entry peer ~uri ~location).source
+
+(* Two threads may both parse a module on its first use; either parse is
+   the module's, so the race is benign. *)
+let module_loader peer : Runner.module_loader =
+ fun ~uri ~location ->
+  let m = module_entry peer ~uri ~location in
+  match m.parsed with
+  | Some prog -> prog
+  | None ->
+      let prog = Xrpc_xquery.Parser.parse_prog m.source in
+      m.parsed <- Some prog;
+      prog
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic context plumbing                                            *)
@@ -280,8 +301,7 @@ let make_context peer ~version ~query_id ~peers_acc : Xctx.t =
    static check) on a module-cache miss. *)
 let compile_module peer ~uri ~location =
   fst @@ Lru.find_or_add peer.func_cache uri @@ fun () ->
-  let source = module_resolver peer ~uri ~location in
-  let prog = Xrpc_xquery.Parser.parse_prog source in
+  let prog = module_loader peer ~uri ~location in
   let ctx = Xctx.empty () in
   let ctx = Runner.load_prolog ctx ~resolver:(module_resolver peer) prog in
   Xrpc_xquery.Check.check_prog_exn ctx prog;
@@ -514,18 +534,15 @@ let query_label source =
   if String.length trimmed <= 120 then trimmed
   else String.sub trimmed 0 117 ^ "..."
 
-(* The static (cacheable) half of ad-hoc query compilation: parse, prolog
-   pass 1 (imports, functions, options), static check.  Global variable
+(* The static (cacheable) half of ad-hoc query compilation after the
+   parse: prolog pass 1 (imports, functions, options) and the static
+   check, with the lifted literals' variables in scope.  Global variable
    binding is prolog pass 2 — database-dependent, re-run per execution by
    {!Runner.bind_globals} — which is what keeps a cached plan coherent
    with a database that changed under it. *)
-let compile_static peer (source : string) : Plan_cache.compiled =
-  let prog =
-    Trace.with_span "client.parse" @@ fun () ->
-    Xrpc_xquery.Parser.parse_prog source
-  in
-  let cctx = Xctx.empty () in
-  Runner.load_prolog_static cctx ~resolver:(module_resolver peer) prog;
+let compile_static peer (prog : Xast.prog) ~literals : Plan_cache.compiled =
+  let cctx = Normalize.bind_literals (Xctx.empty ()) literals in
+  Runner.load_prolog_static cctx ~load:(module_loader peer) prog;
   Xrpc_xquery.Check.check_prog_exn cctx prog;
   {
     Plan_cache.prog;
@@ -534,21 +551,25 @@ let compile_static peer (source : string) : Plan_cache.compiled =
     imports = !(cctx.Xctx.imports);
   }
 
-(** The compiled plan for [source], through the plan cache: an
-    explain-then-run pair compiles once.  This is what introspection
-    surfaces ([:explain]) must use instead of re-parsing. *)
-let compiled_plan peer (source : string) : Plan_cache.compiled =
-  let compiled, _hit =
-    Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
-        compile_static peer source)
+(** The compiled plan for [source] and the values of its lifted
+    literals, through the plan cache: an explain-then-run pair compiles
+    once.  This is what introspection surfaces ([:explain]) must use
+    instead of re-parsing. *)
+let lifted_plan peer (source : string) : Plan_cache.compiled * string array =
+  let compiled, literals, _hit =
+    Plan_cache.find_or_compile peer.plan_cache source
+      ~compile:(compile_static peer)
   in
-  compiled
+  (compiled, literals)
+
+let compiled_plan peer (source : string) : Plan_cache.compiled =
+  fst (lifted_plan peer source)
 
 let run_query peer (source : string) : query_result =
-  let compiled, plan_hit =
+  let compiled, literals, plan_hit =
     Trace.with_span "client.compile" @@ fun () ->
-    Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
-        compile_static peer source)
+    Plan_cache.find_or_compile peer.plan_cache source
+      ~compile:(compile_static peer)
   in
   if plan_hit then begin
     Trace.event ~detail:(query_label source) "plan-cache-hit";
@@ -560,7 +581,11 @@ let run_query peer (source : string) : query_result =
   let version = Database.snapshot peer.db in
   let peers_acc = ref [] in
   let ctx0 = make_context peer ~version ~query_id:None ~peers_acc in
-  let ctx0 = { ctx0 with Xctx.funcs = compiled.Plan_cache.funcs } in
+  let ctx0 =
+    Normalize.bind_literals
+      { ctx0 with Xctx.funcs = compiled.Plan_cache.funcs }
+      literals
+  in
   ctx0.Xctx.options := compiled.Plan_cache.options;
   ctx0.Xctx.imports := compiled.Plan_cache.imports;
   (* a bad timeout fails here, before a global initializer can send *)

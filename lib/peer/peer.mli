@@ -148,7 +148,12 @@ val compiled_plan : t -> string -> Plan_cache.compiled
 (** The compiled plan for a query source, through the plan cache (same
     entry {!query} uses): an explain-then-run pair compiles once.
     Introspection surfaces ([:explain]) must use this instead of
-    re-parsing. *)
+    re-parsing.  The plan is the lifted one: each body string literal the
+    cache lifted is the variable [$xrpc:lit-N] in it. *)
+
+val lifted_plan : t -> string -> Plan_cache.compiled * string array
+(** {!compiled_plan} and the values of the source's lifted literals
+    ([$xrpc:lit-1] first), which {!query} binds before it runs the plan. *)
 
 val query_label : string -> string
 (** A query's one-line label, at most 120 bytes: flight-recorder entries

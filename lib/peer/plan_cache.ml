@@ -2,21 +2,33 @@
 
     The module cache only covers module plans; every ad-hoc [Peer.query]
     still paid parse + prolog + static check on each run.  This cache
-    keys the {e static} half of compilation — the parsed program, the
+    keeps the {e static} half of compilation — the parsed program, the
     function registry built by prolog pass 1 (imports included), the
-    recorded options and import list — on the
-    {!Xrpc_xquery.Normalize.canonical} form of the source text, so a
-    repeated query (modulo whitespace and comments) skips straight to
-    execution.  Global-variable binding (prolog pass 2) is database-
-    dependent and deliberately {e not} cached: it re-runs per execution
-    via {!Xrpc_xquery.Runner.bind_globals}, which is what keeps a cached
-    plan coherent with a database that changed under it.
+    recorded options and import list — under the
+    {!Xrpc_xquery.Normalize.lift} key of the source text: its canonical
+    token stream with each body string literal lifted out as an external
+    variable [$xrpc:lit-N].  A query that differs from a cached one only
+    in whitespace, comments or those literals skips straight to execution,
+    with the literals it spells bound to the lifted variables — the way a
+    served function's plan serves every call whatever its parameters.
+    Global-variable binding (prolog pass 2) is database-dependent and
+    deliberately {e not} cached: it re-runs per execution via
+    {!Xrpc_xquery.Runner.bind_globals}, which is what keeps a cached plan
+    coherent with a database that changed under it.
 
-    One {!Lru} instance, counted as [peer.plan_cache.*]. *)
+    A lifted program is kept only if putting its literals back gives the
+    unlifted parse; otherwise (a literal the grammar reads that the
+    lifter's rules missed, say) the query is cached unlifted, under its
+    exact text.
+
+    One {!Lru} instance, counted as [peer.plan_cache.*]: one lookup per
+    query. *)
 
 module Normalize = Xrpc_xquery.Normalize
+module Parser = Xrpc_xquery.Parser
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
+module Trace = Xrpc_obs.Trace
 
 type compiled = {
   prog : Xast.prog;
@@ -31,13 +43,13 @@ let capacity = 128
 
 type t = {
   lru : compiled Lru.t;
-  by_source : (string, string) Hashtbl.t;
-      (** exact source text -> canonical key.  Repeat queries usually
-          arrive byte-identical; this fast path skips re-lexing the whole
-          source for canonicalization on every lookup, which would
-          otherwise cost a sizable fraction of the parse it exists to
-          avoid.  Sources differing only in whitespace/comments miss here
-          and fall through to {!Normalize.canonical}. *)
+  by_source : (string, string * string array) Hashtbl.t;
+      (** exact source text -> its key and the values of its lifted
+          literals.  Repeat queries usually arrive byte-identical; this
+          fast path skips re-lexing the whole source on every lookup,
+          which would otherwise cost a sizable fraction of the parse it
+          exists to avoid.  Other sources fall through to
+          {!Normalize.lift}. *)
   alias_lock : Mutex.t;  (** guards [by_source]: [Peer.query] runs unlocked *)
 }
 
@@ -48,30 +60,66 @@ let create () =
     alias_lock = Mutex.create ();
   }
 
-(* the alias table is bounded loosely: distinct spellings of the same
-   canonical query are rare, so 4x the LRU capacity is plenty; overflow
-   just resets the fast path, never correctness.  Canonicalization runs
-   outside the lock. *)
-let canonical_key t source =
-  match
-    Mutex.protect t.alias_lock (fun () -> Hashtbl.find_opt t.by_source source)
-  with
-  | Some key -> key
-  | None ->
-      let key = Normalize.canonical source in
-      Mutex.protect t.alias_lock (fun () ->
-          if Hashtbl.length t.by_source >= 4 * capacity then
-            Hashtbl.reset t.by_source;
-          Hashtbl.replace t.by_source source key);
-      key
+(* the alias table is bounded loosely: 4x the LRU capacity; overflow just
+   resets the fast path, never correctness.  Lifting runs outside the
+   lock. *)
+let alias t source =
+  Mutex.protect t.alias_lock (fun () -> Hashtbl.find_opt t.by_source source)
+
+let remember t source entry =
+  Mutex.protect t.alias_lock (fun () ->
+      if Hashtbl.length t.by_source >= 4 * capacity then
+        Hashtbl.reset t.by_source;
+      Hashtbl.replace t.by_source source entry)
+
+let parse source =
+  Trace.with_span "client.parse" @@ fun () -> Parser.parse_prog source
+
+(* A miss: the key, the literals and the program to compile.  The
+   unlifted parse runs first, so a query that does not parse fails with
+   its own error; a lifted program that does not give it back is
+   dropped. *)
+let program (l : Normalize.lifted) source =
+  if Array.length l.Normalize.literals = 0 then
+    (l.Normalize.key, [||], parse source)
+  else
+    let unlifted = parse source in
+    match Parser.parse_prog l.Normalize.text with
+    | lifted when Normalize.substitute l.Normalize.literals lifted = unlifted
+      ->
+        (l.Normalize.key, l.Normalize.literals, lifted)
+    (* any failure of the lifted text only means it cannot be lifted *)
+    | _ | (exception _) -> (Normalize.raw_prefix ^ source, [||], unlifted)
 
 (** [find_or_compile t source ~compile] — the cached plan for [source],
-    with a flag saying whether it was served from the cache.  A [compile]
-    that raises caches nothing (the error propagates and the next attempt
-    recompiles).  With the cache disabled, [compile] runs every time and
-    no counters move — so hit and miss paths stay byte-identical in
-    behavior, which the differential tests rely on. *)
-let find_or_compile t (source : string) ~(compile : unit -> compiled) :
-    compiled * bool =
-  if not (Lru.enabled t.lru) then (compile (), false)
-  else Lru.find_or_add t.lru (canonical_key t source) compile
+    the values of its lifted literals (bind them with
+    {!Normalize.bind_literals}) and whether the plan came from the cache.
+    [compile prog ~literals] runs prolog pass 1 and the static check with
+    the lifted variables in scope.  A [compile] that raises caches
+    nothing (the error propagates and the next attempt recompiles).  With
+    the cache disabled, the source is compiled unlifted every time and no
+    counters move. *)
+let find_or_compile t (source : string)
+    ~(compile : Xast.prog -> literals:string array -> compiled) :
+    compiled * string array * bool =
+  if not (Lru.enabled t.lru) then (compile (parse source) ~literals:[||], [||], false)
+  else
+    let known = alias t source in
+    let lifted = lazy (Normalize.lift source) in
+    let key, literals =
+      match known with
+      | Some entry -> entry
+      | None ->
+          let l = Lazy.force lifted in
+          (l.Normalize.key, l.Normalize.literals)
+    in
+    match Lru.find t.lru key with
+    | Some c ->
+        if known = None then remember t source (key, literals);
+        (c, literals, true)
+    | None ->
+        let key, literals, prog = program (Lazy.force lifted) source in
+        let c = compile prog ~literals in
+        Lru.add t.lru key c;
+        remember t source (key, literals);
+        (c, literals, false)

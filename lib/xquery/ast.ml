@@ -268,6 +268,68 @@ let focus_sub_exprs (e : expr) : expr list =
   | Typeswitch (op, cases, (_, de)) ->
       (op :: List.map (fun (_, _, e) -> e) cases) @ [ de ]
 
+(** [e] with [f] applied to each of its direct sub-expressions. *)
+let map_sub_exprs (f : expr -> expr) (e : expr) : expr =
+  let two k a b = k (f a) (f b) in
+  match e with
+  | Literal _ | Var _ | Context_item | Root -> e
+  | Sequence es -> Sequence (List.map f es)
+  | Range (a, b) -> two (fun a b -> Range (a, b)) a b
+  | Arith (op, a, b) -> two (fun a b -> Arith (op, a, b)) a b
+  | Neg a -> Neg (f a)
+  | Compare (op, a, b) -> two (fun a b -> Compare (op, a, b)) a b
+  | And (a, b) -> two (fun a b -> And (a, b)) a b
+  | Or (a, b) -> two (fun a b -> Or (a, b)) a b
+  | Union (a, b) -> two (fun a b -> Union (a, b)) a b
+  | Intersect (a, b) -> two (fun a b -> Intersect (a, b)) a b
+  | Except (a, b) -> two (fun a b -> Except (a, b)) a b
+  | If (c, t, e) -> If (f c, f t, f e)
+  | Flwor (clauses, order_by, ret) ->
+      Flwor
+        ( List.map
+            (function
+              | For (v, p, e) -> For (v, p, f e)
+              | Let (v, e) -> Let (v, f e)
+              | Where e -> Where (f e))
+            clauses,
+          List.map (fun (e, desc) -> (f e, desc)) order_by,
+          f ret )
+  | Quantified (q, binds, sat) ->
+      Quantified (q, List.map (fun (v, e) -> (v, f e)) binds, f sat)
+  | Path (a, b) -> two (fun a b -> Path (a, b)) a b
+  | Step (axis, test, preds) -> Step (axis, test, List.map f preds)
+  | Filter (e, preds) -> Filter (f e, List.map f preds)
+  | Call (q, args) -> Call (q, List.map f args)
+  | Execute_at (d, q, args) -> Execute_at (f d, q, List.map f args)
+  | Elem_ctor (q, attrs, content) ->
+      Elem_ctor
+        ( q,
+          List.map
+            (fun (n, parts) ->
+              ( n,
+                List.map
+                  (function A_expr e -> A_expr (f e) | A_text _ as t -> t)
+                  parts ))
+            attrs,
+          List.map f content )
+  | Comp_elem (a, b) -> two (fun a b -> Comp_elem (a, b)) a b
+  | Comp_attr (a, b) -> two (fun a b -> Comp_attr (a, b)) a b
+  | Text_ctor a -> Text_ctor (f a)
+  | Comment_ctor a -> Comment_ctor (f a)
+  | Doc_ctor a -> Doc_ctor (f a)
+  | Typeswitch (op, cases, (dv, de)) ->
+      Typeswitch
+        (f op, List.map (fun (t, v, e) -> (t, v, f e)) cases, (dv, f de))
+  | Instance_of (a, t) -> Instance_of (f a, t)
+  | Cast_as (a, t, o) -> Cast_as (f a, t, o)
+  | Castable_as (a, t, o) -> Castable_as (f a, t, o)
+  | Treat_as (a, t) -> Treat_as (f a, t)
+  | Insert (where, a, b) -> two (fun a b -> Insert (where, a, b)) a b
+  | Delete a -> Delete (f a)
+  | Replace_node (a, b) -> two (fun a b -> Replace_node (a, b)) a b
+  | Replace_value (a, b) -> two (fun a b -> Replace_value (a, b)) a b
+  | Rename_node (a, b) -> two (fun a b -> Rename_node (a, b)) a b
+
 (** [e] asks [position()] or [last()] at its own focus. *)
 let rec mentions_position (e : expr) =
   match e with

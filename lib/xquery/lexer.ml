@@ -45,40 +45,44 @@ let peek_at lx k =
 
 let peek lx = peek_at lx 0
 
+(* [src.[i] = c], false past the end: the scanner's lookahead without
+   allocating an option per character *)
+let char_is lx i c = i < String.length lx.src && lx.src.[i] = c
+
 (* skip whitespace and (: nested comments :) *)
 let rec skip_trivia lx =
-  (match peek lx with
-  | Some c when is_space c ->
-      lx.pos <- lx.pos + 1;
-      skip_trivia lx
-  | Some '(' when peek_at lx 1 = Some ':' ->
-      lx.pos <- lx.pos + 2;
-      let depth = ref 1 in
-      while !depth > 0 do
-        match (peek lx, peek_at lx 1) with
-        | Some '(', Some ':' ->
-            depth := !depth + 1;
-            lx.pos <- lx.pos + 2
-        | Some ':', Some ')' ->
-            depth := !depth - 1;
-            lx.pos <- lx.pos + 2
-        | Some _, _ -> lx.pos <- lx.pos + 1
-        | None, _ -> error "unterminated comment"
-      done;
-      skip_trivia lx
-  | _ -> ())
+  let src = lx.src and len = String.length lx.src in
+  while lx.pos < len && is_space src.[lx.pos] do
+    lx.pos <- lx.pos + 1
+  done;
+  if char_is lx lx.pos '(' && char_is lx (lx.pos + 1) ':' then begin
+    lx.pos <- lx.pos + 2;
+    let depth = ref 1 in
+    while !depth > 0 do
+      if lx.pos >= len then error "unterminated comment"
+      else if src.[lx.pos] = '(' && char_is lx (lx.pos + 1) ':' then (
+        depth := !depth + 1;
+        lx.pos <- lx.pos + 2)
+      else if src.[lx.pos] = ':' && char_is lx (lx.pos + 1) ')' then (
+        depth := !depth - 1;
+        lx.pos <- lx.pos + 2)
+      else lx.pos <- lx.pos + 1
+    done;
+    skip_trivia lx
+  end
 
 let read_ncname lx =
   let start = lx.pos in
-  (match peek lx with
-  | Some c when is_name_start c -> lx.pos <- lx.pos + 1
-  | _ -> error "expected name at offset %d" lx.pos);
+  if lx.pos < String.length lx.src && is_name_start lx.src.[lx.pos] then
+    lx.pos <- lx.pos + 1
+  else error "expected name at offset %d" lx.pos;
   while lx.pos < String.length lx.src && is_name_char lx.src.[lx.pos] do
     lx.pos <- lx.pos + 1
   done;
   String.sub lx.src start (lx.pos - start)
 
-let read_string_lit lx quote =
+(* the general case: doubled quotes and entity references *)
+let read_string_lit_escaped lx quote =
   lx.pos <- lx.pos + 1;
   let buf = Buffer.create 16 in
   let rec loop () =
@@ -117,6 +121,25 @@ let read_string_lit lx quote =
   loop ();
   Buffer.contents buf
 
+(* a literal with neither a doubled quote nor an entity reference is its
+   source bytes *)
+let read_string_lit lx quote =
+  let src = lx.src and len = String.length lx.src in
+  let rec close i =
+    if i >= len then None
+    else
+      let c = src.[i] in
+      if c = quote then if char_is lx (i + 1) quote then None else Some i
+      else if c = '&' then None
+      else close (i + 1)
+  in
+  match close (lx.pos + 1) with
+  | Some stop ->
+      let s = String.sub src (lx.pos + 1) (stop - lx.pos - 1) in
+      lx.pos <- stop + 1;
+      s
+  | None -> read_string_lit_escaped lx quote
+
 let read_number lx =
   let start = lx.pos in
   while lx.pos < String.length lx.src && is_digit lx.src.[lx.pos] do
@@ -148,61 +171,73 @@ let read_number lx =
   else if has_dot then Dec_lit (float_of_string s)
   else Int_lit (int_of_string s)
 
-let two_char_syms =
-  [ ":="; "!="; "<="; ">="; "<<"; ">>"; "//"; ".."; "::" ]
+(* the two-character symbols: ":=" "!=" "<=" ">=" "<<" ">>" "//" ".."
+   "::" *)
+let two_char_sym c d =
+  match (c, d) with
+  | ':', '=' -> Some ":="
+  | '!', '=' -> Some "!="
+  | '<', '=' -> Some "<="
+  | '>', '=' -> Some ">="
+  | '<', '<' -> Some "<<"
+  | '>', '>' -> Some ">>"
+  | '/', '/' -> Some "//"
+  | '.', '.' -> Some ".."
+  | ':', ':' -> Some "::"
+  | _ -> None
+
+(* one-character symbols, spelled once *)
+let one_char_syms = Array.init 256 (fun i -> String.make 1 (Char.chr i))
 
 let scan lx =
   skip_trivia lx;
   lx.tok_start <- lx.pos;
-  match peek lx with
-  | None -> Eof
-  | Some c when is_digit c -> read_number lx
-  | Some '.' when (match peek_at lx 1 with Some d -> is_digit d | None -> false)
-    ->
-      read_number lx
-  | Some (('"' | '\'') as q) -> Str_lit (read_string_lit lx q)
-  | Some '$' ->
-      lx.pos <- lx.pos + 1;
-      skip_trivia lx;
-      let a = read_ncname lx in
-      if peek lx = Some ':' && peek_at lx 1 <> Some ':' then (
+  let src = lx.src and len = String.length lx.src in
+  let is_name_start_at i = i < len && is_name_start src.[i] in
+  if lx.pos >= len then Eof
+  else
+    match src.[lx.pos] with
+    | c when is_digit c -> read_number lx
+    | '.' when lx.pos + 1 < len && is_digit src.[lx.pos + 1] -> read_number lx
+    | ('"' | '\'') as q -> Str_lit (read_string_lit lx q)
+    | '$' ->
         lx.pos <- lx.pos + 1;
-        let b = read_ncname lx in
-        Var (a, b))
-      else Var ("", a)
-  | Some '*' when peek_at lx 1 = Some ':'
-                  && (match peek_at lx 2 with
-                     | Some c -> is_name_start c
-                     | None -> false) ->
-      lx.pos <- lx.pos + 2;
-      Star_colon (read_ncname lx)
-  | Some c when is_name_start c ->
-      let a = read_ncname lx in
-      if peek lx = Some ':' && peek_at lx 1 <> Some ':'
-         && peek_at lx 1 <> Some '=' then (
-        match peek_at lx 1 with
-        | Some '*' ->
+        skip_trivia lx;
+        let a = read_ncname lx in
+        if char_is lx lx.pos ':' && not (char_is lx (lx.pos + 1) ':') then (
+          lx.pos <- lx.pos + 1;
+          let b = read_ncname lx in
+          Var (a, b))
+        else Var ("", a)
+    | '*' when char_is lx (lx.pos + 1) ':' && is_name_start_at (lx.pos + 2) ->
+        lx.pos <- lx.pos + 2;
+        Star_colon (read_ncname lx)
+    | c when is_name_start c ->
+        let a = read_ncname lx in
+        if
+          char_is lx lx.pos ':'
+          && (not (char_is lx (lx.pos + 1) ':'))
+          && not (char_is lx (lx.pos + 1) '=')
+        then
+          if char_is lx (lx.pos + 1) '*' then (
             lx.pos <- lx.pos + 2;
-            Ns_star a
-        | Some c2 when is_name_start c2 ->
+            Ns_star a)
+          else if is_name_start_at (lx.pos + 1) then (
             lx.pos <- lx.pos + 1;
             let b = read_ncname lx in
-            Name (a, b)
-        | _ -> Name ("", a))
-      else Name ("", a)
-  | Some _ ->
-      let two =
-        if lx.pos + 2 <= String.length lx.src then
-          String.sub lx.src lx.pos 2
-        else ""
-      in
-      if List.mem two two_char_syms then (
-        lx.pos <- lx.pos + 2;
-        Sym two)
-      else
-        let c = lx.src.[lx.pos] in
-        lx.pos <- lx.pos + 1;
-        Sym (String.make 1 c)
+            Name (a, b))
+          else Name ("", a)
+        else Name ("", a)
+    | c -> (
+        match
+          if lx.pos + 1 < len then two_char_sym c src.[lx.pos + 1] else None
+        with
+        | Some two ->
+            lx.pos <- lx.pos + 2;
+            Sym two
+        | None ->
+            lx.pos <- lx.pos + 1;
+            Sym one_char_syms.(Char.code c))
 
 let make src =
   let lx = { src; pos = 0; tok = Eof; tok_start = 0 } in

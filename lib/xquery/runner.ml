@@ -14,6 +14,10 @@ let err fmt = Printf.ksprintf (fun s -> raise (Module_error s)) fmt
 
 type module_resolver = uri:string -> location:string -> string
 
+(** A module resolver that hands back the parsed module, so a peer that
+    keeps each registered module's parse never parses it again. *)
+type module_loader = uri:string -> location:string -> Ast.prog
+
 (** [load_prolog ctx ~resolver prog] processes a parsed program's prolog:
     registers functions, loads imported modules (recursively), binds global
     variables, and records [declare option] values.  Returns the extended
@@ -77,7 +81,7 @@ let rec load_prolog (ctx : Context.t) ~(resolver : module_resolver)
     bindings of pass 2 ({!bind_globals}) are database-dependent and must
     re-run per execution.  Imported modules' own global variables are not
     bound — matching {!load_prolog}, which evaluates and discards them. *)
-let rec load_prolog_static (ctx : Context.t) ~(resolver : module_resolver)
+let rec load_prolog_static (ctx : Context.t) ~(load : module_loader)
     ?(visited = ref []) (prog : Ast.prog) : unit =
   let module_uri, location =
     match prog.Ast.module_decl with
@@ -92,15 +96,14 @@ let rec load_prolog_static (ctx : Context.t) ~(resolver : module_resolver)
           ctx.Context.imports := (uri, at) :: !(ctx.Context.imports);
           if not (List.mem uri !visited) then (
             visited := uri :: !visited;
-            let source = resolver ~uri ~location:at in
-            let sub = Parser.parse_prog source in
+            let sub = load ~uri ~location:at in
             (match sub.Ast.module_decl with
             | Some (_, sub_uri) when sub_uri <> uri ->
                 err "module at %s declares namespace %s, expected %s" at
                   sub_uri uri
             | Some _ -> ()
             | None -> err "imported %s is not a library module" uri);
-            load_prolog_static ctx ~resolver ~visited sub)
+            load_prolog_static ctx ~load ~visited sub)
       | Ast.P_function f ->
           let location =
             if location <> "" then location

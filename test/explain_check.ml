@@ -13,7 +13,10 @@
    the number of loop iterations the sites see.  The path steps printed
    as attribute-value index probes must be the probes the run recorded
    outside any served request (an in-process serving peer's probes
-   belong to that peer's plan).  Returns the plan. *)
+   belong to that peer's plan).  The plan is the lifted one: it prints
+   the value of each literal the plan cache lifted, in order.  With
+   [~lifted_probe], the plan must have lifted a literal and still print that
+   probe among its step forms.  Returns the plan. *)
 
 module Peer = Xrpc_peer.Peer
 module Profile = Xrpc_obs.Profile
@@ -45,10 +48,10 @@ let printed_sites plan =
   in
   go (String.split_on_char '\n' plan)
 
-let agree peer ~iterations query =
-  let compiled = Peer.compiled_plan peer query in
+let agree ?lifted_probe peer ~iterations query =
+  let compiled, literals = Peer.lifted_plan peer query in
   let plan =
-    Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs
+    Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs ~literals
       ~rpc_mode:(Peer.rpc_mode peer) compiled.Xrpc_peer.Plan_cache.prog
   in
   let _, profile = Profile.profiled (fun () -> Peer.query_seq peer query) in
@@ -140,4 +143,24 @@ let agree peer ~iterations query =
     fail ":explain prints probes [%s], :profile recorded [%s]"
       (String.concat "; " (set printed_probes))
       (String.concat "; " (set recorded_probes));
+  (* "   $xrpc:lit-N := "v"" after "lifted literals:" *)
+  let printed_literals =
+    let rec after = function
+      | "lifted literals:" :: rest -> rest
+      | _ :: rest -> after rest
+      | [] -> []
+    in
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l "   $xrpc:lit-%d := %S" (fun n v -> (n, v)))
+      (after (String.split_on_char '\n' plan))
+  in
+  if printed_literals <> List.mapi (fun i v -> (i + 1, v)) (Array.to_list literals)
+  then fail ":explain does not print the %d lifted literals in order"
+      (Array.length literals);
+  Option.iter
+    (fun probe ->
+      if literals = [||] then fail "the plan lifted no literal";
+      if not (List.mem probe printed_probes) then
+        fail "the lifted plan does not print %s" probe)
+    lifted_probe;
   plan

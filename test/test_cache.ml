@@ -27,6 +27,8 @@ module Transport = Xrpc_net.Transport
 module Message = Xrpc_soap.Message
 module Trace = Xrpc_obs.Trace
 module Profile = Xrpc_obs.Profile
+module Strategies = Xrpc_core.Strategies
+module Xmark = Xrpc_workloads.Xmark
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -662,6 +664,300 @@ return execute at {$dst} {f:addFilm(%S, "Sean Connery")}|}
         [ ("y", got); ("z", committed_films z) ])
     (chaos_seeds ())
 
+(* ------------------------------------------------------------------ *)
+(* Plans that survive their literals                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* x originates, z is x's twin with plan caching off (every query
+   compiled as written), y serves auctions.xml: the Q7 semi-join of the
+   e2e benchmark's q7_semijoin *)
+let q7_sites () =
+  let cluster =
+    Cluster.create ~config:sim_config
+      ~names:[ "x.example.org"; "y.example.org"; "z.example.org" ] ()
+  in
+  let peer n = Cluster.peer cluster n in
+  let x = peer "x.example.org" and y = peer "y.example.org"
+  and z = peer "z.example.org" in
+  let q =
+    { Strategies.local_doc = "persons.xml"; remote_uri = "xrpc://y.example.org";
+      remote_doc = "auctions.xml"; module_ns = "functions_b";
+      module_at = "http://example.org/b.xq" }
+  in
+  List.iter
+    (fun p ->
+      Peer.register_module p ~uri:q.Strategies.module_ns
+        ~location:q.Strategies.module_at (Strategies.functions_b q))
+    [ x; y; z ];
+  List.iter
+    (fun p ->
+      Database.add_doc_xml p.Peer.db "persons.xml" (Xmark.persons ~count:60 ()))
+    [ x; z ];
+  Database.add_doc_xml y.Peer.db "auctions.xml"
+    (Xmark.auctions ~count:120 ~matches:6 ~persons_count:60 ());
+  Peer.set_plan_caching z false;
+  (x, z)
+
+(* a q7_semijoin query over 50 person ids, laid out as the benchmark's *)
+let q7_text ids =
+  Printf.sprintf
+    {|import module namespace b = "functions_b" at "http://example.org/b.xq";
+for $p in doc("persons.xml")//person[@id = (%s)]
+let $ca := execute at {"xrpc://y.example.org"} { b:Q_B3(string($p/@id)) }
+return if (empty($ca)) then ()
+       else <result>{$p, $ca/annotation}</result>|}
+    (String.concat ", " (List.map (Printf.sprintf "\"person%d\"") ids))
+
+let test_q7_shares_one_plan () =
+  (* two texts that differ only in their 50 ids: one plan, compiled
+     once; each answers what its unlifted twin answers *)
+  let x, z = q7_sites () in
+  List.iter
+    (fun ids ->
+      let q = q7_text ids in
+      let got = Xdm.to_display (Peer.query_seq x q) in
+      check string_ "lifted = unlifted" (Xdm.to_display (Peer.query_seq z q)) got;
+      check bool_ "the query finds buyers" true (contains got "<result>"))
+    [ List.init 50 Fun.id; List.init 50 (fun i -> i + 10) ];
+  let s = plan_stats x in
+  check int_ "one plan-cache entry" 1 s.Lru.size;
+  check int_ "one compilation" 1 s.Lru.misses;
+  check int_ "the second text hit it" 1 s.Lru.hits
+
+let test_writes_share_one_plan () =
+  (* mixed_rw's writes: two p:set calls with other ids and values share
+     one plan, and each applies its own values *)
+  let cluster =
+    Cluster.create ~config:sim_config ~names:[ "x.example.org"; "y.example.org" ] ()
+  in
+  let x = Cluster.peer cluster "x.example.org"
+  and y = Cluster.peer cluster "y.example.org" in
+  let ns = "bench-persons" and at = "http://bench.example.org/persons.xq" in
+  let m =
+    {|module namespace p = "bench-persons";
+declare updating function p:set($pid as xs:string, $v as xs:string)
+{ replace value of node exactly-one(doc("persons.xml")//person[@id = $pid]/name)
+  with $v };|}
+  in
+  List.iter (fun p -> Peer.register_module p ~uri:ns ~location:at m) [ x; y ];
+  Database.add_doc_xml y.Peer.db "persons.xml" (Xmark.persons ~count:10 ());
+  let set pid v =
+    let r =
+      Peer.query x
+        (Printf.sprintf
+           {|import module namespace p=%S at %S;
+execute at {"xrpc://y.example.org"} {p:set("person%d", %S)}|}
+           ns at pid v)
+    in
+    check bool_ "write committed" true r.Peer.committed
+  in
+  set 3 "w1-1";
+  set 7 "w1-2";
+  let name pid =
+    Xdm.to_display
+      (Peer.query_seq y
+         (Printf.sprintf {|string(doc("persons.xml")//person[@id = "person%d"]/name)|} pid))
+  in
+  check string_ "first write's values" "w1-1" (name 3);
+  check string_ "second write's values" "w1-2" (name 7);
+  let s = plan_stats x in
+  check int_ "one plan-cache entry" 1 s.Lru.size;
+  check int_ "the second write hit it" 1 s.Lru.hits
+
+let test_lifted_hit_allocation () =
+  (* a plan-cache hit on a byte-identical q7 text plus the binding of its
+     50 lifted literals: an absolute bound, printed beside what compiling
+     the text allocates (the twin with plan caching off, its module
+     already parsed) *)
+  let x, z = q7_sites () in
+  let q = q7_text (List.init 50 Fun.id) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  ignore (Peer.lifted_plan x q);
+  ignore (Peer.compiled_plan z q);
+  let ctx = Xrpc_xquery.Context.empty () in
+  let compile = words (fun () -> ignore (Peer.compiled_plan z q)) in
+  let hit =
+    words (fun () ->
+        let _, literals = Peer.lifted_plan x q in
+        ignore (Normalize.bind_literals ctx literals))
+  in
+  Printf.printf "q7 text of %d bytes: compile %.0f minor words, hit + bind %.0f\n"
+    (String.length q) compile hit;
+  check bool_
+    (Printf.sprintf "hit + bind allocates %.0f words (bound 4000)" hit)
+    true (hit <= 4000.)
+
+let test_lift_keys () =
+  (* what stays in the text, what is lifted, and the reserved name *)
+  let q = {|for $p in doc("a.xml")//p[@id = ("k1", "k2")] return concat($p, "!")|} in
+  let l = Normalize.lift q in
+  check (Alcotest.array string_) "body literals lifted, doc name kept"
+    [| "k1"; "k2"; "!" |] l.Normalize.literals;
+  check string_ "other literals share the key" l.Normalize.key
+    (Normalize.canonical
+       {|for $p in doc("a.xml")//p[@id = ("x", "y")] return concat($p, "?")|});
+  check bool_ "another document is another key" true
+    (l.Normalize.key
+    <> Normalize.canonical
+         {|for $p in doc("b.xml")//p[@id = ("k1", "k2")] return concat($p, "!")|});
+  let kept src =
+    check (Alcotest.array string_) src [||] (Normalize.lift src).Normalize.literals
+  in
+  kept {|declare variable $v := "prolog"; $v|};
+  kept {|import module namespace m = "m" at "m.xq"; execute at {"xrpc://y"} {m:f(1)}|};
+  kept {|count(doc("d.xml")//processing-instruction("pi"))|};
+  kept {|for $x in ("a", $xrpc:lit-1) return $x|};
+  kept {|"a" || "(: spells :lit- :)"|};
+  check (Alcotest.array string_) "numbers stay, strings go" [| "3" |]
+    (Normalize.lift {|("3", 3)[2]|}).Normalize.literals;
+  (* the constructor tail stays raw: its literals are not lifted *)
+  let c = Normalize.lift {|("a", <r a="x">{"b"}</r>)|} in
+  check (Alcotest.array string_) "tail kept" [| "a" |] c.Normalize.literals;
+  check bool_ "tail keyed raw" true (Normalize.is_raw c.Normalize.key)
+
+(* Seeded literal substitutions: a query template with string-literal
+   slots in every kind of position, filled twice with random strings
+   (quotes, entities, braces, comment and reserved-name spellings among
+   them).  Both fillings run on a fresh lifted/unlifted pair, so the
+   second one runs the first one's plan when it lifted: each must answer
+   or fail as its unlifted twin does.  Case i runs from seed LIFT_SEED +
+   i; with LIFT_SEED set only that case runs.  QCHECK_LONG (the @fuzz
+   alias) runs ten times the cases. *)
+let lift_cases = if Sys.getenv_opt "QCHECK_LONG" <> None then 10_000 else 1000
+
+let lift_doc =
+  {|<items><item k="k1" v="10">one</item><item k="k2" v="20">two</item><?pi x?><item k="k3" v="x">three</item></items>|}
+
+let lift_module =
+  {|module namespace m = "m";
+declare function m:f($s as xs:string) as xs:string { concat("<", $s, ">") };|}
+
+let lift_templates =
+  [|
+    {|count(doc("d.xml")//item[@k = %s])|};
+    {|doc("d.xml")//item[@k = (%s, %s)]/string(@v)|};
+    {|concat(%s, %s)|};
+    {|string-length(%s)|};
+    {|contains(%s, %s)|};
+    {|upper-case(%s)|};
+    {|string-join((%s, %s), %s)|};
+    {|translate(%s, %s, %s)|};
+    {|normalize-space(%s)|};
+    {|%s cast as xs:integer|};
+    {|xs:double(%s) + 1|};
+    {|%s castable as xs:date|};
+    {|(%s = %s, %s < %s, %s eq %s)|};
+    {|compare(%s, %s)|};
+    {|for $x in (%s, %s, %s) order by $x descending return $x|};
+    {|let $s := %s return ($s, string-length($s))|};
+    {|for $x in (%s, %s) where $x = %s return $x|};
+    {|declare variable $v := %s; ($v, %s)|};
+    {|count(doc(%s)//item)|};
+    {|count(doc("d.xml")//processing-instruction(%s))|};
+    {|for $x in (%s, %s) order by $x collation %s return $x|};
+    {|(%s, <r a="{%s}">{%s}</r>)|};
+    {|element {%s} {%s}|};
+    {|typeswitch (%s) case xs:integer return 1 default return 2|};
+    {|if (%s) then %s else %s|};
+    {|some $x in (%s, %s) satisfies $x = %s|};
+    {|(%s, %s)[2]|};
+    {|import module namespace m = "m" at "m.xq"; m:f(%s)|};
+    {|import module namespace m = "m" at "m.xq"; execute at {%s} {m:f(%s)}|};
+    {|replace value of node exactly-one(doc("d.xml")//item[@k = %s]/@v) with %s|};
+    {|(doc("d.xml")//item[@k = %s], "after")[. = %s]|};
+  |]
+
+(* the number of %s slots of a template *)
+let slots t =
+  let n = ref 0 in
+  String.iteri
+    (fun i c -> if c = '%' && i + 1 < String.length t && t.[i + 1] = 's' then incr n)
+    t;
+  !n
+
+let fill t lits =
+  let b = Buffer.create (String.length t + 64) in
+  let rest = ref lits in
+  let i = ref 0 in
+  while !i < String.length t do
+    if t.[!i] = '%' && !i + 1 < String.length t && t.[!i + 1] = 's' then (
+      (match !rest with
+      | l :: tl ->
+          Buffer.add_string b l;
+          rest := tl
+      | [] -> ());
+      i := !i + 2)
+    else (
+      Buffer.add_char b t.[!i];
+      incr i)
+  done;
+  Buffer.contents b
+
+(* a random string and an XQuery literal spelling it *)
+let random_literal rs =
+  let pieces =
+    [| "k1"; "k2"; "k3"; "a"; "Z"; "12"; "2024-01-02"; "1e3"; " "; ""; "é";
+       "\""; "'"; "&"; "<"; "{"; "}"; "(:"; ":)"; "x:lit-"; "pi"; "true";
+       "xrpc://y" |]
+  in
+  let piece () = pieces.(Random.State.int rs (Array.length pieces)) in
+  (* one piece a third of the time, so keys and numbers often match *)
+  let s =
+    if Random.State.int rs 3 = 0 then piece ()
+    else String.concat "" (List.init (Random.State.int rs 4) (fun _ -> piece ()))
+  in
+  let quote = if Random.State.bool rs then '"' else '\'' in
+  let b = Buffer.create 16 in
+  Buffer.add_char b quote;
+  String.iter
+    (fun c ->
+      if c = quote then (Buffer.add_char b c; Buffer.add_char b c)
+      else if c = '&' then Buffer.add_string b "&amp;"
+      else if c = '<' && Random.State.bool rs then Buffer.add_string b "&lt;"
+      else Buffer.add_char b c)
+    s;
+  Buffer.add_char b quote;
+  Buffer.contents b
+
+let lift_case seed =
+  let rs = Random.State.make [| seed |] in
+  let t = lift_templates.(Random.State.int rs (Array.length lift_templates)) in
+  let filling () = fill t (List.init (slots t) (fun _ -> random_literal rs)) in
+  let a = filling () in
+  let b = filling () in
+  (a, b)
+
+let test_lift_substitutions () =
+  let seeds =
+    match Option.bind (Sys.getenv_opt "LIFT_SEED") int_of_string_opt with
+    | Some s -> [ s ]
+    | None -> List.init lift_cases (fun i -> 9000 + i)
+  in
+  let shared = ref 0 in
+  List.iter
+    (fun seed ->
+      let a, b = lift_case seed in
+      let t =
+        Lift_check.create ~modules:[ ("m", "m.xq", lift_module) ] [ ("d.xml", lift_doc) ]
+      in
+      List.iter
+        (fun q ->
+          match Lift_check.agree t q with
+          | Ok () -> ()
+          | Error m ->
+              Alcotest.failf "%s\nreplay with: LIFT_SEED=%d dune exec \
+                              test/test_cache.exe -- test lift" m seed)
+        [ a; b ];
+      if (plan_stats t.Lift_check.lifted).Lru.hits > 0 && a <> b then incr shared)
+    seeds;
+  Printf.printf "%d of %d cases ran their second text on the first one's plan\n"
+    !shared (List.length seeds);
+  check bool_ "substitutions share plans" true (!shared * 4 >= List.length seeds)
+
 let () =
   Alcotest.run "cache"
     [
@@ -701,6 +997,19 @@ let () =
             `Quick test_plan_cache_concurrent_queries;
           Alcotest.test_case "explain compiles once" `Quick
             test_explain_compiles_once;
+        ] );
+      ( "lift",
+        [
+          Alcotest.test_case "what is lifted" `Quick test_lift_keys;
+          Alcotest.test_case "q7 texts with other ids share one plan" `Quick
+            test_q7_shares_one_plan;
+          Alcotest.test_case "writes with other values share one plan" `Quick
+            test_writes_share_one_plan;
+          Alcotest.test_case "hit + bind allocation" `Quick
+            test_lifted_hit_allocation;
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded literal substitutions" lift_cases)
+            `Quick test_lift_substitutions;
         ] );
       ( "result-cache",
         [

@@ -855,6 +855,70 @@ let test_decode_allocation () =
         ())
     (bulk_messages ())
 
+(* ------------------------------------------------------------------ *)
+(* Xml_parse on its own                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The documents and envelopes the suites parse, mutated by test/fuzz.ml:
+   every consumer of the scanner (the tree builders and a pull-cursor
+   walk that reads each event's data, descends by element, content,
+   skip or text_content, over a window inside a larger string) must
+   return or raise Parse_error; any other exception is a scanner bug.
+   10k cases under runtest, 100k under @fuzz; FUZZ_SEED=<n> replays one. *)
+let xml_seeds =
+  let rs = Random.State.make [| 0x5eed |] in
+  Array.concat
+    [
+      Seeds.request_seeds;
+      Seeds.reply_seeds;
+      [|
+        Xrpc_workloads.Filmdb.film_db_xml;
+        Xmark.persons ~count:4 ();
+        Xmark.auctions ~count:4 ~matches:2 ~persons_count:4 ();
+        {|<library xmlns:cat="urn:catalog"><shelf floor="1"><book year="1999" cat:id="b1"><title>DDBS</title></book></shelf></library>|};
+      |];
+      Array.init 8 (fun _ -> gen_text_document rs);
+    ]
+
+let walk_cursor w =
+  let pad = "<<" in
+  let s = pad ^ w ^ pad in
+  let c = Xml_parse.cursor s ~pos:(String.length pad) ~len:(String.length w) in
+  (* which accessor to try at each start tag, derived from the input *)
+  let choice = ref (String.length w) in
+  let rec go () =
+    match Xml_parse.next c with
+    | Xml_parse.Start ->
+        ignore (Xml_parse.name c);
+        ignore (Xml_parse.local c);
+        ignore (Xml_parse.attrs c);
+        ignore (Xml_parse.attr c "id");
+        choice := (!choice * 31) + 7;
+        (match !choice land 7 with
+        | 0 -> ignore (Xml_parse.element c)
+        | 1 -> ignore (Xml_parse.content c)
+        | 2 -> Xml_parse.skip c
+        | 3 -> ignore (Xml_parse.text_content c)
+        | _ -> ());
+        go ()
+    | Xml_parse.End -> go ()
+    | Xml_parse.Text | Xml_parse.Comment | Xml_parse.Pi ->
+        ignore (Xml_parse.text c);
+        go ()
+    | Xml_parse.Eof -> ()
+  in
+  go ()
+
+let prop_xml_parse =
+  Fuzz.prop ~name:"Xml_parse: only Parse_error escapes" ~seeds:xml_seeds
+    ~expected:(fun _ -> false)
+    (fun w ->
+      let consume f = try f () with Xml_parse.Parse_error _ -> () in
+      consume (fun () -> ignore (Xml_parse.document w));
+      consume (fun () -> ignore (Xml_parse.document ~preserve_space:false w));
+      consume (fun () -> ignore (Xml_parse.fragment w));
+      consume (fun () -> walk_cursor w))
+
 let qcheck_quick t =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
     ~rand:(Random.State.make [| 29 |]) t
@@ -881,6 +945,7 @@ let () =
           Alcotest.test_case "allowed differences" `Quick
             test_allowed_differences;
         ] );
+      ("xml-fuzz", [ qcheck_quick prop_xml_parse ]);
       ( "allocation",
         [
           Alcotest.test_case "parse <= 0.6x oracle" `Quick test_parse_allocation;

@@ -228,6 +228,20 @@ let error_cases =
     ("index-of two search values", "index-of((1, 2), (1, 2))");
   ]
 
+(* every case, lifted and unlifted: the plan cache's literal lifting
+   gives the same answers and the same errors *)
+let test_lifted () =
+  let t = Lift_check.create [ ("l", library_xml) ] in
+  List.iter
+    (fun q ->
+      match Lift_check.agree t q with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    (List.map (fun (_, q, _) -> q) cases @ List.map snd error_cases);
+  let lifted, runs = Lift_check.share t in
+  Printf.printf "%d of %d cases lifted a literal\n" lifted runs;
+  Alcotest.(check bool) "some cases lift a literal" true (lifted * 4 >= runs)
+
 let () =
   Alcotest.run "conformance"
     [
@@ -248,4 +262,5 @@ let () =
                     ()
                 | r -> Alcotest.fail (name ^ ": expected error, got " ^ r)))
           error_cases );
+      ("lift", [ Alcotest.test_case "lifted = unlifted" `Quick test_lifted ]);
     ]

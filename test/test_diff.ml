@@ -290,6 +290,25 @@ let cached_peer_battery mode () =
     Alcotest.failf "forced rpc mode %S: expected >= 200 plan-cache hits, saw %d"
       mode stats.Xrpc_peer.Lru.hits
 
+(* every generated query (cases 0..699) and corner, lifted and unlifted:
+   the plan cache's literal lifting never changes an answer or an error *)
+let test_lifted () =
+  let base = base_seed () in
+  let t = Lift_check.create [] in
+  let check_one case q =
+    match Lift_check.agree t q with
+    | Ok () -> ()
+    | Error m ->
+        Alcotest.failf "%s\ncase %d; replay the battery with: DIFF_SEED=%d dune runtest"
+          m case base
+  in
+  for case = 0 to 699 do
+    check_one case (gen_query ~base ~case)
+  done;
+  List.iteri
+    (fun i q -> check_one (-(i + 1)) q)
+    [ {|concat("a", "b")|}; {|("x", "y")[2]|}; {|string-length("lifted")|} ]
+
 (* the battery is itself deterministic: same base seed, same 500 queries *)
 let test_generator_deterministic () =
   let base = base_seed () in
@@ -315,5 +334,7 @@ let () =
             (cached_peer_battery "singles");
           Alcotest.test_case "generator determinism" `Quick
             test_generator_deterministic;
+          Alcotest.test_case "700 queries, lifted = unlifted" `Quick
+            test_lifted;
         ] );
     ]

@@ -105,6 +105,7 @@ let test_explain_agrees_on_probes () =
   let x = q7_cluster () in
   let plan =
     Explain_check.agree x ~iterations:5
+      ~lifted_probe:"attribute-value index probe (person, @id)"
       (q7_client {|@id = ("person1", "person3", "person5", "person7", "person9", "nobody")|})
   in
   check bool_ "the probe is printed" true

@@ -65,15 +65,17 @@ let nested_xml =
   Buffer.add_string buf "</a>";
   Buffer.contents buf
 
+let doc_sources =
+  [
+    ("persons.xml", Xmark.persons ~count:12 ());
+    ("auctions.xml", Xmark.auctions ~count:12 ~matches:3 ~persons_count:12 ());
+    ("nest.xml", nested_xml);
+  ]
+
 let docs =
   List.map
     (fun (uri, xml) -> (uri, Store.shred ~uri (Xml_parse.document xml)))
-    [
-      ("persons.xml", Xmark.persons ~count:12 ());
-      ( "auctions.xml",
-        Xmark.auctions ~count:12 ~matches:3 ~persons_count:12 () );
-      ("nest.xml", nested_xml);
-    ]
+    doc_sources
 
 let doc_resolver uri =
   match List.assoc_opt uri docs with
@@ -476,6 +478,22 @@ let test_property () =
     (Printf.sprintf "%d of %d queries also run loop-lifted" !lifted cases)
     true
     (!lifted * 5 >= cases)
+
+(* the same seeded paths, lifted and unlifted: the plan cache's literal
+   lifting (the key values and names in their predicates) never changes
+   an answer or an error *)
+let test_lifted () =
+  let t = Lift_check.create doc_sources in
+  for i = 0 to cases - 1 do
+    let seed = base_seed + i in
+    let q = render ~long:false (query (Random.State.make [| seed |])) in
+    match Lift_check.agree t q with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s\nreplay with: PATH_SEED=%d dune build @paths" m seed
+  done;
+  let lifted, runs = Lift_check.share t in
+  Printf.printf "%d of %d paths lifted a literal\n" lifted runs;
+  check bool_ "some paths lift a literal" true (lifted * 10 >= runs)
 
 (* ------------------------------------------------------------------ *)
 (* The index, the short-cut and the set operations                     *)
@@ -905,6 +923,8 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d seeded paths vs the oracle" cases)
             `Quick test_property;
+          Alcotest.test_case "seeded paths, lifted = unlifted" `Quick
+            test_lifted;
         ] );
       ( "kernel",
         [
