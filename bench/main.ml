@@ -31,18 +31,6 @@ let json_out = Array.exists (( = ) "--json") Sys.argv
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
-(* adaptive timer: warm once, then repeat until ~50 ms of samples (a single
-   rep suffices for the slow reference kernels at 10k rows) *)
-let time_ns f =
-  ignore (Sys.opaque_identity (f ()));
-  let t0 = now_ms () in
-  let reps = ref 0 in
-  while now_ms () -. t0 < 50. && !reps < 1000 do
-    ignore (Sys.opaque_identity (f ()));
-    incr reps
-  done;
-  (now_ms () -. t0) *. 1e6 /. float_of_int !reps
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -127,136 +115,6 @@ let table2 () =
           }\n"
          iters_hi one1 one2 one3 one4 bulk1 bulk2 bulk3 bulk4
          (one2 /. bulk2) (one4 /. bulk4))
-
-(* ================================================================== *)
-(* Algebra kernels: columnar hash/sort vs the row-at-a-time reference  *)
-(* ================================================================== *)
-
-let algebra_bench () =
-  header "Algebra kernels: columnar hash/sort vs Ops_reference (ns/op)";
-  let module Table = Xrpc_algebra.Table in
-  let module Ops = Xrpc_algebra.Ops in
-  let module Ref = Xrpc_algebra.Ops_reference in
-  (* iter repeats every n/5 rows (duplicate join/group keys), item cycles
-     through 97 values — all 10k full rows stay distinct *)
-  let mk n =
-    Table.make [ "iter"; "pos"; "item" ]
-      (List.init n (fun i ->
-           [ Table.Int ((i mod max 1 (n / 5)) + 1); Table.Int 1;
-             Table.Item (Xdm.int (i mod 97)) ]))
-  in
-  let sizes = if quick then [ 100; 1000 ] else [ 100; 1000; 10000 ] in
-  let kernels =
-    [
-      ( "equi_join",
-        (fun t -> ignore (Ops.equi_join t "iter" t "iter")),
-        fun t -> ignore (Ref.equi_join t "iter" t "iter") );
-      ( "distinct",
-        (fun t -> ignore (Ops.distinct t)),
-        fun t -> ignore (Ref.distinct t) );
-      ( "rank",
-        (fun t ->
-          ignore
-            (Ops.rank t ~new_col:"rk" ~order_by:[ "item" ] ~partition:"iter" ())),
-        fun t ->
-          ignore
-            (Ref.rank t ~new_col:"rk" ~order_by:[ "item" ] ~partition:"iter" ())
-      );
-      ( "merge_union",
-        (fun t -> ignore (Ops.merge_union_on_iter [ t; t ])),
-        fun t -> ignore (Ref.merge_union_on_iter [ t; t ]) );
-    ]
-  in
-  let results =
-    List.map
-      (fun (name, opt, reference) ->
-        let per_size =
-          List.map
-            (fun n ->
-              let t = mk n in
-              let o = time_ns (fun () -> opt t) in
-              let r = time_ns (fun () -> reference t) in
-              Printf.printf
-                "%-12s %6d rows: %12.0f ns opt  %14.0f ns ref  (%7.1fx)\n" name
-                n o r (r /. o);
-              (n, o, r))
-            sizes
-        in
-        (name, per_size))
-      kernels
-  in
-  (* Bulk RPC assembly: the full Figure-2 rule with a zero-cost network stub,
-     so only the relational request build + response reassembly is measured.
-     Linear assembly ⟹ 10x the calls costs ~10x the time. *)
-  let bulk_ms k =
-    let dst =
-      Table.make [ "iter"; "pos"; "item" ]
-        (List.init k (fun i ->
-             [ Table.Int (i + 1); Table.Int 1; Table.Item (Xdm.str "xrpc://p") ]))
-    in
-    let param =
-      Table.make [ "iter"; "pos"; "item" ]
-        (List.init k (fun i ->
-             [ Table.Int (i + 1); Table.Int 1; Table.Item (Xdm.int i) ]))
-    in
-    let call ~dest:_ (req : Message.request) =
-      Message.Response
-        {
-          Message.resp_module = req.Message.module_uri;
-          resp_method = req.Message.method_;
-          results = List.map (fun _ -> [ Xdm.int 0 ]) req.Message.calls;
-          db_version = None;
-          peers = [];
-        }
-    in
-    let f () =
-      ignore
-        (Xrpc_algebra.Bulk_rpc.execute ~dst ~params:[ param ] ~module_uri:"m"
-           ~location:"l" ~method_:"f" ~call ())
-    in
-    (* best of 15 — GC noise otherwise dominates the sub-ms runs *)
-    f ();
-    let best = ref infinity in
-    for _ = 1 to 15 do
-      let t0 = now_ms () in
-      f ();
-      let d = now_ms () -. t0 in
-      if d < !best then best := d
-    done;
-    !best
-  in
-  let b100 = bulk_ms 100 and b1000 = bulk_ms 1000 in
-  let b10000 = bulk_ms 10000 in
-  Printf.printf
-    "bulk assembly: 100 calls %6.2f ms   1000 calls %6.2f ms   10000 calls %6.2f ms\n\
-    \  (10x calls -> %.1fx / %.1fx time; ~13x is the n log n sort factor,\n\
-    \   quadratic assembly would be ~100x per step)\n"
-    b100 b1000 b10000 (b1000 /. b100) (b10000 /. b1000);
-  if json_out then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"kernels\": {\n";
-    List.iteri
-      (fun i (name, per_size) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (Printf.sprintf "    %S: { " name);
-        List.iteri
-          (fun j (n, o, r) ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "\"%d\": { \"opt_ns\": %.0f, \"ref_ns\": %.0f, \"speedup\": %.1f }"
-                 n o r (r /. o)))
-          per_size;
-        Buffer.add_string buf " }")
-      results;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\n  },\n\
-         \  \"bulk_assembly\": { \"calls_100_ms\": %.3f, \"calls_1000_ms\": %.3f, \"calls_10000_ms\": %.3f, \"scaling_10x_calls\": %.2f, \"scaling_10x_calls_large\": %.2f, \"note\": \"linear assembly with n log n sorts; quadratic would scale ~100x per 10x\" }\n\
-          }\n"
-         b100 b1000 b10000 (b1000 /. b100) (b10000 /. b1000));
-    write_file "BENCH_algebra.json" (Buffer.contents buf)
-  end
 
 (* ================================================================== *)
 (* §3.3 Throughput: request/response payload scaling                   *)
@@ -895,63 +753,9 @@ let faults_bench () =
 
 let obs_bench () =
   header "Observability: tracing overhead (off vs on) + distributed span tree";
-  let module Table = Xrpc_algebra.Table in
-  let module Ops = Xrpc_algebra.Ops in
   let module Trace = Xrpc_obs.Trace in
-  (* -- 1. algebra kernels, tracing off vs on ------------------------ *)
-  (* Counters are always on (one field increment per operator); the
-     per-operator latency histograms are gated on [Trace.enabled], so
-     "off" measures the always-on cost and "on" adds two clock reads +
-     one histogram observation per operator call. *)
-  let mk n =
-    Table.make [ "iter"; "pos"; "item" ]
-      (List.init n (fun i ->
-           [ Table.Int ((i mod max 1 (n / 5)) + 1); Table.Int 1;
-             Table.Item (Xdm.int (i mod 97)) ]))
-  in
-  let t = mk 1000 in
-  let kernels =
-    [
-      ("equi_join", fun () -> ignore (Ops.equi_join t "iter" t "iter"));
-      ("distinct", fun () -> ignore (Ops.distinct t));
-      ( "rank",
-        fun () ->
-          ignore
-            (Ops.rank t ~new_col:"rk" ~order_by:[ "item" ] ~partition:"iter" ())
-      );
-      ("merge_union", fun () -> ignore (Ops.merge_union_on_iter [ t; t ]));
-    ]
-  in
-  (* sub-ms kernels are noise-dominated: alternate off/on rounds and keep
-     the per-mode minimum, so a GC pause in one round cannot masquerade
-     as instrumentation cost *)
   let rounds = if quick then 3 else 5 in
-  let kernel_rows =
-    List.map
-      (fun (name, f) ->
-        let off = ref infinity and on = ref infinity in
-        for _ = 1 to rounds do
-          Trace.set_enabled false;
-          off := Float.min !off (time_ns f);
-          Trace.set_enabled true;
-          on := Float.min !on (time_ns f);
-          Trace.set_enabled false;
-          Trace.reset ()
-        done;
-        let off = !off and on = !on in
-        let pct = (on -. off) /. off *. 100. in
-        Printf.printf "%-12s 1000 rows: %10.0f ns off  %10.0f ns on  (%+5.1f%%)\n"
-          name off on pct;
-        (name, off, on, pct))
-      kernels
-  in
-  let avg_pct =
-    List.fold_left (fun a (_, _, _, p) -> a +. p) 0. kernel_rows
-    /. float_of_int (List.length kernel_rows)
-  in
-  Printf.printf "average kernel overhead with tracing on: %+.1f%% (target < 5%%)\n"
-    avg_pct;
-  (* -- 2. end-to-end distributed queries, off vs on ----------------- *)
+  (* -- 1. end-to-end distributed queries, off vs on ----------------- *)
   (* charge_cpu off: the virtual network charges no real sleeps, so the
      wall clock measures only the engine's CPU — exactly what the
      instrumentation could slow down. *)
@@ -986,7 +790,8 @@ return execute at {$d} {t:ping(1)}|}
     Cluster.disable_tracing ();
     wall /. float_of_int queries
   in
-  (* same alternating-minimum discipline as the kernels *)
+  (* alternate off/on rounds and keep the per-mode minimum, so a GC
+     pause in one round cannot masquerade as instrumentation cost *)
   let e2e_off = ref infinity and e2e_on = ref infinity in
   for _ = 1 to rounds do
     e2e_off := Float.min !e2e_off (run_many false);
@@ -997,7 +802,7 @@ return execute at {$d} {t:ping(1)}|}
   Printf.printf
     "end-to-end 2-peer query: %8.3f ms off  %8.3f ms on  (%+5.1f%%)\n" e2e_off
     e2e_on e2e_pct;
-  (* -- 3. one traced distributed query: the reconstructed span tree -- *)
+  (* -- 2. one traced distributed query: the reconstructed span tree -- *)
   let cluster = mk_cluster () in
   Cluster.enable_tracing cluster;
   let x = Cluster.peer cluster "x" in
@@ -1020,20 +825,11 @@ return execute at {$d} {t:ping(1)}|}
     write_file "BENCH_obs.json"
       (Printf.sprintf
          "{\n\
-         \  \"kernel_overhead\": {\n%s\n  },\n\
-         \  \"kernel_overhead_avg_pct\": %.2f,\n\
          \  \"end_to_end\": { \"off_ms\": %.4f, \"on_ms\": %.4f, \"overhead_pct\": %.2f },\n\
          \  \"target_overhead_pct\": 5.0,\n\
          \  \"distributed_trace\": { \"spans\": %d, \"phases\": {\n%s\n  } }\n\
           }\n"
-         (String.concat ",\n"
-            (List.map
-               (fun (name, off, on, pct) ->
-                 Printf.sprintf
-                   "    %S: { \"off_ns\": %.0f, \"on_ns\": %.0f, \"overhead_pct\": %.2f }"
-                   name off on pct)
-               kernel_rows))
-         avg_pct e2e_off e2e_on e2e_pct span_count
+         e2e_off e2e_on e2e_pct span_count
          (String.concat ",\n"
             (List.map
                (fun (name, count, total) ->
@@ -1047,9 +843,8 @@ return execute at {$d} {t:ping(1)}|}
 let () =
   Printf.printf "XRPC benchmark harness%s\n" (if quick then " (--quick)" else "");
   if json_out then begin
-    (* machine-readable run: algebra kernels + Table 2 + degraded
-       network, written as JSON *)
-    algebra_bench ();
+    (* machine-readable run: Table 2 + degraded network, written as
+       JSON *)
     table2 ();
     faults_bench ();
     obs_bench ()
@@ -1061,7 +856,6 @@ let () =
   else begin
     figures ();
     table2 ();
-    algebra_bench ();
     throughput ();
     table3 ();
     table4 ();

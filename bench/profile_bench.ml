@@ -1,29 +1,16 @@
-(* Profiling-overhead benchmark: what does the PR-5 query profiler cost?
+(* Profiling-overhead benchmark: what does the query profiler cost?
 
-   Two measurements:
-
-   1. Algebra kernels with profiling off vs on, with the
-      alternating-minimum discipline the obs benchmark established
-      (interleave off/on rounds, keep the per-mode minimum, so a GC
-      pause in one round cannot masquerade as instrumentation cost).
-      Off must stay at the uninstrumented baseline — Ops.timed is gated on a
-      single Trace test — and on adds two clock reads plus four span
-      attribute sums per kernel call.
-   2. End-to-end 2-peer distributed queries, plain vs under
-      Cluster.profiled (plan nodes, per-destination byte accounting, and
-      the remote phase breakdown riding the serverProfile attribute),
-      reported as the median of paired off/on batch ratios — see the
-      comment at [median] below.
+   End-to-end 2-peer distributed queries, plain vs under Cluster.profiled
+   (plan nodes, per-destination byte accounting, and the remote phase
+   breakdown riding the serverProfile attribute), reported as the median
+   of paired off/on batch ratios — see the comment at [median] below.
 
    Targets: off within noise of the baseline (the off number IS the
-   baseline — profiling off takes the same code path PR-4 measured), on
+   baseline — profiling off takes the unprofiled code path), on
    around 5% on this worst case (a ~0.2 ms in-process round trip; the
    fixed ~10 µs/query cost disappears against real network latency).
    Writes BENCH_profile.json with `--json`. *)
 
-open Xrpc_xml
-module Table = Xrpc_algebra.Table
-module Ops = Xrpc_algebra.Ops
 module Profile = Xrpc_obs.Profile
 module Trace = Xrpc_obs.Trace
 module Cluster = Xrpc_core.Cluster
@@ -33,74 +20,14 @@ module Testmod = Xrpc_workloads.Testmod
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let json_out = Array.exists (( = ) "--json") Sys.argv
-let rounds = if quick then 3 else 5
 
 let now_ms () = Unix.gettimeofday () *. 1000.
-
-(* adaptive timer: warm once, then repeat until ~50 ms of samples *)
-let time_ns f =
-  ignore (Sys.opaque_identity (f ()));
-  let t0 = now_ms () in
-  let reps = ref 0 in
-  while now_ms () -. t0 < 50. && !reps < 1000 do
-    ignore (Sys.opaque_identity (f ()));
-    incr reps
-  done;
-  (now_ms () -. t0) *. 1e6 /. float_of_int !reps
 
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc;
   Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* 1. Kernel overhead                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let mk n =
-  Table.make [ "iter"; "pos"; "item" ]
-    (List.init n (fun i ->
-         [ Table.Int ((i mod max 1 (n / 5)) + 1); Table.Int 1;
-           Table.Item (Xdm.int (i mod 97)) ]))
-
-let kernel_rows () =
-  let t = mk 1000 in
-  let kernels =
-    [
-      ("equi_join", fun () -> ignore (Ops.equi_join t "iter" t "iter"));
-      ("distinct", fun () -> ignore (Ops.distinct t));
-      ( "rank",
-        fun () ->
-          ignore
-            (Ops.rank t ~new_col:"rk" ~order_by:[ "item" ] ~partition:"iter" ())
-      );
-      ("merge_union", fun () -> ignore (Ops.merge_union_on_iter [ t; t ]));
-    ]
-  in
-  List.map
-    (fun (name, f) ->
-      let off = ref infinity and on = ref infinity in
-      for _ = 1 to rounds do
-        off := Float.min !off (time_ns f);
-        let (), _profile =
-          Profile.profiled ~label:"bench" (fun () ->
-              Trace.with_span "bench" (fun () ->
-                  on := Float.min !on (time_ns f)))
-        in
-        ()
-      done;
-      let off = !off and on = !on in
-      let pct = (on -. off) /. off *. 100. in
-      Printf.printf
-        "%-12s 1000 rows: %10.0f ns off  %10.0f ns on  (%+5.1f%%)\n" name off
-        on pct;
-      (name, off, on, pct))
-    kernels
-
-(* ------------------------------------------------------------------ *)
-(* 2. End-to-end distributed queries                                   *)
-(* ------------------------------------------------------------------ *)
 
 let sim = { Simnet.default_config with Simnet.charge_cpu = false }
 
@@ -154,13 +81,6 @@ let median xs =
 let () =
   print_endline "Profiling overhead: off must match the baseline, on < 5%";
   print_endline "========================================================";
-  let kernels = kernel_rows () in
-  let avg_pct =
-    List.fold_left (fun a (_, _, _, p) -> a +. p) 0. kernels
-    /. float_of_int (List.length kernels)
-  in
-  Printf.printf "average kernel overhead with profiling on: %+.1f%% (target < 5%%)\n"
-    avg_pct;
   let e2e_cluster = mk_cluster () in
   let e2e_x = Cluster.peer e2e_cluster "x" in
   ignore (Peer.query_seq e2e_x query);
@@ -194,18 +114,9 @@ let () =
     write_file "BENCH_profile.json"
       (Printf.sprintf
          "{\n\
-         \  \"kernel_overhead\": {\n%s\n  },\n\
-         \  \"kernel_overhead_avg_pct\": %.2f,\n\
          \  \"end_to_end\": { \"off_ms\": %.4f, \"on_ms\": %.4f, \"overhead_pct\": %.2f },\n\
          \  \"target_on_overhead_pct\": 5.0,\n\
          \  \"sample_profile\": %s\n\
           }\n"
-         (String.concat ",\n"
-            (List.map
-               (fun (name, off, on, pct) ->
-                 Printf.sprintf
-                   "    %S: { \"off_ns\": %.0f, \"on_ns\": %.0f, \"overhead_pct\": %.2f }"
-                   name off on pct)
-               kernels))
-         avg_pct e2e_off e2e_on e2e_pct
+         e2e_off e2e_on e2e_pct
          (Xrpc_obs.Json.to_string (Profile.to_json profile)))

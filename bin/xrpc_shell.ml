@@ -69,7 +69,9 @@ let run_query peer source =
       | Xrpc_xquery.Eval.Error m
       | Xrpc_xml.Xdm.Dynamic_error m
       | Peer.Peer_error m ) ->
-      Printf.eprintf "error: %s\n%!" m);
+      Printf.eprintf "error: %s\n%!" m
+  | exception Xrpc_net.Xrpc_error.Error e ->
+      Printf.eprintf "error: %s\n%!" (Xrpc_net.Xrpc_error.to_string e));
   if Trace.enabled () then print_trace ()
 
 (* EXPLAIN: what Eval will do with the query (dispatch and span of each
@@ -88,8 +90,8 @@ let explain_query peer source =
       Printf.eprintf "error: %s\n%!" m
 
 (* PROFILE: run the query with the profiler on and print the annotated
-   operator tree (per-node cardinalities/times, per-operator row counts,
-   per-destination traffic with the remote phase breakdown). *)
+   plan tree (per-node times, per-operator call counts, per-destination
+   traffic with the remote phase breakdown). *)
 let profile_query peer source =
   let (), prof =
     Profile.profiled ~label:(Peer.query_label source) (fun () ->

@@ -318,9 +318,11 @@ and eval_flwor env clauses ret =
       let keep = List.filter (fun iter -> Xdm.ebv (lookup iter)) env.loop in
       let keep_set = IntSet.of_list keep in
       let restrict table =
-        let icol = Table.col table "iter" in
-        Table.filter_rows table (fun r ->
-            IntSet.mem (Table.int_cell icol.(r)) keep_set)
+        let i = Table.col_index table "iter" in
+        Table.make (Table.col_names table)
+          (List.filter
+             (fun r -> IntSet.mem (Table.int_cell (List.nth r i)) keep_set)
+             (Table.rows table))
       in
       let env =
         { env with loop = keep; vars = List.map (fun (k, t) -> (k, restrict t)) env.vars }

@@ -6,14 +6,11 @@
     [pos] / rank columns) or XDM items.
 
     Storage is columnar: one [cell array] per column plus a cached
-    column-name → position map, so cell access is O(1) and the kernels in
-    {!Ops} scan column arrays instead of walking row lists.  Column arrays
-    are never mutated after construction, which lets operators share columns
-    between tables (projection is O(#columns), ρ reuses its input columns).
-    [make] remains as the row-wise compatibility constructor; [rows]
-    materializes a row-wise view for callers that need one (tests, the
-    {!Ops_reference} oracle).  The pretty-printer reproduces the table
-    layout used in Figure 1 of the paper. *)
+    column-name → position map.  Column arrays are never mutated after
+    construction, so tables may share them.  [make] is the row-wise
+    constructor and [rows] the row-wise view the {!Ops} definitions work
+    on.  The pretty-printer reproduces the table layout used in Figure 1
+    of the paper. *)
 
 open Xrpc_xml
 
@@ -71,7 +68,6 @@ let make cols rows =
 
 let empty cols = make cols []
 let cardinality t = t.nrows
-let arity t = Array.length t.cols
 let col_names t = Array.to_list t.cols
 
 let col_index t c =
@@ -79,21 +75,14 @@ let col_index t c =
   | Some i -> i
   | None -> err "no column %S in table(%s)" c (String.concat "," (col_names t))
 
-(** The physical column arrays.  Read-only by convention. *)
-let columns t = t.data
-
-let column t i = t.data.(i)
+(** The column named [c]; read-only by convention. *)
 let col t c = t.data.(col_index t c)
 
-(** O(1) cell access: [get t row ci] with a column position, [cell t row c]
-    through the cached column-index map. *)
-let get t row ci = t.data.(ci).(row)
-
+(** O(1) cell access through the cached column-index map. *)
 let cell t row c = t.data.(col_index t c).(row)
 let row t ri = Array.to_list (Array.map (fun c -> c.(ri)) t.data)
 
-(** Row-wise view (materialized); prefer the columnar accessors on hot
-    paths. *)
+(** Row-wise view (materialized). *)
 let rows t = List.init t.nrows (row t)
 
 let int_cell = function
@@ -124,100 +113,6 @@ let cell_compare a b =
   | _, Int _ -> 1
   | Item (Xdm.Atomic _), Item (Xdm.Node _) -> -1
   | Item (Xdm.Node _), Item (Xdm.Atomic _) -> 1
-
-(** Conservative hash key for a cell: [cell_equal a b] implies
-    [cell_key a = cell_key b] for the value shapes the algebra produces
-    (integers, canonical-form atomics, nodes); distinct values may collide
-    (e.g. [Integer 5] and [String "5"]), so hash consumers must re-check
-    candidates with {!cell_equal}.  Numerics key by their canonical float
-    rendering, which makes the cross-type bridges of XPath general equality
-    ([Int 5] = [Integer 5] = [Double 5.0] = [Untyped "5"], and the
-    string-value fallback [Boolean true] = [String "true"]) land in one
-    bucket.  Non-canonical lexical forms of untyped/temporal values are the
-    only equal-but-split cases, matching the non-transitive corners of
-    {!Xs.compare_values} itself. *)
-let cell_key = function
-  | Int i -> Xs.float_to_string (float_of_int i)
-  | Item (Xdm.Atomic a) when Xs.is_numeric a ->
-      (* [+. 0.] normalizes -0. to 0., which compare equal *)
-      Xs.float_to_string (Xs.to_float a +. 0.)
-  | Item (Xdm.Atomic a) -> Xs.to_string a
-  | Item (Xdm.Node n) ->
-      Printf.sprintf "\x00%d.%d" n.Store.store.Store.doc_id n.Store.pre
-
-(** Hash key of a whole row (cell keys joined; collisions re-checked by the
-    caller with {!cell_equal}). *)
-let row_key t r =
-  let b = Buffer.create 32 in
-  Array.iter
-    (fun colarr ->
-      Buffer.add_string b (cell_key colarr.(r));
-      Buffer.add_char b '\x02')
-    t.data;
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Row selection / concatenation (shared by the Ops kernels)           *)
-(* ------------------------------------------------------------------ *)
-
-(** Keep the rows whose index satisfies [pred], preserving order. *)
-let filter_rows t pred =
-  let keep = Array.make t.nrows false in
-  let n = ref 0 in
-  for r = 0 to t.nrows - 1 do
-    if pred r then begin
-      keep.(r) <- true;
-      incr n
-    end
-  done;
-  let n = !n in
-  let data =
-    Array.map
-      (fun colarr ->
-        let out = Array.make n dummy_cell in
-        let j = ref 0 in
-        for r = 0 to t.nrows - 1 do
-          if keep.(r) then begin
-            out.(!j) <- colarr.(r);
-            incr j
-          end
-        done;
-        out)
-      t.data
-  in
-  { t with data; nrows = n }
-
-(** Gather the rows at the given indices, in the given order. *)
-let select_rows t idx =
-  let n = Array.length idx in
-  let data =
-    Array.map (fun colarr -> Array.init n (fun j -> colarr.(idx.(j)))) t.data
-  in
-  { t with data; nrows = n }
-
-(** Vertical concatenation; schemas are taken from the first table (the
-    paper's ⊎ assumes compatible inputs). *)
-let vconcat = function
-  | [] -> err "vconcat of no tables"
-  | t0 :: _ as ts ->
-      let ncols = arity t0 in
-      List.iter
-        (fun t ->
-          if arity t <> ncols then err "vconcat of incompatible arities")
-        ts;
-      let total = List.fold_left (fun acc t -> acc + t.nrows) 0 ts in
-      let data =
-        Array.init ncols (fun ci ->
-            let out = Array.make total dummy_cell in
-            let off = ref 0 in
-            List.iter
-              (fun t ->
-                Array.blit t.data.(ci) 0 out !off t.nrows;
-                off := !off + t.nrows)
-              ts;
-            out)
-      in
-      { t0 with data; nrows = total }
 
 let cell_to_string = function
   | Int i -> string_of_int i

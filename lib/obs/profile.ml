@@ -1,5 +1,5 @@
-(* Query profiling: per-operator cardinalities and timings, per-destination
-   message accounting, and the remote peer's phase breakdown — the data
+(* Query profiling: per-operator call counts, per-destination message
+   accounting, and the remote peer's phase breakdown — the data
    behind the shell's :profile command and Xrpc_client.call_profiled.
 
    A profile is data: [profiled f] runs [f] inside one {!Trace.collect}
@@ -11,22 +11,15 @@
      (rpc, net.send, the in-process remote peer's peer.handle, ...).  Ids
      are assigned in pre-order over the slice's tree, so they are stable
      for a query;
-   - the numeric span attributes named below carry the rest: the
-     kernel-level operator stats Ops sums into the innermost open span,
-     and destination stats (messages, logical calls, serialized bytes
-     both ways, and the remote peer's phase costs read from the
-     response's serverProfile attribute);
+   - the numeric span attributes named below carry the rest: operator
+     call counts (Eval's index probes, Peer's plan-cache hits) summed
+     into the innermost open span, and destination stats (messages,
+     logical calls, serialized bytes both ways, and the remote peer's
+     phase costs read from the response's serverProfile attribute);
    - optimizer notes are span events named [annotation_event].
 
    Timings are Trace's clock, so Cluster-bound profiles run on the
    virtual clock and replay deterministically. *)
-
-type op_stat = {
-  mutable os_calls : int;
-  mutable os_rows_in : int;
-  mutable os_rows_out : int;
-  mutable os_ms : float;
-}
 
 type node = {
   id : int;
@@ -34,7 +27,7 @@ type node = {
   detail : string;
   parent : int option;
   incl_ms : float; (* inclusive wall time *)
-  ops : (string * op_stat) list; (* first-seen order *)
+  ops : (string * int) list; (* operator -> calls, first-seen order *)
   children : node list;
 }
 
@@ -51,7 +44,7 @@ type t = {
   roots : node list;
   n_nodes : int;
   dropped : int;
-  root_ops : (string * op_stat) list; (* ops outside any node *)
+  root_ops : (string * int) list; (* ops outside any node *)
   dests : (string * dest_stat) list; (* sorted by destination *)
   annotations : string list;
       (* free-form analysis notes, oldest first — the optimizer attaches
@@ -64,8 +57,8 @@ type t = {
 (* The attributes and events the fold reads                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One kernel operator's [field] (calls, rows_in, rows_out, ms). *)
-let op_attr field op = "op:" ^ field ^ ":" ^ op
+(* Calls of operator [op]. *)
+let op_attr op = "op:" ^ op
 
 (* Traffic to [dest]: msgs, calls, bytes_out, bytes_in. *)
 let dest_attr field dest = "dest:" ^ field ^ ":" ^ dest
@@ -90,6 +83,12 @@ let split_attr k =
 (* The fold                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* add [v] to [key]'s entry of an association list, first-seen order *)
+let bump add l key v =
+  if List.mem_assoc key l then
+    List.map (fun (k, x) -> (k, if k = key then add x v else x)) l
+  else l @ [ (key, v) ]
+
 let of_spans ?(label = "") = function
   | [] -> invalid_arg "Profile.of_spans: no root span"
   | (root : Trace.span) :: rest ->
@@ -106,7 +105,7 @@ let of_spans ?(label = "") = function
             ds
       in
       (* a span's optimizer notes and destination attributes accumulate
-         in plan order; returns its operator stats *)
+         in plan order; returns its operator call counts *)
       let annotations = ref [] in
       let visit_span (s : Trace.span) =
         annotations :=
@@ -120,40 +119,21 @@ let of_spans ?(label = "") = function
           (fun (k, v) ->
             let v = !v in
             let n = int_of_float v in
-            match split_attr k with
-            | Some ("op", field, op) -> (
-                let os =
-                  match List.assoc_opt op !ops with
-                  | Some os -> os
-                  | None ->
-                      let os =
-                        { os_calls = 0; os_rows_in = 0; os_rows_out = 0;
-                          os_ms = 0. }
-                      in
-                      ops := !ops @ [ (op, os) ];
-                      os
-                in
-                match field with
-                | "calls" -> os.os_calls <- os.os_calls + n
-                | "rows_in" -> os.os_rows_in <- os.os_rows_in + n
-                | "rows_out" -> os.os_rows_out <- os.os_rows_out + n
-                | _ -> os.os_ms <- os.os_ms +. v)
-            | Some ("dest", field, d) -> (
-                let ds = dest d in
-                match field with
-                | "msgs" -> ds.d_msgs <- ds.d_msgs + n
-                | "calls" -> ds.d_calls <- ds.d_calls + n
-                | "bytes_out" -> ds.d_bytes_out <- ds.d_bytes_out + n
-                | _ -> ds.d_bytes_in <- ds.d_bytes_in + n)
-            | Some ("remote", phase, d) ->
-                let ds = dest d in
-                ds.d_remote <-
-                  (if List.mem_assoc phase ds.d_remote then
-                     List.map
-                       (fun (p, t) -> (p, if p = phase then t +. v else t))
-                       ds.d_remote
-                   else ds.d_remote @ [ (phase, v) ])
-            | _ -> ())
+            if String.starts_with ~prefix:"op:" k then
+              ops := bump ( + ) !ops (String.sub k 3 (String.length k - 3)) n
+            else
+              match split_attr k with
+              | Some ("dest", field, d) -> (
+                  let ds = dest d in
+                  match field with
+                  | "msgs" -> ds.d_msgs <- ds.d_msgs + n
+                  | "calls" -> ds.d_calls <- ds.d_calls + n
+                  | "bytes_out" -> ds.d_bytes_out <- ds.d_bytes_out + n
+                  | _ -> ds.d_bytes_in <- ds.d_bytes_in + n)
+              | Some ("remote", phase, d) ->
+                  let ds = dest d in
+                  ds.d_remote <- bump ( +. ) ds.d_remote phase v
+              | _ -> ())
           (List.rev s.Trace.attrs);
         !ops
       in
@@ -208,10 +188,8 @@ let nodes p =
 
 let render_ops buf indent ops =
   List.iter
-    (fun (name, os) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%sops: %s x%d  %d->%d rows  %.3f ms\n" indent name
-           os.os_calls os.os_rows_in os.os_rows_out os.os_ms))
+    (fun (name, calls) ->
+      Buffer.add_string buf (Printf.sprintf "%sops: %s x%d\n" indent name calls))
     ops
 
 let render p =
@@ -270,11 +248,8 @@ let render p =
 let ops_json ops =
   Json.Arr
     (List.map
-       (fun (name, os) ->
-         Json.Obj
-           [ ("op", Json.Str name); ("calls", Json.Int os.os_calls);
-             ("rows_in", Json.Int os.os_rows_in);
-             ("rows_out", Json.Int os.os_rows_out); ("ms", Json.Num os.os_ms) ])
+       (fun (name, calls) ->
+         Json.Obj [ ("op", Json.Str name); ("calls", Json.Int calls) ])
        ops)
 
 let to_json p =

@@ -574,7 +574,7 @@ let run_query peer (source : string) : query_result =
   if plan_hit then begin
     Trace.event ~detail:(query_label source) "plan-cache-hit";
     if Trace.recording () then
-      Trace.add (Profile.op_attr "calls" "cache.plan_hit") 1.
+      Trace.add (Profile.op_attr "cache.plan_hit") 1.
   end
   else Trace.event "plan-cache-miss";
   let prog = compiled.Plan_cache.prog in

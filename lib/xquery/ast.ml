@@ -80,6 +80,9 @@ type comparison =
 
 type arith = Add | Sub | Mul | Div | Idiv | Mod
 
+(** An OrderSpec's modifiers; the one collation is Unicode codepoints. *)
+type order_modifier = { descending : bool; empty_greatest : bool }
+
 type expr =
   | Literal of Xs.t
   | Var of Qname.t
@@ -96,8 +99,8 @@ type expr =
   | Intersect of expr * expr
   | Except of expr * expr
   | If of expr * expr * expr
-  | Flwor of clause list * (expr * bool) list * expr
-      (** clauses, order-by specs (expr, descending?), return *)
+  | Flwor of clause list * (expr * order_modifier) list * expr
+      (** clauses, order-by specs, return *)
   | Quantified of [ `Some | `Every ] * (Qname.t * expr) list * expr
   | Path of expr * expr
       (** [e1 / e2]: evaluate [e2] with each node of [e1] as context *)
@@ -292,7 +295,7 @@ let map_sub_exprs (f : expr -> expr) (e : expr) : expr =
               | Let (v, e) -> Let (v, f e)
               | Where e -> Where (f e))
             clauses,
-          List.map (fun (e, desc) -> (f e, desc)) order_by,
+          List.map (fun (e, m) -> (f e, m)) order_by,
           f ret )
   | Quantified (q, binds, sat) ->
       Quantified (q, List.map (fun (v, e) -> (v, f e)) binds, f sat)

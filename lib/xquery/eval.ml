@@ -613,12 +613,23 @@ and eval_set ctx op a b =
   let nodes e = List.map Xdm.node_only (eval ctx e) in
   List.map (fun n -> Xdm.Node n) (op (nodes a) (nodes b))
 
+(* XQDY0074: a computed name given as a string must be a lexical QName *)
 and eval_name ctx e ~default_ns =
   ignore default_ns;
   match Xdm.one_atom ~what:"name" (eval ctx e) with
   | Xs.QName q -> q
   | v ->
-      let prefix, local = Qname.split (Xs.to_string v) in
+      let s = String.trim (Xs.to_string v) in
+      let ncname n =
+        n <> ""
+        && Lexer.is_name_start n.[0]
+        && String.for_all Lexer.is_name_char n
+      in
+      (match String.split_on_char ':' s with
+      | [ local ] when ncname local -> ()
+      | [ prefix; local ] when ncname prefix && ncname local -> ()
+      | _ -> Xdm.dyn_error "XQDY0074: %S is not a lexical QName" s);
+      let prefix, local = Qname.split s in
       Qname.make ~prefix local
 
 and eval_compare ctx op a b =
@@ -657,7 +668,7 @@ and probe_step ctx axis p n =
     let nodes =
       if List.for_all string_like xs then (
         if Trace.recording () then
-          Trace.add (Profile.op_attr "calls" (probe_label p)) 1.;
+          Trace.add (Profile.op_attr (probe_label p)) 1.;
         Store.probe ~or_self n p.elem p.key (List.map Xs.to_string xs))
       else
         List.filter
@@ -743,13 +754,13 @@ and eval_flwor ctx clauses order_by ret =
          (fun tctx ->
            let keys =
              List.map
-               (fun (e, desc) ->
+               (fun (e, m) ->
                  let k =
                    match eval tctx e with
                    | [] -> None
                    | seq -> Some (Xdm.one_atom ~what:"order key" seq)
                  in
-                 (k, desc))
+                 (k, m))
                order_by
            in
            (keys, tctx))
@@ -758,15 +769,16 @@ and eval_flwor ctx clauses order_by ret =
      let cmp (ka, _) (kb, _) =
        let rec go = function
          | [] -> 0
-         | ((x, desc), (y, _)) :: rest -> (
+         | ((x, (m : Ast.order_modifier)), (y, _)) :: rest -> (
+             let empty = if m.empty_greatest then 1 else -1 in
              let c =
                match (x, y) with
                | None, None -> 0
-               | None, Some _ -> -1
-               | Some _, None -> 1
+               | None, Some _ -> empty
+               | Some _, None -> -empty
                | Some x, Some y -> Xs.compare_values x y
              in
-             match if desc then -c else c with 0 -> go rest | c -> c)
+             match if m.descending then -c else c with 0 -> go rest | c -> c)
        in
        go (List.combine ka kb)
      in

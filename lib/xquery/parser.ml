@@ -72,6 +72,10 @@ let expect_name p kw =
     error "expected keyword %S but found %s" kw
       (Lexer.token_to_string (tok p))
 
+(* the only collation: Unicode codepoint order *)
+let codepoint_collation =
+  "http://www.w3.org/2005/xpath-functions/collation/codepoint"
+
 let expect_string p =
   match tok p with
   | Lexer.Str_lit s ->
@@ -350,28 +354,38 @@ and parse_flwor p =
     | _ -> ()
   in
   clause_loop ();
+  (* OrderSpec ::= ExprSingle ("ascending" | "descending")?
+       ("empty" ("greatest" | "least"))? ("collation" URILiteral)? *)
+  let order_spec () =
+    let e = parse_expr_single p in
+    let descending =
+      if eat_name p "descending" then true
+      else (
+        ignore (eat_name p "ascending");
+        false)
+    in
+    let empty_greatest =
+      if not (eat_name p "empty") then false
+      else if eat_name p "greatest" then true
+      else (
+        expect_name p "least";
+        false)
+    in
+    (if eat_name p "collation" then
+       let uri = expect_string p in
+       if uri <> codepoint_collation then
+         error "XQST0076: unsupported collation %S" uri);
+    (e, { Ast.descending; empty_greatest })
+  in
   let order_by =
-    if is_name p "order" then (
-      advance p;
-      expect_name p "by";
-      let rec specs acc =
-        let e = parse_expr_single p in
-        let desc =
-          if eat_name p "descending" then true
-          else (
-            ignore (eat_name p "ascending");
-            false)
-        in
-        if eat_sym p "," then specs ((e, desc) :: acc)
-        else List.rev ((e, desc) :: acc)
-      in
-      specs [])
-    else if is_name p "stable" then (
-      advance p;
+    if eat_name p "stable" || is_name p "order" then (
       expect_name p "order";
       expect_name p "by";
-      let e = parse_expr_single p in
-      [ (e, false) ])
+      let rec specs acc =
+        let spec = order_spec () in
+        if eat_sym p "," then specs (spec :: acc) else List.rev (spec :: acc)
+      in
+      specs [])
     else []
   in
   expect_name p "return";

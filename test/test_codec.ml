@@ -3,7 +3,7 @@
    Xml_parse_ref and Serialize_ref are the parser and serializer as they
    stood before the allocation-free rewrite, and Message_ref is the SOAP
    codec as it stood before envelopes were written and read without a
-   tree, kept here as oracles (the way Ops_reference serves the algebra).
+   tree, kept here as oracles (the way Path_ref serves path evaluation).
    The battery checks that the rewrites are invisible: byte-identical
    serializer output on seeded random trees, equal parse trees on those
    outputs, on hand-built XML text (entities, CDATA, comments, PIs,

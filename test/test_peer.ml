@@ -1023,7 +1023,9 @@ let expect_missing_fault what call =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let test_missing_doc_shell () =
+(* pipe [query] into xrpc_shell over a data directory holding d.xml;
+   returns the exit status, stdout and stderr *)
+let run_shell query =
   let shell =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/xrpc_shell.exe"
   in
@@ -1038,16 +1040,29 @@ let test_missing_doc_shell () =
   let status =
     Sys.command
       (Printf.sprintf "echo %s | %s --data %s > %s 2> %s"
-         (Filename.quote {|count(doc("missing.xml")//a)|})
-         (Filename.quote shell) (Filename.quote dir) (Filename.quote out)
-         (Filename.quote err))
+         (Filename.quote query) (Filename.quote shell) (Filename.quote dir)
+         (Filename.quote out) (Filename.quote err))
   in
-  let stderr = read_file err in
+  (status, read_file out, read_file err)
+
+let test_missing_doc_shell () =
+  let status, stdout, stderr = run_shell {|count(doc("missing.xml")//a)|} in
   check int_ "shell exits normally" 0 status;
   check bool_ "error line names the code" true
     (contains stderr "error: err:FODC0002");
   check bool_ "error line names the uri" true (contains stderr "missing.xml");
-  check string_ "no result printed" "" (read_file out)
+  check string_ "no result printed" "" stdout
+
+(* a transport failure is an error line, not an uncaught exception *)
+let test_unreachable_shell () =
+  let status, stdout, stderr =
+    run_shell {|count(doc("xrpc://127.0.0.1:1/x.xml")//item)|}
+  in
+  check int_ "shell exits normally" 0 status;
+  check bool_ "error line names the failure" true
+    (contains stderr "error: unreachable");
+  check bool_ "no internal error" false (contains stderr "internal error");
+  check string_ "no result printed" "" stdout
 
 let test_missing_doc_http () =
   let module Server = Xrpc_core.Xrpc_server in
@@ -1149,6 +1164,8 @@ let () =
         [
           Alcotest.test_case "shell prints an error line" `Quick
             test_missing_doc_shell;
+          Alcotest.test_case "shell survives an unreachable peer" `Quick
+            test_unreachable_shell;
           Alcotest.test_case "HTTP call gets a Sender fault" `Quick
             test_missing_doc_http;
           Alcotest.test_case "Simnet call gets a Sender fault" `Quick

@@ -21,8 +21,6 @@ module Simnet = Xrpc_net.Simnet
 module Message = Xrpc_soap.Message
 module Cost = Xrpc_core.Cost
 module Xctx = Xrpc_xquery.Context
-module Ops = Xrpc_algebra.Ops
-module Table = Xrpc_algebra.Table
 module Parser = Xrpc_xquery.Parser
 module Testmod = Xrpc_workloads.Testmod
 
@@ -309,12 +307,8 @@ let test_flight_concurrent_writers () =
 (* Profile collection                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* one kernel call's stats, as Ops.timed sums them into the open span *)
-let record_op op ~rows_in ~rows_out ms =
-  Trace.add (Profile.op_attr "calls" op) 1.;
-  Trace.add (Profile.op_attr "rows_in" op) (float_of_int rows_in);
-  Trace.add (Profile.op_attr "rows_out" op) (float_of_int rows_out);
-  Trace.add (Profile.op_attr "ms" op) ms
+(* one operator call, as Eval and Peer count it into the open span *)
+let record_op op = Trace.add (Profile.op_attr op) 1.
 
 let test_profile_nodes_and_ops () =
   with_clean @@ fun () ->
@@ -326,8 +320,8 @@ let test_profile_nodes_and_ops () =
             t := 2.;
             Trace.with_span ~detail:"d" "b" (fun () ->
                 t := 5.;
-                record_op "select" ~rows_in:10 ~rows_out:7 1.5;
-                record_op "select" ~rows_in:4 ~rows_out:2 0.5));
+                record_op "select";
+                record_op "select"));
         42)
   in
   check int_ "thunk result returned" 42 r;
@@ -341,21 +335,28 @@ let test_profile_nodes_and_ops () =
       check string_ "names" "b" b.Profile.name;
       check bool_ "parentage" true (b.Profile.parent = Some a.Profile.id);
       check (Alcotest.float 1e-9) "inclusive time of b" 3. b.Profile.incl_ms;
-      (match b.Profile.ops with
-      | [ ("select", os) ] ->
-          check int_ "op calls merged" 2 os.Profile.os_calls;
-          check int_ "rows in summed" 14 os.Profile.os_rows_in;
-          check int_ "rows out summed" 9 os.Profile.os_rows_out;
-          check (Alcotest.float 1e-9) "op time summed" 2. os.Profile.os_ms
-      | _ -> Alcotest.fail "expected one merged select op")
+      check (Alcotest.list (Alcotest.pair string_ int_)) "op calls merged"
+        [ ("select", 2) ] b.Profile.ops
   | l -> Alcotest.failf "expected 2 nodes, got %d" (List.length l));
   let text = Profile.render p in
   assert_has "label" "profile unit" text;
   assert_has "node line" "#2 b (d)" text;
-  assert_has "cardinality" "select x2  14->9 rows" text;
-  assert_has "merged op" "select x2" text;
+  assert_has "merged op" "ops: select x2\n" text;
   let json = assert_json "profile json" (Profile.to_json p) in
-  check string_ "label in json" "unit" Json_check.(str (member "label" json))
+  check string_ "label in json" "unit" Json_check.(str (member "label" json));
+  (match Json_check.(items (member "plan" json)) with
+  | [ a ] -> (
+      match Json_check.(items (member "children" a)) with
+      | [ b ] -> (
+          match Json_check.(items (member "ops" b)) with
+          | [ op ] ->
+              check (Alcotest.list string_) "an op is a name and a call count"
+                [ "op"; "calls" ] (Json_check.keys op);
+              check (Alcotest.float 0.) "calls in json" 2.
+                Json_check.(num (member "calls" op))
+          | l -> Alcotest.failf "expected one op in json, got %d" (List.length l))
+      | l -> Alcotest.failf "expected one child in json, got %d" (List.length l))
+  | l -> Alcotest.failf "expected one root in json, got %d" (List.length l))
 
 let test_profile_node_capacity () =
   with_clean @@ fun () ->
@@ -374,43 +375,12 @@ let test_profile_off_records_nothing () =
   (* outside [profiled] every hook is a single flag test and a return *)
   check int_ "with_span passes through" 9
     (Trace.with_span "x" (fun () -> 9));
-  record_op "select" ~rows_in:1 ~rows_out:1 1.;
+  record_op "select";
   Trace.add (Profile.dest_attr "msgs" "xrpc://y") 1.;
   (* a later profile must not see any of it *)
   let (), p = Profile.profiled (fun () -> ()) in
   check int_ "no leaked nodes" 0 (Profile.node_count p);
   check int_ "no leaked dests" 0 (List.length (Profile.dests p))
-
-let iii rows =
-  Table.make [ "iter"; "pos"; "item" ]
-    (List.map
-       (fun (i, pos, v) ->
-         [ Table.Int i; Table.Int pos; Table.Item (Xdm.str v) ])
-       rows)
-
-let test_profile_captures_kernel_ops () =
-  with_clean @@ fun () ->
-  let t = iii [ (1, 1, "a"); (2, 1, "a"); (1, 1, "a") ] in
-  let (), p =
-    Profile.profiled (fun () ->
-        Trace.with_span "plan" (fun () ->
-            ignore (Ops.distinct t);
-            ignore (Ops.select_eq t "item" (Table.Item (Xdm.str "a")))))
-  in
-  match Profile.nodes p with
-  | [ n ] ->
-      let op name =
-        match List.assoc_opt name n.Profile.ops with
-        | Some os -> os
-        | None ->
-            Alcotest.failf "kernel op %s missing (have: %s)" name
-              (String.concat ", " (List.map fst n.Profile.ops))
-      in
-      check int_ "distinct rows in" 3 (op "distinct").Profile.os_rows_in;
-      check int_ "distinct rows out" 2 (op "distinct").Profile.os_rows_out;
-      check int_ "select_eq rows in" 3 (op "select_eq").Profile.os_rows_in;
-      check int_ "select_eq rows out" 3 (op "select_eq").Profile.os_rows_out
-  | l -> Alcotest.failf "expected the one plan node, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
@@ -1006,8 +976,6 @@ let () =
             test_profile_node_capacity;
           Alcotest.test_case "off records nothing" `Quick
             test_profile_off_records_nothing;
-          Alcotest.test_case "kernel ops attributed" `Quick
-            test_profile_captures_kernel_ops;
         ] );
       ( "explain",
         [ Alcotest.test_case "static plan rendering" `Quick test_explain_plan ]

@@ -39,6 +39,16 @@ let expect_error name q () =
       ()
   | r -> Alcotest.fail (Printf.sprintf "%s: expected error, got %s" name r)
 
+(* the query fails with a W3C error whose message starts with [code] *)
+let expect_code code q () =
+  match run q with
+  | exception (Xdm.Dynamic_error m | Parser.Syntax_error m)
+    when String.starts_with ~prefix:code m ->
+      ()
+  | exception e ->
+      Alcotest.failf "%s: expected %s, got %s" q code (Printexc.to_string e)
+  | r -> Alcotest.failf "%s: expected %s, got %s" q code r
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -188,6 +198,22 @@ let basic_cases =
      "3 2 1");
     ("order by two keys",
      "for $p in ((1,2),(1,1),(0,9)) return ()", "");
+    ("stable order by descending",
+     "for $x in (3,1,2) stable order by $x descending return $x", "3 2 1");
+    ("stable order by two keys",
+     "for $x in (3,1,2) stable order by $x mod 2, $x return $x", "2 1 3");
+    ("order by empty least",
+     "for $x in (3,1,2) order by (if ($x = 2) then () else $x) empty least return $x",
+     "2 1 3");
+    ("order by empty greatest",
+     "for $x in (3,1,2) order by (if ($x = 2) then () else $x) empty greatest return $x",
+     "1 3 2");
+    ("order by descending empty greatest",
+     "for $x in (3,1,2) order by (if ($x = 2) then () else $x) descending empty greatest return $x",
+     "2 3 1");
+    ("order by codepoint collation",
+     {|for $x in ("b","a","B") order by $x ascending empty least collation "http://www.w3.org/2005/xpath-functions/collation/codepoint" return $x|},
+     "B a b");
     ("cast as", "\"17\" cast as xs:integer", "17");
     ("castable", "\"17\" castable as xs:integer", "true");
     ("castable false", "\"x\" castable as xs:integer", "false");
@@ -368,6 +394,23 @@ let test_declare_option () =
   check bool_ "isolation" true (Context.isolation ctx = `Repeatable);
   check Alcotest.int "timeout" 17 (Context.timeout ctx)
 
+let test_unknown_collation () =
+  expect_code "XQST0076"
+    {|for $x in ("b","a") order by $x collation "http://example.org/c" return $x|}
+    ();
+  expect_code "XQST0076"
+    {|for $x in ("b","a") stable order by $x descending collation "u" return $x|}
+    ()
+
+let test_computed_name_not_qname () =
+  List.iter
+    (fun name ->
+      expect_code "XQDY0074" (Printf.sprintf "element {%S} {\"x\"}" name) ();
+      expect_code "XQDY0074"
+        (Printf.sprintf "<e>{attribute {%S} {\"x\"}}</e>" name)
+        ())
+    [ ""; "a b"; "(:x"; ":a"; "a:" ]
+
 let test_arity_mismatch () =
   expect_error "unknown arity"
     {|declare function local:f($x) { $x }; local:f(1, 2)|} ()
@@ -477,6 +520,8 @@ let () =
           Alcotest.test_case "keyword element names" `Quick
             test_parse_reserved_names_as_steps;
           Alcotest.test_case "syntax errors" `Quick test_parse_errors;
+          Alcotest.test_case "unknown collation is XQST0076" `Quick
+            test_unknown_collation;
           Alcotest.test_case "// as one descendant step" `Quick
             test_parse_descendant_rewrite;
           Alcotest.test_case "leading // associates left" `Quick
@@ -493,7 +538,11 @@ let () =
       ( "constructors",
         List.map
           (fun (name, q, exp) -> Alcotest.test_case name `Quick (expect name q exp))
-          constructor_cases );
+          constructor_cases
+        @ [
+            Alcotest.test_case "computed name not a QName is XQDY0074" `Quick
+              test_computed_name_not_qname;
+          ] );
       ( "functions",
         [
           Alcotest.test_case "user function" `Quick test_user_function;
