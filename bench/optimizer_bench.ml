@@ -14,13 +14,10 @@
       measure all four strategies and check the choice matches the
       measured-fastest.  Disagreement is a hard failure (exit 1).
 
-   2. Table 2 crossover — the distributed semi-join run under
-      XRPC_FORCE_STRATEGY=singles (one message per call) vs bulk, at two
-      loop sizes; the model's estimate_rpc must agree with the measured
-      ordering.
-
-   Each measured run is fed back with Cost.record_run, so the JSON also
-   reports the calibration EMA the adaptive feedback loop ends up with.
+   2. Table 2 crossover — the distributed semi-join run with the
+      coordinator's rpc_mode set to Rpc_singles (one message per call) vs
+      Rpc_bulk, at two loop sizes; the model's estimate_rpc must agree
+      with the measured ordering.
 
    Writes BENCH_optimizer.json with `--json`. *)
 
@@ -29,6 +26,7 @@ module Cost = Xrpc_core.Cost
 module Strategies = Xrpc_core.Strategies
 module Client = Xrpc_core.Xrpc_client
 module Peer = Xrpc_peer.Peer
+module Xctx = Xrpc_xquery.Context
 module Wrapper = Xrpc_peer.Wrapper
 module Database = Xrpc_peer.Database
 module Simnet = Xrpc_net.Simnet
@@ -141,10 +139,6 @@ let run_setting setting =
     setting.s_name setting.s_scale.Xmark.persons
     setting.s_scale.Xmark.auctions setting.s_scale.Xmark.matches
     setting.s_latency_ms setting.s_bandwidth;
-  (* every setting is its own federation: the feedback EMA is a property
-     of one deployment's network, so it must not leak across settings
-     (a ratio learned at 0.6 ms latency is wrong at 40 ms) *)
-  Cost.reset_calibration ();
   let cluster, a, persons_bytes, auctions_bytes = build_cluster setting in
   let net =
     {
@@ -179,12 +173,6 @@ let run_setting setting =
          stats.Simnet.bytes_sent + stats.Simnet.bytes_received))
       Strategies.all
   in
-  (* adaptive feedback: every measured run calibrates the model *)
-  List.iter
-    (fun (strategy, ms, _, _) ->
-      let est = Cost.total (Cost.estimate net Cost.zero_cpu site strategy) in
-      ignore (Cost.record_run strategy ~estimated_ms:est ~measured_ms:ms))
-    measured;
   let fastest, fastest_ms, _, _ =
     List.fold_left
       (fun (bs, bm, bmsg, bb) (s, m, msg, b) ->
@@ -204,14 +192,9 @@ let run_setting setting =
         (Strategies.name strategy) est ms msgs bytes
         (if strategy = chosen then "  <- chosen" else ""))
     measured;
-  (* with the feedback folded in, the calibrated re-choice must agree too *)
-  let recheck = Cost.choose net Cost.zero_cpu site in
-  let agree =
-    chosen = fastest && recheck.Cost.chosen.Cost.strategy = fastest
-  in
-  Printf.printf "chosen=%s calibrated=%s fastest=%s (%.3fms) -> %s\n"
+  let agree = chosen = fastest in
+  Printf.printf "chosen=%s fastest=%s (%.3fms) -> %s\n"
     (Strategies.short_name chosen)
-    (Strategies.short_name recheck.Cost.chosen.Cost.strategy)
     (Strategies.short_name fastest)
     fastest_ms
     (if agree then "AGREE" else "DISAGREE");
@@ -234,22 +217,18 @@ let run_table2 () =
         in
         let measure mode =
           let cluster, a, _, _ = build_cluster setting in
-          Unix.putenv "XRPC_FORCE_STRATEGY" mode;
-          Fun.protect
-            ~finally:(fun () -> Unix.putenv "XRPC_FORCE_STRATEGY" "")
-            (fun () ->
-              Cluster.reset_stats cluster;
-              let r =
-                Peer.query_seq a
-                  (Strategies.query ~local_uri:"xrpc://A" q7
-                     Strategies.Distributed_semijoin)
-              in
-              let stats = Cluster.stats cluster in
-              (Xdm.to_display r, stats.Simnet.network_ms,
-               stats.Simnet.messages))
+          a.Peer.config <- { a.Peer.config with Peer.rpc_mode = mode };
+          Cluster.reset_stats cluster;
+          let r =
+            Peer.query_seq a
+              (Strategies.query ~local_uri:"xrpc://A" q7
+                 Strategies.Distributed_semijoin)
+          in
+          let stats = Cluster.stats cluster in
+          (Xdm.to_display r, stats.Simnet.network_ms, stats.Simnet.messages)
         in
-        let bulk_disp, bulk_ms, bulk_msgs = measure "bulk" in
-        let singles_disp, singles_ms, singles_msgs = measure "singles" in
+        let bulk_disp, bulk_ms, bulk_msgs = measure Xctx.Rpc_bulk in
+        let singles_disp, singles_ms, singles_msgs = measure Xctx.Rpc_singles in
         if bulk_disp <> singles_disp then
           failwith "bulk and one-at-a-time answers differ";
         let est_bulk, est_singles =
@@ -277,7 +256,6 @@ let () =
   let table2 = run_table2 () in
   let all_agree = List.for_all (fun (_, _, _, _, _, a) -> a) results in
   print_newline ();
-  print_string (Cost.calibration_text ());
   Printf.printf "verdict: %s\n"
     (if all_agree then "optimizer picks the measured-fastest strategy at \
                         every setting"
@@ -311,21 +289,15 @@ let () =
         "    {\"ncalls\":%d,\"bulk_ms\":%.4f,\"singles_ms\":%.4f,\"bulk_messages\":%d,\"singles_messages\":%d,\"model_bulk_ms\":%.4f,\"model_singles_ms\":%.4f}"
         n bulk_ms singles_ms bulk_msgs singles_msgs est_bulk est_singles
     in
-    let calib_json s =
-      Printf.sprintf "    {\"strategy\":\"%s\",\"factor\":%.4f,\"runs\":%d}"
-        (Strategies.short_name s) (Cost.calibration s) (Cost.runs s)
-    in
     write_file "BENCH_optimizer.json"
       (Printf.sprintf
          "{\n\
          \  \"all_agree\": %b,\n\
          \  \"settings\": [\n%s\n  ],\n\
-         \  \"table2_bulk_vs_singles\": [\n%s\n  ],\n\
-         \  \"calibration\": [\n%s\n  ]\n\
+         \  \"table2_bulk_vs_singles\": [\n%s\n  ]\n\
           }\n"
          all_agree
          (String.concat ",\n" (List.map setting_json results))
-         (String.concat ",\n" (List.map table2_json table2))
-         (String.concat ",\n" (List.map calib_json Strategies.all)))
+         (String.concat ",\n" (List.map table2_json table2)))
   end;
   if not all_agree then exit 1

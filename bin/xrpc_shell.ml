@@ -15,7 +15,6 @@ module Trace = Xrpc_obs.Trace
 module Profile = Xrpc_obs.Profile
 module Flight_recorder = Xrpc_obs.Flight_recorder
 module Cost = Xrpc_core.Cost
-module Strategies = Xrpc_core.Strategies
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
@@ -75,16 +74,17 @@ let run_query peer source =
   if Trace.enabled () then print_trace ()
 
 (* EXPLAIN: what Eval will do with the query (dispatch and span of each
-   [execute at] site, its Table-2 estimate and strategy decision, the
-   form of each path step, the values of its lifted literals), no
-   execution.  Goes through the peer's plan cache — an explain-then-run
-   pair compiles once, and the plan shown is the lifted one. *)
+   [execute at] site, its Table-2 estimate, the form of each path step,
+   the values of its lifted literals), no execution.  Goes through the
+   peer's plan cache — an explain-then-run pair compiles once, and the
+   plan shown is the lifted one. *)
 let explain_query peer source =
   match Peer.lifted_plan peer source with
   | compiled, literals ->
       print_string
         (Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs ~literals
-           ~rpc_mode:(Peer.rpc_mode peer) compiled.Xrpc_peer.Plan_cache.prog)
+           ~rpc_mode:peer.Peer.config.rpc_mode
+           compiled.Xrpc_peer.Plan_cache.prog)
   | exception
       (Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m) ->
       Printf.eprintf "error: %s\n%!" m
@@ -160,26 +160,6 @@ let command ~client peer line =
   | ":explain", q ->
       explain_query peer q;
       true
-  | ":optimizer", "" ->
-      print_string (Cost.calibration_text ());
-      (match Cost.force_of_env () with
-      | Some s ->
-          Printf.printf "forced by XRPC_FORCE_STRATEGY: %s\n"
-            (Strategies.name s)
-      | None -> ());
-      true
-  | ":optimizer", "replay" ->
-      let n = Cost.replay_flight () in
-      Printf.printf "replayed %d optimizer run%s from the flight recorder\n" n
-        (if n = 1 then "" else "s");
-      true
-  | ":optimizer", "reset" ->
-      Cost.reset_calibration ();
-      print_endline "optimizer calibration reset";
-      true
-  | ":optimizer", _ ->
-      print_endline "usage: :optimizer [replay|reset]";
-      true
   | ":shards", "" ->
       print_string (Peer.shard_text (Peer.shard_map peer));
       true
@@ -214,13 +194,8 @@ let command ~client peer line =
       true
   | ":help", _ ->
       print_endline
-        ":explain <q>   — each execute-at site's dispatch, span and strategy \
-         costs, each path step's form (no execution; cached plan)";
-      print_endline
-        ":optimizer     — cost-model calibration (measured/estimated EMA)";
-      print_endline
-        ":optimizer replay|reset — rebuild the EMA from the flight \
-         recorder / zero it";
+        ":explain <q>   — each execute-at site's dispatch, span and Table-2 \
+         estimate, each path step's form (no execution; cached plan)";
       print_endline
         ":profile <q>   — run with the profiler: per-operator rows/times,";
       print_endline

@@ -20,12 +20,10 @@
     - Table 4's term: per-peer CPU (compile / tree-build / execute phases,
       as reported by [serverProfile] and the wrapper phase counters).
 
-    Estimates are adaptively corrected by an EMA feedback loop over
-    measured runs; the flight recorder persists [optimizer:*] entries so a
-    restarted shell can replay history ([replay_flight]). *)
+    The model is pure: [bench/optimizer_bench] and [test_optimizer] check
+    that its choice is the measured fastest strategy. *)
 
 module Simnet = Xrpc_net.Simnet
-module Flight_recorder = Xrpc_obs.Flight_recorder
 module Eval = Xrpc_xquery.Eval
 module Runner = Xrpc_xquery.Runner
 module Xast = Xrpc_xquery.Ast
@@ -208,251 +206,31 @@ let estimate_rpc net ?(overhead = default_msg_overhead) ~ncalls
   (bulk, singles)
 
 (* ------------------------------------------------------------------ *)
-(* Feedback loop: estimated vs measured                                *)
-(* ------------------------------------------------------------------ *)
-
-type calib = { mutable runs : int; mutable factor : float }
-
-let calib_tbl : (string, calib) Hashtbl.t = Hashtbl.create 8
-let calib_mutex = Mutex.create ()
-
-let calib_locked f =
-  Mutex.lock calib_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock calib_mutex) f
-
-(** EMA weight for new observations. *)
-let ema_alpha = 0.3
-
-(* entries are keyed [<short_name>] (global) or [<short_name>@<dest>]
-   (per-destination — meaningful once a sharded ring gives destinations
-   distinct cost profiles); destination URIs never contain spaces or
-   '@', so both keys and flight labels stay unambiguous *)
-let calib_key ?dest strategy =
-  let base = Strategies.short_name strategy in
-  match dest with None -> base | Some d -> base ^ "@" ^ d
-
-(** Correction factor (measured / estimated, EMA) for a strategy;
-    [1.0] until something has been observed.  With [?dest], the
-    per-destination factor when that destination has observations, the
-    global per-strategy factor otherwise. *)
-let calibration ?dest strategy =
-  calib_locked (fun () ->
-      let factor_of key =
-        match Hashtbl.find_opt calib_tbl key with
-        | Some c when c.runs > 0 -> Some c.factor
-        | _ -> None
-      in
-      let per_dest =
-        match dest with
-        | Some _ -> factor_of (calib_key ?dest strategy)
-        | None -> None
-      in
-      match per_dest with
-      | Some f -> f
-      | None -> (
-          match factor_of (calib_key strategy) with
-          | Some f -> f
-          | None -> 1.0))
-
-let runs ?dest strategy =
-  calib_locked (fun () ->
-      match Hashtbl.find_opt calib_tbl (calib_key ?dest strategy) with
-      | Some c -> c.runs
-      | None -> 0)
-
-(** Fold one (estimated, measured) pair into the EMA.  With [?dest] both
-    the per-destination entry and the global per-strategy entry advance,
-    so destinations without their own history still fall back to a
-    current global factor. *)
-let observe ?dest strategy ~estimated_ms ~measured_ms =
-  if estimated_ms > 0. && measured_ms >= 0. then
-    let ratio = measured_ms /. estimated_ms in
-    calib_locked (fun () ->
-        let fold key =
-          let c =
-            match Hashtbl.find_opt calib_tbl key with
-            | Some c -> c
-            | None ->
-                let c = { runs = 0; factor = 1.0 } in
-                Hashtbl.add calib_tbl key c;
-                c
-          in
-          c.factor <-
-            (if c.runs = 0 then ratio
-             else ((1. -. ema_alpha) *. c.factor) +. (ema_alpha *. ratio));
-          c.runs <- c.runs + 1
-        in
-        fold (calib_key strategy);
-        match dest with
-        | Some _ -> fold (calib_key ?dest strategy)
-        | None -> ())
-
-let reset_calibration () = calib_locked (fun () -> Hashtbl.reset calib_tbl)
-
-let flight_label ?dest strategy ~estimated_ms ~measured_ms =
-  Printf.sprintf "optimizer:%s est=%.6f meas=%.6f"
-    (calib_key ?dest strategy)
-    estimated_ms measured_ms
-
-(** Feed one measured run into the EMA and persist it in the flight
-    recorder so later sessions can [replay_flight].  Returns the flight
-    entry id. *)
-let record_run ?dest strategy ~estimated_ms ~measured_ms =
-  observe ?dest strategy ~estimated_ms ~measured_ms;
-  Flight_recorder.record
-    ~label:(flight_label ?dest strategy ~estimated_ms ~measured_ms)
-    ~duration_ms:measured_ms ~spans:[] ()
-
-let parse_flight_label label =
-  match String.index_opt label ':' with
-  | Some i when String.sub label 0 i = "optimizer" -> (
-      let rest = String.sub label (i + 1) (String.length label - i - 1) in
-      match String.split_on_char ' ' rest with
-      | [ skey; est; meas ] -> (
-          let sname, dest =
-            match String.index_opt skey '@' with
-            | Some j ->
-                ( String.sub skey 0 j,
-                  Some (String.sub skey (j + 1) (String.length skey - j - 1))
-                )
-            | None -> (skey, None)
-          in
-          let num prefix s =
-            let pl = String.length prefix in
-            if String.length s > pl && String.sub s 0 pl = prefix then
-              float_of_string_opt (String.sub s pl (String.length s - pl))
-            else None
-          in
-          match
-            (Strategies.of_string sname, num "est=" est, num "meas=" meas)
-          with
-          | Some strategy, Some estimated_ms, Some measured_ms ->
-              Some (strategy, dest, estimated_ms, measured_ms)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-(** Rebuild the calibration EMA from [optimizer:*] flight-recorder
-    entries (oldest first, so the EMA ends in the same state it was left
-    in).  Returns the number of entries replayed. *)
-let replay_flight () =
-  let entries = List.rev (Flight_recorder.recent ()) in
-  List.fold_left
-    (fun n (e : Flight_recorder.entry) ->
-      match parse_flight_label e.Flight_recorder.label with
-      | Some (strategy, dest, estimated_ms, measured_ms) ->
-          observe ?dest strategy ~estimated_ms ~measured_ms;
-          n + 1
-      | None -> n)
-    0 entries
-
-let calibration_text () =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "optimizer calibration (measured/estimated EMA):\n";
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-22s factor=%.3f runs=%d\n" (Strategies.name s)
-           (calibration s) (runs s)))
-    Strategies.all;
-  let per_dest =
-    calib_locked (fun () ->
-        Hashtbl.fold
-          (fun k (c : calib) acc ->
-            match String.index_opt k '@' with
-            | Some i ->
-                ( String.sub k 0 i,
-                  String.sub k (i + 1) (String.length k - i - 1),
-                  c.factor,
-                  c.runs )
-                :: acc
-            | None -> acc)
-          calib_tbl [])
-    |> List.sort compare
-  in
-  if per_dest <> [] then begin
-    Buffer.add_string buf "  per destination:\n";
-    List.iter
-      (fun (sname, dest, factor, n) ->
-        Buffer.add_string buf
-          (Printf.sprintf "    %-4s @ %-24s factor=%.3f runs=%d\n" sname dest
-             factor n))
-      per_dest
-  end;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Choosing                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type decision = {
   chosen : cost;
-  forced : bool;  (** true when [?force] overrode the ranking *)
-  ranked : cost list;  (** all strategies, cheapest (calibrated) first *)
+  ranked : cost list;  (** all strategies, cheapest first *)
 }
 
-(** Calibrated total: the model estimate corrected by the feedback EMA
-    (the destination-specific factor when [?dest] has history). *)
-let calibrated_total ?dest c = total c *. calibration ?dest c.strategy
-
-(** Rank all four strategies for [site] and pick the cheapest, unless
-    [force] (e.g. from [XRPC_FORCE_STRATEGY]) overrides.  [?dest] ranks
-    with that destination's calibration factors. *)
-let choose ?force ?dest net cpu site =
-  let costs = List.map (estimate net cpu site) Strategies.all in
+(** Rank all four strategies for [site] and pick the cheapest. *)
+let choose net cpu site =
   let ranked =
     List.stable_sort
-      (fun a b -> compare (calibrated_total ?dest a) (calibrated_total ?dest b))
-      costs
+      (fun a b -> compare (total a) (total b))
+      (List.map (estimate net cpu site) Strategies.all)
   in
-  match force with
-  | Some s ->
-      let chosen = List.find (fun c -> c.strategy = s) costs in
-      { chosen; forced = true; ranked }
-  | None -> { chosen = List.hd ranked; forced = false; ranked }
-
-(** The [XRPC_FORCE_STRATEGY] debug override, when it names one of the §5
-    strategies.  (The same variable also accepts the RPC-level modes
-    [bulk]/[singles], read by [Peer.rpc_mode].) *)
-let force_of_env () =
-  match Sys.getenv_opt "XRPC_FORCE_STRATEGY" with
-  | Some s -> Strategies.of_string s
-  | None -> None
-
-(** One ranked strategy; "cal" is its total under [?dest]'s calibration,
-    the number {!choose} ranked it by. *)
-let cost_line ?dest c =
-  Printf.sprintf
-    "%-22s est=%8.3fms (cal %8.3fms)  msgs=%d out=%dB in=%dB net=%.3fms \
-     cpu=%.3fms"
-    (Strategies.name c.strategy)
-    (total c) (calibrated_total ?dest c) c.messages c.bytes_out c.bytes_in
-    c.network_ms c.cpu_ms
-
-(** Human rendering for [:explain]: the winner plus every rejected
-    alternative with its estimated cost.  Pass the [?dest] the decision
-    was ranked with. *)
-let explain_decision ?dest d =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "chosen: %s%s\n"
-       (Strategies.name d.chosen.strategy)
-       (if d.forced then " (forced by XRPC_FORCE_STRATEGY)" else ""));
-  List.iter
-    (fun c ->
-      let tag = if c.strategy = d.chosen.strategy then "->" else "  " in
-      Buffer.add_string buf (Printf.sprintf "%s %s\n" tag (cost_line ?dest c)))
-    d.ranked;
-  Buffer.contents buf
+  { chosen = List.hd ranked; ranked }
 
 (** [:explain]: what {!Eval} will do with [prog] when run in [rpc_mode],
     without running it ([funcs]: the compiled plan's function registry).
     For each [execute at] site ({!Runner.execute_sites}): the span
-    [:profile] records for it, its dispatch, the Table-2 bulk vs
-    one-at-a-time estimate for a nominal 100-iteration loop, and the
-    strategy decision at the site's destination.  Then the form of each
-    path step ({!Eval.indexed_step}), and the value each lifted literal
-    ([literals], in the plan cache's [$xrpc:lit-N] order) is bound to. *)
+    [:profile] records for it, its dispatch and the Table-2 bulk vs
+    one-at-a-time estimate for a nominal 100-iteration loop.  Then the
+    form of each path step ({!Eval.indexed_step}), and the value each
+    lifted literal ([literals], in the plan cache's [$xrpc:lit-N] order)
+    is bound to. *)
 let explain_plan ?funcs ?(literals = [||]) ~rpc_mode (prog : Xast.prog) =
   match prog.Xast.body with
   | None -> "(library module — no query body to explain)\n"
@@ -500,14 +278,7 @@ let explain_plan ?funcs ?(literals = [||]) ~rpc_mode (prog : Xast.prog) =
             fn
             (match dest with Some d -> " -> " ^ d | None -> "")
             ncalls bulk singles
-            (if bulk > 0. then singles /. bulk else 1.);
-          let decision =
-            choose ?force:(force_of_env ()) ?dest default_net zero_cpu
-              { default_site with outer_rows = ncalls }
-          in
-          List.iter (line "   %s")
-            (String.split_on_char '\n'
-               (String.trim (explain_decision ?dest decision))))
+            (if bulk > 0. then singles /. bulk else 1.))
         sites;
       let rec steps (e : Xast.expr) =
         let line form = Printf.sprintf "   %s — %s" (Xast.expr_to_string e) form in
@@ -544,29 +315,3 @@ let explain_plan ?funcs ?(literals = [||]) ~rpc_mode (prog : Xast.prog) =
           literals
       end;
       Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Profiler annotation hook (Table 2 on live Bulk RPC nodes)           *)
-(* ------------------------------------------------------------------ *)
-
-(** Install a Table-2 estimator into the evaluator: every profiled Bulk
-    RPC node gets an [optimizer:] annotation comparing the bulk message it
-    just sent against the one-at-a-time alternative. *)
-let install_estimator ?(net = default_net)
-    ?(bytes_per_call = default_msg_overhead / 4) () =
-  Eval.rpc_estimate_hook :=
-    Some
-      (fun ~fn ~ncalls ~ndests ->
-        let bulk, singles = estimate_rpc net ~ncalls ~bytes_per_call () in
-        Some
-          (Printf.sprintf
-             "table2 %s: %d call%s to %d dest%s bulk=%.3fms singles=%.3fms \
-              (%.1fx)"
-             fn ncalls
-             (if ncalls = 1 then "" else "s")
-             ndests
-             (if ndests = 1 then "" else "s")
-             bulk singles
-             (if bulk > 0. then singles /. bulk else 1.)))
-
-let uninstall_estimator () = Eval.rpc_estimate_hook := None

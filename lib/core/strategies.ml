@@ -91,34 +91,12 @@ let name = function
   | Execution_relocation -> "execution relocation"
   | Distributed_semijoin -> "distributed semi-join"
 
-(** Machine-friendly one-word tag (bench JSON keys, env overrides). *)
+(** Machine-friendly one-word tag (bench JSON keys). *)
 let short_name = function
   | Data_shipping -> "datashipping"
   | Predicate_pushdown -> "pushdown"
   | Execution_relocation -> "relocation"
   | Distributed_semijoin -> "semijoin"
-
-(** Parse a strategy name as written by a human: accepts the [short_name]
-    tags, the display [name]s (spaces/hyphens ignored), and the common
-    abbreviations used in the paper's figures. *)
-let of_string s =
-  let squash = Buffer.create 16 in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | '0' .. '9' -> Buffer.add_char squash c
-      | 'A' .. 'Z' -> Buffer.add_char squash (Char.lowercase_ascii c)
-      | _ -> ())
-    s;
-  match Buffer.contents squash with
-  | "datashipping" | "dataship" | "ship" | "plain" -> Some Data_shipping
-  | "pushdown" | "predicatepushdown" | "predpushdown" ->
-      Some Predicate_pushdown
-  | "relocation" | "executionrelocation" | "relocate" ->
-      Some Execution_relocation
-  | "semijoin" | "distributedsemijoin" | "distsemijoin" ->
-      Some Distributed_semijoin
-  | _ -> None
 
 let query ~local_uri q = function
   | Data_shipping -> data_shipping q

@@ -152,13 +152,6 @@ let tracez ~query =
       "usage: /tracez?id=N (ids listed at /requestz; &format=tree for the \
        nested-span JSON instead of Chrome trace events)"
 
-let optimizerz ~query:_ =
-  Cost.calibration_text ()
-  ^
-  match Cost.force_of_env () with
-  | Some s -> "forced by XRPC_FORCE_STRATEGY: " ^ Strategies.name s ^ "\n"
-  | None -> ""
-
 let stats_unstarted () =
   {
     Evloop.accepted = 0;
@@ -259,7 +252,6 @@ let default_routes t =
     (fun ~query -> (keys_of_query query, Peer.shard_map t.peer))
     ~text:(fun (keys, m) -> Peer.shard_text ~keys m)
     ~json:(fun (keys, m) -> Peer.shard_json ~keys m);
-  r "/optimizerz" "strategy-cost calibration state" optimizerz;
   r "/tracez" "span trees per request (?id=N[&format=tree])" (fun ~query ->
       tracez ~query);
   r "/statz" "server core counters" (fun ~query:_ -> stats_text t);

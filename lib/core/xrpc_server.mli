@@ -126,7 +126,7 @@ val cluster_view : t -> Xrpc_obs.Telemetry.cluster_view
     [/healthz] (liveness + readiness with structured reasons, one
     {!Xrpc_obs.Slo.health}), [/clusterz] (federation-wide scrape),
     [/requestz] (one {!Xrpc_obs.Flight_recorder.snapshot}), [/cachez]
-    and [/shardz] ([?keys=a,b]).  Text only: [/slowz], [/optimizerz],
+    and [/shardz] ([?keys=a,b]).  Text only: [/slowz],
     [/tracez?id=N[&format=tree]] (JSON span exports), [/statz] and
     [/routez] (the table itself, one line per route).  GET requests
     whose path matches a route are answered by it; unmatched requests

@@ -13,7 +13,7 @@
 
    A served SOAP request reaches the ring through [complete], which also
    feeds the request's metrics and SLO series from the same record;
-   client-side queries and optimizer notes call [record] directly. *)
+   client-side queries call [record] directly. *)
 
 type entry = {
   id : int; (* 1-based, monotonically increasing *)

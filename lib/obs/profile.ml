@@ -15,8 +15,7 @@
      call counts (Eval's index probes, Peer's plan-cache hits) summed
      into the innermost open span, and destination stats (messages,
      logical calls, serialized bytes both ways, and the remote peer's
-     phase costs read from the response's serverProfile attribute);
-   - optimizer notes are span events named [annotation_event].
+     phase costs read from the response's serverProfile attribute).
 
    Timings are Trace's clock, so Cluster-bound profiles run on the
    virtual clock and replay deterministically. *)
@@ -46,15 +45,11 @@ type t = {
   dropped : int;
   root_ops : (string * int) list; (* ops outside any node *)
   dests : (string * dest_stat) list; (* sorted by destination *)
-  annotations : string list;
-      (* free-form analysis notes, oldest first — the optimizer attaches
-         its cost estimates here so a rendered profile shows the predicted
-         cost next to the measured one *)
   total_ms : float;
 }
 
 (* ------------------------------------------------------------------ *)
-(* The attributes and events the fold reads                            *)
+(* The attributes the fold reads                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Calls of operator [op]. *)
@@ -65,8 +60,6 @@ let dest_attr field dest = "dest:" ^ field ^ ":" ^ dest
 
 (* The serving peer's cost of [phase], from serverProfile. *)
 let remote_attr phase dest = "remote:" ^ phase ^ ":" ^ dest
-
-let annotation_event = "optimizer"
 
 (* "kind:field:name" — the name may itself contain ':' (URIs) *)
 let split_attr k =
@@ -104,16 +97,9 @@ let of_spans ?(label = "") = function
             dests := (d, ds) :: !dests;
             ds
       in
-      (* a span's optimizer notes and destination attributes accumulate
-         in plan order; returns its operator call counts *)
-      let annotations = ref [] in
+      (* a span's destination attributes accumulate in plan order;
+         returns its operator call counts *)
       let visit_span (s : Trace.span) =
-        annotations :=
-          List.filter_map
-            (fun (e : Trace.event) ->
-              if e.e_name = annotation_event then Some e.e_detail else None)
-            s.events
-          @ !annotations;
         let ops = ref [] in
         List.iter
           (fun (k, v) ->
@@ -160,7 +146,6 @@ let of_spans ?(label = "") = function
           | None -> 0);
         root_ops;
         dests = List.sort (fun (a, _) (b, _) -> compare a b) !dests;
-        annotations = List.rev !annotations;
         total_ms = Trace.duration_ms root;
       }
 
@@ -176,7 +161,6 @@ let total_ms p = p.total_ms
 let node_count p = p.n_nodes
 let dropped_count p = p.dropped
 let dests p = p.dests
-let annotations p = p.annotations
 (* pre-order: stable plan-node ids *)
 let nodes p =
   let rec flat n = n :: List.concat_map flat n.children in
@@ -232,13 +216,6 @@ let render p =
                      d.d_remote))))
       ds
   end;
-  (match annotations p with
-  | [] -> ()
-  | notes ->
-      Buffer.add_string buf "optimizer:\n";
-      List.iter
-        (fun s -> Buffer.add_string buf (Printf.sprintf "  %s\n" s))
-        notes);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -39,8 +39,7 @@ type config = {
   rpc_mode : Xctx.rpc_mode;
       (** [Rpc_bulk] (default) loop-lifts [execute at] into Bulk RPC;
           [Rpc_singles] sends one message per call, the Table-2
-          comparison mode.  The [XRPC_FORCE_STRATEGY] environment variable
-          (read per query) overrides it. *)
+          comparison mode. *)
   idem_capacity : int;
       (** idempotency-cache capacity; an evicted key falls back to
           at-least-once (the request re-executes on replay) *)
@@ -225,7 +224,9 @@ let doc_resolver peer (version : Database.version) uri_str : Store.t =
     else
       match peer.transport with
       | Some out -> Outbound.fetch_document out uri_str
-      | None -> err "fn:doc(%s): no transport configured" uri_str
+      | None ->
+          Xdm.dyn_error "err:FODC0002: fn:doc(%S): no transport configured"
+            uri_str
 
 (* dispatcher over the outgoing path; records every destination and
    piggybacked participant into [peers_acc] for 2PC registration *)
@@ -265,15 +266,6 @@ let memoized_doc_resolver peer version =
         Hashtbl.replace cache uri store;
         store
 
-(* The env override is read per query (not at startup) so tests and live
-   debugging can flip it with [putenv] between runs; a value that names no
-   mode (e.g. [auto], or a §5 strategy) is no override. *)
-let rpc_mode peer =
-  let forced = Sys.getenv_opt "XRPC_FORCE_STRATEGY" in
-  match Option.bind forced Xctx.rpc_mode_of_string with
-  | Some m -> m
-  | None -> peer.config.rpc_mode
-
 let make_context peer ~version ~query_id ~peers_acc : Xctx.t =
   let base = Xctx.empty () in
   let dispatcher =
@@ -290,7 +282,7 @@ let make_context peer ~version ~query_id ~peers_acc : Xctx.t =
     dispatcher;
     dest_resolver;
     query_id;
-    rpc_mode = rpc_mode peer;
+    rpc_mode = peer.config.rpc_mode;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -518,7 +510,7 @@ type query_result = {
 (** [query peer source] parses and runs a main-module query at this peer.
 
     - [execute at] calls go over the peer's transport (Bulk RPC unless
-      {!rpc_mode} is [Rpc_singles]).
+      [config.rpc_mode] is [Rpc_singles]).
     - With [declare option xrpc:isolation "repeatable"], a fresh queryID is
       attached to every request and the local snapshot is pinned, giving
       rule R'_Fr / R'_Fu semantics; updating queries then commit with 2PC

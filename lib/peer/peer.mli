@@ -24,8 +24,7 @@ type config = {
   rpc_mode : Xrpc_xquery.Context.rpc_mode;
       (** [Rpc_bulk] (default) loop-lifts [execute at] into Bulk RPC;
           [Rpc_singles] sends one message per call, the Table-2
-          comparison mode.  The [XRPC_FORCE_STRATEGY] environment variable
-          (read per query) overrides it. *)
+          comparison mode. *)
   idem_capacity : int;
       (** idempotency-cache capacity; an evicted key falls back to
           at-least-once (the request re-executes on replay) *)
@@ -140,10 +139,6 @@ type query_result = {
           transaction ran *)
 }
 
-val rpc_mode : t -> Xrpc_xquery.Context.rpc_mode
-(** The RPC mode this peer's next query runs in: [config.rpc_mode] unless
-    [XRPC_FORCE_STRATEGY] names [bulk] or [singles]. *)
-
 val compiled_plan : t -> string -> Plan_cache.compiled
 (** The compiled plan for a query source, through the plan cache (same
     entry {!query} uses): an explain-then-run pair compiles once.
@@ -163,7 +158,7 @@ val query : t -> string -> query_result
 (** [query peer source] parses and runs a main-module query at this peer.
 
     - [execute at] calls go over the peer's transport (Bulk RPC unless
-      {!rpc_mode} is [Rpc_singles]).
+      [config.rpc_mode] is [Rpc_singles]).
     - With [declare option xrpc:isolation "repeatable"], a fresh queryID is
       attached to every request and the local snapshot is pinned, giving
       rule R'_Fr / R'_Fu semantics; updating queries then commit with 2PC

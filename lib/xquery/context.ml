@@ -29,12 +29,6 @@ type func_key = string * string * int (* uri, local, arity *)
     one-message-per-call comparison mode of Table 2. *)
 type rpc_mode = Rpc_bulk | Rpc_singles
 
-let rpc_mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "bulk" -> Some Rpc_bulk
-  | "singles" | "single" | "one-at-a-time" -> Some Rpc_singles
-  | _ -> None
-
 let rpc_mode_name = function
   | Rpc_bulk -> "bulk"
   | Rpc_singles -> "singles"

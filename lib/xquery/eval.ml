@@ -23,15 +23,6 @@ let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 let m_applications = Metrics.counter "eval.applications"
 let m_apply_ms = Metrics.histogram "eval.apply_ms"
 
-(* Installed by the cost-model layer (Xrpc_core.Cost): renders a Table-2
-   estimate of the Bulk RPC dispatch about to happen, so a profile carries
-   the optimizer's predicted cost right next to the measured one.  The
-   evaluator cannot depend on the cost model (it lives above this
-   library), hence the injection point. *)
-let rpc_estimate_hook :
-    (fn:string -> ncalls:int -> ndests:int -> string option) option ref =
-  ref None
-
 (* ------------------------------------------------------------------ *)
 (* Node tests and axes                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -499,12 +490,12 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
       let attrs = check_attr_duplicates (attrs @ content_attrs) in
       [ node_of_tree (Tree.Element { name; attrs; children }) ]
   | Ast.Comp_elem (name_e, content_e) ->
-      let name = eval_name ctx name_e ~default_ns:true in
+      let name = eval_name ctx name_e in
       let content_attrs, children = content_to_trees (eval ctx content_e) in
       let attrs = check_attr_duplicates content_attrs in
       [ node_of_tree (Tree.Element { name; attrs; children }) ]
   | Ast.Comp_attr (name_e, content_e) ->
-      let name = eval_name ctx name_e ~default_ns:false in
+      let name = eval_name ctx name_e in
       let v =
         String.concat " "
           (List.map Xs.to_string (Xdm.atomize (eval ctx content_e)))
@@ -605,7 +596,7 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
       []
   | Ast.Rename_node (target_e, name_e) ->
       let target = Xdm.node_only (Xdm.one_item ~what:"rename target" (eval ctx target_e)) in
-      let name = eval_name ctx name_e ~default_ns:false in
+      let name = eval_name ctx name_e in
       ctx.Context.pul := Update.Rename (target, name) :: !(ctx.Context.pul);
       []
 
@@ -613,12 +604,12 @@ and eval_set ctx op a b =
   let nodes e = List.map Xdm.node_only (eval ctx e) in
   List.map (fun n -> Xdm.Node n) (op (nodes a) (nodes b))
 
-(* XQDY0074: a computed name given as a string must be a lexical QName *)
-and eval_name ctx e ~default_ns =
-  ignore default_ns;
+(* A computed name is an xs:QName, or a string or untyped value that is a
+   lexical QName (else XQDY0074); any other type is XPTY0004. *)
+and eval_name ctx e =
   match Xdm.one_atom ~what:"name" (eval ctx e) with
   | Xs.QName q -> q
-  | v ->
+  | (Xs.String _ | Xs.Untyped _) as v ->
       let s = String.trim (Xs.to_string v) in
       let ncname n =
         n <> ""
@@ -631,6 +622,9 @@ and eval_name ctx e ~default_ns =
       | _ -> Xdm.dyn_error "XQDY0074: %S is not a lexical QName" s);
       let prefix, local = Qname.split s in
       Qname.make ~prefix local
+  | v ->
+      Xdm.dyn_error "XPTY0004: a computed name cannot be of type xs:%s"
+        (Xs.type_name (Xs.type_of v))
 
 and eval_compare ctx op a b =
   let sa = eval ctx a and sb = eval ctx b in
@@ -1033,18 +1027,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
   in
   let responses =
     if not (Trace.recording ()) then dispatch ()
-    else begin
-      (* the optimizer's estimate is for a profile's reader only *)
-      (if Trace.collecting () then
-         match !rpc_estimate_hook with
-         | Some est -> (
-             match
-               est ~fn:fname.Qname.local ~ncalls:(List.length calls)
-                 ~ndests:(List.length requests)
-             with
-             | Some s -> Trace.event ~detail:s Profile.annotation_event
-             | None -> ())
-         | None -> ());
+    else
       Trace.with_span
         ~detail:
           (Printf.sprintf "%s: %d call%s -> %d dest(s)" fname.Qname.local
@@ -1053,7 +1036,6 @@ and bulk_execute base_ctx tuples dest_e fname args =
              (List.length requests))
         bulk_span
       @@ dispatch
-    end
   in
   (* map back: walk tuples in order, pulling the next result for their
      destination (the mapp tables of Figure 1) *)

@@ -52,7 +52,7 @@ let agree ?lifted_probe peer ~iterations query =
   let compiled, literals = Peer.lifted_plan peer query in
   let plan =
     Cost.explain_plan ~funcs:compiled.Xrpc_peer.Plan_cache.funcs ~literals
-      ~rpc_mode:(Peer.rpc_mode peer) compiled.Xrpc_peer.Plan_cache.prog
+      ~rpc_mode:peer.Peer.config.rpc_mode compiled.Xrpc_peer.Plan_cache.prog
   in
   let _, profile = Profile.profiled (fun () -> Peer.query_seq peer query) in
   let fail fmt =

@@ -251,16 +251,17 @@ let test_differential_corners () =
    answer.  Cases 500..699 keep the seeds disjoint from the Looplift
    battery above.
 
-   The battery runs once per XRPC_FORCE_STRATEGY rpc-mode override
-   (auto/bulk/singles): these queries have no [execute at], so forcing the
-   dispatch mode must be a strict no-op on answers — a mis-costed
-   optimizer pick can change performance, never results. *)
+   The battery runs once per [Peer.config.rpc_mode] (bulk, singles):
+   these queries have no [execute at], so the dispatch mode must be a
+   strict no-op on answers. *)
 let cached_peer_battery mode () =
   let base = base_seed () in
-  Unix.putenv "XRPC_FORCE_STRATEGY" mode;
-  Fun.protect ~finally:(fun () -> Unix.putenv "XRPC_FORCE_STRATEGY" "")
-  @@ fun () ->
-  let peer = Xrpc_peer.Peer.create "xrpc://diff.local" in
+  let peer =
+    Xrpc_peer.Peer.create
+      ~config:{ Xrpc_peer.Peer.default_config with rpc_mode = mode }
+      "xrpc://diff.local"
+  in
+  let mode = Xrpc_xquery.Context.rpc_mode_name mode in
   for case = 500 to 699 do
     let q = gen_query ~base ~case in
     let reference = try Ok (run_eval q) with e -> Error (Printexc.to_string e) in
@@ -277,7 +278,7 @@ let cached_peer_battery mode () =
     if not (agrees first && agrees second) then
       let show = function Ok s -> Printf.sprintf "%S" s | Error m -> m in
       Alcotest.failf
-        "cached peer (forced rpc mode %S) diverges on case %d of base seed %d\n\
+        "cached peer (rpc mode %S) diverges on case %d of base seed %d\n\
          query:       %s\n\
          interpreter: %s\n\
          first run:   %s\n\
@@ -287,7 +288,7 @@ let cached_peer_battery mode () =
   done;
   let stats = (Xrpc_peer.Peer.cache_stats peer).Xrpc_peer.Peer.plan in
   if stats.Xrpc_peer.Lru.hits < 200 then
-    Alcotest.failf "forced rpc mode %S: expected >= 200 plan-cache hits, saw %d"
+    Alcotest.failf "rpc mode %S: expected >= 200 plan-cache hits, saw %d"
       mode stats.Xrpc_peer.Lru.hits
 
 (* every generated query (cases 0..699) and corner, lifted and unlifted:
@@ -325,13 +326,11 @@ let () =
           Alcotest.test_case "corner cases" `Quick test_differential_corners;
           Alcotest.test_case "500 seeded queries" `Quick
             test_differential_battery;
-          Alcotest.test_case "200 queries, Eval vs cached peer (auto)" `Quick
-            (cached_peer_battery "auto");
           Alcotest.test_case "200 queries, Eval vs cached peer (bulk)" `Quick
-            (cached_peer_battery "bulk");
+            (cached_peer_battery Xrpc_xquery.Context.Rpc_bulk);
           Alcotest.test_case "200 queries, Eval vs cached peer (singles)"
             `Quick
-            (cached_peer_battery "singles");
+            (cached_peer_battery Xrpc_xquery.Context.Rpc_singles);
           Alcotest.test_case "generator determinism" `Quick
             test_generator_deterministic;
           Alcotest.test_case "700 queries, lifted = unlifted" `Quick

@@ -6,18 +6,16 @@
    pushdown, latency punishes relocation's extra round trip), a seeded
    monotonicity battery (growing any additive statistic — rows, bytes,
    latency — or shrinking bandwidth never lowers a strategy's cost; replay
-   with OPT_SEED=<n> dune runtest), strategy-name parsing and the
-   XRPC_FORCE_STRATEGY override, the adaptive feedback loop (EMA
-   calibration, flight-recorder persistence and replay), the :explain
-   surfaces (decision rendering, static execute-at site analysis, the
-   loop-lift note hook, the profiler's Table-2 annotation), measured
-   crossover reproduction on deterministic Simnet (the optimizer's choice
-   must be the measured-fastest strategy at every setting, as in
-   bench/optimizer_bench.ml), Bulk RPC vs one-at-a-time forced through the
-   debug override, and a chaos differential battery: whatever strategy the
-   optimizer picks must return answers identical to plain Bulk RPC data
-   shipping, or fail outright — never a silently different answer (replay
-   with FAULT_SEED=<n> dune runtest). *)
+   with OPT_SEED=<n> dune runtest), the ranking, strategy names and the
+   configured RPC mode, the :explain surfaces (static execute-at site
+   analysis, the Table-2 note per site, agreement with :profile),
+   measured crossover reproduction on deterministic Simnet (the
+   optimizer's choice must be the measured-fastest strategy at every
+   setting, as in bench/optimizer_bench.ml), Bulk RPC vs one-at-a-time
+   through the peer's [config.rpc_mode], and a chaos differential
+   battery: whatever strategy the optimizer picks must return answers
+   identical to plain Bulk RPC data shipping, or fail outright — never a
+   silently different answer (replay with FAULT_SEED=<n> dune runtest). *)
 
 open Xrpc_xml
 module Cluster = Xrpc_core.Cluster
@@ -33,8 +31,6 @@ module Xmark = Xrpc_workloads.Xmark
 module Parser = Xrpc_xquery.Parser
 module Runner = Xrpc_xquery.Runner
 module Xctx = Xrpc_xquery.Context
-module Profile = Xrpc_obs.Profile
-module Flight_recorder = Xrpc_obs.Flight_recorder
 
 let check = Alcotest.check
 let int_ = Alcotest.int
@@ -48,16 +44,6 @@ let contains s sub =
     i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
   n = 0 || go 0
-
-(* every test that touches the process-wide calibration table or the env
-   override cleans up after itself *)
-let with_clean_calibration f =
-  Cost.reset_calibration ();
-  Fun.protect ~finally:Cost.reset_calibration f
-
-let with_env_strategy value f =
-  Unix.putenv "XRPC_FORCE_STRATEGY" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "XRPC_FORCE_STRATEGY" "") f
 
 (* ------------------------------------------------------------------ *)
 (* The estimator: per-strategy shapes                                  *)
@@ -119,7 +105,6 @@ let test_table2_estimates () =
   check floatish "latency-only ratio is exactly N" 50. (tiny_s /. tiny_b)
 
 let test_model_crossover_selectivity () =
-  with_clean_calibration @@ fun () ->
   (* 6-of-400 selectivity: the semi-join's key shipment is far smaller
      than the pushdown payload, which is smaller than the document *)
   let d = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
@@ -138,7 +123,6 @@ let test_model_crossover_selectivity () =
     (Strategies.short_name d.Cost.chosen.Cost.strategy)
 
 let test_model_crossover_latency () =
-  with_clean_calibration @@ fun () ->
   let slow = { Cost.default_net with Cost.latency_ms = 40. } in
   let d = Cost.choose slow Cost.zero_cpu selective_site in
   check string_ "high latency: the 2-message semi-join still wins" "semijoin"
@@ -291,14 +275,12 @@ let test_monotone_cpu () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Choosing, names, overrides                                          *)
+(* Choosing, names, RPC modes                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_choose_ranks () =
-  with_clean_calibration @@ fun () ->
   let d = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
   check int_ "all four strategies ranked" 4 (List.length d.Cost.ranked);
-  check bool_ "not forced" false d.Cost.forced;
   check bool_ "every strategy appears once" true
     (List.sort compare (List.map (fun c -> c.Cost.strategy) d.Cost.ranked)
     = List.sort compare Strategies.all);
@@ -309,78 +291,31 @@ let test_choose_ranks () =
   | [] -> Alcotest.fail "empty ranking");
   let rec sorted = function
     | a :: (b :: _ as rest) ->
-        Cost.calibrated_total a <= Cost.calibrated_total b && sorted rest
+        Cost.total a <= Cost.total b && sorted rest
     | _ -> true
   in
   check bool_ "ranking is cheapest-first" true (sorted d.Cost.ranked)
 
-let test_choose_force () =
-  with_clean_calibration @@ fun () ->
-  let d =
-    Cost.choose ~force:Strategies.Execution_relocation Cost.default_net
-      Cost.zero_cpu selective_site
-  in
-  check bool_ "forced flag set" true d.Cost.forced;
-  check string_ "the forced strategy is chosen" "relocation"
-    (Strategies.short_name d.Cost.chosen.Cost.strategy);
-  (* the ranking still tells the truth about costs *)
-  (match d.Cost.ranked with
-  | first :: _ ->
-      check bool_ "ranking ignores the force" true
-        (first.Cost.strategy <> Strategies.Execution_relocation)
-  | [] -> Alcotest.fail "empty ranking")
-
+(* a short name (the bench JSON key) identifies its strategy *)
 let test_strategy_names () =
   List.iter
     (fun s ->
       check bool_
         ("short_name round-trips: " ^ Strategies.short_name s)
         true
-        (Strategies.of_string (Strategies.short_name s) = Some s);
-      check bool_
-        ("display name round-trips: " ^ Strategies.name s)
-        true
-        (Strategies.of_string (Strategies.name s) = Some s))
+        (List.filter
+           (fun x -> Strategies.short_name x = Strategies.short_name s)
+           Strategies.all
+        = [ s ]))
     Strategies.all;
-  check int_ "short names are collision-free" 4
+  check int_ "display names are collision-free" 4
     (List.length
-       (List.sort_uniq compare (List.map Strategies.short_name Strategies.all)));
-  check bool_ "case/hyphen variants accepted" true
-    (Strategies.of_string "Predicate Push-Down"
-     = Some Strategies.Predicate_pushdown
-    && Strategies.of_string "SEMI-JOIN" = Some Strategies.Distributed_semijoin
-    && Strategies.of_string "plain" = Some Strategies.Data_shipping
-    && Strategies.of_string "relocate" = Some Strategies.Execution_relocation);
-  check bool_ "rpc modes and garbage are not strategies" true
-    (Strategies.of_string "bulk" = None
-    && Strategies.of_string "singles" = None
-    && Strategies.of_string "auto" = None
-    && Strategies.of_string "" = None
-    && Strategies.of_string "zigzag" = None)
+       (List.sort_uniq compare (List.map Strategies.name Strategies.all)))
 
-let test_force_env () =
-  with_env_strategy "semi-join" (fun () ->
-      check bool_ "XRPC_FORCE_STRATEGY=semi-join" true
-        (Cost.force_of_env () = Some Strategies.Distributed_semijoin));
-  with_env_strategy "relocate" (fun () ->
-      check bool_ "XRPC_FORCE_STRATEGY=relocate" true
-        (Cost.force_of_env () = Some Strategies.Execution_relocation));
-  with_env_strategy "bulk" (fun () ->
-      check bool_ "bulk is an rpc mode, not a strategy" true
-        (Cost.force_of_env () = None));
-  with_env_strategy "" (fun () ->
-      check bool_ "empty override is no override" true (Cost.force_of_env () = None))
-
+(* the mode is the peer's config field, and :explain reads it from there *)
 let test_rpc_mode_parsing () =
-  check bool_ "bulk" true (Xctx.rpc_mode_of_string "bulk" = Some Xctx.Rpc_bulk);
-  check bool_ "SINGLES" true
-    (Xctx.rpc_mode_of_string "SINGLES" = Some Xctx.Rpc_singles);
-  check bool_ "one-at-a-time" true
-    (Xctx.rpc_mode_of_string "one-at-a-time" = Some Xctx.Rpc_singles);
-  check bool_ "auto is no override" true (Xctx.rpc_mode_of_string "auto" = None);
-  check bool_ "strategy names are not rpc modes" true
-    (Xctx.rpc_mode_of_string "semijoin" = None);
-  check string_ "names render back" "singles" (Xctx.rpc_mode_name Xctx.Rpc_singles);
+  check string_ "bulk renders" "bulk" (Xctx.rpc_mode_name Xctx.Rpc_bulk);
+  check string_ "singles renders" "singles" (Xctx.rpc_mode_name Xctx.Rpc_singles);
   check bool_ "bulk is the default" true
     (Peer.default_config.Peer.rpc_mode = Xctx.Rpc_bulk);
   let peer =
@@ -388,194 +323,18 @@ let test_rpc_mode_parsing () =
       ~config:{ Peer.default_config with Peer.rpc_mode = Xctx.Rpc_singles }
       "xrpc://modes.local"
   in
-  with_env_strategy "auto" (fun () ->
-      check bool_ "XRPC_FORCE_STRATEGY=auto keeps the configured mode" true
-        (Peer.rpc_mode peer = Xctx.Rpc_singles));
-  with_env_strategy "bulk" (fun () ->
-      check bool_ "XRPC_FORCE_STRATEGY=bulk overrides it" true
-        (Peer.rpc_mode peer = Xctx.Rpc_bulk))
-
-(* ------------------------------------------------------------------ *)
-(* The adaptive feedback loop                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_feedback_ema () =
-  with_clean_calibration @@ fun () ->
-  let sj = Strategies.Distributed_semijoin in
-  check floatish "virgin calibration is 1.0" 1.0 (Cost.calibration sj);
-  check int_ "no runs yet" 0 (Cost.runs sj);
-  Cost.observe sj ~estimated_ms:2.0 ~measured_ms:4.0;
-  check floatish "first observation sets the ratio" 2.0 (Cost.calibration sj);
-  Cost.observe sj ~estimated_ms:2.0 ~measured_ms:2.0;
-  check floatish "EMA blends (0.7*2.0 + 0.3*1.0)" 1.7 (Cost.calibration sj);
-  check int_ "two runs" 2 (Cost.runs sj);
-  check floatish "other strategies untouched" 1.0
-    (Cost.calibration Strategies.Predicate_pushdown);
-  Cost.observe sj ~estimated_ms:0.0 ~measured_ms:9.0;
-  check floatish "zero estimates are ignored" 1.7 (Cost.calibration sj);
-  Cost.reset_calibration ();
-  check floatish "reset restores 1.0" 1.0 (Cost.calibration sj);
-  check bool_ "calibration_text names every strategy" true
-    (List.for_all
-       (fun s -> contains (Cost.calibration_text ()) (Strategies.name s))
-       Strategies.all)
-
-let test_feedback_flips_choice () =
-  with_clean_calibration @@ fun () ->
-  let d0 = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
-  check string_ "model alone picks the semi-join" "semijoin"
-    (Strategies.short_name d0.Cost.chosen.Cost.strategy);
-  (* the deployment keeps measuring the semi-join at 10x its estimate —
-     the calibrated ranking must switch to the next-best strategy *)
-  let sj = Strategies.Distributed_semijoin in
-  let est = Cost.total (Cost.estimate Cost.default_net Cost.zero_cpu selective_site sj) in
-  Cost.observe sj ~estimated_ms:est ~measured_ms:(est *. 10.);
-  let d1 = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
-  check string_ "feedback flips the choice to pushdown" "pushdown"
-    (Strategies.short_name d1.Cost.chosen.Cost.strategy);
-  Cost.reset_calibration ();
-  let d2 = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
-  check string_ "reset restores the model's pick" "semijoin"
-    (Strategies.short_name d2.Cost.chosen.Cost.strategy)
-
-let test_feedback_flight_replay () =
-  with_clean_calibration @@ fun () ->
-  Flight_recorder.reset ();
-  Fun.protect ~finally:Flight_recorder.reset @@ fun () ->
-  let sj = Strategies.Distributed_semijoin
-  and pd = Strategies.Predicate_pushdown in
-  ignore (Cost.record_run sj ~estimated_ms:1.0 ~measured_ms:2.0);
-  ignore (Cost.record_run sj ~estimated_ms:1.0 ~measured_ms:1.0);
-  ignore (Cost.record_run pd ~estimated_ms:2.0 ~measured_ms:1.0);
-  (* noise the replay must skip: a non-optimizer entry and a mangled one *)
-  ignore
-    (Flight_recorder.record ~label:"query xyz" ~duration_ms:1.0 ~spans:[] ());
-  ignore
-    (Flight_recorder.record ~label:"optimizer:warp est=fast meas=slow"
-       ~duration_ms:1.0 ~spans:[] ());
-  let f_sj = Cost.calibration sj and f_pd = Cost.calibration pd in
-  check floatish "EMA after the recorded runs" 1.7 f_sj;
-  check floatish "pushdown factor" 0.5 f_pd;
-  (* a fresh session: no calibration, but the flight recorder persists *)
-  Cost.reset_calibration ();
-  check floatish "fresh session starts at 1.0" 1.0 (Cost.calibration sj);
-  let replayed = Cost.replay_flight () in
-  check int_ "exactly the three optimizer entries replay" 3 replayed;
-  check floatish "semi-join EMA reconstructed" f_sj (Cost.calibration sj);
-  check floatish "pushdown EMA reconstructed" f_pd (Cost.calibration pd);
-  check int_ "runs reconstructed" 2 (Cost.runs sj)
-
-(* one slow destination must not poison the ranking everywhere: observe
-   folds the measurement into BOTH the per-destination and the global
-   EMA, calibration ~dest prefers the destination's own factor and falls
-   back to the global one for destinations never measured *)
-let test_feedback_per_destination () =
-  with_clean_calibration @@ fun () ->
-  let sj = Strategies.Distributed_semijoin in
-  let slow = "xrpc://satellite:8080" and fast = "xrpc://rack-mate" in
-  Cost.observe sj ~dest:slow ~estimated_ms:1.0 ~measured_ms:8.0;
-  check floatish "slow dest gets its own factor" 8.0
-    (Cost.calibration ~dest:slow sj);
-  check int_ "and its own run count" 1 (Cost.runs ~dest:slow sj);
-  check floatish "global EMA absorbed the run too" 8.0 (Cost.calibration sj);
-  (* an unmeasured destination inherits the global factor, not 1.0 *)
-  check floatish "unseen dest falls back to global" 8.0
-    (Cost.calibration ~dest:fast sj);
-  check int_ "unseen dest has no runs" 0 (Cost.runs ~dest:fast sj);
-  (* measuring the fast destination separates the two *)
-  Cost.observe sj ~dest:fast ~estimated_ms:4.0 ~measured_ms:2.0;
-  check floatish "fast dest factor" 0.5 (Cost.calibration ~dest:fast sj);
-  check floatish "slow dest unchanged" 8.0 (Cost.calibration ~dest:slow sj);
-  check bool_ "calibration_text lists the destinations" true
-    (contains (Cost.calibration_text ()) "satellite"
-    && contains (Cost.calibration_text ()) "rack-mate")
-
-let test_feedback_per_destination_flips_choice () =
-  with_clean_calibration @@ fun () ->
-  let sj = Strategies.Distributed_semijoin in
-  let slow = "xrpc://satellite:8080" in
-  let est =
-    Cost.total (Cost.estimate Cost.default_net Cost.zero_cpu selective_site sj)
+  let plan =
+    Cost.explain_plan ~rpc_mode:peer.Peer.config.rpc_mode
+      (Parser.parse_prog {|for $i in (1, 2) return execute at {"xrpc://B"} {f($i)}|})
   in
-  Cost.observe sj ~dest:slow ~estimated_ms:est ~measured_ms:(est *. 10.);
-  (* the global EMA moved too (it absorbs every observation), but a
-     steady diet of honest runs elsewhere decays it back toward 1.0 while
-     the slow destination's own factor stays put at 10.  Decay until the
-     global factor sits safely inside the pushdown/semi-join cost gap. *)
-  let gap =
-    Cost.total
-      (Cost.estimate Cost.default_net Cost.zero_cpu selective_site
-         Strategies.Predicate_pushdown)
-    /. est
-  in
-  while Cost.calibration sj > 1.0 +. ((gap -. 1.0) /. 2.) do
-    Cost.observe sj ~estimated_ms:est ~measured_ms:est
-  done;
-  let at_slow =
-    Cost.choose ~dest:slow Cost.default_net Cost.zero_cpu selective_site
-  in
-  let elsewhere = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
-  check string_ "slow destination flips to pushdown" "pushdown"
-    (Strategies.short_name at_slow.Cost.chosen.Cost.strategy);
-  check string_ "other destinations keep the semi-join" "semijoin"
-    (Strategies.short_name elsewhere.Cost.chosen.Cost.strategy)
-
-let test_feedback_per_destination_replay () =
-  with_clean_calibration @@ fun () ->
-  Flight_recorder.reset ();
-  Fun.protect ~finally:Flight_recorder.reset @@ fun () ->
-  let sj = Strategies.Distributed_semijoin in
-  let dest = "xrpc://satellite:8080" in
-  (* the label round-trips the destination *)
-  let label = Cost.flight_label ~dest sj ~estimated_ms:1.0 ~measured_ms:3.0 in
-  (match Cost.parse_flight_label label with
-  | Some (s, Some d, est, meas) ->
-      check string_ "label strategy" "semijoin" (Strategies.short_name s);
-      check string_ "label dest" dest d;
-      check floatish "label est" 1.0 est;
-      check floatish "label meas" 3.0 meas
-  | _ -> Alcotest.fail ("unparseable flight label: " ^ label));
-  ignore (Cost.record_run ~dest sj ~estimated_ms:1.0 ~measured_ms:3.0);
-  ignore (Cost.record_run sj ~estimated_ms:1.0 ~measured_ms:1.0);
-  let f_dest = Cost.calibration ~dest sj and f_global = Cost.calibration sj in
-  (* a fresh session replays the recorder and reconstructs both scopes *)
-  Cost.reset_calibration ();
-  check int_ "both entries replay" 2 (Cost.replay_flight ());
-  check floatish "per-dest factor reconstructed" f_dest
-    (Cost.calibration ~dest sj);
-  check floatish "global factor reconstructed" f_global (Cost.calibration sj);
-  check int_ "per-dest runs reconstructed" 1 (Cost.runs ~dest sj)
+  check bool_ "the plan runs in the configured mode" true
+    (contains plan "plan (rpc mode singles)");
+  check bool_ "and dispatches per iteration" true
+    (contains plan "one call per iteration")
 
 (* ------------------------------------------------------------------ *)
 (* Explain surfaces                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let test_explain_decision () =
-  with_clean_calibration @@ fun () ->
-  let d = Cost.choose Cost.default_net Cost.zero_cpu selective_site in
-  let text = Cost.explain_decision d in
-  check bool_ "names the winner" true
-    (contains text "chosen: distributed semi-join");
-  (* the rejected alternatives appear, with estimates *)
-  List.iter
-    (fun s ->
-      check bool_ ("lists " ^ Strategies.name s) true
-        (contains text (Strategies.name s)))
-    Strategies.all;
-  check bool_ "estimates rendered" true (contains text "est=");
-  check bool_ "winner is arrow-tagged" true (contains text "-> distributed");
-  let forced =
-    Cost.choose ~force:Strategies.Data_shipping Cost.default_net Cost.zero_cpu
-      selective_site
-  in
-  check bool_ "forced decisions say so" true
-    (contains (Cost.explain_decision forced) "(forced by XRPC_FORCE_STRATEGY)");
-  check string_ "chosen" "semijoin" (Strategies.short_name d.Cost.chosen.Cost.strategy);
-  check bool_ "not forced" false d.Cost.forced;
-  check bool_ "per-strategy costs" true
-    (List.exists
-       (fun c -> Strategies.short_name c.Cost.strategy = "relocation")
-       d.Cost.ranked)
 
 let q7 =
   {
@@ -688,53 +447,6 @@ let test_explain_table2_note () =
     (contains plan "table2 probe/2 -> xrpc://B: @100 iters bulk=");
   check bool_ "against one-at-a-time" true (contains plan "one-at-a-time=")
 
-(* the site section of a rendered plan: from "site N:" to the next site *)
-let site_section plan n =
-  let from = Printf.sprintf "site %d:" n in
-  let rec find i =
-    if String.sub plan i (String.length from) = from then i else find (i + 1)
-  in
-  let start = find 0 in
-  let stop =
-    try find (start + 1) with Invalid_argument _ -> String.length plan
-  in
-  String.sub plan start (stop - start)
-
-let test_explain_dest_calibration () =
-  with_clean_calibration @@ fun () ->
-  let plan () =
-    Cost.explain_plan ~rpc_mode:Xctx.Rpc_bulk
-      (Parser.parse_prog
-         {|(execute at {"xrpc://B"} { probe() }, execute at {"xrpc://C"} { probe() })|})
-  in
-  let before = plan () in
-  let site = { Cost.default_site with Cost.outer_rows = 100 } in
-  let choose ?dest () = Cost.choose ?dest Cost.default_net Cost.zero_cpu site in
-  let base = (choose ()).Cost.chosen in
-  (* the default winner measures 1000x its estimate at B only; C has its
-     own history, which agrees with the model *)
-  let est = Cost.total base in
-  for _ = 1 to 20 do
-    Cost.observe ~dest:"xrpc://B" base.Cost.strategy ~estimated_ms:est
-      ~measured_ms:(est *. 1000.);
-    Cost.observe ~dest:"xrpc://C" base.Cost.strategy ~estimated_ms:est
-      ~measured_ms:est
-  done;
-  let at_b = (choose ~dest:"xrpc://B" ()).Cost.chosen in
-  check bool_ "B's winner flipped" true (at_b.Cost.strategy <> base.Cost.strategy);
-  let after = plan () in
-  let b = site_section after 1 in
-  check bool_ "B's section names the flipped winner" true
-    (contains b ("chosen: " ^ Strategies.name at_b.Cost.strategy));
-  check bool_ "with the cal number it was ranked by" true
-    (contains b
-       (Printf.sprintf "-> %s" (Cost.cost_line ~dest:"xrpc://B" at_b)));
-  check bool_ "the demoted winner shows its B calibration" true
-    (contains b (Printf.sprintf "(cal %8.3fms)"
-       (Cost.calibrated_total ~dest:"xrpc://B" base)));
-  check string_ "C's section is unchanged" (site_section before 2)
-    (site_section after 2)
-
 (* ------------------------------------------------------------------ *)
 (* Measured crossover on deterministic Simnet                          *)
 (* ------------------------------------------------------------------ *)
@@ -809,9 +521,6 @@ let probe_site cluster setting ~persons_bytes ~auctions_bytes ~result_bytes =
 let test_measured_crossover () =
   List.iter
     (fun setting ->
-      (* each setting is its own deployment: the EMA must not leak across
-         network parameters (a ratio learned at 0.6ms is wrong at 40ms) *)
-      with_clean_calibration @@ fun () ->
       let cluster, a, persons_bytes, auctions_bytes = build_cluster setting in
       let net =
         {
@@ -855,31 +564,20 @@ let test_measured_crossover () =
         (Printf.sprintf "%s: the optimizer picked the measured-fastest"
            setting.s_name)
         (Strategies.short_name fastest)
-        (Strategies.short_name chosen);
-      (* feed the measurements back; the calibrated re-choice on this
-         deployment must keep agreeing *)
-      List.iter
-        (fun (strategy, ms) ->
-          let est = Cost.total (Cost.estimate net Cost.zero_cpu site strategy) in
-          ignore (Cost.record_run strategy ~estimated_ms:est ~measured_ms:ms))
-        measured;
-      check string_
-        (Printf.sprintf "%s: calibrated re-choice still agrees" setting.s_name)
-        (Strategies.short_name fastest)
-        (Strategies.short_name
-           (Cost.choose net Cost.zero_cpu site).Cost.chosen.Cost.strategy))
+        (Strategies.short_name chosen))
     settings
 
 let test_forced_bulk_vs_singles () =
-  (* the Table 2 claim, live: the same semi-join forced one-at-a-time
-     sends more messages, costs more virtual time, answers identically *)
+  (* the Table 2 claim, live: the same semi-join run one-at-a-time
+     (the coordinator's config.rpc_mode) sends more messages, costs more
+     virtual time, answers identically *)
   let setting =
     { s_name = "table2"; s_scale = { Xmark.persons = 12; auctions = 30; matches = 4 };
       s_latency_ms = 0.6; s_bandwidth = 125_000. }
   in
   let measure mode =
     let cluster, a, _, _ = build_cluster setting in
-    with_env_strategy mode @@ fun () ->
+    a.Peer.config <- { a.Peer.config with Peer.rpc_mode = mode };
     Cluster.reset_stats cluster;
     let r =
       Peer.query_seq a
@@ -888,8 +586,8 @@ let test_forced_bulk_vs_singles () =
     let stats = Cluster.stats cluster in
     (Xdm.to_display r, stats.Simnet.network_ms, stats.Simnet.messages)
   in
-  let bulk_disp, bulk_ms, bulk_msgs = measure "bulk" in
-  let singles_disp, singles_ms, singles_msgs = measure "singles" in
+  let bulk_disp, bulk_ms, bulk_msgs = measure Xctx.Rpc_bulk in
+  let singles_disp, singles_ms, singles_msgs = measure Xctx.Rpc_singles in
   check string_ "identical answers either way" bulk_disp singles_disp;
   check bool_
     (Printf.sprintf "one-at-a-time sends more messages (%d vs %d)" singles_msgs
@@ -902,32 +600,6 @@ let test_forced_bulk_vs_singles () =
   in
   check bool_ "the model agrees with the measured ordering" true
     (est_bulk < est_singles)
-
-let test_estimator_annotation () =
-  (* install_estimator: profiled Bulk RPC dispatches carry a Table-2
-     annotation (predicted bulk vs singles cost next to the measurement) *)
-  let setting =
-    { s_name = "annot"; s_scale = { Xmark.persons = 8; auctions = 20; matches = 3 };
-      s_latency_ms = 0.6; s_bandwidth = 125_000. }
-  in
-  let _, a, _, _ = build_cluster setting in
-  let semijoin = Strategies.query ~local_uri:"xrpc://A" q7 Strategies.Distributed_semijoin in
-  let _, bare = Profile.profiled ~label:"bare" (fun () -> Peer.query_seq a semijoin) in
-  check bool_ "no estimator, no annotation" true
-    (not
-       (List.exists (fun s -> contains s "table2") (Profile.annotations bare)));
-  Cost.install_estimator ();
-  Fun.protect ~finally:Cost.uninstall_estimator @@ fun () ->
-  let _, profile =
-    Profile.profiled ~label:"annotated" (fun () -> Peer.query_seq a semijoin)
-  in
-  let notes = Profile.annotations profile in
-  check bool_ "Table-2 annotation present" true
-    (List.exists (fun s -> contains s "table2 Q_B3") notes);
-  check bool_ "it compares bulk against singles" true
-    (List.exists (fun s -> contains s "bulk=" && contains s "singles=") notes);
-  check bool_ "rendered profiles show the optimizer section" true
-    (contains (Profile.render profile) "optimizer:")
 
 (* :explain agrees with :profile on every Q7 strategy, in both modes *)
 let test_explain_agrees_with_profile () =
@@ -986,7 +658,6 @@ let test_chaos_differential () =
      returns answers identical to plain Bulk RPC data shipping, even
      under fault schedules — a run may fail outright, it may never
      return a silently different answer *)
-  with_clean_calibration @@ fun () ->
   let scale = { Xmark.persons = 20; auctions = 60; matches = 5 } in
   let sim = { Simnet.default_config with Simnet.charge_cpu = false } in
   let make_cluster ?faults () =
@@ -1080,35 +751,15 @@ let () =
       ( "choice",
         [
           Alcotest.test_case "ranking is cheapest-first" `Quick test_choose_ranks;
-          Alcotest.test_case "force override" `Quick test_choose_force;
           Alcotest.test_case "strategy name round-trips" `Quick
             test_strategy_names;
-          Alcotest.test_case "XRPC_FORCE_STRATEGY" `Quick test_force_env;
           Alcotest.test_case "rpc-mode parsing" `Quick test_rpc_mode_parsing;
-        ] );
-      ( "feedback",
-        [
-          Alcotest.test_case "EMA calibration" `Quick test_feedback_ema;
-          Alcotest.test_case "measured runs flip the choice" `Quick
-            test_feedback_flips_choice;
-          Alcotest.test_case "flight-recorder replay" `Quick
-            test_feedback_flight_replay;
-          Alcotest.test_case "per-destination calibration" `Quick
-            test_feedback_per_destination;
-          Alcotest.test_case "per-destination choice flip" `Quick
-            test_feedback_per_destination_flips_choice;
-          Alcotest.test_case "per-destination flight replay" `Quick
-            test_feedback_per_destination_replay;
         ] );
       ( "explain",
         [
-          Alcotest.test_case "decision rendering and JSON" `Quick
-            test_explain_decision;
           Alcotest.test_case "static execute-at site analysis" `Quick
             test_execute_sites_analysis;
           Alcotest.test_case "table2 note per site" `Quick test_explain_table2_note;
-          Alcotest.test_case "per-destination calibration" `Quick
-            test_explain_dest_calibration;
           Alcotest.test_case ":explain agrees with :profile" `Quick
             test_explain_agrees_with_profile;
         ] );
@@ -1118,8 +769,6 @@ let () =
             test_measured_crossover;
           Alcotest.test_case "forced bulk vs one-at-a-time" `Quick
             test_forced_bulk_vs_singles;
-          Alcotest.test_case "profiled Table-2 annotation" `Quick
-            test_estimator_annotation;
         ] );
       ( "differential",
         [

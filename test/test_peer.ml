@@ -1064,6 +1064,17 @@ let test_unreachable_shell () =
   check bool_ "no internal error" false (contains stderr "internal error");
   check string_ "no result printed" "" stdout
 
+(* a remote document a peer cannot reach is the W3C's missing document *)
+let test_remote_doc_without_transport () =
+  let peer = Peer.create "xrpc://lonely.local" in
+  match Peer.query_seq peer {|count(doc("xrpc://other.local/x.xml"))|} with
+  | exception Xdm.Dynamic_error m ->
+      check bool_ ("FODC0002: " ^ m) true
+        (String.starts_with ~prefix:"err:FODC0002" m);
+      check bool_ "names the uri" true (contains m "xrpc://other.local/x.xml")
+  | exception e -> Alcotest.failf "expected FODC0002, got %s" (Printexc.to_string e)
+  | r -> Alcotest.failf "expected FODC0002, got %s" (Xdm.to_display r)
+
 let test_missing_doc_http () =
   let module Server = Xrpc_core.Xrpc_server in
   let module Client = Xrpc_core.Xrpc_client in
@@ -1170,6 +1181,8 @@ let () =
             test_missing_doc_http;
           Alcotest.test_case "Simnet call gets a Sender fault" `Quick
             test_missing_doc_simnet;
+          Alcotest.test_case "xrpc fn:doc without a transport is FODC0002"
+            `Quick test_remote_doc_without_transport;
         ] );
       ( "bulk-optimization",
         [

@@ -400,7 +400,6 @@ let test_explain_plan () =
   assert_has "set-at-a-time in bulk mode"
     "span bulkrpc — one Bulk RPC per destination over all iterations" bulk;
   assert_has "Table-2 estimate" "table2 t:ping/1: @100 iters bulk=" bulk;
-  assert_has "strategy decision" "chosen: " bulk;
   assert_has "one call per iteration in singles mode"
     "span bulkrpc — one call per iteration" (plan Xctx.Rpc_singles);
   check string_ "stable rendering" bulk (plan Xctx.Rpc_bulk);

@@ -472,8 +472,8 @@ let test_facade_routes_and_stats () =
         (fun r ->
           check bool_ (r ^ " listed") true
             (List.mem_assoc r (Server.routes server)))
-        [ "/metrics"; "/requestz"; "/slowz"; "/cachez"; "/shardz";
-          "/optimizerz"; "/tracez"; "/statz" ];
+        [ "/metrics"; "/requestz"; "/slowz"; "/cachez"; "/shardz"; "/tracez";
+          "/statz" ];
       check bool_ "routez renders the table" true
         (String.length routez > 100);
       let statz = fetch "/statz" in

@@ -411,6 +411,10 @@ let test_computed_name_not_qname () =
         ())
     [ ""; "a b"; "(:x"; ":a"; "a:" ]
 
+let test_computed_name_wrong_type () =
+  expect_code "XPTY0004" {|element {1} {"x"}|} ();
+  expect_code "XPTY0004" {|attribute {xs:date("2000-01-01")} {1}|} ()
+
 let test_arity_mismatch () =
   expect_error "unknown arity"
     {|declare function local:f($x) { $x }; local:f(1, 2)|} ()
@@ -542,6 +546,8 @@ let () =
         @ [
             Alcotest.test_case "computed name not a QName is XQDY0074" `Quick
               test_computed_name_not_qname;
+            Alcotest.test_case "computed name of another type is XPTY0004"
+              `Quick test_computed_name_wrong_type;
           ] );
       ( "functions",
         [
